@@ -1,11 +1,10 @@
 // Package noelle's root benchmark harness regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's per-experiment index).
-// Each benchmark prints the same rows/series the paper reports; run
+// figure of the paper's evaluation. Each benchmark prints the same
+// rows/series the paper reports; run
 //
 //	go test -bench=. -benchmem
 //
 // or `go run noelle/cmd/noelle-eval` for the plain-text artifacts.
-// EXPERIMENTS.md records paper-reported vs measured values.
 package noelle
 
 import (
@@ -175,7 +174,7 @@ func BenchmarkInvariantAlgorithms(b *testing.B) {
 		totL, totN, float64(totN)/float64(max(totL, 1))))
 }
 
-// ---- ablations (DESIGN.md "Design choices worth ablating") ----
+// ---- ablations ----
 
 // BenchmarkFunctionPDGCold measures the cold path the persistent
 // abstraction store (internal/abscache) exists to avoid: every iteration

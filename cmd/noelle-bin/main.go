@@ -13,7 +13,10 @@
 // queue capacity baked into the module (backpressure only — results are
 // identical at any capacity). -trace exports the run's
 // dispatch/task/communication spans as a Chrome trace-event JSON
-// timeline, and -metrics prints the aggregated span histograms.
+// timeline, and -metrics prints the aggregated span histograms followed
+// by the "where did the time go" attribution of the run's wall-clock
+// (serial + critical-lane run + critical-lane blocked + dispatch
+// overhead, plus per-lane and per-stage utilization).
 // -engine selects the interpreter execution tier: "compiled" (the
 // default fast path: functions lowered once to pre-bound ops) or
 // "walker" (the instruction-walking reference; both tiers produce
@@ -28,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"noelle/internal/interp"
 	"noelle/internal/ir"
@@ -42,7 +46,7 @@ func main() {
 	queueCap := flag.Int("queue-cap", 0, "override the capacity of the module's communication queues (0 = respect the module)")
 	engine := flag.String("engine", "", "interpreter execution tier: walker|compiled (default: process default, see NOELLE_ENGINE)")
 	trace := flag.String("trace", "", "export the run as a Chrome trace-event JSON timeline (chrome://tracing, Perfetto)")
-	metrics := flag.Bool("metrics", false, "print the run's span metrics (counts, totals, p50/p95/p99) to stderr")
+	metrics := flag.Bool("metrics", false, "print the run's span metrics (counts, totals, p50/p95/p99) and wall-clock attribution to stderr")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: noelle-bin [-seq] [-workers N] [-queue-cap N] [-engine walker|compiled] [-trace out.json] [-metrics] [-emit out.nir] whole.nir")
@@ -76,7 +80,9 @@ func main() {
 	if *trace != "" || *metrics {
 		it.Tracer = obs.NewTracer()
 	}
+	start := time.Now()
 	code, err := it.Run()
+	wall := time.Since(start)
 	if err != nil {
 		toolio.Fatal(err)
 	}
@@ -99,6 +105,8 @@ func main() {
 		reg := obs.NewRegistry()
 		it.Tracer.MergeInto(reg)
 		fmt.Fprint(os.Stderr, reg.Format())
+		parks := it.ParkStats()
+		fmt.Fprint(os.Stderr, obs.AttributeTrace(it.Tracer, wall, parks.PushParkNS, parks.PopParkNS, parks.WaitParkNS).Format())
 	}
 	if *trace != "" {
 		if err := toolio.WriteTraceFile(*trace, obs.TraceLeg{Name: "noelle-bin", Tracer: it.Tracer}); err != nil {

@@ -1,189 +1,130 @@
 // noelle-eval regenerates every table and figure of the paper's
-// evaluation from this repository (see DESIGN.md's per-experiment index
-// and EXPERIMENTS.md for the recorded results).
+// evaluation from this repository. Each artifact is deterministic:
+// wall-clock measurements live in the repository's one benchmark
+// (BENCHMARK.json, `go run -C benchmark .`), not here.
 //
-// Usage: noelle-eval [-only table1|table2|table3|table4|fig3|fig4|goviv|fig5|spec|dead|wallclock|auto]
-//
-// The wallclock artifact complements the simulated Figure-5 numbers with
-// *measured* speedups, covering all three parallelization techniques:
-// it DOALL-transforms the bundled parallel benchmark and races the
-// interpreter's parallel dispatch against its -seq fallback, then lowers
-// the bundled pipeline benchmark with DSWP (stages over internal/queue
-// queues) and HELIX (signal-guarded iterations) and reports measured
-// pipeline speedups next to the SimulateDSWP/SimulateHELIX numbers.
-// -workers picks the top worker count of the sweep (and the pipeline
-// core count), -wall-size the per-loop iteration count, -queue-cap the
-// communication queue bound, and -seq turns every parallel leg into a
-// sequential control run.
-//
-// The auto artifact is the headline composition: it races the auto
-// orchestrator (per-loop technique selection over the machine cost
-// model) against each individual technique on both bundled benchmarks —
-// the orchestrator should match the best single technique on each
-// without being told which benchmark favours which.
+// Usage: noelle-eval [-only table1|table2|table3|table4|fig3|fig4|goviv|fig5|spec|dead] [-cores N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"noelle/internal/bench"
 	"noelle/internal/eval"
-	"noelle/internal/interp"
-	"noelle/internal/obs"
 	"noelle/internal/toolio"
 )
 
-func main() {
-	only := flag.String("only", "", "emit a single artifact")
-	cores := flag.Int("cores", 12, "core count for the speedup figures")
-	workers := flag.Int("workers", 4, "top worker count for the wallclock artifact's sweep")
-	seq := flag.Bool("seq", false, "wallclock artifact: run the parallel legs sequentially too (debugging control)")
-	wallSize := flag.Int("wall-size", 0, "wallclock artifact: array length / iteration count per loop (0 = default)")
-	queueCap := flag.Int("queue-cap", 0, "wallclock artifact: bound on the pipeline communication queues (0 = default)")
-	engine := flag.String("engine", "", "interpreter execution tier for the measured studies: walker|compiled (default: process default, see NOELLE_ENGINE)")
-	trace := flag.String("trace", "", "wallclock/auto artifacts: export the attribution runs as a Chrome trace-event JSON timeline")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, GC-settled) to this file")
-	flag.Parse()
+type artifact struct {
+	name string
+	gen  func(cores int) (string, error)
+}
 
-	eng, engErr := interp.ParseEngine(*engine)
-	if engErr != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", engErr)
-		os.Exit(2)
-	}
-
-	stopProfiles, perr := toolio.StartProfiles(*cpuprofile, *memprofile)
-	if perr != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", perr)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-	var traceLegs []obs.TraceLeg
-
-	emit := func(name string, gen func() (string, error)) {
-		if *only != "" && *only != name {
-			return
-		}
-		text, err := gen()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: error: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println(text)
-	}
-
-	emit("table1", func() (string, error) {
+// artifacts lists the evaluation in the paper's order; the default
+// sweep emits all of them.
+var artifacts = []artifact{
+	{"table1", func(int) (string, error) {
 		return eval.FormatInventory("Table 1: NOELLE abstractions (this repo)", eval.Table1Abstractions()), nil
-	})
-	emit("table2", func() (string, error) {
+	}},
+	{"table2", func(int) (string, error) {
 		return eval.FormatInventory("Table 2: NOELLE tools (this repo)", eval.Table2Tools()), nil
-	})
-	emit("table3", func() (string, error) {
+	}},
+	{"table3", func(int) (string, error) {
 		return eval.FormatTable3(eval.Table3CustomTools()), nil
-	})
-	emit("table4", func() (string, error) {
+	}},
+	{"table4", func(int) (string, error) {
 		rows, err := eval.Table4UsageMatrix()
 		if err != nil {
 			return "", err
 		}
 		return eval.FormatTable4(rows), nil
-	})
-	emit("fig3", func() (string, error) {
+	}},
+	{"fig3", func(int) (string, error) {
 		rows, err := eval.Figure3Dependences()
 		if err != nil {
 			return "", err
 		}
 		return eval.FormatFigure3(rows), nil
-	})
-	emit("fig4", func() (string, error) {
+	}},
+	{"fig4", func(int) (string, error) {
 		rows, err := eval.Figure4Invariants()
 		if err != nil {
 			return "", err
 		}
 		return eval.FormatFigure4(rows), nil
-	})
-	emit("goviv", func() (string, error) {
+	}},
+	{"goviv", func(int) (string, error) {
 		g, err := eval.GoverningIVs()
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("Section 4.3: governing IVs across %d loops: LLVM-style %d, NOELLE %d (paper: 11 vs 385)",
 			g.Loops, g.LLVMTotal, g.NoelleTotal), nil
-	})
-	emit("fig5", func() (string, error) {
-		rows, err := eval.Figure5Speedups([]bench.Suite{bench.PARSEC, bench.MiBench}, *cores)
+	}},
+	{"fig5", func(cores int) (string, error) {
+		rows, err := eval.Figure5Speedups([]bench.Suite{bench.PARSEC, bench.MiBench}, cores)
 		if err != nil {
 			return "", err
 		}
-		return eval.FormatFigure5("Figure 5: PARSEC + MiBench program speedups", rows, *cores), nil
-	})
-	emit("spec", func() (string, error) {
-		rows, err := eval.Figure5Speedups([]bench.Suite{bench.SPEC}, *cores)
+		return eval.FormatFigure5("Figure 5: PARSEC + MiBench program speedups", rows, cores), nil
+	}},
+	{"spec", func(cores int) (string, error) {
+		rows, err := eval.Figure5Speedups([]bench.Suite{bench.SPEC}, cores)
 		if err != nil {
 			return "", err
 		}
-		return eval.FormatFigure5("Section 4.4: SPEC CPU2017 program speedups", rows, *cores), nil
-	})
-	emit("dead", func() (string, error) {
+		return eval.FormatFigure5("Section 4.4: SPEC CPU2017 program speedups", rows, cores), nil
+	}},
+	{"dead", func(int) (string, error) {
 		rows, err := eval.DeadFunctionStudy()
 		if err != nil {
 			return "", err
 		}
 		return eval.FormatDeadStudy(rows), nil
-	})
-	// wallclock and auto are explicit-only: they are timing measurements,
-	// so they are not part of the default (deterministic) artifact sweep.
-	if *only == "auto" {
-		rows, err := eval.AutoStudy(*wallSize, *workers, 0, *queueCap, *seq, eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "auto: error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(eval.FormatAutoStudy(rows, *wallSize))
-		for _, r := range rows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{
-					Name: fmt.Sprintf("%s/%s", r.Benchmark, r.Technique), Tracer: r.Trace})
+	}},
+}
+
+// defaultCores is the paper's evaluation machine.
+const defaultCores = 12
+
+func main() {
+	only := flag.String("only", "", "emit a single artifact")
+	cores := flag.Int("cores", defaultCores, "core count for the speedup figures")
+	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to this file")
+	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, GC-settled) to this file")
+	flag.Parse()
+
+	selected := artifacts
+	if *only != "" {
+		selected = nil
+		var names []string
+		for _, a := range artifacts {
+			names = append(names, a.name)
+			if a.name == *only {
+				selected = []artifact{a}
 			}
 		}
-	}
-	if *only == "wallclock" {
-		counts := eval.WorkerSweep(*workers)
-		if counts == nil {
-			fmt.Fprintf(os.Stderr, "wallclock: -workers must be >= 1 (got %d)\n", *workers)
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "noelle-eval: unknown artifact %q (valid: %s)\n", *only, strings.Join(names, ", "))
 			os.Exit(2)
 		}
-		rows, err := eval.WallClockStudy(*wallSize, counts, 0, *seq, eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wallclock: error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(eval.FormatWallClock(rows, *wallSize))
-		for _, r := range rows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{
-					Name: fmt.Sprintf("doall/workers=%d", r.Workers), Tracer: r.Trace})
-			}
-		}
-		prows, err := eval.PipelineWallClockStudy(*wallSize, *workers, 0, *queueCap, *seq, eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wallclock: pipeline error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(eval.FormatPipelineWallClock(prows, *wallSize))
-		for _, r := range prows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{Name: r.Technique, Tracer: r.Trace})
-			}
-		}
 	}
-	if *trace != "" {
-		if err := toolio.WriteTraceFile(*trace, traceLegs...); err != nil {
-			fmt.Fprintf(os.Stderr, "error: writing trace: %v\n", err)
+
+	stopProfiles, err := toolio.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
+
+	for _, a := range selected {
+		text, err := a.gen(*cores)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: error: %v\n", a.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d legs)\n", *trace, len(traceLegs))
+		fmt.Println(text)
 	}
 }

@@ -470,6 +470,10 @@ func (n *Noelle) LoopStructures(f *ir.Function) []*loops.LS {
 // reductions. Concurrent requests for the same loop share a single
 // computation.
 func (n *Noelle) Loop(ls *loops.LS) *loops.Loop {
+	// Every abstraction a Loop is built from is recorded here, PDG
+	// included, so the request log never depends on whether the bundle
+	// (or the function's PDG) was already cached.
+	n.Use(AbsPDG)
 	n.Use(AbsLoop)
 	n.Use(AbsSCCDAG)
 	n.Use(AbsIV)

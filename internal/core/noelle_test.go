@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -240,6 +241,24 @@ func TestInvalidationDropsCaches(t *testing.T) {
 	g3 := n.FunctionPDG(f)
 	if g3 == g2 {
 		t.Fatal("InvalidateModule did not drop the cached PDG")
+	}
+}
+
+// TestLoopRequestLogIgnoresCacheState: the abstractions a Loop request
+// records must not depend on whether the bundle was already cached — a
+// warm manager (a daemon session) and a cold one (a CLI process) print
+// the same "abstractions requested" line.
+func TestLoopRequestLogIgnoresCacheState(t *testing.T) {
+	n := newN(t)
+	ls := n.LoopStructures(n.Mod.FunctionByName("reduce"))[0]
+	n.ResetRequests()
+	n.Loop(ls)
+	cold := n.Requested()
+	n.ResetRequests()
+	n.Loop(ls)
+	warm := n.Requested()
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("request log depends on cache state:\ncold: %v\nwarm: %v", cold, warm)
 	}
 }
 

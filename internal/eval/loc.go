@@ -5,11 +5,8 @@
 // dependence and invariant precision figures (Figures 3 and 4), the
 // governing-IV counts (Section 4.3), the parallelization speedups
 // (Figure 5 and Section 4.4), and the DeadFunctionElimination binary-size
-// study (Section 4.5). Alongside the simulated artifacts it hosts the
-// measured wall-clock studies the bench scripts record as JSON: the
-// DOALL worker sweep (WallClockStudy), the DSWP/HELIX pipeline race
-// (PipelineWallClockStudy), and the auto-parallelizer-vs-single-technique
-// comparison (AutoStudy).
+// study (Section 4.5). Every artifact is deterministic; wall-clock is
+// measured only by the repository's benchmark (BENCHMARK.json).
 package eval
 
 import (

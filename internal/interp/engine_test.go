@@ -108,18 +108,32 @@ func pipelineLower(t *testing.T, tech string, size, cores int) *ir.Module {
 // TestTiersAgreePipelines runs the DSWP- and HELIX-lowered pipeline
 // benchmark on both tiers under sequential and parallel dispatch. These
 // modules exercise the queue/signal externs heavily, so the comm-counter
-// diff in AssertTiersAgree is load-bearing here.
+// diff in AssertTiersAgree is load-bearing here. The two dispatch modes
+// must also agree with each other on every observable, and real
+// communication traffic must have flowed (a lowering that silently
+// stopped communicating would otherwise pass every diff).
 func TestTiersAgreePipelines(t *testing.T) {
 	for _, tech := range []string{"dswp", "helix"} {
 		tech := tech
 		t.Run(tech, func(t *testing.T) {
 			m := pipelineLower(t, tech, 256, 3)
-			t.Run("seq", func(t *testing.T) {
-				interptest.AssertTiersAgree(t, m, interptest.Config{SeqDispatch: true})
+			var seq, par interptest.Result
+			seqOK := t.Run("seq", func(t *testing.T) {
+				seq, _ = interptest.AssertTiersAgree(t, m, interptest.Config{SeqDispatch: true})
 			})
-			t.Run("par", func(t *testing.T) {
-				interptest.AssertTiersAgree(t, m, interptest.Config{DispatchWorkers: 3})
+			parOK := t.Run("par", func(t *testing.T) {
+				par, _ = interptest.AssertTiersAgree(t, m, interptest.Config{DispatchWorkers: 3})
 			})
+			if !seqOK || !parOK {
+				return // the cross-mode diff below would only repeat the failure
+			}
+			for _, d := range interptest.Compare("seq", seq, "par", par) {
+				t.Errorf("dispatch modes disagree on %s", d)
+			}
+			// Comm is creates, pushes, pops, waits, fires.
+			if par.Comm[1]+par.Comm[3] == 0 {
+				t.Errorf("no queue pushes or signal waits recorded: %v", par.Comm)
+			}
 		})
 	}
 }

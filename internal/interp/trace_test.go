@@ -3,7 +3,11 @@ package interp_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"noelle/internal/interp"
 	"noelle/internal/obs"
@@ -167,5 +171,44 @@ func TestTracedConcurrentDispatchStress(t *testing.T) {
 		if reg.Counter("trace.lanes") < 2 {
 			t.Fatalf("iteration %d: fewer than 2 traced lanes", i)
 		}
+	}
+}
+
+// TestAttributionIdentity pins obs.AttributeTrace on a real pipeline:
+// over a traced run of the DSWP-lowered pipeline benchmark the four
+// terms account for the whole measured wall-clock, and the effective
+// lane count never exceeds what the machine can run at once.
+func TestAttributionIdentity(t *testing.T) {
+	it := interp.New(pipelineLower(t, "dswp", 256, 3))
+	it.DispatchWorkers = 3
+	it.Tracer = obs.NewTracer()
+	start := time.Now()
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	parks := it.ParkStats()
+	a := obs.AttributeTrace(it.Tracer, wall, parks.PushParkNS, parks.PopParkNS, parks.WaitParkNS)
+
+	sum := a.SerialMS + a.RunCritMS + a.BlockedCritMS + a.OverheadMS
+	// The dispatch spans lie inside [start, start+wall], so the identity
+	// is exact up to float rounding; 1µs is far above that and far below
+	// any real term.
+	if math.Abs(sum-a.WallMS) > 1e-3 {
+		t.Errorf("serial %.4f + run_crit %.4f + blocked_crit %.4f + overhead %.4f = %.4fms, want wall %.4fms",
+			a.SerialMS, a.RunCritMS, a.BlockedCritMS, a.OverheadMS, sum, a.WallMS)
+	}
+	if a.RunCritMS <= 0 || a.BlockedCritMS <= 0 {
+		t.Errorf("a pipeline's critical lane both runs and communicates; got run_crit %.4fms, blocked_crit %.4fms",
+			a.RunCritMS, a.BlockedCritMS)
+	}
+	if a.EffLanes < 1 || a.EffLanes > runtime.GOMAXPROCS(0) {
+		t.Errorf("EffLanes = %d, want within [1, GOMAXPROCS=%d]", a.EffLanes, runtime.GOMAXPROCS(0))
+	}
+	if len(a.Lanes) == 0 || len(a.Stages) == 0 {
+		t.Errorf("breakdowns missing: %d lanes, %d stages", len(a.Lanes), len(a.Stages))
+	}
+	if !strings.Contains(a.Format(), "where did the time go") {
+		t.Errorf("footer lost its heading:\n%s", a.Format())
 	}
 }

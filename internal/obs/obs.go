@@ -1,8 +1,8 @@
 // Package obs is the runtime observability plane of the parallel
 // interpreter: low-overhead span tracing plus a metrics registry, built
-// to answer "where did the parallel wall-clock go?" — the question every
-// BENCH file raises when a modeled 2–4x speedup collapses to ~1x
-// measured.
+// to answer "where did the parallel wall-clock go?" — the question a
+// modeled 2–4x speedup raises when it collapses to ~1x measured
+// (AttributeTrace is the answer's one implementation).
 //
 // The recording model is one Recorder per execution lane (one dispatch
 // goroutine, or the root context), owned exclusively by that lane's

@@ -243,3 +243,17 @@ func TestConcurrentRecorders(t *testing.T) {
 		t.Fatalf("recorded %d pops, want 8000", total)
 	}
 }
+
+// TestAttributeTraceWithoutDispatches: a run that never dispatched is
+// all serial time.
+func TestAttributeTraceWithoutDispatches(t *testing.T) {
+	tr := NewTracer()
+	tr.NewRecorder(0, -1, "main")
+	a := AttributeTrace(tr, 5*time.Millisecond, 0, 0, 0)
+	if a.SerialMS != a.WallMS || a.WallMS != 5 {
+		t.Errorf("serial %.3fms, wall %.3fms, want both 5ms", a.SerialMS, a.WallMS)
+	}
+	if a.RunCritMS != 0 || a.BlockedCritMS != 0 || a.OverheadMS != 0 || a.EffLanes != 1 {
+		t.Errorf("dispatch terms on a dispatch-free run: %+v", a)
+	}
+}

@@ -6,9 +6,6 @@
 // fingerprint, single-flight coalescing of identical in-flight requests,
 // an LRU over resident sessions, and a bounded worker pool that
 // fast-fails with a retryable status instead of queueing unboundedly.
-// This is the ROADMAP's "millions of users" architecture: the ~6x warm
-// abstraction reuse PR 2 bought within one CLI run, amortized across
-// every client of a fleet.
 //
 // The wire format is deliberately small: each frame is a 4-byte
 // big-endian payload length followed by a JSON message. A connection

@@ -15,7 +15,6 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
-	"noelle/internal/irtext"
 	"noelle/internal/obs"
 	"noelle/internal/tool"
 )
@@ -46,12 +45,6 @@ type Config struct {
 	// Registry receives the service metrics (nil allocates a private
 	// one); read it back via Server.Registry.
 	Registry *obs.Registry
-	// ColdPerRequest disables every warm path — session reuse,
-	// persistent stores, single-flight coalescing — so each request pays
-	// a full parse and alias solve, like a cold CLI process would. This
-	// exists for the cold-fleet baseline in scripts/benchserve; a real
-	// deployment never sets it.
-	ColdPerRequest bool
 }
 
 // Server is the compile service: one warm abstraction state shared by
@@ -139,7 +132,7 @@ func New(cfg Config) *Server {
 		shutCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
 	}
-	if cfg.CacheDir != "" && !cfg.ColdPerRequest {
+	if cfg.CacheDir != "" {
 		s.stores = newStorePool(cfg.CacheDir, cfg.CacheLRUEntries)
 	}
 	return s
@@ -343,30 +336,26 @@ func (s *Server) handleRun(cw *connWriter, req *RunRequest) {
 	start := time.Now()
 	key := requestKey(req)
 
-	if !s.cfg.ColdPerRequest {
-		s.flightMu.Lock()
-		if fl, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
-			// Counted at join (not at delivery) so an operator watching the
-			// gauge sees pile-ups while the leader is still running.
-			s.reg.Count("serve.coalesced", 1)
-			<-fl.done
-			for i := range fl.reports {
-				cw.send(&Response{Type: TypeReport, Report: &fl.reports[i]})
-			}
-			d := fl.result
-			d.Coalesced = true
-			cw.send(&Response{Type: TypeDone, Done: &d})
-			s.reg.Observe("serve.latency.run", time.Since(start))
-			return
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.flights[key] = fl
+	s.flightMu.Lock()
+	if fl, ok := s.flights[key]; ok {
 		s.flightMu.Unlock()
-		s.leadRun(cw, req, key, fl, start)
+		// Counted at join (not at delivery) so an operator watching the
+		// gauge sees pile-ups while the leader is still running.
+		s.reg.Count("serve.coalesced", 1)
+		<-fl.done
+		for i := range fl.reports {
+			cw.send(&Response{Type: TypeReport, Report: &fl.reports[i]})
+		}
+		d := fl.result
+		d.Coalesced = true
+		cw.send(&Response{Type: TypeDone, Done: &d})
+		s.reg.Observe("serve.latency.run", time.Since(start))
 		return
 	}
-	s.leadRun(cw, req, key, &flight{done: make(chan struct{})}, start)
+	fl := &flight{done: make(chan struct{})}
+	s.flights[key] = fl
+	s.flightMu.Unlock()
+	s.leadRun(cw, req, key, fl, start)
 }
 
 // leadRun enqueues a leader job and waits for its worker to finish
@@ -390,19 +379,17 @@ func (s *Server) leadRun(cw *connWriter, req *RunRequest, key string, fl *flight
 	s.reg.Observe("serve.latency.run", time.Since(start))
 }
 
-// finishFlight publishes the result, retires the flight from the map
-// (when registered), and wakes every follower. The leader's own done
-// frame is the caller's job — the worker's deferred send, or the
-// saturated fast-fail in leadRun.
+// finishFlight publishes the result, retires the flight from the map,
+// and wakes every follower. The leader's own done frame is the caller's
+// job — the worker's deferred send, or the saturated fast-fail in
+// leadRun.
 func (s *Server) finishFlight(key string, fl *flight, result Done) {
 	fl.result = result
-	if !s.cfg.ColdPerRequest {
-		s.flightMu.Lock()
-		if s.flights[key] == fl {
-			delete(s.flights, key)
-		}
-		s.flightMu.Unlock()
+	s.flightMu.Lock()
+	if s.flights[key] == fl {
+		delete(s.flights, key)
 	}
+	s.flightMu.Unlock()
 	close(fl.done)
 }
 
@@ -444,41 +431,25 @@ func (s *Server) execute(j *job) {
 	// the session never observes mutated IR and unchanged functions
 	// still load warm by fingerprint.
 	var (
-		n       *core.Noelle
-		m       *ir.Module
-		hit     bool
-		release func()
+		n *core.Noelle
+		m *ir.Module
 	)
-	if s.cfg.ColdPerRequest {
-		cold, err := irtext.Parse(j.req.Module)
-		if err != nil {
-			result = Done{Status: StatusError, Error: fmt.Sprintf("serve: parsing module: %v", err)}
-			return
-		}
-		m = cold
-		n = core.New(m, j.req.Opts.coreOptions())
-	} else {
-		sess, sessHit, err := s.sessions.acquire(j.req.Module, j.req.Opts, s.openStore)
-		if err != nil {
-			result = Done{Status: StatusError, Error: err.Error()}
-			return
-		}
-		hit = sessHit
-		if pipelineTransforms(j.req.Tools, topts) {
-			m = ir.CloneModule(sess.mod)
-			n = core.New(m, sess.copt)
-			if sess.store != nil {
-				n.SetStore(sess.store)
-			}
-		} else {
-			sess.mu.Lock()
-			release = sess.mu.Unlock
-			m = sess.mod
-			n = sess.mgr
-		}
+	sess, hit, err := s.sessions.acquire(j.req.Module, j.req.Opts, s.openStore)
+	if err != nil {
+		result = Done{Status: StatusError, Error: err.Error()}
+		return
 	}
-	if release != nil {
-		defer release()
+	if pipelineTransforms(j.req.Tools, topts) {
+		m = ir.CloneModule(sess.mod)
+		n = core.New(m, sess.copt)
+		if sess.store != nil {
+			n.SetStore(sess.store)
+		}
+	} else {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		m = sess.mod
+		n = sess.mgr
 	}
 
 	emit := func(rep tool.Report) {

@@ -10,10 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"noelle/internal/core"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/obs"
 	"noelle/internal/passes"
+	"noelle/internal/tool"
 
 	// The service resolves pipelines through the tool registry.
 	_ "noelle/internal/tools"
@@ -148,6 +151,33 @@ func TestWarmSessionByteIdenticalReports(t *testing.T) {
 	}
 	if reg.Counter("serve.session.hits") == 0 {
 		t.Error("no session hits recorded")
+	}
+
+	// A read-only pipeline runs on the session's own warm manager, where
+	// every loop bundle is a cache hit the second time: both answers must
+	// still byte-match a cold in-process run, the "abstractions
+	// requested" line included.
+	parsed, err := irtext.Parse(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultRunOptions()
+	reps, _, err := tool.RunPipeline(context.Background(), core.New(parsed, opts.coreOptions()), []string{"perspective"}, opts.toolOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, r := range reps {
+		r.Fprint(&want)
+	}
+	if !strings.Contains(want.String(), "abstractions requested") {
+		t.Fatalf("cold rendering has no request line:\n%s", want.String())
+	}
+	for _, pass := range []string{"first", "warm"} {
+		got, _ := renderRun(t, c, runReq(mod, "perspective"))
+		if got != want.String() {
+			t.Errorf("%s daemon perspective report differs from a cold tool.RunPipeline:\ndaemon:\n%scold:\n%s", pass, got, want.String())
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // Go reproduction of "NOELLE Offers Empowering LLVM Extensions" (CGO
 // 2022). It re-exports the manager, the tool registry, and the entry
 // points a custom tool needs; the implementation lives under internal/
-// (see DESIGN.md for the system inventory and README.md for the
-// architecture overview).
+// (see ARCHITECTURE.md for the system inventory and the architecture
+// overview).
 //
 // A custom tool follows the paper's pattern — load the layer, then pull
 // abstractions on demand:

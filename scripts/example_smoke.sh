@@ -9,6 +9,9 @@
 #   2. The lowered module's output is byte-identical across the original
 #      program, the sequential fallback, and the parallel dispatch run —
 #      and matches the committed expected_output.txt.
+#   3. A traced run of the lowered module (`noelle-bin -trace`) prints
+#      the same output and exports a well-formed Chrome trace
+#      (scripts/tracecheck), kept as trace_example.json for CI to upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,5 +72,13 @@ diff -u "$tmp/orig.txt" "$tmp/seq.txt"
 diff -u "$tmp/seq.txt" "$tmp/par.txt"
 diff -u "$tmp/par.txt" "$tmp/w2.txt"
 diff -u "$tmp/wk.txt" "$tmp/cp.txt"
+
+echo "== traced run: same output, well-formed Chrome trace =="
+st_tr=$(run tr -trace "$tmp/trace.json" "$tmp/par.nir")
+[ "$st_tr" = "$st_par" ] ||
+  { echo "FAIL: tracing changed exit/cycles/steps (traced='$st_tr' untraced='$st_par')"; exit 1; }
+diff -u "$tmp/par.txt" "$tmp/tr.txt"
+go run ./scripts/tracecheck "$tmp/trace.json"
+cp "$tmp/trace.json" trace_example.json
 
 echo "example-smoke: OK (auto selected per-loop techniques; output byte-identical)"

@@ -2,10 +2,10 @@
 # serve_smoke.sh — end-to-end smoke check for the compile service
 # (make serve-smoke).
 #
-# Starts noelle-serve under -race on a unix socket, drives it with the
-# benchserve load generator in smoke mode (cold populate, concurrent
-# identical burst that must coalesce, warm re-run that must hit the
-# resident session, mixed second-module traffic, stats assertions), then
+# Starts noelle-serve under -race on a unix socket, drives it with
+# scripts/servesmoke (cold populate, concurrent identical burst that
+# must coalesce, warm re-run that must hit the resident session, mixed
+# second-module traffic, stats assertions), then
 # byte-diffs the daemon's report rendering against a cold
 # `noelle-load -tools licm,dead` on the same module, and finally checks
 # the daemon drained cleanly and its store is readable by noelle-cache.
@@ -21,8 +21,8 @@ go run -race ./cmd/noelle-serve -listen "unix:$sock" -cache-dir "$cache" \
   -workers 2 -queue 32 -sessions 8 -metrics 2> "$workdir/daemon.log" &
 daemon_pid=$!
 
-echo "== drive traffic (benchserve -mode smoke) =="
-go run ./scripts/benchserve -mode smoke -addr "unix:$sock" -out-dir "$workdir"
+echo "== drive traffic (scripts/servesmoke) =="
+go run ./scripts/servesmoke -addr "unix:$sock" -out-dir "$workdir"
 
 echo "== wait for clean daemon exit =="
 if ! wait "$daemon_pid"; then
@@ -45,4 +45,4 @@ echo "== store left behind is readable =="
 go run ./cmd/noelle-cache -dir "$cache" stats
 go run ./cmd/noelle-cache -dir "$cache" -json stats > /dev/null
 
-echo "OK: serve smoke passed (coalesced + warm hits asserted by the generator)"
+echo "OK: serve smoke passed (coalesced + warm hits asserted by servesmoke)"

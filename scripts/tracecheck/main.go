@@ -1,10 +1,11 @@
 // tracecheck validates a Chrome trace-event JSON file produced by
-// internal/obs (benchpipeline -trace, noelle-load -trace, ...): the
+// internal/obs (noelle-bin -trace, noelle-load -trace): the
 // document must parse, contain at least one complete ("X") event, name
 // every process and thread it uses, and keep each thread's event
 // timestamps monotonically non-decreasing with non-negative durations.
-// CI's trace-smoke step runs it over the pipeline bench's trace before
-// uploading the file as a build artifact.
+// scripts/example_smoke.sh (make example-smoke, CI) runs it over a
+// traced run of the walkthrough's lowered module before CI uploads the
+// file as a build artifact.
 //
 // Usage: go run ./scripts/tracecheck trace.json
 package main
