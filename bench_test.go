@@ -1,10 +1,13 @@
-// Package noelle's root benchmark harness regenerates every table and
-// figure of the paper's evaluation. Each benchmark prints the same
-// rows/series the paper reports; run
+// Package noelle's root benchmarks measure what nothing else in the
+// repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
+// cold vs warm abstraction-store load, and four design ablations
+// (demand-driven construction, alias stacks, HELIX header scheduling,
+// DOALL chunk size). Run them with
 //
 //	go test -bench=. -benchmem
 //
-// or `go run noelle/cmd/noelle-eval` for the plain-text artifacts.
+// The paper's tables and figures themselves are printed by
+// `go run noelle/cmd/noelle-eval`, and only there.
 package noelle
 
 import (
@@ -23,135 +26,8 @@ import (
 	"noelle/internal/tools/helix"
 )
 
-// Each artifact is printed once per `go test -bench` invocation.
-var printOnce sync.Map
-
-func emitOnce(b *testing.B, key, text string) {
-	b.Helper()
-	if _, dup := printOnce.LoadOrStore(key, true); !dup {
-		fmt.Println(text)
-	}
-}
-
-// BenchmarkTable1Abstractions regenerates Table 1 (E1).
-func BenchmarkTable1Abstractions(b *testing.B) {
-	var rows []eval.InventoryRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table1Abstractions()
-	}
-	emitOnce(b, "t1", eval.FormatInventory("Table 1: NOELLE abstractions (this repo)", rows))
-}
-
-// BenchmarkTable2Tools regenerates Table 2 (E2).
-func BenchmarkTable2Tools(b *testing.B) {
-	var rows []eval.InventoryRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table2Tools()
-	}
-	emitOnce(b, "t2", eval.FormatInventory("Table 2: NOELLE tools (this repo)", rows))
-}
-
-// BenchmarkTable3CustomTools regenerates Table 3 (E3).
-func BenchmarkTable3CustomTools(b *testing.B) {
-	var rows []eval.Table3Row
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table3CustomTools()
-	}
-	emitOnce(b, "t3", eval.FormatTable3(rows))
-}
-
-// BenchmarkTable4UsageMatrix regenerates Table 4 (E4).
-func BenchmarkTable4UsageMatrix(b *testing.B) {
-	var rows []eval.Table4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.Table4UsageMatrix()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "t4", eval.FormatTable4(rows))
-}
-
-// BenchmarkFigure3Dependences regenerates Figure 3 (E5).
-func BenchmarkFigure3Dependences(b *testing.B) {
-	var rows []eval.Fig3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.Figure3Dependences()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "f3", eval.FormatFigure3(rows))
-}
-
-// BenchmarkFigure4Invariants regenerates Figure 4 (E6).
-func BenchmarkFigure4Invariants(b *testing.B) {
-	var rows []eval.Fig4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.Figure4Invariants()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "f4", eval.FormatFigure4(rows))
-}
-
-// BenchmarkGoverningIVs regenerates the Section 4.3 counts (E7).
-func BenchmarkGoverningIVs(b *testing.B) {
-	var g eval.GovIVResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		g, err = eval.GoverningIVs()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "goviv", fmt.Sprintf(
-		"Section 4.3: governing IVs across %d loops: LLVM-style %d, NOELLE %d (paper: 11 vs 385)",
-		g.Loops, g.LLVMTotal, g.NoelleTotal))
-}
-
-// BenchmarkFigure5Speedups regenerates Figure 5 (E8).
-func BenchmarkFigure5Speedups(b *testing.B) {
-	var rows []eval.Fig5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.Figure5Speedups([]bench.Suite{bench.PARSEC, bench.MiBench}, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "f5", eval.FormatFigure5("Figure 5: PARSEC + MiBench program speedups", rows, 12))
-}
-
-// BenchmarkSPECSpeedups regenerates the Section 4.4 SPEC study (E9).
-func BenchmarkSPECSpeedups(b *testing.B) {
-	var rows []eval.Fig5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.Figure5Speedups([]bench.Suite{bench.SPEC}, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "spec", eval.FormatFigure5("Section 4.4: SPEC CPU2017 program speedups", rows, 12))
-}
-
-// BenchmarkDeadFunctionElimination regenerates the Section 4.5 study (E10).
-func BenchmarkDeadFunctionElimination(b *testing.B) {
-	var rows []eval.DeadRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.DeadFunctionStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emitOnce(b, "dead", eval.FormatDeadStudy(rows))
-}
+// The E11 summary line is printed once per `go test -bench` invocation.
+var printOnce sync.Once
 
 // BenchmarkInvariantAlgorithms contrasts Algorithm 1 and Algorithm 2
 // directly (E11): same corpus, both detectors, wall-clock included.
@@ -169,9 +45,10 @@ func BenchmarkInvariantAlgorithms(b *testing.B) {
 		totL += r.LLVMAbs
 		totN += r.NoelleAbs
 	}
-	emitOnce(b, "inv-alg", fmt.Sprintf(
-		"Algorithms 1 vs 2: low-level %d invariants, PDG-powered %d (x%.2f)",
-		totL, totN, float64(totN)/float64(max(totL, 1))))
+	printOnce.Do(func() {
+		fmt.Printf("Algorithms 1 vs 2: low-level %d invariants, PDG-powered %d (x%.2f)\n",
+			totL, totN, float64(totN)/float64(max(totL, 1)))
+	})
 }
 
 // ---- ablations ----

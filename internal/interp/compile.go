@@ -26,7 +26,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"noelle/internal/ir"
 )
@@ -212,10 +211,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 	resolve := func(v ir.Value) (oref, error) {
 		switch x := v.(type) {
 		case *ir.Const:
-			if x.Ty.IsFloat() {
-				return immRef(math.Float64bits(x.Flt)), nil
-			}
-			return immRef(uint64(x.Int)), nil
+			return immRef(x.Bits()), nil
 		case *ir.Global:
 			return immRef(uint64(img.globalAddr[x])), nil
 		case *ir.Function:

@@ -35,65 +35,6 @@ func (it *Interp) applyEdge(fr []uint64, cf *cfunc, e *cedge) {
 	it.Cycles += e.cycles
 }
 
-// cmpBits evaluates a fused comparison over raw bits.
-func cmpBits(op ir.Op, a, b uint64) bool {
-	switch op {
-	case ir.OpEq:
-		return int64(a) == int64(b)
-	case ir.OpNe:
-		return int64(a) != int64(b)
-	case ir.OpLt:
-		return int64(a) < int64(b)
-	case ir.OpLe:
-		return int64(a) <= int64(b)
-	case ir.OpGt:
-		return int64(a) > int64(b)
-	case ir.OpGe:
-		return int64(a) >= int64(b)
-	case ir.OpFEq:
-		return math.Float64frombits(a) == math.Float64frombits(b)
-	case ir.OpFNe:
-		return math.Float64frombits(a) != math.Float64frombits(b)
-	case ir.OpFLt:
-		return math.Float64frombits(a) < math.Float64frombits(b)
-	case ir.OpFLe:
-		return math.Float64frombits(a) <= math.Float64frombits(b)
-	case ir.OpFGt:
-		return math.Float64frombits(a) > math.Float64frombits(b)
-	}
-	return math.Float64frombits(a) >= math.Float64frombits(b) // OpFGe
-}
-
-// binBits evaluates a fused (never-trapping) binary op over raw bits.
-func binBits(op ir.Op, a, b uint64) uint64 {
-	ai, bi := int64(a), int64(b)
-	switch op {
-	case ir.OpAdd:
-		return uint64(ai + bi)
-	case ir.OpSub:
-		return uint64(ai - bi)
-	case ir.OpMul:
-		return uint64(ai * bi)
-	case ir.OpAnd:
-		return a & b
-	case ir.OpOr:
-		return a | b
-	case ir.OpXor:
-		return a ^ b
-	case ir.OpShl:
-		return uint64(ai << (uint64(bi) & 63))
-	case ir.OpShr:
-		return uint64(ai >> (uint64(bi) & 63))
-	case ir.OpFAdd:
-		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-	case ir.OpFSub:
-		return math.Float64bits(math.Float64frombits(a) - math.Float64frombits(b))
-	case ir.OpFMul:
-		return math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
-	}
-	return math.Float64bits(math.Float64frombits(a) / math.Float64frombits(b)) // OpFDiv
-}
-
 // execCompiled runs one compiled function body over this context.
 func (it *Interp) execCompiled(cf *cfunc, args []uint64) (uint64, error) {
 	fr := make([]uint64, cf.frameLen)
@@ -173,7 +114,7 @@ blockLoop:
 			case cShr:
 				fr[op.dst] = uint64(int64(op.a.get(fr)) >> (op.b.get(fr) & 63))
 			case cFAdd, cFSub, cFMul, cFDiv:
-				fr[op.dst] = binBits(op.sub, op.a.get(fr), op.b.get(fr))
+				fr[op.dst], _ = ir.Eval(op.sub, op.a.get(fr), op.b.get(fr))
 			case cEq:
 				fr[op.dst] = boolBits(int64(op.a.get(fr)) == int64(op.b.get(fr)))
 			case cNe:
@@ -187,7 +128,7 @@ blockLoop:
 			case cGe:
 				fr[op.dst] = boolBits(int64(op.a.get(fr)) >= int64(op.b.get(fr)))
 			case cFEq, cFNe, cFLt, cFLe, cFGt, cFGe:
-				fr[op.dst] = boolBits(cmpBits(op.sub, op.a.get(fr), op.b.get(fr)))
+				fr[op.dst], _ = ir.Eval(op.sub, op.a.get(fr), op.b.get(fr))
 			case cSIToFP:
 				fr[op.dst] = math.Float64bits(float64(int64(op.a.get(fr))))
 			case cFPToSI:
@@ -254,7 +195,7 @@ blockLoop:
 				continue blockLoop
 			case cCmpBr:
 				e := &op.edges[1]
-				if cmpBits(op.sub, op.a.get(fr), op.b.get(fr)) {
+				if c, _ := ir.Eval(op.sub, op.a.get(fr), op.b.get(fr)); c != 0 {
 					e = &op.edges[0]
 				}
 				if e.badPhiMsg != "" {
@@ -269,7 +210,8 @@ blockLoop:
 				if op.rev {
 					x, y = y, x
 				}
-				it.writeCell(p, binBits(op.sub, x, y))
+				v, _ := ir.Eval(op.sub, x, y) // div/rem never fuse (fusableLoadOpStore)
+				it.writeCell(p, v)
 			case cRet:
 				return op.a.get(fr), nil
 			case cRetVoid:

@@ -80,6 +80,14 @@ func pipelineLower(t *testing.T, tech string, size, cores int) *ir.Module {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lowerWith(t, m, tech, cores)
+	return m
+}
+
+// lowerWith profiles m and lowers its hot loops in place with dswp or
+// helix; lowering nothing is fatal.
+func lowerWith(t *testing.T, m *ir.Module, tech string, cores int) {
+	t.Helper()
 	prof, err := profiler.Collect(m)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +110,44 @@ func pipelineLower(t *testing.T, tech string, size, cores int) *ir.Module {
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("lowered module malformed: %v", err)
 	}
-	return m
+}
+
+// TestCorpusCompilesFully: Call falls back to the walker per function
+// when the compiler rejects one, and a run still reports
+// engine=compiled if its entry function compiled. So every defined
+// function of everything the tier differential and the benchmark
+// execute — the bundled corpus, both synthetic programs, and their
+// DSWP/HELIX lowerings with the generated task functions — must lower,
+// or a silent walker fallback would hide behind the engine name.
+func TestCorpusCompilesFully(t *testing.T) {
+	check := func(name string, m *ir.Module) {
+		t.Helper()
+		if err := interp.CompileAll(m); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, b := range bench.List() {
+		m, err := b.Compile()
+		if err != nil {
+			t.Fatalf("%s: compile: %v", b.Name, err)
+		}
+		check(b.Name, m)
+	}
+	for name, prog := range map[string]func(int) (*ir.Module, error){
+		"ParallelProgram": bench.ParallelProgram,
+		"PipelineProgram": bench.PipelineProgram,
+	} {
+		for _, tech := range []string{"", "dswp", "helix"} {
+			m, err := prog(256)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tech != "" {
+				lowerWith(t, m, tech, 3)
+			}
+			check(name+"/"+tech, m)
+		}
+	}
 }
 
 // TestTiersAgreePipelines runs the DSWP- and HELIX-lowered pipeline

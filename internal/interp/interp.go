@@ -3,7 +3,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"noelle/internal/ir"
@@ -521,10 +520,7 @@ func (it *Interp) callee(frame map[ir.Value]uint64, in *ir.Instr) (*ir.Function,
 func (it *Interp) value(frame map[ir.Value]uint64, v ir.Value) (uint64, error) {
 	switch x := v.(type) {
 	case *ir.Const:
-		if x.Ty.IsFloat() {
-			return math.Float64bits(x.Flt), nil
-		}
-		return uint64(x.Int), nil
+		return x.Bits(), nil
 	case *ir.Global:
 		return uint64(it.img.globalAddr[x]), nil
 	case *ir.Function:
@@ -538,6 +534,9 @@ func (it *Interp) value(frame map[ir.Value]uint64, v ir.Value) (uint64, error) {
 	}
 }
 
+// evalSimple executes an operand-only instruction: ir.Eval defines the
+// result; a !ok is one of the two integer traps or an opcode the
+// interpreter does not execute.
 func (it *Interp) evalSimple(frame map[ir.Value]uint64, in *ir.Instr) (uint64, error) {
 	a, err := it.value(frame, in.Ops[0])
 	if err != nil {
@@ -550,83 +549,14 @@ func (it *Interp) evalSimple(frame map[ir.Value]uint64, in *ir.Instr) (uint64, e
 			return 0, err
 		}
 	}
-	ai, bi := int64(a), int64(b)
-	af, bf := math.Float64frombits(a), math.Float64frombits(b)
-	boolBits := func(c bool) uint64 {
-		if c {
-			return 1
-		}
-		return 0
+	if bits, ok := ir.Eval(in.Opcode, a, b); ok {
+		return bits, nil
 	}
 	switch in.Opcode {
-	case ir.OpAdd:
-		return uint64(ai + bi), nil
-	case ir.OpSub:
-		return uint64(ai - bi), nil
-	case ir.OpMul:
-		return uint64(ai * bi), nil
 	case ir.OpDiv:
-		if bi == 0 {
-			return 0, errDivByZero
-		}
-		return uint64(ai / bi), nil
+		return 0, errDivByZero
 	case ir.OpRem:
-		if bi == 0 {
-			return 0, errRemByZero
-		}
-		return uint64(ai % bi), nil
-	case ir.OpAnd:
-		return a & b, nil
-	case ir.OpOr:
-		return a | b, nil
-	case ir.OpXor:
-		return a ^ b, nil
-	case ir.OpShl:
-		return uint64(ai << (uint64(bi) & 63)), nil
-	case ir.OpShr:
-		return uint64(ai >> (uint64(bi) & 63)), nil
-	case ir.OpFAdd:
-		return math.Float64bits(af + bf), nil
-	case ir.OpFSub:
-		return math.Float64bits(af - bf), nil
-	case ir.OpFMul:
-		return math.Float64bits(af * bf), nil
-	case ir.OpFDiv:
-		return math.Float64bits(af / bf), nil
-	case ir.OpEq:
-		return boolBits(ai == bi), nil
-	case ir.OpNe:
-		return boolBits(ai != bi), nil
-	case ir.OpLt:
-		return boolBits(ai < bi), nil
-	case ir.OpLe:
-		return boolBits(ai <= bi), nil
-	case ir.OpGt:
-		return boolBits(ai > bi), nil
-	case ir.OpGe:
-		return boolBits(ai >= bi), nil
-	case ir.OpFEq:
-		return boolBits(af == bf), nil
-	case ir.OpFNe:
-		return boolBits(af != bf), nil
-	case ir.OpFLt:
-		return boolBits(af < bf), nil
-	case ir.OpFLe:
-		return boolBits(af <= bf), nil
-	case ir.OpFGt:
-		return boolBits(af > bf), nil
-	case ir.OpFGe:
-		return boolBits(af >= bf), nil
-	case ir.OpSIToFP:
-		return math.Float64bits(float64(ai)), nil
-	case ir.OpFPToSI:
-		return uint64(int64(af)), nil
-	case ir.OpZExt:
-		return a & 1, nil
-	case ir.OpTrunc:
-		return a & 1, nil
-	case ir.OpFBits, ir.OpBitsF, ir.OpP2I, ir.OpI2P:
-		return a, nil // raw bit/address reinterpretation
+		return 0, errRemByZero
 	}
 	return 0, fmt.Errorf("interp: cannot execute %s", in.Opcode)
 }

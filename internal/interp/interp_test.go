@@ -17,31 +17,6 @@ func parse(t *testing.T, src string) *ir.Module {
 	return m
 }
 
-func TestArithmeticSemantics(t *testing.T) {
-	m := parse(t, `module "m"
-func @main() i64 {
-entry:
-  %a = add 7, 5
-  %b = sub %a, 2
-  %c = mul %b, 3
-  %d = div %c, 4
-  %e = rem %d, 5
-  %f = shl %e, 2
-  %g = shr %f, 1
-  %h = xor %g, 3
-  ret %h
-}`)
-	it := interp.New(m)
-	r, err := it.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a=12 b=10 c=30 d=7 e=2 f=8 g=4 h=7
-	if r != 7 {
-		t.Errorf("result = %d, want 7", r)
-	}
-}
-
 func TestDivisionByZeroTraps(t *testing.T) {
 	m := parse(t, `module "m"
 func @main() i64 {

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"math"
+
 	"noelle/internal/analysis"
 	"noelle/internal/ir"
 )
@@ -206,92 +208,32 @@ func ConstFold(f *ir.Function) int {
 	}
 }
 
+// foldInstr evaluates in over constant operands with the interpreter's
+// own semantics (ir.Eval) and rebuilds a constant of the result type; nil
+// means "do not fold" (a non-constant operand, a trapping div/rem, or an
+// opcode outside the folded set).
 func foldInstr(in *ir.Instr) *ir.Const {
 	if !(in.Opcode.IsBinaryOp() || in.Opcode.IsCompare() ||
 		in.Opcode == ir.OpZExt || in.Opcode == ir.OpTrunc ||
 		in.Opcode == ir.OpSIToFP || in.Opcode == ir.OpFPToSI) {
 		return nil
 	}
-	consts := make([]*ir.Const, len(in.Ops))
+	var bits [2]uint64
 	for i, op := range in.Ops {
 		c, ok := op.(*ir.Const)
 		if !ok {
 			return nil
 		}
-		consts[i] = c
+		bits[i] = c.Bits()
 	}
-	switch in.Opcode {
-	case ir.OpZExt:
-		return ir.ConstInt(consts[0].Int & 1)
-	case ir.OpTrunc:
-		return &ir.Const{Ty: ir.I1Type, Int: consts[0].Int & 1}
-	case ir.OpSIToFP:
-		return ir.ConstFloat(float64(consts[0].Int))
-	case ir.OpFPToSI:
-		return ir.ConstInt(int64(consts[0].Flt))
+	r, ok := ir.Eval(in.Opcode, bits[0], bits[1])
+	if !ok {
+		return nil
 	}
-	a, b := consts[0], consts[1]
-	switch in.Opcode {
-	case ir.OpAdd:
-		return ir.ConstInt(a.Int + b.Int)
-	case ir.OpSub:
-		return ir.ConstInt(a.Int - b.Int)
-	case ir.OpMul:
-		return ir.ConstInt(a.Int * b.Int)
-	case ir.OpDiv:
-		if b.Int == 0 {
-			return nil
-		}
-		return ir.ConstInt(a.Int / b.Int)
-	case ir.OpRem:
-		if b.Int == 0 {
-			return nil
-		}
-		return ir.ConstInt(a.Int % b.Int)
-	case ir.OpAnd:
-		return ir.ConstInt(a.Int & b.Int)
-	case ir.OpOr:
-		return ir.ConstInt(a.Int | b.Int)
-	case ir.OpXor:
-		return ir.ConstInt(a.Int ^ b.Int)
-	case ir.OpShl:
-		return ir.ConstInt(a.Int << (uint64(b.Int) & 63))
-	case ir.OpShr:
-		return ir.ConstInt(a.Int >> (uint64(b.Int) & 63))
-	case ir.OpFAdd:
-		return ir.ConstFloat(a.Flt + b.Flt)
-	case ir.OpFSub:
-		return ir.ConstFloat(a.Flt - b.Flt)
-	case ir.OpFMul:
-		return ir.ConstFloat(a.Flt * b.Flt)
-	case ir.OpFDiv:
-		return ir.ConstFloat(a.Flt / b.Flt)
-	case ir.OpEq:
-		return ir.ConstBool(a.Int == b.Int)
-	case ir.OpNe:
-		return ir.ConstBool(a.Int != b.Int)
-	case ir.OpLt:
-		return ir.ConstBool(a.Int < b.Int)
-	case ir.OpLe:
-		return ir.ConstBool(a.Int <= b.Int)
-	case ir.OpGt:
-		return ir.ConstBool(a.Int > b.Int)
-	case ir.OpGe:
-		return ir.ConstBool(a.Int >= b.Int)
-	case ir.OpFEq:
-		return ir.ConstBool(a.Flt == b.Flt)
-	case ir.OpFNe:
-		return ir.ConstBool(a.Flt != b.Flt)
-	case ir.OpFLt:
-		return ir.ConstBool(a.Flt < b.Flt)
-	case ir.OpFLe:
-		return ir.ConstBool(a.Flt <= b.Flt)
-	case ir.OpFGt:
-		return ir.ConstBool(a.Flt > b.Flt)
-	case ir.OpFGe:
-		return ir.ConstBool(a.Flt >= b.Flt)
+	if in.Ty.IsFloat() {
+		return ir.ConstFloat(math.Float64frombits(r))
 	}
-	return nil
+	return &ir.Const{Ty: in.Ty, Int: int64(r)}
 }
 
 // SimplifyCFG performs basic CFG cleanups: folds constant conditional

@@ -1,8 +1,7 @@
 // Planner API: the plan/estimate/lower split behind the auto-parallelizer.
 //
-// Each parallelizing technique (doall, dswp, helix, the
-// perspective-assisted speculative variant) registers a Planner next to
-// its Tool. A Planner turns one hot loop into a Plan without mutating the
+// Each parallelizing technique (doall, dswp, helix) registers a Planner
+// next to its Tool. A Planner turns one hot loop into a Plan without mutating the
 // module; the Plan exposes its segmentation so the machine package can
 // price it against measured per-iteration costs, estimates its own
 // parallel time under the technique's scheduling recurrence, and — only
@@ -55,8 +54,7 @@ type Plan interface {
 
 // Planner is one parallelization technique's planning entry point.
 // Implementations live in the technique packages (internal/tools/doall,
-// dswp, helix, perspective) and self-register from init, exactly like
-// Tools do.
+// dswp, helix) and self-register from init, exactly like Tools do.
 type Planner interface {
 	// Technique is the registry key (lower-case).
 	Technique() string

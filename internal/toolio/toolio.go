@@ -4,6 +4,7 @@ package toolio
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"noelle/internal/ir"
@@ -49,21 +50,9 @@ func CompileC(path string) (*ir.Module, error) {
 
 func readAll(path string) ([]byte, error) {
 	if path == "-" {
-		return readStdin()
+		return io.ReadAll(os.Stdin)
 	}
 	return os.ReadFile(path)
-}
-
-func readStdin() ([]byte, error) {
-	var buf []byte
-	tmp := make([]byte, 64*1024)
-	for {
-		n, err := os.Stdin.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if err != nil {
-			return buf, nil
-		}
-	}
 }
 
 // Fatal prints the error and exits.

@@ -2,16 +2,15 @@
 // Sections 4–5): the component that composes the individual
 // parallelization techniques into one whole-compiler decision. For every
 // hot loop (profiler hotness over the -hot threshold) it asks each
-// registered technique planner (doall, dswp, helix, the
-// perspective-assisted speculative variant) for a plan, prices every
-// plan against one measured cost attribution of the loop (the machine
-// package replays the training run once per loop and splits
+// registered technique planner (doall, dswp, helix) for a plan, prices
+// every plan against one measured cost attribution of the loop (the
+// machine package replays the training run once per loop and splits
 // per-iteration cycles along each plan's segmentation simultaneously),
 // selects the predicted-fastest profitable technique, and — under
 // -exec-plans — lowers exactly the winning plan. When a winner cannot be
-// lowered (e.g. the speculative variant has no misspeculation runtime)
-// the selection falls back down the ranking, and when nothing fits a
-// loop the selection descends into its children, so an outer sequential
+// lowered (its code generator does not cover the loop's shape) the
+// selection falls back down the ranking, and when nothing fits a loop
+// the selection descends into its children, so an outer sequential
 // driver still gets its inner loops parallelized. Every decision is
 // reported: per-loop candidate scores, why the winner won, per-technique
 // rejection reasons, and which plans fell back.

@@ -16,7 +16,7 @@ import (
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
 
-	// Register every technique planner (doall, dswp, helix, perspective).
+	// Register every technique planner (doall, dswp, helix).
 	_ "noelle/internal/tools"
 )
 

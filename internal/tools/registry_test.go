@@ -6,6 +6,7 @@ package tools_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,10 @@ func TestRegistryHasEveryTool(t *testing.T) {
 	}
 	if len(names) != len(expectedTools) {
 		t.Errorf("registered %d tools, want %d: %v", len(names), len(expectedTools), names)
+	}
+	// Every planner must be able to lower what it plans.
+	if got := fmt.Sprint(tool.PlannerNames()); got != "[doall dswp helix]" {
+		t.Errorf("registered planners %s, want [doall dswp helix]", got)
 	}
 }
 
