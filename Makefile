@@ -70,13 +70,17 @@ benchmark:
 # What CI runs in place of a full benchmark: the nested module must
 # still compile and pass its tests against this tree's internal/*
 # packages (root `go test ./...` does not see it), and one second each
-# of a run-plane workload, the auto orchestrator's workload (the only
-# one that runs `auto` and its walker training replays) and a service
-# workload must finish with every check passing (the driver exits
-# non-zero otherwise).
+# of the run-plane control, the two pipelines that live on the
+# communication plane (queues, then signals and per-iteration forks),
+# the auto orchestrator's workload (the only one that runs `auto` and
+# its walker training replays) and a service workload must finish with
+# every check passing (the driver exits non-zero on any wrong output or
+# exact count that moves between runs).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run -C benchmark . --workload doall_map --seconds 1 --trace 0
+	$(GO) run -C benchmark . --workload dswp_pipe --seconds 1 --trace 0
+	$(GO) run -C benchmark . --workload helix_pipe --seconds 1 --trace 0
 	$(GO) run -C benchmark . --workload auto_mix --seconds 1 --trace 0
 	$(GO) run -C benchmark . --workload serve_closed --seconds 1 --trace 0
 

@@ -14,7 +14,13 @@
 //     load;binop;store-back (cLoadOpStore), each retiring the walker's
 //     step and cycle counts for the whole idiom;
 //   - cost-model cycles are pre-added per op, so the executor charges
-//     one pre-summed constant instead of switching on the opcode.
+//     one pre-summed constant instead of switching on the opcode;
+//   - a direct call to noelle_queue_push/pop or noelle_signal_wait/fire
+//     becomes a first-class op (cQueuePush, ...) carrying the call's and
+//     the extern's cost pre-summed, as long as the image's registration
+//     for that name is the runtime's own and the call has its arity and
+//     result shape. The op runs the same body as the generic extern
+//     without building an argument vector or going through the registry.
 //
 // Walker-visible runtime errors (fell off block end, missing phi
 // incoming) compile to cErr ops carrying the walker's exact message, so
@@ -106,6 +112,12 @@ const (
 	cLoadOpStore // fused mem[a] = mem[a] <sub> b, retires 3 steps
 
 	cErr // compile-embedded runtime error (walker-identical message)
+
+	// Communication ops: the runtime's own externs, bound at compile time.
+	cQueuePush  // push(a, b)
+	cQueuePop   // dst = pop(a)
+	cSignalWait // wait(a, b)
+	cSignalFire // fire(a, b)
 )
 
 // cmove is one phi slot assignment on a CFG edge.
@@ -164,9 +176,12 @@ type cop struct {
 // cfunc is one function's compiled body.
 type cfunc struct {
 	fn *ir.Function
-	// cost is the model the per-op cycles were pre-resolved against; a
-	// context running a different model recompiles (see image.compiled).
+	// cost is the model the per-op cycles were pre-resolved against, and
+	// commGen the extern-registry generation the communication ops were
+	// bound under; a context running a different model, or a replaced
+	// communication extern, recompiles (see image.compiled).
 	cost     CostModel
+	commGen  int64
 	blocks   [][]cop
 	frameLen int32 // slots + phi-move scratch area
 	scratch  int32 // base of the scratch area
@@ -338,7 +353,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 				}
 			}
 
-			op, err := compileOne(cf, in, b, cost, slots, resolve, edgeTo)
+			op, err := compileOne(img, cf, in, b, cost, slots, resolve, edgeTo)
 			if err != nil {
 				return nil, err
 			}
@@ -384,7 +399,7 @@ func fusableLoadOpStore(ld, bin, st *ir.Instr, uses map[*ir.Instr]int) (other ir
 }
 
 // compileOne lowers a single non-fused instruction.
-func compileOne(cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
+func compileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
 	resolve func(ir.Value) (oref, error), edgeTo func(from, to *ir.Block) (cedge, error)) (cop, error) {
 	op := cop{dst: -1, steps: 1, cost: cost.Cost(in)}
 	if in.HasResult() {
@@ -419,6 +434,20 @@ func compileOne(cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[
 			}
 		}
 	case ir.OpCall:
+		if f := in.CalledFunction(); f != nil && f.IsDeclaration() {
+			// Bound only in the shape the lowerings emit — the registered
+			// arity, a result from pop and from nothing else — so the ops
+			// need no cases for the others; those stay generic calls.
+			if ext := img.externFor(f); ext != nil && ext.op != cInvalid &&
+				len(in.Ops)-1 == ext.arity && in.HasResult() == (ext.op == cQueuePop) {
+				op.code = ext.op
+				op.cost += cost.externCost(ext.kind)
+				if op.a, err = operand(1); err == nil && ext.arity > 1 {
+					op.b, err = operand(2)
+				}
+				break
+			}
+		}
 		op.code = cCall
 		call := &ccall{direct: in.CalledFunction()}
 		if call.direct == nil {

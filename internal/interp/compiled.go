@@ -35,10 +35,33 @@ func (it *Interp) applyEdge(fr []uint64, cf *cfunc, e *cedge) {
 	it.Cycles += e.cycles
 }
 
-// execCompiled runs one compiled function body over this context.
+// execCompiled runs one compiled function body over this context. The
+// frame comes off the context's value stack, so a call allocates nothing.
 func (it *Interp) execCompiled(cf *cfunc, args []uint64) (uint64, error) {
-	fr := make([]uint64, cf.frameLen)
-	copy(fr, args)
+	base := len(it.stack)
+	fr := it.push(int(cf.frameLen))
+	clear(fr[copy(fr, args):])
+	r, err := it.runCompiled(cf, fr)
+	it.stack = it.stack[:base]
+	return r, err
+}
+
+// push extends the value stack by n slots and returns them. Frames and
+// argument vectors are cut from it in call order and dropped by
+// truncating it on return. When the stack has to move, the slots already
+// handed out keep living in the old array through the slices that were
+// cut from it, so nothing is copied over: the new array's lower part is
+// never read.
+func (it *Interp) push(n int) []uint64 {
+	base := len(it.stack)
+	if base+n > cap(it.stack) {
+		it.stack = make([]uint64, base, max(2*cap(it.stack), base+n, 64))
+	}
+	it.stack = it.stack[:base+n]
+	return it.stack[base : base+n : base+n]
+}
+
+func (it *Interp) runCompiled(cf *cfunc, fr []uint64) (uint64, error) {
 	var frameAllocs []int64
 	if cf.nallocas > 0 {
 		defer func() {
@@ -163,11 +186,13 @@ blockLoop:
 					}
 					callee = it.img.fnTable[idx]
 				}
-				cargs := make([]uint64, len(ci.args))
+				base := len(it.stack)
+				cargs := it.push(len(ci.args))
 				for i := range ci.args {
 					cargs[i] = ci.args[i].get(fr)
 				}
 				r, err := it.Call(callee, cargs)
+				it.stack = it.stack[:base]
 				if err != nil {
 					return 0, err
 				}
@@ -218,6 +243,24 @@ blockLoop:
 				return 0, nil
 			case cErr:
 				return 0, errors.New(op.errMsg)
+			case cQueuePush:
+				if err := it.queuePush(int64(op.a.get(fr)), op.b.get(fr)); err != nil {
+					return 0, err
+				}
+			case cQueuePop:
+				v, err := it.queuePop(int64(op.a.get(fr)))
+				if err != nil {
+					return 0, err
+				}
+				fr[op.dst] = v
+			case cSignalWait:
+				if err := it.signalWait(int64(op.a.get(fr)), int64(op.b.get(fr))); err != nil {
+					return 0, err
+				}
+			case cSignalFire:
+				if err := it.img.comm.Fire(int64(op.a.get(fr)), int64(op.b.get(fr))); err != nil {
+					return 0, err
+				}
 			}
 		}
 		// Unreachable: every compiled block ends in a terminator or cErr.

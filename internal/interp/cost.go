@@ -72,30 +72,60 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// externKind names the cost-model entry an extern is charged from. The
+// registry resolves it from the extern's name once, at registration, so a
+// call indexes the model instead of comparing strings.
+type externKind uint8
+
+const (
+	externFix externKind = iota // everything without an entry of its own
+	externQueueCreate
+	externQueuePush
+	externQueuePop
+	externQueueClose
+	externSignalCreate
+	externSignalWait
+	externSignalFire
+)
+
+var externKinds = map[string]externKind{
+	ExternQueueCreate:  externQueueCreate,
+	ExternQueuePush:    externQueuePush,
+	ExternQueuePop:     externQueuePop,
+	ExternQueueClose:   externQueueClose,
+	ExternSignalCreate: externSignalCreate,
+	ExternSignalWait:   externSignalWait,
+	ExternSignalFire:   externSignalFire,
+}
+
+// externCost returns the cycles charged for calling an extern of kind k.
+func (c *CostModel) externCost(k externKind) int64 {
+	switch k {
+	case externQueueCreate:
+		return c.QueueCreate
+	case externQueuePush:
+		return c.QueuePush
+	case externQueuePop:
+		return c.QueuePop
+	case externQueueClose:
+		return c.QueueClose
+	case externSignalCreate:
+		return c.SignalCreate
+	case externSignalWait:
+		return c.SignalWait
+	case externSignalFire:
+		return c.SignalFire
+	}
+	return c.ExternFix
+}
+
 // ExternCost returns the cycles charged for calling the named extern:
 // communication runtime externs have per-op entries, everything else pays
 // the fixed extern cost. Charged at the call site in both sequential and
 // parallel dispatch, so Cycles totals stay mode-independent (time spent
 // blocked on a queue or signal is wall-clock, not modeled cycles).
 func (c CostModel) ExternCost(name string) int64 {
-	switch name {
-	case ExternQueueCreate:
-		return c.QueueCreate
-	case ExternQueuePush:
-		return c.QueuePush
-	case ExternQueuePop:
-		return c.QueuePop
-	case ExternQueueClose:
-		return c.QueueClose
-	case ExternSignalCreate:
-		return c.SignalCreate
-	case ExternSignalWait:
-		return c.SignalWait
-	case ExternSignalFire:
-		return c.SignalFire
-	default:
-		return c.ExternFix
-	}
+	return c.externCost(externKinds[name])
 }
 
 // Cost returns the cycle cost of executing in under the model.

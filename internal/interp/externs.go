@@ -113,49 +113,71 @@ func registerDefaultExterns(it *Interp) {
 		}
 		return uint64(it.img.comm.CreateQueue(capacity)), nil
 	})
-	it.RegisterExternArity(ExternQueuePush, defaultExternArities[ExternQueuePush], func(it *Interp, args []uint64) (uint64, error) {
-		it.QueuePushes++
-		// Tracing fast path: rec is nil unless a Tracer is attached, so
-		// the untraced cost is one pointer comparison — no clock reads,
-		// no allocations, no atomics (proved by BenchmarkQueueExterns and
-		// the allocation-count test in trace_test.go). Spans time the
-		// whole operation: for a parked producer that is exactly the
-		// backpressure stall the timeline should show.
-		if r := it.rec; r != nil {
-			start := r.Clock()
-			err := it.img.comm.Push(int64(args[0]), args[1], it.pushBlocks)
-			r.Record(obs.SpanQueuePush, int64(args[0]), start)
-			return 0, err
-		}
-		return 0, it.img.comm.Push(int64(args[0]), args[1], it.pushBlocks)
-	})
-	it.RegisterExternArity(ExternQueuePop, defaultExternArities[ExternQueuePop], func(it *Interp, args []uint64) (uint64, error) {
-		it.QueuePops++
-		if r := it.rec; r != nil {
-			start := r.Clock()
-			v, err := it.img.comm.Pop(int64(args[0]), it.parWorker)
-			r.Record(obs.SpanQueuePop, int64(args[0]), start)
-			return v, err
-		}
-		return it.img.comm.Pop(int64(args[0]), it.parWorker)
-	})
+	// Push, pop, wait and fire are also first-class ops of the compiled
+	// tier (compile.go binds direct calls to them while these registrations
+	// stand), so each body is a method both call.
+	it.img.registerExtern(ExternQueuePush, defaultExternArities[ExternQueuePush], func(it *Interp, args []uint64) (uint64, error) {
+		return 0, it.queuePush(int64(args[0]), args[1])
+	}, cQueuePush)
+	it.img.registerExtern(ExternQueuePop, defaultExternArities[ExternQueuePop], func(it *Interp, args []uint64) (uint64, error) {
+		return it.queuePop(int64(args[0]))
+	}, cQueuePop)
 	it.RegisterExternArity(ExternQueueClose, defaultExternArities[ExternQueueClose], func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.img.comm.Close(int64(args[0]))
 	})
 	it.RegisterExternArity(ExternSignalCreate, defaultExternArities[ExternSignalCreate], func(it *Interp, args []uint64) (uint64, error) {
 		return uint64(it.img.comm.CreateSignal(int64(args[0]))), nil
 	})
-	it.RegisterExternArity(ExternSignalWait, defaultExternArities[ExternSignalWait], func(it *Interp, args []uint64) (uint64, error) {
-		it.SignalWaits++
-		if r := it.rec; r != nil {
-			start := r.Clock()
-			err := it.img.comm.Wait(int64(args[0]), int64(args[1]), it.parWorker)
-			r.Record(obs.SpanSignalWait, int64(args[0]), start)
-			return 0, err
-		}
-		return 0, it.img.comm.Wait(int64(args[0]), int64(args[1]), it.parWorker)
-	})
-	it.RegisterExternArity(ExternSignalFire, defaultExternArities[ExternSignalFire], func(it *Interp, args []uint64) (uint64, error) {
+	it.img.registerExtern(ExternSignalWait, defaultExternArities[ExternSignalWait], func(it *Interp, args []uint64) (uint64, error) {
+		return 0, it.signalWait(int64(args[0]), int64(args[1]))
+	}, cSignalWait)
+	it.img.registerExtern(ExternSignalFire, defaultExternArities[ExternSignalFire], func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.img.comm.Fire(int64(args[0]), int64(args[1]))
-	})
+	}, cSignalFire)
+}
+
+// queuePush is noelle_queue_push: parallel workers of a fully resident
+// dispatch push with backpressure, every other context grows the queue.
+//
+// Tracing fast path, here and in queuePop and signalWait: rec is nil
+// unless a Tracer is attached, so the untraced cost is one pointer
+// comparison — no clock reads, no allocations, no atomics (proved by
+// BenchmarkQueueExterns and the allocation-count test in
+// trace_internal_test.go). Spans time the whole operation: for a blocked
+// producer that is exactly the backpressure stall the timeline should
+// show.
+func (it *Interp) queuePush(id int64, v uint64) error {
+	it.QueuePushes++
+	if r := it.rec; r != nil {
+		start := r.Clock()
+		err := it.img.comm.Push(id, v, it.pushBlocks)
+		r.Record(obs.SpanQueuePush, id, start)
+		return err
+	}
+	return it.img.comm.Push(id, v, it.pushBlocks)
+}
+
+// queuePop is noelle_queue_pop: parallel workers block while the queue is
+// empty, a sequential context fails instead.
+func (it *Interp) queuePop(id int64) (uint64, error) {
+	it.QueuePops++
+	if r := it.rec; r != nil {
+		start := r.Clock()
+		v, err := it.img.comm.Pop(id, it.parWorker)
+		r.Record(obs.SpanQueuePop, id, start)
+		return v, err
+	}
+	return it.img.comm.Pop(id, it.parWorker)
+}
+
+// signalWait is noelle_signal_wait, blocking as queuePop does.
+func (it *Interp) signalWait(id, ticket int64) error {
+	it.SignalWaits++
+	if r := it.rec; r != nil {
+		start := r.Clock()
+		err := it.img.comm.Wait(id, ticket, it.parWorker)
+		r.Record(obs.SpanSignalWait, id, start)
+		return err
+	}
+	return it.img.comm.Wait(id, ticket, it.parWorker)
 }

@@ -107,6 +107,11 @@ type image struct {
 	// every context of the image; compilation is deterministic, so a
 	// racing double-compile is benign.
 	progs sync.Map
+	// commGen counts re-registrations of the externs the compiler binds
+	// to first-class ops (externEntry.op). A body compiled under an older
+	// count may have such an op where the replacement must now be called,
+	// so compiled() recompiles it.
+	commGen atomic.Int64
 
 	// comm is the inter-worker communication runtime (bounded queues and
 	// ticket signals, internal/queue). Like the page store it is shared
@@ -195,6 +200,12 @@ type externEntry struct {
 	name  string
 	arity int
 	fn    Extern
+	// kind is the cost-model entry calls are charged from (by name).
+	kind externKind
+	// op is the compiled tier's first-class op with fn's behaviour, set
+	// only on the runtime's own push/pop/wait/fire registrations; a direct
+	// call with the registered arity compiles to it instead of to cCall.
+	op copcode
 }
 
 // declSlot sentinels: a declaration that has not been resolved against
@@ -208,14 +219,19 @@ const (
 // copies the snapshot table and index (append-only for re-registered
 // names too: the index simply points at the newest entry), then resets
 // the resolution cache of every declaration with that name so the next
-// call re-resolves.
-func (img *image) registerExtern(name string, arity int, fn Extern) {
+// call re-resolves. op is cInvalid except for the runtime's own
+// communication externs (see externEntry.op); replacing one of those
+// invalidates the compiled bodies that may have bound it.
+func (img *image) registerExtern(name string, arity int, fn Extern, op copcode) {
 	img.externMu.Lock()
 	old := *img.externTab.Load()
 	tab := make([]externEntry, len(old), len(old)+1)
 	copy(tab, old)
-	tab = append(tab, externEntry{name: name, arity: arity, fn: fn})
+	tab = append(tab, externEntry{name: name, arity: arity, fn: fn, kind: externKinds[name], op: op})
 	oldIdx := *img.externIdx.Load()
+	if prev, has := oldIdx[name]; has && old[prev].op != cInvalid {
+		img.commGen.Add(1)
+	}
 	idx := make(map[string]int32, len(oldIdx)+1)
 	for k, v := range oldIdx {
 		idx[k] = v
@@ -273,11 +289,13 @@ func (img *image) externFor(f *ir.Function) *externEntry {
 // on first use. A function the compiler rejects caches its error and
 // returns nil forever after — the caller falls back to the walker. A
 // cost-model change invalidates the cached body (recompile: per-op costs
-// are baked in).
+// are baked in), and so does replacing an extern that bodies bind as a
+// first-class op.
 func (img *image) compiled(f *ir.Function, cost CostModel) *cfunc {
+	gen := img.commGen.Load()
 	if v, ok := img.progs.Load(f); ok {
 		if cf, isFn := v.(*cfunc); isFn {
-			if cf.cost == cost {
+			if cf.cost == cost && cf.commGen == gen {
 				return cf
 			}
 		} else {
@@ -289,6 +307,7 @@ func (img *image) compiled(f *ir.Function, cost CostModel) *cfunc {
 		img.progs.Store(f, err)
 		return nil
 	}
+	cf.commGen = gen // read before compiling: a racing replacement recompiles
 	img.progs.Store(f, cf)
 	return cf
 }

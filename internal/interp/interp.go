@@ -126,6 +126,10 @@ type Interp struct {
 
 	img *image
 
+	// stack is the compiled tier's value stack: frames and call argument
+	// vectors (see push in compiled.go).
+	stack []uint64
+
 	// pool is the dispatch tree's shared step budget; nil on root
 	// contexts (see stepPool in parallel.go).
 	pool *stepPool
@@ -135,7 +139,8 @@ type Interp struct {
 	cachePages [pageCacheSize][]uint64
 }
 
-// Extern is a host implementation of a declared function.
+// Extern is a host implementation of a declared function. args is the
+// caller's to reuse once the call returns: copy what must outlive it.
 type Extern func(it *Interp, args []uint64) (uint64, error)
 
 // New prepares a root interpreter context for m: assigns IDs, lays out
@@ -156,14 +161,14 @@ func New(m *ir.Module) *Interp {
 // registration is synchronized but a replacement mid-dispatch is not
 // observed by workers already inside the extern.
 func (it *Interp) RegisterExtern(name string, fn Extern) {
-	it.img.registerExtern(name, -1, fn)
+	it.img.registerExtern(name, -1, fn, cInvalid)
 }
 
 // RegisterExternArity installs a host function that requires exactly
 // arity arguments; calls with any other count fail with an error instead
 // of the extern body indexing out of range.
 func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
-	it.img.registerExtern(name, arity, fn)
+	it.img.registerExtern(name, arity, fn, cInvalid)
 }
 
 // GlobalAddr returns the address of g's storage.
@@ -295,7 +300,7 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 		if ext.arity >= 0 && len(args) != ext.arity {
 			return 0, fmt.Errorf("interp: extern @%s: %d args, want %d", f.Nam, len(args), ext.arity)
 		}
-		it.Cycles += it.Cost.ExternCost(f.Nam)
+		it.Cycles += it.Cost.externCost(ext.kind)
 		return ext.fn(it, args)
 	}
 	if len(args) != len(f.Params) {

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -87,24 +88,40 @@ func TestTracedWorkerStats(t *testing.T) {
 	}
 }
 
-// TestTracedParkStats: with a capacity-1 queue and 500 values crossing
-// it, at least one side of the pipeline must actually park, and the
-// parked time must be observable in the runtime's blocking profile.
+// TestTracedParkStats: a producer that really parks shows up in the
+// runtime's blocking profile, count and time. Waits spin before they
+// park, so a capacity-1 queue alone no longer forces one: the consumer is
+// held back, by an extern of the test's own, until the producer's second
+// push has gone to sleep on the full queue.
 func TestTracedParkStats(t *testing.T) {
-	it := interp.New(parse(t, pipelineSrc))
+	src := strings.NewReplacer(
+		"declare @print_i64", "declare @hold : fn() void\ndeclare @print_i64",
+		"condbr %isprod, produce, consume", "condbr %isprod, produce, held",
+		"consume:\n", "held:\n  call void @hold()\n  br consume\nconsume:\n",
+		"[ 0, entry ], [ %jnext, consume ]", "[ 0, held ], [ %jnext, consume ]",
+		"[ 0, entry ], [ %snext, consume ]", "[ 0, held ], [ %snext, consume ]",
+	).Replace(pipelineSrc)
+	it := interp.New(parse(t, src))
 	it.QueueCap = 1
 	// Both stages must be resident for backpressure to exist (on a
 	// single-core box the default lane cap would serialize them).
 	it.DispatchWorkers = 2
+	it.RegisterExternArity("hold", 0, func(w *interp.Interp, _ []uint64) (uint64, error) {
+		for deadline := time.Now().Add(10 * time.Second); w.ParkStats().PushParks == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				return 0, errors.New("the producer never parked on the full queue")
+			}
+		}
+		return 0, nil
+	})
 	if _, err := it.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ps := it.ParkStats()
-	if ps.PushParks+ps.PopParks == 0 {
-		t.Errorf("no parks recorded over a capacity-1 queue: %+v", ps)
+	if got := it.Output.String(); got != "374250\n" {
+		t.Errorf("output %q", got)
 	}
-	if ps.PushParkNS+ps.PopParkNS <= 0 && ps.PushParks+ps.PopParks > 0 {
-		t.Errorf("parks recorded but no park time: %+v", ps)
+	if ps := it.ParkStats(); ps.PushParks == 0 || ps.PushParkNS <= 0 {
+		t.Errorf("a producer parked on a full queue, yet the profile reads %+v", ps)
 	}
 }
 

@@ -258,3 +258,140 @@ func TestConcurrentSPSCPipeline(t *testing.T) {
 		t.Fatalf("op counts = (%d pushes, %d pops), want %d each", pushes, pops, (stages-1)*n)
 	}
 }
+
+// TestManyProducersManyConsumers: the parallelizers generate one producer
+// and one consumer per queue, but a hand-written or hostile module need
+// not. Four producers and four consumers over one capacity-2 queue must
+// deliver every value exactly once, whichever side locks, spins or parks.
+func TestManyProducersManyConsumers(t *testing.T) {
+	const lanes, perLane = 4, 5_000
+	rt := NewRuntime()
+	q := rt.CreateQueue(2)
+	var producers, consumers sync.WaitGroup
+	seen := make([][]uint64, lanes)
+	for l := 0; l < lanes; l++ {
+		producers.Add(1)
+		go func(l int) {
+			defer producers.Done()
+			for i := 0; i < perLane; i++ {
+				if err := rt.Push(q, uint64(l*perLane+i), true); err != nil {
+					t.Errorf("producer %d: %v", l, err)
+					return
+				}
+			}
+		}(l)
+		consumers.Add(1)
+		go func(l int) {
+			defer consumers.Done()
+			for {
+				v, err := rt.Pop(q, true)
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("consumer %d: %v", l, err)
+					return
+				}
+				seen[l] = append(seen[l], v)
+			}
+		}(l)
+	}
+	producers.Wait()
+	if err := rt.Close(q); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	consumers.Wait()
+	count := make([]int, lanes*perLane)
+	for _, vs := range seen {
+		for _, v := range vs {
+			count[v]++
+		}
+	}
+	for v, n := range count {
+		if n != 1 {
+			t.Fatalf("value %d delivered %d times, want exactly once", v, n)
+		}
+	}
+	_, pushes, pops, _, _ := rt.Stats()
+	if pushes != lanes*perLane || pops != lanes*perLane {
+		t.Fatalf("op counts = (%d pushes, %d pops), want %d each", pushes, pops, lanes*perLane)
+	}
+}
+
+// TestAbortReleasesWaitersAtAnyPhase aborts with no delay after starting
+// the waiters, over many trials, so the teardown lands before a wait
+// starts, while it still spins, and after it parked. Every waiter must
+// come back with ErrAborted from each of those.
+func TestAbortReleasesWaitersAtAnyPhase(t *testing.T) {
+	var parks int64
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
+		rt := NewRuntime()
+		full := rt.CreateQueue(1)
+		empty := rt.CreateQueue(1)
+		sig := rt.CreateSignal(0)
+		if err := rt.Push(full, 1, true); err != nil {
+			t.Fatalf("priming push: %v", err)
+		}
+		started := make(chan struct{}, 3)
+		errs := make(chan error, 3)
+		go func() { started <- struct{}{}; errs <- rt.Push(full, 2, true) }()
+		go func() { started <- struct{}{}; _, err := rt.Pop(empty, true); errs <- err }()
+		go func() { started <- struct{}{}; errs <- rt.Wait(sig, 5, true) }()
+		for i := 0; i < 3; i++ {
+			<-started
+		}
+		rt.Abort(nil)
+		for i := 0; i < 3; i++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrAborted) {
+					t.Fatalf("trial %d: waiter returned %v, want ErrAborted", trial, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("trial %d: a waiter was not released by Abort", trial)
+			}
+		}
+		ps := rt.ParkStats()
+		parks += ps.PushParks + ps.PopParks + ps.WaitParks
+	}
+	// Not asserted: which phase each abort caught depends on the
+	// scheduler. The log shows whether this host exercised both.
+	t.Logf("%d of %d waits had parked when the abort arrived", parks, 3*trials)
+}
+
+// TestGrowthUnderConcurrentPop: non-blocking pushes double the ring while
+// a consumer on another goroutine is popping out of it. The consumer may
+// be reading the old generation as the new one is swapped in; every value
+// must still arrive, once and in order.
+func TestGrowthUnderConcurrentPop(t *testing.T) {
+	const n = 200_000
+	rt := NewRuntime()
+	q := rt.CreateQueue(2)
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(0); i < n; i++ {
+			v, err := rt.Pop(q, true)
+			if err != nil {
+				done <- err
+				return
+			}
+			if v != i {
+				done <- errors.New("value lost or reordered across a ring swap")
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := uint64(0); i < n; i++ {
+		if err := rt.Push(q, i, false); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if cur, _, _ := rt.Depth(q); cur != 0 {
+		t.Fatalf("%d values left behind", cur)
+	}
+}
