@@ -35,8 +35,10 @@ import (
 var regenCorpus = flag.Bool("regen-corpus", false, "rewrite internal/fuzz/corpus from the mutation recipes")
 
 // corpusPipelineSrc mirrors the DSWP-lowerable shape from the verify
-// mutation suite: a long Independent chain feeding a Sequential
-// accumulator, so the lowering carries value queues and a token queue.
+// mutation suite: an Independent chain storing c[i], a Sequential
+// accumulator loading it back, and the stage cut between them, so the
+// lowering carries a value queue and the token queue that orders the
+// cross-stage store->load.
 const corpusPipelineSrc = `
 int b[96];
 int c[96];
@@ -46,11 +48,11 @@ int main() {
   int acc = 0;
   for (i = 0; i < 96; i = i + 1) {
     int x = b[i] * 3 + i;
-    int y = x * x + 11;
-    int z = (y + x) * 5 + 1;
-    int w = z * z + y;
-    acc = (acc + w) % 9973;
-    c[i] = w % 127;
+    x = x * x + 11;
+    x = x * x + 12;
+    x = x * x + 13;
+    c[i] = x;
+    acc = (acc + c[i]) % 9973;
   }
   print_i64(acc);
   return acc % 251;

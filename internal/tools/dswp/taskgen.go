@@ -24,15 +24,20 @@ import (
 // branches) so it can steer its own copy of the iteration space, keeps
 // only the instructions the plan assigned to it, and exchanges
 // cross-stage SSA values over bounded queues (internal/queue via the
-// noelle_queue_* externs). A token queue links each pair of adjacent
-// stages so stage s+1 starts iteration i only after stage s finished it,
-// which both pipelines the stages and carries the happens-before for
-// cross-stage memory dependences (loop-carried dependences never cross
-// stages — the aSCCDAG merges their endpoints into one SCC).
+// noelle_queue_* externs). Value queues order a consumer behind its
+// producer already; what they do not order is memory. Where the plan has
+// a cross-stage memory dependence from stage a to stage b, a token queue
+// links each pair of adjacent stages from a to b, so stage s+1 starts
+// iteration i only after stage s finished it and the dependence rides the
+// chain's happens-before (loop-carried dependences never cross stages —
+// the aSCCDAG merges their endpoints into one SCC). A pair of stages no
+// such dependence spans gets no token queue: nothing would consume the
+// order it imposes, and every token costs a push and a pop per iteration.
 //
-// Per iteration, each stage pops its token and its incoming values at
-// the top of the loop body and pushes its outgoing values plus the next
-// stage's token right before the back-branch; on exit it publishes its
+// Per iteration, each stage pops its token (if its link exists) and its
+// incoming values at the top of the loop body and pushes its outgoing
+// values plus the next stage's token right before the back-branch; on
+// exit it publishes its
 // live-outs to environment cells and closes its queues, so a consumer
 // expecting more values fails deterministically instead of parking
 // forever. The dispatching function creates the queues in the
@@ -235,12 +240,21 @@ func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 		q.SetMD(verify.MDFamily, taskName)
 		valQ[i] = q
 	}
+	// tokQ[k] links stage k to stage k+1; nil where no cross-stage memory
+	// dependence spans the pair (the comm tier's coverage check asks for
+	// exactly the links a recorded dependence a>b spans: a <= k < b).
+	memDeps := crossStageMemDeps(p)
 	tokQ := make([]ir.Value, p.NumStages-1)
-	for i := range tokQ {
-		q := bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capVal)}, fmt.Sprintf("tq%d", i))
-		q.SetMD(verify.MDQueue, verify.QueueToken)
-		q.SetMD(verify.MDFamily, taskName)
-		tokQ[i] = q
+	for _, d := range memDeps {
+		for k := d[0]; k < d[1]; k++ {
+			if tokQ[k] != nil {
+				continue
+			}
+			q := bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capVal)}, fmt.Sprintf("tq%d", k))
+			q.SetMD(verify.MDQueue, verify.QueueToken)
+			q.SetMD(verify.MDFamily, taskName)
+			tokQ[k] = q
+		}
 	}
 
 	// ---- environment: live-ins, queue handles, live-out cells ----
@@ -252,7 +266,9 @@ func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 		eb.AddLiveIn(q)
 	}
 	for _, q := range tokQ {
-		eb.AddLiveIn(q)
+		if q != nil {
+			eb.AddLiveIn(q)
+		}
 	}
 	for _, out := range l.LiveOut {
 		eb.AddLiveOut(out)
@@ -284,7 +300,7 @@ func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 	wrapper.Fn.SetMD(verify.MDKind, verify.KindDSWPWrapper)
 	wrapper.Fn.SetMD(verify.MDFamily, taskName)
 	wrapper.Fn.SetMD(verify.MDStages, strconv.Itoa(p.NumStages))
-	wrapper.Fn.SetMD(verify.MDMemDeps, memDepsMD(p))
+	wrapper.Fn.SetMD(verify.MDMemDeps, memDepsMD(memDeps))
 	buildWrapper(wrapper, stages)
 
 	// ---- dispatch + live-out reconstruction ----
@@ -303,13 +319,13 @@ func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 	return nil
 }
 
-// memDepsMD renders the plan's cross-stage memory dependences as the
-// wrapper's noelle.memdeps metadata — the edges whose happens-before the
-// comm linter checks the token chain against. Backward and same-stage
+// crossStageMemDeps lists the plan's cross-stage memory dependences as
+// sorted, deduplicated (from, to) stage pairs with from < to — the edges
+// whose happens-before the token chain carries. Backward and same-stage
 // memory dependences never reach here: loop-carried memory dependences
 // collapse their endpoints into one SCC (and thus one stage), so what
 // crosses stages is intra-iteration and forward.
-func memDepsMD(p *Plan) string {
+func crossStageMemDeps(p *Plan) [][2]int {
 	seen := map[[2]int]bool{}
 	var pairs [][2]int
 	p.Loop.DG.Edges(func(e *pdg.Edge) bool {
@@ -337,6 +353,12 @@ func memDepsMD(p *Plan) string {
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
+	return pairs
+}
+
+// memDepsMD renders the dependences as the wrapper's noelle.memdeps
+// metadata, which the comm linter checks the token chain against.
+func memDepsMD(pairs [][2]int) string {
 	parts := make([]string, len(pairs))
 	for i, pr := range pairs {
 		parts[i] = fmt.Sprintf("%d>%d", pr[0], pr[1])
@@ -406,7 +428,7 @@ func buildStage(p *Plan, task *env.Task, e *env.Environment, edges []xEdge, valQ
 	btClone, latchClone := bmap[bt], bmap[latch]
 	popped := map[*ir.Instr]ir.Value{}
 	bld.SetInsertionBefore(btClone.Instrs[btClone.FirstNonPhi()])
-	if s > 0 {
+	if s > 0 && tokQ[s-1] != nil {
 		bld.CreateCall(qpop, []ir.Value{mapVal(tokQ[s-1])}, "tok")
 	}
 	for i, ed := range edges {
@@ -423,7 +445,7 @@ func buildStage(p *Plan, task *env.Task, e *env.Environment, edges []xEdge, valQ
 		}
 		bld.CreateCall(qpush, []ir.Value{mapVal(valQ[i]), env.ToBits(bld, imap[ed.val])}, "")
 	}
-	if s < p.NumStages-1 {
+	if s < p.NumStages-1 && tokQ[s] != nil {
 		bld.CreateCall(qpush, []ir.Value{mapVal(tokQ[s]), ir.ConstInt(1)}, "")
 	}
 
@@ -480,7 +502,7 @@ func buildStage(p *Plan, task *env.Task, e *env.Environment, edges []xEdge, valQ
 			bld.CreateCall(qclose, []ir.Value{mapVal(valQ[i])}, "")
 		}
 	}
-	if s < p.NumStages-1 {
+	if s < p.NumStages-1 && tokQ[s] != nil {
 		bld.CreateCall(qclose, []ir.Value{mapVal(tokQ[s])}, "")
 	}
 	bld.CreateRet(nil)

@@ -22,9 +22,11 @@ import (
 	"noelle/internal/verify"
 )
 
-// pipelineSrc is a DSWP-lowerable loop: a long Independent chain feeding
-// a Sequential accumulator, so the lowering has cross-stage value queues
-// and a token queue.
+// pipelineSrc is a DSWP-lowerable loop: an Independent chain that ends in
+// a store to c[i], feeding a Sequential accumulator that loads c[i] back.
+// The planner cuts between the two, so the lowering has a cross-stage
+// memory dependence (recorded as noelle.memdeps="0>1"), the token queue
+// that orders it, and a value queue.
 const pipelineSrc = `
 int b[96];
 int c[96];
@@ -34,11 +36,11 @@ int main() {
   int acc = 0;
   for (i = 0; i < 96; i = i + 1) {
     int x = b[i] * 3 + i;
-    int y = x * x + 11;
-    int z = (y + x) * 5 + 1;
-    int w = z * z + y;
-    acc = (acc + w) % 9973;
-    c[i] = w % 127;
+    x = x * x + 11;
+    x = x * x + 12;
+    x = x * x + 13;
+    c[i] = x;
+    acc = (acc + c[i]) % 9973;
   }
   print_i64(acc);
   return acc % 251;
@@ -196,10 +198,9 @@ func isTokenPush(in *ir.Instr) bool {
 func TestMutationDroppedTokenPush(t *testing.T) {
 	m := lowerDSWP(t)
 	mustBeCommClean(t, m)
-	// Record a cross-stage memory dependence so the coverage check has
-	// something to lose (the pipeline loop's deps are register-carried).
-	wrapperFn(t, m).SetMD(verify.MDMemDeps, "0>1")
-	mustBeCommClean(t, m)
+	if got := wrapperFn(t, m).MD.Get(verify.MDMemDeps); got != "0>1" {
+		t.Fatalf("lowering recorded memdeps %q, want the store->load dependence 0>1", got)
+	}
 
 	push := findCall(stageFn(t, m, 0), interp.ExternQueuePush, isTokenPush)
 	if push == nil {
