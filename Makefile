@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race tier-diff bench bench-cache benchmark benchmark-check cache-smoke serve-smoke check-docs example-smoke campaign-smoke
+.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check cache-smoke serve-smoke check-docs example-smoke campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 	$(GO) test ./internal/ir/ ./internal/irtext/ ./internal/verify/
+
+# The two sizes every simplicity entry in CHANGES.md quotes: lines of
+# non-test Go outside benchmark/, and Table 3's measured NOELLE column
+# (each custom tool's implementation without its register.go).
+loc:
+	@printf 'non-test Go outside benchmark/: %s lines\n' \
+		"$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@$(GO) run ./cmd/noelle-eval -only table3
 
 # The manager's and the parallel runtime's concurrency guarantees are
 # only meaningful under -race; run the whole tree (the speedup

@@ -11,6 +11,7 @@
 package noelle
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,6 +24,8 @@ import (
 	"noelle/internal/machine"
 	"noelle/internal/pdg"
 	"noelle/internal/profiler"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/helix"
 )
 
@@ -215,14 +218,24 @@ func BenchmarkAblationHelixSched(b *testing.B) {
 				opts := core.DefaultOptions()
 				opts.MinHotness = 0
 				n := core.New(m, opts)
-				res := helix.Run(n, optimized, helix.Exec{})
+				if optimized {
+					helix.ShrinkHeaders(n)
+				}
+				res, err := auto.RunPinned(context.Background(), n, tool.Options{}, "helix")
+				if err != nil {
+					b.Fatal(err)
+				}
 				par = 0
-				for _, p := range res.Plans {
-					_, pp, err := helix.Simulate(n, p, 12)
+				for _, s := range res.Selections {
+					if s.Winner == "" {
+						continue
+					}
+					p := s.Candidates[0].Plan.(*helix.Plan)
+					invs, err := machine.AttributeLoopCosts(m, p.LS.Nat, p.SegmentOf, p.NumSegments())
 					if err != nil {
 						b.Fatal(err)
 					}
-					par += pp
+					par += machine.SimulateAll(invs, p.EstimateInvocation)
 				}
 			}
 			b.ReportMetric(float64(par), "sim-cycles")

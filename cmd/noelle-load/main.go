@@ -52,7 +52,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent abstraction store directory: PDGs are loaded by structural fingerprint instead of rebuilt, and new builds are persisted for later runs (inspect with noelle-cache)")
 	seq := flag.Bool("seq", false, "run dispatched tasks sequentially when a tool executes the module (the parallel runtime's debugging fallback)")
 	dispatchWorkers := flag.Int("dispatch-workers", 0, "cap on simultaneously-running dispatch workers when a tool executes the module (0 = GOMAXPROCS)")
-	execPlans := flag.Bool("exec-plans", false, "lower dswp/helix plans to executable form: stage/iteration tasks communicating over the queue+signal runtime, launched through noelle_dispatch")
+	execPlans := flag.Bool("exec-plans", false, "lower dswp/helix/auto plans to executable form: stage/iteration tasks communicating over the queue+signal runtime, launched through noelle_dispatch")
 	queueCap := flag.Int("queue-cap", 0, "capacity of the communication queues generated by -exec-plans (0 = default; shapes backpressure only, never results)")
 	verifyTier := flag.String("verify", "quick", "static verification tier run after each transforming stage: quick (structure+SSA), ssa (+extern contracts), or comm (+concurrency-protocol linter); rejections exit with code 3")
 	engine := flag.String("engine", "", "interpreter execution tier when a tool executes the module: walker|compiled (default: process default, see NOELLE_ENGINE)")

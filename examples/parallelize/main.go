@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -22,7 +23,11 @@ import (
 	"noelle/internal/machine"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
-	"noelle/internal/tools/doall"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
+
+	// Register the DOALL planner the driver is pinned to.
+	_ "noelle/internal/tools/doall"
 )
 
 const src = `
@@ -89,12 +94,14 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	n := core.New(m, opts)
-	res, err := doall.Run(n)
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "doall")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range res.Parallelized {
-		fmt.Printf("parallelized loop %s in @%s (task %s)\n", p.Header, p.Fn, p.TaskName)
+	for _, s := range res.Selections {
+		if s.Lowered {
+			fmt.Printf("parallelized loop %s in @%s (task %s)\n", s.Header, s.Fn, s.TaskName)
+		}
 	}
 	it1 := interp.New(m)
 	r1, err := it1.Run()

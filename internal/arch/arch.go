@@ -114,61 +114,6 @@ func (d *Description) Serialize() string {
 	return b.String()
 }
 
-// Parse reads the Serialize format back.
-func Parse(s string) (*Description, error) {
-	d := &Description{SMTPerCore: 1, NUMANodes: 1}
-	var lat [][]int64
-	for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("arch: bad line %q", line)
-		}
-		switch fields[0] {
-		case "cores":
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			d.PhysicalCores = v
-		case "smt":
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			d.SMTPerCore = v
-		case "numa":
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			d.NUMANodes = v
-		case "lat":
-			var row []int64
-			for _, fstr := range fields[1:] {
-				v, err := strconv.ParseInt(fstr, 10, 64)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-			lat = append(lat, row)
-		default:
-			return nil, fmt.Errorf("arch: unknown key %q", fields[0])
-		}
-	}
-	if d.PhysicalCores == 0 {
-		return nil, fmt.Errorf("arch: missing cores")
-	}
-	d.Latency = lat
-	// Bandwidth is derived, not serialized.
-	full := Measure(d.PhysicalCores, d.SMTPerCore, d.NUMANodes)
-	d.Bandwidth = full.Bandwidth
-	if len(d.Latency) == 0 {
-		d.Latency = full.Latency
-	}
-	return d, nil
-}
-
 // SortedPairLatencies returns the distinct latencies in increasing order
 // (diagnostics for noelle-arch output).
 func (d *Description) SortedPairLatencies() []int64 {

@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -11,11 +12,24 @@ import (
 	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/profiler"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/baseline"
 	"noelle/internal/tools/doall"
 	"noelle/internal/tools/dswp"
 	"noelle/internal/tools/helix"
 )
+
+// lowerPinned runs the loop-parallelization driver pinned to one
+// technique, lowering every plan it can.
+func lowerPinned(t *testing.T, n *core.Noelle, technique string) auto.Result {
+	t.Helper()
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, technique)
+	if err != nil {
+		t.Fatalf("%s: %v", technique, err)
+	}
+	return res
+}
 
 // outputsEquivalent compares program outputs line by line. Float lines may
 // differ in the last ulps: parallel reductions reassociate float sums,
@@ -108,10 +122,7 @@ func TestDOALLPreservesCorpusSemantics(t *testing.T) {
 
 			opts := core.DefaultOptions()
 			opts.MinHotness = 0
-			res, err := doall.Run(core.New(m, opts))
-			if err != nil {
-				t.Fatalf("doall: %v", err)
-			}
+			res := lowerPinned(t, core.New(m, opts), "doall")
 			if err := ir.Verify(m); err != nil {
 				t.Fatalf("transformed module malformed: %v", err)
 			}
@@ -132,11 +143,11 @@ func TestDOALLPreservesCorpusSemantics(t *testing.T) {
 				it0.MemoryFingerprint() != it1.MemoryFingerprint() {
 				t.Errorf("final memory diverged")
 			}
-			if len(res.Parallelized) > 0 {
+			if res.Lowered() > 0 {
 				parallelizedSomewhere++
 			}
-			if b.Parallel && len(res.Parallelized) == 0 {
-				t.Errorf("expected DOALL to parallelize something (rejected %d)", res.Rejected())
+			if b.Parallel && res.Lowered() == 0 {
+				t.Errorf("expected DOALL to parallelize something (rejected %d)", len(res.Rejections))
 			}
 		})
 	}
@@ -193,24 +204,22 @@ func TestPipelineProgramShape(t *testing.T) {
 		t.Error("pipeline loop is DOALL-able; the benchmark no longer exercises queues")
 	}
 
-	dres := dswp.Run(n, dswp.Exec{Enabled: true})
-	if len(dres.Lowered) != 1 {
-		t.Fatalf("dswp lowered %d loops, want 1 (rejections %v, not lowered %v)",
-			len(dres.Lowered), dres.Rejections, dres.NotLowered)
+	dres := lowerPinned(t, n, "dswp")
+	if dres.Lowered() != 1 {
+		t.Fatalf("dswp lowered %d loops, want 1 (rejections %v)", dres.Lowered(), dres.Rejections)
 	}
-	if dres.Lowered[0].Stages < 2 {
-		t.Errorf("pipeline loop lowered with %d stages", dres.Lowered[0].Stages)
+	if stages := dres.Selections[0].Candidates[0].Plan.(*dswp.Plan).NumStages; stages < 2 {
+		t.Errorf("pipeline loop lowered with %d stages", stages)
 	}
 
 	m2 := pipelineModule()
 	n2 := core.New(m2, opts)
-	hres := helix.Run(n2, false, helix.Exec{Enabled: true})
-	if len(hres.Lowered) != 1 {
-		t.Fatalf("helix lowered %d loops, want 1 (rejections %v, not lowered %v)",
-			len(hres.Lowered), hres.Rejections, hres.NotLowered)
+	hres := lowerPinned(t, n2, "helix")
+	if hres.Lowered() != 1 {
+		t.Fatalf("helix lowered %d loops, want 1 (rejections %v)", hres.Lowered(), hres.Rejections)
 	}
-	if hres.Lowered[0].Segments < 1 {
-		t.Errorf("pipeline loop lowered with %d sequential segments", hres.Lowered[0].Segments)
+	if segs := hres.Selections[0].Candidates[0].Plan.(*helix.Plan).NumSeq; segs < 1 {
+		t.Errorf("pipeline loop lowered with %d sequential segments", segs)
 	}
 
 	// Both transformed modules still compute the original answer.

@@ -20,8 +20,6 @@ type SlotKind int
 const (
 	LiveIn SlotKind = iota
 	LiveOut
-	// Reduction slots are per-worker accumulators folded after the loop.
-	ReductionSlot
 )
 
 // Slot is one entry of an environment.
@@ -29,16 +27,11 @@ type Slot struct {
 	Kind  SlotKind
 	Value ir.Value // the SSA value communicated through this slot
 	Index int
-	// ReduceOp is the fold operator for ReductionSlot entries.
-	ReduceOp ir.Op
-	// Identity seeds per-worker accumulators for ReductionSlot entries.
-	Identity *ir.Const
 }
 
 // Environment describes the memory block a task uses to exchange values
 // with the surrounding code: one 8-byte cell per slot (live-ins written by
-// the dispatcher, live-outs written by the task), with reduction slots
-// replicated per worker.
+// the dispatcher, live-outs written by the task).
 type Environment struct {
 	Slots []*Slot
 	index map[ir.Value]*Slot
@@ -67,14 +60,6 @@ func (b *Builder) AddLiveOut(v ir.Value) *Slot {
 	return b.add(v, LiveOut)
 }
 
-// AddReduction allocates a reduction slot for accumulator v.
-func (b *Builder) AddReduction(v ir.Value, op ir.Op, identity *ir.Const) *Slot {
-	s := b.add(v, ReductionSlot)
-	s.ReduceOp = op
-	s.Identity = identity
-	return s
-}
-
 func (b *Builder) add(v ir.Value, kind SlotKind) *Slot {
 	if s, ok := b.e.index[v]; ok {
 		return s
@@ -98,25 +83,6 @@ func (e *Environment) SlotOf(v ir.Value) *Slot {
 
 // NumSlots returns the slot count.
 func (e *Environment) NumSlots() int { return len(e.Slots) }
-
-// LiveIns returns the live-in slots in index order.
-func (e *Environment) LiveIns() []*Slot { return e.filter(LiveIn) }
-
-// LiveOuts returns the live-out slots in index order.
-func (e *Environment) LiveOuts() []*Slot { return e.filter(LiveOut) }
-
-// Reductions returns the reduction slots in index order.
-func (e *Environment) Reductions() []*Slot { return e.filter(ReductionSlot) }
-
-func (e *Environment) filter(k SlotKind) []*Slot {
-	var out []*Slot
-	for _, s := range e.Slots {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // Task is NOELLE's T abstraction: a sequentially-executing code region
 // extracted as a function of the form task(env *i64, workerID i64,

@@ -84,7 +84,7 @@ func speedupsFor(b bench.Benchmark, cores int) (*Fig5Row, error) {
 	// ---- HELIX ----
 	{
 		seqs, pars := planTechnique(n, func(ls *loops.LS) (map[*ir.Instr]int, int, bool) {
-			p, _ := helix.PlanLoop(n, ls, false) // no header shrink: keep the module unmodified
+			p, _ := helix.PlanLoop(n, ls)
 			if p == nil {
 				return nil, 0, false
 			}

@@ -75,7 +75,11 @@ func Table4UsageMatrix() ([]Table4Row, error) {
 			opts := core.DefaultOptions()
 			opts.MinHotness = 0
 			n := core.New(m, opts)
-			rep, err := tool.Run(ctx, t, n, tool.DefaultOptions())
+			// Lowering on: the pipelining parallelizers request ENV, T,
+			// DFE, LB and IVS where they use them, in Plan.Lower.
+			topts := tool.DefaultOptions()
+			topts.ExecutePlans = true
+			rep, err := tool.Run(ctx, t, n, topts)
 			if err != nil {
 				return nil, fmt.Errorf("table4: %s on %s: %w", row.Registry, benchName, err)
 			}

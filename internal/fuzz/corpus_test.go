@@ -14,6 +14,7 @@ package fuzz
 // files while the expectations stay the regression contract.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,8 @@ import (
 	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
-	"noelle/internal/tools/dswp"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/helix"
 	"noelle/internal/verify"
 )
@@ -95,8 +97,9 @@ func corpusLowerDSWP(t *testing.T) *ir.Module {
 	opts.MinHotness = 0
 	opts.Cores = 2
 	n := core.New(m, opts)
-	if res := dswp.Run(n, dswp.Exec{Enabled: true}); len(res.Lowered) == 0 {
-		t.Fatalf("dswp lowered nothing (rejections %v)", res.Rejections)
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "dswp")
+	if err != nil || res.Lowered() == 0 {
+		t.Fatalf("dswp lowered nothing (error %v, rejections %v)", err, res.Rejections)
 	}
 	return m
 }
@@ -111,13 +114,15 @@ func corpusLowerHELIX(t *testing.T) *ir.Module {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	n := core.New(m, opts)
-	res := helix.Run(n, false, helix.Exec{Enabled: true})
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "helix")
 	segs := 0
-	for _, lo := range res.Lowered {
-		segs += lo.Segments
+	for _, s := range res.Selections {
+		if s.Lowered {
+			segs += s.Candidates[0].Plan.(*helix.Plan).NumSeq
+		}
 	}
-	if len(res.Lowered) == 0 || segs == 0 {
-		t.Fatalf("helix lowered no signal-carrying loop (lowered %v)", res.Lowered)
+	if err != nil || segs == 0 {
+		t.Fatalf("helix lowered no signal-carrying loop (error %v, selections %+v)", err, res.Selections)
 	}
 	return m
 }

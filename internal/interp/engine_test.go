@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,8 +11,12 @@ import (
 	"noelle/internal/interp/interptest"
 	"noelle/internal/ir"
 	"noelle/internal/profiler"
-	"noelle/internal/tools/dswp"
-	"noelle/internal/tools/helix"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
+
+	// Register the planners lowerWith pins the driver to.
+	_ "noelle/internal/tools/dswp"
+	_ "noelle/internal/tools/helix"
 )
 
 // TestTiersAgreeCorpus pins the compiled tier to the walker on every
@@ -97,15 +102,9 @@ func lowerWith(t *testing.T, m *ir.Module, tech string, cores int) {
 	opts.Cores = cores
 	opts.MinHotness = 0.2
 	n := core.New(m, opts)
-	switch tech {
-	case "dswp":
-		if res := dswp.Run(n, dswp.Exec{Enabled: true}); len(res.Lowered) == 0 {
-			t.Fatalf("dswp lowered nothing (rejections %v)", res.Rejections)
-		}
-	case "helix":
-		if res := helix.Run(n, false, helix.Exec{Enabled: true}); len(res.Lowered) == 0 {
-			t.Fatalf("helix lowered nothing (rejections %v)", res.Rejections)
-		}
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, tech)
+	if err != nil || res.Lowered() == 0 {
+		t.Fatalf("%s lowered nothing (error %v, rejections %v)", tech, err, res.Rejections)
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("lowered module malformed: %v", err)

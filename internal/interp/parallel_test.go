@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -9,7 +10,11 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
-	"noelle/internal/tools/doall"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
+
+	// Register the DOALL planner transformDOALL pins the driver to.
+	_ "noelle/internal/tools/doall"
 )
 
 // dispatchSrc is a hand-written dispatched-task module: each worker fills
@@ -262,12 +267,12 @@ func transformDOALL(t testing.TB, size, cores int) *ir.Module {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	opts.Cores = cores
-	res, err := doall.Run(core.New(m, opts))
+	res, err := auto.RunPinned(context.Background(), core.New(m, opts), tool.Options{ExecutePlans: true}, "doall")
 	if err != nil {
 		t.Fatalf("doall: %v", err)
 	}
-	if len(res.Parallelized) < 3 {
-		t.Fatalf("parallelized %d loops, want >= 3 (rejected %d)", len(res.Parallelized), res.Rejected())
+	if res.Lowered() < 3 {
+		t.Fatalf("parallelized %d loops, want >= 3 (rejected %d)", res.Lowered(), len(res.Rejections))
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("transformed module malformed: %v", err)

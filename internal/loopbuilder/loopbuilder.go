@@ -1,10 +1,9 @@
 // Package loopbuilder implements NOELLE's Loop Builder (LB) abstraction:
 // loop-level transformations analogous to what IRBuilder is for
 // instructions (paper Section 2.2). It provides pre-header creation,
-// invariant hoisting (the mechanism behind LICM), the induction-variable
-// stepper IVS (changing IV step values, e.g. for DOALL chunking), scalar
-// promotion of memory accumulators (the workhorse of
-// noelle-rm-lc-dependences), and while/do-while shape conversion.
+// invariant hoisting (the mechanism behind LICM), scalar promotion of
+// memory accumulators (the workhorse of noelle-rm-lc-dependences), and
+// while/do-while shape conversion.
 package loopbuilder
 
 import (
@@ -82,60 +81,4 @@ func Hoist(ls *loops.LS, in *ir.Instr) bool {
 	in.Parent.Remove(in)
 	pre.InsertBefore(in, pre.Terminator())
 	return true
-}
-
-// SetStepFactor is the IVS abstraction: it multiplies the constant step of
-// iv by factor by rewriting the update instructions' addends. Users only
-// specify the new step; the loop is modified accordingly (used by DOALL
-// chunking and loop reversal). Returns false when the IV's step is not a
-// compile-time constant.
-func SetStepFactor(iv *loops.IV, factor int64) bool {
-	if iv.StepConst == nil {
-		return false
-	}
-	for _, in := range iv.SCC {
-		if in.Opcode != ir.OpAdd && in.Opcode != ir.OpSub {
-			continue
-		}
-		for i, op := range in.Ops {
-			if c, ok := op.(*ir.Const); ok {
-				in.Ops[i] = ir.ConstInt(c.Int * factor)
-			}
-		}
-	}
-	ns := *iv.StepConst * factor
-	iv.StepConst = &ns
-	iv.Step = ir.ConstInt(ns)
-	return true
-}
-
-// SetStepValue rewrites a single-update IV to advance by the given value
-// each iteration (which may be a loop-invariant SSA value). Returns false
-// for multi-update IVs.
-func SetStepValue(iv *loops.IV, step ir.Value) bool {
-	var update *ir.Instr
-	for _, in := range iv.SCC {
-		if in.Opcode == ir.OpAdd || in.Opcode == ir.OpSub {
-			if update != nil {
-				return false
-			}
-			update = in
-		}
-	}
-	if update == nil {
-		return false
-	}
-	for i, op := range update.Ops {
-		if _, ok := op.(*ir.Const); ok {
-			update.Ops[i] = step
-			iv.StepConst = nil
-			if c, isC := step.(*ir.Const); isC {
-				v := c.Int
-				iv.StepConst = &v
-			}
-			iv.Step = step
-			return true
-		}
-	}
-	return false
 }

@@ -1,16 +1,25 @@
-// Planner API: the plan/estimate/lower split behind the auto-parallelizer.
+// Planner API: the plan/estimate/lower split that is the only
+// per-technique seam of loop parallelization.
 //
 // Each parallelizing technique (doall, dswp, helix) registers a Planner
-// next to its Tool. A Planner turns one hot loop into a Plan without mutating the
-// module; the Plan exposes its segmentation so the machine package can
-// price it against measured per-iteration costs, estimates its own
-// parallel time under the technique's scheduling recurrence, and — only
-// when asked — lowers the loop to executable form. Separating the three
-// steps is what makes per-loop technique selection possible: the
-// orchestrating auto tool collects every technique's plan for a loop,
-// scores all of them against one cost attribution, and lowers only the
-// predicted-fastest one (falling back down the ranking when a winner
-// cannot be lowered).
+// next to its Tool. A Planner turns one hot loop into a Plan without
+// mutating the module; the Plan exposes its segmentation so the machine
+// package can price it against measured per-iteration costs, estimates
+// its own parallel time under the technique's scheduling recurrence, and
+// — only when asked — lowers the loop to executable form.
+//
+// Everything around that seam exists once, in the driver of
+// internal/tools/auto: the walk over the hot loops and their children,
+// task naming, post-lowering verification, the per-loop decision record
+// and its report. The driver runs in two modes. Competing (the auto
+// tool) collects every technique's plan for a loop, scores all of them
+// against one cost attribution, and lowers only the predicted-fastest
+// profitable one, falling back down the ranking when a winner cannot be
+// lowered. Pinned (the doall, dswp and helix tools: the user named the
+// technique) asks one planner and lowers every plan that can be lowered,
+// with no scoring, no training replay and no profitability gate — so a
+// technique's tool is a planner registration plus a few lines that pin
+// the driver to it.
 
 package tool
 
@@ -54,7 +63,8 @@ type Plan interface {
 
 // Planner is one parallelization technique's planning entry point.
 // Implementations live in the technique packages (internal/tools/doall,
-// dswp, helix) and self-register from init, exactly like Tools do.
+// dswp, helix) and self-register from init, next to the Tool that pins
+// the driver to them.
 type Planner interface {
 	// Technique is the registry key (lower-case).
 	Technique() string

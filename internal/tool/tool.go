@@ -47,10 +47,10 @@ type Options struct {
 	// DispatchWorkers caps how many dispatch workers the interpreter runs
 	// simultaneously when a tool executes the module (0 = GOMAXPROCS).
 	DispatchWorkers int
-	// ExecutePlans makes the pipelining parallelizers (dswp, helix) lower
-	// their plans to executable form — task functions communicating over
-	// the internal/queue runtime, launched through noelle_dispatch —
-	// instead of stopping at planning + simulation.
+	// ExecutePlans makes the loop-parallelization driver (dswp, helix,
+	// auto; doall always lowers) lower plans to executable form — task
+	// functions communicating over the internal/queue runtime, launched
+	// through noelle_dispatch — instead of stopping at the plan report.
 	ExecutePlans bool
 	// QueueCapacity bounds the communication queues the lowered pipelines
 	// create (0 = queue.DefaultCapacity). Capacity shapes backpressure
@@ -82,9 +82,8 @@ func DefaultOptions() Options {
 
 // LoopRejection records why a parallelizer passed over one hot loop —
 // the per-loop answer to "why wasn't this loop parallelized?" that
-// noelle-load surfaces in tool detail lines. The pipelining tools use
-// it both for planning rejections and for plans that could not be
-// lowered to executable form.
+// noelle-load surfaces in tool detail lines, whether no plan was
+// produced or none could be lowered to executable form.
 type LoopRejection struct {
 	Fn     string
 	Header string

@@ -1,18 +1,31 @@
-// Package auto is the NOELLE auto-parallelizer orchestrator (paper
-// Sections 4–5): the component that composes the individual
-// parallelization techniques into one whole-compiler decision. For every
-// hot loop (profiler hotness over the -hot threshold) it asks each
-// registered technique planner (doall, dswp, helix) for a plan, prices
-// every plan against one measured cost attribution of the loop (the
-// machine package replays the training run once per loop and splits
-// per-iteration cycles along each plan's segmentation simultaneously),
-// selects the predicted-fastest profitable technique, and — under
-// -exec-plans — lowers exactly the winning plan. When a winner cannot be
-// lowered (its code generator does not cover the loop's shape) the
-// selection falls back down the ranking, and when nothing fits a loop
-// the selection descends into its children, so an outer sequential
-// driver still gets its inner loops parallelized. Every decision is
-// reported: per-loop candidate scores, why the winner won, per-technique
+// Package auto is the one loop-parallelization driver (paper Sections
+// 4–5): the only place that walks the hot loops, plans them, lowers the
+// plans and records why. A run is either competing or pinned.
+//
+// Competing (the auto tool, Run): for every hot loop (profiler hotness
+// over the -hot threshold) each registered technique planner (doall,
+// dswp, helix) answers with a plan or a reason; every plan is priced
+// against one measured cost attribution of the loop (the machine package
+// replays the training run once per loop and splits per-iteration cycles
+// along each plan's segmentation simultaneously), the predicted-fastest
+// profitable technique is selected and — under -exec-plans — exactly the
+// winning plan is lowered, falling back down the ranking when a winner
+// cannot be lowered (its code generator does not cover the loop's
+// shape).
+//
+// Pinned (the doall, dswp and helix tools, RunPinned): the user named the
+// technique, so the same walk skips the score-and-rank step — no
+// training replay, no Par < Seq gate — and lowers every plan that can be
+// lowered. That is deliberately ungated: a pinned run is how one
+// technique's lowering is measured on its own (the benchmark's
+// dswp_pipe/helix_pipe workloads), and the do-no-harm gate of ROADMAP
+// item 1c belongs in selectLoop, the one place a loop's fate is decided,
+// rather than in each tool.
+//
+// Either way, when nothing fits a loop the walk descends into its
+// children, so an outer sequential driver still gets its inner loops
+// parallelized, and every decision is reported through the one Report
+// function: per-loop candidates, why the winner won, per-technique
 // rejection reasons, and which plans fell back.
 package auto
 
@@ -37,13 +50,17 @@ type Candidate struct {
 	Rejection string
 	// Seq/Par are modeled cycles (valid when Rejection is empty): the
 	// loop's measured sequential time and the plan's estimated parallel
-	// time including lowering overheads.
+	// time including lowering overheads. Both stay 0 in a pinned run,
+	// which never prices a plan.
 	Seq, Par int64
 	// Shape is the plan's one-line self-description.
 	Shape string
-
-	plan tool.Plan
+	// Plan is the technique's plan (nil when rejected).
+	Plan tool.Plan
 }
+
+// rejected renders a rejected candidate for the why-lines.
+func (c Candidate) rejected() string { return c.Technique + " rejected: " + c.Rejection }
 
 // Speedup is the modeled seq/par ratio (0 when rejected or unmeasured).
 func (c Candidate) Speedup() float64 {
@@ -73,8 +90,11 @@ type Selection struct {
 	Why string
 }
 
-// Result is the orchestrator's outcome for one module.
+// Result is the driver's outcome for one module.
 type Result struct {
+	// Pinned is the technique a pinned run was held to ("" for a
+	// competing run over every registered planner).
+	Pinned     string
 	Selections []Selection
 	// Rejections records the loops (including descended children) where
 	// no technique was selected, with the decisive reason.
@@ -103,16 +123,34 @@ func (r *Result) Lowered() int {
 	return n
 }
 
-// Run orchestrates technique selection over every hot loop. With
-// opts.ExecutePlans the winning plans are lowered (through the same code
-// generators the standalone tools use); otherwise the selection is a
-// pure prediction report and the module is left untouched.
+// Run is the competing run: every registered planner answers for every
+// hot loop and the predicted-fastest profitable plan wins. With
+// opts.ExecutePlans the winning plans are lowered; otherwise the
+// selection is a pure prediction report and the module is left
+// untouched.
 func Run(ctx context.Context, n *core.Noelle, opts tool.Options) (Result, error) {
 	planners := tool.Planners()
-	var res Result
 	if len(planners) == 0 {
-		return res, fmt.Errorf("no technique planners registered")
+		return Result{}, fmt.Errorf("no technique planners registered")
 	}
+	return drive(ctx, n, opts, planners, "")
+}
+
+// RunPinned is the pinned run: only the named technique's planner
+// answers, nothing is scored, and under opts.ExecutePlans every plan that
+// can be lowered is (generated tasks are named <technique>.taskN).
+func RunPinned(ctx context.Context, n *core.Noelle, opts tool.Options, technique string) (Result, error) {
+	p, ok := tool.LookupPlanner(technique)
+	if !ok {
+		return Result{}, fmt.Errorf("no planner registered for technique %q", technique)
+	}
+	return drive(ctx, n, opts, []tool.Planner{p}, technique)
+}
+
+// drive walks the loop forest under every hot loop, deciding each node
+// with selectLoop.
+func drive(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner, pinned string) (Result, error) {
+	res := Result{Pinned: pinned}
 	taskID := 0
 
 	// selectNode decides for one loop-forest node; returns true when this
@@ -128,7 +166,7 @@ func Run(ctx context.Context, n *core.Noelle, opts tool.Options) (Result, error)
 			if node.LS.Header.Nam != header {
 				continue
 			}
-			sel, ok, err := selectLoop(n, node.LS, opts, planners, &taskID)
+			sel, ok, err := selectLoop(n, node.LS, opts, planners, pinned != "", &taskID)
 			if err != nil {
 				return false, err
 			}
@@ -168,13 +206,13 @@ func Run(ctx context.Context, n *core.Noelle, opts tool.Options) (Result, error)
 	return res, nil
 }
 
-// selectLoop plans, scores, and (under opts.ExecutePlans) lowers one
-// loop. ok reports whether a technique was selected.
-func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool.Planner, taskID *int) (*Selection, bool, error) {
+// selectLoop plans, scores (unless pinned), and (under
+// opts.ExecutePlans) lowers one loop. ok reports whether a technique was
+// selected.
+func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool.Planner, pinned bool, taskID *int) (*Selection, bool, error) {
 	sel := &Selection{Fn: ls.Fn.Nam, Header: ls.Header.Nam}
 
 	// ---- plan: every technique answers (a plan or a reason) ----
-	var specs []machine.SegSpec
 	var planned []*Candidate
 	// Preallocate so the &sel.Candidates[i] pointers below stay valid.
 	sel.Candidates = make([]Candidate, 0, len(planners))
@@ -184,10 +222,8 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 		if err != nil {
 			c.Rejection = err.Error()
 		} else {
-			c.plan = plan
+			c.Plan = plan
 			c.Shape = plan.Describe()
-			segOf, numSegs := plan.Segments()
-			specs = append(specs, machine.SegSpec{SegmentOf: segOf, NumSegs: numSegs})
 		}
 		sel.Candidates = append(sel.Candidates, c)
 		if c.Rejection == "" {
@@ -195,56 +231,39 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 		}
 	}
 	if len(planned) == 0 {
-		sel.Why = "no technique produced a plan"
+		var reasons []string
+		for _, c := range sel.Candidates {
+			reasons = append(reasons, c.rejected())
+		}
+		sel.Why = "no technique produced a plan (" + strings.Join(reasons, "; ") + ")"
 		return sel, false, nil
 	}
 
-	// ---- score: one training replay prices every plan at once ----
-	invss, err := machine.AttributeLoopCostsMulti(n.Mod, ls.Nat, specs)
-	if err != nil {
-		return nil, false, fmt.Errorf("@%s/%s: %w", ls.Fn.Nam, ls.Header.Nam, err)
+	// A pinned run takes its one plan as it is, unpriced; a competing run
+	// scores and ranks, and may find nothing worth lowering.
+	ranked, prefix, verb := planned, "", "planned"
+	why := func(w *Candidate, verb string) string {
+		return fmt.Sprintf("%s %s (%s)", w.Technique, verb, w.Shape)
 	}
-	if len(invss[0]) == 0 {
-		sel.Why = "loop not executed by the training input (nothing to score)"
-		return sel, false, nil
-	}
-	seq := machine.SequentialCycles(invss[0])
-	for i, c := range planned {
-		c.Seq = seq
-		c.Par = machine.SimulateAll(invss[i], c.plan.EstimateInvocation)
-	}
-
-	// ---- rank: profitable plans, fastest modeled time first (stable:
-	// registry order breaks ties) ----
-	var ranked []*Candidate
-	for _, c := range planned {
-		if c.Par < c.Seq {
-			ranked = append(ranked, c)
+	if !pinned {
+		prefix, verb = "auto.", "predicted"
+		why = func(w *Candidate, verb string) string { return winnerWhy(w, sel.Candidates, verb) }
+		var err error
+		if ranked, err = rank(n, ls, sel, planned); err != nil || len(ranked) == 0 {
+			return sel, false, err
 		}
-	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Par < ranked[j].Par })
-	if len(ranked) == 0 {
-		best := planned[0]
-		for _, c := range planned[1:] {
-			if c.Par < best.Par {
-				best = c
-			}
-		}
-		sel.Why = fmt.Sprintf("no technique predicted a speedup (best %s: %d >= seq %d cycles)",
-			best.Technique, best.Par, seq)
-		return sel, false, nil
 	}
 
 	// ---- select (and lower): best plan that can be realized wins ----
 	if !opts.ExecutePlans {
 		w := ranked[0]
 		sel.Winner = w.Technique
-		sel.Why = winnerWhy(w, sel.Candidates, "predicted")
+		sel.Why = why(w, verb)
 		return sel, true, nil
 	}
 	for _, c := range ranked {
-		name := fmt.Sprintf("auto.%s.task%d", c.Technique, *taskID)
-		if err := c.plan.Lower(name); err != nil {
+		name := fmt.Sprintf("%s%s.task%d", prefix, c.Technique, *taskID)
+		if err := c.Plan.Lower(name); err != nil {
 			sel.Fallbacks = append(sel.Fallbacks, c.Technique+": "+err.Error())
 			continue
 		}
@@ -260,12 +279,50 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 		sel.Winner = c.Technique
 		sel.TaskName = name
 		sel.Lowered = true
-		sel.Why = winnerWhy(c, sel.Candidates, "lowered")
+		sel.Why = why(c, "lowered")
 		return sel, true, nil
 	}
-	sel.Why = fmt.Sprintf("every profitable plan failed to lower (%s)",
+	sel.Why = fmt.Sprintf("every plan tried failed to lower (%s)",
 		strings.Join(sel.Fallbacks, "; "))
 	return sel, false, nil
+}
+
+// rank is the competing run's score-and-rank step: one training replay
+// prices every plan at once, and the profitable plans come back fastest
+// modeled time first (stable: registry order breaks ties). When it
+// returns no plan, sel.Why says why the loop stays sequential.
+func rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) ([]*Candidate, error) {
+	specs := make([]machine.SegSpec, len(planned))
+	for i, c := range planned {
+		specs[i].SegmentOf, specs[i].NumSegs = c.Plan.Segments()
+	}
+	invss, err := machine.AttributeLoopCostsMulti(n.Mod, ls.Nat, specs)
+	if err != nil {
+		return nil, fmt.Errorf("@%s/%s: %w", ls.Fn.Nam, ls.Header.Nam, err)
+	}
+	if len(invss[0]) == 0 {
+		sel.Why = "loop not executed by the training input (nothing to score)"
+		return nil, nil
+	}
+	seq := machine.SequentialCycles(invss[0])
+	var ranked []*Candidate
+	best := planned[0]
+	for i, c := range planned {
+		c.Seq = seq
+		c.Par = machine.SimulateAll(invss[i], c.Plan.EstimateInvocation)
+		if c.Par < c.Seq {
+			ranked = append(ranked, c)
+		}
+		if c.Par < best.Par {
+			best = c
+		}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Par < ranked[j].Par })
+	if len(ranked) == 0 {
+		sel.Why = fmt.Sprintf("no technique predicted a speedup (best %s: %d >= seq %d cycles)",
+			best.Technique, best.Par, seq)
+	}
+	return ranked, nil
 }
 
 // winnerWhy renders the "why this technique won" line: the winner's
@@ -277,7 +334,7 @@ func winnerWhy(w *Candidate, cands []Candidate, verb string) string {
 			continue
 		}
 		if c.Rejection != "" {
-			others = append(others, fmt.Sprintf("%s rejected: %s", c.Technique, c.Rejection))
+			others = append(others, c.rejected())
 		} else {
 			others = append(others, fmt.Sprintf("%s %.2fx", c.Technique, c.Speedup()))
 		}

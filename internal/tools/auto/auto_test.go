@@ -291,3 +291,71 @@ func TestAutoFallsBackWhenWinnerCannotLower(t *testing.T) {
 		t.Errorf("no selection recorded a fallback from the greedy planner: %+v", res.Selections)
 	}
 }
+
+// When no planner produces a plan the why-line must still say why: every
+// technique's rejection, in the selection and in the rendered report
+// (a bare "no technique produced a plan" at the parent).
+func TestAutoReportsEveryRejectionWhenNothingPlans(t *testing.T) {
+	m := compile(t, `
+int a[64];
+int main() {
+  int i = 0;
+  int s = 0;
+  for (i = 0; a[i] > 0; i = i + 1) { s = s + a[i]; }
+  print_i64(s);
+  return 0;
+}`)
+	opts := core.DefaultOptions()
+	opts.MinHotness, opts.Cores = 0, 1 // one core: DSWP has nothing to pipeline onto
+	res, err := auto.Run(context.Background(), core.New(m, opts), tool.Options{})
+	if err != nil {
+		t.Fatalf("auto: %v", err)
+	}
+	if len(res.Selections) != 1 || res.Selections[0].Winner != "" {
+		t.Fatalf("want one unselected loop, got %+v", res.Selections)
+	}
+	detail := strings.Join(auto.Report(res, tool.Options{}).Detail, "\n")
+	for _, c := range res.Selections[0].Candidates {
+		if c.Rejection == "" {
+			t.Fatalf("%s planned the loop; the fixture no longer defeats every technique", c.Technique)
+		}
+		want := c.Technique + " rejected: " + c.Rejection
+		if !strings.Contains(res.Selections[0].Why, want) {
+			t.Errorf("why-line %q drops %q", res.Selections[0].Why, want)
+		}
+		if !strings.Contains(detail, want) {
+			t.Errorf("report drops %q:\n%s", want, detail)
+		}
+	}
+}
+
+// auto -exec-plans lowers through the techniques' mechanisms, so its
+// "abstractions requested" line must name them (it named none of ENV, T,
+// IVS, LB, DFE at the parent, where only the standalone tools' Run
+// declared them).
+func TestAutoLoweringDeclaresItsMechanisms(t *testing.T) {
+	autoTool, ok := tool.Lookup("auto")
+	if !ok {
+		t.Fatal("auto not registered")
+	}
+	requested := map[core.Abstraction]bool{}
+	for _, src := range []string{dataParallelSrc, pipelineSrc} {
+		opts := core.DefaultOptions()
+		opts.MinHotness = 0
+		rep, err := tool.Run(context.Background(), autoTool, core.New(compile(t, src), opts), tool.Options{ExecutePlans: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Metrics["lowered"] == 0 {
+			t.Fatalf("nothing lowered: %s", rep.Summary)
+		}
+		for _, a := range rep.Abstractions {
+			requested[a] = true
+		}
+	}
+	for _, a := range []core.Abstraction{core.AbsENV, core.AbsTask, core.AbsLB, core.AbsIVS, core.AbsDFE} {
+		if !requested[a] {
+			t.Errorf("lowering runs never requested %s", a)
+		}
+	}
+}

@@ -31,7 +31,15 @@ func (autoTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (too
 	if err != nil {
 		return tool.Report{}, err
 	}
+	return Report(r, opts), nil
+}
 
+// Report renders a driver Result, competing or pinned, in the one
+// vocabulary the four parallelizing tools share: how many visited loops
+// got a technique, one why-line per loop (with its task name and
+// fallbacks), one line per loop left sequential, and the metrics loops /
+// selected / lowered / unparallelized / fallbacks / selected_<technique>.
+func Report(r Result, opts tool.Options) tool.Report {
 	perTech := map[string]int64{}
 	for _, s := range r.Selections {
 		if s.Winner != "" {
@@ -44,13 +52,20 @@ func (autoTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (too
 			techSummary = append(techSummary, fmt.Sprintf("%s %d", tech, perTech[tech]))
 		}
 	}
-	verb := "predicted winners"
+	verb, visited := "predicted winners for", "scored"
 	if opts.ExecutePlans {
-		verb = "selected and lowered"
+		verb = "selected and lowered for"
+	}
+	if r.Pinned != "" {
+		// A pinned run neither scores nor selects.
+		verb, visited = "planned", "visited"
+		if opts.ExecutePlans {
+			verb = "lowered"
+		}
 	}
 	rep := tool.Report{
-		Summary: fmt.Sprintf("%s for %d/%d scored loops (%s)",
-			verb, r.Selected(), len(r.Selections), strings.Join(techSummary, ", ")),
+		Summary: fmt.Sprintf("%s %d/%d %s loops (%s)",
+			verb, r.Selected(), len(r.Selections), visited, strings.Join(techSummary, ", ")),
 		Metrics: map[string]int64{
 			"loops":          int64(len(r.Selections)),
 			"selected":       int64(r.Selected()),
@@ -80,5 +95,5 @@ func (autoTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (too
 	for _, rej := range r.Rejections {
 		rep.Detail = append(rep.Detail, "unparallelized "+rej.String())
 	}
-	return rep, nil
+	return rep
 }

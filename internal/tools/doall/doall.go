@@ -16,38 +16,18 @@ import (
 	"noelle/internal/ir"
 	"noelle/internal/loopbuilder"
 	"noelle/internal/loops"
-	"noelle/internal/tool"
 	"noelle/internal/verify"
 )
 
-// Rejection records why one hot loop was not parallelized — the shared
-// per-loop rejection record noelle-load surfaces.
-type Rejection = tool.LoopRejection
-
-// Result describes the transformation outcome for one module.
-type Result struct {
-	Parallelized []*Parallelized
-	// Rejections records why each passed-over loop node was rejected.
-	Rejections []Rejection
-}
-
-// Rejected is the count of loop nodes DOALL passed over.
-func (r *Result) Rejected() int { return len(r.Rejections) }
-
-// Parallelized records one transformed loop.
-type Parallelized struct {
-	Header   string
-	Fn       string
-	TaskName string
-}
-
 // Plan records a DOALL-eligible loop, ready to lower. Planning is
-// read-only: the split between PlanLoop and Lower is what lets the auto
-// tool score a DOALL plan against the other techniques' plans before
+// read-only: the split between PlanLoop and Lower is what lets the
+// driver score a DOALL plan against the other techniques' plans before
 // committing to any rewriting.
 type Plan struct {
 	LS   *loops.LS
 	Loop *loops.Loop
+
+	n *core.Noelle
 }
 
 // PlanLoop checks ls for DOALL legality and canonical form; a nil plan
@@ -57,21 +37,26 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	if err := Eligible(l); err != nil {
 		return nil, err
 	}
-	return &Plan{LS: ls, Loop: l}, nil
+	return &Plan{LS: ls, Loop: l, n: n}, nil
 }
 
 // Lower rewrites the planned loop into a dispatched task named taskName,
 // invalidating the manager's cached abstractions on success. It refuses
 // (without corrupting the module) when an earlier lowering already
 // rewrote the loop out from under the plan.
-func Lower(n *core.Noelle, p *Plan, taskName string) error {
+func (p *Plan) Lower(taskName string) error {
+	// The mechanisms the rewrite is built from.
+	p.n.Use(core.AbsENV)
+	p.n.Use(core.AbsTask)
+	p.n.Use(core.AbsIVS)
+	p.n.Use(core.AbsLB)
 	if !loopIntact(p) {
 		return fmt.Errorf("loop rewritten by an earlier lowering")
 	}
-	if err := transform(n, p.Loop, taskName); err != nil {
+	if err := transform(p.n, p.Loop, taskName); err != nil {
 		return err
 	}
-	n.InvalidateModule()
+	p.n.InvalidateModule()
 	return nil
 }
 
@@ -83,67 +68,6 @@ func loopIntact(p *Plan) bool {
 		body = append(body, b.Instrs...)
 	}
 	return loopbuilder.InstrsAlive(p.LS.Fn, body)
-}
-
-// Run parallelizes every eligible hot loop in the module. When an outer
-// loop is rejected (e.g. it carries state across its iterations), the
-// loop selection descends into its children — the inner data-parallel
-// loops of an outer sequential driver are worth extracting too.
-func Run(n *core.Noelle) (Result, error) {
-	n.Use(core.AbsENV)
-	n.Use(core.AbsTask)
-	n.Use(core.AbsIVS)
-	n.Use(core.AbsLB)
-	var res Result
-	taskID := 0
-
-	reject := func(f *ir.Function, header, reason string) {
-		res.Rejections = append(res.Rejections, Rejection{Fn: f.Nam, Header: header, Reason: reason})
-	}
-
-	var tryNode func(f *ir.Function, header string) bool
-	tryNode = func(f *ir.Function, header string) bool {
-		// Re-derive the forest each time: earlier transformations change
-		// the function's loop structure.
-		for _, node := range n.Forest(f).Nodes() {
-			if node.LS.Header.Nam != header {
-				continue
-			}
-			p, err := PlanLoop(n, node.LS)
-			if err == nil {
-				name := fmt.Sprintf("doall.task%d", taskID)
-				if lerr := Lower(n, p, name); lerr == nil {
-					taskID++
-					res.Parallelized = append(res.Parallelized, &Parallelized{
-						Header: header, Fn: f.Nam, TaskName: name,
-					})
-					return true
-				} else {
-					err = lerr
-				}
-			}
-			reject(f, header, err.Error())
-			// Descend: collect child headers first (the forest object is
-			// invalidated by successful child transforms).
-			var childHeaders []string
-			for _, c := range node.Children {
-				childHeaders = append(childHeaders, c.LS.Header.Nam)
-			}
-			any := false
-			for _, ch := range childHeaders {
-				if tryNode(f, ch) {
-					any = true
-				}
-			}
-			return any
-		}
-		return false
-	}
-
-	for _, ls := range n.HotLoops() {
-		tryNode(ls.Fn, ls.Header.Nam)
-	}
-	return res, nil
 }
 
 // Eligible checks DOALL legality plus the structural canonical form the
@@ -266,7 +190,7 @@ func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 	envPtr := bld.CreateAlloca(ir.I64Type, cells, "doall.env")
 	for _, s := range e.Slots {
 		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(s.Index)), "")
-		bld.CreateStore(toBits(bld, s.Value), addr)
+		bld.CreateStore(env.ToBits(bld, s.Value), addr)
 	}
 
 	// ---- task function ----
@@ -288,7 +212,7 @@ func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 		for w := int64(0); w < cores; w++ {
 			addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(redBase[r])+w), "")
 			raw := bld.CreateLoad(addr, "")
-			part := fromBits(bld, raw, r.Phi.Ty)
+			part := env.FromBits(bld, raw, r.Phi.Ty)
 			acc = bld.CreateBinOp(r.Op, acc, part, fmt.Sprintf("red.fold%d", w))
 		}
 		for _, in := range r.SCC {
@@ -320,12 +244,4 @@ func operandInSCC(iv *loops.IV, v ir.Value) bool {
 		}
 	}
 	return false
-}
-
-// toBits and fromBits are the environment cell casts, shared with the
-// other task generators through the env package.
-func toBits(bld *ir.Builder, v ir.Value) ir.Value { return env.ToBits(bld, v) }
-
-func fromBits(bld *ir.Builder, raw ir.Value, ty *ir.Type) ir.Value {
-	return env.FromBits(bld, raw, ty)
 }

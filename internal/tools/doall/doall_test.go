@@ -1,6 +1,7 @@
 package doall_test
 
 import (
+	"context"
 	"testing"
 
 	"noelle/internal/core"
@@ -8,8 +9,18 @@ import (
 	"noelle/internal/ir"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
-	"noelle/internal/tools/doall"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
+
+	// Register the DOALL planner the driver is pinned to.
+	_ "noelle/internal/tools/doall"
 )
+
+// runDOALL is the loop-parallelization driver pinned to DOALL, lowering
+// every plan (what the doall tool does).
+func runDOALL(n *core.Noelle) (auto.Result, error) {
+	return auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "doall")
+}
 
 // runBoth compiles src, runs the original, applies DOALL, runs the
 // transformed module, and checks observational equivalence.
@@ -31,13 +42,13 @@ func runBoth(t *testing.T, src string, wantParallelized int) {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0 // consider every loop
 	n := core.New(m, opts)
-	res, err := doall.Run(n)
+	res, err := runDOALL(n)
 	if err != nil {
 		t.Fatalf("doall: %v", err)
 	}
-	if len(res.Parallelized) != wantParallelized {
+	if res.Lowered() != wantParallelized {
 		t.Fatalf("parallelized %d loops, want %d (rejected %d)\n%s",
-			len(res.Parallelized), wantParallelized, res.Rejected(), ir.Print(m))
+			res.Lowered(), wantParallelized, len(res.Rejections), ir.Print(m))
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("transformed module malformed: %v\n%s", err, ir.Print(m))
@@ -145,11 +156,11 @@ int main() {
 	orig := ir.CloneModule(m)
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
-	res, err := doall.Run(core.New(m, opts))
+	res, err := runDOALL(core.New(m, opts))
 	if err != nil {
 		t.Fatalf("doall: %v", err)
 	}
-	if len(res.Parallelized) != 0 {
+	if res.Lowered() != 0 {
 		t.Fatalf("recurrence must not parallelize")
 	}
 	// The module must be untouched.
@@ -183,7 +194,7 @@ int main() {
 		opts := core.DefaultOptions()
 		opts.MinHotness = 0
 		opts.Cores = cores
-		if _, err := doall.Run(core.New(m, opts)); err != nil {
+		if _, err := runDOALL(core.New(m, opts)); err != nil {
 			t.Fatalf("cores=%d: %v", cores, err)
 		}
 		it1 := interp.New(m)

@@ -19,8 +19,6 @@ const doallChunk = 8
 // round-robin schedule recurrence.
 type planner struct{}
 
-func init() { tool.RegisterPlanner(planner{}) }
-
 func (planner) Technique() string { return "doall" }
 
 func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, _ tool.Options) (tool.Plan, error) {
@@ -28,37 +26,23 @@ func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, _ tool.Options) (tool.Plan
 	if err != nil {
 		return nil, err
 	}
-	return &plannerPlan{
-		n:   n,
-		p:   p,
-		cfg: machine.DefaultConfig(n.Arch(), n.Opts.Cores),
-	}, nil
+	return p, nil
 }
 
-// plannerPlan wraps a DOALL Plan with its captured manager and machine
-// configuration.
-type plannerPlan struct {
-	n   *core.Noelle
-	p   *Plan
-	cfg machine.Config
-}
+func (p *Plan) Technique() string { return "doall" }
 
-func (pp *plannerPlan) Technique() string { return "doall" }
-
-func (pp *plannerPlan) Describe() string {
-	return fmt.Sprintf("%d-worker chunked iterations", pp.cfg.Cores)
+func (p *Plan) Describe() string {
+	return fmt.Sprintf("%d-worker chunked iterations", p.n.Opts.Cores)
 }
 
 // Segments: the whole body is one segment (iterations are independent).
-func (pp *plannerPlan) Segments() (map[*ir.Instr]int, int) { return nil, 1 }
+func (p *Plan) Segments() (map[*ir.Instr]int, int) { return nil, 1 }
 
 // EstimateInvocation prices the chunked round-robin schedule plus one
 // task spawn per worker (the lowering dispatches exactly Cores workers).
-func (pp *plannerPlan) EstimateInvocation(inv *machine.Invocation) int64 {
-	return machine.SimulateDOALL(inv, pp.cfg, doallChunk) +
-		int64(pp.cfg.Cores)*pp.cfg.PerTaskOverhead
-}
-
-func (pp *plannerPlan) Lower(taskName string) error {
-	return Lower(pp.n, pp.p, taskName)
+// The machine configuration (AR) is asked for here, not while planning: a
+// pinned run never prices a plan.
+func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
+	cfg := machine.DefaultConfig(p.n.Arch(), p.n.Opts.Cores)
+	return machine.SimulateDOALL(inv, cfg, doallChunk) + int64(cfg.Cores)*cfg.PerTaskOverhead
 }

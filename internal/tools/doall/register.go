@@ -2,16 +2,20 @@ package doall
 
 import (
 	"context"
-	"fmt"
 
 	"noelle/internal/core"
 	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 )
 
-// doallTool adapts the package to the uniform Tool API.
+// doallTool is the loop-parallelization driver pinned to the DOALL
+// planner.
 type doallTool struct{}
 
-func init() { tool.Register(doallTool{}) }
+func init() {
+	tool.RegisterPlanner(planner{})
+	tool.Register(doallTool{})
+}
 
 func (doallTool) Name() string { return "doall" }
 func (doallTool) Describe() string {
@@ -19,23 +23,13 @@ func (doallTool) Describe() string {
 }
 func (doallTool) Transforms() bool { return true }
 
-func (doallTool) Run(_ context.Context, n *core.Noelle, _ tool.Options) (tool.Report, error) {
-	r, err := Run(n)
-	if err != nil {
-		return tool.Report{}, err
-	}
-	rep := tool.Report{
-		Summary: fmt.Sprintf("parallelized %d loops (rejected %d)", len(r.Parallelized), r.Rejected()),
-		Metrics: map[string]int64{
-			"parallelized": int64(len(r.Parallelized)),
-			"rejected":     int64(r.Rejected()),
-		},
-	}
-	for _, p := range r.Parallelized {
-		rep.Detail = append(rep.Detail, fmt.Sprintf("@%s/%s -> %s", p.Fn, p.Header, p.TaskName))
-	}
-	for _, rej := range r.Rejections {
-		rep.Detail = append(rep.Detail, "rejected "+rej.String())
-	}
-	return rep, nil
+func (doallTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (tool.Report, error) {
+	opts.ExecutePlans = true // DOALL has always lowered what it plans
+	r, err := auto.RunPinned(ctx, n, opts, "doall")
+	rep := auto.Report(r, opts)
+	// The benchmark's doall_map workload still reads "parallelized"; the
+	// next [benchmark] PR switches its loweredKey to "lowered" and drops
+	// this alias.
+	rep.Metrics["parallelized"] = rep.Metrics["lowered"]
+	return rep, err
 }

@@ -135,7 +135,7 @@ func buildTaskBody(l *loops.Loop, task *env.Task, e *env.Environment, tcSlot *en
 		cellBase := int64(redBase[r])
 		cell := bld.CreateBinOp(ir.OpAdd, ir.ConstInt(cellBase), task.WorkerID, "")
 		addr := bld.CreatePtrAdd(task.EnvPtr, cell, "red.cell")
-		bld.CreateStore(toBits(bld, ir.Value(imap[r.Phi])), addr)
+		bld.CreateStore(env.ToBits(bld, ir.Value(imap[r.Phi])), addr)
 	}
 	bld.CreateRet(nil)
 	return nil

@@ -1,0 +1,218 @@
+// driver_test pins what having one loop-parallelization driver
+// guarantees: doall, dswp and helix are the auto driver pinned to one
+// planner, so all of them honour the context, descend into the children
+// of a loop they pass over, lower through the same path, and never pay
+// for a training replay.
+package tools_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"noelle/internal/bench"
+	"noelle/internal/core"
+	"noelle/internal/interp"
+	"noelle/internal/ir"
+	"noelle/internal/profiler"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
+)
+
+func lookupTool(t *testing.T, name string) tool.Tool {
+	t.Helper()
+	tl, ok := tool.Lookup(name)
+	if !ok {
+		t.Fatalf("tool %q not registered", name)
+	}
+	return tl
+}
+
+func TestPinnedToolsHonorCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"doall", "dswp", "helix", "auto"} {
+		m := compile(t, registryFixture)
+		before := ir.Print(m)
+		opts := tool.DefaultOptions()
+		opts.ExecutePlans = true
+		_, err := tool.Run(ctx, lookupTool(t, name), newN(m), opts)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", name, err)
+		}
+		if ir.Print(m) != before {
+			t.Errorf("%s: a cancelled run rewrote the module", name)
+		}
+	}
+}
+
+// nestedSrc has an outer loop neither pipelining technique can take — its
+// exit is data-dependent (no governing IV for HELIX) and it calls
+// print_i64 (DSWP lowers no loop with a call) — around an inner loop both
+// can: an order-sensitive recurrence behind an independent chain.
+const nestedSrc = `
+int b[96];
+int c[96];
+int lim[8];
+int main() {
+  int i;
+  int j;
+  for (i = 0; i < 96; i = i + 1) { b[i] = i * 7 + 3; }
+  for (j = 0; j < 4; j = j + 1) { lim[j] = 4 - j; }
+  int total = 0;
+  for (j = 0; lim[j] > 0; j = j + 1) {
+    int acc = j + 1;
+    for (i = 0; i < 96; i = i + 1) {
+      int x = b[i] * 3 + i;
+      int y = x * x + 11;
+      int z = (y + x) * 5 + 1;
+      acc = (acc * 3 + z) % 4093;
+      c[i] = z % 101;
+    }
+    print_i64(acc);
+    total = total + acc;
+  }
+  print_i64(total);
+  return total % 251;
+}`
+
+func TestPinnedRunDescendsIntoChildren(t *testing.T) {
+	for _, tech := range []string{"dswp", "helix"} {
+		t.Run(tech, func(t *testing.T) {
+			m := compile(t, nestedSrc)
+			r0, o0, _ := run(t, ir.CloneModule(m))
+			n := newN(m)
+			var outer, inner string
+			for _, node := range n.Forest(m.FunctionByName("main")).Nodes() {
+				if len(node.Children) == 1 {
+					outer, inner = node.LS.Header.Nam, node.Children[0].LS.Header.Nam
+				}
+			}
+			if outer == "" {
+				t.Fatal("fixture has no nested loop")
+			}
+
+			opts := tool.DefaultOptions()
+			opts.ExecutePlans = true
+			res, err := auto.RunPinned(context.Background(), n, opts, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passedOver, reached := false, false
+			for _, rej := range res.Rejections {
+				if rej.Header == outer && rej.Reason != "" {
+					passedOver = true
+				}
+			}
+			for _, s := range res.Selections {
+				if s.Header == inner && s.Lowered {
+					reached = true
+				}
+			}
+			if !passedOver || !reached {
+				t.Fatalf("outer %s passed over: %v, inner %s lowered: %v\nselections: %+v",
+					outer, passedOver, inner, reached, res.Selections)
+			}
+			if err := ir.Verify(m); err != nil {
+				t.Fatalf("lowered module malformed: %v", err)
+			}
+			if r1, o1, _ := run(t, m); r1 != r0 || o1 != o0 {
+				t.Errorf("semantics changed: (%d,%q) -> (%d,%q)", r0, o0, r1, o1)
+			}
+		})
+	}
+}
+
+// TestEveryPlannerHasAPinnedTool: each registered planner is reachable
+// as a same-named tool, and that tool lowers at least one of the two
+// run-plane programs to a module that prints what the original prints,
+// dispatched sequentially and on real cores.
+func TestEveryPlannerHasAPinnedTool(t *testing.T) {
+	programs := map[string]func(int) (*ir.Module, error){
+		"parallel": bench.ParallelProgram, "pipeline": bench.PipelineProgram,
+	}
+	for _, p := range tool.Planners() {
+		tl := lookupTool(t, p.Technique())
+		loweredSomewhere := false
+		for name, program := range programs {
+			m, err := program(512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := interp.New(ir.CloneModule(m))
+			r0, err := orig.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := profiler.Collect(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof.Embed()
+			copts := core.DefaultOptions()
+			copts.MinHotness, copts.Cores = 0.2, 3
+			opts := tool.DefaultOptions()
+			opts.ExecutePlans = true
+			rep, err := tool.Run(context.Background(), tl, core.New(m, copts), opts)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tl.Name(), name, err)
+			}
+			if rep.Metrics["lowered"] == 0 {
+				continue
+			}
+			loweredSomewhere = true
+			for _, seq := range []bool{true, false} {
+				it := interp.New(m)
+				it.SeqDispatch = seq
+				r, err := it.Run()
+				if err != nil {
+					t.Fatalf("%s on %s (seq=%v): %v", tl.Name(), name, seq, err)
+				}
+				if r != r0 || it.Output.String() != orig.Output.String() ||
+					it.MemoryFingerprint() != orig.MemoryFingerprint() {
+					t.Errorf("%s on %s (seq=%v): exit %d -> %d, output %q -> %q, or memory diverged",
+						tl.Name(), name, seq, r0, r, orig.Output.String(), it.Output.String())
+				}
+			}
+		}
+		if !loweredSomewhere {
+			t.Errorf("%s lowered neither run-plane program", tl.Name())
+		}
+	}
+}
+
+// TestPinnedRunNeverPricesAPlan: scoring is the only thing that replays
+// the training input (machine.AttributeLoopCosts*), and it is what fills
+// Candidate.Seq/Par — so a pinned run leaves both at zero on every
+// candidate, where the competing run over the same program does not.
+func TestPinnedRunNeverPricesAPlan(t *testing.T) {
+	for _, tech := range tool.PlannerNames() {
+		res, err := auto.RunPinned(context.Background(), newN(compile(t, nestedSrc)), tool.Options{}, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Selected() == 0 {
+			t.Errorf("%s planned nothing, so the test shows nothing", tech)
+		}
+		for _, s := range res.Selections {
+			for _, c := range s.Candidates {
+				if c.Seq != 0 || c.Par != 0 {
+					t.Errorf("%s @%s/%s: pinned run priced a plan (seq %d, par %d)", tech, s.Fn, s.Header, c.Seq, c.Par)
+				}
+			}
+		}
+	}
+	res, err := auto.Run(context.Background(), newN(compile(t, nestedSrc)), tool.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced := false
+	for _, s := range res.Selections {
+		for _, c := range s.Candidates {
+			priced = priced || c.Seq > 0
+		}
+	}
+	if !priced {
+		t.Error("the competing run priced nothing either: Seq/Par no longer observe the replay")
+	}
+}

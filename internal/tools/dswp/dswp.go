@@ -20,9 +20,7 @@ import (
 	"noelle/internal/ir"
 	"noelle/internal/loopbuilder"
 	"noelle/internal/loops"
-	"noelle/internal/machine"
 	"noelle/internal/sccdag"
-	"noelle/internal/tool"
 )
 
 // Plan assigns every loop instruction to a pipeline stage.
@@ -31,87 +29,25 @@ type Plan struct {
 	Loop      *loops.Loop
 	SegmentOf map[*ir.Instr]int
 	NumStages int
+
+	n *core.Noelle
+	// queueCap bounds the queues Lower generates (0 =
+	// queue.DefaultCapacity).
+	queueCap int
 }
 
-// Rejection records why one hot loop was not planned (or, in transform
-// mode, planned but not lowered) — the shared per-loop rejection record
-// noelle-load surfaces.
-type Rejection = tool.LoopRejection
-
-// Lowered records one loop rewritten into executable pipeline form.
-type Lowered struct {
-	Fn       string
-	Header   string
-	TaskName string
-	Stages   int
-}
-
-// Result lists the plans DSWP produced, with per-loop rejection reasons
-// and (in transform mode) the loops lowered to dispatched stages.
-type Result struct {
-	Plans      []*Plan
-	Rejections []Rejection
-	// Lowered / NotLowered are populated only when Exec.Enabled: plans
-	// either became dispatched stage pipelines or record why not.
-	Lowered    []*Lowered
-	NotLowered []Rejection
-}
-
-// Rejected is the count of hot loops no plan was produced for.
-func (r *Result) Rejected() int { return len(r.Rejections) }
-
-// Exec configures the transform mode.
-type Exec struct {
-	// Enabled lowers every plan to per-stage worker functions connected
-	// by queues, executed through noelle_dispatch.
-	Enabled bool
-	// QueueCap bounds the generated queues (0 = queue.DefaultCapacity).
-	QueueCap int
-}
-
-// Run plans DSWP for every hot loop; with ex.Enabled the plans are then
-// lowered to executable pipelines.
-func Run(n *core.Noelle, ex Exec) Result {
-	n.Use(core.AbsENV)
-	n.Use(core.AbsTask)
-	n.Use(core.AbsDFE)
-	n.Use(core.AbsLB)
-	var res Result
-	for _, ls := range n.HotLoops() {
-		p, err := PlanLoop(n, ls)
-		if p == nil {
-			res.Rejections = append(res.Rejections, Rejection{
-				Fn: ls.Fn.Nam, Header: ls.Header.Nam, Reason: err.Error(),
-			})
-			continue
-		}
-		res.Plans = append(res.Plans, p)
-	}
-	if !ex.Enabled {
-		return res
-	}
-	for i, p := range res.Plans {
-		name := fmt.Sprintf("dswp.task%d", i)
-		if err := Lower(n, p, name, ex.QueueCap); err != nil {
-			res.NotLowered = append(res.NotLowered, Rejection{
-				Fn: p.LS.Fn.Nam, Header: p.LS.Header.Nam, Reason: err.Error(),
-			})
-			continue
-		}
-		res.Lowered = append(res.Lowered, &Lowered{
-			Fn: p.LS.Fn.Nam, Header: p.LS.Header.Nam, TaskName: name, Stages: p.NumStages,
-		})
-	}
-	return res
-}
-
-// Lower rewrites one planned loop into its executable pipeline form —
+// Lower rewrites the planned loop into its executable pipeline form —
 // per-stage worker functions communicating over bounded queues, launched
 // through noelle_dispatch under taskName — invalidating the manager's
 // cached abstractions on success. It refuses (without corrupting the
 // module) when an earlier lowering already rewrote the loop, or when the
 // code generator does not cover the plan's shape (CanLower).
-func Lower(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
+func (p *Plan) Lower(taskName string) error {
+	// The mechanisms the rewrite is built from.
+	p.n.Use(core.AbsENV)
+	p.n.Use(core.AbsTask)
+	p.n.Use(core.AbsDFE)
+	p.n.Use(core.AbsLB)
 	// A previous lowering may have rewritten an enclosing or nested loop
 	// out from under this plan.
 	if !loopIntact(p) {
@@ -120,10 +56,10 @@ func Lower(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 	if err := CanLower(p); err != nil {
 		return err
 	}
-	if err := transform(n, p, taskName, queueCap); err != nil {
+	if err := transform(p, taskName); err != nil {
 		return err
 	}
-	n.InvalidateModule()
+	p.n.InvalidateModule()
 	return nil
 }
 
@@ -173,7 +109,7 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 		target = 1
 	}
 
-	p := &Plan{LS: ls, Loop: l, SegmentOf: map[*ir.Instr]int{}}
+	p := &Plan{LS: ls, Loop: l, SegmentOf: map[*ir.Instr]int{}, n: n}
 	stage := 0
 	var acc int64
 	for i, node := range order {
@@ -195,18 +131,4 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 		return nil, fmt.Errorf("stage packing collapsed to one stage")
 	}
 	return p, nil
-}
-
-// Simulate evaluates the plan's pipeline timing over measured costs.
-func Simulate(n *core.Noelle, p *Plan, cores int) (seq, par int64, err error) {
-	invs, err := machine.AttributeLoopCosts(n.Mod, p.LS.Nat, p.SegmentOf, p.NumStages)
-	if err != nil {
-		return 0, 0, err
-	}
-	cfg := machine.CalibratedConfig(n.Arch(), cores, interp.DefaultCostModel())
-	seq = machine.SequentialCycles(invs)
-	par = machine.SimulateAll(invs, func(inv *machine.Invocation) int64 {
-		return machine.SimulateDSWP(inv, cfg)
-	})
-	return seq, par, nil
 }

@@ -1,6 +1,7 @@
 package dswp_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/profiler"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/dswp"
 	"noelle/internal/verify"
 )
@@ -58,19 +61,52 @@ int main() {
   return (acc + s) % 251;
 }`
 
+// runDSWP is the loop-parallelization driver pinned to DSWP: plan-only,
+// or lowering every plan it can when lower is set.
+func runDSWP(t *testing.T, n *core.Noelle, lower bool, queueCap int) auto.Result {
+	t.Helper()
+	res, err := auto.RunPinned(context.Background(), n,
+		tool.Options{ExecutePlans: lower, QueueCapacity: queueCap}, "dswp")
+	if err != nil {
+		t.Fatalf("dswp: %v", err)
+	}
+	return res
+}
+
+// plans lists the DSWP plans of a pinned run, in visiting order.
+func plans(res auto.Result) []*dswp.Plan {
+	var out []*dswp.Plan
+	for _, s := range res.Selections {
+		if p := s.Candidates[0].Plan; p != nil {
+			out = append(out, p.(*dswp.Plan))
+		}
+	}
+	return out
+}
+
+// notLowered lists the "technique: reason" records of the plans whose
+// Lower failed.
+func notLowered(res auto.Result) []string {
+	var out []string
+	for _, s := range res.Selections {
+		out = append(out, s.Fallbacks...)
+	}
+	return out
+}
+
 // ---------- planner ----------
 
 func planFirst(t *testing.T, src string, cores int) (*core.Noelle, *dswp.Plan) {
 	t.Helper()
 	m := compile(t, src)
 	n := newN(t, m, cores)
-	res := dswp.Run(n, dswp.Exec{})
-	if len(res.Plans) == 0 {
+	res := runDSWP(t, n, false, 0)
+	if len(plans(res)) == 0 {
 		t.Fatalf("planned nothing (rejections: %v)", res.Rejections)
 	}
 	// The heaviest planned loop is the pipeline loop.
-	best := res.Plans[0]
-	for _, p := range res.Plans {
+	best := plans(res)[0]
+	for _, p := range plans(res) {
 		if len(p.SegmentOf) > len(best.SegmentOf) {
 			best = p
 		}
@@ -182,11 +218,11 @@ int main() {
 func TestPlanRejectionReasons(t *testing.T) {
 	m := compile(t, pipelineSrc)
 	n := newN(t, m, 1) // one core: nothing can pipeline
-	res := dswp.Run(n, dswp.Exec{})
-	if len(res.Plans) != 0 {
-		t.Fatalf("planned %d loops on one core", len(res.Plans))
+	res := runDSWP(t, n, false, 0)
+	if len(plans(res)) != 0 {
+		t.Fatalf("planned %d loops on one core", len(plans(res)))
 	}
-	if res.Rejected() == 0 {
+	if len(res.Rejections) == 0 {
 		t.Fatal("no rejection reasons recorded")
 	}
 	for _, rej := range res.Rejections {
@@ -204,7 +240,7 @@ func TestPlanRejectionReasons(t *testing.T) {
 // runLowered compiles src, runs the original, lowers DSWP plans to queue
 // pipelines, and checks the transformed module is observationally
 // identical under both dispatch modes.
-func runLowered(t *testing.T, src string, cores, wantLowered int) *dswp.Result {
+func runLowered(t *testing.T, src string, cores, wantLowered int) auto.Result {
 	t.Helper()
 	m := compile(t, src)
 	orig := ir.CloneModule(m)
@@ -215,10 +251,10 @@ func runLowered(t *testing.T, src string, cores, wantLowered int) *dswp.Result {
 	}
 
 	n := newN(t, m, cores)
-	res := dswp.Run(n, dswp.Exec{Enabled: true})
-	if len(res.Lowered) != wantLowered {
+	res := runDSWP(t, n, true, 0)
+	if res.Lowered() != wantLowered {
 		t.Fatalf("lowered %d loops, want %d (not lowered: %v)\n%s",
-			len(res.Lowered), wantLowered, res.NotLowered, ir.Print(m))
+			res.Lowered(), wantLowered, notLowered(res), ir.Print(m))
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("transformed module malformed: %v\n%s", err, ir.Print(m))
@@ -258,14 +294,14 @@ func runLowered(t *testing.T, src string, cores, wantLowered int) *dswp.Result {
 	if _, pushes, pops, _, _ := parIt.CommStats(); pushes == 0 || pushes != pops {
 		t.Errorf("queue traffic unbalanced: %d pushes, %d pops", pushes, pops)
 	}
-	return &res
+	return res
 }
 
 func TestLowerPipelineWithSequentialTail(t *testing.T) {
 	res := runLowered(t, pipelineSrc, 3, 3)
-	for _, lo := range res.Lowered {
-		if lo.Stages < 2 {
-			t.Errorf("lowered %s with %d stages", lo.TaskName, lo.Stages)
+	for _, s := range res.Selections {
+		if stages := s.Candidates[0].Plan.(*dswp.Plan).NumStages; s.Lowered && stages < 2 {
+			t.Errorf("lowered %s with %d stages", s.TaskName, stages)
 		}
 	}
 }
@@ -333,16 +369,16 @@ int main() {
   return 0;
 }`)
 	n := newN(t, m, 2)
-	res := dswp.Run(n, dswp.Exec{Enabled: true})
+	res := runDSWP(t, n, true, 0)
 	found := false
-	for _, rej := range res.NotLowered {
-		if strings.Contains(rej.Reason, "call") {
+	for _, reason := range notLowered(res) {
+		if strings.Contains(reason, "call") {
 			found = true
 		}
 	}
-	if !found && len(res.Plans) > 0 {
+	if !found && len(plans(res)) > 0 {
 		t.Errorf("loop with a call was lowered or mis-reported: lowered=%d notLowered=%v",
-			len(res.Lowered), res.NotLowered)
+			res.Lowered(), notLowered(res))
 	}
 }
 
@@ -352,8 +388,7 @@ func TestLowerQueueCapacityInvariance(t *testing.T) {
 	for _, cap := range []int{1, 4, 4096} {
 		m := compile(t, pipelineSrc)
 		n := newN(t, m, 3)
-		res := dswp.Run(n, dswp.Exec{Enabled: true, QueueCap: cap})
-		if len(res.Lowered) == 0 {
+		if res := runDSWP(t, n, true, cap); res.Lowered() == 0 {
 			t.Fatalf("cap=%d: nothing lowered", cap)
 		}
 		it := interp.New(m)
@@ -415,9 +450,9 @@ func TestNoTokenQueueWithoutMemoryDependence(t *testing.T) {
 	prof.Embed()
 	opts := core.DefaultOptions()
 	opts.MinHotness, opts.Cores = 0.2, 3
-	res := dswp.Run(core.New(m, opts), dswp.Exec{Enabled: true})
-	if len(res.Lowered) == 0 {
-		t.Fatalf("nothing lowered (not lowered: %v, rejections: %v)", res.NotLowered, res.Rejections)
+	res := runDSWP(t, core.New(m, opts), true, 0)
+	if res.Lowered() == 0 {
+		t.Fatalf("nothing lowered (not lowered: %v, rejections: %v)", notLowered(res), res.Rejections)
 	}
 	for _, deps := range wrapperMemDeps(t, m) {
 		if deps != "" {
@@ -459,7 +494,7 @@ int main() {
 	runLowered(t, src, 2, 2)
 	// runLowered keeps its module to itself; lower once more to look at it.
 	m := compile(t, src)
-	dswp.Run(newN(t, m, 2), dswp.Exec{Enabled: true})
+	runDSWP(t, newN(t, m, 2), true, 0)
 	var chained int
 	for _, deps := range wrapperMemDeps(t, m) {
 		if deps == "0>1" {

@@ -17,8 +17,6 @@ import (
 // the executed queue runtime charges for it.
 type planner struct{}
 
-func init() { tool.RegisterPlanner(planner{}) }
-
 func (planner) Technique() string { return "dswp" }
 
 func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, opts tool.Options) (tool.Plan, error) {
@@ -26,41 +24,25 @@ func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, opts tool.Options) (tool.P
 	if err != nil {
 		return nil, err
 	}
-	return &plannerPlan{
-		n:        n,
-		p:        p,
-		cfg:      machine.CalibratedConfig(n.Arch(), n.Opts.Cores, interp.DefaultCostModel()),
-		queueCap: opts.QueueCapacity,
-	}, nil
+	p.queueCap = opts.QueueCapacity
+	return p, nil
 }
 
-// plannerPlan wraps a DSWP stage Plan with its captured manager, the
-// queue-calibrated machine configuration, and the queue capacity the
-// lowering will bake into the module.
-type plannerPlan struct {
-	n        *core.Noelle
-	p        *Plan
-	cfg      machine.Config
-	queueCap int
+func (p *Plan) Technique() string { return "dswp" }
+
+func (p *Plan) Describe() string {
+	return fmt.Sprintf("%d pipeline stages", p.NumStages)
 }
 
-func (pp *plannerPlan) Technique() string { return "dswp" }
-
-func (pp *plannerPlan) Describe() string {
-	return fmt.Sprintf("%d pipeline stages", pp.p.NumStages)
-}
-
-func (pp *plannerPlan) Segments() (map[*ir.Instr]int, int) {
-	return pp.p.SegmentOf, pp.p.NumStages
+func (p *Plan) Segments() (map[*ir.Instr]int, int) {
+	return p.SegmentOf, p.NumStages
 }
 
 // EstimateInvocation prices the pipeline recurrence plus one task spawn
-// per stage (the lowering dispatches exactly NumStages workers).
-func (pp *plannerPlan) EstimateInvocation(inv *machine.Invocation) int64 {
-	return machine.SimulateDSWP(inv, pp.cfg) +
-		int64(pp.p.NumStages)*pp.cfg.PerTaskOverhead
-}
-
-func (pp *plannerPlan) Lower(taskName string) error {
-	return Lower(pp.n, pp.p, taskName, pp.queueCap)
+// per stage (the lowering dispatches exactly NumStages workers). The
+// machine configuration (AR) is asked for here, not while planning: a
+// pinned run never prices a plan.
+func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
+	cfg := machine.CalibratedConfig(p.n.Arch(), p.n.Opts.Cores, interp.DefaultCostModel())
+	return machine.SimulateDSWP(inv, cfg) + int64(p.NumStages)*cfg.PerTaskOverhead
 }

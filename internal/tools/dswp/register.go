@@ -2,16 +2,19 @@ package dswp
 
 import (
 	"context"
-	"fmt"
 
 	"noelle/internal/core"
 	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 )
 
-// dswpTool adapts the package to the uniform Tool API.
+// dswpTool is the loop-parallelization driver pinned to the DSWP planner.
 type dswpTool struct{}
 
-func init() { tool.Register(dswpTool{}) }
+func init() {
+	tool.RegisterPlanner(planner{})
+	tool.Register(dswpTool{})
+}
 
 func (dswpTool) Name() string { return "dswp" }
 func (dswpTool) Describe() string {
@@ -26,30 +29,7 @@ func (dswpTool) Transforms() bool { return true }
 
 func (dswpTool) TransformsWith(opts tool.Options) bool { return opts.ExecutePlans }
 
-func (dswpTool) Run(_ context.Context, n *core.Noelle, opts tool.Options) (tool.Report, error) {
-	r := Run(n, Exec{Enabled: opts.ExecutePlans, QueueCap: opts.QueueCapacity})
-	rep := tool.Report{
-		Summary: fmt.Sprintf("planned %d loops (rejected %d)", len(r.Plans), r.Rejected()),
-		Metrics: map[string]int64{
-			"planned":  int64(len(r.Plans)),
-			"rejected": int64(r.Rejected()),
-		},
-	}
-	for _, p := range r.Plans {
-		rep.Detail = append(rep.Detail, fmt.Sprintf("@%s/%s: %d stages", p.LS.Fn.Nam, p.LS.Header.Nam, p.NumStages))
-	}
-	for _, rej := range r.Rejections {
-		rep.Detail = append(rep.Detail, "rejected "+rej.String())
-	}
-	if opts.ExecutePlans {
-		rep.Summary += fmt.Sprintf(", lowered %d to queue pipelines", len(r.Lowered))
-		rep.Metrics["lowered"] = int64(len(r.Lowered))
-		for _, lo := range r.Lowered {
-			rep.Detail = append(rep.Detail, fmt.Sprintf("lowered @%s/%s -> %s (%d stages)", lo.Fn, lo.Header, lo.TaskName, lo.Stages))
-		}
-		for _, rej := range r.NotLowered {
-			rep.Detail = append(rep.Detail, "not lowered "+rej.String())
-		}
-	}
-	return rep, nil
+func (dswpTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (tool.Report, error) {
+	r, err := auto.RunPinned(ctx, n, opts, "dswp")
+	return auto.Report(r, opts), err
 }

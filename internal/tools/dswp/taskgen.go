@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"noelle/internal/analysis"
-	"noelle/internal/core"
 	"noelle/internal/env"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
@@ -211,9 +210,9 @@ func CanLower(p *Plan) error {
 
 // transform rewrites the planned loop into NumStages dispatched stage
 // workers connected by queues.
-func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
+func transform(p *Plan, taskName string) error {
 	ls, l := p.LS, p.Loop
-	m := n.Mod
+	m := p.n.Mod
 	edges := crossStageEdges(p)
 
 	pre := loopbuilder.EnsurePreheader(ls)
@@ -229,7 +228,7 @@ func transform(n *core.Noelle, p *Plan, taskName string, queueCap int) error {
 		ir.FuncOf(ir.VoidType, env.TaskSignature(), ir.PointerTo(i64), i64))
 
 	// ---- queue creation in the pre-header ----
-	capVal := int64(queueCap)
+	capVal := int64(p.queueCap)
 	if capVal <= 0 {
 		capVal = queue.DefaultCapacity
 	}

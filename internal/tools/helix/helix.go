@@ -25,7 +25,6 @@ import (
 	"noelle/internal/machine"
 	"noelle/internal/sccdag"
 	"noelle/internal/scheduler"
-	"noelle/internal/tool"
 )
 
 // Plan is the parallel schedule for one loop: instructions are assigned
@@ -40,103 +39,62 @@ type Plan struct {
 	SegmentOf map[*ir.Instr]int
 	// NumSeq is the number of sequential segments.
 	NumSeq int
-	// HeaderShrunk counts instructions SCD sank out of the header.
-	HeaderShrunk int
+
+	n   *core.Noelle
+	cfg machine.Config
 }
 
 // NumSegments includes the trailing parallel segment.
 func (p *Plan) NumSegments() int { return p.NumSeq + 1 }
 
-// Rejection records why one hot loop was not planned (or, in transform
-// mode, planned but not lowered) — the shared per-loop rejection record
-// noelle-load surfaces.
-type Rejection = tool.LoopRejection
-
-// Lowered records one loop rewritten into executable per-iteration form.
-type Lowered struct {
-	Fn       string
-	Header   string
-	TaskName string
-	Segments int
-}
-
-// Result lists the plans HELIX produced, with per-loop rejection reasons
-// and (in transform mode) the loops lowered to dispatched iterations.
-type Result struct {
-	Plans      []*Plan
-	Rejections []Rejection
-	// Lowered / NotLowered are populated only when Exec.Enabled.
-	Lowered    []*Lowered
-	NotLowered []Rejection
-}
-
-// Rejected is the count of hot loops no plan was produced for.
-func (r *Result) Rejected() int { return len(r.Rejections) }
-
-// Exec configures the transform mode.
-type Exec struct {
-	// Enabled lowers every plan to a per-iteration dispatched task with
-	// signal-guarded sequential segments.
-	Enabled bool
-}
-
-// Run plans HELIX parallelization for every hot loop. The `optimize` flag
-// controls the SCD header-shrinking pass (the ablation toggles it); with
-// ex.Enabled the plans are then lowered to executable form.
-func Run(n *core.Noelle, optimize bool, ex Exec) Result {
-	n.Use(core.AbsENV)
-	n.Use(core.AbsTask)
-	n.Use(core.AbsDFE)
-	n.Use(core.AbsLB)
-	n.Use(core.AbsIVS)
-	n.Arch() // AR: signal latencies feed the schedule
-	var res Result
+// ShrinkHeaders is the SCD pre-pass of the helix tool (the ablation
+// toggles it through Options.Optimize): for every top-level hot loop with
+// a governing IV it sinks what it legally can out of the header, so the
+// sequential segment that leads every iteration is as small as possible.
+// It returns the number of instructions moved. This is the only part of
+// HELIX planning that touches the module, which is why it runs before
+// the read-only PlanLoop rather than inside it.
+func ShrinkHeaders(n *core.Noelle) int {
+	moved := 0
 	for _, ls := range n.HotLoops() {
-		p, err := PlanLoop(n, ls, optimize)
-		if p == nil {
-			res.Rejections = append(res.Rejections, Rejection{
-				Fn: ls.Fn.Nam, Header: ls.Header.Nam, Reason: err.Error(),
-			})
-			continue
+		if n.Loop(ls).IVs.GoverningIV() == nil {
+			continue // PlanLoop rejects the loop
 		}
-		res.Plans = append(res.Plans, p)
-	}
-	if !ex.Enabled {
-		return res
-	}
-	for i, p := range res.Plans {
-		name := fmt.Sprintf("helix.task%d", i)
-		if err := Lower(n, p, name); err != nil {
-			res.NotLowered = append(res.NotLowered, Rejection{
-				Fn: p.LS.Fn.Nam, Header: p.LS.Header.Nam, Reason: err.Error(),
-			})
-			continue
+		lsched := scheduler.NewLoopScheduler(n.Scheduler(ls.Fn), ls)
+		moved += lsched.ShrinkHeader()
+		if lsched.Mutated() {
+			// The scheduler's invalidation contract: code moved, so every
+			// cached abstraction over the function is stale.
+			n.InvalidateFunction(ls.Fn)
 		}
-		res.Lowered = append(res.Lowered, &Lowered{
-			Fn: p.LS.Fn.Nam, Header: p.LS.Header.Nam, TaskName: name, Segments: p.NumSeq,
-		})
 	}
-	return res
+	return moved
 }
 
-// Lower rewrites one planned loop into its executable per-iteration form
+// Lower rewrites the planned loop into its executable per-iteration form
 // — one dispatched task invocation per iteration, sequential segments
 // bracketed by ticket signals under taskName — invalidating the
 // manager's cached abstractions on success. It refuses (without
 // corrupting the module) when an earlier lowering already rewrote the
 // loop, or when the code generator does not cover the plan's shape
 // (CanLower).
-func Lower(n *core.Noelle, p *Plan, taskName string) error {
+func (p *Plan) Lower(taskName string) error {
+	// The mechanisms the rewrite is built from.
+	p.n.Use(core.AbsENV)
+	p.n.Use(core.AbsTask)
+	p.n.Use(core.AbsDFE)
+	p.n.Use(core.AbsLB)
+	p.n.Use(core.AbsIVS)
 	if !loopIntact(p) {
 		return fmt.Errorf("loop rewritten by an earlier lowering")
 	}
 	if err := CanLower(p); err != nil {
 		return err
 	}
-	if err := transform(n, p, taskName); err != nil {
+	if err := transform(p, taskName); err != nil {
 		return err
 	}
-	n.InvalidateModule()
+	p.n.InvalidateModule()
 	return nil
 }
 
@@ -151,30 +109,20 @@ func loopIntact(p *Plan) bool {
 	return loopbuilder.InstrsAlive(p.LS.Fn, planned, p.LS.HeaderPhis())
 }
 
-// PlanLoop plans one specific loop (the evaluation harness drives loop
-// selection itself); a nil plan comes with the rejection reason.
-func PlanLoop(n *core.Noelle, ls *loops.LS, optimize bool) (*Plan, error) {
+// PlanLoop plans one specific loop without touching the module (the
+// evaluation harness drives loop selection itself); a nil plan comes with
+// the rejection reason.
+func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	l := n.Loop(ls)
 	if l.IVs.GoverningIV() == nil {
 		// HELIX needs the loop control to replicate per core.
 		return nil, fmt.Errorf("no governing IV to replicate per core")
 	}
-
-	if optimize {
-		// SCD: shrink the header so the leading sequential segment is as
-		// small as possible.
-		sc := n.Scheduler(ls.Fn)
-		lsched := scheduler.NewLoopScheduler(sc, ls)
-		lsched.ShrinkHeader()
-		if lsched.Mutated() {
-			// The scheduler's invalidation contract: code moved, so every
-			// cached abstraction over the function is stale.
-			n.InvalidateFunction(ls.Fn)
-			l = n.Loop(ls)
-		}
+	p := &Plan{
+		LS: ls, Loop: l, SegmentOf: map[*ir.Instr]int{}, n: n,
+		// AR: signal latencies feed the schedule.
+		cfg: machine.DefaultConfig(n.Arch(), n.Opts.Cores),
 	}
-
-	p := &Plan{LS: ls, Loop: l, SegmentOf: map[*ir.Instr]int{}}
 	// One sequential segment per Sequential (non-clonable) SCC, ordered by
 	// the DAG so segment signals flow forward.
 	for _, node := range l.SCCDAG.TopoOrder() {
@@ -187,26 +135,5 @@ func PlanLoop(n *core.Noelle, ls *loops.LS, optimize bool) (*Plan, error) {
 			p.SegmentOf[in] = seg
 		}
 	}
-	if optimize {
-		p.HeaderShrunk = headerResidue(ls)
-	}
 	return p, nil
-}
-
-func headerResidue(ls *loops.LS) int {
-	return len(ls.Header.Instrs)
-}
-
-// Simulate evaluates the plan's parallel time over measured costs.
-func Simulate(n *core.Noelle, p *Plan, cores int) (seq, par int64, err error) {
-	invs, err := machine.AttributeLoopCosts(n.Mod, p.LS.Nat, p.SegmentOf, p.NumSegments())
-	if err != nil {
-		return 0, 0, err
-	}
-	cfg := machine.DefaultConfig(n.Arch(), cores)
-	seq = machine.SequentialCycles(invs)
-	par = machine.SimulateAll(invs, func(inv *machine.Invocation) int64 {
-		return machine.SimulateHELIX(inv, cfg)
-	})
-	return seq, par, nil
 }

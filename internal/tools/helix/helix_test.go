@@ -1,6 +1,7 @@
 package helix_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/helix"
 )
 
@@ -53,6 +56,39 @@ int main() {
   return (acc + s) % 251;
 }`
 
+// runHELIX is the loop-parallelization driver pinned to HELIX (without
+// the helix tool's SCD pre-pass): plan-only, or lowering every plan it
+// can when lower is set.
+func runHELIX(t *testing.T, n *core.Noelle, lower bool) auto.Result {
+	t.Helper()
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: lower}, "helix")
+	if err != nil {
+		t.Fatalf("helix: %v", err)
+	}
+	return res
+}
+
+// plans lists the HELIX plans of a pinned run, in visiting order.
+func plans(res auto.Result) []*helix.Plan {
+	var out []*helix.Plan
+	for _, s := range res.Selections {
+		if p := s.Candidates[0].Plan; p != nil {
+			out = append(out, p.(*helix.Plan))
+		}
+	}
+	return out
+}
+
+// notLowered lists the "technique: reason" records of the plans whose
+// Lower failed.
+func notLowered(res auto.Result) []string {
+	var out []string
+	for _, s := range res.Selections {
+		out = append(out, s.Fallbacks...)
+	}
+	return out
+}
+
 // ---------- planner ----------
 
 func TestPlanSegmentsFollowTopoOrder(t *testing.T) {
@@ -74,14 +110,14 @@ int main() {
 }`)
 	n := newN(t, m)
 	var plan *helix.Plan
-	res := helix.Run(n, false, helix.Exec{})
-	for _, p := range res.Plans {
+	res := runHELIX(t, n, false)
+	for _, p := range plans(res) {
 		if p.NumSeq >= 2 {
 			plan = p
 		}
 	}
 	if plan == nil {
-		t.Fatalf("no plan with two sequential segments (plans: %d, rejections: %v)", len(res.Plans), res.Rejections)
+		t.Fatalf("no plan with two sequential segments (plans: %d, rejections: %v)", len(plans(res)), res.Rejections)
 	}
 	// Find the segment of each recurrence via its header phi and check
 	// the producer's id is lower.
@@ -123,7 +159,7 @@ int main() {
   return 0;
 }`)
 	n := newN(t, m)
-	res := helix.Run(n, false, helix.Exec{})
+	res := runHELIX(t, n, false)
 	found := false
 	for _, rej := range res.Rejections {
 		if rej.Fn == "" || rej.Header == "" || rej.Reason == "" {
@@ -149,8 +185,11 @@ func TestPlanSCDShrinkInvalidationPath(t *testing.T) {
 			t.Fatalf("original: %v", err)
 		}
 		n := newN(t, m)
-		res := helix.Run(n, optimize, helix.Exec{})
-		if len(res.Plans) == 0 {
+		if optimize {
+			helix.ShrinkHeaders(n)
+		}
+		res := runHELIX(t, n, false)
+		if len(plans(res)) == 0 {
 			t.Fatalf("optimize=%v: planned nothing (rejections: %v)", optimize, res.Rejections)
 		}
 		if err := ir.Verify(m); err != nil {
@@ -169,7 +208,7 @@ func TestPlanSCDShrinkInvalidationPath(t *testing.T) {
 
 // ---------- executable lowering ----------
 
-func runLowered(t *testing.T, src string, wantMinLowered int) *helix.Result {
+func runLowered(t *testing.T, src string, wantMinLowered int) auto.Result {
 	t.Helper()
 	m := compile(t, src)
 	orig := ir.CloneModule(m)
@@ -180,10 +219,10 @@ func runLowered(t *testing.T, src string, wantMinLowered int) *helix.Result {
 	}
 
 	n := newN(t, m)
-	res := helix.Run(n, false, helix.Exec{Enabled: true})
-	if len(res.Lowered) < wantMinLowered {
+	res := runHELIX(t, n, true)
+	if res.Lowered() < wantMinLowered {
 		t.Fatalf("lowered %d loops, want >= %d (not lowered: %v)\n%s",
-			len(res.Lowered), wantMinLowered, res.NotLowered, ir.Print(m))
+			res.Lowered(), wantMinLowered, notLowered(res), ir.Print(m))
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("transformed module malformed: %v\n%s", err, ir.Print(m))
@@ -219,14 +258,14 @@ func runLowered(t *testing.T, src string, wantMinLowered int) *helix.Result {
 		t.Errorf("seq/par counters diverged: (%d steps, %d cycles) vs (%d, %d)",
 			seqIt.Steps, seqIt.Cycles, parIt.Steps, parIt.Cycles)
 	}
-	return &res
+	return res
 }
 
 func TestLowerCarriedRecurrence(t *testing.T) {
 	res := runLowered(t, carriedSrc, 1)
 	foundSeg := false
-	for _, lo := range res.Lowered {
-		if lo.Segments > 0 {
+	for _, s := range res.Selections {
+		if s.Lowered && s.Candidates[0].Plan.(*helix.Plan).NumSeq > 0 {
 			foundSeg = true
 		}
 	}
@@ -289,16 +328,16 @@ int main() {
   return 0;
 }`)
 	n := newN(t, m)
-	res := helix.Run(n, false, helix.Exec{Enabled: true})
+	res := runHELIX(t, n, true)
 	found := false
-	for _, rej := range res.NotLowered {
-		if strings.Contains(rej.Reason, "privatization") || strings.Contains(rej.Reason, "reduction") {
+	for _, reason := range notLowered(res) {
+		if strings.Contains(reason, "privatization") || strings.Contains(reason, "reduction") {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("reduction loop not refused with a reason (lowered=%d, notLowered=%v)",
-			len(res.Lowered), res.NotLowered)
+			res.Lowered(), notLowered(res))
 	}
 	// The refused module must still run correctly.
 	if err := ir.Verify(m); err != nil {
@@ -349,22 +388,78 @@ exit:
 		t.Fatalf("parse: %v", err)
 	}
 	n := newN(t, m)
-	res := helix.Run(n, false, helix.Exec{Enabled: true})
-	if len(res.Lowered) != 0 {
-		t.Fatalf("unguardable loop was lowered: %+v", res.Lowered)
+	res := runHELIX(t, n, true)
+	if res.Lowered() != 0 {
+		t.Fatalf("unguardable loop was lowered: %+v", res.Selections)
 	}
+	// A plan that failed to lower is in Rejections too, with its reason.
 	found := false
-	for _, rej := range append(res.NotLowered, res.Rejections...) {
+	for _, rej := range res.Rejections {
 		if strings.Contains(rej.Reason, "guard") {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("no guarding rejection recorded (rejections %v, not lowered %v)",
-			res.Rejections, res.NotLowered)
+			res.Rejections, notLowered(res))
 	}
 	// The refused module still runs.
 	if _, err := interp.New(m).Run(); err != nil {
 		t.Fatalf("refused module broken: %v", err)
+	}
+}
+
+// ---------- the tool: SCD pre-pass + pinned driver ----------
+
+// header_shrunk counts the instructions the SCD pre-pass sank out of
+// loop headers — what LoopScheduler.ShrinkHeader returns, not what is
+// left in the header afterwards (which the parent reported).
+func TestHeaderShrunkCountsMovedInstructions(t *testing.T) {
+	// %t is header-resident but only the body consumes it: one sinkable
+	// instruction.
+	sinkable, err := irtext.Parse(`module "m"
+global @g : [16 x i64] zeroinit
+func @main() i64 {
+entry:
+  br header
+header:
+  %i = phi i64 [ 0, entry ], [ %inext, body ]
+  %t = mul %i, 7
+  %c = lt %i, 10
+  condbr %c, body, exit
+body:
+  %p = ptradd @g, %i
+  %u = add %t, 1
+  store i64 %u, %p
+  %inext = add %i, 1
+  br header
+exit:
+  ret 0
+}`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	helixTool, ok := tool.Lookup("helix")
+	if !ok {
+		t.Fatal("helix not registered")
+	}
+	for _, tc := range []struct {
+		name string
+		m    *ir.Module
+		want int64
+	}{
+		{"nothing sinkable", compile(t, carriedSrc), 0}, // headers hold phis, the exit test and its branch only
+		{"one sinkable", sinkable, 1},
+	} {
+		rep, err := tool.Run(context.Background(), helixTool, newN(t, tc.m), tool.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := rep.Metrics["header_shrunk"]; got != tc.want {
+			t.Errorf("%s: header_shrunk=%d, want %d", tc.name, got, tc.want)
+		}
+		if err := ir.Verify(tc.m); err != nil {
+			t.Errorf("%s: module malformed after the pre-pass: %v", tc.name, err)
+		}
 	}
 }

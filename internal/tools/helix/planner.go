@@ -10,45 +10,27 @@ import (
 	"noelle/internal/tool"
 )
 
-// planner adapts the package to the shared Planner API. Planning through
-// it always skips the SCD header-shrinking stage: the Planner contract is
-// read-only (the auto tool scores many techniques' plans over one
-// module), and SCD moves instructions. The standalone helix tool still
-// shrinks headers when -optimize is on.
+// planner adapts the package to the shared Planner API.
 type planner struct{}
-
-func init() { tool.RegisterPlanner(planner{}) }
 
 func (planner) Technique() string { return "helix" }
 
 func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, _ tool.Options) (tool.Plan, error) {
-	p, err := PlanLoop(n, ls, false)
+	p, err := PlanLoop(n, ls)
 	if err != nil {
 		return nil, err
 	}
-	return &plannerPlan{
-		n:   n,
-		p:   p,
-		cfg: machine.DefaultConfig(n.Arch(), n.Opts.Cores),
-	}, nil
+	return p, nil
 }
 
-// plannerPlan wraps a HELIX Plan with its captured manager and machine
-// configuration.
-type plannerPlan struct {
-	n   *core.Noelle
-	p   *Plan
-	cfg machine.Config
+func (p *Plan) Technique() string { return "helix" }
+
+func (p *Plan) Describe() string {
+	return fmt.Sprintf("%d sequential segments", p.NumSeq)
 }
 
-func (pp *plannerPlan) Technique() string { return "helix" }
-
-func (pp *plannerPlan) Describe() string {
-	return fmt.Sprintf("%d sequential segments", pp.p.NumSeq)
-}
-
-func (pp *plannerPlan) Segments() (map[*ir.Instr]int, int) {
-	return pp.p.SegmentOf, pp.p.NumSegments()
+func (p *Plan) Segments() (map[*ir.Instr]int, int) {
+	return p.SegmentOf, p.NumSegments()
 }
 
 // EstimateInvocation prices the cross-iteration signal recurrence plus
@@ -57,11 +39,7 @@ func (pp *plannerPlan) Segments() (map[*ir.Instr]int, int) {
 // per-iteration dispatch overhead that the pure schedule recurrence does
 // not see. Charging it here is what steers the auto-parallelizer towards
 // DOALL or DSWP on such loops.
-func (pp *plannerPlan) EstimateInvocation(inv *machine.Invocation) int64 {
-	return machine.SimulateHELIX(inv, pp.cfg) +
-		int64(len(inv.IterSegCosts))*pp.cfg.PerTaskOverhead
-}
-
-func (pp *plannerPlan) Lower(taskName string) error {
-	return Lower(pp.n, pp.p, taskName)
+func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
+	return machine.SimulateHELIX(inv, p.cfg) +
+		int64(len(inv.IterSegCosts))*p.cfg.PerTaskOverhead
 }

@@ -2,59 +2,43 @@ package helix
 
 import (
 	"context"
-	"fmt"
 
 	"noelle/internal/core"
 	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 )
 
-// helixTool adapts the package to the uniform Tool API.
+// helixTool is the SCD header-shrinking pre-pass followed by the
+// loop-parallelization driver pinned to the HELIX planner.
 type helixTool struct{}
 
-func init() { tool.Register(helixTool{}) }
+func init() {
+	tool.RegisterPlanner(planner{})
+	tool.Register(helixTool{})
+}
 
 func (helixTool) Name() string { return "helix" }
 func (helixTool) Describe() string {
 	return "slice hot-loop iterations into signal-guarded sequential segments overlapped across cores (aSCCDAG + SCD + AR)"
 }
 
-// Transforms is true because the SCD header-shrinking stage moves
-// instructions in the planned loops, and the executable mode
-// (Options.ExecutePlans) rewrites them into dispatched iterations;
-// TransformsWith narrows that to runs where either mutation can happen.
+// Transforms is true because the SCD header-shrinking pre-pass moves
+// instructions, and the executable mode (Options.ExecutePlans) rewrites
+// planned loops into dispatched iterations; TransformsWith narrows that
+// to runs where either mutation can happen.
 func (helixTool) Transforms() bool { return true }
 
 func (helixTool) TransformsWith(opts tool.Options) bool {
 	return opts.Optimize || opts.ExecutePlans
 }
 
-func (helixTool) Run(_ context.Context, n *core.Noelle, opts tool.Options) (tool.Report, error) {
-	r := Run(n, opts.Optimize, Exec{Enabled: opts.ExecutePlans})
+func (helixTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (tool.Report, error) {
 	shrunk := 0
-	rep := tool.Report{
-		Summary: fmt.Sprintf("planned %d loops (rejected %d)", len(r.Plans), r.Rejected()),
+	if opts.Optimize && ctx.Err() == nil { // a cancelled run rewrites nothing
+		shrunk = ShrinkHeaders(n)
 	}
-	for _, p := range r.Plans {
-		shrunk += p.HeaderShrunk
-		rep.Detail = append(rep.Detail, fmt.Sprintf("@%s/%s: %d sequential segments", p.LS.Fn.Nam, p.LS.Header.Nam, p.NumSeq))
-	}
-	for _, rej := range r.Rejections {
-		rep.Detail = append(rep.Detail, "rejected "+rej.String())
-	}
-	rep.Metrics = map[string]int64{
-		"planned":       int64(len(r.Plans)),
-		"rejected":      int64(r.Rejected()),
-		"header_shrunk": int64(shrunk),
-	}
-	if opts.ExecutePlans {
-		rep.Summary += fmt.Sprintf(", lowered %d to signal-guarded iterations", len(r.Lowered))
-		rep.Metrics["lowered"] = int64(len(r.Lowered))
-		for _, lo := range r.Lowered {
-			rep.Detail = append(rep.Detail, fmt.Sprintf("lowered @%s/%s -> %s (%d segments)", lo.Fn, lo.Header, lo.TaskName, lo.Segments))
-		}
-		for _, rej := range r.NotLowered {
-			rep.Detail = append(rep.Detail, "not lowered "+rej.String())
-		}
-	}
-	return rep, nil
+	r, err := auto.RunPinned(ctx, n, opts, "helix")
+	rep := auto.Report(r, opts)
+	rep.Metrics["header_shrunk"] = int64(shrunk)
+	return rep, err
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"noelle/internal/analysis"
-	"noelle/internal/core"
 	"noelle/internal/env"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
@@ -299,9 +298,9 @@ func CanLower(p *Plan) error {
 
 // transform rewrites the planned loop into a per-iteration dispatched
 // task with signal-guarded sequential segments.
-func transform(n *core.Noelle, p *Plan, taskName string) error {
+func transform(p *Plan, taskName string) error {
 	ls, l := p.LS, p.Loop
-	f, m := ls.Fn, n.Mod
+	f, m := ls.Fn, p.n.Mod
 	giv := l.IVs.GoverningIV()
 
 	pre := loopbuilder.EnsurePreheader(ls)

@@ -4,6 +4,7 @@
 package tools_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,10 +12,13 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
+	"noelle/internal/machine"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/pdg"
 	"noelle/internal/sccdag"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/baseline"
 	"noelle/internal/tools/carat"
 	"noelle/internal/tools/coos"
@@ -388,18 +392,27 @@ func TestHELIXPlansSequentialSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := newN(m)
-	res := helix.Run(n, true, helix.Exec{})
-	if len(res.Plans) == 0 {
+	helix.ShrinkHeaders(n)
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{}, "helix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Selected() == 0 {
 		t.Fatal("HELIX planned nothing")
 	}
 	foundSeq := false
-	for _, p := range res.Plans {
-		if p.NumSeq > 0 {
+	for _, s := range res.Selections {
+		if s.Winner == "" {
+			continue
+		}
+		if p := s.Candidates[0].Plan.(*helix.Plan); p.NumSeq > 0 {
 			foundSeq = true
-			seq, par, err := helix.Simulate(n, p, 12)
+			// Priced as auto and the benchmark price a plan.
+			invs, err := machine.AttributeLoopCosts(n.Mod, p.LS.Nat, p.SegmentOf, p.NumSegments())
 			if err != nil {
 				t.Fatal(err)
 			}
+			seq, par := machine.SequentialCycles(invs), machine.SimulateAll(invs, p.EstimateInvocation)
 			if par <= 0 || seq <= 0 {
 				t.Errorf("degenerate simulation: seq=%d par=%d", seq, par)
 			}
@@ -420,11 +433,18 @@ func TestDSWPStagesRespectDependences(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := newN(m)
-	res := dswp.Run(n, dswp.Exec{})
-	if len(res.Plans) == 0 {
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{}, "dswp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Selected() == 0 {
 		t.Fatal("DSWP planned nothing")
 	}
-	for _, p := range res.Plans {
+	for _, s := range res.Selections {
+		if s.Winner == "" {
+			continue
+		}
+		p := s.Candidates[0].Plan.(*dswp.Plan)
 		if p.NumStages < 2 {
 			t.Errorf("plan with %d stages", p.NumStages)
 		}

@@ -8,6 +8,7 @@ package verify_test
 // catch.
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,9 +18,13 @@ import (
 	"noelle/internal/ir"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
-	"noelle/internal/tools/dswp"
+	"noelle/internal/tool"
+	"noelle/internal/tools/auto"
 	"noelle/internal/tools/helix"
 	"noelle/internal/verify"
+
+	// Register the DSWP planner the driver is pinned to.
+	_ "noelle/internal/tools/dswp"
 )
 
 // pipelineSrc is a DSWP-lowerable loop: an Independent chain that ends in
@@ -76,9 +81,9 @@ func lowerDSWP(t *testing.T) *ir.Module {
 	opts.MinHotness = 0
 	opts.Cores = 2
 	n := core.New(m, opts)
-	res := dswp.Run(n, dswp.Exec{Enabled: true})
-	if len(res.Lowered) == 0 {
-		t.Fatalf("nothing lowered (rejections %v, not lowered %v)", res.Rejections, res.NotLowered)
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "dswp")
+	if err != nil || res.Lowered() == 0 {
+		t.Fatalf("nothing lowered (error %v, rejections %v)", err, res.Rejections)
 	}
 	return m
 }
@@ -93,13 +98,15 @@ func lowerHELIX(t *testing.T) *ir.Module {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	n := core.New(m, opts)
-	res := helix.Run(n, false, helix.Exec{Enabled: true})
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "helix")
 	segs := 0
-	for _, lo := range res.Lowered {
-		segs += lo.Segments
+	for _, s := range res.Selections {
+		if s.Lowered {
+			segs += s.Candidates[0].Plan.(*helix.Plan).NumSeq
+		}
 	}
-	if len(res.Lowered) == 0 || segs == 0 {
-		t.Fatalf("no signal-carrying loop lowered (lowered %v, not lowered %v)", res.Lowered, res.NotLowered)
+	if err != nil || segs == 0 {
+		t.Fatalf("no signal-carrying loop lowered (error %v, selections %+v)", err, res.Selections)
 	}
 	return m
 }

@@ -16,9 +16,11 @@
 //	    ...
 //	}
 //
-// The bundled custom tools (licm, dead, doall, helix, dswp, carat, coos,
-// prvj, timesq, perspective) register themselves behind the uniform Tool
-// interface; resolve them by name or run a multi-stage pipeline that
+// The bundled custom tools (licm, dead, doall, helix, dswp, auto, carat,
+// coos, prvj, timesq, perspective) register themselves behind the uniform
+// Tool interface — doall, dswp and helix being the one
+// loop-parallelization driver (auto) pinned to their technique's planner;
+// resolve them by name or run a multi-stage pipeline that
 // precomputes function PDGs in parallel and invalidates cached
 // abstractions between transforming stages:
 //
