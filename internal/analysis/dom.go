@@ -8,7 +8,8 @@ import "noelle/internal/ir"
 type DomTree struct {
 	// IDom maps each block to its immediate dominator. The root maps to nil.
 	IDom map[*ir.Block]*ir.Block
-	// Children is the tree's child relation.
+	// Children is the tree's child relation, each list in the order the
+	// tree was built over (reverse postorder for dominator trees).
 	Children map[*ir.Block][]*ir.Block
 	// Root is the tree root: the entry block, or the virtual exit for
 	// post-dominator trees (represented by a nil block; roots of the
@@ -144,8 +145,13 @@ func buildDom(rpo []*ir.Block, preds map[*ir.Block][]*ir.Block, post bool) *DomT
 			}
 		}
 	}
-	for b, idom := range t.IDom {
-		t.Children[idom] = append(t.Children[idom], b)
+	// Children in rpo order, not IDom's map order: mem2reg and scalar
+	// promotion recurse over Children, so the order decides the order of
+	// phi incomings and thus the printed module.
+	for _, b := range rpo {
+		if idom, ok := t.IDom[b]; ok {
+			t.Children[idom] = append(t.Children[idom], b)
+		}
 	}
 	return t
 }

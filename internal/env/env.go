@@ -5,6 +5,12 @@
 // program exclusively through its environment. Parallelization techniques
 // partition a loop's aSCCDAG into tasks, build one environment per task,
 // and let a thread pool run the tasks across cores (paper Section 2.2).
+//
+// This package is the data side: slot layout, the task signature, a
+// slot's address, and the casts between a typed value and the raw i64 a
+// cell (or a queue) carries. The code that moves values through an
+// environment — packing, live-in loads, publishes, reloads — is emitted
+// in one place, loopbuilder's outlining scaffold.
 package env
 
 import (
@@ -122,23 +128,6 @@ func NewTask(m *ir.Module, name string, e *Environment) *Task {
 // environment block.
 func (t *Task) EnvSlotAddr(bld *ir.Builder, s *Slot) ir.Value {
 	return bld.CreatePtrAdd(t.EnvPtr, ir.ConstInt(int64(s.Index)), fmt.Sprintf("env.slot%d", s.Index))
-}
-
-// LoadLiveIns emits (into bld, normally at the task's entry) a typed
-// load of every live-in slot and returns the remapping from the
-// original SSA values to their in-task copies — the standard preamble
-// of every generated task body.
-func (t *Task) LoadLiveIns(bld *ir.Builder) map[ir.Value]ir.Value {
-	remap := map[ir.Value]ir.Value{}
-	for _, s := range t.Env.Slots {
-		if s.Kind != LiveIn {
-			continue
-		}
-		addr := t.EnvSlotAddr(bld, s)
-		raw := bld.CreateLoad(addr, fmt.Sprintf("in%d", s.Index))
-		remap[s.Value] = FromBits(bld, raw, s.Value.Type())
-	}
-	return remap
 }
 
 // ToBits emits the cast flattening v into the raw i64 an environment cell

@@ -6,6 +6,7 @@ import (
 
 	"noelle/internal/interp"
 	"noelle/internal/interp/interptest"
+	"noelle/internal/ir"
 )
 
 // TestGenerateDeterministic pins the reproducibility contract the whole
@@ -17,6 +18,28 @@ func TestGenerateDeterministic(t *testing.T) {
 		b := Generate(seed, GenConfig{})
 		if a.Source() != b.Source() {
 			t.Fatalf("seed %d: two generations differ", seed)
+		}
+	}
+}
+
+// TestCompileDeterministic: a bare seed is a complete reproducer only if
+// the seed's source also compiles to one module text. The optimizer's
+// mem2reg walks the dominator tree, so this is the test that notices a
+// tree whose child order follows a map.
+func TestCompileDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		p := Generate(seed, GenConfig{})
+		var first string
+		for run := 0; run < 5; run++ {
+			m, err := p.Compile()
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if text := ir.Print(m); run == 0 {
+				first = text
+			} else if text != first {
+				t.Fatalf("seed %d: compile %d printed a different module than compile 0", seed, run)
+			}
 		}
 	}
 }

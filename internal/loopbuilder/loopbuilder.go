@@ -2,8 +2,12 @@
 // loop-level transformations analogous to what IRBuilder is for
 // instructions (paper Section 2.2). It provides pre-header creation,
 // invariant hoisting (the mechanism behind LICM), scalar promotion of
-// memory accumulators (the workhorse of noelle-rm-lc-dependences), and
-// while/do-while shape conversion.
+// memory accumulators (the workhorse of noelle-rm-lc-dependences),
+// trip-count emission, and task outlining (outline.go): the one scaffold
+// DOALL, DSWP and HELIX build their code generators on — pack the
+// environment, dispatch, clone the loop into a task under a predicate,
+// seed its induction variables, wire it, replace the loop — so a
+// technique package holds only what makes it that technique.
 package loopbuilder
 
 import (

@@ -50,11 +50,11 @@ type Plan interface {
 	EstimateInvocation(inv *machine.Invocation) int64
 	// Lower rewrites the loop into its executable parallel form, naming
 	// generated task functions after taskName. It fails — without
-	// corrupting the module — when the plan cannot be realized (the loop
-	// was rewritten by an earlier lowering, or the technique's code
-	// generator does not cover the loop's shape); the caller then falls
-	// back to the next-best plan. A successful Lower invalidates the
-	// manager's cached abstractions.
+	// corrupting the module — when the technique's code generator does
+	// not cover the loop's shape; the caller then falls back to the
+	// next-best plan. A successful Lower invalidates the manager's cached
+	// abstractions, and no plan made before it survives it: the caller
+	// plans a loop only once every earlier lowering is done.
 	Lower(taskName string) error
 	// Describe is a one-line account of the plan's shape ("4 stages",
 	// "2 sequential segments").

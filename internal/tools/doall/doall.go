@@ -12,7 +12,6 @@ import (
 
 	"noelle/internal/core"
 	"noelle/internal/env"
-	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/loopbuilder"
 	"noelle/internal/loops"
@@ -41,18 +40,13 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 }
 
 // Lower rewrites the planned loop into a dispatched task named taskName,
-// invalidating the manager's cached abstractions on success. It refuses
-// (without corrupting the module) when an earlier lowering already
-// rewrote the loop out from under the plan.
+// invalidating the manager's cached abstractions on success.
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
 	p.n.Use(core.AbsTask)
 	p.n.Use(core.AbsIVS)
 	p.n.Use(core.AbsLB)
-	if !loopIntact(p) {
-		return fmt.Errorf("loop rewritten by an earlier lowering")
-	}
 	if err := transform(p.n, p.Loop, taskName); err != nil {
 		return err
 	}
@@ -60,39 +54,16 @@ func (p *Plan) Lower(taskName string) error {
 	return nil
 }
 
-// loopIntact reports whether the planned loop's body still lives in its
-// function (earlier lowerings remove loop bodies wholesale).
-func loopIntact(p *Plan) bool {
-	var body []*ir.Instr
-	for _, b := range p.LS.Blocks() {
-		body = append(body, b.Instrs...)
-	}
-	return loopbuilder.InstrsAlive(p.LS.Fn, body)
-}
-
-// Eligible checks DOALL legality plus the structural canonical form the
-// code generator handles (header-exiting loop with a single latch and a
-// governing IV with constant step).
+// Eligible checks DOALL legality plus the canonical form the code
+// generator handles (loopbuilder.Outlinable, with per-worker IV seeds).
 func Eligible(l *loops.Loop) error {
 	if !l.IsDOALL() {
 		return fmt.Errorf("sequential SCCs present")
 	}
+	if err := loopbuilder.Outlinable(l, true); err != nil {
+		return err
+	}
 	ls := l.LS
-	if len(ls.ExitingBlocks) != 1 || ls.ExitingBlocks[0] != ls.Header {
-		return fmt.Errorf("not header-exiting")
-	}
-	if len(ls.Latches) != 1 || len(ls.Exits) != 1 {
-		return fmt.Errorf("multiple latches or exits")
-	}
-	giv := l.IVs.GoverningIV()
-	if giv == nil || giv.StepConst == nil || *giv.StepConst == 0 {
-		return fmt.Errorf("no constant-step governing IV")
-	}
-	switch giv.ExitCmp.Opcode {
-	case ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpNe:
-	default:
-		return fmt.Errorf("unsupported exit comparison")
-	}
 	// Every header phi must be an IV or a reduction.
 	for _, phi := range ls.HeaderPhis() {
 		if l.IVs.IVForPhi(phi) == nil && l.Reductions.ForPhi(phi) == nil {
@@ -112,13 +83,6 @@ func Eligible(l *loops.Loop) error {
 	for _, out := range l.LiveOut {
 		if !isReconstructibleLiveOut(l, out) {
 			return fmt.Errorf("live-out %s is not IV-final or reduction", out.Ident())
-		}
-	}
-	// Live-ins flow through 8-byte environment cells; function-typed
-	// values have no cast and are rejected (rare).
-	for _, v := range l.LiveIn {
-		if v.Type().Kind == ir.FuncKind {
-			return fmt.Errorf("function-typed live-in %s", v.Ident())
 		}
 	}
 	return nil
@@ -157,79 +121,46 @@ func isReconstructibleLiveOut(l *loops.Loop, out *ir.Instr) bool {
 
 // transform rewrites the loop into a dispatched task.
 func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
-	ls := l.LS
-	m := n.Mod
-	cores := int64(n.Opts.Cores)
-	giv := l.IVs.GoverningIV()
-
-	pre := loopbuilder.EnsurePreheader(ls)
-	bld := ir.NewBuilder()
-	bld.SetInsertionBefore(pre.Terminator())
-
-	// ---- trip count in the pre-header ----
-	tc, err := loopbuilder.EmitTripCount(bld, giv)
+	cores := n.Opts.Cores
+	o := loopbuilder.BeginOutline(n.Mod, l.LS, taskName)
+	tc, err := loopbuilder.EmitTripCount(o.Bld, l.IVs.GoverningIV())
 	if err != nil {
 		return err
 	}
 
-	// ---- environment layout ----
+	// Environment: the live-ins and the trip count in slots, then one
+	// private cell per worker for every reduction, from redBase on.
 	eb := env.NewBuilder()
 	for _, v := range l.LiveIn {
 		eb.AddLiveIn(v)
 	}
-	tcSlot := eb.AddLiveIn(tc)
-	e := eb.Build()
-	liveInCells := e.NumSlots()
-	redBase := map[*loops.Reduction]int{}
-	cells := liveInCells
-	for _, r := range l.Reductions.Reductions {
-		redBase[r] = cells
-		cells += int(cores)
-	}
+	eb.AddLiveIn(tc)
+	o.PackEnv(eb, len(l.Reductions.Reductions)*cores, "doall.env")
+	redBase := o.Env.NumSlots()
 
-	envPtr := bld.CreateAlloca(ir.I64Type, cells, "doall.env")
-	for _, s := range e.Slots {
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(s.Index)), "")
-		bld.CreateStore(env.ToBits(bld, s.Value), addr)
-	}
+	task := o.NewTask(taskName, verify.KindDoallTask)
+	buildTaskBody(l, task, tc, redBase, cores)
+	o.Dispatch(task.Fn, ir.ConstInt(int64(cores)))
 
-	// ---- task function ----
-	task := env.NewTask(m, taskName, e)
-	task.Fn.SetMD(verify.MDKind, verify.KindDoallTask)
-	task.Fn.SetMD(verify.MDFamily, taskName)
-	if err := buildTaskBody(l, task, e, tcSlot, redBase, cores); err != nil {
-		return err
-	}
-
-	// ---- dispatch + reduction folds + live-out reconstruction ----
-	dispatch := m.DeclareFunction(interp.ExternDispatch,
-		ir.FuncOf(ir.VoidType, env.TaskSignature(), ir.PointerTo(ir.I64Type), ir.I64Type))
-	bld.CreateCall(dispatch, []ir.Value{task.Fn, envPtr, ir.ConstInt(cores)}, "")
-
+	// Reduction folds and IV finals reconstruct the live-outs.
 	finals := map[*ir.Instr]ir.Value{} // in-loop def -> post-loop value
-	for _, r := range l.Reductions.Reductions {
+	for i, r := range l.Reductions.Reductions {
 		acc := ir.Value(r.Start)
-		for w := int64(0); w < cores; w++ {
-			addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(redBase[r])+w), "")
-			raw := bld.CreateLoad(addr, "")
-			part := env.FromBits(bld, raw, r.Phi.Ty)
-			acc = bld.CreateBinOp(r.Op, acc, part, fmt.Sprintf("red.fold%d", w))
+		for w := 0; w < cores; w++ {
+			part := o.Reload(redBase+i*cores+w, r.Phi.Ty)
+			acc = o.Bld.CreateBinOp(r.Op, acc, part, fmt.Sprintf("red.fold%d", w))
 		}
 		for _, in := range r.SCC {
 			finals[in] = acc
 		}
 	}
 	for _, iv := range l.IVs.IVs {
-		stepC := *iv.StepConst
-		mul := bld.CreateBinOp(ir.OpMul, tc, ir.ConstInt(stepC), "")
-		fin := bld.CreateBinOp(ir.OpAdd, iv.Start, mul, "iv.final")
+		fin := o.IVFinal(iv, tc)
 		for _, in := range iv.SCC {
 			finals[in] = fin
 		}
 	}
-
-	// ---- rewire the CFG around the dead loop ----
-	loopbuilder.ReplaceLoop(ls, pre, finals)
+	o.Finish(finals)
 	return nil
 }
 

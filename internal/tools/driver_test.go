@@ -2,12 +2,13 @@
 // guarantees: doall, dswp and helix are the auto driver pinned to one
 // planner, so all of them honour the context, descend into the children
 // of a loop they pass over, lower through the same path, and never pay
-// for a training replay.
+// for a training replay — and what they print does not vary run to run.
 package tools_test
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"noelle/internal/bench"
@@ -214,5 +215,41 @@ func TestPinnedRunNeverPricesAPlan(t *testing.T) {
 	}
 	if !priced {
 		t.Error("the competing run priced nothing either: Seq/Par no longer observe the replay")
+	}
+}
+
+// TestLoweringIsDeterministic: every technique, over the whole corpus with
+// every loop hot, lowers two fresh compiles of a program to the same module
+// text and renders the same report (which names, per refused loop, the
+// instruction that refused it). Report diffs — serve-smoke's daemon vs cold
+// CLI — and the abstraction store's function fingerprints rest on it.
+func TestLoweringIsDeterministic(t *testing.T) {
+	lower := func(b bench.Benchmark, tl tool.Tool) (module, report string) {
+		m, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := tool.DefaultOptions()
+		opts.ExecutePlans = true
+		rep, err := tool.Run(context.Background(), tl, newN(m), opts)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", tl.Name(), b.Name, err)
+		}
+		var sb strings.Builder
+		rep.Fprint(&sb)
+		return ir.Print(m), sb.String()
+	}
+	for _, p := range tool.Planners() {
+		tl := lookupTool(t, p.Technique())
+		for _, b := range bench.List() {
+			m1, r1 := lower(b, tl)
+			m2, r2 := lower(b, tl)
+			if m1 != m2 {
+				t.Errorf("%s on %s: two lowerings print different modules", tl.Name(), b.Name)
+			}
+			if r1 != r2 {
+				t.Errorf("%s on %s: two runs report differently:\n%s\n--- vs ---\n%s", tl.Name(), b.Name, r1, r2)
+			}
+		}
 	}
 }

