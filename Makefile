@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check cache-smoke serve-smoke check-docs example-smoke campaign-smoke
+.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check benchpair cache-smoke serve-smoke check-docs example-smoke campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,12 @@ serve-smoke:
 # its own module under benchmark/; results land in benchmark/out/.
 benchmark:
 	$(GO) run -C benchmark .
+
+# Paired runs of one workload on two revisions (the rule for performance
+# claims): make benchpair A=<parent> B=<change> W=helix_pipe [N=10].
+# Each side is a git-archive export, so only committed trees are measured.
+benchpair:
+	$(GO) run ./scripts/benchpair -a $(A) -b $(B) -w $(W) $(if $(N),-n $(N))
 
 # What CI runs in place of a full benchmark: the nested module must
 # still compile and pass its tests against this tree's internal/*

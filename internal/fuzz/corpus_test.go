@@ -280,6 +280,46 @@ func corpusRecipes() []corpusRecipe {
 				return m
 			},
 		},
+		{
+			name:   "fire_sunk_into_segment_loop",
+			expect: []string{"@noelle_signal_fire of segment 0 signal sits in a loop of the task"},
+			build: func(t *testing.T) *ir.Module {
+				m := corpusLowerHELIX(t)
+				task := corpusHelixTaskFn(t, m)
+				wait := corpusFindCall(task, interp.ExternSignalWait, nil)
+				fire := corpusFindCall(task, interp.ExternSignalFire, nil)
+				if wait == nil || fire == nil {
+					t.Fatal("task lacks the wait/fire bracket")
+				}
+				hdr := wait.Parent.Terminator().Blocks[0]
+				fire.Parent.Remove(fire)
+				hdr.InsertBefore(fire, hdr.Terminator())
+				return m
+			},
+		},
+		{
+			name:   "carried_cell_written_after_fire",
+			expect: []string{"carried state of segment 0"},
+			build: func(t *testing.T) *ir.Module {
+				m := corpusLowerHELIX(t)
+				fire := corpusFindCall(corpusHelixTaskFn(t, m), interp.ExternSignalFire, nil)
+				if fire == nil {
+					t.Fatal("task has no fire")
+				}
+				var store *ir.Instr
+				for _, in := range fire.Parent.Instrs {
+					if in.Opcode == ir.OpStore {
+						store = in
+					}
+				}
+				if store == nil {
+					t.Fatal("no carried-state write-back before the fire")
+				}
+				fire.Parent.Remove(store)
+				fire.Parent.InsertAfter(store, fire)
+				return m
+			},
+		},
 	}
 }
 

@@ -120,28 +120,48 @@ func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Inte
 	}
 }
 
+// tally is what a finished worker leaves behind for the barrier: the
+// counters and output absorb folds into the parent. The context itself —
+// value stack, page cache, configuration — is garbage the moment its Call
+// returns, so a dispatch holds one tally per worker, not one context.
+type tally struct {
+	steps, cycles                                   int64
+	guardCalls, guardFailures, callbacks, clockSets int64
+	queuePushes, queuePops, signalWaits             int64
+	output                                          string
+}
+
+func (it *Interp) tally() tally {
+	return tally{
+		it.Steps, it.Cycles,
+		it.GuardCalls, it.GuardFailures, it.Callbacks, it.ClockSets,
+		it.QueuePushes, it.QueuePops, it.SignalWaits,
+		it.Output.String(),
+	}
+}
+
 // absorb folds a finished worker into the parent: counters and output are
 // accumulated. Callers absorb workers in worker order; the result is
 // byte-identical to a sequential dispatch.
-func (it *Interp) absorb(w *Interp) {
+func (it *Interp) absorb(w tally) {
 	if it.pool != nil && it.MaxSteps > 0 {
 		// The absorber is itself a worker holding an active grant: the
 		// sub-workers' steps were already debited from the shared pool by
 		// their own takes, so shift the local quota with them — otherwise
 		// the next budget check would discard (and strand) the unused
 		// remainder of the current grant.
-		it.MaxSteps += w.Steps
+		it.MaxSteps += w.steps
 	}
-	it.Steps += w.Steps
-	it.Cycles += w.Cycles
-	it.GuardCalls += w.GuardCalls
-	it.GuardFailures += w.GuardFailures
-	it.Callbacks += w.Callbacks
-	it.ClockSets += w.ClockSets
-	it.QueuePushes += w.QueuePushes
-	it.QueuePops += w.QueuePops
-	it.SignalWaits += w.SignalWaits
-	it.Output.WriteString(w.Output.String())
+	it.Steps += w.steps
+	it.Cycles += w.cycles
+	it.GuardCalls += w.guardCalls
+	it.GuardFailures += w.guardFailures
+	it.Callbacks += w.callbacks
+	it.ClockSets += w.clockSets
+	it.QueuePushes += w.queuePushes
+	it.QueuePops += w.queuePops
+	it.SignalWaits += w.signalWaits
+	it.Output.WriteString(w.output)
 }
 
 // hooked reports whether any observation hook is installed.
@@ -197,14 +217,14 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 // dispatchParallel runs the task's worker invocations across a bounded
 // pool of goroutines — at most DispatchWorkers (default GOMAXPROCS) run
 // at once, and worker contexts are forked lazily as each invocation is
-// claimed, so a huge nworkers costs memory proportional to the
-// concurrency cap, not the fan-out. All workers run to completion (the
-// shared step pool bounds total work by the unspent budget) even when one
-// fails; aggregation and error selection happen after the barrier, in
+// claimed and dropped as it returns (its tally stays), so a huge nworkers
+// costs a context per concurrent lane plus a tally per worker. All
+// workers run to completion (the shared step pool bounds total work by
+// the unspent budget) even when one fails; aggregation and error selection happen after the barrier, in
 // worker order, so runs are deterministic. seq is the dispatch's trace
 // sequence number (0 when tracing is off).
 func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, seq int64) (uint64, error) {
-	workers := make([]*Interp, nworkers)
+	done := make([]tally, nworkers)
 	errs := make([]error, nworkers)
 	pool := it.pool
 	if pool == nil {
@@ -228,8 +248,9 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 	// worker indices and claims are handed out in worker order.
 	pushBlocks := par >= nworkers
 	// Tracing and stats are per lane (goroutine slot), not per worker
-	// index: a HELIX dispatch fans 64k worker invocations over a handful
-	// of lanes, and the lane is the unit that owns a goroutine — which
+	// index: a dispatch may fan many more worker invocations (a HELIX
+	// loop's blocks, a hostile module's 2^20) over a handful of lanes,
+	// and the lane is the unit that owns a goroutine — which
 	// also makes the recorder single-writer, hence lock-free. Task spans
 	// carry the worker index as their arg. Lane stats are collected even
 	// untraced (a few field writes per claimed worker, nowhere near the
@@ -256,12 +277,12 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 					return
 				}
 				wk := it.fork(pool, pushBlocks, rec)
-				workers[w] = wk
 				var tStart time.Time
 				if rec != nil {
 					tStart = rec.Clock()
 				}
 				_, errs[w] = wk.Call(task, []uint64{envBits, uint64(w), uint64(nworkers)})
+				done[w] = wk.tally()
 				if rec != nil {
 					rec.Record(obs.SpanTask, w, tStart)
 				}
@@ -289,8 +310,8 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 		}
 	}
 	it.img.recordWorkerStats(claimed)
-	for _, wk := range workers {
-		it.absorb(wk)
+	for _, w := range done {
+		it.absorb(w)
 	}
 	// Error selection stays deterministic under teardown: ErrAborted
 	// failures are echoes of some other worker's root cause, so the

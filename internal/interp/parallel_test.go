@@ -247,6 +247,59 @@ entry:
 	}
 }
 
+// A finished worker must leave only its counters and output behind: the
+// dispatcher used to keep every forked context — value stack, page cache
+// and all — until the barrier, so a 2^16-worker dispatch held 2^16 of
+// them. The last worker to be claimed measures the heap while the other
+// 65,535 are done and waiting.
+func TestDispatchRetainsTalliesNotContexts(t *testing.T) {
+	const nworkers = 1 << 16
+	m := parse(t, `module "m"
+declare @probe : fn(i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  call void @probe(%w)
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 1
+  call void @noelle_dispatch(@task, %env, 65536)
+  ret 0
+}`)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	it := interp.New(m)
+	it.DispatchWorkers = 1 // one lane claims the workers in order
+	var before, held uint64
+	it.RegisterExternArity("probe", 1, func(_ *interp.Interp, args []uint64) (uint64, error) {
+		switch args[0] {
+		case 0:
+			before = heap()
+		case nworkers - 1:
+			held = heap() - min(before, heap())
+		}
+		return 0, nil
+	})
+	if _, err := it.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	// A forked context is ~700 bytes plus a 512-byte first stack segment
+	// (75 MB for this dispatch); a tally is under 100.
+	if limit := uint64(nworkers * 160); held > limit {
+		t.Errorf("heap grew %d bytes across %d finished workers (%d each), want <= %d",
+			held, nworkers, held/nworkers, limit)
+	}
+	if it.Steps != 3+2*nworkers {
+		t.Errorf("steps = %d, want %d: aggregation lost workers", it.Steps, 3+2*nworkers)
+	}
+}
+
 func TestParallelDispatchStepLimit(t *testing.T) {
 	m := parse(t, dispatchSrc)
 	it := interp.New(m)

@@ -218,12 +218,38 @@ func NewBody(task *env.Task, ls *loops.LS) *Body {
 	return b
 }
 
+// Chain returns the Body of one more copy of the loop in the same task,
+// entered from b's Done: it shares b's live-in loads and builder and
+// starts with no clone, so a task can run the iteration range several
+// times over (HELIX's phase loops), each copy ending where the next
+// begins.
+func (b *Body) Chain() *Body {
+	return &Body{
+		Task: b.Task, Bld: b.Bld, Entry: b.Done, ls: b.ls, liveIn: b.liveIn,
+		blocks: map[*ir.Block]*ir.Block{},
+		instrs: map[*ir.Instr]*ir.Instr{},
+		subst:  map[*ir.Instr]ir.Value{},
+	}
+}
+
 // SeedIV emits iv's value at iteration iter of the original loop:
-// start + iter*step. The per-worker (or per-iteration) IV seeding every
+// start + iter*step. The per-worker (or per-block) IV seeding every
 // re-seeding technique starts its copy of the loop from.
 func (b *Body) SeedIV(iv *loops.IV, iter ir.Value) ir.Value {
 	offs := b.Bld.CreateBinOp(ir.OpMul, iter, ir.ConstInt(*iv.StepConst), "")
 	return b.Bld.CreateBinOp(ir.OpAdd, b.Map(iv.Start), offs, "seed")
+}
+
+// EnterWith makes v the value the clone of header phi phi takes on the
+// edge from Entry (call after Wire): an IV's seed, a reduction's
+// identity, a carried value reloaded from its cell.
+func (b *Body) EnterWith(phi *ir.Instr, v ir.Value) {
+	np := b.instrs[phi]
+	for i, from := range np.Blocks {
+		if from == b.Entry {
+			np.Ops[i] = v
+		}
+	}
 }
 
 // Clone adds one block per loop block, then Done, then an operand-less

@@ -35,9 +35,10 @@ func EmitTripCount(bld *ir.Builder, giv *loops.IV) (ir.Value, error) {
 		num := bld.CreateBinOp(ir.OpAdd, span, ir.ConstInt(step-sgn), "")
 		tc = bld.CreateBinOp(ir.OpDiv, num, ir.ConstInt(step), "tc")
 	case ir.OpLe, ir.OpGe:
-		num := bld.CreateBinOp(ir.OpAdd, span, ir.ConstInt(step-sgn), "")
-		d := bld.CreateBinOp(ir.OpDiv, num, ir.ConstInt(step), "")
-		tc = bld.CreateBinOp(ir.OpAdd, d, ir.ConstInt(1), "tc")
+		// i <= b is i < b+1 (and i >= b is i > b-1): the strict formula
+		// over a span one step-sign longer.
+		num := bld.CreateBinOp(ir.OpAdd, span, ir.ConstInt(step), "")
+		tc = bld.CreateBinOp(ir.OpDiv, num, ir.ConstInt(step), "tc")
 	case ir.OpNe:
 		tc = bld.CreateBinOp(ir.OpDiv, span, ir.ConstInt(step), "tc")
 	default:

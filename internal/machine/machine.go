@@ -28,11 +28,7 @@ type Config struct {
 	// executes: forking the worker context plus marshalling live-ins and
 	// live-outs through environment cells. The technique planners charge
 	// it per task their lowering actually dispatches — HELIX once per
-	// iteration, DSWP once per stage, DOALL once per worker — which is
-	// what lets the auto-parallelizer's selection see that an
-	// iteration-granular lowering of a cheap-bodied loop drowns in
-	// dispatch overhead even when the pure schedule recurrence looks
-	// favourable.
+	// block of iterations, DSWP once per stage, DOALL once per worker.
 	PerTaskOverhead int64
 }
 
@@ -124,11 +120,13 @@ func SimulateDOALL(inv *Invocation, cfg Config, chunkSize int) int64 {
 	return maxT + cfg.DispatchOverhead + int64(cfg.Cores)*cfg.ReduceOverhead
 }
 
-// SimulateHELIX distributes iterations round-robin across cores. Each
-// iteration runs its sequential segments in order; a segment cannot start
-// before the same segment of the previous iteration has finished plus the
-// cross-core signal latency. The last segment index is treated as the
-// parallel portion (no cross-iteration constraint).
+// SimulateHELIX distributes the invocation's rows round-robin across
+// cores — iterations, or the blocks of iterations the HELIX lowering
+// dispatches, folded by its planner. Each row runs its sequential
+// segments in order; a segment cannot start before the same segment of
+// the previous row has finished plus the cross-core signal latency. The
+// last segment index is treated as the parallel portion (no cross-row
+// constraint).
 //
 // IterSegCosts[i] = [seq0, seq1, ..., seqK, parallel].
 func SimulateHELIX(inv *Invocation, cfg Config) int64 {

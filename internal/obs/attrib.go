@@ -74,8 +74,8 @@ type StageBreakdown struct {
 }
 
 // maxStageRows bounds the per-stage table and the rendered lane list: a
-// HELIX run has one worker index (and one dispatch) per iteration,
-// which is a timeline concern, not a table.
+// HELIX run has one worker index per block of iterations (and a hostile
+// module as many as it likes), which is a timeline concern, not a table.
 const maxStageRows = 32
 
 func msOf(ns float64) float64 { return ns / 1e6 }

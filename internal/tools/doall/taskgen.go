@@ -42,16 +42,10 @@ func buildTaskBody(l *loops.Loop, task *env.Task, tc ir.Value, redBase, cores in
 	// Header phis: re-seed entry incomings (IVs from the worker range,
 	// reductions from the identity).
 	for _, phi := range ls.HeaderPhis() {
-		np := b.Instr(phi)
-		for i, from := range np.Blocks {
-			if from != b.Entry {
-				continue
-			}
-			if iv := l.IVs.IVForPhi(phi); iv != nil {
-				np.Ops[i] = ivSeed[iv]
-			} else if r := l.Reductions.ForPhi(phi); r != nil {
-				np.Ops[i] = r.Identity
-			}
+		if iv := l.IVs.IVForPhi(phi); iv != nil {
+			b.EnterWith(phi, ivSeed[iv])
+		} else if r := l.Reductions.ForPhi(phi); r != nil {
+			b.EnterWith(phi, r.Identity)
 		}
 	}
 

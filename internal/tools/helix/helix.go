@@ -8,11 +8,13 @@
 // signal latency between cores.
 //
 // Beyond planning, the tool can lower a plan to executable form
-// (taskgen.go): each iteration becomes one dispatched task invocation,
-// sequential segments are bracketed by the ticket signals of the
-// internal/queue runtime so their instances execute in iteration order
-// across workers, and register-carried sequential state is routed
-// through signal-guarded environment cells.
+// (taskgen.go): each block of consecutive iterations becomes one
+// dispatched task invocation, inside which the loop is distributed into
+// phase loops — every sequential segment a loop of its own, bracketed
+// once per block by the ticket signals of the internal/queue runtime so
+// segment instances execute in iteration order across workers, the
+// parallel work in loops before, between and after them. Register-carried
+// sequential state is routed through signal-guarded environment cells.
 package helix
 
 import (
@@ -41,6 +43,7 @@ type Plan struct {
 
 	n   *core.Noelle
 	cfg machine.Config
+	ph  *phasing // the lowering's phase loops, derived on first use
 }
 
 // NumSegments includes the trailing parallel segment.
@@ -70,12 +73,12 @@ func ShrinkHeaders(n *core.Noelle) int {
 	return moved
 }
 
-// Lower rewrites the planned loop into its executable per-iteration form
-// — one dispatched task invocation per iteration, sequential segments
-// bracketed by ticket signals under taskName — invalidating the
-// manager's cached abstractions on success. It refuses (without
-// corrupting the module) when the code generator does not cover the
-// plan's shape (CanLower).
+// Lower rewrites the planned loop into its executable per-block form —
+// one dispatched task invocation per block of iterations, each sequential
+// segment a phase loop bracketed by its ticket signal, under taskName —
+// invalidating the manager's cached abstractions on success. It refuses
+// (without corrupting the module) when the code generator does not cover
+// the plan's shape (CanLower).
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
@@ -110,7 +113,7 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	// One sequential segment per Sequential (non-clonable) SCC, ordered by
 	// the DAG so segment signals flow forward.
 	for _, node := range l.SCCDAG.TopoOrder() {
-		if node.Kind != sccdag.Sequential || node.IsIV {
+		if node.Kind != sccdag.Sequential || node.IsIV || lastValueOnly(ls, node) {
 			continue
 		}
 		seg := p.NumSeq
@@ -119,5 +122,49 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 			p.SegmentOf[in] = seg
 		}
 	}
+	// An inner loop runs whole in one phase of the lowering (a value
+	// computed inside it has many instances per iteration of this loop,
+	// which no phase boundary can carry), so one that holds part of a
+	// segment belongs to it whole.
+	for _, inner := range ls.Nat.Childs {
+		seg, tied := 0, false
+		inner.Instrs(func(in *ir.Instr) bool {
+			if s, ok := p.SegmentOf[in]; ok && (!tied || s < seg) {
+				seg, tied = s, true
+			}
+			return true
+		})
+		inner.Instrs(func(in *ir.Instr) bool {
+			if _, ok := p.SegmentOf[in]; tied && !ok {
+				p.SegmentOf[in] = seg
+			}
+			return true
+		})
+	}
 	return p, nil
+}
+
+// lastValueOnly reports whether all a Sequential node carries across
+// iterations is the latest value of an expression, into header phis no
+// loop instruction reads. Its instances need no order: the lowering runs
+// them in a parallel phase and lets the last block publish the phi.
+func lastValueOnly(ls *loops.LS, node *sccdag.Node) bool {
+	for _, e := range node.Carried {
+		if e.Control || e.Memory || e.To.Opcode != ir.OpPhi || e.To.Parent != ls.Header || !unread(ls, e.To) {
+			return false
+		}
+	}
+	return true
+}
+
+// unread reports whether no instruction of the loop has v as an operand.
+func unread(ls *loops.LS, v *ir.Instr) bool {
+	read := false
+	ls.Instrs(func(u *ir.Instr) bool {
+		for _, op := range u.Ops {
+			read = read || op == ir.Value(v)
+		}
+		return !read
+	})
+	return !read
 }

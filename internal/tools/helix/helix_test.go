@@ -2,6 +2,7 @@ package helix_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
 	"noelle/internal/tools/helix"
+	"noelle/internal/verify"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -208,57 +210,79 @@ func TestPlanSCDShrinkInvalidationPath(t *testing.T) {
 
 // ---------- executable lowering ----------
 
-func runLowered(t *testing.T, src string, wantMinLowered int) auto.Result {
-	t.Helper()
-	m := compile(t, src)
-	orig := ir.CloneModule(m)
-	it0 := interp.New(orig)
-	r0, err := it0.Run()
-	if err != nil {
-		t.Fatalf("original run: %v", err)
-	}
+// bothEngines is the default engine set of the differential checks.
+var bothEngines = []interp.Engine{interp.EngineWalker, interp.EngineCompiled}
 
-	n := newN(t, m)
-	res := runHELIX(t, n, true)
+// checkLowered lowers m's loops with HELIX planned for cores cores and
+// holds the result to the contract: original, -seq and parallel agree on
+// output, exit code and global memory on every engine in engines, and
+// -seq and parallel also agree on Steps and Cycles.
+func checkLowered(t *testing.T, m *ir.Module, cores, wantMinLowered int, engines []interp.Engine) auto.Result {
+	t.Helper()
+	orig := ir.CloneModule(m)
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0 // consider every loop
+	opts.Cores = cores
+	res := runHELIX(t, core.New(m, opts), true)
 	if res.Lowered() < wantMinLowered {
 		t.Fatalf("lowered %d loops, want >= %d (not lowered: %v)\n%s",
 			res.Lowered(), wantMinLowered, notLowered(res), ir.Print(m))
 	}
-	if err := ir.Verify(m); err != nil {
-		t.Fatalf("transformed module malformed: %v\n%s", err, ir.Print(m))
+	if err := verify.Module(m, verify.TierComm).Err(); err != nil {
+		t.Fatalf("transformed module does not verify: %v\n%s", err, ir.Print(m))
 	}
-
-	run := func(seq bool) *interp.Interp {
-		it := interp.New(m)
-		it.SeqDispatch = seq
-		r, err := it.Run()
-		if err != nil {
-			t.Fatalf("transformed run (seq=%v): %v\n%s", seq, err, ir.Print(m))
+	for _, eng := range engines {
+		run := func(mod *ir.Module, seq bool) (*interp.Interp, int64) {
+			it := interp.New(mod)
+			it.Eng, it.SeqDispatch, it.DispatchWorkers = eng, seq, 3
+			r, err := it.Run()
+			if err != nil {
+				t.Fatalf("engine=%s seq=%v: %v\n%s", eng, seq, err, ir.Print(mod))
+			}
+			return it, r
 		}
-		if r != r0 {
-			t.Errorf("exit code changed (seq=%v): %d -> %d", seq, r0, r)
+		it0, r0 := run(orig, true)
+		seqIt, rs := run(m, true)
+		parIt, rp := run(m, false)
+		if rs != r0 || rp != r0 {
+			t.Errorf("engine=%s: exit code %d became %d (-seq), %d (parallel)", eng, r0, rs, rp)
 		}
-		return it
-	}
-	seqIt := run(true)
-	parIt := run(false)
-	if it0.Output.String() != seqIt.Output.String() {
-		t.Errorf("output changed: %q -> %q", it0.Output.String(), seqIt.Output.String())
-	}
-	if seqIt.Output.String() != parIt.Output.String() {
-		t.Errorf("seq/par output diverged: %q vs %q", seqIt.Output.String(), parIt.Output.String())
-	}
-	if it0.MemoryFingerprint() != seqIt.MemoryFingerprint() {
-		t.Error("global memory state changed vs original")
-	}
-	if seqIt.MemoryFingerprint() != parIt.MemoryFingerprint() {
-		t.Error("seq/par memory fingerprints diverged")
-	}
-	if seqIt.Steps != parIt.Steps || seqIt.Cycles != parIt.Cycles {
-		t.Errorf("seq/par counters diverged: (%d steps, %d cycles) vs (%d, %d)",
-			seqIt.Steps, seqIt.Cycles, parIt.Steps, parIt.Cycles)
+		if it0.Output.String() != seqIt.Output.String() {
+			t.Errorf("engine=%s: output changed: %q -> %q", eng, it0.Output.String(), seqIt.Output.String())
+		}
+		if seqIt.Output.String() != parIt.Output.String() {
+			t.Errorf("engine=%s: seq/par output diverged: %q vs %q", eng, seqIt.Output.String(), parIt.Output.String())
+		}
+		if it0.MemoryFingerprint() != seqIt.MemoryFingerprint() {
+			t.Errorf("engine=%s: global memory state changed vs original", eng)
+		}
+		if seqIt.MemoryFingerprint() != parIt.MemoryFingerprint() {
+			t.Errorf("engine=%s: seq/par memory fingerprints diverged", eng)
+		}
+		if seqIt.Steps != parIt.Steps || seqIt.Cycles != parIt.Cycles {
+			t.Errorf("engine=%s: seq/par counters diverged: (%d steps, %d cycles) vs (%d, %d)",
+				eng, seqIt.Steps, seqIt.Cycles, parIt.Steps, parIt.Cycles)
+		}
 	}
 	return res
+}
+
+func runLowered(t *testing.T, src string, wantMinLowered int) auto.Result {
+	t.Helper()
+	return checkLowered(t, compile(t, src), core.DefaultOptions().Cores, wantMinLowered, bothEngines)
+}
+
+// helixTask returns the printed task function of the lowered loop with
+// nseq sequential segments.
+func helixTask(t *testing.T, m *ir.Module, nseq int) string {
+	t.Helper()
+	for _, f := range m.Functions {
+		if f.MD.Get(verify.MDKind) == verify.KindHelixTask && f.MD.Get(verify.MDSegments) == fmt.Sprint(nseq) {
+			return ir.Print(&ir.Module{Name: "task", Functions: []*ir.Function{f}})
+		}
+	}
+	t.Fatalf("no helix task with %d segments\n%s", nseq, ir.Print(m))
+	return ""
 }
 
 func TestLowerCarriedRecurrence(t *testing.T) {
@@ -274,10 +298,122 @@ func TestLowerCarriedRecurrence(t *testing.T) {
 	}
 }
 
+// tripSrc is the carried recurrence over a trip count read from memory
+// at run time (so nothing about it is known statically), walking the
+// iteration space the way header and update say.
+func tripSrc(n int, header, update string) string {
+	return fmt.Sprintf(`
+int a[%[1]d];
+int c[%[1]d];
+int lim[2];
+int main() {
+  int i;
+  for (i = 0; i < %[1]d; i = i + 1) { a[i] = i * 5 + 2; }
+  lim[0] = %[2]d;
+  int n = lim[0];
+  int acc = 1;
+  for (%[3]s; %[4]s) {
+    int x = a[i] * a[i] + i;
+    int y = x * 3 + 7;
+    acc = (acc * 3 + y) %% 4093;
+    c[i] = y %% 101;
+  }
+  int s = 0;
+  for (i = 0; i < %[1]d; i = i + 1) { s = s + c[i]; }
+  print_i64(acc);
+  print_i64(s);
+  print_i64(i);
+  return (acc + s) %% 251;
+}`, n+8, n, header, update)
+}
+
+// Block boundaries: with cores=3 a loop runs in at most 12 blocks of
+// ceil(tc/12) iterations until tc exceeds 12*8192, after which blocks are
+// 8192 long and there are more of them.
+func TestLowerBlockBoundaries(t *testing.T) {
+	const cores = 3
+	for _, tc := range []int{0, 1, cores - 1, 11, 12, 13, 127, 5*12 - 1, 5 * 12, 5*12 + 1, 521} {
+		t.Run(fmt.Sprint("up/", tc), func(t *testing.T) {
+			checkLowered(t, compile(t, tripSrc(tc, "i = 0; i < n", "i = i + 1")), cores, 2, bothEngines)
+		})
+	}
+	// Walking down, a != exit test, and both at once.
+	for name, src := range map[string]string{
+		"down":    tripSrc(131, "i = n; i > 0", "i = i - 1"),
+		"down/ge": tripSrc(131, "i = n - 1; i >= 0", "i = i - 1"),
+		"ne":      tripSrc(131, "i = 0; i != n", "i = i + 1"),
+		"down/ne": tripSrc(131, "i = n; i != 0", "i = i - 1"),
+		"stride":  tripSrc(400, "i = 3; i <= n", "i = i + 3"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkLowered(t, compile(t, src), cores, 2, bothEngines)
+		})
+	}
+	// More iterations than cores*blocksPerCore*maxBlock: 13 blocks, the
+	// last one a single iteration long.
+	t.Run("beyond", func(t *testing.T) {
+		m := compile(t, tripSrc(12*8192+1, "i = 0; i < n", "i = i + 1"))
+		checkLowered(t, m, cores, 2, []interp.Engine{interp.EngineCompiled})
+	})
+}
+
+// A static trip count above the dispatcher's fan-out cap (2^20) used to
+// be refused: there was one worker per iteration.
+func TestLowerTripCountAboveFanoutCap(t *testing.T) {
+	m := compile(t, `
+int main() {
+  int i;
+  int acc = 1;
+  for (i = 0; i < 1048581; i = i + 1) {
+    acc = (acc * 3 + i) % 65521;
+  }
+  print_i64(acc);
+  return acc % 251;
+}`)
+	checkLowered(t, m, 2, 1, []interp.Engine{interp.EngineCompiled})
+}
+
+func TestLowerTwoSegmentsWithParallelWorkBetween(t *testing.T) {
+	// u feeds heavy parallel work whose result feeds v: the parallel phase
+	// between the two segments reads u through a buffer and hands x on
+	// through another.
+	src := `
+int a[200];
+int c[200];
+int main() {
+  int i;
+  for (i = 0; i < 200; i = i + 1) { a[i] = (i * 13 + 5) % 97; }
+  int u = 1;
+  int v = 0;
+  for (i = 0; i < 200; i = i + 1) {
+    u = (u * 5 + a[i]) % 601;
+    int x = (u * u + a[i] * 7) % 1009;
+    int y = (x * x + u) % 2003;
+    c[i] = y;
+    v = (v * 3 + y) % 701;
+  }
+  print_i64(u);
+  print_i64(v);
+  int s = 0;
+  for (i = 0; i < 200; i = i + 1) { s = s + c[i]; }
+  print_i64(s);
+  return (u + v + s) % 251;
+}`
+	m := compile(t, src)
+	checkLowered(t, m, 2, 1, bothEngines)
+	task := helixTask(t, m, 2)
+	if n := strings.Count(task, "alloca"); n < 2 {
+		t.Errorf("want a buffer into the parallel phase and one out of it, found %d allocas\n%s", n, task)
+	}
+	if strings.Count(task, "@noelle_signal_wait") != 2 || strings.Count(task, "@noelle_signal_fire") != 2 {
+		t.Errorf("want one wait and one fire per segment\n%s", task)
+	}
+}
+
 func TestLowerMemoryCarriedHistogram(t *testing.T) {
 	// The histogram update is a memory-carried sequential SCC: the
-	// signals order the read-modify-write across iterations while the
-	// index computation overlaps.
+	// signals order the read-modify-write across blocks while the index
+	// computation overlaps.
 	runLowered(t, `
 int a[64];
 int hist[8];
@@ -295,10 +431,29 @@ int main() {
 }`, 1)
 }
 
+func TestLowerPrintInsideSegment(t *testing.T) {
+	// I/O is a sequential segment of its own: the lines come out in
+	// iteration order across blocks.
+	m := compile(t, `
+int a[100];
+int main() {
+  int i;
+  for (i = 0; i < 100; i = i + 1) { a[i] = (i * 7 + 1) % 31; }
+  int acc = 1;
+  for (i = 0; i < 100; i = i + 1) {
+    int x = (a[i] * a[i] + i) % 257;
+    acc = (acc * 3 + x) % 4093;
+    print_i64(acc + x);
+  }
+  return acc % 251;
+}`)
+	checkLowered(t, m, 3, 2, bothEngines)
+}
+
 func TestLowerPublishesParallelLiveOut(t *testing.T) {
-	// w is a parallel (non-IV, non-carried) live-out: only the last
-	// iteration's value survives, published from worker tc-1.
-	runLowered(t, `
+	// w only remembers the latest a[i]*7+i: no segment orders it, the
+	// last block publishes it.
+	m := compile(t, `
 int a[48];
 int main() {
   int i;
@@ -312,7 +467,39 @@ int main() {
   print_i64(w);
   print_i64(acc);
   return 0;
-}`, 1)
+}`)
+	checkLowered(t, m, 2, 2, bothEngines)
+	task := helixTask(t, m, 1)
+	if !strings.Contains(task, "islast") || !strings.Contains(task, "publish:") {
+		t.Errorf("no last-block publish in the task\n%s", task)
+	}
+}
+
+func TestLowerInnerLoopAndDataDependentBranch(t *testing.T) {
+	// The inner loop runs whole in the parallel phase; the branch on s is
+	// cloned by the phase that owns what it decides and skipped by the
+	// segment's loop.
+	m := compile(t, `
+int a[64];
+int c[8];
+int main() {
+  int i; int j;
+  for (i = 0; i < 64; i = i + 1) { a[i] = i * 5 + 2; }
+  int acc = 1;
+  for (i = 0; i < 8; i = i + 1) {
+    int s = 0;
+    for (j = 0; j < 8; j = j + 1) { s = s + a[i * 8 + j] * 3; }
+    if (s % 3 == 0) { s = s + 7; }
+    acc = (acc * 3 + s) % 4093;
+    c[i] = s % 101;
+  }
+  print_i64(acc);
+  int t = 0;
+  for (i = 0; i < 8; i = i + 1) { t = t + c[i]; }
+  print_i64(t);
+  return (acc + t) % 251;
+}`)
+	checkLowered(t, m, 2, 2, bothEngines)
 }
 
 func TestLowerReductionNeedsPrivatization(t *testing.T) {
@@ -348,10 +535,11 @@ int main() {
 	}
 }
 
-// A carried i1 phi that directly conditions a branch cannot be guarded:
-// the branch would be the segment's last member, leaving nowhere to
-// place the fire. The lowering must refuse (with a reason), not panic.
-func TestLowerRefusesCarriedPhiFeedingBranch(t *testing.T) {
+// A carried i1 phi that directly conditions a branch: the per-iteration
+// lowering had nowhere to place the fire after it and refused. A block's
+// fire follows the segment's whole loop, so the branch is just control
+// the segment's phase clones.
+func TestLowerCarriedPhiFeedingBranch(t *testing.T) {
 	m, err := irtext.Parse(`module "m"
 global @a : [64 x i64] zeroinit
 global @out : i64 zeroinit
@@ -372,7 +560,9 @@ body:
   %newflag = lt %x, 3
   condbr %flag, then, otherwise
 then:
-  store i64 %x, @out
+  %o = load i64, @out
+  %sum = add %o, %x
+  store i64 %sum, @out
   br latch
 otherwise:
   br latch
@@ -387,25 +577,49 @@ exit:
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	n := newN(t, m)
-	res := runHELIX(t, n, true)
-	if res.Lowered() != 0 {
-		t.Fatalf("unguardable loop was lowered: %+v", res.Selections)
-	}
-	// A plan that failed to lower is in Rejections too, with its reason.
-	found := false
-	for _, rej := range res.Rejections {
-		if strings.Contains(rej.Reason, "guard") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no guarding rejection recorded (rejections %v, not lowered %v)",
-			res.Rejections, notLowered(res))
-	}
-	// The refused module still runs.
-	if _, err := interp.New(m).Run(); err != nil {
-		t.Fatalf("refused module broken: %v", err)
+	checkLowered(t, m, 2, 1, bothEngines)
+}
+
+// What the phase loops cannot express is refused with a reason, and the
+// refused module still runs.
+func TestLowerRefusals(t *testing.T) {
+	for name, tc := range map[string]struct{ src, want string }{
+		// The merge phi is segment state but the PDG does not tie the
+		// branch that picks its value to it.
+		"branch picks segment state": {`
+int main() {
+  int k; int x = 7;
+  for (k = 0; k < 12; k = k + 1) {
+    int x2 = x * x;
+    if (x2 == 0) { x2 = 1; }
+    x = (2 * x + 1000 / x2) / 3 + 1;
+  }
+  print_i64(x);
+  return 0;
+}`, "before its condition is known"},
+		"header side effect": {`
+int g[4];
+int bump() { g[0] = g[0] + 1; return g[0]; }
+int main() {
+  int i;
+  for (i = 0; i < bump() * 0 + 10; i = i + 1) { g[1] = g[1] + i; }
+  print_i64(g[1]);
+  return 0;
+}`, ""},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := compile(t, tc.src)
+			res := runHELIX(t, newN(t, m), true)
+			if tc.want != "" && !strings.Contains(strings.Join(notLowered(res), "\n"), tc.want) {
+				t.Errorf("no refusal naming %q (lowered %d, not lowered %v)", tc.want, res.Lowered(), notLowered(res))
+			}
+			if err := ir.Verify(m); err != nil {
+				t.Fatalf("module malformed: %v", err)
+			}
+			if _, err := interp.New(m).Run(); err != nil {
+				t.Fatalf("refused module broken: %v", err)
+			}
+		})
 	}
 }
 

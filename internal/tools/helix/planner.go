@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"noelle/internal/core"
+	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/loops"
 	"noelle/internal/machine"
@@ -33,13 +34,67 @@ func (p *Plan) Segments() (map[*ir.Instr]int, int) {
 	return p.SegmentOf, p.NumSegments()
 }
 
-// EstimateInvocation prices the cross-iteration signal recurrence plus
-// one task spawn per iteration: the HELIX lowering dispatches every
-// iteration as its own task invocation, so cheap-bodied loops pay
-// per-iteration dispatch overhead that the pure schedule recurrence does
-// not see. Charging it here is what steers the auto-parallelizer towards
-// DOALL or DSWP on such loops.
+// EstimateInvocation prices the schedule the lowering runs: the
+// invocation's iterations are folded into blocks of the size the
+// pre-header will compute for this trip count, and the blocks — not the
+// iterations — go through the HELIX recurrence, so the signal latency, a
+// segment's wait and fire, its carried-state reload and write-back and
+// the task spawn are paid once per block. Per iteration the lowering adds,
+// on top of the original body, one store and one load (per reading phase)
+// for every value that crosses phases, the block's iteration counter in
+// every phase loop, and the loop control again in every phase loop after
+// the first.
 func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
-	return machine.SimulateHELIX(inv, p.cfg) +
-		int64(len(inv.IterSegCosts))*p.cfg.PerTaskOverhead
+	cm := interp.DefaultCostModel()
+	ph := p.phases()
+	bucket := func(q int) int {
+		if q%2 == 1 {
+			return q / 2
+		}
+		return p.NumSeq // the parallel portion
+	}
+	perIter := make([]int64, p.NumSegments())
+	first := true
+	for q := 0; q <= 2*p.NumSeq; q++ {
+		if !ph.runs(q) {
+			continue
+		}
+		perIter[bucket(q)] += cm.IntALU
+		if !first {
+			perIter[bucket(q)] += cm.IntALU + 2*cm.Branch
+		}
+		first = false
+	}
+	for _, d := range ph.cross {
+		perIter[bucket(ph.pos[d])] += cm.IntALU + cm.Store
+		for q := range ph.readers[d] {
+			perIter[bucket(q)] += cm.IntALU + cm.Load
+		}
+	}
+	perBlock := make([]int64, p.NumSegments())
+	for s := 0; s < p.NumSeq; s++ {
+		perBlock[s] = cm.SignalWait + cm.SignalFire + 2*cm.CallOver
+	}
+	for _, phi := range p.LS.HeaderPhis() {
+		if carriedPhi(p, phi) {
+			perBlock[p.SegmentOf[phi]] += 2*cm.IntALU + cm.Load + cm.Store
+		}
+	}
+
+	iters := inv.IterSegCosts
+	size := int(blockSize(int64(len(iters)), p.cfg.Cores))
+	blocks := &machine.Invocation{}
+	for lo := 0; lo < len(iters); lo += size {
+		row := append([]int64(nil), perBlock...)
+		for _, segs := range iters[lo:min(lo+size, len(iters))] {
+			for s, c := range segs {
+				row[s] += c + perIter[s]
+			}
+		}
+		blocks.IterSegCosts = append(blocks.IterSegCosts, row)
+	}
+	// One task spawn per block, charged the way the sibling planners
+	// charge theirs (serially), so the techniques rank on one convention.
+	return machine.SimulateHELIX(blocks, p.cfg) +
+		int64(len(blocks.IterSegCosts))*p.cfg.PerTaskOverhead
 }

@@ -19,9 +19,11 @@ package verify
 //   - each queue is closed exactly once, by its producer, after the
 //     loop; no operation on a queue is reachable after its close;
 //   - HELIX wait(w)/fire(w+1) brackets: one wait and one fire per
-//     segment signal, the wait ticket is the worker index, the fire
-//     ticket is worker+1, and the wait dominates the fire (the
-//     happens-before chain across workers stays acyclic);
+//     segment signal, each executing once per block (outside every loop
+//     of the task), the wait ticket is the worker index, the fire ticket
+//     is worker+1, and the wait dominates the fire (the happens-before
+//     chain across workers stays acyclic); every access to a cell holding
+//     a segment's carried state sits inside that segment's bracket;
 //   - the token-queue chain covers every cross-stage memory dependence
 //     the plan recorded;
 //   - DOALL task bodies are communication-free.
@@ -54,6 +56,10 @@ const (
 	MDStages = "noelle.stages"
 	// MDSegments is the sequential-segment count, on a HELIX task.
 	MDSegments = "noelle.segments"
+	// MDCarried lists, on a HELIX task, the environment cells holding
+	// carried sequential state as "slot:segment" pairs, comma-separated
+	// ("" when none).
+	MDCarried = "noelle.carried"
 	// MDMemDeps lists the plan's cross-stage memory dependences on the
 	// DSWP wrapper as "from>to" pairs, comma-separated ("" when none).
 	MDMemDeps = "noelle.memdeps"
@@ -591,10 +597,12 @@ func parseMemDeps(w *ir.Function) ([][2]int, []Finding) {
 	return deps, nil
 }
 
-// lintHELIX checks one per-iteration task family: each sequential
-// segment's signal is bracketed by exactly one wait(worker) and one
-// fire(worker+1), with the wait dominating the fire so the cross-worker
-// happens-before chain stays acyclic.
+// lintHELIX checks one per-block task family: each sequential segment's
+// signal is bracketed by exactly one wait(worker) and one fire(worker+1),
+// both outside the task's loops (once per block), with the wait
+// dominating the fire so the cross-worker happens-before chain stays
+// acyclic, and the segment's carried-state cells are touched only inside
+// the bracket.
 func lintHELIX(fam *family) []Finding {
 	var fs []Finding
 	find := func(fn, format string, args ...interface{}) {
@@ -629,6 +637,8 @@ func lintHELIX(fam *family) []Finding {
 		return fs
 	}
 	worker := ir.Value(task.Params[1])
+	type bracket struct{ wait, fire *ir.Instr }
+	brackets := map[int]bracket{}
 
 	for s := 0; s < nsegs; s++ {
 		ch := bySeg[s]
@@ -676,7 +686,53 @@ func lintHELIX(fam *family) []Finding {
 		if !scan.domTree().DominatesInstr(wait.instr, fire.instr) {
 			find(task.Nam, "fire of segment %d signal precedes its wait (happens-before chain is cyclic)", s)
 		}
+		for _, o := range []*commOp{wait, fire} {
+			if !scan.outsideLoops(o.instr) {
+				find(task.Nam, "@%s of segment %d signal sits in a loop of the task (want once per block)", o.name, s)
+			}
+		}
+		brackets[s] = bracket{wait.instr, fire.instr}
 	}
+
+	// Carried state: a cell's reload must follow its segment's wait and
+	// its write-back precede the fire, or a neighbouring block reads a
+	// stale value (or overwrites a fresh one).
+	carried := map[int64]int{}
+	if raw := task.MD.Get(MDCarried); raw != "" {
+		for _, part := range strings.Split(raw, ",") {
+			var slot int64
+			var seg int
+			if _, err := fmt.Sscanf(part, "%d:%d", &slot, &seg); err != nil {
+				find(task.Nam, "helix task has malformed %s entry %q", MDCarried, part)
+				return fs
+			}
+			carried[slot] = seg
+		}
+	}
+	task.Instrs(func(in *ir.Instr) bool {
+		var addr ir.Value
+		switch in.Opcode {
+		case ir.OpLoad:
+			addr = in.Ops[0]
+		case ir.OpStore:
+			addr = in.Ops[1]
+		}
+		pa, _ := addr.(*ir.Instr)
+		if pa == nil || pa.Opcode != ir.OpPtrAdd || pa.Ops[0] != ir.Value(task.Params[0]) {
+			return true
+		}
+		cell, _ := pa.Ops[1].(*ir.Const)
+		if cell == nil {
+			return true
+		}
+		seg, isCarried := carried[cell.Int]
+		br, bracketed := brackets[seg]
+		if isCarried && bracketed &&
+			!(scan.domTree().DominatesInstr(br.wait, in) && scan.domTree().DominatesInstr(in, br.fire)) {
+			find(task.Nam, "carried state of segment %d (environment cell %d) is accessed outside the segment's wait/fire bracket", seg, cell.Int)
+		}
+		return true
+	})
 	return fs
 }
 

@@ -309,3 +309,48 @@ func TestMutationDroppedFire(t *testing.T) {
 	fire.Parent.Remove(fire)
 	mustFlag(t, m, "awaited but never fired")
 }
+
+func TestMutationFireSunkIntoSegmentLoop(t *testing.T) {
+	m := lowerHELIX(t)
+	mustBeCommClean(t, m)
+	task := helixTaskFn(t, m)
+	wait := findCall(task, interp.ExternSignalWait, nil)
+	fire := findCall(task, interp.ExternSignalFire, nil)
+	if wait == nil || fire == nil {
+		t.Fatal("task lacks the wait/fire bracket")
+	}
+	// Sink the fire from behind the segment's loop into its header: the
+	// ticket is handed on after the block's first iteration, and again on
+	// every later one.
+	hdr := wait.Parent.Terminator().Blocks[0]
+	fire.Parent.Remove(fire)
+	hdr.InsertBefore(fire, hdr.Terminator())
+	mustFlag(t, m, "@noelle_signal_fire of segment 0 signal sits in a loop of the task")
+}
+
+func TestMutationCarriedCellWrittenAfterFire(t *testing.T) {
+	m := lowerHELIX(t)
+	mustBeCommClean(t, m)
+	task := helixTaskFn(t, m)
+	if got := task.MD.Get(verify.MDCarried); got == "" {
+		t.Fatal("lowering recorded no carried-state cell")
+	}
+	fire := findCall(task, interp.ExternSignalFire, nil)
+	if fire == nil {
+		t.Fatal("task has no fire")
+	}
+	// The write-back of the carried value slips behind the fire: the next
+	// block may reload the cell before it is written.
+	var store *ir.Instr
+	for _, in := range fire.Parent.Instrs {
+		if in.Opcode == ir.OpStore {
+			store = in
+		}
+	}
+	if store == nil {
+		t.Fatal("no carried-state write-back before the fire")
+	}
+	fire.Parent.Remove(store)
+	fire.Parent.InsertAfter(store, fire)
+	mustFlag(t, m, "carried state of segment 0")
+}
