@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check benchpair cache-smoke serve-smoke check-docs example-smoke campaign-smoke
+.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check benchpair cache-smoke serve-smoke check-docs example-smoke campaign-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -88,7 +88,8 @@ benchpair:
 # still compile and pass its tests against this tree's internal/*
 # packages (root `go test ./...` does not see it), and one second each
 # of the run-plane control, the two pipelines that live on the
-# communication plane (queues, then signals and per-iteration forks),
+# communication plane (bulk queue operations once per chunk of
+# iterations, then ticket signals and one fork per block of iterations),
 # the auto orchestrator's workload (the only one that runs `auto` and
 # its walker training replays) and a service workload must finish with
 # every check passing (the driver exits non-zero on any wrong output or
@@ -115,6 +116,15 @@ campaign-smoke:
 	$(GO) run -race ./cmd/noelle-fuzz -leg stress -seeds 12 -blocks 4 -arrays 3 -arraylen 32
 	$(GO) run -race ./cmd/noelle-fuzz -leg faults -seeds 12 -blocks 4 -arrays 3 -arraylen 32
 	$(GO) run -race ./cmd/noelle-fuzz -leg inject -seeds 40 -blocks 4 -arrays 3 -arraylen 32
+
+# Native Go fuzzing, ten seconds of it: FuzzQueueOps drives random
+# Push/PushN/Pop/PopN/Close sequences in non-blocking mode against a
+# slice model (no panic, same values in the same order, same errors).
+# The committed seeds under internal/queue/testdata/fuzz/ also run as
+# plain subtests of every `go test`; a crasher the fuzzer finds lands
+# there too and keeps failing until fixed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 10s ./internal/queue/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

@@ -38,12 +38,13 @@ var regenCorpus = flag.Bool("regen-corpus", false, "rewrite internal/fuzz/corpus
 
 // corpusPipelineSrc mirrors the DSWP-lowerable shape from the verify
 // mutation suite: an Independent chain storing c[i], a Sequential
-// accumulator loading it back, and the stage cut between them, so the
-// lowering carries a value queue and the token queue that orders the
-// cross-stage store->load.
+// accumulator loading it back and storing acc + x, and the stage cut
+// between them, so the lowering carries a value queue (x) and the token
+// queue that orders the cross-stage store->load.
 const corpusPipelineSrc = `
 int b[96];
 int c[96];
+int d[96];
 int main() {
   int i;
   for (i = 0; i < 96; i = i + 1) { b[i] = i * 7 + 3; }
@@ -55,9 +56,10 @@ int main() {
     x = x * x + 13;
     c[i] = x;
     acc = (acc + c[i]) % 9973;
+    d[i] = acc + x;
   }
   print_i64(acc);
-  return acc % 251;
+  return (acc + d[95]) % 251;
 }`
 
 // corpusCarriedSrc mirrors the HELIX-lowerable shape: an
@@ -127,18 +129,6 @@ func corpusLowerHELIX(t *testing.T) *ir.Module {
 	return m
 }
 
-// corpusStageFn finds stage idx of the first DSWP family in m.
-func corpusStageFn(t *testing.T, m *ir.Module, idx int) *ir.Function {
-	t.Helper()
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPStage && f.MD.Get(verify.MDStage) == fmt.Sprint(idx) {
-			return f
-		}
-	}
-	t.Fatalf("lowered module has no DSWP stage %d", idx)
-	return nil
-}
-
 func corpusFindCall(f *ir.Function, extern string, pred func(*ir.Instr) bool) *ir.Instr {
 	var found *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
@@ -157,15 +147,6 @@ func corpusFindCall(f *ir.Function, extern string, pred func(*ir.Instr) bool) *i
 	return found
 }
 
-func isTokenPush(in *ir.Instr) bool {
-	args := in.CallArgs()
-	if len(args) != 2 {
-		return false
-	}
-	c, ok := args[1].(*ir.Const)
-	return ok && c.Int == 1
-}
-
 func corpusHelixTaskFn(t *testing.T, m *ir.Module) *ir.Function {
 	t.Helper()
 	for _, f := range m.Functions {
@@ -179,78 +160,17 @@ func corpusHelixTaskFn(t *testing.T, m *ir.Module) *ir.Function {
 }
 
 func corpusRecipes() []corpusRecipe {
-	return []corpusRecipe{
-		{
-			name: "clean_dswp",
-			build: func(t *testing.T) *ir.Module {
-				return corpusLowerDSWP(t)
-			},
-		},
-		{
-			name:   "dropped_token_push",
-			expect: []string{"but never pushed"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerDSWP(t)
-				push := corpusFindCall(corpusStageFn(t, m, 0), interp.ExternQueuePush, isTokenPush)
-				if push == nil {
-					t.Fatal("stage 0 has no token push")
-				}
-				push.Parent.Remove(push)
-				return m
-			},
-		},
-		{
-			name:   "double_close",
-			expect: []string{"(double close)"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerDSWP(t)
-				cl := corpusFindCall(corpusStageFn(t, m, 0), interp.ExternQueueClose, nil)
-				if cl == nil {
-					t.Fatal("stage 0 closes nothing")
-				}
-				dup := &ir.Instr{Opcode: ir.OpCall, Ty: cl.Ty, Ops: append([]ir.Value{}, cl.Ops...)}
-				cl.Parent.InsertAfter(dup, cl)
-				return m
-			},
-		},
-		{
-			name:   "push_hoisted_out_of_loop",
-			expect: []string{"does not execute exactly once per iteration"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerDSWP(t)
-				s0 := corpusStageFn(t, m, 0)
-				push := corpusFindCall(s0, interp.ExternQueuePush, isTokenPush)
-				cl := corpusFindCall(s0, interp.ExternQueueClose, nil)
-				if push == nil || cl == nil {
-					t.Fatal("stage 0 lacks push/close to rearrange")
-				}
-				push.Parent.Remove(push)
-				cl.Parent.InsertBefore(push, cl)
-				return m
-			},
-		},
-		{
-			name:   "retargeted_pop",
-			expect: []string{"but never popped"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerDSWP(t)
-				s1 := corpusStageFn(t, m, 1)
-				var pops []*ir.Instr
-				s1.Instrs(func(in *ir.Instr) bool {
-					if in.Opcode == ir.OpCall {
-						if c := in.CalledFunction(); c != nil && c.Nam == interp.ExternQueuePop {
-							pops = append(pops, in)
-						}
-					}
-					return true
-				})
-				if len(pops) < 2 {
-					t.Fatalf("stage 1 has %d pops, need 2 to retarget", len(pops))
-				}
-				pops[0].Ops[1] = pops[1].Ops[1]
-				return m
-			},
-		},
+	recipes := []corpusRecipe{{name: "clean_dswp", build: corpusLowerDSWP}}
+	for _, mc := range DSWPMiscompiles() {
+		recipes = append(recipes, corpusRecipe{name: mc.Name, expect: mc.Want, build: func(t *testing.T) *ir.Module {
+			m := corpusLowerDSWP(t)
+			if !mc.Apply(m) {
+				t.Fatalf("the lowering has no site for %s", mc.Name)
+			}
+			return m
+		}})
+	}
+	return append(recipes, []corpusRecipe{
 		{
 			name:   "swapped_wait_fire",
 			expect: []string{"precedes its wait (happens-before chain is cyclic)"},
@@ -320,7 +240,7 @@ func corpusRecipes() []corpusRecipe {
 				return m
 			},
 		},
-	}
+	}...)
 }
 
 // TestCorpusRegen rewrites the corpus files when -regen-corpus is set;

@@ -152,11 +152,6 @@ func TestMinimizeShrinks(t *testing.T) {
 
 func TestRunModuleExternOverride(t *testing.T) {
 	c := New(Config{Gen: GenConfig{Blocks: 4, Arrays: 3, ArrayLen: 32}})
-	poison := map[string]interp.Extern{
-		interp.ExternQueuePush: func(it *interp.Interp, args []uint64) (uint64, error) {
-			return 0, errInjectedFault
-		},
-	}
 	for seed := int64(1); seed <= 20; seed++ {
 		m, err := Generate(seed, c.cfg.Gen).Compile()
 		if err != nil {
@@ -171,7 +166,7 @@ func TestRunModuleExternOverride(t *testing.T) {
 			continue // lowering without queue traffic; override unexercised
 		}
 		r, err := interptest.RunModule(w, interp.EngineWalker, interptest.Config{
-			SeqDispatch: true, DispatchWorkers: 2, Externs: poison,
+			SeqDispatch: true, DispatchWorkers: 2, Externs: poisonedPushes,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -142,6 +142,14 @@ func (c *Campaign) Stress(seeds []int64, goroutines, rounds int) Stats {
 // instead of deadlocking or panicking.
 var errInjectedFault = errors.New("fuzz: injected worker fault")
 
+func failPush(*interp.Interp, []uint64) (uint64, error) { return 0, errInjectedFault }
+
+// poisonedPushes replaces both forms of the queue push.
+var poisonedPushes = map[string]interp.Extern{
+	interp.ExternQueuePush:  failPush,
+	interp.ExternQueuePushN: failPush,
+}
+
 // Faults is the fault-injection leg. For each seed it picks the first
 // technique that lowers the program, then drives two failure modes
 // through both engines:
@@ -239,14 +247,9 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 		if clean.Comm[1] == 0 { // no queue pushes
 			continue
 		}
-		poison := map[string]interp.Extern{
-			interp.ExternQueuePush: func(it *interp.Interp, args []uint64) (uint64, error) {
-				return 0, errInjectedFault
-			},
-		}
 		for _, seq := range []bool{true, false} {
 			for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
-				cfg := interptest.Config{SeqDispatch: seq, DispatchWorkers: 2, Externs: poison}
+				cfg := interptest.Config{SeqDispatch: seq, DispatchWorkers: 2, Externs: poisonedPushes}
 				var r interptest.Result
 				op := fmt.Sprintf("worker-abort %s engine=%s seq=%v", cell, eng, seq)
 				gerr := guard(op, c.cfg.Timeout, func() error {
@@ -276,17 +279,30 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 	return st
 }
 
-// InjectMiscompile is the harness's own acceptance check: it seeds one
-// of internal/verify's known miscompiles (the dropped token push from
-// the mutation suite) into a real DSWP lowering of a generated program
-// and asserts the campaign's static oracle catches it. Returns the
-// reported Failure (with its reproducer written like any other) and
-// whether the oracle caught the miscompile; a miss means the harness
+// InjectMiscompiles is the harness's own acceptance check: it seeds each
+// of the known DSWP miscompiles (DSWPMiscompiles, the table the verify
+// mutation suite runs too) into a real DSWP lowering of a generated
+// program and asserts the campaign's static oracle names it. It returns
+// one reported Failure per miscompile caught (with its reproducer written
+// like any other); the error names the first miscompile that found no
+// lowering to mutate or that the oracle missed — a miss means the harness
 // has lost its detection power and the caller must fail loudly.
-func (c *Campaign) InjectMiscompile(maxSeeds int) (Failure, bool, error) {
+func (c *Campaign) InjectMiscompiles(maxSeeds int) ([]Failure, error) {
 	if maxSeeds <= 0 {
 		maxSeeds = 50
 	}
+	var caught []Failure
+	for _, mc := range DSWPMiscompiles() {
+		f, err := c.inject(mc, maxSeeds)
+		if err != nil {
+			return caught, err
+		}
+		caught = append(caught, f)
+	}
+	return caught, nil
+}
+
+func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 	for seed := int64(1); seed <= int64(maxSeeds); seed++ {
 		p := Generate(seed, c.cfg.Gen)
 		m, err := p.Compile()
@@ -297,34 +313,35 @@ func (c *Campaign) InjectMiscompile(maxSeeds int) (Failure, bool, error) {
 		if err != nil || !lowered {
 			continue
 		}
-		if verify.Module(work, verify.TierComm).Err() != nil {
-			// The unmutated lowering must be comm-clean, or the injected
-			// finding would not be attributable to the mutation.
+		// The unmutated lowering must be comm-clean, or the injected
+		// finding would not be attributable to the mutation.
+		if verify.Module(work, verify.TierComm).Err() != nil || !mc.Apply(work) {
 			continue
 		}
-		push := findTokenPush(work)
-		if push == nil {
-			continue
-		}
-		push.Parent.Remove(push)
 		res := verify.Module(work, verify.TierComm)
-		cell := Cell{Technique: "dswp", Cores: 2, QueueCap: 0}
-		if res.Err() == nil {
-			return Failure{}, false, fmt.Errorf(
-				"fuzz: injected miscompile (dropped token push, seed %d) passed the comm tier undetected", seed)
+		for _, want := range mc.Want {
+			named := false
+			for _, f := range res.Findings {
+				named = named || (f.Tier == verify.TierComm && strings.Contains(f.Detail, want))
+			}
+			if !named {
+				return Failure{}, fmt.Errorf("fuzz: injected miscompile %s (seed %d) was not named %q by the comm tier: %v",
+					mc.Name, seed, want, res.Err())
+			}
 		}
-		reason := fmt.Sprintf("injected miscompile caught by the static comm oracle: %v", res.Err())
+		cell := Cell{Technique: "dswp", Cores: 2, QueueCap: 0}
+		reason := fmt.Sprintf("injected miscompile %s caught by the static comm oracle: %v", mc.Name, res.Err())
 		f := Failure{Seed: seed, Leg: "inject", Cell: cell.String(), Reason: reason}
 		f.Replay = replayCommand(p, "inject", &cell)
-		f.Repro = c.writeMutatedRepro(work, p, &cell, reason)
-		return f, true, nil
+		f.Repro = c.writeMutatedRepro(work, p, &cell, mc.Name, reason)
+		return f, nil
 	}
-	return Failure{}, false, fmt.Errorf("fuzz: no seed in 1..%d produced a mutable DSWP lowering", maxSeeds)
+	return Failure{}, fmt.Errorf("fuzz: no seed in 1..%d produced a DSWP lowering with a site for %s", maxSeeds, mc.Name)
 }
 
 // writeMutatedRepro dumps an already-mutated module (the inject leg's
 // reproducer is the lowered IR itself, not the source program).
-func (c *Campaign) writeMutatedRepro(work *ir.Module, p *Program, cell *Cell, reason string) string {
+func (c *Campaign) writeMutatedRepro(work *ir.Module, p *Program, cell *Cell, name, reason string) string {
 	if c.cfg.OutDir == "" {
 		return ""
 	}
@@ -333,52 +350,18 @@ func (c *Campaign) writeMutatedRepro(work *ir.Module, p *Program, cell *Cell, re
 		return ""
 	}
 	var sb strings.Builder
-	sb.WriteString("; noelle-fuzz reproducer (injected miscompile: dropped token push)\n")
+	fmt.Fprintf(&sb, "; noelle-fuzz reproducer (injected miscompile: %s)\n", name)
 	fmt.Fprintf(&sb, "; leg=inject seed=%d cell: %s\n", p.Seed, cell)
 	fmt.Fprintf(&sb, "; reason: %s\n", firstLine(reason))
 	fmt.Fprintf(&sb, "; replay: %s\n", replayCommand(p, "inject", cell))
 	sb.WriteString(ir.Print(work))
-	path := filepath.Join(c.cfg.OutDir, fmt.Sprintf("seed%d_inject_%s_c%d_q%d.nir",
-		p.Seed, cell.Technique, cell.Cores, cell.QueueCap))
+	path := filepath.Join(c.cfg.OutDir, fmt.Sprintf("seed%d_inject_%s_%s_c%d_q%d.nir",
+		p.Seed, name, cell.Technique, cell.Cores, cell.QueueCap))
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		c.logf("cannot write reproducer: %v", err)
 		return ""
 	}
 	return path
-}
-
-// findTokenPush locates the token-queue push (payload constant 1) in
-// the first DSWP stage-0 function — the same site the verify mutation
-// suite removes.
-func findTokenPush(m *ir.Module) *ir.Instr {
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) != verify.KindDSWPStage || f.MD.Get(verify.MDStage) != "0" {
-			continue
-		}
-		var found *ir.Instr
-		f.Instrs(func(in *ir.Instr) bool {
-			if in.Opcode != ir.OpCall {
-				return true
-			}
-			callee := in.CalledFunction()
-			if callee == nil || callee.Nam != interp.ExternQueuePush {
-				return true
-			}
-			args := in.CallArgs()
-			if len(args) != 2 {
-				return true
-			}
-			if cst, ok := args[1].(*ir.Const); ok && cst.Int == 1 {
-				found = in
-				return false
-			}
-			return true
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
 }
 
 func maxInt(xs []int) int {

@@ -8,8 +8,8 @@ import (
 	"noelle/internal/ir"
 )
 
-// The compiled tier executes push, pop, wait and fire as ops of its own
-// while the walker calls the generic externs. These tests hold the two to
+// The compiled tier executes push, pop, push_n, pop_n, wait and fire as ops
+// of its own while the walker calls the generic externs. These tests hold the two to
 // the same observables where the paths differ most: concurrent producers,
 // a replaced extern, and every error a communication op can return. They
 // live in the package so `make tier-diff` also runs them with each engine
@@ -76,6 +76,8 @@ declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
 declare @noelle_queue_create : fn(i64) i64
 declare @noelle_queue_push : fn(i64, i64) void
 declare @noelle_queue_pop : fn(i64) i64
+declare @noelle_queue_push_n : fn(i64, ptr<i64>, i64) void
+declare @noelle_queue_pop_n : fn(i64, ptr<i64>, i64) void
 declare @noelle_queue_close : fn(i64) void
 declare @noelle_signal_create : fn(i64) i64
 declare @noelle_signal_wait : fn(i64, i64) void
@@ -218,6 +220,44 @@ var commErrorCases = []struct {
   %q = call i64 @noelle_queue_create(2)
   %v = call i64 @noelle_queue_pop(%q)
   ret %v`},
+	{name: "invalid handle on bulk push", wantErr: "queue: invalid queue handle 7", body: `
+  %buf = alloca i64, 4
+  call void @noelle_queue_push_n(7, %buf, 4)
+  ret 0`},
+	{name: "empty bulk push skips the handle", wantErr: "", body: `
+  %buf = alloca i64, 4
+  call void @noelle_queue_push_n(7, %buf, 0)
+  ret 0`},
+	{name: "negative bulk count", wantErr: "interp: @noelle_queue_push_n: buffer 8, count -1 out of range", body: `
+  %q = call i64 @noelle_queue_create(2)
+  %buf = alloca i64, 4
+  call void @noelle_queue_push_n(%q, %buf, -1)
+  ret 0`},
+	{name: "unbounded bulk count", wantErr: "interp: @noelle_queue_pop_n: buffer 8, count 1048577 out of range", body: `
+  %q = call i64 @noelle_queue_create(2)
+  %buf = alloca i64, 4
+  call void @noelle_queue_pop_n(%q, %buf, 1048577)
+  ret 0`},
+	{name: "bulk push to closed queue", wantErr: "queue 0: push: queue: closed", body: `
+  %q = call i64 @noelle_queue_create(2)
+  %buf = alloca i64, 4
+  call void @noelle_queue_close(%q)
+  call void @noelle_queue_push_n(%q, %buf, 3)
+  ret 0`},
+	{name: "bulk pop of drained closed queue", wantErr: "queue 0: pop: queue: closed", body: `
+  %q = call i64 @noelle_queue_create(2)
+  %buf = alloca i64, 4
+  call void @noelle_queue_push_n(%q, %buf, 3)
+  call void @noelle_queue_close(%q)
+  call void @noelle_queue_pop_n(%q, %buf, 4)
+  call void @noelle_queue_pop_n(%q, %buf, 4)
+  ret 0`},
+	{name: "sequential bulk pop past the values", wantErr: "queue 0: pop from empty queue in sequential execution", body: `
+  %q = call i64 @noelle_queue_create(2)
+  %buf = alloca i64, 4
+  call void @noelle_queue_push_n(%q, %buf, 3)
+  call void @noelle_queue_pop_n(%q, %buf, 4)
+  ret 0`},
 	{name: "sequential wait for unfired ticket", wantErr: "queue: signal 0 wait for ticket 4 (counter 1) in sequential execution", body: `
   %s = call i64 @noelle_signal_create(0)
   call void @noelle_signal_fire(%s, 1)
@@ -283,16 +323,23 @@ func @main() i64 {
 entry:
   %q = call i64 @noelle_queue_create(2)
   %s = call i64 @noelle_signal_create(0)
+  %buf = alloca i64, 3
   call void @noelle_queue_push(%q, 3)
   call void @noelle_signal_fire(%s, 1)
   call void @noelle_signal_wait(%s, 1)
-  %v = call i64 @noelle_queue_pop(%q)
+  %one = call i64 @noelle_queue_pop(%q)
+  store i64 %one, %buf
+  call void @noelle_queue_push_n(%q, %buf, 3)
+  call void @noelle_queue_push_n(%q, %buf, 1)
+  call void @noelle_queue_pop_n(%q, %buf, 2)
   call void @noelle_queue_close(%q)
+  call void @noelle_queue_pop_n(%q, %buf, 3)
+  %v = load i64, %buf
   call void @print_i64(%v)
   ret %v
 }`)
 	full := assertTiersAgree(t, m, nil)
-	if full.err != "" || full.output != "3\n" {
+	if full.err != "" || full.output != "0\n" {
 		t.Fatalf("unbounded run: output %q, err %q", full.output, full.err)
 	}
 	limited := 0
@@ -380,5 +427,219 @@ entry:
 	r := assertTiersAgree(t, m, nil)
 	if want := fmt.Sprintf("interp: extern @%s: 1 args, want 2", ExternQueuePush); r.err != want {
 		t.Errorf("error %q, want %q", r.err, want)
+	}
+}
+
+// chunkedPipeline is a hand-written two-stage pipeline in the shape the
+// DSWP lowering emits: stage 0 stages 3*i at buf[pos] every iteration and
+// pushes the buffer every k iterations, then what is left of it; stage 1
+// refills its buffer every k iterations and sums what it loads. n
+// iterations, chunks of k, a queue of capacity c.
+func chunkedPipeline(n, k, c int) string {
+	return fmt.Sprintf(`module "m"
+global @acc : i64 zeroinit`+commDecls+`
+func @task(%%env: ptr<i64>, %%w: i64, %%nw: i64) void {
+entry:
+  %%q = load i64, %%env
+  %%buf = alloca i64, %[2]d
+  %%isprod = eq %%w, 0
+  condbr %%isprod, phead, chead
+phead:
+  %%i = phi i64 [ 0, entry ], [ %%inext, pcont ]
+  %%pos = phi i64 [ 0, entry ], [ %%wrap, pcont ]
+  %%pc = lt %%i, %[1]d
+  condbr %%pc, pbody, pdone
+pbody:
+  %%v = mul %%i, 3
+  %%slot = ptradd %%buf, %%pos
+  store i64 %%v, %%slot
+  %%inext = add %%i, 1
+  %%next = add %%pos, 1
+  %%full = eq %%next, %[2]d
+  condbr %%full, pend, pcont
+pend:
+  call void @noelle_queue_push_n(%%q, %%buf, %[2]d)
+  br pcont
+pcont:
+  %%wrap = phi i64 [ %%next, pbody ], [ 0, pend ]
+  br phead
+pdone:
+  %%partial = ne %%pos, 0
+  condbr %%partial, ptail, pclose
+ptail:
+  call void @noelle_queue_push_n(%%q, %%buf, %%pos)
+  br pclose
+pclose:
+  call void @noelle_queue_close(%%q)
+  ret void
+chead:
+  %%j = phi i64 [ 0, entry ], [ %%jnext, ccont ]
+  %%s = phi i64 [ 0, entry ], [ %%snext, ccont ]
+  %%cpos = phi i64 [ 0, entry ], [ %%cwrap, ccont ]
+  %%cc = lt %%j, %[1]d
+  condbr %%cc, ctop, cdone
+ctop:
+  %%first = eq %%cpos, 0
+  condbr %%first, cbegin, cbody
+cbegin:
+  call void @noelle_queue_pop_n(%%q, %%buf, %[2]d)
+  br cbody
+cbody:
+  %%cslot = ptradd %%buf, %%cpos
+  %%got = load i64, %%cslot
+  %%snext = add %%s, %%got
+  %%jnext = add %%j, 1
+  %%cnext = add %%cpos, 1
+  %%cfull = eq %%cnext, %[2]d
+  condbr %%cfull, cend, ccont
+cend:
+  br ccont
+ccont:
+  %%cwrap = phi i64 [ %%cnext, cbody ], [ 0, cend ]
+  br chead
+cdone:
+  store i64 %%s, @acc
+  ret void
+}
+func @main() i64 {
+entry:
+  %%env = alloca i64, 1
+  %%q = call i64 @noelle_queue_create(%[3]d)
+  store i64 %%q, %%env
+  call void @noelle_dispatch(@task, %%env, 2)
+  %%r = load i64, @acc
+  call void @print_i64(%%r)
+  ret 0
+}`, n, k, c)
+}
+
+// TestChunkedPipelineTiersAgree runs the chunked protocol over trip counts
+// around the chunk boundaries, with chunks smaller than, equal to and
+// larger than the queue (capacity 1 included) and a chunk longer than a
+// memory page, so one bulk operation takes its buffer in two runs:
+// sequentially and in parallel, on both tiers, same sum, same counters, and
+// one queue operation per chunk whatever the chunk holds.
+func TestChunkedPipelineTiersAgree(t *testing.T) {
+	for _, tc := range []struct{ n, k, c int }{
+		{0, 16, 4}, {1, 16, 4}, {15, 16, 4}, {16, 16, 4}, {17, 16, 4}, {55, 16, 4},
+		{55, 16, 1}, {55, 16, 16}, {55, 16, 64}, {500, 7, 3}, {2500, pageCells + 100, 300},
+	} {
+		t.Run(fmt.Sprintf("n%d_k%d_cap%d", tc.n, tc.k, tc.c), func(t *testing.T) {
+			m := parseModule(t, chunkedPipeline(tc.n, tc.k, tc.c))
+			chunks := int64((tc.n + tc.k - 1) / tc.k)
+			want := fmt.Sprintf("%d\n", 3*tc.n*(tc.n-1)/2)
+			var seq tierRun
+			for _, mode := range []struct {
+				name string
+				conf func(*Interp)
+			}{
+				{"seq", func(it *Interp) { it.SeqDispatch = true }},
+				{"par", func(it *Interp) { it.DispatchWorkers = 2 }},
+			} {
+				r := assertTiersAgree(t, m, mode.conf)
+				if r.err != "" || r.output != want {
+					t.Errorf("%s: output %q, err %q; want %q", mode.name, r.output, r.err, want)
+				}
+				if r.pushes != chunks || r.pops != chunks || r.cPushes != int64(tc.n) || r.cPops != int64(tc.n) {
+					t.Errorf("%s: %d push and %d pop operations moved %d and %d values, want %d operations each and %d values",
+						mode.name, r.pushes, r.pops, r.cPushes, r.cPops, chunks, tc.n)
+				}
+				if mode.name == "seq" {
+					seq = r
+				} else if r != seq {
+					t.Errorf("seq and par diverged:\nseq %+v\npar %+v", seq, r)
+				}
+			}
+		})
+	}
+}
+
+// TestReplacedBulkExternAfterRun is TestReplacedCommExternAfterRun for
+// push_n: the op is bound while the runtime's own extern stands, and a
+// replacement reaches bodies compiled before it.
+func TestReplacedBulkExternAfterRun(t *testing.T) {
+	m := parseModule(t, `module "m"`+commDecls+`
+func @main() i64 {
+entry:
+  %q = call i64 @noelle_queue_create(4)
+  %buf = alloca i64, 2
+  store i64 5, %buf
+  call void @noelle_queue_push_n(%q, %buf, 2)
+  call void @noelle_queue_pop_n(%q, %buf, 2)
+  %v = load i64, %buf
+  call void @print_i64(%v)
+  ret 0
+}`)
+	it := New(m)
+	it.Eng = EngineCompiled
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cf := it.img.compiled(m.FunctionByName("main"), it.Cost); cf == nil || countOps(cf, cQueuePushN) != 1 || countOps(cf, cQueuePopN) != 1 {
+		t.Fatal("main did not compile its push_n and pop_n to first-class ops")
+	}
+	custom := 0
+	it.RegisterExtern(ExternQueuePushN, func(it *Interp, args []uint64) (uint64, error) {
+		custom++
+		return 0, it.img.comm.PushN(int64(args[0]), []uint64{105, 0}, false)
+	})
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if custom != 1 || it.Output.String() != "5\n105\n" {
+		t.Errorf("replacement ran %d times, output %q; want once and 5, 105", custom, it.Output.String())
+	}
+	cf := it.img.compiled(m.FunctionByName("main"), it.Cost)
+	if countOps(cf, cQueuePushN) != 0 || countOps(cf, cQueuePopN) != 1 {
+		t.Error("after the replacement, push_n must be a generic call and pop_n still first-class")
+	}
+}
+
+// TestBulkAbortEchoTiersAgree: worker 0 traps while worker 1 waits for a
+// chunk nobody will push and worker 2 for room its chunk will never get
+// (main left the queue one value short of full).
+// Over the repetitions the abort reaches them before they wait, while they
+// spin and after they parked; the dispatch reports the trap each time and
+// the tiers count the torn-down ops alike.
+func TestBulkAbortEchoTiersAgree(t *testing.T) {
+	m := parseModule(t, `module "m"`+commDecls+`
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %buf = alloca i64, 8
+  %isbad = eq %w, 0
+  condbr %isbad, bad, others
+bad:
+  %boom = rem 7, 0
+  ret void
+others:
+  %ispop = eq %w, 1
+  condbr %ispop, starved, stuffed
+starved:
+  %empty = load i64, %env
+  call void @noelle_queue_pop_n(%empty, %buf, 8)
+  ret void
+stuffed:
+  %slot = ptradd %env, 1
+  %full = load i64, %slot
+  call void @noelle_queue_push_n(%full, %buf, 2)
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 2
+  %empty = call i64 @noelle_queue_create(4)
+  store i64 %empty, %env
+  %full = call i64 @noelle_queue_create(3)
+  %slot = ptradd %env, 1
+  store i64 %full, %slot
+  call void @noelle_queue_push_n(%full, %env, 2)
+  call void @noelle_dispatch(@task, %env, 3)
+  ret 0
+}`)
+	for i := 0; i < 20; i++ {
+		r := assertTiersAgree(t, m, func(it *Interp) { it.DispatchWorkers = 3 })
+		if want := "interp: dispatch worker 0: interp: integer remainder by zero"; r.err != want {
+			t.Fatalf("error %q, want %q", r.err, want)
+		}
 	}
 }

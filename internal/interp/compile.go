@@ -15,7 +15,8 @@
 //     step and cycle counts for the whole idiom;
 //   - cost-model cycles are pre-added per op, so the executor charges
 //     one pre-summed constant instead of switching on the opcode;
-//   - a direct call to noelle_queue_push/pop or noelle_signal_wait/fire
+//   - a direct call to noelle_queue_push/pop, their bulk forms push_n/
+//     pop_n, or noelle_signal_wait/fire
 //     becomes a first-class op (cQueuePush, ...) carrying the call's and
 //     the extern's cost pre-summed, as long as the image's registration
 //     for that name is the runtime's own and the call has its arity and
@@ -118,6 +119,8 @@ const (
 	cQueuePop   // dst = pop(a)
 	cSignalWait // wait(a, b)
 	cSignalFire // fire(a, b)
+	cQueuePushN // push_n(a, b, c)
+	cQueuePopN  // pop_n(a, b, c)
 )
 
 // cmove is one phi slot assignment on a CFG edge.
@@ -444,6 +447,9 @@ func compileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel
 				op.cost += cost.externCost(ext.kind)
 				if op.a, err = operand(1); err == nil && ext.arity > 1 {
 					op.b, err = operand(2)
+				}
+				if err == nil && ext.arity > 2 {
+					op.c, err = operand(3)
 				}
 				break
 			}

@@ -253,6 +253,14 @@ blockLoop:
 					return 0, err
 				}
 				fr[op.dst] = v
+			case cQueuePushN:
+				if err := it.queuePushN(int64(op.a.get(fr)), int64(op.b.get(fr)), int64(op.c.get(fr))); err != nil {
+					return 0, err
+				}
+			case cQueuePopN:
+				if err := it.queuePopN(int64(op.a.get(fr)), int64(op.b.get(fr)), int64(op.c.get(fr))); err != nil {
+					return 0, err
+				}
 			case cSignalWait:
 				if err := it.signalWait(int64(op.a.get(fr)), int64(op.b.get(fr))); err != nil {
 					return 0, err

@@ -34,13 +34,18 @@ type CostModel struct {
 	// operation so pipelined schedules pay a modeled cost for every
 	// cross-stage value and segment signal; machine.CalibratedConfig
 	// derives its QueueLatency from these entries.
-	QueueCreate  int64
-	QueuePush    int64
-	QueuePop     int64
-	QueueClose   int64
-	SignalCreate int64
-	SignalWait   int64
-	SignalFire   int64
+	QueueCreate int64
+	QueuePush   int64
+	QueuePop    int64
+	QueueClose  int64
+	// QueueBulkValue is what noelle_queue_push_n / pop_n add per value
+	// moved to the fixed QueuePush / QueuePop they are charged like their
+	// scalar forms: a bulk operation is one call and one index publication
+	// plus a copy that grows with the count.
+	QueueBulkValue int64
+	SignalCreate   int64
+	SignalWait     int64
+	SignalFire     int64
 }
 
 // DefaultCostModel returns the cost model used throughout the evaluation.
@@ -62,13 +67,14 @@ func DefaultCostModel() CostModel {
 		Alloca:    1,
 		ExternFix: 10,
 
-		QueueCreate:  40,
-		QueuePush:    12,
-		QueuePop:     12,
-		QueueClose:   8,
-		SignalCreate: 20,
-		SignalWait:   10,
-		SignalFire:   8,
+		QueueCreate:    40,
+		QueuePush:      12,
+		QueuePop:       12,
+		QueueClose:     8,
+		QueueBulkValue: 1,
+		SignalCreate:   20,
+		SignalWait:     10,
+		SignalFire:     8,
 	}
 }
 
@@ -92,6 +98,8 @@ var externKinds = map[string]externKind{
 	ExternQueueCreate:  externQueueCreate,
 	ExternQueuePush:    externQueuePush,
 	ExternQueuePop:     externQueuePop,
+	ExternQueuePushN:   externQueuePush,
+	ExternQueuePopN:    externQueuePop,
 	ExternQueueClose:   externQueueClose,
 	ExternSignalCreate: externSignalCreate,
 	ExternSignalWait:   externSignalWait,

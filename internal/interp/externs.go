@@ -1,10 +1,12 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"noelle/internal/obs"
+	"noelle/internal/queue"
 )
 
 // Extern function names understood by the interpreter. Benchmarks declare
@@ -37,6 +39,8 @@ const (
 	ExternQueueCreate  = "noelle_queue_create"  // create(capacity) -> qid
 	ExternQueuePush    = "noelle_queue_push"    // push(qid, value)
 	ExternQueuePop     = "noelle_queue_pop"     // pop(qid) -> value
+	ExternQueuePushN   = "noelle_queue_push_n"  // push_n(qid, buf, n): the n cells at buf, in order
+	ExternQueuePopN    = "noelle_queue_pop_n"   // pop_n(qid, buf, n): the next n values into buf
 	ExternQueueClose   = "noelle_queue_close"   // close(qid)
 	ExternSignalCreate = "noelle_signal_create" // create(start) -> sid
 	ExternSignalWait   = "noelle_signal_wait"   // wait(sid, ticket)
@@ -59,6 +63,8 @@ var defaultExternArities = map[string]int{
 	ExternQueueCreate:  1,
 	ExternQueuePush:    2,
 	ExternQueuePop:     1,
+	ExternQueuePushN:   3,
+	ExternQueuePopN:    3,
 	ExternQueueClose:   1,
 	ExternSignalCreate: 1,
 	ExternSignalWait:   2,
@@ -113,15 +119,21 @@ func registerDefaultExterns(it *Interp) {
 		}
 		return uint64(it.img.comm.CreateQueue(capacity)), nil
 	})
-	// Push, pop, wait and fire are also first-class ops of the compiled
-	// tier (compile.go binds direct calls to them while these registrations
-	// stand), so each body is a method both call.
+	// Push, pop, their bulk forms, wait and fire are also first-class ops
+	// of the compiled tier (compile.go binds direct calls to them while
+	// these registrations stand), so each body is a method both call.
 	it.img.registerExtern(ExternQueuePush, defaultExternArities[ExternQueuePush], func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.queuePush(int64(args[0]), args[1])
 	}, cQueuePush)
 	it.img.registerExtern(ExternQueuePop, defaultExternArities[ExternQueuePop], func(it *Interp, args []uint64) (uint64, error) {
 		return it.queuePop(int64(args[0]))
 	}, cQueuePop)
+	it.img.registerExtern(ExternQueuePushN, defaultExternArities[ExternQueuePushN], func(it *Interp, args []uint64) (uint64, error) {
+		return 0, it.queuePushN(int64(args[0]), int64(args[1]), int64(args[2]))
+	}, cQueuePushN)
+	it.img.registerExtern(ExternQueuePopN, defaultExternArities[ExternQueuePopN], func(it *Interp, args []uint64) (uint64, error) {
+		return 0, it.queuePopN(int64(args[0]), int64(args[1]), int64(args[2]))
+	}, cQueuePopN)
 	it.RegisterExternArity(ExternQueueClose, defaultExternArities[ExternQueueClose], func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.img.comm.Close(int64(args[0]))
 	})
@@ -168,6 +180,92 @@ func (it *Interp) queuePop(id int64) (uint64, error) {
 		return v, err
 	}
 	return it.img.comm.Pop(id, it.parWorker)
+}
+
+// maxBulkValues bounds the count of one bulk queue operation, so a hostile
+// count cannot make a single instruction touch memory without bound.
+const maxBulkValues = 1 << 20
+
+// bulkRun returns the cells of the buffer [addr, addr+8n) that lie in
+// addr's page: the piece of it a bulk operation can hand to the queue
+// runtime as one slice, with no copy through the context.
+func (it *Interp) bulkRun(addr, n int64) []uint64 {
+	cell := addr >> 3
+	off := cell % pageCells
+	return it.img.pages.getOrCreate(cell / pageCells)[off:min(off+n, pageCells)]
+}
+
+func checkBulk(name string, addr, n int64) error {
+	if n < 0 || n > maxBulkValues || addr < 0 {
+		return fmt.Errorf("interp: @%s: buffer %d, count %d out of range", name, addr, n)
+	}
+	return nil
+}
+
+// queuePushN is noelle_queue_push_n: the n cells at addr go to queue id in
+// order, blocking as queuePush does. One operation however many values:
+// one count in QueuePushes, one span, the extern's fixed cost (charged by
+// the caller) plus QueueBulkValue cycles per value.
+func (it *Interp) queuePushN(id, addr, n int64) error {
+	it.QueuePushes++
+	if err := checkBulk(ExternQueuePushN, addr, n); err != nil {
+		return err
+	}
+	it.Cycles += n * it.Cost.QueueBulkValue
+	if r := it.rec; r != nil {
+		start := r.Clock()
+		err := it.pushRuns(id, addr, n)
+		r.Record(obs.SpanQueuePush, id, start)
+		return err
+	}
+	return it.pushRuns(id, addr, n)
+}
+
+func (it *Interp) pushRuns(id, addr, n int64) error {
+	for n > 0 {
+		run := it.bulkRun(addr, n)
+		if err := it.img.comm.PushN(id, run, it.pushBlocks); err != nil {
+			return err
+		}
+		addr, n = addr+8*int64(len(run)), n-int64(len(run))
+	}
+	return nil
+}
+
+// queuePopN is noelle_queue_pop_n: the next n values of queue id land in
+// the cells at addr, blocking as queuePop does. A queue closed and drained
+// before the n-th value leaves the rest of the buffer alone (the last
+// chunk of a stream is as long as the stream's tail); the per-value charge
+// covers the values that arrived.
+func (it *Interp) queuePopN(id, addr, n int64) error {
+	it.QueuePops++
+	if err := checkBulk(ExternQueuePopN, addr, n); err != nil {
+		return err
+	}
+	if r := it.rec; r != nil {
+		start := r.Clock()
+		err := it.popRuns(id, addr, n)
+		r.Record(obs.SpanQueuePop, id, start)
+		return err
+	}
+	return it.popRuns(id, addr, n)
+}
+
+func (it *Interp) popRuns(id, addr, n int64) error {
+	for moved := int64(0); n > 0; {
+		run := it.bulkRun(addr, n)
+		got, err := it.img.comm.PopN(id, run, it.parWorker)
+		moved += int64(got)
+		it.Cycles += int64(got) * it.Cost.QueueBulkValue
+		if got < len(run) {
+			if moved > 0 && errors.Is(err, queue.ErrClosed) {
+				return nil // dry at a page boundary of the buffer: short, as within a page
+			}
+			return err
+		}
+		addr, n = addr+8*int64(len(run)), n-int64(len(run))
+	}
+	return nil
 }
 
 // signalWait is noelle_signal_wait, blocking as queuePop does.

@@ -340,6 +340,33 @@ func (b *Body) Wire() {
 	b.Bld.CreateBr(b.blocks[b.ls.Header])
 }
 
+// SplitBefore cuts in's block in two after Wire: in and everything behind
+// it, terminator included, move to a new block labelled name, and the phis
+// of the terminator's successors name the new block where they named the
+// old one. The old block is left without a terminator for the technique to
+// end — with a branch around work that runs on some iterations only (a
+// chunk boundary) and meets the new block again.
+func SplitBefore(in *ir.Instr, name string) *ir.Block {
+	head := in.Parent
+	tail := head.Parent.NewBlock(name)
+	at := head.IndexOf(in)
+	tail.Instrs = append(tail.Instrs, head.Instrs[at:]...)
+	head.Instrs = head.Instrs[:at:at]
+	for _, moved := range tail.Instrs {
+		moved.Parent = tail
+	}
+	for _, succ := range tail.Successors() {
+		for _, phi := range succ.Phis() {
+			for i, from := range phi.Blocks {
+				if from == head {
+					phi.Blocks[i] = tail
+				}
+			}
+		}
+	}
+	return tail
+}
+
 // Publish stores v, flattened to raw bits, into slot's cell at Bld's
 // insertion point.
 func (b *Body) Publish(slot *env.Slot, v ir.Value) {

@@ -21,7 +21,7 @@ func EmitTripCount(bld *ir.Builder, giv *loops.IV) (ir.Value, error) {
 	step := *giv.StepConst
 	// Normalize the compare so the IV is conceptually the first operand.
 	cmpOp := giv.ExitCmp.Opcode
-	if !inIVSCC(giv, giv.ExitCmp.Ops[0]) {
+	if !giv.InCycle(giv.ExitCmp.Ops[0]) {
 		cmpOp, _ = cmpOp.SwappedCompare()
 	}
 	span := bld.CreateBinOp(ir.OpSub, giv.ExitBound, giv.Start, "tc.span")
@@ -46,17 +46,4 @@ func EmitTripCount(bld *ir.Builder, giv *loops.IV) (ir.Value, error) {
 	}
 	neg := bld.CreateCmp(ir.OpLt, tc, ir.ConstInt(0), "")
 	return bld.CreateSelect(neg, ir.ConstInt(0), tc, "tcc"), nil
-}
-
-func inIVSCC(iv *loops.IV, v ir.Value) bool {
-	in, ok := v.(*ir.Instr)
-	if !ok {
-		return false
-	}
-	for _, x := range iv.SCC {
-		if x == in {
-			return true
-		}
-	}
-	return false
 }

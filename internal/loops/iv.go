@@ -60,16 +60,27 @@ func (a *IVAnalysis) GoverningIV() *IV {
 // IVForPhi returns the IV carried by phi, or nil.
 func (a *IVAnalysis) IVForPhi(phi *ir.Instr) *IV { return a.byPhi[phi] }
 
-// InIVCycle reports whether in belongs to any IV's update SCC.
-func (a *IVAnalysis) InIVCycle(in *ir.Instr) bool {
-	for _, iv := range a.IVs {
-		for _, x := range iv.SCC {
-			if x == in {
-				return true
-			}
+// InCycle reports whether v is an instruction of the IV's update cycle:
+// the one spelling of that question for the code generators, which ask it
+// of exit-compare operands, of live-outs and of values a pipeline stage
+// may recompute.
+func (iv *IV) InCycle(v ir.Value) bool {
+	for _, x := range iv.SCC {
+		if ir.Value(x) == v {
+			return true
 		}
 	}
 	return false
+}
+
+// CycleOf returns the IV whose update cycle contains v, or nil.
+func (a *IVAnalysis) CycleOf(v ir.Value) *IV {
+	for _, iv := range a.IVs {
+		if iv.InCycle(v) {
+			return iv
+		}
+	}
+	return nil
 }
 
 // NewIVAnalysis detects the induction variables of ls. inv may be nil;

@@ -4,9 +4,9 @@
 // order HELIX sequential segments across iterations. One Runtime is
 // attached to each interpreter image; the transformed IR reaches it
 // through the noelle_queue_* / noelle_signal_* externs (internal/interp
-// registers them, and its compiled tier calls Push/Pop/Wait/Fire directly
-// from first-class ops), addressing queues and signals by the integer
-// handles returned at creation time.
+// registers them, and its compiled tier calls Push/Pop/PushN/PopN/Wait/
+// Fire directly from first-class ops), addressing queues and signals by
+// the integer handles returned at creation time.
 //
 // Blocking discipline: operations issued by parallel dispatch workers
 // block (a full queue exerts backpressure on its producer, an empty one
@@ -30,7 +30,22 @@
 // ring is allocated on first use and doubles when a push finds it full
 // below the backpressure bound (always, for non-blocking pushes): growth
 // copies the live elements into a new ring and swaps one atomic pointer,
-// which a concurrent consumer picks up on its next pop. Handles resolve
+// which a concurrent consumer picks up on its next pop.
+//
+// PushN and PopN move a slice of values as if by that many pushes or pops
+// — one FIFO whichever form moved a value, the same errors, the same
+// counts in Stats — for the cost of one: one lock round, one copy (two
+// when the run wraps the ring) and one index publication per piece. A
+// blocking PushN waits until the queue has room for its whole piece, so
+// the consumer sees a chunk arrive at once rather than trickle in, and
+// cuts a slice longer than the capacity into capacity-sized pieces, so
+// any capacity down to 1 moves any slice. A non-blocking PushN is one
+// piece and grows the ring as many doublings as it takes. A PopN takes
+// whatever is there and waits only while the queue is empty, until its
+// slice is full; it comes back short only from a queue that was closed
+// and ran dry, which is how the last, partial chunk of a DSWP stream
+// ends. The lowered pipelines move staging buffers with them, once per
+// chunk of iterations instead of once per value. Handles resolve
 // through snapshots of the creation-ordered tables behind atomic
 // pointers, and the abort flag is one more atomic pointer, so the lookup
 // in front of every operation takes no lock either. The locks stay
@@ -387,7 +402,7 @@ func (rt *Runtime) Push(id int64, v uint64, block bool) error {
 	r := q.ring.Load()
 	if r == nil || p.tail-p.headCache > r.mask {
 		if q.refreshHead(); r == nil || p.tail-p.headCache > r.mask {
-			r = q.grow(r)
+			r = q.grow(r, 0)
 		}
 	}
 	r.data[p.tail&r.mask] = v
@@ -412,14 +427,17 @@ func (q *Queue) refreshHead() uint64 {
 	return depth
 }
 
-// grow replaces a full (or absent) ring with one twice the size, carrying
-// over the live elements. A consumer still holding the old ring reads
-// slots this never writes again. Caller holds prod.mu and has just
-// refreshed headCache.
-func (q *Queue) grow(old *ring) *ring {
+// grow replaces a full (or absent) ring with the next power of two that
+// holds need elements (at least twice the old size), carrying over the live
+// ones. A consumer still holding the old ring reads slots this never writes
+// again. Caller holds prod.mu and has just refreshed headCache.
+func (q *Queue) grow(old *ring, need uint64) *ring {
 	n := uint64(minRing)
 	if old != nil {
 		n = 2 * uint64(len(old.data))
+	}
+	for n < need {
+		n *= 2
 	}
 	r := &ring{data: make([]uint64, n), mask: n - 1}
 	for i := q.prod.headCache; i != q.prod.tail; i++ {
@@ -427,6 +445,62 @@ func (q *Queue) grow(old *ring) *ring {
 	}
 	q.ring.Store(r)
 	return r
+}
+
+// PushN appends vs to queue id, in order, as if by len(vs) pushes, but
+// with one wait, one copy and one index publication per piece. A
+// non-blocking push is one piece. A blocking push cuts vs into pieces of at
+// most the capacity and waits until the queue has room for the whole of the
+// next piece, so a slice longer than the capacity still goes through, one
+// capacity-full at a time. Pushing to a closed queue is an error; values of
+// earlier pieces stay pushed.
+func (rt *Runtime) PushN(id int64, vs []uint64, block bool) error {
+	q, err := rt.queue(id)
+	if err != nil {
+		return err
+	}
+	p := &q.prod
+	for len(vs) > 0 {
+		n := uint64(len(vs))
+		if block && n > q.cap {
+			n = q.cap
+		}
+		p.mu.Lock()
+		for {
+			if q.closed.Load() {
+				p.mu.Unlock()
+				return fmt.Errorf("queue %d: push: %w", id, ErrClosed)
+			}
+			if !block || p.tail-p.headCache+n <= q.cap || q.refreshHead()+n <= q.cap {
+				break
+			}
+			p.mu.Unlock()
+			q.park.await(0, &rt.pushParks, &rt.pushParkNS, func() bool {
+				return q.tail.Load()-q.head.Load()+n <= q.cap || q.closed.Load() || rt.aborted.Load() != nil
+			})
+			if err := rt.abortErr(); err != nil {
+				return err
+			}
+			p.mu.Lock()
+		}
+		r := q.ring.Load()
+		if r == nil || p.tail-p.headCache+n > uint64(len(r.data)) {
+			if depth := q.refreshHead(); r == nil || depth+n > uint64(len(r.data)) {
+				r = q.grow(r, depth+n)
+			}
+		}
+		at := p.tail & r.mask
+		copy(r.data[at:], vs[:n])
+		if room := uint64(len(r.data)) - at; room < n {
+			copy(r.data, vs[room:n]) // the piece wraps
+		}
+		p.tail += n
+		q.tail.Store(p.tail)
+		p.mu.Unlock()
+		q.park.wake()
+		vs = vs[n:]
+	}
+	return nil
 }
 
 // Pop removes the oldest value of queue id. Blocking pops wait while the
@@ -479,6 +553,62 @@ func (rt *Runtime) Pop(id int64, block bool) (uint64, error) {
 	c.mu.Unlock()
 	q.park.wake()
 	return v, nil
+}
+
+// PopN removes the oldest values of queue id into dst, in order, as if by
+// len(dst) pops, but taking everything that is there with one copy and one
+// index publication, and waiting only while the queue is empty. It returns
+// how many values it wrote: fewer than len(dst) only when the queue was
+// closed and ran dry first, which is ErrClosed when that left nothing at
+// all. A non-blocking pop that runs dry before the close is the same
+// deterministic error as Pop's.
+func (rt *Runtime) PopN(id int64, dst []uint64, block bool) (int, error) {
+	q, err := rt.queue(id)
+	if err != nil {
+		return 0, err
+	}
+	c := &q.cons
+	got := 0
+	for got < len(dst) {
+		c.mu.Lock()
+		if c.head == c.tailCache {
+			closed := q.closed.Load() // before tail: see Pop
+			c.tailCache = q.tail.Load()
+			if c.head == c.tailCache {
+				c.mu.Unlock()
+				switch {
+				case closed && got > 0:
+					return got, nil
+				case closed:
+					return 0, fmt.Errorf("queue %d: pop: %w", id, ErrClosed)
+				case !block:
+					return got, fmt.Errorf("queue %d: pop from empty queue in sequential execution", id)
+				}
+				q.park.await(0, &rt.popParks, &rt.popParkNS, func() bool {
+					return q.head.Load() != q.tail.Load() || q.closed.Load() || rt.aborted.Load() != nil
+				})
+				if err := rt.abortErr(); err != nil {
+					return got, err
+				}
+				continue
+			}
+		}
+		n := min(c.tailCache-c.head, uint64(len(dst)-got))
+		r := q.ring.Load() // after the tail that covers these: see Pop
+		at := c.head & r.mask
+		if copy(dst[got:got+int(n)], r.data[at:]) < int(n) {
+			copy(dst[got+len(r.data)-int(at):got+int(n)], r.data) // the run wraps
+		}
+		c.head += n
+		q.head.Store(c.head)
+		if c.head == c.tailCache && q.closed.Load() && c.head == q.tail.Load() {
+			q.ring.Store(nil) // closed and drained: see Pop
+		}
+		c.mu.Unlock()
+		q.park.wake()
+		got += int(n)
+	}
+	return got, nil
 }
 
 // Close marks queue id closed: subsequent pushes fail, and pops drain the

@@ -163,16 +163,3 @@ func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 	o.Finish(finals)
 	return nil
 }
-
-func operandInSCC(iv *loops.IV, v ir.Value) bool {
-	in, ok := v.(*ir.Instr)
-	if !ok {
-		return false
-	}
-	for _, x := range iv.SCC {
-		if x == in {
-			return true
-		}
-	}
-	return false
-}

@@ -59,7 +59,7 @@ func buildTaskBody(l *loops.Loop, task *env.Task, tc ir.Value, redBase, cores in
 	// cloned counterpart of whichever SCC value it tested.
 	tested := giv.Phi
 	for _, cop := range giv.ExitCmp.Ops {
-		if operandInSCC(giv, cop) {
+		if giv.InCycle(cop) {
 			tested = cop.(*ir.Instr)
 		}
 	}

@@ -2,14 +2,18 @@
 // tool (paper Section 3): it distributes the SCCs of a loop's aSCCDAG
 // across cores so that all instances of a given SCC stay on one core,
 // creating unidirectional pipeline communication. Stages are formed by
-// greedily packing SCCs in dependence order while balancing their
-// profile-weighted cost.
+// greedily packing SCCs in dependence order while balancing their static
+// cost: the cost model's cycles of each SCC's instructions, one execution
+// each — the profile decides which loops are hot enough to plan, not
+// where a loop is cut.
 //
 // Beyond planning, the tool can lower a plan to executable form
 // (taskgen.go): each stage becomes a worker function running its own
-// copy of the loop control, stages exchange cross-stage SSA values over
-// the bounded queues of the internal/queue runtime, and a
-// noelle_dispatch call runs the stages concurrently on real cores.
+// copy of the loop control; a cross-stage SSA value the reading stage can
+// compute from what it has is recomputed there, the others travel over
+// the bounded queues of the internal/queue runtime a chunk of iterations
+// per queue operation; and a noelle_dispatch call runs the stages
+// concurrently on real cores.
 package dswp
 
 import (

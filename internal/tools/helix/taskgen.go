@@ -272,18 +272,6 @@ func (p *Plan) phases() *phasing {
 	return ph
 }
 
-// ivSCCOf returns the IV whose update cycle contains in, or nil.
-func ivSCCOf(l *loops.Loop, in *ir.Instr) *loops.IV {
-	for _, iv := range l.IVs.IVs {
-		for _, x := range iv.SCC {
-			if x == in {
-				return iv
-			}
-		}
-	}
-	return nil
-}
-
 // carriedPhi reports whether phi is segment-carried state (a non-IV
 // header phi the lowering routes through a guarded cell).
 func carriedPhi(p *Plan, phi *ir.Instr) bool {
@@ -392,7 +380,7 @@ func CanLower(p *Plan) error {
 	}
 	// Live-outs: affine IV state, carried cells, last-value cells.
 	for _, out := range l.LiveOut {
-		iv := ivSCCOf(l, out)
+		iv := l.IVs.CycleOf(out)
 		switch {
 		case iv != nil && out != iv.Phi && ir.Value(out) != ls.LatchIncoming(iv.Phi):
 			// Only the phi and the full update feeding it equal
@@ -473,7 +461,7 @@ func transform(p *Plan, taskName string) error {
 	// ---- live-out reconstruction ----
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
-		if iv := ivSCCOf(l, out); iv != nil {
+		if iv := l.IVs.CycleOf(out); iv != nil {
 			finals[out] = o.IVFinal(iv, tc)
 			continue
 		}

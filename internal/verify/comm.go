@@ -13,9 +13,21 @@ package verify
 //
 //   - every queue is SPSC: exactly one producing stage and one consuming
 //     stage, and the value flows forward through the pipeline;
-//   - pushes and pops execute exactly once per loop iteration (inside
-//     the stage loop, dominating its latch), so the queues stay balanced
-//     along every path through a stage body;
+//   - every communicating stage counts its position in the current chunk
+//     in a header phi of the stage loop that runs 0..K-1 and wraps, with
+//     one block that runs only on a chunk's first iteration and one that
+//     runs only on its last;
+//   - a value queue moves in bulk: the producer stores into a staging
+//     buffer of K cells, at the counted position, exactly once per
+//     iteration, pushes the buffer with one push_n of K in the
+//     last-iteration block, and pushes what is staged of an unfinished
+//     chunk with one push_n after the loop, before the close; the consumer
+//     refills a buffer of K cells with one pop_n of the same K in the
+//     first-iteration block and loads from it, at the counted position,
+//     exactly once per iteration;
+//   - a token queue carries one token per chunk: pushed where the value
+//     queues are pushed (and once for an unfinished chunk), popped where
+//     they are popped;
 //   - each queue is closed exactly once, by its producer, after the
 //     loop; no operation on a queue is reachable after its close;
 //   - HELIX wait(w)/fire(w+1) brackets: one wait and one fire per
@@ -63,6 +75,9 @@ const (
 	// MDMemDeps lists the plan's cross-stage memory dependences on the
 	// DSWP wrapper as "from>to" pairs, comma-separated ("" when none).
 	MDMemDeps = "noelle.memdeps"
+	// MDChunk is, on the DSWP wrapper, the iterations one bulk queue
+	// operation of the pipeline moves.
+	MDChunk = "noelle.chunk"
 	// MDQueue marks a noelle_queue_create call as QueueToken or
 	// QueueValue.
 	MDQueue = "noelle.queue"
@@ -245,6 +260,10 @@ type taskOps struct {
 	ops map[int64][]*commOp
 	dom *analysis.DomTree
 	li  *analysis.LoopInfo
+	// chunks is the stage's chunk structure (DSWP stages only), derived
+	// on first use; nil when the IR has none.
+	chunks     *chunking
+	chunksDone bool
 }
 
 // scanTask resolves fn's communication calls to environment slots. A
@@ -294,8 +313,8 @@ func scanTask(fn *ir.Function) *taskOps {
 
 func isCommExtern(name string) bool {
 	switch name {
-	case interp.ExternQueuePush, interp.ExternQueuePop, interp.ExternQueueClose,
-		interp.ExternSignalWait, interp.ExternSignalFire:
+	case interp.ExternQueuePush, interp.ExternQueuePop, interp.ExternQueuePushN, interp.ExternQueuePopN,
+		interp.ExternQueueClose, interp.ExternSignalWait, interp.ExternSignalFire:
 		return true
 	}
 	return false
@@ -316,12 +335,12 @@ func (t *taskOps) loops() *analysis.LoopInfo {
 }
 
 // oncePerIteration reports whether in executes exactly once per
-// iteration of its enclosing loop: inside a loop, in a block dominating
-// every latch. This is the balance condition — a push or pop placed here
-// keeps its queue balanced along every path through the stage body.
-func (t *taskOps) oncePerIteration(in *ir.Instr) bool {
-	l := t.loops().LoopOf(in.Parent)
-	if l == nil {
+// iteration of loop l: in one of l's own blocks (not in a loop nested in
+// it), dominating every latch. This is the balance condition — a staging
+// access placed here happens once along every path through the stage
+// body.
+func (t *taskOps) oncePerIteration(in *ir.Instr, l *analysis.NaturalLoop) bool {
+	if t.loops().LoopOf(in.Parent) != l {
 		return false
 	}
 	for _, latch := range l.Latches {
@@ -330,6 +349,116 @@ func (t *taskOps) oncePerIteration(in *ir.Instr) bool {
 		}
 	}
 	return true
+}
+
+// chunking is a DSWP stage's chunk structure, re-derived from its IR.
+type chunking struct {
+	// pos counts the iterations of the current chunk: a phi in the header
+	// of loop, 0 on entry, and around the back edge pos+1 or, once that
+	// equals k, 0 again.
+	pos  *ir.Instr
+	loop *analysis.NaturalLoop
+	k    int64
+	// begin is entered from a test pos == 0 and nowhere else, end from the
+	// test pos+1 == k that wraps the counter: they run once per chunk, on
+	// its first and on its last iteration. begin is nil in a stage that
+	// receives nothing.
+	begin, end *ir.Block
+}
+
+func isConstInt(v ir.Value, want int64) bool {
+	c, ok := v.(*ir.Const)
+	return ok && c.Int == want
+}
+
+// chunking finds the stage's position counter and the blocks hanging off
+// its tests.
+func (t *taskOps) chunking() *chunking {
+	if t.chunksDone {
+		return t.chunks
+	}
+	t.chunksDone = true
+	t.fn.Instrs(func(phi *ir.Instr) bool {
+		t.chunks = t.counterAt(phi)
+		return t.chunks == nil
+	})
+	if c := t.chunks; c != nil {
+		for b := range c.loop.Blocks {
+			preds := b.Preds()
+			if len(preds) != 1 {
+				continue
+			}
+			guard := preds[0].Terminator()
+			if guard.Opcode != ir.OpCondBr || guard.Blocks[0] != b {
+				continue
+			}
+			first, _ := guard.Ops[0].(*ir.Instr)
+			if first != nil && first.Opcode == ir.OpEq && first.Ops[0] == ir.Value(c.pos) && isConstInt(first.Ops[1], 0) {
+				c.begin = b
+			}
+		}
+	}
+	return t.chunks
+}
+
+// counterAt matches phi against the position counter's shape.
+func (t *taskOps) counterAt(phi *ir.Instr) *chunking {
+	l := t.loops().LoopOf(phi.Parent)
+	if phi.Opcode != ir.OpPhi || len(phi.Ops) != 2 || l == nil || l.Header != phi.Parent {
+		return nil
+	}
+	var wrap *ir.Instr
+	for i, from := range phi.Blocks {
+		if l.Contains(from) {
+			wrap, _ = phi.Ops[i].(*ir.Instr)
+		} else if !isConstInt(phi.Ops[i], 0) {
+			return nil
+		}
+	}
+	if wrap == nil || wrap.Opcode != ir.OpPhi || len(wrap.Ops) != 2 {
+		return nil
+	}
+	var next ir.Value
+	var stay, end *ir.Block
+	for i, v := range wrap.Ops {
+		if isConstInt(v, 0) {
+			end = wrap.Blocks[i]
+		} else if isPlusOne(v, phi) {
+			next, stay = v, wrap.Blocks[i]
+		}
+	}
+	if next == nil || end == nil {
+		return nil
+	}
+	guard := stay.Terminator()
+	if guard == nil || guard.Opcode != ir.OpCondBr || guard.Blocks[0] != end || guard.Blocks[1] != wrap.Parent {
+		return nil
+	}
+	full, _ := guard.Ops[0].(*ir.Instr)
+	if full == nil || full.Opcode != ir.OpEq || full.Ops[0] != next {
+		return nil
+	}
+	k, ok := full.Ops[1].(*ir.Const)
+	if !ok || k.Int < 1 || len(end.Preds()) != 1 {
+		return nil
+	}
+	return &chunking{pos: phi, loop: l, k: k.Int, end: end}
+}
+
+// staging finds the accesses with opcode op (load or store) to cells of
+// buf: their address is ptradd(buf, index).
+func (t *taskOps) staging(buf ir.Value, op ir.Op) []*ir.Instr {
+	var out []*ir.Instr
+	t.fn.Instrs(func(in *ir.Instr) bool {
+		if in.Opcode == op {
+			addr, _ := in.Ops[len(in.Ops)-1].(*ir.Instr)
+			if addr != nil && addr.Opcode == ir.OpPtrAdd && addr.Ops[0] == buf {
+				out = append(out, in)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // outsideLoops reports whether in sits outside every loop of its task.
@@ -367,9 +496,9 @@ func reachableAfter(from *ir.Instr, others []*commOp) []*commOp {
 
 func opVerb(extern string) string {
 	switch extern {
-	case interp.ExternQueuePush:
+	case interp.ExternQueuePush, interp.ExternQueuePushN:
 		return "push"
-	case interp.ExternQueuePop:
+	case interp.ExternQueuePop, interp.ExternQueuePopN:
 		return "pop"
 	case interp.ExternQueueClose:
 		return "close"
@@ -381,9 +510,9 @@ func opVerb(extern string) string {
 	return extern
 }
 
-// lintDSWP checks one pipeline family: SPSC queue discipline,
-// per-iteration balance, the close protocol, and token coverage of the
-// plan's cross-stage memory dependences.
+// lintDSWP checks one pipeline family: SPSC queue discipline, the chunked
+// transfer protocol, the close protocol, and token coverage of the plan's
+// cross-stage memory dependences.
 func lintDSWP(fam *family) []Finding {
 	var fs []Finding
 	find := func(fn, format string, args ...interface{}) {
@@ -415,6 +544,11 @@ func lintDSWP(fam *family) []Finding {
 	for s := 0; s < n; s++ {
 		scans[s] = scanTask(fam.stages[s])
 	}
+	chunk, err := strconv.ParseInt(w.MD.Get(MDChunk), 10, 64)
+	if err != nil || chunk < 1 {
+		find(w.Nam, "dswp wrapper has invalid %s=%q", MDChunk, w.MD.Get(MDChunk))
+		return fs
+	}
 
 	// tokenLinks[s] is set when a verified token queue orders stage s
 	// before stage s+1 — the happens-before the memory-dependence
@@ -433,9 +567,9 @@ func lintDSWP(fam *family) []Finding {
 			for _, o := range scans[s].ops[q.slot] {
 				so := stagedOp{stage: s, op: o}
 				switch o.name {
-				case interp.ExternQueuePush:
+				case interp.ExternQueuePush, interp.ExternQueuePushN:
 					pushes = append(pushes, so)
-				case interp.ExternQueuePop:
+				case interp.ExternQueuePop, interp.ExternQueuePopN:
 					pops = append(pops, so)
 				case interp.ExternQueueClose:
 					closes = append(closes, so)
@@ -479,23 +613,10 @@ func lintDSWP(fam *family) []Finding {
 				q.slot, prod, cons)
 		}
 
-		// Balance: exactly one push and one pop, each once per iteration.
-		if len(pushes) != 1 {
-			find(fam.stages[prod].Nam, "stage %d pushes %s queue (slot %d) %d times per iteration (want exactly once)",
-				prod, q.role, q.slot, len(pushes))
-			linkOK = false
-		} else if !scans[prod].oncePerIteration(pushes[0].op.instr) {
-			find(fam.stages[prod].Nam, "push of %s queue (slot %d) does not execute exactly once per iteration",
-				q.role, q.slot)
-			linkOK = false
-		}
-		if len(pops) != 1 {
-			find(fam.stages[cons].Nam, "stage %d pops %s queue (slot %d) %d times per iteration (want exactly once)",
-				cons, q.role, q.slot, len(pops))
-			linkOK = false
-		} else if !scans[cons].oncePerIteration(pops[0].op.instr) {
-			find(fam.stages[cons].Nam, "pop of %s queue (slot %d) does not execute exactly once per iteration",
-				q.role, q.slot)
+		// One transfer per chunk on each side, plus the producer's short
+		// last one; a value queue moves staged buffers, a token queue one
+		// token.
+		if !lintChunked(find, fam, q, chunk, scans[prod], scans[cons], prod, cons, pushes, pops) {
 			linkOK = false
 		}
 
@@ -555,6 +676,114 @@ func lintDSWP(fam *family) []Finding {
 		}
 	}
 	return fs
+}
+
+// lintChunked checks queue q's transfers against the chunk structure of
+// its two stages and reports whether they hold up.
+func lintChunked(find func(fn, format string, args ...interface{}), fam *family, q *channel, chunk int64,
+	ps, cs *taskOps, prod, cons int, pushes, pops []stagedOp) bool {
+	pfn, cfn := fam.stages[prod].Nam, fam.stages[cons].Nam
+	ok := true
+	bad := func(fn, format string, args ...interface{}) {
+		find(fn, format, args...)
+		ok = false
+	}
+	wantPush, wantPop := interp.ExternQueuePushN, interp.ExternQueuePopN
+	if q.role == QueueToken {
+		wantPush, wantPop = interp.ExternQueuePush, interp.ExternQueuePop
+	}
+	for _, o := range append(append([]stagedOp{}, pushes...), pops...) {
+		if o.op.name != wantPush && o.op.name != wantPop {
+			bad(fam.stages[o.stage].Nam, "%s queue (slot %d) is moved by @%s in stage %d (want @%s and @%s)",
+				q.role, q.slot, o.op.name, o.stage, wantPush, wantPop)
+		}
+	}
+	pc, cc := ps.chunking(), cs.chunking()
+	if pc == nil {
+		bad(pfn, "stage %d has no chunk position counter (a header phi counting 0..K-1 and wrapping)", prod)
+	}
+	if cc == nil {
+		bad(cfn, "stage %d has no chunk position counter (a header phi counting 0..K-1 and wrapping)", cons)
+	}
+	if !ok {
+		return false
+	}
+
+	var perChunk, tail []*commOp
+	for _, p := range pushes {
+		if ps.outsideLoops(p.op.instr) {
+			tail = append(tail, p.op)
+		} else {
+			perChunk = append(perChunk, p.op)
+		}
+	}
+	if len(perChunk) != 1 {
+		bad(pfn, "stage %d pushes %s queue (slot %d) %d times per chunk (want exactly once)", prod, q.role, q.slot, len(perChunk))
+	} else if perChunk[0].instr.Parent != pc.end {
+		bad(pfn, "push of %s queue (slot %d) does not execute exactly once per chunk", q.role, q.slot)
+	}
+	switch {
+	case len(tail) == 0:
+		bad(pfn, "tail chunk of %s queue (slot %d) is never pushed (want one push after the loop, before the close)", q.role, q.slot)
+	case len(tail) > 1:
+		bad(pfn, "tail chunk of %s queue (slot %d) is pushed %d times after the loop", q.role, q.slot, len(tail))
+	}
+	if len(pops) != 1 {
+		bad(cfn, "stage %d pops %s queue (slot %d) %d times per chunk (want exactly once)", cons, q.role, q.slot, len(pops))
+	} else if pops[0].op.instr.Parent != cc.begin {
+		bad(cfn, "pop of %s queue (slot %d) does not execute exactly once per chunk", q.role, q.slot)
+	}
+	if !ok || q.role != QueueValue {
+		return ok
+	}
+
+	push, last, pop := perChunk[0].instr.CallArgs(), tail[0].instr.CallArgs(), pops[0].op.instr.CallArgs()
+	pushK, popK := bulkCount(push), bulkCount(pop)
+	switch {
+	case pushK != popK:
+		bad(fam.wrapper.Nam, "chunk-size mismatch on value queue (slot %d): stage %d pushes %d values per chunk, stage %d pops %d",
+			q.slot, prod, pushK, cons, popK)
+	case pushK != chunk || pc.k != chunk || cc.k != chunk:
+		bad(fam.wrapper.Nam, "value queue (slot %d) moves %d values per chunk between counters wrapping at %d and %d, the pipeline's chunk is %d",
+			q.slot, pushK, pc.k, cc.k, chunk)
+	}
+	if last[1] != push[1] || last[2] != ir.Value(pc.pos) {
+		bad(pfn, "tail push of value queue (slot %d) does not push the staged part of its buffer", q.slot)
+	}
+	lintStaging(bad, q, ps, pc, prod, push[1], ir.OpStore, "store")
+	lintStaging(bad, q, cs, cc, cons, pop[1], ir.OpLoad, "load")
+	return ok
+}
+
+// bulkCount is the constant count of a push_n or pop_n, -1 when it is not
+// a constant.
+func bulkCount(args []ir.Value) int64 {
+	if c, ok := args[2].(*ir.Const); ok {
+		return c.Int
+	}
+	return -1
+}
+
+// lintStaging checks one end of a value queue: a buffer of the chunk's
+// size, accessed at the counted position exactly once per iteration.
+func lintStaging(bad func(fn, format string, args ...interface{}), q *channel, t *taskOps, c *chunking, stage int,
+	buf ir.Value, op ir.Op, verb string) {
+	if a, _ := buf.(*ir.Instr); a == nil || a.Opcode != ir.OpAlloca || int64(a.AllocaCount) != c.k {
+		bad(t.fn.Nam, "staging buffer of value queue (slot %d) in stage %d is not a stage-local buffer of %d cells", q.slot, stage, c.k)
+		return
+	}
+	accesses := t.staging(buf, op)
+	if len(accesses) != 1 {
+		bad(t.fn.Nam, "stage %d has %d staging %ss for value queue (slot %d) (want exactly one)", stage, len(accesses), verb, q.slot)
+		return
+	}
+	in := accesses[0]
+	if !t.oncePerIteration(in, c.loop) {
+		bad(t.fn.Nam, "staging %s of value queue (slot %d) does not execute exactly once per iteration", verb, q.slot)
+	}
+	if addr := in.Ops[len(in.Ops)-1].(*ir.Instr); addr.Ops[1] != ir.Value(c.pos) {
+		bad(t.fn.Nam, "staging %s of value queue (slot %d) is not at the chunk position", verb, q.slot)
+	}
 }
 
 // stagedOp is a communication operation tagged with the pipeline stage
@@ -680,7 +909,7 @@ func lintHELIX(fam *family) []Finding {
 		if args := wait.instr.CallArgs(); len(args) == 2 && args[1] != worker {
 			find(task.Nam, "wait ticket of segment %d signal is not the worker index", s)
 		}
-		if args := fire.instr.CallArgs(); len(args) == 2 && !isWorkerPlusOne(args[1], worker) {
+		if args := fire.instr.CallArgs(); len(args) == 2 && !isPlusOne(args[1], worker) {
 			find(task.Nam, "fire ticket of segment %d signal is not worker+1", s)
 		}
 		if !scan.domTree().DominatesInstr(wait.instr, fire.instr) {
@@ -736,14 +965,15 @@ func lintHELIX(fam *family) []Finding {
 	return fs
 }
 
-// isWorkerPlusOne matches the fire-ticket shape: add(worker, 1).
-func isWorkerPlusOne(v ir.Value, worker ir.Value) bool {
+// isPlusOne matches add(x, 1): the fire ticket over the worker index, the
+// chunk position's successor.
+func isPlusOne(v ir.Value, x ir.Value) bool {
 	in, ok := v.(*ir.Instr)
 	if !ok || in.Opcode != ir.OpAdd || len(in.Ops) != 2 {
 		return false
 	}
 	for i, op := range in.Ops {
-		if op != worker {
+		if op != x {
 			continue
 		}
 		if c, ok := in.Ops[1-i].(*ir.Const); ok && c.Int == 1 {

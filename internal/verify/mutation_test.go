@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"noelle/internal/bench"
 	"noelle/internal/core"
+	"noelle/internal/fuzz"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/minic"
@@ -28,13 +30,15 @@ import (
 )
 
 // pipelineSrc is a DSWP-lowerable loop: an Independent chain that ends in
-// a store to c[i], feeding a Sequential accumulator that loads c[i] back.
-// The planner cuts between the two, so the lowering has a cross-stage
-// memory dependence (recorded as noelle.memdeps="0>1"), the token queue
-// that orders it, and a value queue.
+// a store to c[i], feeding a Sequential accumulator that loads c[i] back
+// and a store of acc + x. The planner cuts between the two, so the
+// lowering has a cross-stage memory dependence (recorded as
+// noelle.memdeps="0>1"), the token queue that orders it, and a value
+// queue for x (the addresses are recomputed where they are used).
 const pipelineSrc = `
 int b[96];
 int c[96];
+int d[96];
 int main() {
   int i;
   for (i = 0; i < 96; i = i + 1) { b[i] = i * 7 + 3; }
@@ -46,9 +50,10 @@ int main() {
     x = x * x + 13;
     c[i] = x;
     acc = (acc + c[i]) % 9973;
+    d[i] = acc + x;
   }
   print_i64(acc);
-  return acc % 251;
+  return (acc + d[95]) % 251;
 }`
 
 // carriedSrc is a HELIX-lowerable loop: an order-sensitive recurrence
@@ -77,9 +82,14 @@ func lowerDSWP(t *testing.T) *ir.Module {
 		t.Fatalf("compile: %v", err)
 	}
 	passes.Optimize(m)
+	return lowerDSWPModule(t, m, 2)
+}
+
+func lowerDSWPModule(t *testing.T, m *ir.Module, cores int) *ir.Module {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
-	opts.Cores = 2
+	opts.Cores = cores
 	n := core.New(m, opts)
 	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "dswp")
 	if err != nil || res.Lowered() == 0 {
@@ -135,137 +145,79 @@ func mustFlag(t *testing.T, m *ir.Module, want string) {
 	t.Fatalf("linter did not name %q; findings:\n%v", want, res.Err())
 }
 
-// stageFn finds the stage-idx function of the first DSWP family in m.
-func stageFn(t *testing.T, m *ir.Module, idx int) *ir.Function {
-	t.Helper()
-	family := ""
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPWrapper {
-			family = f.MD.Get(verify.MDFamily)
-			break
-		}
-	}
-	if family == "" {
-		t.Fatal("no dswp wrapper in lowered module")
-	}
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPStage &&
-			f.MD.Get(verify.MDFamily) == family &&
-			f.MD.Get(verify.MDStage) == strconv.Itoa(idx) {
-			return f
-		}
-	}
-	t.Fatalf("family %q has no stage %d", family, idx)
-	return nil
-}
-
-func wrapperFn(t *testing.T, m *ir.Module) *ir.Function {
-	t.Helper()
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPWrapper {
-			return f
-		}
-	}
-	t.Fatal("no dswp wrapper in lowered module")
-	return nil
-}
-
-// findCall returns the first call to the named extern in f satisfying
-// pred (nil pred accepts all).
-func findCall(f *ir.Function, extern string, pred func(*ir.Instr) bool) *ir.Instr {
+// findCall returns the first call to the named extern in f.
+func findCall(f *ir.Function, extern string) *ir.Instr {
 	var found *ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		if in.Opcode != ir.OpCall {
-			return true
+		if callee := in.CalledFunction(); in.Opcode == ir.OpCall && callee != nil && callee.Nam == extern {
+			found = in
 		}
-		callee := in.CalledFunction()
-		if callee == nil || callee.Nam != extern {
-			return true
-		}
-		if pred != nil && !pred(in) {
-			return true
-		}
-		found = in
-		return false
+		return found == nil
 	})
 	return found
 }
 
-// isTokenPush matches the token-queue push: the only push whose payload
-// is the constant 1.
-func isTokenPush(in *ir.Instr) bool {
-	args := in.CallArgs()
-	if len(args) != 2 {
-		return false
-	}
-	c, ok := args[1].(*ir.Const)
-	return ok && c.Int == 1
-}
-
-func TestMutationDroppedTokenPush(t *testing.T) {
+// seedDSWP lowers pipelineSrc, seeds the named miscompile of the table
+// the fuzz inject leg and corpus share, and requires the comm tier to say
+// everything the table wants said about it.
+func seedDSWP(t *testing.T, name string) {
+	t.Helper()
 	m := lowerDSWP(t)
 	mustBeCommClean(t, m)
-	if got := wrapperFn(t, m).MD.Get(verify.MDMemDeps); got != "0>1" {
-		t.Fatalf("lowering recorded memdeps %q, want the store->load dependence 0>1", got)
+	for _, mc := range fuzz.DSWPMiscompiles() {
+		if mc.Name != name {
+			continue
+		}
+		if !mc.Apply(m) {
+			t.Fatalf("the lowering has no site for %s:\n%s", name, ir.Print(m))
+		}
+		for _, want := range mc.Want {
+			mustFlag(t, m, want)
+		}
+		return
 	}
-
-	push := findCall(stageFn(t, m, 0), interp.ExternQueuePush, isTokenPush)
-	if push == nil {
-		t.Fatal("stage 0 has no token push")
-	}
-	push.Parent.Remove(push)
-	mustFlag(t, m, "but never pushed")
-	mustFlag(t, m, "not covered by the token chain (missing token link 0>1)")
+	t.Fatalf("no miscompile named %s", name)
 }
 
-func TestMutationDoubleClose(t *testing.T) {
-	m := lowerDSWP(t)
-	mustBeCommClean(t, m)
-	cl := findCall(stageFn(t, m, 0), interp.ExternQueueClose, nil)
-	if cl == nil {
-		t.Fatal("stage 0 closes nothing")
-	}
-	dup := &ir.Instr{Opcode: ir.OpCall, Ty: cl.Ty, Ops: append([]ir.Value{}, cl.Ops...)}
-	cl.Parent.InsertAfter(dup, cl)
-	mustFlag(t, m, "(double close)")
+func TestMutationDroppedTokenPush(t *testing.T)     { seedDSWP(t, "dropped_token_push") }
+func TestMutationDoubleClose(t *testing.T)          { seedDSWP(t, "double_close") }
+func TestMutationPushHoistedOutOfLoop(t *testing.T) { seedDSWP(t, "push_hoisted_out_of_loop") }
+func TestMutationRetargetedPop(t *testing.T)        { seedDSWP(t, "retargeted_pop") }
+func TestMutationChunkSizeMismatch(t *testing.T)    { seedDSWP(t, "chunk_size_mismatch") }
+func TestMutationTailChunkDropped(t *testing.T)     { seedDSWP(t, "tail_chunk_dropped") }
+func TestMutationStagingStoreHoistedOutOfLoop(t *testing.T) {
+	seedDSWP(t, "staging_store_hoisted_out_of_loop")
 }
 
-func TestMutationPushHoistedOutOfLoop(t *testing.T) {
-	m := lowerDSWP(t)
-	mustBeCommClean(t, m)
-	s0 := stageFn(t, m, 0)
-	push := findCall(s0, interp.ExternQueuePush, isTokenPush)
-	if push == nil {
-		t.Fatal("stage 0 has no token push")
-	}
-	// Sink the push past the loop, next to the close: still exactly one
-	// push textually, but no longer once per iteration.
-	cl := findCall(s0, interp.ExternQueueClose, nil)
-	push.Parent.Remove(push)
-	cl.Parent.InsertBefore(push, cl)
-	mustFlag(t, m, "does not execute exactly once per iteration")
-}
+// TestChunkedPipelinesAreCommClean: the unmutated lowering passes the
+// comm tier at every stage count, on the program with a token link and on
+// the bundled pipeline benchmark (value queues only, stages that both
+// receive and send).
+func TestChunkedPipelinesAreCommClean(t *testing.T) {
+	for _, cores := range []int{2, 3, 4} {
+		m, err := minic.Compile("t", pipelineSrc)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		passes.Optimize(m)
+		mustBeCommClean(t, lowerDSWPModule(t, m, cores))
 
-func TestMutationRetargetedPop(t *testing.T) {
-	m := lowerDSWP(t)
-	mustBeCommClean(t, m)
-	s1 := stageFn(t, m, 1)
-	var pops []*ir.Instr
-	s1.Instrs(func(in *ir.Instr) bool {
-		if in.Opcode == ir.OpCall {
-			if c := in.CalledFunction(); c != nil && c.Nam == interp.ExternQueuePop {
-				pops = append(pops, in)
+		m, err = bench.PipelineProgram(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = lowerDSWPModule(t, m, cores)
+		mustBeCommClean(t, m)
+		stages := 0
+		for _, f := range m.Functions {
+			if f.MD.Get(verify.MDKind) == verify.KindDSWPWrapper && f.MD.Get(verify.MDStages) == strconv.Itoa(cores) {
+				stages = cores
 			}
 		}
-		return true
-	})
-	if len(pops) < 2 {
-		t.Fatalf("stage 1 has %d pops, need 2 (token + value) to retarget", len(pops))
+		if stages != cores {
+			t.Errorf("no loop of the pipeline program lowered to %d stages", cores)
+		}
 	}
-	// Point the first pop's handle at the second pop's queue: one queue
-	// now starves while the other is drained twice per iteration.
-	pops[0].Ops[1] = pops[1].Ops[1]
-	mustFlag(t, m, "but never popped")
 }
 
 // helixTaskFn finds the signal-bracketed HELIX task in m.
@@ -273,7 +225,7 @@ func helixTaskFn(t *testing.T, m *ir.Module) *ir.Function {
 	t.Helper()
 	for _, f := range m.Functions {
 		if f.MD.Get(verify.MDKind) == verify.KindHelixTask && f.MD.Get(verify.MDSegments) != "0" {
-			if findCall(f, interp.ExternSignalWait, nil) != nil {
+			if findCall(f, interp.ExternSignalWait) != nil {
 				return f
 			}
 		}
@@ -286,8 +238,8 @@ func TestMutationSwappedWaitFire(t *testing.T) {
 	m := lowerHELIX(t)
 	mustBeCommClean(t, m)
 	task := helixTaskFn(t, m)
-	wait := findCall(task, interp.ExternSignalWait, nil)
-	fire := findCall(task, interp.ExternSignalFire, nil)
+	wait := findCall(task, interp.ExternSignalWait)
+	fire := findCall(task, interp.ExternSignalFire)
 	if wait == nil || fire == nil {
 		t.Fatal("task lacks the wait/fire bracket")
 	}
@@ -302,7 +254,7 @@ func TestMutationDroppedFire(t *testing.T) {
 	m := lowerHELIX(t)
 	mustBeCommClean(t, m)
 	task := helixTaskFn(t, m)
-	fire := findCall(task, interp.ExternSignalFire, nil)
+	fire := findCall(task, interp.ExternSignalFire)
 	if fire == nil {
 		t.Fatal("task has no fire")
 	}
@@ -314,8 +266,8 @@ func TestMutationFireSunkIntoSegmentLoop(t *testing.T) {
 	m := lowerHELIX(t)
 	mustBeCommClean(t, m)
 	task := helixTaskFn(t, m)
-	wait := findCall(task, interp.ExternSignalWait, nil)
-	fire := findCall(task, interp.ExternSignalFire, nil)
+	wait := findCall(task, interp.ExternSignalWait)
+	fire := findCall(task, interp.ExternSignalFire)
 	if wait == nil || fire == nil {
 		t.Fatal("task lacks the wait/fire bracket")
 	}
@@ -335,7 +287,7 @@ func TestMutationCarriedCellWrittenAfterFire(t *testing.T) {
 	if got := task.MD.Get(verify.MDCarried); got == "" {
 		t.Fatal("lowering recorded no carried-state cell")
 	}
-	fire := findCall(task, interp.ExternSignalFire, nil)
+	fire := findCall(task, interp.ExternSignalFire)
 	if fire == nil {
 		t.Fatal("task has no fire")
 	}
