@@ -41,14 +41,21 @@ race:
 # either engine forced process-wide, under -race — the walker is the
 # reference oracle, and the compiled tier has to be behaviourally
 # indistinguishable from it even when every test in those suites runs
-# on it. The final non-race run enforces the compiled
-# tier's >= 2x wall-clock bar over the walker on bench.WholeProgram
-# (TestCompiledTierSpeedup; its noise margin is documented at the
-# assertion) plus the byte-identical corpus/pipeline agreement suite.
+# on it. The profiler and machine suites ride along: profiles and loop
+# costs are counted by probe ops of the compiled tier whichever engine
+# is forced, and held to their hooked-walker references. The final
+# non-race run enforces the compiled tier's >= 2x wall-clock bar over
+# the walker on bench.WholeProgram (TestCompiledTierSpeedup; its noise
+# margin is documented at the assertion) plus the byte-identical
+# corpus/pipeline agreement suite and, by name, the two observation
+# differentials (compiled Collect and compiled loop-cost attribution
+# against the walker on the corpus, the synthetic programs, their
+# lowerings and 150 generated programs).
 tier-diff:
-	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/...
-	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/...
+	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
+	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup' -v ./internal/interp/
+	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
@@ -91,7 +98,8 @@ benchpair:
 # communication plane (bulk queue operations once per chunk of
 # iterations, then ticket signals and one fork per block of iterations),
 # the auto orchestrator's workload (the only one that runs `auto` and
-# its walker training replays) and a service workload must finish with
+# its one training run per scored loop, on the compiled tier's loop-cost
+# probes) and a service workload must finish with
 # every check passing (the driver exits non-zero on any wrong output or
 # exact count that moves between runs).
 benchmark-check:

@@ -1,6 +1,7 @@
 // The compiled tier's front half: lower one IR function to pre-bound
 // direct-threaded ops. Compilation runs once per function per image
-// (cached in image.progs) and resolves everything that is invariant
+// (cached in image.progs; image.probed for an observing context's
+// variant) and resolves everything that is invariant
 // across calls:
 //
 //   - operands become orefs — a frame slot index for SSA values, an
@@ -27,7 +28,10 @@
 // incoming) compile to cErr ops carrying the walker's exact message, so
 // the tiers stay byte-identical even on those paths. A function the
 // compiler cannot lower (malformed operands) is rejected — Call falls
-// back to the walker, whose runtime checks are the reference behaviour.
+// back to the walker, whose runtime checks are the reference behaviour
+// (or fails, for a context whose observation request only this tier can
+// serve: observe.go, which also describes the probe ops such a context's
+// streams carry on top of everything above).
 
 package interp
 
@@ -121,6 +125,15 @@ const (
 	cSignalFire // fire(a, b)
 	cQueuePushN // push_n(a, b, c)
 	cQueuePopN  // pop_n(a, b, c)
+
+	// Probes: what an observing context's streams carry and no plain stream
+	// does (observe.go). Each retires no step and no cycle.
+	cCount      // counts[k]++, then edges[0]: a counted edge's own block
+	cLoopIter   // header entered: open an invocation or its next row, charge blocks[k]
+	cLoopBlock  // loop block entered: charge blocks[k]
+	cLoopExit   // left the loop: close the invocation
+	cLoopCall   // an in-loop call begins
+	cLoopReturn // ... and has returned: charge calls[k] the cycles it ran
 )
 
 // cmove is one phi slot assignment on a CFG edge.
@@ -183,8 +196,11 @@ type cfunc struct {
 	// commGen the extern-registry generation the communication ops were
 	// bound under; a context running a different model, or a replaced
 	// communication extern, recompiles (see image.compiled).
-	cost     CostModel
-	commGen  int64
+	cost    CostModel
+	commGen int64
+	// probes is the observation bound into the stream (zero: the plain
+	// stream); like cost and commGen it keys the cached body.
+	probes   probes
 	blocks   [][]cop
 	frameLen int32 // slots + phi-move scratch area
 	scratch  int32 // base of the scratch area
@@ -205,8 +221,15 @@ var simpleCop = map[ir.Op]copcode{
 	ir.OpFBits: cMove, ir.OpBitsF: cMove, ir.OpP2I: cMove, ir.OpI2P: cMove,
 }
 
-// compileFunc lowers f against img's layout under the given cost model.
-func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
+// compileFunc lowers f against img's layout under the given cost model,
+// with the probes of pr (already narrowed to f, see probes.in) bound in.
+//
+// A counting stream differs from the plain one in its blocks only: block
+// 0 is the function-entry counter, f's blocks follow from index 1, and
+// every edge lands on a one-op block of its own that counts it and jumps
+// on (the phi moves stay with the branch that takes the edge). A loop's
+// stream opens its blocks with a probe and brackets its in-loop calls.
+func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
 	// Slot assignment: parameters first (so copy(frame, args) places
 	// them), then every result-producing instruction in block order.
 	slots := map[ir.Value]int32{}
@@ -215,9 +238,13 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 		slots[p] = next
 		next++
 	}
+	first := int32(0)
+	if pr.counts != nil {
+		first = 1
+	}
 	blockIdx := map[*ir.Block]int32{}
 	for bi, b := range f.Blocks {
-		blockIdx[b] = int32(bi)
+		blockIdx[b] = first + int32(bi)
 		for _, in := range b.Instrs {
 			if in.HasResult() {
 				slots[in] = next
@@ -259,7 +286,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 	}
 
 	var scratchLen int32
-	edgeTo := func(from, to *ir.Block) (cedge, error) {
+	plainEdge := func(from, to *ir.Block) (cedge, error) {
 		e := cedge{target: blockIdx[to]}
 		for _, phi := range to.Phis() {
 			inc := phi.PhiIncoming(from)
@@ -295,11 +322,31 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 		}
 		return e, nil
 	}
+	edgeTo := plainEdge
+	var counted [][]cop // the counted edges' blocks, placed after f's own
+	if pr.counts != nil {
+		edgeTo = func(from, to *ir.Block) (cedge, error) {
+			e, err := plainEdge(from, to)
+			counted = append(counted, []cop{{code: cCount, dst: -1,
+				k: pr.counts.counter(from, to), edges: []cedge{{target: e.target}}}})
+			e.target = first + int32(len(f.Blocks)+len(counted)-1)
+			return e, err
+		}
+	}
 
-	cf := &cfunc{fn: f, cost: cost}
+	cf := &cfunc{fn: f, cost: cost, probes: pr}
+	if pr.counts != nil {
+		cf.blocks = append(cf.blocks, []cop{{code: cCount, dst: -1,
+			k: pr.counts.counter(nil, f.Entry()), edges: []cedge{{target: first}}}})
+	}
 	for _, b := range f.Blocks {
 		ins := b.Instrs[b.FirstNonPhi():]
 		ops := make([]cop, 0, len(ins))
+		if pr.loop != nil {
+			if probe, ok := pr.loop.blockProbe(b, cost); ok {
+				ops = append(ops, probe)
+			}
+		}
 		for i := 0; i < len(ins); i++ {
 			in := ins[i]
 
@@ -360,6 +407,11 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 			if err != nil {
 				return nil, err
 			}
+			if pr.loop != nil && in.Opcode == ir.OpCall && pr.loop.inLoop[b] {
+				before, after := pr.loop.callProbes(in, cost)
+				ops = append(ops, before, op, after)
+				continue
+			}
 			ops = append(ops, op)
 		}
 		if len(ins) == 0 || !ins[len(ins)-1].IsTerminator() {
@@ -372,6 +424,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 		}
 		cf.blocks = append(cf.blocks, ops)
 	}
+	cf.blocks = append(cf.blocks, counted...)
 	cf.scratch = next
 	cf.frameLen = next + scratchLen
 	return cf, nil

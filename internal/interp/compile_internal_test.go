@@ -18,7 +18,7 @@ func compileSrc(t *testing.T, src, fn string) *cfunc {
 	if f == nil {
 		t.Fatalf("no @%s", fn)
 	}
-	cf, cerr := compileFunc(it.img, f, it.Cost)
+	cf, cerr := compileFunc(it.img, f, it.Cost, probes{})
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
 	}
@@ -123,13 +123,13 @@ entry:
 	}
 	it := New(m)
 	f := m.FunctionByName("main")
-	cf1 := it.img.compiled(f, it.Cost)
+	cf1 := plainBody(it.img.compiled(f, it.Cost, probes{}))
 	if cf1 == nil {
 		t.Fatal("main did not compile")
 	}
 	hot := it.Cost
 	hot.IntMul += 100
-	cf2 := it.img.compiled(f, hot)
+	cf2 := plainBody(it.img.compiled(f, hot, probes{}))
 	if cf2 == nil {
 		t.Fatal("main did not recompile under the new model")
 	}
@@ -197,3 +197,7 @@ entry:
 		t.Errorf("replacement not observed: got %d, want 2", r)
 	}
 }
+
+// plainBody drops image.compiled's error: nil is the rejection these
+// tests look for.
+func plainBody(cf *cfunc, _ error) *cfunc { return cf }

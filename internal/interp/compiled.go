@@ -269,6 +269,20 @@ blockLoop:
 				if err := it.img.comm.Fire(int64(op.a.get(fr)), int64(op.b.get(fr))); err != nil {
 					return 0, err
 				}
+			case cCount:
+				it.probes.counts.n[op.k]++
+				bi = op.edges[0].target
+				continue blockLoop
+			case cLoopIter:
+				it.probes.loop.iterate(op.k)
+			case cLoopBlock:
+				it.probes.loop.charge(op.k)
+			case cLoopExit:
+				it.probes.loop.exit()
+			case cLoopCall:
+				it.probes.loop.call(it.Cycles)
+			case cLoopReturn:
+				it.probes.loop.returned(op.k, it.Cycles)
 			}
 		}
 		// Unreachable: every compiled block ends in a terminator or cErr.

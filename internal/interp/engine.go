@@ -9,14 +9,18 @@
 //   - the compiled tier (compile.go/compiled.go): the default fast path.
 //     Each function is lowered once to direct-threaded ops with operands
 //     pre-resolved to frame slots, phis to edge moves, and the hot
-//     compare-branch / load-op-store idioms to superinstructions.
+//     compare-branch / load-op-store idioms to superinstructions. It
+//     also serves observation requests — a profile's edge counters, one
+//     loop's per-iteration costs — by binding probe ops into the streams
+//     of the context that asked (observe.go).
 //
 // Both engines must be observationally identical — same Output bytes,
 // Steps, Cycles, extern counters, memory fingerprint — on every
 // well-formed module (interptest.AssertTiersAgree enforces this on the
-// bundled benchmarks). Hooked contexts (profiler, cost attribution)
-// always run on the walker: hooks observe the canonical per-instruction
-// event order, which the compiled tier does not reproduce.
+// bundled benchmarks). Hooked contexts always run on the walker: hooks
+// observe the canonical per-instruction event order, which the compiled
+// tier does not reproduce. The product installs none; the profiler's and
+// the cost attribution's test suites do, for their walker references.
 
 package interp
 
@@ -74,11 +78,15 @@ func DefaultEngine() Engine {
 }
 
 // selectEngine resolves the tier the next defined-function Call will run
-// on: hooks force the walker (canonical event order), an explicit Eng
-// wins otherwise, and everything else takes the process default.
+// on: hooks force the walker (canonical event order), an observation
+// request the compiled tier (the only one that serves it), an explicit
+// Eng wins otherwise, and everything else takes the process default.
 func (it *Interp) selectEngine() Engine {
 	if it.hooked() {
 		return EngineWalker
+	}
+	if it.observing() {
+		return EngineCompiled
 	}
 	switch it.Eng {
 	case EngineWalker, EngineCompiled:

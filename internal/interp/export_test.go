@@ -11,7 +11,7 @@ func CompileAll(m *ir.Module) error {
 		if f.IsDeclaration() {
 			continue
 		}
-		if _, err := compileFunc(it.img, f, it.Cost); err != nil {
+		if _, err := compileFunc(it.img, f, it.Cost, probes{}); err != nil {
 			return err
 		}
 	}

@@ -107,6 +107,10 @@ type image struct {
 	// every context of the image; compilation is deterministic, so a
 	// racing double-compile is benign.
 	progs sync.Map
+	// probed caches the bodies compiled for an observing context (see
+	// observe.go) the same way: one per function, recompiled when the
+	// request it was bound to is not the one asking.
+	probed sync.Map
 	// commGen counts re-registrations of the externs the compiler binds
 	// to first-class ops (externEntry.op). A body compiled under an older
 	// count may have such an op where the replacement must now be called,
@@ -285,31 +289,36 @@ func (img *image) externFor(f *ir.Function) *externEntry {
 	return &(*img.externTab.Load())[slot]
 }
 
-// compiled returns f's compiled body for the given cost model, compiling
-// on first use. A function the compiler rejects caches its error and
-// returns nil forever after — the caller falls back to the walker. A
-// cost-model change invalidates the cached body (recompile: per-op costs
-// are baked in), and so does replacing an extern that bodies bind as a
-// first-class op.
-func (img *image) compiled(f *ir.Function, cost CostModel) *cfunc {
+// compiled returns f's compiled body for the given cost model and probes
+// (zero: the plain body), compiling on first use. A function the compiler
+// rejects caches its error and returns it forever after — a plain caller
+// falls back to the walker. A cost-model change invalidates the cached
+// body (recompile: per-op costs are baked in), and so do replacing an
+// extern that bodies bind as a first-class op and, for a probed body, a
+// different request.
+func (img *image) compiled(f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
+	cache := &img.progs
+	if pr != (probes{}) {
+		cache = &img.probed
+	}
 	gen := img.commGen.Load()
-	if v, ok := img.progs.Load(f); ok {
+	if v, ok := cache.Load(f); ok {
 		if cf, isFn := v.(*cfunc); isFn {
-			if cf.cost == cost && cf.commGen == gen {
-				return cf
+			if cf.cost == cost && cf.commGen == gen && cf.probes == pr {
+				return cf, nil
 			}
 		} else {
-			return nil // cached compile error
+			return nil, v.(error) // cached compile error
 		}
 	}
-	cf, err := compileFunc(img, f, cost)
+	cf, err := compileFunc(img, f, cost, pr)
 	if err != nil {
-		img.progs.Store(f, err)
-		return nil
+		cache.Store(f, err)
+		return nil, err
 	}
 	cf.commGen = gen // read before compiling: a racing replacement recompiles
-	img.progs.Store(f, cf)
-	return cf
+	cache.Store(f, cf)
+	return cf, nil
 }
 
 // fingerprint hashes the contents of all global storage; semantic

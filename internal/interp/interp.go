@@ -64,7 +64,8 @@ type Interp struct {
 	// or $NOELLE_ENGINE). Both tiers are observationally identical —
 	// same Output, Steps, Cycles, counters, memory image — on every
 	// well-formed module; hooked contexts always run on the walker
-	// regardless of Eng (hooks need the canonical event order). See
+	// regardless of Eng (hooks need the canonical event order), and
+	// contexts serving an observation request on the compiled tier. See
 	// engine.go.
 	Eng Engine
 	// engineUsed records the tier the last Call actually ran on (the
@@ -87,9 +88,13 @@ type Interp struct {
 	rec *obs.Recorder
 
 	// InstrHook, when set, observes every executed instruction after its
-	// effects are applied. Profilers and the timing harness hook here.
-	// Installing any hook makes noelle_dispatch take the sequential path,
-	// so hooks always observe the canonical sequential event order.
+	// effects are applied (a call, before its callee runs). The hooks are
+	// a walker-only facility for tests — the reference profiler and the
+	// reference cost attribution are built from them; the product asks
+	// the compiled tier instead (CountEdges, ObserveLoop). Installing any
+	// hook pins the context to the walker and makes noelle_dispatch take
+	// the sequential path, so hooks always observe the canonical
+	// sequential event order.
 	InstrHook func(in *ir.Instr)
 	// BlockHook observes every basic-block entry.
 	BlockHook func(b *ir.Block)
@@ -137,6 +142,11 @@ type Interp struct {
 	// Direct-mapped cache over img.pages (see pageCacheSize).
 	cacheKeys  [pageCacheSize]int64
 	cachePages [pageCacheSize][]uint64
+
+	// probes is the observation this context serves on the compiled tier
+	// (CountEdges, ObserveLoop; see observe.go). Zero on a plain context.
+	// Last, so the fields the plain executor touches keep their offsets.
+	probes probes
 }
 
 // Extern is a host implementation of a declared function. args is the
@@ -306,11 +316,17 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp: @%s: %d args, want %d", f.Nam, len(args), len(f.Params))
 	}
+	err := errHookedObservation
 	if it.selectEngine() == EngineCompiled {
-		if cf := it.img.compiled(f, it.Cost); cf != nil {
+		var cf *cfunc
+		if cf, err = it.img.compiled(f, it.Cost, it.probes.in(f)); err == nil {
 			it.engineUsed = EngineCompiled
 			return it.execCompiled(cf, args)
 		}
+	}
+	if it.observing() {
+		// The walker serves no request: better no profile than one with a hole.
+		return 0, fmt.Errorf("interp: cannot observe @%s: %w", f.Nam, err)
 	}
 	it.engineUsed = EngineWalker
 	return it.callWalker(f, args)
@@ -318,8 +334,8 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 
 // callWalker is the instruction-walking reference engine: the original
 // interpreter loop, operands resolved per use through a map frame. It is
-// the differential oracle for the compiled tier and the only engine that
-// fires the observation hooks.
+// the differential oracle for the compiled tier — its probes included —
+// and the only engine that fires the observation hooks.
 func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 	frame := map[ir.Value]uint64{}
 	for i, p := range f.Params {

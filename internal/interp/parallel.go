@@ -5,8 +5,9 @@
 // concurrency-safe page store; after the barrier the parent aggregates
 // every worker in worker order, so a parallel dispatch is observationally
 // identical to the sequential fallback (same output bytes, same Steps and
-// Cycles totals, same memory image). Hooked contexts (profiling, cost
-// attribution) dispatch sequentially so hooks keep the canonical order.
+// Cycles totals, same memory image). Hooked contexts, and contexts
+// serving an observation request (profiling, cost attribution), dispatch
+// sequentially: hooks keep the canonical order, counters one writer.
 
 package interp
 
@@ -97,7 +98,8 @@ func (it *Interp) extendStepBudget() (int64, bool) {
 // fork creates a worker context sharing this context's image. The worker
 // inherits the cost model and dispatch configuration; it starts with no
 // step grant and draws from pool as it executes. Workers never carry
-// hooks: a hooked context dispatches sequentially instead (see dispatch).
+// hooks or probes: a hooked or observing context dispatches sequentially
+// instead (see dispatch).
 // pushBlocks enables bounded (backpressuring) queue pushes; it is only
 // safe when every worker of the dispatch is resident on its own
 // goroutine (see dispatchParallel). rec is the lane's span recorder (nil
@@ -172,10 +174,12 @@ func (it *Interp) hooked() bool {
 // dispatch implements the noelle_dispatch extern: run task(env, w,
 // nworkers) for every worker w in [0, nworkers). Workers run concurrently
 // on real cores unless SeqDispatch is set, there is at most one worker,
-// or a hook is installed — hooked runs (profiling, cost attribution) take
-// the sequential path so hooks observe the canonical sequential event
-// order without the runtime buffering O(steps) of events per worker; the
-// observable result is identical either way.
+// a hook is installed or the context serves an observation request —
+// hooked runs take the sequential path so hooks observe the canonical
+// sequential event order without the runtime buffering O(steps) of
+// events per worker, observing ones (profiling, cost attribution) so a
+// request's counters and rows have one writer; the observable result is
+// identical either way.
 func (it *Interp) dispatch(args []uint64) (uint64, error) {
 	idx := int64(args[0])
 	if idx < 0 || idx >= int64(len(it.img.fnTable)) {
@@ -196,7 +200,7 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 		seq = it.img.dispatchSeq.Add(1)
 		dStart = it.rec.Clock()
 	}
-	if it.SeqDispatch || nworkers <= 1 || it.hooked() {
+	if it.SeqDispatch || nworkers <= 1 || it.hooked() || it.observing() {
 		for w := int64(0); w < nworkers; w++ {
 			if _, err := it.Call(task, []uint64{args[1], uint64(w), args[2]}); err != nil {
 				return 0, fmt.Errorf("interp: dispatch worker %d: %w", w, err)

@@ -119,6 +119,20 @@ func TestParallelDispatchHookReplay(t *testing.T) {
 	}
 }
 
+// TestObservedContextDispatchesSequentially: a context serving a
+// compiled-tier observation forks no worker either — its counters have
+// one writer.
+func TestObservedContextDispatchesSequentially(t *testing.T) {
+	it := interp.New(parse(t, dispatchSrc))
+	it.CountEdges()
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if it.Output.String() != "0\n1\n2\n3\n" || len(it.WorkerStats()) != 0 {
+		t.Errorf("output %q over %d parallel lanes, want worker order and none", it.Output.String(), len(it.WorkerStats()))
+	}
+}
+
 func TestParallelDispatchWorkerError(t *testing.T) {
 	m := parse(t, `module "m"
 declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void

@@ -11,17 +11,16 @@ import (
 // SegSpec names one plan's segmentation of a loop: the instruction →
 // segment assignment and the segment count. Instructions outside the map
 // are charged to segment NumSegs-1 (the parallel/default segment).
-type SegSpec struct {
-	SegmentOf map[*ir.Instr]int
-	NumSegs   int
-}
+type SegSpec = interp.SegSpec
 
 // AttributeLoopCosts runs the program under the interpreter and measures,
 // for every dynamic invocation of the given loop, the per-iteration cost
 // of each segment. segmentOf maps the loop's instructions to segment
 // indices [0, numSegs); instructions outside the map are charged to
 // segment numSegs-1 (the parallel/default segment). Cycles spent inside
-// calls made by the loop are charged to the calling instruction's segment.
+// calls made by the loop — defined callees and externs alike — are charged
+// to the calling instruction's segment, so SequentialCycles of the result
+// is exactly what the run's Cycles advanced across the loop.
 func AttributeLoopCosts(m *ir.Module, nat *analysis.NaturalLoop, segmentOf map[*ir.Instr]int, numSegs int) ([]*Invocation, error) {
 	all, err := AttributeLoopCostsMulti(m, nat, []SegSpec{{SegmentOf: segmentOf, NumSegs: numSegs}})
 	if err != nil {
@@ -35,123 +34,30 @@ func AttributeLoopCosts(m *ir.Module, nat *analysis.NaturalLoop, segmentOf map[*
 // under specs[i]. Every spec observes the identical dynamic execution, so
 // SequentialCycles agrees across all of them — only the per-segment
 // split differs. This is what the auto-parallelizer's technique selection
-// needs: one training replay prices a DOALL, a DSWP, and a HELIX
-// partition of the same loop simultaneously instead of paying one full
-// program execution per candidate plan.
+// needs: one training run prices a DOALL, a DSWP, and a HELIX partition
+// of the same loop simultaneously instead of paying one full program
+// execution per candidate plan. The run is on the compiled tier, with the
+// loop's probes bound into its function's op stream (interp.ObserveLoop).
 func AttributeLoopCostsMulti(m *ir.Module, nat *analysis.NaturalLoop, specs []SegSpec) ([][]*Invocation, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("machine: no segmentations to attribute")
 	}
 	it := interp.New(m)
-	cm := it.Cost
-
-	inLoop := map[*ir.Block]bool{}
-	for b := range nat.Blocks {
-		inLoop[b] = true
+	costs, err := it.ObserveLoop(nat.Header, nat.Blocks, specs)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
-	header := nat.Header
-
-	k := len(specs)
-	invocations := make([][]*Invocation, k)
-	cur := make([]*Invocation, k)
-	curIter := make([][]int64, k)
-	// callDepth > 0 while executing code called from inside the loop; the
-	// segment of the call instruction (per spec) accumulates those cycles.
-	callDepth := 0
-	callSeg := make([]int, k)
-	loopFn := header.Parent
-	// active tracks whether a top-level invocation is being profiled; a
-	// recursive re-entry of the loop's own function is not re-profiled.
-	active := false
-
-	flushIter := func() {
-		for i := range specs {
-			if curIter[i] != nil {
-				cur[i].IterSegCosts = append(cur[i].IterSegCosts, curIter[i])
-				curIter[i] = nil
-			}
-		}
-	}
-	endInvocation := func() {
-		if active {
-			flushIter()
-			for i := range specs {
-				invocations[i] = append(invocations[i], cur[i])
-				cur[i] = nil
-			}
-		}
-		active = false
-		callDepth = 0
-	}
-
-	it.BlockHook = func(b *ir.Block) {
-		if callDepth > 0 {
-			return
-		}
-		if b == header {
-			if !active {
-				for i := range specs {
-					cur[i] = &Invocation{}
-				}
-				active = true
-			} else {
-				flushIter()
-			}
-			for i, sp := range specs {
-				curIter[i] = make([]int64, sp.NumSegs)
-			}
-			return
-		}
-		if active && b.Parent == loopFn && !inLoop[b] {
-			endInvocation()
-		}
-	}
-	it.InstrHook = func(in *ir.Instr) {
-		if !active {
-			return
-		}
-		if callDepth > 0 {
-			// Inside a callee: charge everything to the calling segment.
-			c := cm.Cost(in)
-			for i := range specs {
-				if curIter[i] != nil {
-					curIter[i][callSeg[i]] += c
-				}
-			}
-			if in.Opcode == ir.OpCall {
-				callDepth++
-			}
-			if in.Opcode == ir.OpRet {
-				callDepth--
-			}
-			return
-		}
-		if in.Parent == nil || !inLoop[in.Parent] {
-			if in.Opcode == ir.OpRet && in.Parent != nil && in.Parent.Parent == loopFn {
-				endInvocation()
-			}
-			return
-		}
-		c := cm.Cost(in)
-		for i, sp := range specs {
-			seg, ok := sp.SegmentOf[in]
-			if !ok {
-				seg = sp.NumSegs - 1
-			}
-			if curIter[i] != nil {
-				curIter[i][seg] += c
-			}
-			callSeg[i] = seg
-		}
-		if in.Opcode == ir.OpCall {
-			callDepth = 1
-		}
-	}
-
 	if _, err := it.Run(); err != nil {
 		return nil, fmt.Errorf("machine: attribution run failed: %w", err)
 	}
-	endInvocation()
+	invocations := make([][]*Invocation, len(specs))
+	for i, rows := range costs.Invocations() {
+		invs := make([]Invocation, len(rows))
+		for v, iters := range rows {
+			invs[v].IterSegCosts = iters
+			invocations[i] = append(invocations[i], &invs[v])
+		}
+	}
 	return invocations, nil
 }
 
@@ -162,9 +68,15 @@ func AttributeLoopCostsMulti(m *ir.Module, nat *analysis.NaturalLoop, specs []Se
 // redirection, per-iteration task spawning.
 func AddSegmentOverhead(inv *Invocation, seg int, extra int64) *Invocation {
 	out := &Invocation{IterSegCosts: make([][]int64, len(inv.IterSegCosts))}
+	var n int
+	for _, segs := range inv.IterSegCosts {
+		n += len(segs)
+	}
+	flat := make([]int64, 0, n) // every row of the copy is cut from it
 	for i, segs := range inv.IterSegCosts {
-		row := make([]int64, len(segs))
-		copy(row, segs)
+		at := len(flat)
+		flat = append(flat, segs...)
+		row := flat[at:len(flat):len(flat)]
 		s := seg
 		if s < 0 || s >= len(row) {
 			s = len(row) - 1

@@ -1,0 +1,552 @@
+package machine_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"noelle/internal/analysis"
+	"noelle/internal/core"
+	"noelle/internal/fuzz"
+	"noelle/internal/interp"
+	"noelle/internal/ir"
+	"noelle/internal/irtext"
+	"noelle/internal/machine"
+	"noelle/internal/minic"
+	"noelle/internal/passes"
+	"noelle/internal/tool"
+	_ "noelle/internal/tools"
+)
+
+// attributeOnWalker is AttributeLoopCostsMulti as it was before the
+// compiled tier served loop costs: block and instruction hooks on the
+// walker. It stays as the executable reference the compiled probes are
+// checked against, with the one fix the product got too: only a defined
+// callee's frame deepens the call depth (an extern executes no ret to
+// lower it again), and what an in-loop call ran — externs included — is
+// the change in Cycles across it, settled at the loop's next instruction.
+func attributeOnWalker(m *ir.Module, nat *analysis.NaturalLoop, specs []machine.SegSpec) ([][]*machine.Invocation, error) {
+	it := interp.New(m)
+	cm := it.Cost
+
+	inLoop := map[*ir.Block]bool{}
+	for b := range nat.Blocks {
+		inLoop[b] = true
+	}
+	header := nat.Header
+
+	k := len(specs)
+	invocations := make([][]*machine.Invocation, k)
+	cur := make([]*machine.Invocation, k)
+	curIter := make([][]int64, k)
+	// callDepth > 0 while executing code called from inside the loop; the
+	// segment of the call instruction (per spec) accumulates those cycles.
+	callDepth := 0
+	callSeg := make([]int, k)
+	// pending: an in-loop call was issued at callStart cycles and what it
+	// ran has not been charged yet.
+	pending := false
+	var callStart int64
+	loopFn := header.Parent
+	// active tracks whether a top-level invocation is being profiled; a
+	// recursive re-entry of the loop's own function is not re-profiled.
+	active := false
+
+	flushIter := func() {
+		for i := range specs {
+			if curIter[i] != nil {
+				cur[i].IterSegCosts = append(cur[i].IterSegCosts, curIter[i])
+				curIter[i] = nil
+			}
+		}
+	}
+	endInvocation := func() {
+		if active {
+			flushIter()
+			for i := range specs {
+				invocations[i] = append(invocations[i], cur[i])
+				cur[i] = nil
+			}
+		}
+		active = false
+		callDepth = 0
+	}
+
+	it.BlockHook = func(b *ir.Block) {
+		if active && b == b.Parent.Entry() {
+			callDepth++ // a callee's frame opens
+		}
+		if callDepth > 0 {
+			return
+		}
+		if b == header {
+			if !active {
+				for i := range specs {
+					cur[i] = &machine.Invocation{}
+				}
+				active = true
+			} else {
+				flushIter()
+			}
+			for i, sp := range specs {
+				curIter[i] = make([]int64, sp.NumSegs)
+			}
+			return
+		}
+		if active && b.Parent == loopFn && !inLoop[b] {
+			endInvocation()
+		}
+	}
+	it.InstrHook = func(in *ir.Instr) {
+		if !active {
+			return
+		}
+		if callDepth > 0 {
+			// Inside a callee: its cycles are charged when the call is back.
+			if in.Opcode == ir.OpRet {
+				callDepth--
+			}
+			return
+		}
+		if pending {
+			ran := it.Cycles - cm.Cost(in) - callStart
+			for i := range specs {
+				curIter[i][callSeg[i]] += ran
+			}
+			pending = false
+		}
+		if in.Parent == nil || !inLoop[in.Parent] {
+			if in.Opcode == ir.OpRet && in.Parent != nil && in.Parent.Parent == loopFn {
+				endInvocation()
+			}
+			return
+		}
+		c := cm.Cost(in)
+		for i, sp := range specs {
+			seg, ok := sp.SegmentOf[in]
+			if !ok {
+				seg = sp.NumSegs - 1
+			}
+			if curIter[i] != nil {
+				curIter[i][seg] += c
+			}
+			callSeg[i] = seg
+		}
+		if in.Opcode == ir.OpCall {
+			pending, callStart = true, it.Cycles
+		}
+	}
+
+	if _, err := it.Run(); err != nil {
+		return nil, fmt.Errorf("machine: attribution run failed: %w", err)
+	}
+	endInvocation()
+	return invocations, nil
+}
+
+// checkAgainstWalker attributes every loop of m under the empty
+// one-segment spec, a striped one and every registered planner's
+// segmentation of it, in one run per loop, on the compiled tier and on
+// the walker reference.
+func checkAgainstWalker(t *testing.T, name string, m *ir.Module) (loops int) {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	n := core.New(m, opts)
+	for _, f := range m.Functions {
+		for _, ls := range n.LoopStructures(f) {
+			specs := []machine.SegSpec{{NumSegs: 1}, striped(ls.Nat, 3)}
+			for _, p := range tool.Planners() {
+				if plan, err := p.PlanLoop(n, ls, tool.DefaultOptions()); err == nil {
+					segOf, numSegs := plan.Segments()
+					specs = append(specs, machine.SegSpec{SegmentOf: segOf, NumSegs: numSegs})
+				}
+			}
+			want, err := attributeOnWalker(m, ls.Nat, specs)
+			if err != nil {
+				t.Fatalf("%s @%s/%s: reference: %v", name, f.Nam, ls.Header.Nam, err)
+			}
+			got, err := machine.AttributeLoopCostsMulti(m, ls.Nat, specs)
+			if err != nil {
+				t.Fatalf("%s @%s/%s: %v", name, f.Nam, ls.Header.Nam, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s @%s/%s: %d specs: compiled rows differ from the walker's (invocations %d/%d, cycles %d/%d)",
+					name, f.Nam, ls.Header.Nam, len(specs), len(got[0]), len(want[0]),
+					machine.SequentialCycles(got[0]), machine.SequentialCycles(want[0]))
+			}
+			loops++
+		}
+	}
+	return loops
+}
+
+// TestAttributionMatchesWalkerReference: row for row, on every loop of
+// every subject.
+func TestAttributionMatchesWalkerReference(t *testing.T) {
+	loops := 0
+	if err := fuzz.Subjects(150, func(name string, m *ir.Module) {
+		loops += checkAgainstWalker(t, name, m)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d loops attributed on both tiers", loops)
+	if loops < 196 {
+		t.Errorf("only %d loops", loops)
+	}
+}
+
+// both attributes one loop under specs on the compiled tier and on the
+// walker reference, fails on any difference, and returns the rows.
+func both(t *testing.T, m *ir.Module, fn, header string, specs []machine.SegSpec) (*analysis.NaturalLoop, [][]*machine.Invocation) {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	var nat *analysis.NaturalLoop
+	for _, ls := range core.New(m, opts).LoopStructures(m.FunctionByName(fn)) {
+		if ls.Header.Nam == header {
+			nat = ls.Nat
+		}
+	}
+	if nat == nil {
+		t.Fatalf("@%s has no loop headed by %s", fn, header)
+	}
+	if specs == nil {
+		specs = []machine.SegSpec{{NumSegs: 1}, striped(nat, 2), striped(nat, 3)}
+	}
+	want, err := attributeOnWalker(m, nat, specs)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	got, err := machine.AttributeLoopCostsMulti(m, nat, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("@%s/%s: compiled rows differ from the walker's:\n got %v\nwant %v", fn, header, rowsOf(got), rowsOf(want))
+	}
+	return nat, got
+}
+
+func rowsOf(all [][]*machine.Invocation) (out [][][][]int64) {
+	for _, invs := range all {
+		var rows [][][]int64
+		for _, inv := range invs {
+			rows = append(rows, inv.IterSegCosts)
+		}
+		out = append(out, rows)
+	}
+	return out
+}
+
+// striped deals the loop's instructions round-robin over k segments, so
+// every pair of neighbours — the halves of a fused compare-and-branch,
+// the thirds of a fused load-op-store, two calls of one block — sits on a
+// segment boundary.
+func striped(nat *analysis.NaturalLoop, k int) machine.SegSpec {
+	sp := machine.SegSpec{SegmentOf: map[*ir.Instr]int{}, NumSegs: k}
+	j := 0
+	for _, b := range nat.BlockList() {
+		for _, in := range b.Instrs {
+			sp.SegmentOf[in] = j % k
+			j++
+		}
+	}
+	return sp
+}
+
+func parseIR(t *testing.T, src string) *ir.Module {
+	t.Helper()
+	m, err := irtext.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAttributionShapes holds the compiled probes to the walker on the
+// shapes the corpus has few of, and pins what each must come back as.
+func TestAttributionShapes(t *testing.T) {
+	t.Run("data-dependent branch", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+global @a : [16 x i64] zeroinit
+func @main() i64 {
+entry:
+  br head
+head:
+  %i = phi i64 [ 0, entry ], [ %next, latch ]
+  %s = phi i64 [ 0, entry ], [ %s2, latch ]
+  %c = lt %i, 16
+  condbr %c, body, done
+body:
+  %r = rem %i, 3
+  %z = eq %r, 0
+  condbr %z, heavy, light
+heavy:
+  %p = ptradd @a, 0
+  %q = ptradd %p, %i
+  %v = load i64, %q
+  %w = mul %v, 7
+  %h = add %s, %w
+  br latch
+light:
+  %l = add %s, 1
+  br latch
+latch:
+  %s2 = phi i64 [ %h, heavy ], [ %l, light ]
+  %p2 = ptradd @a, 0
+  %q2 = ptradd %p2, %i
+  store i64 %s2, %q2
+  %next = add %i, 1
+  br head
+done:
+  ret %s
+}`)
+		_, got := both(t, m, "main", "head", nil)
+		rows := got[0][0].IterSegCosts
+		if len(got[0]) != 1 || len(rows) != 17 {
+			t.Fatalf("%d invocations, %d rows; want 1 and 17", len(got[0]), len(rows))
+		}
+		if rows[0][0] <= rows[1][0] || rows[1][0] != rows[2][0] || rows[16][0] >= rows[1][0] {
+			t.Errorf("rows %v: the heavy arm, the light arm and the exit check must price differently", rows)
+		}
+	})
+
+	t.Run("zero-trip invocation and an inner header", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+global @a : [16 x i64] zeroinit
+func @sweep(%n: i64) i64 {
+entry:
+  br outer
+outer:
+  %i = phi i64 [ 0, entry ], [ %inext, outer.latch ]
+  %ci = lt %i, %n
+  condbr %ci, inner, done
+inner:
+  %j = phi i64 [ 0, outer ], [ %jnext, inner.body ]
+  %cj = lt %j, %i
+  condbr %cj, inner.body, outer.latch
+inner.body:
+  %p = ptradd @a, 0
+  %q = ptradd %p, %j
+  %v = load i64, %q
+  %v2 = add %v, %i
+  store i64 %v2, %q
+  %jnext = add %j, 1
+  br inner
+outer.latch:
+  %inext = add %i, 1
+  br outer
+done:
+  ret %i
+}
+func @main() i64 {
+entry:
+  %a = call i64 @sweep(0)
+  %b = call i64 @sweep(3)
+  ret %b
+}`)
+		_, got := both(t, m, "sweep", "outer", nil)
+		if len(got[0]) != 2 || len(got[0][0].IterSegCosts) != 1 || len(got[0][1].IterSegCosts) != 4 {
+			t.Errorf("outer loop: %v; want a one-row invocation (the exit check) and a four-row one", rowsOf(got)[0])
+		}
+		// The inner loop is entered once per outer iteration, the first
+		// time for zero trips.
+		_, got = both(t, m, "sweep", "inner", nil)
+		var trips []int
+		for _, inv := range got[0] {
+			trips = append(trips, len(inv.IterSegCosts))
+		}
+		if !reflect.DeepEqual(trips, []int{1, 2, 3}) {
+			t.Errorf("inner loop rows per invocation %v, want [1 2 3]", trips)
+		}
+	})
+
+	t.Run("exit by ret, recursion, two calls in one block", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+declare @print_i64 : fn(i64) void
+func @leaf(%x: i64) i64 {
+entry:
+  %y = mul %x, %x
+  ret %y
+}
+func @walk(%d: i64) i64 {
+entry:
+  br head
+head:
+  %i = phi i64 [ 0, entry ], [ %next, body ]
+  %acc = phi i64 [ 0, entry ], [ %acc2, body ]
+  %c = lt %i, 3
+  condbr %c, check, out
+check:
+  %big = gt %acc, 1000
+  condbr %big, bail, body
+body:
+  %down = sub %d, 1
+  %pos = gt %d, 0
+  %arg = select %pos, %down, 0
+  %l = call i64 @leaf(%i)
+  %r = call i64 @maybe(%d, %arg)
+  %t = add %l, %r
+  %acc2 = add %acc, %t
+  %next = add %i, 1
+  br head
+bail:
+  ret %acc
+out:
+  call void @print_i64(%acc)
+  ret %acc
+}
+func @maybe(%go: i64, %d: i64) i64 {
+entry:
+  %c = ne %go, 0
+  condbr %c, rec, stop
+rec:
+  %r = call i64 @walk(%d)
+  ret %r
+stop:
+  ret 100
+}
+func @main() i64 {
+entry:
+  %a = call i64 @walk(2)
+  %b = call i64 @walk(0)
+  %s = add %a, %b
+  ret %s
+}`)
+		loop := func(nat *analysis.NaturalLoop, name string) *ir.Instr {
+			var found *ir.Instr
+			nat.Instrs(func(in *ir.Instr) bool {
+				if in.Nam == name {
+					found = in
+				}
+				return true
+			})
+			if found == nil {
+				t.Fatalf("no %%%s in the loop", name)
+			}
+			return found
+		}
+		nat, _ := both(t, m, "walk", "head", nil)
+		// The two calls of body in segments of their own, the rest in the
+		// default one.
+		spec := machine.SegSpec{SegmentOf: map[*ir.Instr]int{loop(nat, "l"): 0, loop(nat, "r"): 1}, NumSegs: 3}
+		_, got := both(t, m, "walk", "head", []machine.SegSpec{spec})
+		// walk(2) from main is one invocation: every deeper walk runs
+		// under its call to @maybe and is that call's cost. It leaves by
+		// bail's ret; walk(0) leaves by out.
+		if len(got[0]) != 2 {
+			t.Fatalf("%d invocations, want 2 (recursive entries are not invocations)", len(got[0]))
+		}
+		first, second := got[0][0].IterSegCosts, got[0][1].IterSegCosts
+		if len(first) != 3 || len(second) != 4 {
+			t.Errorf("rows %d and %d, want 3 (left through bail) and 4", len(first), len(second))
+		}
+		cm := interp.DefaultCostModel()
+		leaf := cm.CallOver + cm.IntMul + cm.Branch // the call, then @leaf's mul and ret
+		if first[0][0] != leaf || second[0][0] != leaf {
+			t.Errorf("@leaf's segment: %d and %d cycles, want %d", first[0][0], second[0][0], leaf)
+		}
+		if first[0][1] <= second[0][1] {
+			t.Errorf("@maybe's segment: %d cycles with the recursion under it, %d without", first[0][1], second[0][1])
+		}
+	})
+
+	t.Run("superinstructions across segments", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+global @a : [8 x i64] zeroinit
+func @main() i64 {
+entry:
+  br body
+body:
+  %i = phi i64 [ 0, entry ], [ %next, body ]
+  %p = ptradd @a, 0
+  %q = ptradd %p, %i
+  %v = load i64, %q
+  %v2 = add %v, %i
+  store i64 %v2, %q
+  %next = add %i, 1
+  %c = lt %next, 8
+  condbr %c, body, done
+done:
+  ret 0
+}`)
+		nat, _ := both(t, m, "main", "body", nil)
+		seg := map[*ir.Instr]int{}
+		for _, in := range nat.Header.Instrs {
+			switch in.Opcode {
+			case ir.OpLoad, ir.OpLt:
+				seg[in] = 0
+			case ir.OpAdd, ir.OpCondBr:
+				seg[in] = 1
+			case ir.OpStore:
+				seg[in] = 2
+			}
+		}
+		_, got := both(t, m, "main", "body", []machine.SegSpec{{SegmentOf: seg, NumSegs: 4}})
+		cm := interp.DefaultCostModel()
+		want := []int64{cm.Load + cm.IntALU, 2*cm.IntALU + cm.Branch, cm.Store, 2 * cm.IntALU}
+		if row := got[0][0].IterSegCosts[3]; !reflect.DeepEqual(row, want) {
+			t.Errorf("row %v, want %v (load+lt, add+add+condbr, store, the two ptradds)", row, want)
+		}
+	})
+}
+
+// TestExternCallInsideAttributedLoop: a call to a declaration used to set
+// the call depth with no ret to lower it, so the rest of the run — the
+// code after the loop included — landed in one row, and the extern's own
+// cost in none.
+func TestExternCallInsideAttributedLoop(t *testing.T) {
+	compile := func(body string) *ir.Module {
+		m, err := minic.Compile("m", `int a[16];
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 10; i = i + 1) { s = s + i; `+body+` a[i] = s; }
+  print_i64(s);
+  return 0;
+}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes.Optimize(m)
+		return m
+	}
+	header := func(m *ir.Module) string {
+		opts := core.DefaultOptions()
+		opts.MinHotness = 0
+		return core.New(m, opts).LoopStructures(m.FunctionByName("main"))[0].Header.Nam
+	}
+	quiet, loud := compile(""), compile("print_i64(i);")
+	_, without := both(t, quiet, "main", header(quiet), nil)
+	_, with := both(t, loud, "main", header(loud), nil)
+	cm := interp.DefaultCostModel()
+	a, b := without[0][0].IterSegCosts, with[0][0].IterSegCosts
+	if len(with[0]) != 1 || len(a) != 11 || len(b) != 11 {
+		t.Fatalf("%d rows without the print, %d with, in %d invocations; want 11 and 11 in one", len(a), len(b), len(with[0]))
+	}
+	for i := range a {
+		extra := cm.CallOver + cm.ExternFix
+		if i == 10 {
+			extra = 0 // the exit check prints nothing
+		}
+		if b[i][0] != a[i][0]+extra {
+			t.Errorf("iteration %d: %d cycles with the print, %d without: want %d more", i, b[i][0], a[i][0], extra)
+		}
+	}
+	// The rows add up to what the run spent across the loop: everything
+	// but the code around it, which the quiet program shares.
+	cycles := func(m *ir.Module) int64 {
+		it := interp.New(m)
+		if _, err := it.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return it.Cycles
+	}
+	if around := cycles(quiet) - machine.SequentialCycles(without[0]); cycles(loud)-machine.SequentialCycles(with[0]) != around {
+		t.Errorf("loop rows do not add up to the executed cycles across it: %d around the quiet loop, %d around the printing one",
+			around, cycles(loud)-machine.SequentialCycles(with[0]))
+	}
+}

@@ -34,7 +34,10 @@ type Profile struct {
 }
 
 // Collect runs @main under the interpreter, recording block, edge, and
-// call counts (the paper's noelle-prof-coverage step).
+// call counts (the paper's noelle-prof-coverage step). The run is on the
+// compiled tier with the edge and function-entry counters bound into its
+// op streams (interp.CountEdges); a block is entered once per in-edge
+// taken and, the entry block, once per call.
 func Collect(m *ir.Module) (*Profile, error) {
 	p := &Profile{
 		Mod:        m,
@@ -43,18 +46,21 @@ func Collect(m *ir.Module) (*Profile, error) {
 		CallCount:  map[*ir.Function]int64{},
 	}
 	it := interp.New(m)
-	it.BlockHook = func(b *ir.Block) {
-		p.BlockCount[b]++
-		if b.Parent != nil && b == b.Parent.Entry() {
-			p.CallCount[b.Parent]++
-		}
-	}
-	it.EdgeHook = func(from, to *ir.Block) {
-		p.EdgeCount[[2]*ir.Block{from, to}]++
-	}
+	counts := it.CountEdges()
 	code, err := it.Run()
 	if err != nil {
 		return nil, fmt.Errorf("profiler: training run failed: %w", err)
+	}
+	counts.Each(func(from, to *ir.Block, n int64) {
+		p.BlockCount[to] += n
+		if from != nil {
+			p.EdgeCount[[2]*ir.Block{from, to}] += n
+		}
+	})
+	for _, f := range m.Functions {
+		if n := p.BlockCount[f.Entry()]; n != 0 {
+			p.CallCount[f] = n
+		}
 	}
 	p.TotalCycles = it.Cycles
 	p.ExitCode = code

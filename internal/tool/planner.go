@@ -17,7 +17,7 @@
 // profitable one, falling back down the ranking when a winner cannot be
 // lowered. Pinned (the doall, dswp and helix tools: the user named the
 // technique) asks one planner and lowers every plan that can be lowered,
-// with no scoring, no training replay and no profitability gate — so a
+// with no scoring, no training run and no profitability gate — so a
 // technique's tool is a planner registration plus a few lines that pin
 // the driver to it.
 

@@ -64,8 +64,9 @@ type Options struct {
 	VerifyTier string
 	// Engine selects the interpreter execution tier for tools that run
 	// the module ("walker", "compiled", or "" for the process default).
-	// Hooked runs (profiling, cost attribution) always use the walker
-	// regardless; see internal/interp's engine documentation.
+	// Profiling and cost-attribution runs are served by the compiled tier
+	// regardless (and a hooked context, which only tests build, by the
+	// walker); see internal/interp's engine documentation.
 	Engine string
 	// Tracer, when non-nil, is attached to every interpreter a tool runs
 	// the module under (noelle-load -trace/-metrics): the executions'

@@ -6,8 +6,9 @@
 // over the -hot threshold) each registered technique planner (doall,
 // dswp, helix) answers with a plan or a reason; every plan is priced
 // against one measured cost attribution of the loop (the machine package
-// replays the training run once per loop and splits per-iteration cycles
-// along each plan's segmentation simultaneously), the predicted-fastest
+// runs the training input once per loop, on the interpreter's compiled
+// tier with the loop's cost probes bound in, and splits per-iteration
+// cycles along each plan's segmentation simultaneously), the predicted-fastest
 // profitable technique is selected and — under -exec-plans — exactly the
 // winning plan is lowered, falling back down the ranking when a winner
 // cannot be lowered (its code generator does not cover the loop's
@@ -15,7 +16,7 @@
 //
 // Pinned (the doall, dswp and helix tools, RunPinned): the user named the
 // technique, so the same walk skips the score-and-rank step — no
-// training replay, no Par < Seq gate — and lowers every plan that can be
+// training run, no Par < Seq gate — and lowers every plan that can be
 // lowered. That is deliberately ungated: a pinned run is how one
 // technique's lowering is measured on its own (the benchmark's
 // dswp_pipe/helix_pipe workloads), and the do-no-harm gate of ROADMAP
@@ -287,8 +288,9 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 	return sel, false, nil
 }
 
-// rank is the competing run's score-and-rank step: one training replay
-// prices every plan at once, and the profitable plans come back fastest
+// rank is the competing run's score-and-rank step: one training run
+// (compiled tier, see machine.AttributeLoopCostsMulti) prices every plan
+// at once, and the profitable plans come back fastest
 // modeled time first (stable: registry order breaks ties). When it
 // returns no plan, sel.Why says why the loop stays sequential.
 func rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) ([]*Candidate, error) {
