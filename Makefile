@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint loc race tier-diff bench bench-cache benchmark benchmark-check benchpair cache-smoke serve-smoke check-docs example-smoke campaign-smoke fuzz-smoke
+.PHONY: build test vet lint loc eval race tier-diff bench bench-cache benchmark benchmark-check benchpair cache-smoke serve-smoke check-docs example-smoke campaign-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,15 @@ loc:
 		"$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@$(GO) run ./cmd/noelle-eval -only table3
 	@$(GO) run ./cmd/noelle-eval -only table1 | grep -E '^Table 1|\((ENV|LB)\)'
+
+# The published cells a PR can move, printed (CI's test job runs this so
+# a moved cell shows in the log): Figure 5 and Section 4.4 as the auto
+# driver models them at 2 cores — planner-modeled, lowered loops only,
+# not wall-clock — and Table 4's measured usage matrix. About 2 s.
+eval:
+	$(GO) run ./cmd/noelle-eval -only fig5 -cores 2
+	$(GO) run ./cmd/noelle-eval -only spec -cores 2
+	$(GO) run ./cmd/noelle-eval -only table4
 
 # The manager's and the parallel runtime's concurrency guarantees are
 # only meaningful under -race; run the whole tree (the speedup

@@ -1,10 +1,10 @@
 // Parallelize: the paper's headline use case. A dot-product-style kernel
 // is parallelized by the DOALL custom tool (task extraction, environment,
 // per-worker reductions); the example verifies semantics by running both
-// versions, reports the simulated multicore speedup the machine model
-// predicts for the parallel schedule, and — since the dispatched tasks
-// now run concurrently on real cores — the measured wall-clock of the
-// parallel run against the interpreter's -seq fallback.
+// versions, reports the multicore speedup the DOALL planner models for
+// the parallel schedule (what the auto tool would select on), and — since
+// the dispatched tasks run concurrently on real cores — the measured
+// wall-clock of the parallel run against the interpreter's -seq fallback.
 //
 //	go run ./examples/parallelize
 package main
@@ -16,17 +16,15 @@ import (
 	"runtime"
 	"time"
 
-	"noelle/internal/analysis"
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
-	"noelle/internal/machine"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
 
-	// Register the DOALL planner the driver is pinned to.
+	// Register the DOALL planner: the only one the driver can ask here.
 	_ "noelle/internal/tools/doall"
 )
 
@@ -65,28 +63,23 @@ func main() {
 	}
 	fmt.Printf("sequential: exit=%d output=%q cycles=%d\n", r0, it0.Output.String(), it0.Cycles)
 
-	// Predict the parallel schedule's timing before transforming: measure
-	// per-iteration costs of the hot loop and evaluate the DOALL
-	// recurrence at several core counts.
-	mainFn := m.FunctionByName("main")
-	li := analysis.NewLoopInfo(mainFn)
-	arch := core.New(m, core.DefaultOptions()).Arch()
-	for _, nat := range li.TopLevel {
-		invs, err := machine.AttributeLoopCosts(m, nat, map[*ir.Instr]int{}, 1)
-		if err != nil || len(invs) == 0 {
-			continue
+	// Predict the parallel schedule's timing before transforming: one
+	// plan-only run of the driver per core count prices each loop's DOALL
+	// plan against its measured per-iteration costs — the numbers the
+	// auto tool selects on. (No profile is embedded, so both top-level
+	// loops count as hot.)
+	for _, cores := range []int{2, 4, 8, 12} {
+		opts := core.DefaultOptions()
+		opts.Cores = cores
+		res, err := auto.Run(context.Background(), core.New(m, opts), tool.Options{})
+		if err != nil {
+			log.Fatal(err)
 		}
-		seq := machine.SequentialCycles(invs)
-		if seq < 10000 {
-			continue // the init loop; report the hot one
-		}
-		fmt.Printf("hot loop %s: %d sequential cycles\n", nat.Header.Nam, seq)
-		for _, cores := range []int{2, 4, 8, 12} {
-			cfg := machine.DefaultConfig(arch, cores)
-			par := machine.SimulateAll(invs, func(inv *machine.Invocation) int64 {
-				return machine.SimulateDOALL(inv, cfg, 8)
-			})
-			fmt.Printf("  %2d cores: %d cycles (%.2fx)\n", cores, par, float64(seq)/float64(par))
+		for i := range res.Selections {
+			if w := res.Selections[i].Won(); w != nil {
+				fmt.Printf("%2d cores: loop %s %d -> %d modeled cycles (%.2fx)\n",
+					cores, res.Selections[i].Header, w.Seq, w.Par, w.Speedup())
+			}
 		}
 	}
 

@@ -223,7 +223,7 @@ func (n *Noelle) fingerprint(f *ir.Function) ir.Fingerprint {
 }
 
 // Use records a request for an abstraction without constructing anything
-// (mechanism abstractions like ENV/T/LB/IVS/DFE are provided by their own
+// (mechanism abstractions like ENV/T/LB/IVS are provided by their own
 // packages; tools record their use through the manager).
 func (n *Noelle) Use(a Abstraction) {
 	n.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"noelle/internal/alias"
+	"noelle/internal/analysis"
 	"noelle/internal/bench"
 	"noelle/internal/core"
 	"noelle/internal/ir"
@@ -90,7 +92,7 @@ func Figure4Invariants() ([]Fig4Row, error) {
 				loopInstrs += ls.NumInstrs()
 				inv := loops.NewInvariants(ls, fpdg, func(call *ir.Instr) bool { return !pt.CallIsPure(call) })
 				row.NoelleAbs += inv.Count()
-				llvm := baseline.InvariantsLLVM(f, ls.Nat, domTreeOf(f), baselineAA())
+				llvm := baseline.InvariantsLLVM(f, ls.Nat, analysis.NewDomTree(f), alias.TypeBasicAA{})
 				row.LLVMAbs += len(llvm)
 			}
 		}

@@ -66,9 +66,9 @@ func Table1Abstractions() []InventoryRow {
 		{"Environment (ENV) + Task (T)", "Live-in/live-out slots and thread-run code regions", "internal/env", 0, "PDG"},
 		{"Data-flow engine (DFE)", "Bit-vector work-list engine for data-flow equations", "internal/dataflow", 0, ""},
 		{"Loop structure (LS), INV, IV, IVS, RD, L, FR", "Loop shape, invariants, induction variables, reductions, forest", "internal/loops", 0, "PDG, aSCCDAG"},
-		{"Loop builder (LB)", "Loop transformations (pre-headers, hoisting, promotion, trip counts, task outlining)", "internal/loopbuilder", 0, "LS, IV, INV, DFE, ENV, T"},
+		{"Loop builder (LB)", "Loop transformations (pre-headers, hoisting, promotion, trip counts, task outlining)", "internal/loopbuilder", 0, "LS, IV, INV, ENV, T"},
 		{"Profiler (PRO)", "IR-level profilers + metadata embedding + hotness queries", "internal/profiler", 0, "LS"},
-		{"Scheduler (SCD)", "PDG-safe instruction motion within and between blocks", "internal/scheduler", 0, "PDG, LS, DFE"},
+		{"Scheduler (SCD)", "PDG-safe instruction motion within and between blocks", "internal/scheduler", 0, "PDG, LS"},
 		{"Architecture (AR)", "Cores, NUMA, measured core-to-core latencies", "internal/arch", 0, ""},
 		{"Islands (ISL) + generic graphs", "SCCs, condensations, weakly connected components", "internal/graph", 0, ""},
 		{"Alias analyses (SCAF/SVF stand-ins)", "Type/basic AA + Andersen points-to + collaboration", "internal/alias", 0, ""},

@@ -75,8 +75,8 @@ func Table4UsageMatrix() ([]Table4Row, error) {
 			opts := core.DefaultOptions()
 			opts.MinHotness = 0
 			n := core.New(m, opts)
-			// Lowering on: the pipelining parallelizers request ENV, T,
-			// DFE, LB and IVS where they use them, in Plan.Lower.
+			// Lowering on: the pipelining parallelizers request ENV, T, LB
+			// and IVS where they use them, in Plan.Lower.
 			topts := tool.DefaultOptions()
 			topts.ExecutePlans = true
 			rep, err := tool.Run(ctx, t, n, topts)

@@ -2,17 +2,18 @@
 // 4–5): the only place that walks the hot loops, plans them, lowers the
 // plans and records why. A run is either competing or pinned.
 //
-// Competing (the auto tool, Run): for every hot loop (profiler hotness
-// over the -hot threshold) each registered technique planner (doall,
-// dswp, helix) answers with a plan or a reason; every plan is priced
-// against one measured cost attribution of the loop (the machine package
-// runs the training input once per loop, on the interpreter's compiled
-// tier with the loop's cost probes bound in, and splits per-iteration
-// cycles along each plan's segmentation simultaneously), the predicted-fastest
-// profitable technique is selected and — under -exec-plans — exactly the
-// winning plan is lowered, falling back down the ranking when a winner
-// cannot be lowered (its code generator does not cover the loop's
-// shape).
+// Competing (the auto tool, Run; RunWith for a caller's own planner set,
+// which is how the evaluation prints Figure 5): for every hot loop
+// (profiler hotness over the -hot threshold) each registered technique
+// planner (doall, dswp, helix) answers with a plan or a reason; every
+// plan is priced against one measured cost attribution of the loop (the
+// machine package runs the training input once per loop, on the
+// interpreter's compiled tier with the loop's cost probes bound in, and
+// splits per-iteration cycles along each plan's segmentation
+// simultaneously), the predicted-fastest profitable technique is selected
+// and — under -exec-plans — exactly the winning plan is lowered, falling
+// back down the ranking when a winner cannot be lowered (its code
+// generator does not cover the loop's shape).
 //
 // Pinned (the doall, dswp and helix tools, RunPinned): the user named the
 // technique, so the same walk skips the score-and-rank step — no
@@ -91,6 +92,17 @@ type Selection struct {
 	Why string
 }
 
+// Won is the winning technique's candidate (nil when the loop stays
+// sequential).
+func (s *Selection) Won() *Candidate {
+	for i := range s.Candidates {
+		if s.Candidates[i].Technique == s.Winner { // never "": planners are named
+			return &s.Candidates[i]
+		}
+	}
+	return nil
+}
+
 // Result is the driver's outcome for one module.
 type Result struct {
 	// Pinned is the technique a pinned run was held to ("" for a
@@ -124,13 +136,35 @@ func (r *Result) Lowered() int {
 	return n
 }
 
-// Run is the competing run: every registered planner answers for every
-// hot loop and the predicted-fastest profitable plan wins. With
-// opts.ExecutePlans the winning plans are lowered; otherwise the
-// selection is a pure prediction report and the module is left
-// untouched.
+// ModeledSpeedup is the whole-program speedup the selections predict
+// (Amdahl): each winner's modeled Seq replaced by its Par in totalCycles,
+// the profile's cycle count for the untransformed program. Under
+// opts.ExecutePlans a loop has a winner only once it was lowered and the
+// comm tier accepted it; a pinned run prices nothing and reads 1.
+func (r *Result) ModeledSpeedup(totalCycles int64) float64 {
+	var seqs, pars []int64
+	for i := range r.Selections {
+		if w := r.Selections[i].Won(); w != nil {
+			seqs, pars = append(seqs, w.Seq), append(pars, w.Par)
+		}
+	}
+	return machine.Speedup(totalCycles, seqs, pars)
+}
+
+// Run is the competing run over every registered planner (the auto
+// tool).
 func Run(ctx context.Context, n *core.Noelle, opts tool.Options) (Result, error) {
-	planners := tool.Planners()
+	return RunWith(ctx, n, opts, tool.Planners())
+}
+
+// RunWith is the competing run over the caller's planner set: each of
+// them answers for every hot loop and the predicted-fastest profitable
+// plan wins. With opts.ExecutePlans the winning plans are lowered;
+// otherwise the selection is a pure prediction report and the module is
+// left untouched. The evaluation's Figure 5 holds it to one planner per
+// column, which (unlike RunPinned) keeps the pricing and the Par < Seq
+// gate.
+func RunWith(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner) (Result, error) {
 	if len(planners) == 0 {
 		return Result{}, fmt.Errorf("no technique planners registered")
 	}

@@ -331,8 +331,8 @@ int main() {
 
 // auto -exec-plans lowers through the techniques' mechanisms, so its
 // "abstractions requested" line must name them (it named none of ENV, T,
-// IVS, LB, DFE at the parent, where only the standalone tools' Run
-// declared them).
+// IVS, LB at the parent, where only the standalone tools' Run declared
+// them).
 func TestAutoLoweringDeclaresItsMechanisms(t *testing.T) {
 	autoTool, ok := tool.Lookup("auto")
 	if !ok {
@@ -353,7 +353,7 @@ func TestAutoLoweringDeclaresItsMechanisms(t *testing.T) {
 			requested[a] = true
 		}
 	}
-	for _, a := range []core.Abstraction{core.AbsENV, core.AbsTask, core.AbsLB, core.AbsIVS, core.AbsDFE} {
+	for _, a := range []core.Abstraction{core.AbsENV, core.AbsTask, core.AbsLB, core.AbsIVS} {
 		if !requested[a] {
 			t.Errorf("lowering runs never requested %s", a)
 		}

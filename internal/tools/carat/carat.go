@@ -31,7 +31,6 @@ type Result struct {
 
 // Run instruments the module.
 func Run(n *core.Noelle) Result {
-	n.Use(core.AbsDFE)
 	n.Use(core.AbsLB)
 	n.Use(core.AbsIVS)
 	var res Result
@@ -42,8 +41,6 @@ func Run(n *core.Noelle) Result {
 		if f.IsDeclaration() {
 			continue
 		}
-		fpdg := n.FunctionPDG(f) // legality for guard placement
-		_ = fpdg
 		dt := analysis.NewDomTree(f)
 		li := analysis.NewLoopInfo(f)
 		invCache := map[*analysis.NaturalLoop]*loops.Invariants{}

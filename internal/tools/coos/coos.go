@@ -2,8 +2,8 @@
 // (paper Section 3): it injects calls to an OS callback routine so that no
 // execution window longer than a budget elapses without one, replacing
 // hardware timer interrupts. It propagates worst-case "cycles since last
-// callback" across the CFG (a max data-flow analysis over the DFE's
-// worklist machinery), uses the loop forest to handle potentially
+// callback" across the CFG (a max data-flow analysis iterated to a fixed
+// point over the blocks), uses the loop forest to handle potentially
 // unbounded loops, and uses the call graph to account for callees.
 package coos
 
@@ -38,7 +38,6 @@ type summary struct {
 
 // Run instruments every function reachable from main, callees first.
 func Run(n *core.Noelle, budget int64) Result {
-	n.Use(core.AbsDFE)
 	n.Use(core.AbsForest)
 	n.Use(core.AbsLB)
 	res := Result{Budget: budget}

@@ -15,7 +15,7 @@ func init() { tool.Register(coosTool{}) }
 
 func (coosTool) Name() string { return "coos" }
 func (coosTool) Describe() string {
-	return "bound callback-free execution windows by a cycle budget (DFE + FR + CG)"
+	return "bound callback-free execution windows by a cycle budget (FR + LB + CG)"
 }
 func (coosTool) Transforms() bool { return true }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // doallChunk is the iteration chunk size the DOALL schedule distributes
-// (matching the chunking the evaluation's Figure-5 simulation uses).
+// in EstimateInvocation — the price the auto driver selects on and the
+// evaluation's Figure 5 prints.
 const doallChunk = 8
 
 // planner adapts the package to the shared Planner API: DOALL plans are

@@ -83,7 +83,6 @@ func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
 	p.n.Use(core.AbsTask)
-	p.n.Use(core.AbsDFE)
 	p.n.Use(core.AbsLB)
 	p.n.Use(core.AbsIVS)
 	if err := CanLower(p); err != nil {

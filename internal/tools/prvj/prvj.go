@@ -48,7 +48,6 @@ const MDQuality = "noelle.prvg.quality"
 // Run performs PRVG selection on the module.
 func Run(n *core.Noelle) Result {
 	n.Use(core.AbsPDG)
-	n.Use(core.AbsDFE)
 	n.Use(core.AbsLB)
 	n.Use(core.AbsIVS)
 	n.Use(core.AbsINV)

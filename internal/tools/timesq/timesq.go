@@ -48,7 +48,6 @@ func clockOf(in *ir.Instr) int {
 
 // Run optimizes the module for a timing-speculative core.
 func Run(n *core.Noelle) Result {
-	n.Use(core.AbsDFE)
 	n.Use(core.AbsLoop)
 	n.Use(core.AbsForest)
 	n.Use(core.AbsISL)
