@@ -59,18 +59,27 @@ race:
 # corpus/pipeline agreement suite and, by name, the two observation
 # differentials (compiled Collect and compiled loop-cost attribution
 # against the walker on the corpus, the synthetic programs, their
-# lowerings and 150 generated programs).
+# lowerings and 150 generated programs). The alias package rides along
+# the same way: its worklist solver and bottom-up summaries are held to
+# the round-robin reference on those subjects before and after `auto`
+# lowered them, and four concurrent PDG builds share one PointsTo.
 tier-diff:
 	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
+	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 
+# The repo's own unit costs, one iteration each (about a second; CI's
+# test job prints them): the whole-module points-to analysis
+# (BenchmarkPointsToWhole: ns, bytes and allocations per solve), a cold
+# and a warm pass over every function PDG, and the ablations.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-# The warm-load trajectory: cold (full alias solve per run) vs warm
-# (persistent store decode per run) on the bundled whole-program module.
+# The warm-load trajectory: cold (one points-to analysis, about 3 ms,
+# then a from-scratch PDG build per function) vs warm (persistent store
+# decode per function, no analysis) on the bundled whole-program module.
 bench-cache:
 	$(GO) test -bench 'FunctionPDG(Cold|Warm)' -benchtime=3x -run '^$$' .
 

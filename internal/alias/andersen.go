@@ -1,133 +1,471 @@
 package alias
 
 import (
+	"math/bits"
 	"sort"
 
+	"noelle/internal/graph"
 	"noelle/internal/ir"
 )
 
-// An object is an abstract memory location: an alloca instruction, a
-// global, or a function (for function pointers). Objects are identified by
-// the ir.Value that creates them.
+// An object is an abstract memory location: a global, a function (for
+// function pointers), or an alloca instruction. Objects are numbered once,
+// in module order (globals, functions, then every function's allocas), and
+// an objSet is a bitset over those numbers: union, intersection test and
+// the private-alloca filter are word operations, and iteration order is
+// the numbering. A set never loses a member and grows only to hold one,
+// so the empty set is the one of length zero (nil included).
+type objSet []uint64
 
-// objSet is a small set of objects with stable iteration order.
-type objSet struct {
-	m map[ir.Value]bool
-}
-
-func newObjSet() *objSet { return &objSet{m: map[ir.Value]bool{}} }
-
-func (s *objSet) add(v ir.Value) bool {
-	if s.m[v] {
+func (s *objSet) add(id int) bool {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	if (*s)[w]&bit != 0 {
 		return false
 	}
-	s.m[v] = true
+	(*s)[w] |= bit
 	return true
 }
 
-func (s *objSet) addAll(o *objSet) bool {
+// addAll adds the members of o that are not in except and reports whether
+// s grew.
+func (s *objSet) addAll(o, except objSet) bool {
 	changed := false
-	for v := range o.m {
-		if s.add(v) {
+	for i, w := range o {
+		if i < len(except) {
+			w &^= except[i]
+		}
+		if w == 0 {
+			continue
+		}
+		if i >= len(*s) {
+			*s = append(*s, make([]uint64, i+1-len(*s))...)
+		}
+		if w&^(*s)[i] != 0 {
+			(*s)[i] |= w
 			changed = true
 		}
 	}
 	return changed
 }
 
-func (s *objSet) has(v ir.Value) bool { return s.m[v] }
-func (s *objSet) size() int           { return len(s.m) }
-
-func (s *objSet) intersects(o *objSet) bool {
-	a, b := s, o
-	if b.size() < a.size() {
-		a, b = b, a
-	}
-	for v := range a.m {
-		if b.m[v] {
+func (s objSet) intersects(o objSet) bool {
+	for i := range min(len(s), len(o)) {
+		if s[i]&o[i] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// each visits the members that are not in except, in numbering order.
+func (s objSet) each(except objSet, fn func(id int)) {
+	for i, w := range s {
+		if i < len(except) {
+			w &^= except[i]
+		}
+		for ; w != 0; w &= w - 1 {
+			fn(i<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
 // PointsTo is a whole-module, flow-insensitive, inclusion-based
 // (Andersen-style) points-to analysis with interprocedural argument and
 // return binding, including through indirect calls discovered during the
-// fixed point. It is the stand-in for the SVF and SCAF analyses that power
-// NOELLE's PDG in the paper.
+// fixed point, plus per-function mod/ref summaries. It is the stand-in for
+// the SVF and SCAF analyses that power NOELLE's PDG in the paper.
+//
+// NewPointsTo is three passes, each visiting every instruction once:
+// number the objects, solve the inclusion constraints on a worklist, and
+// summarize the functions bottom-up over the call graph's SCCs. Nothing
+// is written after construction: function PDGs are built concurrently
+// against one PointsTo.
 type PointsTo struct {
 	Mod *ir.Module
 
-	pts  map[ir.Value]*objSet // SSA value -> objects it may point to
-	heap map[ir.Value]*objSet // object -> objects its cells may point to
-
-	// Per-function transitive memory summaries (mod/ref).
-	reads  map[*ir.Function]*objSet
-	writes map[*ir.Function]*objSet
+	objs []ir.Value // object number -> global, function or alloca
+	// sets holds what the cells of object i may point to at i, for every
+	// object, then the points-to sets of the SSA values node knows.
+	sets  []objSet
+	node  map[ir.Value]int32
+	funcs map[*ir.Function]*summary
 
 	// pureExterns do not access program memory (I/O and runtime hooks).
 	pureExterns map[string]bool
-	// io marks functions that may (transitively) perform externally
-	// visible side effects (calls to any declaration).
-	io map[*ir.Function]bool
+}
+
+// summary is what one function may do, itself or through its callees.
+type summary struct {
+	self []*ir.Function // the function: what Callees answers for a direct call
+	rets []ir.Value     // the operands of its value-returning rets
+
+	// private holds the function's allocas whose address never leaves an
+	// activation (never stored to memory, never returned). They cannot
+	// induce cross-call conflicts in a caller, so they stay out of reads
+	// and writes: this is what lets two calls to a Monte-Carlo path
+	// function with a local RNG state run in parallel.
+	private       objSet
+	reads, writes objSet // transitive mod/ref
+	// io: may perform externally visible side effects (calls a declaration).
+	io bool
+	// opaque: may reach an indirect call no target was resolved for, which
+	// can touch any memory.
+	opaque bool
 }
 
 // NewPointsTo runs the analysis over m to a fixed point.
 func NewPointsTo(m *ir.Module) *PointsTo {
 	pt := &PointsTo{
-		Mod:    m,
-		pts:    map[ir.Value]*objSet{},
-		heap:   map[ir.Value]*objSet{},
-		reads:  map[*ir.Function]*objSet{},
-		writes: map[*ir.Function]*objSet{},
+		Mod:   m,
+		funcs: map[*ir.Function]*summary{},
 		pureExterns: map[string]bool{
 			"print_i64": true, "print_f64": true,
 			"carat_guard": true, "os_callback": true, "clock_set": true,
 		},
-		io: map[*ir.Function]bool{},
 	}
-	pt.solve()
+	instrs := pt.number()
+	(&solver{pt: pt}).solve(instrs)
 	pt.summarize()
-	pt.summarizeIO()
 	return pt
 }
 
-// summarizeIO computes which functions may (transitively) call externs:
-// those have externally visible effects even when they touch no memory.
-func (pt *PointsTo) summarizeIO() {
+// number assigns the object numbers, collects each function's rets, and
+// returns the number of instructions; private starts out as all of the
+// function's allocas.
+func (pt *PointsTo) number() (instrs int) {
+	object := func(v ir.Value) int {
+		pt.objs = append(pt.objs, v)
+		return len(pt.objs) - 1
+	}
+	for _, g := range pt.Mod.Globals {
+		object(g)
+	}
 	for _, f := range pt.Mod.Functions {
-		if f.IsDeclaration() {
-			pt.io[f] = true
+		object(f)
+		pt.funcs[f] = &summary{self: []*ir.Function{f}}
+	}
+	for _, f := range pt.Mod.Functions {
+		fs := pt.funcs[f]
+		f.Instrs(func(in *ir.Instr) bool {
+			instrs++
+			switch {
+			case in.Opcode == ir.OpAlloca:
+				fs.private.add(object(in))
+			case in.Opcode == ir.OpRet && len(in.Ops) == 1:
+				fs.rets = append(fs.rets, in.Ops[0])
+			}
+			return true
+		})
+	}
+	return instrs
+}
+
+// lookup returns the objects v may point to. It never materializes an
+// entry: a value the solver had no constraint for has unknown provenance.
+func (pt *PointsTo) lookup(v ir.Value) objSet {
+	if n, ok := pt.node[v]; ok {
+		return pt.sets[n]
+	}
+	return nil
+}
+
+// node is the solver's state for one variable of the inclusion
+// constraints (pt.sets[n] is its value): the points-to set of an SSA value,
+// or the contents of an object's cells.
+type node struct {
+	succ   []int32 // copy edges: each successor's set includes this one
+	uses   *derefs // non-nil when something goes through the value as a pointer
+	queued bool
+}
+
+// derefs are the constraints through one pointer, applied once per member
+// of its set; seen holds the members they have been applied to.
+type derefs struct {
+	loads  []int32     // nodes loaded through it: cells(member) -> load
+	stores []int32     // nodes stored through it: stored -> cells(member)
+	calls  []*ir.Instr // indirect calls through it: bind to member
+	seen   objSet
+}
+
+// solver is the worklist state of solve, parallel to pt.sets.
+type solver struct {
+	pt    *PointsTo
+	nodes []node
+	work  []int32
+}
+
+func (s *solver) node(v ir.Value) int32 {
+	n, ok := s.pt.node[v]
+	if !ok {
+		n = int32(len(s.nodes))
+		s.pt.node[v] = n
+		s.nodes = append(s.nodes, node{})
+		s.pt.sets = append(s.pt.sets, nil)
+	}
+	return n
+}
+
+func (s *solver) derefs(ptr ir.Value) *derefs {
+	n := s.node(ptr) // may grow s.nodes
+	nd := &s.nodes[n]
+	if nd.uses == nil {
+		nd.uses = &derefs{}
+	}
+	return nd.uses
+}
+
+func (s *solver) push(n int32) {
+	if !s.nodes[n].queued {
+		s.nodes[n].queued = true
+		s.work = append(s.work, n)
+	}
+}
+
+// edge adds the copy edge src -> dst and brings dst up to date.
+func (s *solver) edge(src, dst int32) {
+	if src == dst {
+		return
+	}
+	s.nodes[src].succ = append(s.nodes[src].succ, dst)
+	if s.pt.sets[dst].addAll(s.pt.sets[src], nil) {
+		s.push(dst)
+	}
+}
+
+// copy makes dst point to whatever src does. Constants point nowhere.
+func (s *solver) copy(src, dst ir.Value) {
+	if _, isConst := src.(*ir.Const); !isConst {
+		from, to := s.node(src), s.node(dst)
+		s.edge(from, to)
+	}
+}
+
+// bind propagates points-to facts across a call site: arguments into
+// parameters and the callee's return values into the call's result.
+func (s *solver) bind(call *ir.Instr, callee *ir.Function) {
+	if callee.IsDeclaration() {
+		return
+	}
+	args := call.CallArgs()
+	for i, p := range callee.Params {
+		if i < len(args) && pointerLike(p.Ty) {
+			s.copy(args[i], p)
 		}
 	}
-	changed := true
-	for changed {
-		changed = false
-		for _, f := range pt.Mod.Functions {
-			if pt.io[f] {
-				continue
-			}
-			f.Instrs(func(in *ir.Instr) bool {
-				if in.Opcode != ir.OpCall {
-					return true
+	if call.HasResult() && pointerLike(call.Ty) {
+		for _, r := range s.pt.funcs[callee].rets {
+			s.copy(r, call)
+		}
+	}
+}
+
+// solve closes the inclusion constraints: one walk turns the instructions
+// into copy edges and per-pointer load/store/indirect-call constraints,
+// then a worklist moves sets along the edges, adding the edges those
+// constraints imply as each pointer's set grows. A pointer handed down a
+// call chain costs its edges, not a pass over the module per level.
+func (s *solver) solve(instrs int) {
+	pt := s.pt
+	hint := 2*len(pt.objs) + instrs
+	pt.node = make(map[ir.Value]int32, hint)
+	pt.sets = make([]objSet, len(pt.objs), hint)
+	s.nodes = make([]node, len(pt.objs), hint)
+	for id, obj := range pt.objs {
+		n := s.node(obj) // every object's address points to it
+		pt.sets[n].add(id)
+		s.push(n)
+	}
+	for _, f := range pt.Mod.Functions {
+		f.Instrs(func(in *ir.Instr) bool {
+			switch in.Opcode {
+			case ir.OpPtrAdd, ir.OpP2I, ir.OpI2P:
+				// Field-insensitive: a derived pointer points into the
+				// same objects as its base, and address casts carry
+				// provenance through integers.
+				s.copy(in.Ops[0], in)
+			case ir.OpPhi:
+				for _, op := range in.Ops {
+					s.copy(op, in)
 				}
-				for _, callee := range pt.Callees(in) {
-					if pt.io[callee] {
-						pt.io[f] = true
-						changed = true
-						return false
+			case ir.OpSelect:
+				s.copy(in.Ops[1], in)
+				s.copy(in.Ops[2], in)
+			case ir.OpLoad:
+				// Loads propagate unconditionally: integer cells may
+				// carry pointer bits (p2i round trips through task
+				// environments).
+				u := s.derefs(in.Ops[0])
+				u.loads = append(u.loads, s.node(in))
+			case ir.OpStore:
+				if _, isConst := in.Ops[0].(*ir.Const); !isConst {
+					u := s.derefs(in.Ops[1])
+					u.stores = append(u.stores, s.node(in.Ops[0]))
+				}
+			case ir.OpCall:
+				if callee := in.CalledFunction(); callee != nil {
+					s.bind(in, callee)
+				} else {
+					u := s.derefs(in.Ops[0])
+					u.calls = append(u.calls, in)
+				}
+			}
+			return true
+		})
+	}
+	for len(s.work) > 0 {
+		n := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		s.nodes[n].queued = false
+		if u := s.nodes[n].uses; u != nil {
+			set, seen := pt.sets[n], u.seen
+			u.seen = append(objSet(nil), set...)
+			set.each(seen, func(obj int) {
+				for _, dst := range u.loads {
+					s.edge(int32(obj), dst)
+				}
+				for _, src := range u.stores {
+					s.edge(src, int32(obj))
+				}
+				if callee, ok := pt.objs[obj].(*ir.Function); ok {
+					for _, call := range u.calls {
+						s.bind(call, callee)
 					}
 				}
-				return true
 			})
 		}
+		for _, dst := range s.nodes[n].succ {
+			if pt.sets[dst].addAll(pt.sets[n], nil) {
+				s.push(dst)
+			}
+		}
 	}
+}
+
+func pointerLike(t *ir.Type) bool {
+	return t != nil && (t.Kind == ir.PtrKind || t.Kind == ir.FuncKind)
+}
+
+// Callees returns the possible targets of a call instruction: the static
+// callee for direct calls, or every function in the callee operand's
+// points-to set for indirect ones, by name. An indirect call with no
+// target is opaque: it may call anything (provenance is not carried
+// through integer arithmetic), and every client assumes the worst of it.
+func (pt *PointsTo) Callees(call *ir.Instr) []*ir.Function {
+	if f := call.CalledFunction(); f != nil {
+		if fs := pt.funcs[f]; fs != nil {
+			return fs.self
+		}
+		return []*ir.Function{f}
+	}
+	var out []*ir.Function
+	pt.lookup(call.Ops[0]).each(nil, func(id int) {
+		if f, ok := pt.objs[id].(*ir.Function); ok {
+			out = append(out, f)
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Nam < out[j].Nam })
+	return out
+}
+
+// summarize computes the per-function transitive summaries in one
+// bottom-up pass: a walk over the instructions collects what each function
+// does itself and whom it calls, then the call graph's SCCs are closed
+// callees first, each function importing its callees' finished sets minus
+// its own private allocas. Only a multi-function SCC iterates, and only
+// over its members' sets.
+func (pt *PointsTo) summarize() {
+	// An alloca escapes when its address is stored to memory or returned.
+	var escaping objSet
+	for _, cells := range pt.sets[:len(pt.objs)] {
+		escaping.addAll(cells, nil)
+	}
+	for _, fs := range pt.funcs {
+		for _, r := range fs.rets {
+			escaping.addAll(pt.lookup(r), nil)
+		}
+	}
+	cg := graph.New[*ir.Function]()
+	for _, f := range pt.Mod.Functions {
+		fs := pt.funcs[f]
+		if f.IsDeclaration() {
+			fs.io = true
+			continue
+		}
+		allocas := fs.private
+		fs.private = nil
+		allocas.each(escaping, func(id int) { fs.private.add(id) })
+		cg.AddNode(f)
+		unknown := func(call *ir.Instr) {
+			args := pt.argObjects(call)
+			fs.reads.addAll(args, fs.private)
+			fs.writes.addAll(args, fs.private)
+		}
+		f.Instrs(func(in *ir.Instr) bool {
+			switch in.Opcode {
+			case ir.OpLoad:
+				fs.reads.addAll(pt.lookup(in.Ops[0]), fs.private)
+			case ir.OpStore:
+				fs.writes.addAll(pt.lookup(in.Ops[1]), fs.private)
+			case ir.OpCall:
+				callees := pt.Callees(in)
+				if len(callees) == 0 {
+					fs.opaque, fs.io = true, true
+					unknown(in)
+				}
+				for _, callee := range callees {
+					if !callee.IsDeclaration() {
+						cg.AddEdge(f, callee)
+						continue
+					}
+					fs.io = true
+					if !pt.pureExterns[callee.Nam] {
+						unknown(in)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, scc := range cg.SCCs() {
+		for changed := true; changed; {
+			changed = false
+			for _, f := range scc.Nodes {
+				fs := pt.funcs[f]
+				for _, callee := range cg.Succs(f) {
+					cs := pt.funcs[callee]
+					changed = fs.reads.addAll(cs.reads, fs.private) || changed
+					changed = fs.writes.addAll(cs.writes, fs.private) || changed
+					if cs.io && !fs.io || cs.opaque && !fs.opaque {
+						fs.io, fs.opaque = fs.io || cs.io, fs.opaque || cs.opaque
+						changed = true
+					}
+				}
+			}
+			changed = changed && len(scc.Nodes) > 1
+		}
+	}
+}
+
+// argObjects returns what a call's pointer arguments may point to: an
+// unknown callee is assumed to read and write anything reachable from them.
+func (pt *PointsTo) argObjects(call *ir.Instr) (objs objSet) {
+	for _, a := range call.CallArgs() {
+		if pointerLike(a.Type()) {
+			objs.addAll(pt.lookup(a), nil)
+		}
+	}
+	return objs
 }
 
 // FuncHasSideEffects reports whether f may perform externally visible I/O
 // (transitively calls a declaration).
-func (pt *PointsTo) FuncHasSideEffects(f *ir.Function) bool { return pt.io[f] }
+func (pt *PointsTo) FuncHasSideEffects(f *ir.Function) bool {
+	fs := pt.funcs[f]
+	return fs != nil && fs.io
+}
 
 // CallIsPure reports whether the call provably has no memory access and no
 // externally visible side effect — the condition for hoisting it.
@@ -137,293 +475,21 @@ func (pt *PointsTo) CallIsPure(call *ir.Instr) bool {
 		return false // unknown target: assume the worst
 	}
 	for _, callee := range callees {
-		if pt.io[callee] || pt.FuncAccessesMemory(callee) {
+		if pt.FuncHasSideEffects(callee) || pt.FuncAccessesMemory(callee) {
 			return false
 		}
 	}
 	return true
 }
 
-func (pt *PointsTo) setOf(v ir.Value) *objSet {
-	s, ok := pt.pts[v]
-	if !ok {
-		s = newObjSet()
-		pt.pts[v] = s
-	}
-	return s
-}
-
-func (pt *PointsTo) heapOf(obj ir.Value) *objSet {
-	s, ok := pt.heap[obj]
-	if !ok {
-		s = newObjSet()
-		pt.heap[obj] = s
-	}
-	return s
-}
-
-// solve iterates the inclusion constraints to a fixed point. Module sizes
-// in this repo are small, so a simple round-robin loop is fine.
-func (pt *PointsTo) solve() {
-	// Seed: address-taking values.
-	for _, g := range pt.Mod.Globals {
-		pt.setOf(g).add(g)
-	}
-	for _, f := range pt.Mod.Functions {
-		pt.setOf(f).add(f)
-		f.Instrs(func(in *ir.Instr) bool {
-			if in.Opcode == ir.OpAlloca {
-				pt.setOf(in).add(in)
-			}
-			return true
-		})
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for _, f := range pt.Mod.Functions {
-			f.Instrs(func(in *ir.Instr) bool {
-				switch in.Opcode {
-				case ir.OpPtrAdd:
-					// Field-insensitive: derived pointer points into the
-					// same objects as the base.
-					if pt.setOf(in).addAll(pt.valSet(in.Ops[0])) {
-						changed = true
-					}
-				case ir.OpPhi, ir.OpSelect:
-					ops := in.Ops
-					if in.Opcode == ir.OpSelect {
-						ops = in.Ops[1:]
-					}
-					for _, op := range ops {
-						if pt.setOf(in).addAll(pt.valSet(op)) {
-							changed = true
-						}
-					}
-				case ir.OpP2I, ir.OpI2P:
-					// Address casts carry provenance through integers.
-					if pt.setOf(in).addAll(pt.valSet(in.Ops[0])) {
-						changed = true
-					}
-				case ir.OpLoad:
-					// Loads propagate unconditionally: integer cells may
-					// carry pointer bits (p2i round trips through task
-					// environments).
-					for obj := range pt.valSet(in.Ops[0]).m {
-						if pt.setOf(in).addAll(pt.heapOf(obj)) {
-							changed = true
-						}
-					}
-				case ir.OpStore:
-					if src := pt.valSet(in.Ops[0]); src.size() > 0 {
-						for obj := range pt.valSet(in.Ops[1]).m {
-							if pt.heapOf(obj).addAll(src) {
-								changed = true
-							}
-						}
-					}
-				case ir.OpCall:
-					if pt.bindCall(in) {
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// valSet returns the points-to set of v, materializing singletons for
-// direct object references. It mutates the analysis state and is only
-// safe during construction (solve/summarize); queries after the fixed
-// point use the read-only lookup instead.
-func (pt *PointsTo) valSet(v ir.Value) *objSet {
-	s := pt.setOf(v)
-	switch v.(type) {
-	case *ir.Global, *ir.Function:
-		s.add(v)
-	}
-	return s
-}
-
-// emptySet is the shared result for values the solver never saw. It must
-// never be mutated.
-var emptySet = newObjSet()
-
-// lookup is the read-only twin of valSet: it never materializes entries,
-// so concurrent queries after construction are safe (the demand-driven
-// manager builds function PDGs in parallel against one PointsTo). Every
-// global, function, and alloca is seeded during solve, so the only values
-// that miss are those with genuinely unknown provenance.
-func (pt *PointsTo) lookup(v ir.Value) *objSet {
-	if s, ok := pt.pts[v]; ok {
-		return s
-	}
-	return emptySet
-}
-
-func pointerLike(t *ir.Type) bool {
-	return t != nil && (t.Kind == ir.PtrKind || t.Kind == ir.FuncKind)
-}
-
-// bindCall propagates points-to facts across a call site: arguments into
-// parameters and the callee's return values into the call's result.
-func (pt *PointsTo) bindCall(call *ir.Instr) bool {
-	changed := false
-	for _, callee := range pt.Callees(call) {
-		if callee.IsDeclaration() {
-			continue
-		}
-		args := call.CallArgs()
-		for i, p := range callee.Params {
-			if i < len(args) && pointerLike(p.Ty) {
-				if pt.setOf(p).addAll(pt.valSet(args[i])) {
-					changed = true
-				}
-			}
-		}
-		if call.HasResult() && pointerLike(call.Ty) {
-			for _, b := range callee.Blocks {
-				t := b.Terminator()
-				if t != nil && t.Opcode == ir.OpRet && len(t.Ops) == 1 {
-					if pt.setOf(call).addAll(pt.valSet(t.Ops[0])) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// Callees returns the possible targets of a call instruction: the static
-// callee for direct calls, or every function in the callee operand's
-// points-to set for indirect ones.
-func (pt *PointsTo) Callees(call *ir.Instr) []*ir.Function {
-	if f := call.CalledFunction(); f != nil {
-		return []*ir.Function{f}
-	}
-	var out []*ir.Function
-	for obj := range pt.lookup(call.Ops[0]).m {
-		if f, ok := obj.(*ir.Function); ok {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Nam < out[j].Nam })
-	return out
-}
-
-// summarize computes per-function transitive read/write object sets.
-// Callee summaries are imported through an export filter: allocas owned by
-// the callee that never escape it are private per activation, so they
-// cannot induce cross-call conflicts in the caller (this is what lets two
-// calls to a Monte-Carlo path function with a local RNG state run in
-// parallel).
-func (pt *PointsTo) summarize() {
-	escaping := pt.escapingAllocas()
-	exported := func(f *ir.Function, s *objSet) *objSet {
-		out := newObjSet()
-		for obj := range s.m {
-			if a, ok := obj.(*ir.Instr); ok && a.Opcode == ir.OpAlloca &&
-				a.Parent != nil && a.Parent.Parent == f && !escaping[a] {
-				continue // activation-private storage
-			}
-			out.add(obj)
-		}
-		return out
-	}
-	for _, f := range pt.Mod.Functions {
-		pt.reads[f] = newObjSet()
-		pt.writes[f] = newObjSet()
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, f := range pt.Mod.Functions {
-			r, w := pt.reads[f], pt.writes[f]
-			f.Instrs(func(in *ir.Instr) bool {
-				switch in.Opcode {
-				case ir.OpLoad:
-					if r.addAll(pt.valSet(in.Ops[0])) {
-						changed = true
-					}
-				case ir.OpStore:
-					if w.addAll(pt.valSet(in.Ops[1])) {
-						changed = true
-					}
-				case ir.OpCall:
-					for _, callee := range pt.Callees(in) {
-						if callee.IsDeclaration() && pt.pureExterns[callee.Nam] {
-							continue
-						}
-						if callee.IsDeclaration() {
-							// Unknown extern: assume it can touch anything
-							// reachable from its pointer arguments.
-							for _, a := range in.CallArgs() {
-								if pointerLike(a.Type()) {
-									if r.addAll(pt.valSet(a)) {
-										changed = true
-									}
-									if w.addAll(pt.valSet(a)) {
-										changed = true
-									}
-								}
-							}
-							continue
-						}
-						if r.addAll(exported(callee, pt.reads[callee])) {
-							changed = true
-						}
-						if w.addAll(exported(callee, pt.writes[callee])) {
-							changed = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	// The caller-visible sets themselves must also hide private allocas.
-	for _, f := range pt.Mod.Functions {
-		pt.reads[f] = exported(f, pt.reads[f])
-		pt.writes[f] = exported(f, pt.writes[f])
-	}
-}
-
-// escapingAllocas finds allocas whose address leaves their activation:
-// stored into memory, or returned.
-func (pt *PointsTo) escapingAllocas() map[*ir.Instr]bool {
-	esc := map[*ir.Instr]bool{}
-	mark := func(s *objSet) {
-		for obj := range s.m {
-			if a, ok := obj.(*ir.Instr); ok && a.Opcode == ir.OpAlloca {
-				esc[a] = true
-			}
-		}
-	}
-	for _, heap := range pt.heap {
-		mark(heap)
-	}
-	for _, f := range pt.Mod.Functions {
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t != nil && t.Opcode == ir.OpRet && len(t.Ops) == 1 {
-				mark(pt.valSet(t.Ops[0]))
-			}
-		}
-	}
-	return esc
-}
-
-// PointsToSet returns the objects v may point to, in deterministic order.
+// PointsToSet returns the objects v may point to, in numbering order.
 func (pt *PointsTo) PointsToSet(v ir.Value) []ir.Value {
-	s := pt.lookup(v)
-	out := make([]ir.Value, 0, s.size())
-	for obj := range s.m {
-		out = append(out, obj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ident() < out[j].Ident() })
+	return pt.values(pt.lookup(v))
+}
+
+func (pt *PointsTo) values(s objSet) []ir.Value {
+	var out []ir.Value
+	s.each(nil, func(id int) { out = append(out, pt.objs[id]) })
 	return out
 }
 
@@ -442,32 +508,30 @@ const (
 // the memory ptr addresses.
 func (pt *PointsTo) CallModRefPtr(call *ir.Instr, ptr ir.Value) ModRef {
 	target := pt.lookup(ptr)
+	callees := pt.Callees(call)
+	if len(callees) == 0 {
+		return ModAndRef
+	}
 	mayRead, mayWrite := false, false
-	unknownTarget := target.size() == 0
-	for _, callee := range pt.Callees(call) {
+	for _, callee := range callees {
 		if callee.IsDeclaration() {
 			if pt.pureExterns[callee.Nam] {
 				continue
 			}
-			mayRead, mayWrite = true, true
-			break
+			return ModAndRef
 		}
-		if unknownTarget {
+		fs := pt.funcs[callee]
+		switch {
+		case fs.opaque:
+			return ModAndRef
+		case len(target) == 0:
 			// ptr with empty points-to set (e.g. from an extern): be
 			// conservative against functions that touch any memory.
-			if pt.reads[callee].size() > 0 {
-				mayRead = true
-			}
-			if pt.writes[callee].size() > 0 {
-				mayWrite = true
-			}
-			continue
-		}
-		if pt.reads[callee].intersects(target) {
-			mayRead = true
-		}
-		if pt.writes[callee].intersects(target) {
-			mayWrite = true
+			mayRead = mayRead || len(fs.reads) > 0
+			mayWrite = mayWrite || len(fs.writes) > 0
+		default:
+			mayRead = mayRead || fs.reads.intersects(target)
+			mayWrite = mayWrite || fs.writes.intersects(target)
 		}
 	}
 	switch {
@@ -485,31 +549,34 @@ func (pt *PointsTo) CallModRefPtr(call *ir.Instr, ptr ir.Value) ModRef {
 // CallsAccessMemory reports whether the two calls may touch overlapping
 // memory (used for call-call ordering dependences).
 func (pt *PointsTo) CallsAccessMemory(a, b *ir.Instr) bool {
-	ra, wa := pt.callAccess(a)
-	rb, wb := pt.callAccess(b)
+	ra, wa, opaqueA := pt.callAccess(a)
+	rb, wb, opaqueB := pt.callAccess(b)
 	// Write-write, write-read, read-write conflicts order the calls.
-	return wa.intersects(wb) || wa.intersects(rb) || ra.intersects(wb)
+	return opaqueA || opaqueB || wa.intersects(wb) || wa.intersects(rb) || ra.intersects(wb)
 }
 
-func (pt *PointsTo) callAccess(call *ir.Instr) (reads, writes *objSet) {
-	reads, writes = newObjSet(), newObjSet()
-	for _, callee := range pt.Callees(call) {
-		if callee.IsDeclaration() {
-			if pt.pureExterns[callee.Nam] {
-				continue
-			}
-			for _, a := range call.CallArgs() {
-				if pointerLike(a.Type()) {
-					reads.addAll(pt.lookup(a))
-					writes.addAll(pt.lookup(a))
-				}
-			}
-			continue
-		}
-		reads.addAll(pt.reads[callee])
-		writes.addAll(pt.writes[callee])
+// callAccess returns what a call may read and write, or that it is opaque.
+// The sets are the callee's own summary when there is one defined callee:
+// they are shared, not copies.
+func (pt *PointsTo) callAccess(call *ir.Instr) (reads, writes objSet, opaque bool) {
+	callees := pt.Callees(call)
+	if len(callees) == 1 && !callees[0].IsDeclaration() {
+		fs := pt.funcs[callees[0]]
+		return fs.reads, fs.writes, fs.opaque
 	}
-	return reads, writes
+	for _, callee := range callees {
+		if !callee.IsDeclaration() {
+			fs := pt.funcs[callee]
+			reads.addAll(fs.reads, nil)
+			writes.addAll(fs.writes, nil)
+			opaque = opaque || fs.opaque
+		} else if !pt.pureExterns[callee.Nam] {
+			args := pt.argObjects(call)
+			reads.addAll(args, nil)
+			writes.addAll(args, nil)
+		}
+	}
+	return reads, writes, opaque || len(callees) == 0
 }
 
 // FuncAccessesMemory reports whether f may read or write program memory.
@@ -517,7 +584,8 @@ func (pt *PointsTo) FuncAccessesMemory(f *ir.Function) bool {
 	if f.IsDeclaration() {
 		return !pt.pureExterns[f.Nam]
 	}
-	return pt.reads[f].size() > 0 || pt.writes[f].size() > 0
+	fs := pt.funcs[f]
+	return len(fs.reads) > 0 || len(fs.writes) > 0 || fs.opaque
 }
 
 // AndersenAA adapts PointsTo to the Analysis interface.
@@ -533,7 +601,7 @@ func (a AndersenAA) Alias(x, y ir.Value) Result {
 		return MustAlias
 	}
 	sx, sy := a.PT.lookup(x), a.PT.lookup(y)
-	if sx.size() == 0 || sy.size() == 0 {
+	if len(sx) == 0 || len(sy) == 0 {
 		return MayAlias // unknown provenance
 	}
 	if !sx.intersects(sy) {

@@ -14,9 +14,10 @@ import (
 // arrays, plus a main that fans out into the chain. The shape is the
 // corpus programs' (array sweeps, accumulators, call chains) but the
 // size is configurable, which is what the warm-load study needs: the
-// whole-module alias solve grows superlinearly with program size while
-// a persistent-store load stays linear, so this module is where the
-// abscache speedup is measured (BenchmarkFunctionPDGCold/Warm).
+// call chain is as deep as the program is large (what a per-level
+// points-to pass pays for, BenchmarkPointsToWhole), and this module is
+// where a cold build is measured against a persistent-store load
+// (BenchmarkFunctionPDGCold/Warm).
 func Synthetic(nFuncs, nGlobals int) (*ir.Module, error) {
 	var sb strings.Builder
 	for g := 0; g < nGlobals; g++ {

@@ -111,8 +111,13 @@ func (b *Builder) addMemoryDeps(f *ir.Function, g *Graph) {
 		case ir.OpCall:
 			acc := memAccess{in: in}
 			if b.PT != nil {
-				// Summaries refine what the callees can touch.
-				for _, callee := range b.PT.Callees(in) {
+				// Summaries refine what the callees can touch; a call
+				// with no resolved target may do anything.
+				callees := b.PT.Callees(in)
+				if len(callees) == 0 {
+					acc.reads, acc.writes, acc.io = true, true, true
+				}
+				for _, callee := range callees {
 					if b.PT.FuncAccessesMemory(callee) {
 						acc.reads, acc.writes = true, true
 					}

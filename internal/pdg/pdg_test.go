@@ -158,6 +158,57 @@ int main() {
 	}
 }
 
+// An indirect call the points-to analysis resolves no target for (here the
+// function's address went through integer arithmetic) may do anything: it
+// is a memory node ordered against the load that follows it, not a call
+// to nothing.
+func TestOpaqueIndirectCallOrdersMemory(t *testing.T) {
+	m, err := irtext.Parse(`module "opaque"
+
+global @g : i64 zeroinit
+
+func @bump(%x: i64) i64 {
+entry:
+  %t0 = load i64, @g
+  %t1 = add %t0, %x
+  store i64 %t1, @g
+  ret %t1
+}
+
+func @main() i64 {
+entry:
+  %a = p2i @bump
+  %b = add %a, 0
+  %f = i2p fn(i64) i64, %b
+  %r = call i64 %f(5)
+  %v = load i64, @g
+  ret %v
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.FunctionByName("main")
+	g := pdg.NewBuilder(m).FunctionPDG(f)
+	var call, load *ir.Instr
+	f.Instrs(func(in *ir.Instr) bool {
+		switch in.Opcode {
+		case ir.OpCall:
+			call = in
+		case ir.OpLoad:
+			load = in
+		}
+		return true
+	})
+	memory := false
+	for _, e := range g.EdgesBetween(call, load) {
+		memory = memory || e.Memory
+	}
+	if !memory {
+		t.Error("no memory dependence from the unresolved call to the load of @g it may write")
+	}
+}
+
 func TestEmbedReloadRoundTrip(t *testing.T) {
 	m := compile(t, `
 int g;

@@ -7,6 +7,7 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/tool"
@@ -166,6 +167,64 @@ int main() {
 	// The module must be untouched.
 	if ir.Print(m) != ir.Print(orig) {
 		t.Error("rejected loop was still modified")
+	}
+}
+
+// The call in this counted loop goes through a function address that
+// passed through integer arithmetic, so no target is resolved for it; it
+// bumps @g, which the same iteration then reads. Taken for a call to
+// nothing the loop is DOALL (and prints 4914 for 4950 on two workers).
+func TestDOALLRefusesUnresolvedIndirectCall(t *testing.T) {
+	m, err := irtext.Parse(`module "opaque"
+
+global @g : i64 zeroinit
+global @out : [100 x i64] zeroinit
+
+declare @print_i64 : fn(i64) void
+
+func @bump(%x: i64) i64 {
+entry:
+  %t0 = load i64, @g
+  %t1 = add %t0, %x
+  store i64 %t1, @g
+  ret %t1
+}
+
+func @main() i64 {
+entry:
+  br for.header
+for.header:
+  %i = phi i64 [ 0, entry ], [ %i.next, for.body ]
+  %c = lt %i, 100
+  condbr %c, for.body, for.end
+for.body:
+  %a = p2i @bump
+  %b = add %a, 0
+  %f = i2p fn(i64) i64, %b
+  %r = call i64 %f(%i)
+  %v = load i64, @g
+  %p = ptradd @out, %i
+  store i64 %v, %p
+  %i.next = add %i, 1
+  br for.header
+for.end:
+  %q = ptradd @out, 99
+  %w = load i64, %q
+  call void @print_i64(%w)
+  ret 0
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	res, err := runDOALL(core.New(m, opts))
+	if err != nil {
+		t.Fatalf("doall: %v", err)
+	}
+	if res.Lowered() != 0 {
+		t.Fatalf("a loop around a call to an unknown target was parallelized\n%s", ir.Print(m))
 	}
 }
 
