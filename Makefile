@@ -57,9 +57,10 @@ race:
 # the walker on bench.WholeProgram (TestCompiledTierSpeedup; its noise
 # margin is documented at the assertion) plus the byte-identical
 # corpus/pipeline agreement suite and, by name, the two observation
-# differentials (compiled Collect and compiled loop-cost attribution
-# against the walker on the corpus, the synthetic programs, their
-# lowerings and 150 generated programs). The alias package rides along
+# differentials (compiled Collect and compiled loop-cost attribution,
+# each loop alone and every loop of a module in one run, against the
+# walker on the corpus, the synthetic programs, their lowerings and 150
+# generated programs). The alias package rides along
 # the same way: its worklist solver and bottom-up summaries are held to
 # the round-robin reference on those subjects before and after `auto`
 # lowered them, and four concurrent PDG builds share one PointsTo.
@@ -72,8 +73,9 @@ tier-diff:
 
 # The repo's own unit costs, one iteration each (about a second; CI's
 # test job prints them): the whole-module points-to analysis
-# (BenchmarkPointsToWhole: ns, bytes and allocations per solve), a cold
-# and a warm pass over every function PDG, and the ablations.
+# (BenchmarkPointsToWhole: ns, bytes and allocations per solve), auto's
+# plan-and-price decision (BenchmarkAutoPricing: one training run), a
+# cold and a warm pass over every function PDG, and the ablations.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
@@ -116,8 +118,8 @@ benchpair:
 # communication plane (bulk queue operations once per chunk of
 # iterations, then ticket signals and one fork per block of iterations),
 # the auto orchestrator's workload (the only one that runs `auto` and
-# its one training run per scored loop, on the compiled tier's loop-cost
-# probes) and a service workload must finish with
+# its one training run for every loop it scores, on the compiled tier's
+# loop-cost probes) and a service workload must finish with
 # every check passing (the driver exits non-zero on any wrong output or
 # exact count that moves between runs).
 benchmark-check:

@@ -1,6 +1,7 @@
 // Package noelle's root benchmarks measure what nothing else in the
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
-// cold vs warm abstraction-store load, and four design ablations
+// cold vs warm abstraction-store load, the unit costs of a points-to
+// analysis and of auto's pricing, and four design ablations
 // (demand-driven construction, alias stacks, HELIX header scheduling,
 // DOALL chunk size). Run them with
 //
@@ -114,6 +115,31 @@ func BenchmarkPointsToWhole(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		alias.NewPointsTo(m)
+	}
+}
+
+// BenchmarkAutoPricing is the unit cost of auto's decision on a profiled
+// bench.ParallelProgram(16384), plan-only over a warm manager: every hot
+// loop planned by every planner and priced, which is one training run of
+// the program on the compiled tier's loop-cost probes, whatever the loop
+// count.
+func BenchmarkAutoPricing(b *testing.B) {
+	m, err := bench.ParallelProgram(16384)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := profiler.Collect(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof.Embed()
+	n := core.New(m, core.DefaultOptions())
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := auto.Run(context.Background(), n, tool.DefaultOptions())
+		if err != nil || res.Selected() == 0 {
+			b.Fatalf("auto: %v, %d selected", err, res.Selected())
+		}
 	}
 }
 

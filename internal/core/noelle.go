@@ -42,7 +42,6 @@ const (
 	AbsCG     Abstraction = "CG"
 	AbsENV    Abstraction = "ENV"
 	AbsTask   Abstraction = "T"
-	AbsDFE    Abstraction = "DFE"
 	AbsLS     Abstraction = "LS"
 	AbsPRO    Abstraction = "PRO"
 	AbsSCD    Abstraction = "SCD"

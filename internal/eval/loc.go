@@ -64,7 +64,7 @@ func Table1Abstractions() []InventoryRow {
 		{"aSCCDAG", "SCCDAG of a loop with attributes on each SCC", "internal/sccdag", 0, "PDG"},
 		{"Call graph (CG)", "Complete call graph including indirect callees", "internal/callgraph", 0, "PDG (points-to)"},
 		{"Environment (ENV) + Task (T)", "Live-in/live-out slots and thread-run code regions", "internal/env", 0, "PDG"},
-		{"Data-flow engine (DFE)", "Bit-vector work-list engine for data-flow equations", "internal/dataflow", 0, ""},
+		{"Data-flow engine (DFE)", "Bit-vector work-list engine for data-flow equations", "", 0, "not reproduced: no client"},
 		{"Loop structure (LS), INV, IV, IVS, RD, L, FR", "Loop shape, invariants, induction variables, reductions, forest", "internal/loops", 0, "PDG, aSCCDAG"},
 		{"Loop builder (LB)", "Loop transformations (pre-headers, hoisting, promotion, trip counts, task outlining)", "internal/loopbuilder", 0, "LS, IV, INV, ENV, T"},
 		{"Profiler (PRO)", "IR-level profilers + metadata embedding + hotness queries", "internal/profiler", 0, "LS"},
@@ -75,7 +75,9 @@ func Table1Abstractions() []InventoryRow {
 		{"Manager (noelle-load layer)", "Demand-driven construction, caching, request tracking", "internal/core", 0, "all of the above"},
 	}
 	for i := range rows {
-		rows[i].LoC = CountLoC(rows[i].Dir)
+		if rows[i].Dir != "" {
+			rows[i].LoC = CountLoC(rows[i].Dir)
+		}
 	}
 	return rows
 }

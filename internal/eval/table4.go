@@ -16,7 +16,7 @@ import (
 // table4Columns lists the abstractions in the paper's column order.
 var table4Columns = []core.Abstraction{
 	core.AbsPDG, core.AbsSCCDAG, core.AbsCG, core.AbsENV, core.AbsTask,
-	core.AbsDFE, core.AbsPRO, core.AbsSCD, core.AbsLoop, core.AbsLB,
+	core.AbsPRO, core.AbsSCD, core.AbsLoop, core.AbsLB,
 	core.AbsIV, core.AbsIVS, core.AbsINV, core.AbsForest, core.AbsISL,
 	core.AbsRD, core.AbsAR, core.AbsLS,
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Subjects yields a fresh copy of every module the compiled tier's
-// observation (interp.CountEdges, interp.ObserveLoop) is held to the
+// observation (interp.CountEdges, interp.ObserveLoops) is held to the
 // walker reference on, by the profiler and machine test suites: the
 // bundled corpus, the synthetic whole program, the parallel and pipeline
 // programs with their DOALL, DSWP and HELIX lowerings (a dispatch inside

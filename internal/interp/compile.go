@@ -129,11 +129,11 @@ const (
 	// Probes: what an observing context's streams carry and no plain stream
 	// does (observe.go). Each retires no step and no cycle.
 	cCount      // counts[k]++, then edges[0]: a counted edge's own block
-	cLoopIter   // header entered: open an invocation or its next row, charge blocks[k]
+	cLoopIter   // blocks[k]'s header entered: open an invocation or its next row, charge it
 	cLoopBlock  // loop block entered: charge blocks[k]
-	cLoopExit   // left the loop: close the invocation
-	cLoopCall   // an in-loop call begins
-	cLoopReturn // ... and has returned: charge calls[k] the cycles it ran
+	cLoopExit   // left exits[k]: close its invocation
+	cLoopCall   // calls[k], an in-loop call, begins
+	cLoopReturn // ... and has returned: charge it the cycles it ran
 )
 
 // cmove is one phi slot assignment on a CFG edge.
@@ -227,8 +227,9 @@ var simpleCop = map[ir.Op]copcode{
 // A counting stream differs from the plain one in its blocks only: block
 // 0 is the function-entry counter, f's blocks follow from index 1, and
 // every edge lands on a one-op block of its own that counts it and jumps
-// on (the phi moves stay with the branch that takes the edge). A loop's
-// stream opens its blocks with a probe and brackets its in-loop calls.
+// on (the phi moves stay with the branch that takes the edge). A stream
+// with observed loops opens their blocks, and the blocks they exit to,
+// with a probe per loop, and brackets their in-loop calls.
 func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
 	// Slot assignment: parameters first (so copy(frame, args) places
 	// them), then every result-producing instruction in block order.
@@ -342,10 +343,8 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 	for _, b := range f.Blocks {
 		ins := b.Instrs[b.FirstNonPhi():]
 		ops := make([]cop, 0, len(ins))
-		if pr.loop != nil {
-			if probe, ok := pr.loop.blockProbe(b, cost); ok {
-				ops = append(ops, probe)
-			}
+		if pr.loops != nil {
+			ops = append(ops, pr.loops.blockProbes(b, cost)...)
 		}
 		for i := 0; i < len(ins); i++ {
 			in := ins[i]
@@ -407,9 +406,9 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 			if err != nil {
 				return nil, err
 			}
-			if pr.loop != nil && in.Opcode == ir.OpCall && pr.loop.inLoop[b] {
-				before, after := pr.loop.callProbes(in, cost)
-				ops = append(ops, before, op, after)
+			if pr.loops != nil && in.Opcode == ir.OpCall {
+				before, after := pr.loops.callProbes(in, b, cost)
+				ops = append(append(append(ops, before...), op), after...)
 				continue
 			}
 			ops = append(ops, op)

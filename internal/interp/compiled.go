@@ -274,15 +274,15 @@ blockLoop:
 				bi = op.edges[0].target
 				continue blockLoop
 			case cLoopIter:
-				it.probes.loop.iterate(op.k)
+				it.probes.loops.iterate(op.k)
 			case cLoopBlock:
-				it.probes.loop.charge(op.k)
+				it.probes.loops.charge(op.k)
 			case cLoopExit:
-				it.probes.loop.exit()
+				it.probes.loops.exit(op.k)
 			case cLoopCall:
-				it.probes.loop.call(it.Cycles)
+				it.probes.loops.call(op.k, it.Cycles)
 			case cLoopReturn:
-				it.probes.loop.returned(op.k, it.Cycles)
+				it.probes.loops.returned(op.k, it.Cycles)
 			}
 		}
 		// Unreachable: every compiled block ends in a terminator or cErr.

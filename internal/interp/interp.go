@@ -91,7 +91,7 @@ type Interp struct {
 	// effects are applied (a call, before its callee runs). The hooks are
 	// a walker-only facility for tests — the reference profiler and the
 	// reference cost attribution are built from them; the product asks
-	// the compiled tier instead (CountEdges, ObserveLoop). Installing any
+	// the compiled tier instead (CountEdges, ObserveLoops). Installing any
 	// hook pins the context to the walker and makes noelle_dispatch take
 	// the sequential path, so hooks always observe the canonical
 	// sequential event order.
@@ -144,7 +144,7 @@ type Interp struct {
 	cachePages [pageCacheSize][]uint64
 
 	// probes is the observation this context serves on the compiled tier
-	// (CountEdges, ObserveLoop; see observe.go). Zero on a plain context.
+	// (CountEdges, ObserveLoops; see observe.go). Zero on a plain context.
 	// Last, so the fields the plain executor touches keep their offsets.
 	probes probes
 }

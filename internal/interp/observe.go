@@ -18,6 +18,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"noelle/internal/ir"
 )
@@ -26,14 +27,15 @@ import (
 // of a function's op stream it runs. The zero value is the plain stream.
 type probes struct {
 	counts *EdgeCounts
-	loop   *LoopCosts
+	loops  *loopSet
 }
 
 // in narrows the request to what f's stream carries: edge counters go
-// into every function, a loop's probes only into the loop's own.
+// into every function, loop probes only into a function that holds an
+// observed loop.
 func (p probes) in(f *ir.Function) probes {
-	if p.loop != nil && p.loop.header.Parent != f {
-		p.loop = nil
+	if p.loops != nil && !p.loops.fns[f] {
+		p.loops = nil
 	}
 	return p
 }
@@ -89,17 +91,26 @@ type SegSpec struct {
 	NumSegs   int
 }
 
-// LoopCosts is a loop-cost request: for every dynamic invocation of one
-// natural loop, what each iteration spent in each segment, under several
-// segmentations at once. A row has one column per segment of every spec,
-// side by side, so one charge prices all of them.
+// LoopRequest names one loop to observe: its header and blocks, and the
+// segmentations to price it under.
+type LoopRequest struct {
+	Header *ir.Block
+	Blocks map[*ir.Block]bool
+	Specs  []SegSpec
+}
+
+// LoopCosts is one loop's share of a loop-cost request: for every dynamic
+// invocation of the loop, what each iteration spent in each segment, under
+// several segmentations at once. A row has one column per segment of every
+// spec, side by side, so one charge prices all of them.
 //
 // An invocation begins when the header is entered and none is open, moves
 // to its next row at every further header entry, and ends at the first
 // block outside the loop. Everything an in-loop call executes — callees,
 // externs, a recursive entry of the loop's own function — is the change
 // in Cycles across it, charged to the call's segment; while it runs
-// (depth > 0) no probe acts.
+// (depth > 0) none of this loop's probes acts. The depth is the loop's
+// own, so a loop in a callee is observed while its caller's stands down.
 type LoopCosts struct {
 	header *ir.Block
 	inLoop map[*ir.Block]bool
@@ -108,15 +119,33 @@ type LoopCosts struct {
 	offs   []int // spec i's first column
 	width  int   // columns per row
 
-	// Bound at compile time, indexed by the probe ops' k.
-	blocks [][]charge // an in-loop block's static cost, by column
-	calls  []callSite
-
 	active    bool
 	depth     int   // in-loop calls on the stack
 	callStart int64 // Cycles when the outermost of them began
-	flat      []int64
+	// The open invocation's rows, width cells each, in runs of chunks that
+	// never move, so nothing is copied as an invocation grows; row is the
+	// open iteration's.
+	runs      [][]int64
+	chunkRows int // rows in the last chunk allocated
+	row       []int64
 	done      [][][][]int64 // [spec][invocation][iteration][segment]
+}
+
+// loopSet is a context's loop-cost request: every observed loop, and the
+// tables the probe ops index, bound at compile time, each entry tagged
+// with the loop it charges. Probes retire nothing and each touches its own
+// loop only, so every loop's rows are what a request of it alone gives.
+type loopSet struct {
+	loops  []*LoopCosts
+	fns    map[*ir.Function]bool // the observed loops' functions
+	blocks []blockCharge         // cLoopIter, cLoopBlock
+	exits  []*LoopCosts          // cLoopExit
+	calls  []callSite            // cLoopCall, cLoopReturn
+}
+
+type blockCharge struct {
+	lc      *LoopCosts
+	charges []charge
 }
 
 type charge struct {
@@ -124,40 +153,50 @@ type charge struct {
 	cycles int64
 }
 
-// callSite is one in-loop call: its own cost (already in its block's
-// static charge) and the column of its segment under each spec.
+// callSite is one in-loop call as one loop sees it: its own cost (already
+// in its block's static charge) and the column of its segment under each
+// of the loop's specs.
 type callSite struct {
+	lc   *LoopCosts
 	own  int64
 	cols []int
 }
 
-// ObserveLoop asks this context to measure the loop with the given header
-// and blocks under each of specs. Read the result with Invocations after
-// the run.
-func (it *Interp) ObserveLoop(header *ir.Block, blocks map[*ir.Block]bool, specs []SegSpec) (*LoopCosts, error) {
-	lc := &LoopCosts{header: header, inLoop: blocks, exits: map[*ir.Block]bool{}, specs: specs,
-		done: make([][][][]int64, len(specs))}
-	for _, sp := range specs {
-		if sp.NumSegs < 1 {
-			return nil, fmt.Errorf("interp: segmentation with %d segments", sp.NumSegs)
+// ObserveLoops asks this context to measure every requested loop under its
+// specs, all in the one run. Read each result with Invocations after the
+// run; result i answers reqs[i].
+func (it *Interp) ObserveLoops(reqs []LoopRequest) ([]*LoopCosts, error) {
+	set := &loopSet{fns: map[*ir.Function]bool{}}
+	for _, r := range reqs {
+		if len(r.Specs) == 0 {
+			return nil, fmt.Errorf("interp: no segmentations of the loop at %s", r.Header.Nam)
 		}
-		for in, seg := range sp.SegmentOf {
-			if seg < 0 || seg >= sp.NumSegs {
-				return nil, fmt.Errorf("interp: %s assigned to segment %d of %d", in.Ident(), seg, sp.NumSegs)
+		lc := &LoopCosts{header: r.Header, inLoop: r.Blocks, exits: map[*ir.Block]bool{}, specs: r.Specs,
+			done: make([][][][]int64, len(r.Specs))}
+		for _, sp := range r.Specs {
+			if sp.NumSegs < 1 {
+				return nil, fmt.Errorf("interp: segmentation with %d segments", sp.NumSegs)
+			}
+			for in, seg := range sp.SegmentOf {
+				if seg < 0 || seg >= sp.NumSegs {
+					return nil, fmt.Errorf("interp: %s assigned to segment %d of %d", in.Ident(), seg, sp.NumSegs)
+				}
+			}
+			lc.offs = append(lc.offs, lc.width)
+			lc.width += sp.NumSegs
+		}
+		for b := range r.Blocks {
+			for _, s := range b.Successors() {
+				if !r.Blocks[s] {
+					lc.exits[s] = true
+				}
 			}
 		}
-		lc.offs = append(lc.offs, lc.width)
-		lc.width += sp.NumSegs
+		set.loops = append(set.loops, lc)
+		set.fns[r.Header.Parent] = true
 	}
-	for b := range blocks {
-		for _, s := range b.Successors() {
-			if !blocks[s] {
-				lc.exits[s] = true
-			}
-		}
-	}
-	it.probes.loop = lc
-	return lc, nil
+	it.probes.loops = set
+	return set.loops, nil
 }
 
 // cols returns in's column under each spec.
@@ -173,102 +212,148 @@ func (lc *LoopCosts) cols(in *ir.Instr) []int {
 	return cols
 }
 
-// blockProbe returns the op that opens b's stream in the loop's function:
-// next-iteration at the header and a plain charge at every other loop
-// block, both carrying the block's static cost (phis included: the walker
-// retires them after the block is entered), end-invocation where the loop
-// is left, nothing elsewhere.
-func (lc *LoopCosts) blockProbe(b *ir.Block, cost CostModel) (cop, bool) {
-	switch {
-	case lc.inLoop[b]:
-		row := make([]int64, lc.width)
-		for _, in := range b.Instrs {
-			for _, col := range lc.cols(in) {
-				row[col] += cost.Cost(in)
+// blockProbes returns the ops that open b's stream: per observed loop,
+// next-iteration at its header and a plain charge at its other blocks,
+// both carrying the block's static cost (phis included: the walker
+// retires them after the block is entered), and end-invocation where the
+// loop is left.
+func (s *loopSet) blockProbes(b *ir.Block, cost CostModel) []cop {
+	var ops []cop
+	for _, lc := range s.loops {
+		switch {
+		case lc.inLoop[b]:
+			row := make([]int64, lc.width)
+			for _, in := range b.Instrs {
+				for _, col := range lc.cols(in) {
+					row[col] += cost.Cost(in)
+				}
 			}
-		}
-		var cs []charge
-		for col, c := range row {
-			if c != 0 {
-				cs = append(cs, charge{col, c})
+			var cs []charge
+			for col, c := range row {
+				if c != 0 {
+					cs = append(cs, charge{col, c})
+				}
 			}
+			s.blocks = append(s.blocks, blockCharge{lc, cs})
+			code := cLoopBlock
+			if b == lc.header {
+				code = cLoopIter
+			}
+			ops = append(ops, cop{code: code, dst: -1, k: int64(len(s.blocks) - 1)})
+		case lc.exits[b]:
+			s.exits = append(s.exits, lc)
+			ops = append(ops, cop{code: cLoopExit, dst: -1, k: int64(len(s.exits) - 1)})
 		}
-		lc.blocks = append(lc.blocks, cs)
-		code := cLoopBlock
-		if b == lc.header {
-			code = cLoopIter
-		}
-		return cop{code: code, dst: -1, k: int64(len(lc.blocks) - 1)}, true
-	case lc.exits[b]:
-		return cop{code: cLoopExit, dst: -1}, true
 	}
-	return cop{}, false
+	return ops
 }
 
-// callProbes returns the pair of ops that bracket an in-loop call.
-func (lc *LoopCosts) callProbes(in *ir.Instr, cost CostModel) (before, after cop) {
-	lc.calls = append(lc.calls, callSite{own: cost.Cost(in), cols: lc.cols(in)})
-	return cop{code: cLoopCall, dst: -1}, cop{code: cLoopReturn, dst: -1, k: int64(len(lc.calls) - 1)}
+// callProbes returns the ops that bracket a call in block b: one pair per
+// observed loop holding b, the befores outermost loop first and the afters
+// in reverse.
+func (s *loopSet) callProbes(in *ir.Instr, b *ir.Block, cost CostModel) (before, after []cop) {
+	var holding []*LoopCosts
+	for _, lc := range s.loops {
+		if lc.inLoop[b] {
+			holding = append(holding, lc)
+		}
+	}
+	// Loops holding one block nest: the outer one has more blocks.
+	slices.SortStableFunc(holding, func(x, y *LoopCosts) int { return len(y.inLoop) - len(x.inLoop) })
+	for _, lc := range holding {
+		s.calls = append(s.calls, callSite{lc: lc, own: cost.Cost(in), cols: lc.cols(in)})
+		k := int64(len(s.calls) - 1)
+		before = append(before, cop{code: cLoopCall, dst: -1, k: k})
+		after = append([]cop{{code: cLoopReturn, dst: -1, k: k}}, after...)
+	}
+	return before, after
 }
 
-// iterate is cLoopIter: the header was entered.
-func (lc *LoopCosts) iterate(k int64) {
+// iterate is cLoopIter: a header was entered.
+func (s *loopSet) iterate(k int64) {
+	bc := &s.blocks[k]
+	lc := bc.lc
 	if lc.depth > 0 {
 		return
 	}
-	if !lc.active {
-		lc.active = true
-		lc.flat = nil // one backing slice per invocation
+	lc.active = true
+	lc.newRow()
+	lc.charge(bc.charges)
+}
+
+// newRow opens the next iteration's row: the next width cells of the
+// last chunk, or of a fresh one twice its size (at most 1024 rows).
+func (lc *LoopCosts) newRow() {
+	last := len(lc.runs) - 1
+	if last < 0 || cap(lc.runs[last])-len(lc.runs[last]) < lc.width {
+		lc.chunkRows = min(max(2*lc.chunkRows, 4), 1024)
+		lc.runs = append(lc.runs, make([]int64, 0, lc.chunkRows*lc.width))
+		last++
 	}
-	lc.flat = append(lc.flat, make([]int64, lc.width)...) // extends in place: no temporary
-	lc.charge(k)
+	run := lc.runs[last]
+	lc.runs[last] = run[:len(run)+lc.width]
+	lc.row = lc.runs[last][len(run):]
 }
 
 // charge is cLoopBlock: a loop block was entered.
-func (lc *LoopCosts) charge(k int64) {
+func (s *loopSet) charge(k int64) {
+	bc := &s.blocks[k]
+	bc.lc.charge(bc.charges)
+}
+
+func (lc *LoopCosts) charge(cs []charge) {
 	if lc.depth > 0 || !lc.active {
 		return
 	}
-	row := lc.flat[len(lc.flat)-lc.width:]
-	for _, c := range lc.blocks[k] {
-		row[c.col] += c.cycles
+	for _, c := range cs {
+		lc.row[c.col] += c.cycles
 	}
 }
 
-// exit is cLoopExit: a block just outside the loop was entered. The
-// invocation's rows are cut, per spec, from its one backing slice.
+// exit is cLoopExit: a block just outside a loop was entered.
+func (s *loopSet) exit(k int64) { s.exits[k].exit() }
+
+// exit closes the open invocation: its rows are cut, per spec, from its
+// runs, and the next invocation continues in the rest of the last chunk.
 func (lc *LoopCosts) exit() {
 	if lc.depth > 0 || !lc.active {
 		return
 	}
 	lc.active = false
-	n := len(lc.flat) / lc.width
+	n := 0
+	for _, run := range lc.runs {
+		n += len(run) / lc.width
+	}
 	for i, sp := range lc.specs {
-		rows := make([][]int64, n)
-		for r := range rows {
-			at := r*lc.width + lc.offs[i]
-			rows[r] = lc.flat[at : at+sp.NumSegs : at+sp.NumSegs]
+		rows := make([][]int64, 0, n)
+		for _, run := range lc.runs {
+			for at := lc.offs[i]; at < len(run); at += lc.width {
+				rows = append(rows, run[at:at+sp.NumSegs:at+sp.NumSegs])
+			}
 		}
 		lc.done[i] = append(lc.done[i], rows)
 	}
+	last := lc.runs[len(lc.runs)-1]
+	lc.runs = append(lc.runs[:0], last[len(last):])
 }
 
 // call is cLoopCall: an in-loop call is about to run.
-func (lc *LoopCosts) call(cycles int64) {
+func (s *loopSet) call(k, cycles int64) {
+	lc := s.calls[k].lc
 	if lc.depth++; lc.depth == 1 {
 		lc.callStart = cycles
 	}
 }
 
 // returned is cLoopReturn: the call has come back.
-func (lc *LoopCosts) returned(k, cycles int64) {
+func (s *loopSet) returned(k, cycles int64) {
+	site := &s.calls[k]
+	lc := site.lc
 	if lc.depth--; lc.depth > 0 || !lc.active {
 		return
 	}
-	site := &lc.calls[k]
-	row := lc.flat[len(lc.flat)-lc.width:]
 	for _, col := range site.cols {
-		row[col] += cycles - lc.callStart - site.own
+		lc.row[col] += cycles - lc.callStart - site.own
 	}
 }
 

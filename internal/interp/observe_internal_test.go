@@ -44,17 +44,18 @@ func observeLoop(t *testing.T, it *Interp) *LoopCosts {
 	for i, in := range loop.Instrs {
 		odd[in] = i % 2
 	}
-	lc, err := it.ObserveLoop(loop, map[*ir.Block]bool{loop: true}, []SegSpec{{NumSegs: 1}, {SegmentOf: odd, NumSegs: 2}})
+	lcs, err := it.ObserveLoops([]LoopRequest{{Header: loop, Blocks: map[*ir.Block]bool{loop: true},
+		Specs: []SegSpec{{NumSegs: 1}, {SegmentOf: odd, NumSegs: 2}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lc
+	return lcs[0]
 }
 
 // requests are the two observations, each installed on a fresh context.
 var requests = map[string]func(*testing.T, *Interp){
-	"CountEdges":  func(_ *testing.T, it *Interp) { it.CountEdges() },
-	"ObserveLoop": func(t *testing.T, it *Interp) { observeLoop(t, it) },
+	"CountEdges":   func(_ *testing.T, it *Interp) { it.CountEdges() },
+	"ObserveLoops": func(t *testing.T, it *Interp) { observeLoop(t, it) },
 }
 
 // TestPlainStreamAfterProbedOnes: an image that has compiled a function's
@@ -68,7 +69,8 @@ func TestPlainStreamAfterProbedOnes(t *testing.T) {
 	if err != nil || countOps(counted, cCount) != 4 {
 		t.Fatalf("counting stream: %v, %d counters; want main's entry and its three edges", err, countOps(counted, cCount))
 	}
-	looped, err := it.img.compiled(main, it.Cost, probes{loop: observeLoop(t, it)})
+	observeLoop(t, it)
+	looped, err := it.img.compiled(main, it.Cost, probes{loops: it.probes.loops})
 	if err != nil || countOps(looped, cLoopIter) != 1 || countOps(looped, cLoopExit) != 1 ||
 		countOps(looped, cLoopCall) != 2 || countOps(looped, cLoopReturn) != 2 {
 		t.Fatalf("loop stream: %v; want one header probe, one exit probe and two bracketed calls", err)
@@ -86,7 +88,7 @@ func TestPlainStreamAfterProbedOnes(t *testing.T) {
 			t.Errorf("plain stream carries %d probe ops of code %d", n, code)
 		}
 	}
-	if again, _ := it.img.compiled(main, it.Cost, probes{loop: it.probes.loop}); again != looped {
+	if again, _ := it.img.compiled(main, it.Cost, probes{loops: it.probes.loops}); again != looped {
 		t.Error("the loop stream was not served from the cache")
 	}
 }

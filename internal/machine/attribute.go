@@ -13,52 +13,61 @@ import (
 // are charged to segment NumSegs-1 (the parallel/default segment).
 type SegSpec = interp.SegSpec
 
-// AttributeLoopCosts runs the program under the interpreter and measures,
-// for every dynamic invocation of the given loop, the per-iteration cost
-// of each segment. segmentOf maps the loop's instructions to segment
-// indices [0, numSegs); instructions outside the map are charged to
-// segment numSegs-1 (the parallel/default segment). Cycles spent inside
-// calls made by the loop — defined callees and externs alike — are charged
-// to the calling instruction's segment, so SequentialCycles of the result
-// is exactly what the run's Cycles advanced across the loop.
+// LoopSpecs is one loop to attribute and the segmentations to split its
+// per-iteration cost along. Instructions outside a spec's map are charged
+// to its segment NumSegs-1 (the parallel/default segment).
+type LoopSpecs struct {
+	Loop  *analysis.NaturalLoop
+	Specs []SegSpec
+}
+
+// AttributeLoopCosts is AttributeLoops for one loop under one
+// segmentation.
 func AttributeLoopCosts(m *ir.Module, nat *analysis.NaturalLoop, segmentOf map[*ir.Instr]int, numSegs int) ([]*Invocation, error) {
-	all, err := AttributeLoopCostsMulti(m, nat, []SegSpec{{SegmentOf: segmentOf, NumSegs: numSegs}})
+	all, err := AttributeLoops(m, []LoopSpecs{{nat, []SegSpec{{SegmentOf: segmentOf, NumSegs: numSegs}}}})
 	if err != nil {
 		return nil, err
 	}
-	return all[0], nil
+	return all[0][0], nil
 }
 
-// AttributeLoopCostsMulti measures several segmentations of the same loop
-// in one interpreter run: result[i] holds the invocations attributed
-// under specs[i]. Every spec observes the identical dynamic execution, so
-// SequentialCycles agrees across all of them — only the per-segment
-// split differs. This is what the auto-parallelizer's technique selection
-// needs: one training run prices a DOALL, a DSWP, and a HELIX partition
-// of the same loop simultaneously instead of paying one full program
-// execution per candidate plan. The run is on the compiled tier, with the
-// loop's probes bound into its function's op stream (interp.ObserveLoop).
-func AttributeLoopCostsMulti(m *ir.Module, nat *analysis.NaturalLoop, specs []SegSpec) ([][]*Invocation, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("machine: no segmentations to attribute")
+// AttributeLoops runs the program once under the interpreter and measures,
+// for every dynamic invocation of each given loop, the per-iteration cost
+// of each segment under each of its specs: result[l][s] holds loop l's
+// invocations attributed under loops[l].Specs[s]. Cycles spent inside calls
+// made by a loop — defined callees and externs alike — are charged to the
+// calling instruction's segment, so SequentialCycles of any of a loop's
+// results is exactly what the run's Cycles advanced across the loop, and
+// every spec of it agrees on that; only the per-segment split differs.
+// Each loop's rows are what a call naming it alone returns, so one
+// training run prices every candidate plan of every loop a driver
+// considers. The run is on the compiled tier, with the loops' probes bound
+// into their functions' op streams (interp.ObserveLoops).
+func AttributeLoops(m *ir.Module, loops []LoopSpecs) ([][][]*Invocation, error) {
+	reqs := make([]interp.LoopRequest, len(loops))
+	for i, l := range loops {
+		reqs[i] = interp.LoopRequest{Header: l.Loop.Header, Blocks: l.Loop.Blocks, Specs: l.Specs}
 	}
 	it := interp.New(m)
-	costs, err := it.ObserveLoop(nat.Header, nat.Blocks, specs)
+	costs, err := it.ObserveLoops(reqs)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
 	if _, err := it.Run(); err != nil {
 		return nil, fmt.Errorf("machine: attribution run failed: %w", err)
 	}
-	invocations := make([][]*Invocation, len(specs))
-	for i, rows := range costs.Invocations() {
-		invs := make([]Invocation, len(rows))
-		for v, iters := range rows {
-			invs[v].IterSegCosts = iters
-			invocations[i] = append(invocations[i], &invs[v])
+	out := make([][][]*Invocation, len(loops))
+	for l, lc := range costs {
+		out[l] = make([][]*Invocation, len(loops[l].Specs))
+		for s, rows := range lc.Invocations() {
+			invs := make([]Invocation, len(rows))
+			for v, iters := range rows {
+				invs[v].IterSegCosts = iters
+				out[l][s] = append(out[l][s], &invs[v])
+			}
 		}
 	}
-	return invocations, nil
+	return out, nil
 }
 
 // AddSegmentOverhead returns a copy of inv with extra cycles added to the

@@ -18,7 +18,7 @@ import (
 	_ "noelle/internal/tools"
 )
 
-// attributeOnWalker is AttributeLoopCostsMulti as it was before the
+// attributeOnWalker is machine.AttributeLoops for one loop as it was before the
 // compiled tier served loop costs: block and instruction hooks on the
 // walker. It stays as the executable reference the compiled probes are
 // checked against, with the one fix the product got too: only a defined
@@ -146,13 +146,15 @@ func attributeOnWalker(m *ir.Module, nat *analysis.NaturalLoop, specs []machine.
 
 // checkAgainstWalker attributes every loop of m under the empty
 // one-segment spec, a striped one and every registered planner's
-// segmentation of it, in one run per loop, on the compiled tier and on
-// the walker reference.
+// segmentation of it, on the compiled tier and on the walker reference:
+// once per loop, and then every loop of m in one run.
 func checkAgainstWalker(t *testing.T, name string, m *ir.Module) (loops int) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	n := core.New(m, opts)
+	var batch []machine.LoopSpecs
+	var wants [][][]*machine.Invocation
 	for _, f := range m.Functions {
 		for _, ls := range n.LoopStructures(f) {
 			specs := []machine.SegSpec{{NumSegs: 1}, striped(ls.Nat, 3)}
@@ -166,16 +168,31 @@ func checkAgainstWalker(t *testing.T, name string, m *ir.Module) (loops int) {
 			if err != nil {
 				t.Fatalf("%s @%s/%s: reference: %v", name, f.Nam, ls.Header.Nam, err)
 			}
-			got, err := machine.AttributeLoopCostsMulti(m, ls.Nat, specs)
+			one := []machine.LoopSpecs{{Loop: ls.Nat, Specs: specs}}
+			got, err := machine.AttributeLoops(m, one)
 			if err != nil {
 				t.Fatalf("%s @%s/%s: %v", name, f.Nam, ls.Header.Nam, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got[0], want) {
 				t.Errorf("%s @%s/%s: %d specs: compiled rows differ from the walker's (invocations %d/%d, cycles %d/%d)",
-					name, f.Nam, ls.Header.Nam, len(specs), len(got[0]), len(want[0]),
-					machine.SequentialCycles(got[0]), machine.SequentialCycles(want[0]))
+					name, f.Nam, ls.Header.Nam, len(specs), len(got[0][0]), len(want[0]),
+					machine.SequentialCycles(got[0][0]), machine.SequentialCycles(want[0]))
 			}
+			batch, wants = append(batch, one[0]), append(wants, want)
 			loops++
+		}
+	}
+	if len(batch) == 0 {
+		return 0
+	}
+	got, err := machine.AttributeLoops(m, batch)
+	if err != nil {
+		t.Fatalf("%s, %d loops in one run: %v", name, len(batch), err)
+	}
+	for i, l := range batch {
+		if !reflect.DeepEqual(got[i], wants[i]) {
+			t.Errorf("%s @%s/%s in a run observing all %d loops: rows differ from the walker's (invocations %d/%d)",
+				name, l.Loop.Header.Parent.Nam, l.Loop.Header.Nam, len(batch), len(got[i][0]), len(wants[i][0]))
 		}
 	}
 	return loops
@@ -200,32 +217,51 @@ func TestAttributionMatchesWalkerReference(t *testing.T) {
 // walker reference, fails on any difference, and returns the rows.
 func both(t *testing.T, m *ir.Module, fn, header string, specs []machine.SegSpec) (*analysis.NaturalLoop, [][]*machine.Invocation) {
 	t.Helper()
+	nats, got := batched(t, m, [][2]string{{fn, header}}, specs)
+	return nats[0], got[0]
+}
+
+// batched attributes the loops named {fn, header} in one compiled run,
+// each under specs (nil: a one-segment and two striped specs), and fails
+// unless each loop's rows are the walker reference's for it alone.
+func batched(t *testing.T, m *ir.Module, names [][2]string, specs []machine.SegSpec) ([]*analysis.NaturalLoop, [][][]*machine.Invocation) {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
-	var nat *analysis.NaturalLoop
-	for _, ls := range core.New(m, opts).LoopStructures(m.FunctionByName(fn)) {
-		if ls.Header.Nam == header {
-			nat = ls.Nat
+	n := core.New(m, opts)
+	var nats []*analysis.NaturalLoop
+	var batch []machine.LoopSpecs
+	for _, name := range names {
+		var nat *analysis.NaturalLoop
+		for _, ls := range n.LoopStructures(m.FunctionByName(name[0])) {
+			if ls.Header.Nam == name[1] {
+				nat = ls.Nat
+			}
 		}
+		if nat == nil {
+			t.Fatalf("@%s has no loop headed by %s", name[0], name[1])
+		}
+		sp := specs
+		if sp == nil {
+			sp = []machine.SegSpec{{NumSegs: 1}, striped(nat, 2), striped(nat, 3)}
+		}
+		nats, batch = append(nats, nat), append(batch, machine.LoopSpecs{Loop: nat, Specs: sp})
 	}
-	if nat == nil {
-		t.Fatalf("@%s has no loop headed by %s", fn, header)
-	}
-	if specs == nil {
-		specs = []machine.SegSpec{{NumSegs: 1}, striped(nat, 2), striped(nat, 3)}
-	}
-	want, err := attributeOnWalker(m, nat, specs)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	got, err := machine.AttributeLoopCostsMulti(m, nat, specs)
+	got, err := machine.AttributeLoops(m, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("@%s/%s: compiled rows differ from the walker's:\n got %v\nwant %v", fn, header, rowsOf(got), rowsOf(want))
+	for i, l := range batch {
+		want, err := attributeOnWalker(m, l.Loop, l.Specs)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("@%s/%s among %d observed loops: compiled rows differ from the walker's:\n got %v\nwant %v",
+				names[i][0], names[i][1], len(batch), rowsOf(got[i]), rowsOf(want))
+		}
 	}
-	return nat, got
+	return nats, got
 }
 
 func rowsOf(all [][]*machine.Invocation) (out [][][][]int64) {
@@ -363,6 +399,82 @@ entry:
 		if !reflect.DeepEqual(trips, []int{1, 2, 3}) {
 			t.Errorf("inner loop rows per invocation %v, want [1 2 3]", trips)
 		}
+		// Both in one run: every inner block opens with two probes.
+		batched(t, m, [][2]string{{"sweep", "outer"}, {"sweep", "inner"}}, nil)
+	})
+
+	t.Run("one loop's exit is the next loop's header", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+func @main() i64 {
+entry:
+  br first
+first:
+  %i = phi i64 [ 0, entry ], [ %in, first ]
+  %in = add %i, 1
+  %c = lt %in, 4
+  condbr %c, first, second
+second:
+  %j = phi i64 [ 0, first ], [ %jn, second ]
+  %jn = add %j, 1
+  %d = lt %jn, 3
+  condbr %d, second, done
+done:
+  ret %jn
+}`)
+		_, got := batched(t, m, [][2]string{{"main", "first"}, {"main", "second"}}, nil)
+		if len(got[0][0]) != 1 || len(got[0][0][0].IterSegCosts) != 4 || len(got[1][0]) != 1 || len(got[1][0][0].IterSegCosts) != 3 {
+			t.Errorf("rows %v and %v; want one invocation of 4 rows, then one of 3", rowsOf(got[0]), rowsOf(got[1]))
+		}
+	})
+
+	t.Run("a loop calling a function whose loop recurses into itself", func(t *testing.T) {
+		m := parseIR(t, `module "m"
+declare @print_i64 : fn(i64) void
+func @rec(%d: i64) i64 {
+entry:
+  br head
+head:
+  %i = phi i64 [ 0, entry ], [ %next, latch ]
+  %acc = phi i64 [ 0, entry ], [ %acc2, latch ]
+  %c = lt %i, 2
+  condbr %c, body, out
+body:
+  %pos = gt %d, 0
+  condbr %pos, recurse, latch
+recurse:
+  %dm = sub %d, 1
+  %r = call i64 @rec(%dm)
+  call void @print_i64(%r)
+  br latch
+latch:
+  %v = phi i64 [ %r, recurse ], [ 1, body ]
+  %acc2 = add %acc, %v
+  %next = add %i, 1
+  br head
+out:
+  ret %acc
+}
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %k = phi i64 [ 0, entry ], [ %kn, loop ]
+  %s = phi i64 [ 0, entry ], [ %s2, loop ]
+  %r = call i64 @rec(%k)
+  %s2 = add %s, %r
+  %kn = add %k, 1
+  %c = lt %kn, 3
+  condbr %c, loop, done
+done:
+  ret %s2
+}`)
+		// The caller's loop stands down while @rec runs, and @rec's loop
+		// while it recurses: one invocation per call from @main.
+		_, got := batched(t, m, [][2]string{{"main", "loop"}, {"rec", "head"}}, nil)
+		if len(got[0][0]) != 1 || len(got[0][0][0].IterSegCosts) != 3 || len(got[1][0]) != 3 {
+			t.Errorf("@main's loop %v, @rec's %d invocations; want 3 rows in one, and 3", rowsOf(got[0])[0], len(got[1][0]))
+		}
+		batched(t, m, [][2]string{{"rec", "head"}, {"main", "loop"}, {"rec", "head"}}, nil)
 	})
 
 	t.Run("exit by ret, recursion, two calls in one block", func(t *testing.T) {

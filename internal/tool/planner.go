@@ -12,10 +12,11 @@
 // internal/tools/auto: the walk over the hot loops and their children,
 // task naming, post-lowering verification, the per-loop decision record
 // and its report. The driver runs in two modes. Competing (the auto
-// tool) collects every technique's plan for a loop, scores all of them
-// against one cost attribution, and lowers only the predicted-fastest
-// profitable one, falling back down the ranking when a winner cannot be
-// lowered. Pinned (the doall, dswp and helix tools: the user named the
+// tool) plans every loop it may visit with every technique before
+// lowering any, prices all the plans in one training run, then per loop
+// scores each technique's plan against those rows and lowers only the
+// predicted-fastest profitable one, falling back down the ranking when a
+// winner cannot be lowered. Pinned (the doall, dswp and helix tools: the user named the
 // technique) asks one planner and lowers every plan that can be lowered,
 // with no scoring, no training run and no profitability gate — so a
 // technique's tool is a planner registration plus a few lines that pin
@@ -39,7 +40,7 @@ type Plan interface {
 	// Technique is the registered planner name that produced the plan.
 	Technique() string
 	// Segments exposes the instruction→segment assignment and segment
-	// count that machine.AttributeLoopCosts consumes. A nil map with one
+	// count that machine.AttributeLoops consumes. A nil map with one
 	// segment means "whole body in one segment" (DOALL-style plans).
 	Segments() (segmentOf map[*ir.Instr]int, numSegs int)
 	// EstimateInvocation returns the modeled parallel cycles of one
@@ -70,7 +71,8 @@ type Planner interface {
 	Technique() string
 	// PlanLoop plans ls without lowering it. The error is the per-loop
 	// rejection reason surfaced to the user (LoopRejection.Reason).
-	// Implementations must not mutate the module.
+	// Implementations must not mutate the module: the auto driver plans
+	// every candidate loop up front and prices the module it planned.
 	PlanLoop(n *core.Noelle, ls *loops.LS, opts Options) (Plan, error)
 }
 

@@ -3,17 +3,20 @@
 // plans and records why. A run is either competing or pinned.
 //
 // Competing (the auto tool, Run; RunWith for a caller's own planner set,
-// which is how the evaluation prints Figure 5): for every hot loop
-// (profiler hotness over the -hot threshold) each registered technique
-// planner (doall, dswp, helix) answers with a plan or a reason; every
-// plan is priced against one measured cost attribution of the loop (the
-// machine package runs the training input once per loop, on the
-// interpreter's compiled tier with the loop's cost probes bound in, and
-// splits per-iteration cycles along each plan's segmentation
-// simultaneously), the predicted-fastest profitable technique is selected
-// and — under -exec-plans — exactly the winning plan is lowered, falling
-// back down the ranking when a winner cannot be lowered (its code
-// generator does not cover the loop's shape).
+// which is how the evaluation prints Figure 5): before deciding anything,
+// every technique planner (doall, dswp, helix) plans every loop under a
+// hot root (profiler hotness over the -hot threshold) of the untransformed
+// module, and one training run prices all of those plans at once (the
+// machine package runs the training input on the interpreter's compiled
+// tier with every loop's cost probes bound in, and splits each loop's
+// per-iteration cycles along each plan's segmentation simultaneously).
+// Then, loop by loop, each planner answers again on the current module;
+// a loop whose plans still segment it as they did up front is scored from
+// that run, and any other is priced alone on the current module (a price
+// miss, counted and named on its why-line). The predicted-fastest
+// profitable technique is selected and — under -exec-plans — exactly the
+// winning plan is lowered, falling back down the ranking when a winner
+// cannot be lowered (its code generator does not cover the loop's shape).
 //
 // Pinned (the doall, dswp and helix tools, RunPinned): the user named the
 // technique, so the same walk skips the score-and-rank step — no
@@ -34,6 +37,8 @@ package auto
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,6 +117,12 @@ type Result struct {
 	// Rejections records the loops (including descended children) where
 	// no technique was selected, with the decisive reason.
 	Rejections []tool.LoopRejection
+	// TrainingRuns counts the attribution runs a competing run made: one
+	// up front when any loop had a plan, plus one per price miss.
+	// PriceMisses counts the loops priced alone because their plans no
+	// longer segmented them as the up-front plans did. Both stay 0 in a
+	// pinned run.
+	TrainingRuns, PriceMisses int
 }
 
 // Selected counts selections with a winner.
@@ -183,10 +194,18 @@ func RunPinned(ctx context.Context, n *core.Noelle, opts tool.Options, technique
 }
 
 // drive walks the loop forest under every hot loop, deciding each node
-// with selectLoop.
-func drive(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner, pinned string) (Result, error) {
-	res := Result{Pinned: pinned}
+// with selectLoop. A competing run prices every loop it may visit first.
+func drive(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner, pinned string) (res Result, err error) {
+	res.Pinned = pinned
 	taskID := 0
+	roots := n.HotLoops()
+	var pr *pricer
+	if pinned == "" {
+		if pr, err = priceUpFront(ctx, n, opts, planners, roots); err != nil {
+			return res, err
+		}
+		defer func() { res.TrainingRuns, res.PriceMisses = pr.runs, pr.misses }()
+	}
 
 	// selectNode decides for one loop-forest node; returns true when this
 	// subtree selected a technique (successful selection stops descent).
@@ -197,43 +216,45 @@ func drive(ctx context.Context, n *core.Noelle, opts tool.Options, planners []to
 		}
 		// Re-derive the forest each time: earlier lowerings change the
 		// function's loop structure.
-		for _, node := range n.Forest(f).Nodes() {
-			if node.LS.Header.Nam != header {
-				continue
-			}
-			sel, ok, err := selectLoop(n, node.LS, opts, planners, pinned != "", &taskID)
+		node := forestNode(n, f, header)
+		if node == nil {
+			return false, nil
+		}
+		misses := pr.missCount()
+		sel, ok, err := selectLoop(n, node.LS, opts, planners, pr, &taskID)
+		if err != nil {
+			return false, err
+		}
+		if pr.missCount() > misses {
+			sel.Why += "; re-priced alone: its plans changed after the up-front pricing"
+		}
+		res.Selections = append(res.Selections, *sel)
+		if ok {
+			return true, nil
+		}
+		res.Rejections = append(res.Rejections, tool.LoopRejection{
+			Fn: f.Nam, Header: header, Reason: sel.Why,
+		})
+		// Descend: collect child headers first (the forest object is
+		// invalidated by successful child lowerings).
+		var childHeaders []string
+		for _, c := range node.Children {
+			childHeaders = append(childHeaders, c.LS.Header.Nam)
+		}
+		any := false
+		for _, ch := range childHeaders {
+			got, err := selectNode(f, ch)
 			if err != nil {
 				return false, err
 			}
-			res.Selections = append(res.Selections, *sel)
-			if ok {
-				return true, nil
+			if got {
+				any = true
 			}
-			res.Rejections = append(res.Rejections, tool.LoopRejection{
-				Fn: f.Nam, Header: header, Reason: sel.Why,
-			})
-			// Descend: collect child headers first (the forest object is
-			// invalidated by successful child lowerings).
-			var childHeaders []string
-			for _, c := range node.Children {
-				childHeaders = append(childHeaders, c.LS.Header.Nam)
-			}
-			any := false
-			for _, ch := range childHeaders {
-				got, err := selectNode(f, ch)
-				if err != nil {
-					return false, err
-				}
-				if got {
-					any = true
-				}
-			}
-			return any, nil
 		}
-		return false, nil
+		return any, nil
 	}
 
-	for _, ls := range n.HotLoops() {
+	for _, ls := range roots {
 		if _, err := selectNode(ls.Fn, ls.Header.Nam); err != nil {
 			return res, err
 		}
@@ -241,10 +262,104 @@ func drive(ctx context.Context, n *core.Noelle, opts tool.Options, planners []to
 	return res, nil
 }
 
-// selectLoop plans, scores (unless pinned), and (under
+// forestNode finds the loop headed by the block named header in f's
+// current forest.
+func forestNode(n *core.Noelle, f *ir.Function, header string) *loops.ForestNode {
+	for _, node := range n.Forest(f).Nodes() {
+		if node.LS.Header.Nam == header {
+			return node
+		}
+	}
+	return nil
+}
+
+// pricer is a competing run's training: the up-front rows of every loop
+// that had a plan, by header, and the runs and misses it took.
+type pricer struct {
+	loops        map[*ir.Block]*upFront
+	runs, misses int
+}
+
+// upFront is one loop as it was planned and priced before any lowering:
+// its blocks, which techniques planned it, and each plan's segmentation
+// with its rows (nil when the training run failed).
+type upFront struct {
+	blocks map[*ir.Block]bool
+	techs  []string
+	specs  []machine.SegSpec
+	rows   [][]*machine.Invocation
+}
+
+// priceUpFront plans every loop under each hot root with every planner
+// and prices all the plans in one AttributeLoops run. Planning is
+// read-only, so the module the loops are then decided on is the one
+// priced here. If that run fails no loop is served from it: each is
+// priced alone, and the first of them reports the failure.
+func priceUpFront(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner, roots []*loops.LS) (*pricer, error) {
+	pr := &pricer{loops: map[*ir.Block]*upFront{}}
+	var reqs []machine.LoopSpecs
+	var planned []*upFront
+	var visit func(node *loops.ForestNode) error
+	visit = func(node *loops.ForestNode) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ls := node.LS
+		u := &upFront{blocks: ls.Nat.Blocks}
+		for _, p := range planners {
+			if plan, err := p.PlanLoop(n, ls, opts); err == nil {
+				u.techs = append(u.techs, p.Technique())
+				u.specs = append(u.specs, segSpec(plan))
+			}
+		}
+		if len(u.specs) > 0 {
+			pr.loops[ls.Header] = u
+			reqs = append(reqs, machine.LoopSpecs{Loop: ls.Nat, Specs: u.specs})
+			planned = append(planned, u)
+		}
+		for _, c := range node.Children {
+			if err := visit(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, root := range roots {
+		if node := forestNode(n, root.Fn, root.Header.Nam); node != nil {
+			if err := visit(node); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(reqs) == 0 {
+		return pr, nil
+	}
+	pr.runs++
+	if all, err := machine.AttributeLoops(n.Mod, reqs); err == nil {
+		for i, u := range planned {
+			u.rows = all[i]
+		}
+	}
+	return pr, nil
+}
+
+// missCount is the misses so far (0 for a pinned run's nil pricer).
+func (pr *pricer) missCount() int {
+	if pr == nil {
+		return 0
+	}
+	return pr.misses
+}
+
+func segSpec(p tool.Plan) machine.SegSpec {
+	segOf, numSegs := p.Segments()
+	return machine.SegSpec{SegmentOf: segOf, NumSegs: numSegs}
+}
+
+// selectLoop plans, scores (unless pinned: pr is nil), and (under
 // opts.ExecutePlans) lowers one loop. ok reports whether a technique was
 // selected.
-func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool.Planner, pinned bool, taskID *int) (*Selection, bool, error) {
+func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool.Planner, pr *pricer, taskID *int) (*Selection, bool, error) {
 	sel := &Selection{Fn: ls.Fn.Nam, Header: ls.Header.Nam}
 
 	// ---- plan: every technique answers (a plan or a reason) ----
@@ -280,11 +395,11 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 	why := func(w *Candidate, verb string) string {
 		return fmt.Sprintf("%s %s (%s)", w.Technique, verb, w.Shape)
 	}
-	if !pinned {
+	if pr != nil {
 		prefix, verb = "auto.", "predicted"
 		why = func(w *Candidate, verb string) string { return winnerWhy(w, sel.Candidates, verb) }
 		var err error
-		if ranked, err = rank(n, ls, sel, planned); err != nil || len(ranked) == 0 {
+		if ranked, err = pr.rank(n, ls, sel, planned); err != nil || len(ranked) == 0 {
 			return sel, false, err
 		}
 	}
@@ -322,20 +437,32 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 	return sel, false, nil
 }
 
-// rank is the competing run's score-and-rank step: one training run
-// (compiled tier, see machine.AttributeLoopCostsMulti) prices every plan
-// at once, and the profitable plans come back fastest
-// modeled time first (stable: registry order breaks ties). When it
+// rank is the competing run's score-and-rank step: the up-front training
+// run's rows price every plan at once when the loop's plans segment it as
+// they did then; otherwise the loop is priced alone on the current module
+// (machine.AttributeLoops, a batch of one). The profitable plans come back
+// fastest modeled time first (stable: registry order breaks ties). When it
 // returns no plan, sel.Why says why the loop stays sequential.
-func rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) ([]*Candidate, error) {
+func (pr *pricer) rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) ([]*Candidate, error) {
 	specs := make([]machine.SegSpec, len(planned))
+	techs := make([]string, len(planned))
 	for i, c := range planned {
-		specs[i].SegmentOf, specs[i].NumSegs = c.Plan.Segments()
+		specs[i], techs[i] = segSpec(c.Plan), c.Technique
 	}
-	invss, err := machine.AttributeLoopCostsMulti(n.Mod, ls.Nat, specs)
-	if err != nil {
-		return nil, fmt.Errorf("@%s/%s: %w", ls.Fn.Nam, ls.Header.Nam, err)
+	u := pr.loops[ls.Header]
+	if u == nil || u.rows == nil || !maps.Equal(u.blocks, ls.Nat.Blocks) || !slices.Equal(u.techs, techs) ||
+		!slices.EqualFunc(u.specs, specs, func(a, b machine.SegSpec) bool {
+			return a.NumSegs == b.NumSegs && maps.Equal(a.SegmentOf, b.SegmentOf)
+		}) {
+		pr.runs++
+		pr.misses++
+		all, err := machine.AttributeLoops(n.Mod, []machine.LoopSpecs{{Loop: ls.Nat, Specs: specs}})
+		if err != nil {
+			return nil, fmt.Errorf("@%s/%s: %w", ls.Fn.Nam, ls.Header.Nam, err)
+		}
+		u = &upFront{rows: all[0]}
 	}
+	invss := u.rows
 	if len(invss[0]) == 0 {
 		sel.Why = "loop not executed by the training input (nothing to score)"
 		return nil, nil

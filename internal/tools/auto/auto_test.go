@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"noelle/internal/bench"
 	"noelle/internal/core"
+	"noelle/internal/fuzz"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/loops"
@@ -292,6 +294,58 @@ func TestAutoFallsBackWhenWinnerCannotLower(t *testing.T) {
 	}
 }
 
+// shiftingPlanner segments a loop differently every time it plans it, so
+// no loop's plans match their up-front pricing. Like greedyPlanner it
+// stays registered, and answers only inside its test.
+var shiftingCalls = 0
+
+type shiftingPlanner struct{}
+
+func (shiftingPlanner) Technique() string { return "zz-shifting" }
+
+func (shiftingPlanner) PlanLoop(*core.Noelle, *loops.LS, tool.Options) (tool.Plan, error) {
+	if shiftingCalls == 0 {
+		return nil, errDisabled
+	}
+	shiftingCalls++
+	return shiftingPlan(shiftingCalls), nil
+}
+
+type shiftingPlan int
+
+func (shiftingPlan) Technique() string                                { return "zz-shifting" }
+func (shiftingPlan) Describe() string                                 { return "shifting" }
+func (p shiftingPlan) Segments() (map[*ir.Instr]int, int)             { return nil, int(p) }
+func (shiftingPlan) EstimateInvocation(inv *machine.Invocation) int64 { return inv.TotalCycles() }
+func (shiftingPlan) Lower(string) error                               { return errTest }
+
+// A loop whose plans changed after the up-front pricing is priced alone,
+// counted, and its why-line says so.
+func TestAutoRepricesLoopsWhosePlansChanged(t *testing.T) {
+	tool.RegisterPlanner(shiftingPlanner{})
+	shiftingCalls = 1
+	t.Cleanup(func() { shiftingCalls = 0 })
+
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	res, err := auto.Run(context.Background(), core.New(compile(t, dataParallelSrc), opts), tool.Options{})
+	if err != nil {
+		t.Fatalf("auto: %v", err)
+	}
+	n := len(res.Selections)
+	if n == 0 || res.PriceMisses != n || res.TrainingRuns != n+1 {
+		t.Fatalf("%d loops, %d price misses, %d training runs; want every loop missed and one run each after the first", n, res.PriceMisses, res.TrainingRuns)
+	}
+	for _, s := range res.Selections {
+		if !strings.HasSuffix(s.Why, "re-priced alone: its plans changed after the up-front pricing") {
+			t.Errorf("@%s/%s: why-line %q does not say it was re-priced", s.Fn, s.Header, s.Why)
+		}
+	}
+	if m := auto.Report(res, tool.Options{}).Metrics; m["price_misses"] != int64(n) || m["training_runs"] != int64(n+1) {
+		t.Errorf("report metrics %v", m)
+	}
+}
+
 // When no planner produces a plan the why-line must still say why: every
 // technique's rejection, in the selection and in the rendered report
 // (a bare "no technique produced a plan" at the parent).
@@ -357,5 +411,125 @@ func TestAutoLoweringDeclaresItsMechanisms(t *testing.T) {
 		if !requested[a] {
 			t.Errorf("lowering runs never requested %s", a)
 		}
+	}
+}
+
+// TestPlanningIsReadOnly: a competing run plans every loop under a hot
+// root before lowering any, and prices the module those plans saw, so no
+// planner may change the module.
+func TestPlanningIsReadOnly(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	loopsPlanned := 0
+	if err := fuzz.Subjects(150, func(name string, m *ir.Module) {
+		before := ir.Print(m)
+		n := core.New(m, opts)
+		for _, f := range m.Functions {
+			for _, ls := range n.LoopStructures(f) {
+				for _, p := range tool.Planners() {
+					if _, err := p.PlanLoop(n, ls, tool.DefaultOptions()); err == nil {
+						loopsPlanned++
+					}
+				}
+			}
+		}
+		if ir.Print(m) != before {
+			t.Errorf("%s: planning its loops changed the module", name)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if loopsPlanned == 0 {
+		t.Fatal("no planner planned any loop")
+	}
+}
+
+// TestCorpusTrainsOnce: on every corpus program, profiled, at 2 and 12
+// cores with lowering on, one training run prices every loop auto scores,
+// none is priced again, and each candidate's Seq/Par is what pricing that
+// loop alone on the untransformed program gives.
+func TestCorpusTrainsOnce(t *testing.T) {
+	profiled := func(b bench.Benchmark) *ir.Module {
+		m, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := profiler.Collect(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof.Embed()
+		return m
+	}
+	scored := 0
+	for _, b := range bench.List() {
+		for _, cores := range []int{2, 12} {
+			opts := core.DefaultOptions()
+			opts.Cores = cores
+			topts := tool.DefaultOptions()
+			topts.ExecutePlans = true
+			res, err := auto.Run(context.Background(), core.New(profiled(b), opts), topts)
+			if err != nil {
+				t.Fatalf("%s at %d cores: %v", b.Name, cores, err)
+			}
+			orig := profiled(b)
+			n0 := core.New(orig, opts)
+			priced := false
+			for _, s := range res.Selections {
+				var cands []auto.Candidate
+				for _, c := range s.Candidates {
+					if c.Rejection == "" {
+						cands = append(cands, c)
+					}
+				}
+				if len(cands) == 0 {
+					continue
+				}
+				priced = true
+				var ls *loops.LS
+				for _, l := range n0.LoopStructures(orig.FunctionByName(s.Fn)) {
+					if l.Header.Nam == s.Header {
+						ls = l
+					}
+				}
+				if ls == nil {
+					t.Fatalf("%s: no @%s/%s in the untransformed program", b.Name, s.Fn, s.Header)
+				}
+				var plans []tool.Plan
+				var specs []machine.SegSpec
+				for _, c := range cands {
+					p, _ := tool.LookupPlanner(c.Technique)
+					plan, err := p.PlanLoop(n0, ls, topts)
+					if err != nil {
+						t.Fatalf("%s @%s/%s: %s planned it in the run but not alone: %v", b.Name, s.Fn, s.Header, c.Technique, err)
+					}
+					segOf, numSegs := plan.Segments()
+					plans, specs = append(plans, plan), append(specs, machine.SegSpec{SegmentOf: segOf, NumSegs: numSegs})
+				}
+				rows, err := machine.AttributeLoops(orig, []machine.LoopSpecs{{Loop: ls.Nat, Specs: specs}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows[0][0]) == 0 {
+					continue // not executed: nothing was scored
+				}
+				for i, c := range cands {
+					seq, par := machine.SequentialCycles(rows[0][i]), machine.SimulateAll(rows[0][i], plans[i].EstimateInvocation)
+					if c.Seq != seq || c.Par != par {
+						t.Errorf("%s at %d cores @%s/%s %s: Seq/Par %d/%d, priced alone on the untransformed program %d/%d",
+							b.Name, cores, s.Fn, s.Header, c.Technique, c.Seq, c.Par, seq, par)
+					}
+				}
+				scored++
+			}
+			if want := map[bool]int{true: 1}[priced]; res.TrainingRuns != want || res.PriceMisses != 0 {
+				t.Errorf("%s at %d cores: %d training runs, %d price misses; want %d and 0",
+					b.Name, cores, res.TrainingRuns, res.PriceMisses, want)
+			}
+		}
+	}
+	t.Logf("%d loops scored over the corpus at 2 and 12 cores", scored)
+	if scored < 100 {
+		t.Errorf("only %d loops scored over the corpus", scored)
 	}
 }

@@ -38,7 +38,8 @@ func (autoTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (too
 // vocabulary the four parallelizing tools share: how many visited loops
 // got a technique, one why-line per loop (with its task name and
 // fallbacks), one line per loop left sequential, and the metrics loops /
-// selected / lowered / unparallelized / fallbacks / selected_<technique>.
+// selected / lowered / unparallelized / fallbacks / selected_<technique>,
+// plus a competing run's training_runs / price_misses.
 func Report(r Result, opts tool.Options) tool.Report {
 	perTech := map[string]int64{}
 	for _, s := range r.Selections {
@@ -78,6 +79,10 @@ func Report(r Result, opts tool.Options) tool.Report {
 		fallbacks += int64(len(s.Fallbacks))
 	}
 	rep.Metrics["fallbacks"] = fallbacks
+	if r.Pinned == "" {
+		rep.Metrics["training_runs"] = int64(r.TrainingRuns)
+		rep.Metrics["price_misses"] = int64(r.PriceMisses)
+	}
 	for tech, cnt := range perTech {
 		rep.Metrics["selected_"+tech] = cnt
 	}

@@ -183,17 +183,18 @@ func TestEveryPlannerHasAPinnedTool(t *testing.T) {
 }
 
 // TestPinnedRunNeverPricesAPlan: scoring is the only thing that replays
-// the training input (machine.AttributeLoopCosts*), and it is what fills
-// Candidate.Seq/Par — so a pinned run leaves both at zero on every
-// candidate, where the competing run over the same program does not.
+// the training input (machine.AttributeLoops), and it is what fills
+// Candidate.Seq/Par — so a pinned run makes no training run and leaves
+// both at zero on every candidate, where the competing run over the same
+// program makes one.
 func TestPinnedRunNeverPricesAPlan(t *testing.T) {
 	for _, tech := range tool.PlannerNames() {
 		res, err := auto.RunPinned(context.Background(), newN(compile(t, nestedSrc)), tool.Options{}, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Selected() == 0 {
-			t.Errorf("%s planned nothing, so the test shows nothing", tech)
+		if res.Selected() == 0 || res.TrainingRuns != 0 {
+			t.Errorf("%s: %d planned, %d training runs; want some and none", tech, res.Selected(), res.TrainingRuns)
 		}
 		for _, s := range res.Selections {
 			for _, c := range s.Candidates {
@@ -213,8 +214,9 @@ func TestPinnedRunNeverPricesAPlan(t *testing.T) {
 			priced = priced || c.Seq > 0
 		}
 	}
-	if !priced {
-		t.Error("the competing run priced nothing either: Seq/Par no longer observe the replay")
+	if !priced || res.TrainingRuns != 1 || res.PriceMisses != 0 {
+		t.Errorf("the competing run: priced %v in %d training runs, %d price misses; want priced in 1, none missed",
+			priced, res.TrainingRuns, res.PriceMisses)
 	}
 }
 

@@ -95,9 +95,9 @@ func (p *Plan) Lower(taskName string) error {
 	return nil
 }
 
-// PlanLoop plans one specific loop without touching the module (the
-// evaluation harness drives loop selection itself); a nil plan comes with
-// the rejection reason.
+// PlanLoop plans one specific loop without touching the module (auto
+// plans every candidate loop before lowering any, and prices what it
+// planned); a nil plan comes with the rejection reason.
 func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	l := n.Loop(ls)
 	if l.IVs.GoverningIV() == nil {
