@@ -63,19 +63,26 @@ race:
 # generated programs). The alias package rides along
 # the same way: its worklist solver and bottom-up summaries are held to
 # the round-robin reference on those subjects before and after `auto`
-# lowered them, and four concurrent PDG builds share one PointsTo.
+# lowered them, and four concurrent PDG builds share one PointsTo. So does
+# the loop bundle: every query of every loop's bundle against the
+# map-keyed builders it replaced (before and after `auto`), the bundle
+# over store-decoded and embedded PDGs against the cold one, CSR's Tarjan,
+# condensation and Kahn's order against the map-keyed ones on random
+# graphs, and the bulk PDG layout against insertion order.
 tier-diff:
 	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
+	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
 
 # The repo's own unit costs, one iteration each (about a second; CI's
 # test job prints them): the whole-module points-to analysis
 # (BenchmarkPointsToWhole: ns, bytes and allocations per solve), auto's
 # plan-and-price decision (BenchmarkAutoPricing: one training run), a
-# cold and a warm pass over every function PDG, and the ablations.
+# cold and a warm pass over every function PDG, the loop bundle of every
+# loop over built PDGs (BenchmarkLoopBundle), and the ablations.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 

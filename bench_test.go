@@ -1,9 +1,9 @@
 // Package noelle's root benchmarks measure what nothing else in the
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
 // cold vs warm abstraction-store load, the unit costs of a points-to
-// analysis and of auto's pricing, and four design ablations
-// (demand-driven construction, alias stacks, HELIX header scheduling,
-// DOALL chunk size). Run them with
+// analysis, of the loop bundle and of auto's pricing, and four design
+// ablations (demand-driven construction, alias stacks, HELIX header
+// scheduling, DOALL chunk size). Run them with
 //
 //	go test -bench=. -benchmem
 //
@@ -22,6 +22,7 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/eval"
 	"noelle/internal/ir"
+	"noelle/internal/loops"
 	"noelle/internal/machine"
 	"noelle/internal/pdg"
 	"noelle/internal/profiler"
@@ -75,7 +76,8 @@ func BenchmarkFunctionPDGCold(b *testing.B) {
 // populated store by structural fingerprint — fingerprint walk + record
 // decode, no alias analysis. The ratio to BenchmarkFunctionPDGCold is
 // the store's speedup on function PDGs alone: about 5x while the analysis
-// cost 90 ms, about 1x since it costs 3 (ROADMAP item 5).
+// cost 90 ms, about 1x once it cost 3, and about 0.55x since the cold
+// build lays each graph out in one pass (ROADMAP item 6b).
 func BenchmarkFunctionPDGWarm(b *testing.B) {
 	m := cacheBenchModule(b)
 	dir := b.TempDir()
@@ -141,6 +143,33 @@ func BenchmarkAutoPricing(b *testing.B) {
 			b.Fatalf("auto: %v, %d selected", err, res.Selected())
 		}
 	}
+}
+
+// BenchmarkLoopBundle is the unit cost of the full loop abstraction (L:
+// the loop dependence graph, aSCCDAG, IV, INV, RD) for every loop of
+// bench.WholeProgram, on a manager whose function PDGs are already built:
+// what `core.Noelle.Loop` adds on top of the PDGs.
+func BenchmarkLoopBundle(b *testing.B) {
+	m := cacheBenchModule(b)
+	warm := core.New(m, core.DefaultOptions())
+	buildAllPDGs(b, warm, m)
+	var lss []*loops.LS
+	fpdgs := map[*ir.Function]*pdg.Graph{}
+	for _, f := range m.Functions {
+		if !f.IsDeclaration() {
+			lss = append(lss, warm.LoopStructures(f)...)
+			fpdgs[f] = warm.FunctionPDG(f)
+		}
+	}
+	pt := warm.PointsTo()
+	impure := func(call *ir.Instr) bool { return !pt.CallIsPure(call) }
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, ls := range lss {
+			loops.NewLoop(ls, fpdgs[ls.Fn], impure)
+		}
+	}
+	b.ReportMetric(float64(len(lss)), "loops")
 }
 
 func cacheBenchModule(b *testing.B) *ir.Module {

@@ -204,19 +204,16 @@ func mustRemap(t *testing.T, f1, f2 *ir.Function, g *pdg.Graph) *pdg.Graph {
 	if len(i1) != len(pos2) {
 		t.Fatal("function shapes differ")
 	}
-	out := pdg.NewGraph()
-	for _, in := range i1 {
-		out.AddInternal(in)
-	}
+	var edges []pdg.Edge
 	g.Edges(func(e *pdg.Edge) bool {
-		ne := &pdg.Edge{From: i1[pos2[e.From]], To: i1[pos2[e.To]]}
-		if err := pdg.DecodeEdgeFlags(ne, pdg.EncodeEdgeFlags(e)); err != nil {
+		ne := pdg.Edge{From: i1[pos2[e.From]], To: i1[pos2[e.To]]}
+		if err := pdg.DecodeEdgeFlags(&ne, pdg.EncodeEdgeFlags(e)); err != nil {
 			t.Fatalf("flags: %v", err)
 		}
-		out.AddEdge(ne)
+		edges = append(edges, ne)
 		return true
 	})
-	return out
+	return pdg.NewGraph(i1, edges, nil, nil)
 }
 
 func TestStoreDegradesOnCorruptedRecord(t *testing.T) {

@@ -91,7 +91,8 @@ func NewRecord(fp ir.Fingerprint, f *ir.Function, g *pdg.Graph) *Record {
 // BuildGraph reconstructs the function PDG from the record. It fails when
 // the record's shape no longer matches f — the caller must rebuild. The
 // edges come from one contiguous allocation and the graph is assembled
-// through the bulk constructor: warm loads are allocation-light.
+// through the bulk constructor with the endpoint positions the record
+// already holds: warm loads are allocation-light.
 func (r *Record) BuildGraph(f *ir.Function) (*pdg.Graph, error) {
 	instrs := make([]*ir.Instr, 0, r.NumInstrs)
 	f.Instrs(func(in *ir.Instr) bool {
@@ -102,22 +103,21 @@ func (r *Record) BuildGraph(f *ir.Function) (*pdg.Graph, error) {
 		return nil, fmt.Errorf("abscache: record for @%s has %d instructions, function has %d",
 			r.FuncName, r.NumInstrs, len(instrs))
 	}
-	backing := make([]pdg.Edge, len(r.Edges))
-	edges := make([]*pdg.Edge, len(r.Edges))
-	from := make([]int, len(r.Edges))
-	to := make([]int, len(r.Edges))
+	edges := make([]pdg.Edge, len(r.Edges))
+	from := make([]int32, len(r.Edges))
+	to := make([]int32, len(r.Edges))
 	for i, er := range r.Edges {
 		if er.From < 0 || er.From >= len(instrs) || er.To < 0 || er.To >= len(instrs) {
 			return nil, fmt.Errorf("abscache: edge %d>%d out of range in record for @%s", er.From, er.To, r.FuncName)
 		}
-		e := &backing[i]
+		e := &edges[i]
 		e.From, e.To = instrs[er.From], instrs[er.To]
 		if err := pdg.DecodeEdgeFlags(e, er.Flags); err != nil {
 			return nil, err
 		}
-		edges[i], from[i], to[i] = e, er.From, er.To
+		from[i], to[i] = int32(er.From), int32(er.To)
 	}
-	return pdg.NewGraphFromEdges(instrs, edges, from, to), nil
+	return pdg.NewGraph(instrs, edges, from, to), nil
 }
 
 // instrPositions maps every instruction of f to its linear position.

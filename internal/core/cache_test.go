@@ -2,14 +2,20 @@ package core_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
+	"noelle/internal/abscache"
 	"noelle/internal/core"
+	"noelle/internal/fuzz"
 	"noelle/internal/ir"
 	"noelle/internal/irtext"
+	"noelle/internal/loops"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/pdg"
+	"noelle/internal/sccdag"
 )
 
 const cacheSrc = `
@@ -217,4 +223,105 @@ func TestEmbeddedPDGRoundTrip(t *testing.T) {
 	if builds, _, _ = n.CacheStats(); builds != 1 {
 		t.Fatalf("post-invalidation builds = %d, want 1", builds)
 	}
+}
+
+// TestWarmBundlesMatchCold: a loop bundle built over a function PDG
+// decoded from a store record (abscache.NewRecord, Record.BuildGraph) or
+// from embedded metadata (pdg.Embed, pdg.Extract) agrees with the bundle
+// over the cold build on what the parallelizers read: the aSCCDAG's nodes
+// and topological order, each node's carried edges, and CarriedDataDeps,
+// on every loop of fuzz.Subjects(150). The loop DG's own edge order is not
+// pinned: a record and the metadata list edges sorted, the cold build in
+// insertion order, and a node's edges follow that order.
+func TestWarmBundlesMatchCold(t *testing.T) {
+	bundles, reordered := 0, 0
+	err := fuzz.Subjects(150, func(name string, m *ir.Module) {
+		n := core.New(m, core.DefaultOptions())
+		pt := n.PointsTo()
+		impure := func(call *ir.Instr) bool { return !pt.CallIsPure(call) }
+		cold := map[*ir.Function]*pdg.Graph{}
+		for _, f := range m.Functions {
+			if !f.IsDeclaration() {
+				cold[f] = n.FunctionPDG(f)
+			}
+		}
+		m.AssignIDs()
+		pdg.Embed(m, cold)
+		embedded, err := pdg.Extract(m)
+		if err != nil {
+			t.Fatalf("%s: extract: %v", name, err)
+		}
+		for f, g := range cold {
+			stored, err := abscache.NewRecord(ir.Fingerprint{}, f, g).BuildGraph(f)
+			if err != nil {
+				t.Fatalf("%s @%s: record: %v", name, f.Nam, err)
+			}
+			pos := map[*ir.Instr]int{}
+			f.Instrs(func(in *ir.Instr) bool {
+				pos[in] = len(pos)
+				return true
+			})
+			for _, ls := range n.LoopStructures(f) {
+				bundles++
+				l := n.Loop(ls)
+				want := pinned(l, pos)
+				for source, warm := range map[string]*pdg.Graph{"store record": stored, "embedded metadata": embedded[f]} {
+					wl := loops.NewLoop(ls, warm, impure)
+					if got := pinned(wl, pos); !slices.Equal(got, want) {
+						t.Errorf("%s @%s/%s: bundle over the %s PDG differs from the cold one:\n got  %q\n want %q",
+							name, f.Nam, ls.Header.Nam, source, got, want)
+					}
+					if !slices.Equal(dgEdges(wl, pos), dgEdges(l, pos)) {
+						reordered++
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d loop bundles; %d warm loop DGs list their edges in another order", bundles, reordered)
+	if bundles < 2198 {
+		t.Errorf("only %d loop bundles", bundles)
+	}
+}
+
+func dgEdges(l *loops.Loop, pos map[*ir.Instr]int) []string {
+	var out []string
+	l.DG.Edges(func(e *pdg.Edge) bool {
+		out = append(out, fmt.Sprintf("%d>%d:%s", pos[e.From], pos[e.To], pdg.EncodeEdgeFlags(e)))
+		return true
+	})
+	return out
+}
+
+// pinned renders the bundle queries warm and cold PDGs must agree on,
+// naming instructions by their position in the function.
+func pinned(l *loops.Loop, pos map[*ir.Instr]int) []string {
+	var out []string
+	edge := func(e *pdg.Edge) string {
+		return fmt.Sprintf("%d>%d:%s", pos[e.From], pos[e.To], pdg.EncodeEdgeFlags(e))
+	}
+	index := map[*sccdag.Node]int{}
+	for i, node := range l.SCCDAG.Nodes {
+		index[node] = i
+		line := fmt.Sprintf("scc %d %s:", i, node.Kind)
+		for _, in := range node.Instrs {
+			line += fmt.Sprintf(" %d", pos[in])
+		}
+		out = append(out, line)
+		for _, e := range node.Carried {
+			out = append(out, fmt.Sprintf("scc %d carried %s", i, edge(e)))
+		}
+	}
+	topo := "topo"
+	for _, node := range l.SCCDAG.TopoOrder() {
+		topo += fmt.Sprintf(" %d", index[node])
+	}
+	out = append(out, topo)
+	for _, e := range l.CarriedDataDeps() {
+		out = append(out, "carried data dep "+edge(e))
+	}
+	return out
 }

@@ -1,7 +1,9 @@
-// Package graph provides the generic directed-graph machinery behind
-// NOELLE's dependence graph, SCCDAG, and call-graph abstractions: Tarjan's
-// strongly-connected components, condensation DAGs, topological orders, and
-// island (weakly-connected component) discovery.
+// Package graph provides the directed-graph machinery behind NOELLE's
+// SCCDAG, loop and call-graph abstractions. CSR is the dense form the hot
+// analyses use: Tarjan's strongly connected components, the condensation
+// DAG and Kahn's topological order, all on int32 node numbers. Digraph is
+// the map-keyed form for callers that are not hot (the call graph,
+// timesq's comparison islands); its SCCs run on CSR.
 package graph
 
 import "sort"
@@ -103,168 +105,32 @@ func (s *SCC[N]) Contains(n N) bool {
 	return false
 }
 
-// SCCs computes the strongly connected components with Tarjan's algorithm
-// (iterative). Components are returned in reverse topological order of the
-// condensation (callees/later nodes first), which is Tarjan's natural
-// output order.
+// SCCs computes the strongly connected components (CSR.SCCs on the
+// insertion-order numbering). Components are returned in reverse
+// topological order of the condensation (callees/later nodes first), which
+// is Tarjan's natural output order; each lists its nodes in insertion
+// order.
 func (g *Digraph[N]) SCCs() []*SCC[N] {
-	n := len(g.nodes)
-	indexOf := make([]int, n) // discovery index, 0 = unvisited
-	lowlink := make([]int, n)
-	onStack := make([]bool, n)
-	var stack []int
-	next := 1
-	var comps []*SCC[N]
-
-	type frame struct {
-		v  int
-		si int // successor cursor
-	}
-	for root := 0; root < n; root++ {
-		if indexOf[root] != 0 {
-			continue
-		}
-		var frames []frame
-		push := func(v int) {
-			indexOf[v] = next
-			lowlink[v] = next
-			next++
-			stack = append(stack, v)
-			onStack[v] = true
-			frames = append(frames, frame{v: v})
-		}
-		push(root)
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			v := fr.v
-			succs := g.succs[g.nodes[v]]
-			advanced := false
-			for fr.si < len(succs) {
-				w := g.index[succs[fr.si]]
-				fr.si++
-				if indexOf[w] == 0 {
-					push(w)
-					advanced = true
-					break
-				}
-				if onStack[w] && indexOf[w] < lowlink[v] {
-					lowlink[v] = indexOf[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v is done.
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if lowlink[v] < lowlink[p] {
-					lowlink[p] = lowlink[v]
-				}
-			}
-			if lowlink[v] == indexOf[v] {
-				comp := &SCC[N]{}
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp.Nodes = append(comp.Nodes, g.nodes[w])
-					if w == v {
-						break
-					}
-				}
-				// Restore insertion order inside the component.
-				sort.Slice(comp.Nodes, func(i, j int) bool {
-					return g.index[comp.Nodes[i]] < g.index[comp.Nodes[j]]
-				})
-				comps = append(comps, comp)
-			}
+	var from, to []int32
+	for v, n := range g.nodes {
+		for _, s := range g.succs[n] {
+			from = append(from, int32(v))
+			to = append(to, int32(g.index[s]))
 		}
 	}
-	// Mark internal edges.
-	for _, c := range comps {
-		if len(c.Nodes) > 1 {
-			c.HasInternalEdge = true
-			continue
+	csr := NewCSR(len(g.nodes), from, to)
+	c := csr.SCCs()
+	comps := make([]*SCC[N], c.Len())
+	for k := range comps {
+		members := c.Nodes(int32(k))
+		comp := &SCC[N]{Nodes: make([]N, len(members))}
+		for i, v := range members {
+			comp.Nodes[i] = g.nodes[v]
 		}
-		v := c.Nodes[0]
-		c.HasInternalEdge = g.HasEdge(v, v)
+		comp.HasInternalEdge = len(members) > 1 || csr.HasArc(members[0], members[0])
+		comps[k] = comp
 	}
 	return comps
-}
-
-// Condensation is the DAG of SCCs.
-type Condensation[N comparable] struct {
-	Comps  []*SCC[N]
-	CompOf map[N]*SCC[N]
-	Edges  map[*SCC[N]][]*SCC[N] // successor components
-	Rev    map[*SCC[N]][]*SCC[N] // predecessor components
-}
-
-// Condense computes the SCC condensation DAG of g.
-func (g *Digraph[N]) Condense() *Condensation[N] {
-	comps := g.SCCs()
-	c := &Condensation[N]{
-		Comps:  comps,
-		CompOf: map[N]*SCC[N]{},
-		Edges:  map[*SCC[N]][]*SCC[N]{},
-		Rev:    map[*SCC[N]][]*SCC[N]{},
-	}
-	for _, comp := range comps {
-		for _, n := range comp.Nodes {
-			c.CompOf[n] = comp
-		}
-	}
-	seen := map[[2]int]bool{}
-	compIdx := map[*SCC[N]]int{}
-	for i, comp := range comps {
-		compIdx[comp] = i
-	}
-	for _, from := range g.nodes {
-		cf := c.CompOf[from]
-		for _, to := range g.succs[from] {
-			ct := c.CompOf[to]
-			if cf == ct {
-				continue
-			}
-			key := [2]int{compIdx[cf], compIdx[ct]}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			c.Edges[cf] = append(c.Edges[cf], ct)
-			c.Rev[ct] = append(c.Rev[ct], cf)
-		}
-	}
-	return c
-}
-
-// Topo returns the components in topological order (sources first). The
-// condensation is acyclic by construction, so this always succeeds.
-func (c *Condensation[N]) Topo() []*SCC[N] {
-	inDeg := map[*SCC[N]]int{}
-	for _, comp := range c.Comps {
-		inDeg[comp] = len(c.Rev[comp])
-	}
-	var queue []*SCC[N]
-	for _, comp := range c.Comps {
-		if inDeg[comp] == 0 {
-			queue = append(queue, comp)
-		}
-	}
-	var out []*SCC[N]
-	for len(queue) > 0 {
-		comp := queue[0]
-		queue = queue[1:]
-		out = append(out, comp)
-		for _, s := range c.Edges[comp] {
-			inDeg[s]--
-			if inDeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	return out
 }
 
 // Islands returns the weakly connected components (the paper's ISL

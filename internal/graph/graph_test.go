@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,27 +89,78 @@ func TestSCCPartitionProperty(t *testing.T) {
 	}
 }
 
+// randomArcs draws arcs over n nodes, duplicates included.
+func randomArcs(n, arcs int, seed int64) (from, to []int32) {
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < arcs; i++ {
+		from = append(from, int32(r.Intn(n)))
+		to = append(to, int32(r.Intn(n)))
+	}
+	return from, to
+}
+
 // TestCondensationAcyclicProperty: the condensation is a DAG whose Topo
-// order covers every component exactly once.
+// order covers every component exactly once, and renumbering the DAG by
+// that order leaves it unchanged.
 func TestCondensationAcyclicProperty(t *testing.T) {
 	prop := func(seed int64, nRaw, eRaw uint8) bool {
 		n := int(nRaw%20) + 1
-		e := int(eRaw % 60)
-		g := randomGraph(n, e, seed)
-		cond := g.Condense()
-		topo := cond.Topo()
-		if len(topo) != len(cond.Comps) {
+		from, to := randomArcs(n, int(eRaw%60), seed)
+		g := NewCSR(n, from, to)
+		comps := g.SCCs()
+		dag := g.Condense(comps)
+		topo := dag.Topo()
+		if len(topo) != comps.Len() {
 			return false // cycle in condensation: topo cannot cover it
 		}
-		pos := map[*SCC[int]]int{}
-		for i, c := range topo {
-			pos[c] = i
+		pos := make([]int, comps.Len())
+		for i, k := range topo {
+			pos[k] = i
 		}
-		for c, succs := range cond.Edges {
-			for _, s := range succs {
-				if pos[s] <= pos[c] {
+		var af, at []int32
+		for k := int32(0); k < int32(comps.Len()); k++ {
+			for _, l := range dag.Succs(k) {
+				if pos[l] <= pos[k] {
 					return false
 				}
+				af, at = append(af, int32(pos[k])), append(at, int32(pos[l]))
+			}
+		}
+		// Kahn's order is a fixed point: renumbered by it, the DAG's own
+		// Kahn's order is 0, 1, 2, ... (sccdag.TopoOrder relies on this).
+		for i, k := range NewCSR(comps.Len(), af, at).Topo() {
+			if int(k) != i {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCSRKeepsFirstInsertionOrder: NewCSR drops duplicate arcs and keeps
+// each node's successors in the order Digraph.AddEdge keeps them, so the
+// two forms of one graph are searched alike.
+func TestCSRKeepsFirstInsertionOrder(t *testing.T) {
+	prop := func(seed int64, nRaw, eRaw uint8) bool {
+		n := int(nRaw%20) + 1
+		from, to := randomArcs(n, int(eRaw), seed)
+		g := NewCSR(n, from, to)
+		d := New[int32]()
+		for v := int32(0); v < int32(n); v++ {
+			d.AddNode(v)
+		}
+		for i := range from {
+			d.AddEdge(from[i], to[i])
+		}
+		if len(g.Succ) != d.NumEdges() {
+			return false
+		}
+		for v := int32(0); v < int32(n); v++ {
+			if !slices.Equal(g.Succs(v), d.Succs(v)) {
+				return false
 			}
 		}
 		return true

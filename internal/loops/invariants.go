@@ -19,77 +19,100 @@ type Invariants struct {
 	// visible effects (I/O or memory writes) and therefore cannot be
 	// invariant. A nil oracle treats every call as impure.
 	impureCall func(*ir.Instr) bool
-	inv        map[*ir.Instr]bool
+	body       *body
+	// state is each body instruction's verdict, by body position.
+	state []invState
 }
+
+type invState uint8
+
+const (
+	unvisited invState = iota
+	// onStack marks Algorithm 2's stack s: reaching an instruction whose
+	// verdict is still being worked out closes a dependence cycle.
+	onStack
+	variant
+	invariant
+)
 
 // NewInvariants runs invariant detection for the loop described by ls,
 // using the loop's (or enclosing function's) dependence graph g.
 // impureCall may be nil (all calls impure).
 func NewInvariants(ls *LS, g *pdg.Graph, impureCall func(*ir.Instr) bool) *Invariants {
-	iv := &Invariants{LS: ls, PDG: g, impureCall: impureCall, inv: map[*ir.Instr]bool{}}
-	ls.Instrs(func(in *ir.Instr) bool {
-		iv.isInvariant(in, map[*ir.Instr]bool{})
-		return true
-	})
+	return newInvariants(ls, newBody(ls), g, impureCall)
+}
+
+func newInvariants(ls *LS, b *body, g *pdg.Graph, impureCall func(*ir.Instr) bool) *Invariants {
+	iv := &Invariants{LS: ls, PDG: g, impureCall: impureCall, body: b, state: make([]invState, len(b.instrs))}
+	for i := range b.instrs {
+		iv.isInvariant(int32(i))
+	}
 	return iv
 }
 
 // IsInvariant reports whether in is a loop invariant.
-func (iv *Invariants) IsInvariant(in *ir.Instr) bool { return iv.inv[in] }
+func (iv *Invariants) IsInvariant(in *ir.Instr) bool {
+	i, ok := iv.body.index[in]
+	return ok && iv.state[i] == invariant
+}
 
 // List returns the invariant instructions in loop layout order.
 func (iv *Invariants) List() []*ir.Instr {
 	var out []*ir.Instr
-	iv.LS.Instrs(func(in *ir.Instr) bool {
-		if iv.inv[in] {
+	for i, in := range iv.body.instrs {
+		if iv.state[i] == invariant {
 			out = append(out, in)
 		}
-		return true
-	})
+	}
 	return out
 }
 
 // Count returns the number of invariant instructions.
 func (iv *Invariants) Count() int { return len(iv.List()) }
 
-// isInvariant is the paper's Algorithm 2: cycle detection via the stack s,
-// then recursion over incoming PDG data dependences.
-func (iv *Invariants) isInvariant(in *ir.Instr, s map[*ir.Instr]bool) bool {
-	if done, ok := iv.inv[in]; ok {
-		return done
-	}
-	if s[in] {
+// isInvariant is the paper's Algorithm 2 on the instruction at body
+// position i: cycle detection via the stack, then recursion over incoming
+// PDG data dependences.
+func (iv *Invariants) isInvariant(i int32) bool {
+	switch iv.state[i] {
+	case onStack:
 		return false // dependence cycle => varies across iterations
+	case variant, invariant:
+		return iv.state[i] == invariant
 	}
-	if !eligibleInvariant(in) {
-		iv.inv[in] = false
+	in := iv.body.instrs[i]
+	if !eligibleInvariant(in) || in.Opcode == ir.OpCall && (iv.impureCall == nil || iv.impureCall(in)) {
+		iv.state[i] = variant
 		return false
 	}
-	if in.Opcode == ir.OpCall && (iv.impureCall == nil || iv.impureCall(in)) {
-		iv.inv[in] = false
-		return false
+	iv.state[i] = onStack
+	ok := iv.dependencesInvariant(in)
+	iv.state[i] = variant
+	if ok {
+		iv.state[i] = invariant
 	}
-	s[in] = true
-	defer delete(s, in)
+	return ok
+}
 
+// dependencesInvariant reports whether everything in depends on inside
+// the loop is invariant and no in-loop write may change what it reads.
+func (iv *Invariants) dependencesInvariant(in *ir.Instr) bool {
 	for _, e := range iv.PDG.InEdges(in) {
 		if e.Control {
 			// Control dependence on the loop's own branches does not make
 			// a value vary; LICM-style invariance is about data.
 			continue
 		}
-		j := e.From
-		if !iv.LS.ContainsInstr(j) {
+		j, ok := iv.body.index[e.From]
+		if !ok {
 			continue // defined outside the loop
 		}
-		if e.Memory && mayWriteMemory(j) {
+		if e.Memory && mayWriteMemory(e.From) {
 			// A store (or writing call) inside the loop may change what
 			// this instruction reads.
-			iv.inv[in] = false
 			return false
 		}
-		if !iv.isInvariant(j, s) {
-			iv.inv[in] = false
+		if !iv.isInvariant(j) {
 			return false
 		}
 	}
@@ -101,12 +124,10 @@ func (iv *Invariants) isInvariant(in *ir.Instr, s map[*ir.Instr]bool) bool {
 		if !e.Memory {
 			continue
 		}
-		if iv.LS.ContainsInstr(e.To) && mayWriteMemory(e.To) {
-			iv.inv[in] = false
+		if _, ok := iv.body.index[e.To]; ok && mayWriteMemory(e.To) {
 			return false
 		}
 	}
-	iv.inv[in] = true
 	return true
 }
 

@@ -1,9 +1,6 @@
 package loops
 
-import (
-	"noelle/internal/graph"
-	"noelle/internal/ir"
-)
+import "noelle/internal/ir"
 
 // IV is one induction variable of a loop: an SCC of the loop's register
 // dependence graph whose cycle is a header phi updated by a constant (or
@@ -86,23 +83,13 @@ func (a *IVAnalysis) CycleOf(v ir.Value) *IV {
 // NewIVAnalysis detects the induction variables of ls. inv may be nil;
 // when provided it widens "loop-invariant step" beyond constants.
 func NewIVAnalysis(ls *LS, inv *Invariants) *IVAnalysis {
+	b := newBody(ls)
+	return newIVAnalysis(ls, b, registerSCCs(b), inv)
+}
+
+// newIVAnalysis classifies the loop's cyclic register SCCs (registerSCCs).
+func newIVAnalysis(ls *LS, b *body, regSCCs [][]*ir.Instr, inv *Invariants) *IVAnalysis {
 	a := &IVAnalysis{LS: ls, byPhi: map[*ir.Instr]*IV{}}
-
-	// Build the register-only dependence graph restricted to the loop.
-	dg := graph.New[*ir.Instr]()
-	ls.Instrs(func(in *ir.Instr) bool {
-		dg.AddNode(in)
-		return true
-	})
-	ls.Instrs(func(in *ir.Instr) bool {
-		for _, op := range in.Ops {
-			if def, ok := op.(*ir.Instr); ok && ls.ContainsInstr(def) {
-				dg.AddEdge(def, in)
-			}
-		}
-		return true
-	})
-
 	isInvariantVal := func(v ir.Value) bool {
 		if ls.DefinedOutside(v) {
 			return true
@@ -114,11 +101,7 @@ func NewIVAnalysis(ls *LS, inv *Invariants) *IVAnalysis {
 		}
 		return false
 	}
-
-	for _, scc := range dg.SCCs() {
-		if !scc.HasInternalEdge {
-			continue
-		}
+	for _, scc := range regSCCs {
 		iv := classifyIVSCC(ls, scc, isInvariantVal)
 		if iv == nil {
 			continue
@@ -128,16 +111,16 @@ func NewIVAnalysis(ls *LS, inv *Invariants) *IVAnalysis {
 	}
 
 	a.detectGoverning()
-	a.detectDerived(isInvariantVal)
+	a.detectDerived(b, isInvariantVal)
 	return a
 }
 
 // classifyIVSCC checks whether an SCC is a well-formed IV cycle: exactly
 // one header phi, all other members add/sub with invariant addends, and the
 // cycle walks from the phi through the adds back to the phi.
-func classifyIVSCC(ls *LS, scc *graph.SCC[*ir.Instr], isInv func(ir.Value) bool) *IV {
+func classifyIVSCC(ls *LS, scc []*ir.Instr, isInv func(ir.Value) bool) *IV {
 	var phi *ir.Instr
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		if in.Opcode == ir.OpPhi {
 			if in.Parent != ls.Header || phi != nil {
 				return nil
@@ -149,7 +132,7 @@ func classifyIVSCC(ls *LS, scc *graph.SCC[*ir.Instr], isInv func(ir.Value) bool)
 		return nil
 	}
 	inSCC := map[*ir.Instr]bool{}
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		inSCC[in] = true
 	}
 	// Every non-phi member must be add/sub of one SCC value and one
@@ -157,7 +140,7 @@ func classifyIVSCC(ls *LS, scc *graph.SCC[*ir.Instr], isInv func(ir.Value) bool)
 	netConst := int64(0)
 	constKnown := true
 	var stepVal ir.Value
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		if in == phi {
 			continue
 		}
@@ -195,7 +178,7 @@ func classifyIVSCC(ls *LS, scc *graph.SCC[*ir.Instr], isInv func(ir.Value) bool)
 	}
 	iv := &IV{
 		Phi:   phi,
-		SCC:   scc.Nodes,
+		SCC:   scc,
 		Start: ls.EntryIncoming(phi),
 	}
 	if constKnown {
@@ -248,18 +231,17 @@ func (a *IVAnalysis) detectGoverning() {
 
 // detectDerived marks in-loop instructions that are affine in some IV:
 // mul/add/sub of an IV (or derived) value with invariants.
-func (a *IVAnalysis) detectDerived(isInv func(ir.Value) bool) {
+func (a *IVAnalysis) detectDerived(b *body, isInv func(ir.Value) bool) {
 	for _, iv := range a.IVs {
 		derived := map[*ir.Instr]bool{}
 		for _, in := range iv.SCC {
 			derived[in] = true
 		}
-		changed := true
-		for changed {
+		for changed := true; changed; {
 			changed = false
-			a.LS.Instrs(func(in *ir.Instr) bool {
+			for _, in := range b.instrs {
 				if derived[in] {
-					return true
+					continue
 				}
 				switch in.Opcode {
 				case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl:
@@ -276,18 +258,16 @@ func (a *IVAnalysis) detectDerived(isInv func(ir.Value) bool) {
 						changed = true
 					}
 				}
-				return true
-			})
+			}
 		}
 		for _, in := range iv.SCC {
 			delete(derived, in)
 		}
-		a.LS.Instrs(func(in *ir.Instr) bool {
+		for _, in := range b.instrs {
 			if derived[in] {
 				iv.Derived = append(iv.Derived, in)
 			}
-			return true
-		})
+		}
 	}
 }
 

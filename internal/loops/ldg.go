@@ -5,37 +5,21 @@ import (
 	"noelle/internal/pdg"
 )
 
-// NewLoopDG derives the loop dependence graph from the function PDG: the
+// newLoopDG derives the loop dependence graph from the function PDG: the
 // loop's instructions become internal nodes, out-of-loop producers and
 // consumers become external nodes (live-ins/live-outs), and every data
 // edge between internal nodes is classified as loop-carried or not. This
 // is the refinement the paper describes: "when a pass requests the loop
 // dependence graph from a PDG, NOELLE runs loop-centric analyses to refine
 // the dependences included in the PDG for the specific loop in-question."
-func NewLoopDG(ls *LS, fpdg *pdg.Graph, ivs *IVAnalysis) *pdg.Graph {
-	g := pdg.NewGraph()
-	ls.Instrs(func(in *ir.Instr) bool {
-		g.AddInternal(in)
-		return true
+// It is one pdg.Graph.Restrict pass over the function PDG's edges; the
+// refinement edits copies, never the function PDG.
+func newLoopDG(ls *LS, b *body, fpdg *pdg.Graph, ivs *IVAnalysis) *pdg.Graph {
+	return fpdg.Restrict(b.instrs, func(e *pdg.Edge) bool {
+		refineCarried(ls, ivs, e)
+		// A dropped edge is one the affine analysis disproved.
+		return !(e.Memory && e.Class == dropped)
 	})
-
-	fpdg.Edges(func(e *pdg.Edge) bool {
-		fromIn := ls.ContainsInstr(e.From)
-		toIn := ls.ContainsInstr(e.To)
-		if !fromIn && !toIn {
-			return true
-		}
-		ne := *e // copy; refinement must not mutate the function PDG
-		if fromIn && toIn {
-			refineCarried(ls, ivs, &ne)
-			if ne.Memory && ne.Class == dropped {
-				return true // affine analysis disproved the dependence
-			}
-		}
-		g.AddEdge(&ne)
-		return true
-	})
-	return g
 }
 
 // dropped is a sentinel class used internally to delete edges the affine
@@ -153,30 +137,27 @@ func accessPtr(in *ir.Instr) (ir.Value, bool) {
 	return nil, false
 }
 
-// LiveIns returns the out-of-loop values consumed inside the loop: SSA
+// liveIns returns the out-of-loop values consumed inside the loop: SSA
 // values defined outside (instructions, parameters) that in-loop
 // instructions use. Header-phi entry incomings count as live-ins too.
-func LiveIns(ls *LS) []ir.Value {
+func liveIns(ls *LS, b *body) []ir.Value {
 	seen := map[ir.Value]bool{}
 	var out []ir.Value
-	add := func(v ir.Value) {
-		switch v.(type) {
-		case *ir.Const, *ir.Global, *ir.Function:
-			return // constants are rematerialized, not communicated
-		}
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	ls.Instrs(func(in *ir.Instr) bool {
-		for _, op := range in.Ops {
-			if ls.DefinedOutside(op) {
-				add(op)
+	for _, in := range b.instrs {
+		for _, v := range in.Ops {
+			if !ls.DefinedOutside(v) {
+				continue
+			}
+			switch v.(type) {
+			case *ir.Const, *ir.Global, *ir.Function:
+				continue // constants are rematerialized, not communicated
+			}
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 

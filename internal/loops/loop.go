@@ -1,6 +1,7 @@
 package loops
 
 import (
+	"noelle/internal/graph"
 	"noelle/internal/ir"
 	"noelle/internal/pdg"
 	"noelle/internal/sccdag"
@@ -35,11 +36,13 @@ func (l *Loop) Clonable(in *ir.Instr) bool { return l.clonable[in] }
 // NewLoop builds the full loop abstraction from a function PDG. impureCall
 // is the oracle used for invariant calls (nil = all calls impure).
 func NewLoop(ls *LS, fpdg *pdg.Graph, impureCall func(*ir.Instr) bool) *Loop {
-	inv := NewInvariants(ls, fpdg, impureCall)
-	ivs := NewIVAnalysis(ls, inv)
-	ldg := NewLoopDG(ls, fpdg, ivs)
-	rd := NewReductionAnalysis(ls, ivs)
-	clonable := clonableControl(ls, ivs, inv)
+	b := newBody(ls)
+	regSCCs := registerSCCs(b)
+	inv := newInvariants(ls, b, fpdg, impureCall)
+	ivs := newIVAnalysis(ls, b, regSCCs, inv)
+	ldg := newLoopDG(ls, b, fpdg, ivs)
+	rd := newReductionAnalysis(ls, b, regSCCs, ivs)
+	clonable := clonableControl(ls, b, ivs, inv)
 	dag := sccdag.Build(ldg, sccdag.Classifiers{
 		IsReductionPhi: func(phi *ir.Instr) bool { return rd.ForPhi(phi) != nil },
 		IsIVInstr:      func(in *ir.Instr) bool { return clonable[in] },
@@ -51,10 +54,71 @@ func NewLoop(ls *LS, fpdg *pdg.Graph, impureCall func(*ir.Instr) bool) *Loop {
 		Invariants: inv,
 		Reductions: rd,
 		SCCDAG:     dag,
-		LiveIn:     LiveIns(ls),
+		LiveIn:     liveIns(ls, b),
 		LiveOut:    LiveOuts(ls),
 		clonable:   clonable,
 	}
+}
+
+// body is a loop's instructions in layout order, numbered once per bundle:
+// every analysis NewLoop runs shares the one list and its positions.
+type body struct {
+	instrs []*ir.Instr
+	index  map[*ir.Instr]int32
+}
+
+func newBody(ls *LS) *body {
+	b := &body{}
+	ls.Instrs(func(in *ir.Instr) bool {
+		b.instrs = append(b.instrs, in)
+		return true
+	})
+	b.index = make(map[*ir.Instr]int32, len(b.instrs))
+	for i, in := range b.instrs {
+		b.index[in] = int32(i)
+	}
+	return b
+}
+
+// pos returns v's position in the body, or -1 when v is not an
+// instruction of the loop.
+func (b *body) pos(v ir.Value) int32 {
+	if in, ok := v.(*ir.Instr); ok {
+		if i, ok := b.index[in]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// registerSCCs returns the cyclic strongly connected components of the
+// loop's register dependence graph (def -> use between instructions of the
+// loop), in Tarjan's order, each listing its members in layout order. IV
+// and RD detection both classify these.
+func registerSCCs(b *body) [][]*ir.Instr {
+	var from, to []int32
+	for i, in := range b.instrs {
+		for _, op := range in.Ops {
+			if d := b.pos(op); d >= 0 {
+				from, to = append(from, d), append(to, int32(i))
+			}
+		}
+	}
+	g := graph.NewCSR(len(b.instrs), from, to)
+	comps := g.SCCs()
+	var out [][]*ir.Instr
+	for k := int32(0); k < int32(comps.Len()); k++ {
+		members := comps.Nodes(k)
+		if len(members) == 1 && !g.HasArc(members[0], members[0]) {
+			continue // no cycle
+		}
+		scc := make([]*ir.Instr, len(members))
+		for i, v := range members {
+			scc[i] = b.instrs[v]
+		}
+		out = append(out, scc)
+	}
+	return out
 }
 
 // clonableControl computes the set of "loop control" instructions a
@@ -62,7 +126,7 @@ func NewLoop(ls *LS, fpdg *pdg.Graph, impureCall func(*ir.Instr) bool) *Loop {
 // arithmetic, comparisons over IVs and invariants, and branches driven by
 // such comparisons. These join the IV SCC through the control-dependence
 // cycle at the loop header, and must not force the loop to be sequential.
-func clonableControl(ls *LS, ivs *IVAnalysis, inv *Invariants) map[*ir.Instr]bool {
+func clonableControl(ls *LS, b *body, ivs *IVAnalysis, inv *Invariants) map[*ir.Instr]bool {
 	set := map[*ir.Instr]bool{}
 	for _, iv := range ivs.IVs {
 		for _, in := range iv.SCC {
@@ -84,12 +148,11 @@ func clonableControl(ls *LS, ivs *IVAnalysis, inv *Invariants) map[*ir.Instr]boo
 	}
 	// Fixed point: comparisons over clonable values, then branches over
 	// clonable comparisons.
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		ls.Instrs(func(in *ir.Instr) bool {
+		for _, in := range b.instrs {
 			if set[in] {
-				return true
+				continue
 			}
 			switch {
 			case in.Opcode.IsCompare() || in.Opcode.IsBinaryOp():
@@ -106,8 +169,7 @@ func clonableControl(ls *LS, ivs *IVAnalysis, inv *Invariants) map[*ir.Instr]boo
 				set[in] = true
 				changed = true
 			}
-			return true
-		})
+		}
 	}
 	return set
 }

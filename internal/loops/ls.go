@@ -4,6 +4,15 @@
 // works on any loop shape), reductions RD, the loop dependence graph with
 // loop-carried refinement, and the full Loop abstraction L that bundles
 // them. The loop forest FR lives here too.
+//
+// NewLoop numbers the loop's instructions once (layout order) and every
+// analysis it runs shares that numbering: one Tarjan pass over the
+// register dependences feeds both IV and RD detection, Algorithm 2 keeps
+// its verdicts and its stack in one array, and the loop DG is cut from the
+// function PDG in one pdg.Graph.Restrict pass. An LS keeps no list of its
+// own, because tools hold an LS across transformations that move
+// instructions in and out of its blocks; the bundle's list is a snapshot,
+// like the rest of the bundle.
 package loops
 
 import (

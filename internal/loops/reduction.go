@@ -1,9 +1,6 @@
 package loops
 
-import (
-	"noelle/internal/graph"
-	"noelle/internal/ir"
-)
+import "noelle/internal/ir"
 
 // Reduction is NOELLE's RD abstraction: a loop variable whose per-iteration
 // updates are an associative, commutative fold (s += f(i), p *= x, ...), so
@@ -57,29 +54,12 @@ func (ra *ReductionAnalysis) IsReductionInstr(in *ir.Instr) bool {
 	return false
 }
 
-// NewReductionAnalysis detects reductions over the loop's register
-// dependence SCCs, excluding SCCs already claimed as induction variables.
-func NewReductionAnalysis(ls *LS, ivs *IVAnalysis) *ReductionAnalysis {
+// newReductionAnalysis detects reductions over the loop's cyclic register
+// SCCs (registerSCCs), excluding SCCs already claimed as induction
+// variables.
+func newReductionAnalysis(ls *LS, b *body, regSCCs [][]*ir.Instr, ivs *IVAnalysis) *ReductionAnalysis {
 	ra := &ReductionAnalysis{LS: ls, byPhi: map[*ir.Instr]*Reduction{}}
-
-	dg := graph.New[*ir.Instr]()
-	ls.Instrs(func(in *ir.Instr) bool {
-		dg.AddNode(in)
-		return true
-	})
-	ls.Instrs(func(in *ir.Instr) bool {
-		for _, op := range in.Ops {
-			if def, ok := op.(*ir.Instr); ok && ls.ContainsInstr(def) {
-				dg.AddEdge(def, in)
-			}
-		}
-		return true
-	})
-
-	for _, scc := range dg.SCCs() {
-		if !scc.HasInternalEdge {
-			continue
-		}
+	for _, scc := range regSCCs {
 		r := classifyReduction(ls, scc, ivs)
 		if r == nil {
 			continue
@@ -87,7 +67,7 @@ func NewReductionAnalysis(ls *LS, ivs *IVAnalysis) *ReductionAnalysis {
 		// The accumulator's intermediate values must not leak: uses of SCC
 		// members outside the SCC must be outside the loop (live-out) —
 		// otherwise reordering partial sums would be observable.
-		if reductionLeaks(ls, scc) {
+		if reductionLeaks(b, scc) {
 			continue
 		}
 		ra.Reductions = append(ra.Reductions, r)
@@ -96,11 +76,11 @@ func NewReductionAnalysis(ls *LS, ivs *IVAnalysis) *ReductionAnalysis {
 	return ra
 }
 
-func classifyReduction(ls *LS, scc *graph.SCC[*ir.Instr], ivs *IVAnalysis) *Reduction {
+func classifyReduction(ls *LS, scc []*ir.Instr, ivs *IVAnalysis) *Reduction {
 	var phi *ir.Instr
 	var op ir.Op
 	opSet := false
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		switch {
 		case in.Opcode == ir.OpPhi:
 			if phi != nil || in.Parent != ls.Header {
@@ -126,10 +106,10 @@ func classifyReduction(ls *LS, scc *graph.SCC[*ir.Instr], ivs *IVAnalysis) *Redu
 	// Each fold instruction must combine exactly one SCC value with values
 	// computed outside the SCC.
 	inSCC := map[*ir.Instr]bool{}
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		inSCC[in] = true
 	}
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		if in == phi {
 			continue
 		}
@@ -146,7 +126,7 @@ func classifyReduction(ls *LS, scc *graph.SCC[*ir.Instr], ivs *IVAnalysis) *Redu
 	return &Reduction{
 		Phi:      phi,
 		Op:       op,
-		SCC:      scc.Nodes,
+		SCC:      scc,
 		Identity: reducibleOps[op],
 		Start:    ls.EntryIncoming(phi),
 	}
@@ -154,23 +134,20 @@ func classifyReduction(ls *LS, scc *graph.SCC[*ir.Instr], ivs *IVAnalysis) *Redu
 
 // reductionLeaks reports whether any SCC member's value is used inside the
 // loop by a non-member (partial results observed mid-loop).
-func reductionLeaks(ls *LS, scc *graph.SCC[*ir.Instr]) bool {
+func reductionLeaks(b *body, scc []*ir.Instr) bool {
 	inSCC := map[*ir.Instr]bool{}
-	for _, in := range scc.Nodes {
+	for _, in := range scc {
 		inSCC[in] = true
 	}
-	leak := false
-	ls.Instrs(func(user *ir.Instr) bool {
+	for _, user := range b.instrs {
 		if inSCC[user] {
-			return true
+			continue
 		}
 		for _, op := range user.Ops {
 			if d, ok := op.(*ir.Instr); ok && inSCC[d] {
-				leak = true
-				return false
+				return true
 			}
 		}
-		return true
-	})
-	return leak
+	}
+	return false
 }

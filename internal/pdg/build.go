@@ -51,25 +51,24 @@ type memAccess struct {
 // program layout order; loop-carried classification happens when a loop
 // dependence graph is derived (see the loops package).
 func (b *Builder) FunctionPDG(f *ir.Function) *Graph {
-	g := NewGraph()
-	if f.IsDeclaration() {
-		return g
-	}
+	var instrs []*ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		g.AddInternal(in)
+		instrs = append(instrs, in)
 		return true
 	})
-
-	b.addControlDeps(f, g)
-	b.addRegisterDeps(f, g)
-	b.addMemoryDeps(f, g)
-	return g
+	var edges []Edge
+	if !f.IsDeclaration() {
+		edges = b.addControlDeps(f, edges)
+		edges = b.addRegisterDeps(f, edges)
+		edges = b.addMemoryDeps(f, edges)
+	}
+	return NewGraph(instrs, edges, nil, nil)
 }
 
 // addControlDeps: block B is control-dependent on the terminator of A when
 // A's branch decides whether B executes (Ferrante et al., via the
 // post-dominance frontier).
-func (b *Builder) addControlDeps(f *ir.Function, g *Graph) {
+func (b *Builder) addControlDeps(f *ir.Function, edges []Edge) []Edge {
 	cfg := analysis.NewCFG(f)
 	pdt := analysis.NewPostDomTree(f)
 	pdf := pdt.Frontier(cfg)
@@ -80,27 +79,29 @@ func (b *Builder) addControlDeps(f *ir.Function, g *Graph) {
 				continue
 			}
 			for _, in := range blk.Instrs {
-				g.AddEdge(&Edge{From: term, To: in, Control: true, Must: true})
+				edges = append(edges, Edge{From: term, To: in, Control: true, Must: true})
 			}
 		}
 	}
+	return edges
 }
 
 // addRegisterDeps adds SSA def-use edges (always must, never memory).
-func (b *Builder) addRegisterDeps(f *ir.Function, g *Graph) {
+func (b *Builder) addRegisterDeps(f *ir.Function, edges []Edge) []Edge {
 	f.Instrs(func(in *ir.Instr) bool {
 		for _, op := range in.Ops {
 			if def, ok := op.(*ir.Instr); ok {
-				g.AddEdge(&Edge{From: def, To: in, Class: RAW, Must: true})
+				edges = append(edges, Edge{From: def, To: in, Class: RAW, Must: true})
 			}
 		}
 		return true
 	})
+	return edges
 }
 
 // addMemoryDeps relates every conflicting pair of memory-touching
 // instructions, directed by layout order.
-func (b *Builder) addMemoryDeps(f *ir.Function, g *Graph) {
+func (b *Builder) addMemoryDeps(f *ir.Function, edges []Edge) []Edge {
 	var accesses []memAccess
 	f.Instrs(func(in *ir.Instr) bool {
 		switch in.Opcode {
@@ -142,7 +143,7 @@ func (b *Builder) addMemoryDeps(f *ir.Function, g *Graph) {
 			if a.io && c.io {
 				// Two I/O operations must stay ordered: model as an
 				// output dependence.
-				g.AddEdge(&Edge{From: a.in, To: c.in, Memory: true, Class: WAW, Must: true})
+				edges = append(edges, Edge{From: a.in, To: c.in, Memory: true, Class: WAW, Must: true})
 				continue
 			}
 			if !a.writes && !c.writes {
@@ -152,7 +153,7 @@ func (b *Builder) addMemoryDeps(f *ir.Function, g *Graph) {
 			if res == alias.NoAlias {
 				continue
 			}
-			e := &Edge{From: a.in, To: c.in, Memory: true, Must: res == alias.MustAlias}
+			e := Edge{From: a.in, To: c.in, Memory: true, Must: res == alias.MustAlias}
 			switch {
 			case a.writes && c.writes:
 				e.Class = WAW
@@ -161,9 +162,10 @@ func (b *Builder) addMemoryDeps(f *ir.Function, g *Graph) {
 			default:
 				e.Class = WAR
 			}
-			g.AddEdge(e)
+			edges = append(edges, e)
 		}
 	}
+	return edges
 }
 
 // accessAlias relates two accesses through the configured analyses.

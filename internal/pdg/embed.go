@@ -142,39 +142,40 @@ func Extract(m *ir.Module) (map[*ir.Function]*Graph, error) {
 // decodeEmbedded parses one function's embedded edge list against the
 // given ID→instruction mapping.
 func decodeEmbedded(data string, f *ir.Function, byID map[int]*ir.Instr) (*Graph, error) {
-	g := NewGraph()
+	var instrs []*ir.Instr
 	f.Instrs(func(in *ir.Instr) bool {
-		g.AddInternal(in)
+		instrs = append(instrs, in)
 		return true
 	})
-	if data == "" {
-		return g, nil
+	var edges []Edge
+	if data != "" {
+		parts := strings.Split(data, ";")
+		edges = make([]Edge, len(parts))
+		for k, part := range parts {
+			arrow := strings.IndexByte(part, '>')
+			colon := strings.IndexByte(part, ':')
+			if arrow < 0 || colon < arrow {
+				return nil, fmt.Errorf("pdg: malformed edge %q", part)
+			}
+			fromID, err := strconv.Atoi(part[:arrow])
+			if err != nil {
+				return nil, fmt.Errorf("pdg: bad from id in %q", part)
+			}
+			toID, err := strconv.Atoi(part[arrow+1 : colon])
+			if err != nil {
+				return nil, fmt.Errorf("pdg: bad to id in %q", part)
+			}
+			e := &edges[k]
+			e.From, e.To = byID[fromID], byID[toID]
+			if e.From == nil || e.To == nil {
+				return nil, fmt.Errorf("pdg: edge %q references unknown instruction", part)
+			}
+			if err := DecodeEdgeFlags(e, part[colon+1:]); err != nil {
+				return nil, err
+			}
+		}
 	}
-	for _, part := range strings.Split(data, ";") {
-		arrow := strings.IndexByte(part, '>')
-		colon := strings.IndexByte(part, ':')
-		if arrow < 0 || colon < arrow {
-			return nil, fmt.Errorf("pdg: malformed edge %q", part)
-		}
-		fromID, err := strconv.Atoi(part[:arrow])
-		if err != nil {
-			return nil, fmt.Errorf("pdg: bad from id in %q", part)
-		}
-		toID, err := strconv.Atoi(part[arrow+1 : colon])
-		if err != nil {
-			return nil, fmt.Errorf("pdg: bad to id in %q", part)
-		}
-		from, to := byID[fromID], byID[toID]
-		if from == nil || to == nil {
-			return nil, fmt.Errorf("pdg: edge %q references unknown instruction", part)
-		}
-		e := &Edge{From: from, To: to}
-		if err := DecodeEdgeFlags(e, part[colon+1:]); err != nil {
-			return nil, err
-		}
-		g.AddEdge(e)
-	}
-	return g, nil
+	return NewGraph(instrs, edges, nil, nil), nil
 }
 
 // Clean removes all embedded NOELLE metadata from the module (profiles and

@@ -1,8 +1,11 @@
 package pdg_test
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"noelle/internal/bench"
 	"noelle/internal/ir"
 	"noelle/internal/irtext"
 	"noelle/internal/minic"
@@ -249,7 +252,6 @@ int main() {
 }
 
 func TestInternalExternalNodes(t *testing.T) {
-	g := pdg.NewGraph()
 	m := compile(t, `int main() { int a = 1; return a + 2; }`)
 	f := m.FunctionByName("main")
 	var first, second *ir.Instr
@@ -261,15 +263,21 @@ func TestInternalExternalNodes(t *testing.T) {
 		}
 		return true
 	})
-	g.AddInternal(first)
-	g.AddEdge(&pdg.Edge{From: second, To: first})
-	if !g.Internal(first) || !g.External(second) {
+	// An endpoint outside the internal nodes becomes an external node.
+	g := pdg.NewGraph([]*ir.Instr{first}, []pdg.Edge{{From: second, To: first}}, nil, nil)
+	if !g.Internal(first) || !g.External(second) || g.External(first) || g.Internal(second) {
 		t.Error("internal/external classification wrong")
 	}
-	// Upgrading an external node to internal.
-	g.AddInternal(second)
+	if len(g.InternalNodes()) != 1 || len(g.ExternalNodes()) != 1 || g.NumNodes() != 2 {
+		t.Error("node listings wrong")
+	}
+	if len(g.OutEdges(second)) != 1 || len(g.InEdges(first)) != 1 || len(g.EdgesBetween(second, first)) != 1 {
+		t.Error("the edge is not listed at both endpoints")
+	}
+	// Internal status wins when the endpoint is also an internal node.
+	g = pdg.NewGraph([]*ir.Instr{first, second}, []pdg.Edge{{From: second, To: first}}, nil, nil)
 	if g.External(second) || !g.Internal(second) {
-		t.Error("external->internal upgrade failed")
+		t.Error("an internal endpoint was made external")
 	}
 	if len(g.InternalNodes()) != 2 || len(g.ExternalNodes()) != 0 {
 		t.Error("node listings wrong")
@@ -354,4 +362,103 @@ func TestCleanStripsPDGKeys(t *testing.T) {
 	if !m.MD.Has("other.key") {
 		t.Error("Clean removed non-noelle metadata")
 	}
+}
+
+// TestBulkGraphKeepsInsertionOrder: a graph laid out in bulk lists nodes
+// and edges exactly as edge-by-edge insertion did — internal nodes, then
+// each new endpoint From before To; every node's out- and in-edges in
+// insertion order; Edges by node, then out-edge order — whether endpoint
+// positions are looked up or given. The edges are every corpus function's
+// cold PDG edges, shuffled, over all of its instructions and over the
+// first half of them (so the rest become external).
+func TestBulkGraphKeepsInsertionOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, bm := range bench.List() {
+		m, err := bm.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := pdg.NewBuilder(m)
+		for _, f := range m.Functions {
+			var instrs []*ir.Instr
+			f.Instrs(func(in *ir.Instr) bool {
+				instrs = append(instrs, in)
+				return true
+			})
+			var edges []pdg.Edge
+			b.FunctionPDG(f).Edges(func(e *pdg.Edge) bool {
+				edges = append(edges, *e)
+				return true
+			})
+			r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			pos := map[*ir.Instr]int32{}
+			for i, in := range instrs {
+				pos[in] = int32(i)
+			}
+			from, to := make([]int32, len(edges)), make([]int32, len(edges))
+			for k, e := range edges {
+				from[k], to[k] = pos[e.From], pos[e.To]
+			}
+			for _, c := range []struct {
+				name     string
+				internal []*ir.Instr
+				from, to []int32
+			}{
+				{"looked up", instrs, nil, nil},
+				{"given", instrs, from, to},
+				{"half internal", instrs[:len(instrs)/2], nil, nil},
+			} {
+				es := slices.Clone(edges)
+				g := pdg.NewGraph(slices.Clone(c.internal), es, c.from, c.to)
+				if msg := insertionOrderMismatch(g, c.internal, es); msg != "" {
+					t.Errorf("%s @%s, positions %s: %s", bm.Name, f.Nam, c.name, msg)
+				}
+			}
+		}
+	}
+}
+
+// insertionOrderMismatch checks g against the insertion-order
+// specification for the given internal nodes and edges (g's own backing
+// array, so edges compare by identity).
+func insertionOrderMismatch(g *pdg.Graph, internal []*ir.Instr, edges []pdg.Edge) string {
+	nodes := slices.Clone(internal)
+	for k := range edges {
+		for _, in := range []*ir.Instr{edges[k].From, edges[k].To} {
+			if !slices.Contains(nodes, in) {
+				nodes = append(nodes, in)
+			}
+		}
+	}
+	if !slices.Equal(g.Nodes(), nodes) || len(g.InternalNodes()) != len(internal) || g.NumEdges() != len(edges) {
+		return "nodes differ"
+	}
+	var all []*pdg.Edge
+	for i, in := range nodes {
+		if g.Internal(in) != (i < len(internal)) || g.External(in) != (i >= len(internal)) {
+			return "internal/external classification differs at " + in.Ident()
+		}
+		var out, into []*pdg.Edge
+		for k := range edges {
+			if edges[k].From == in {
+				out = append(out, &edges[k])
+			}
+			if edges[k].To == in {
+				into = append(into, &edges[k])
+			}
+		}
+		if !slices.Equal(g.OutEdges(in), out) || !slices.Equal(g.InEdges(in), into) {
+			return "edge rows differ at " + in.Ident()
+		}
+		all = append(all, out...)
+	}
+	var listed []*pdg.Edge
+	g.Edges(func(e *pdg.Edge) bool {
+		listed = append(listed, e)
+		return true
+	})
+	if !slices.Equal(listed, all) {
+		return "Edges order differs"
+	}
+	return ""
 }

@@ -6,10 +6,17 @@
 // the instances of these nodes: HELIX spreads instances of a node across
 // cores, DSWP pins each node to a core, DOALL requires every node to be
 // Independent (or clonable/reducible).
+//
+// Build numbers nothing itself: it runs on the loop dependence graph's own
+// node positions, so Tarjan, the condensation and Kahn's order are passes
+// over int32 CSR graphs (graph.CSR), and every order they produce — SCC
+// members, Nodes, Succs, TopoOrder, each node's Carried list — is a
+// function of the dependence graph's node and edge order alone.
 package sccdag
 
 import (
 	"fmt"
+	"slices"
 
 	"noelle/internal/graph"
 	"noelle/internal/ir"
@@ -71,12 +78,13 @@ func (n *Node) Contains(in *ir.Instr) bool {
 
 // SCCDAG is the condensation of a loop's dependence graph.
 type SCCDAG struct {
+	// Nodes are in topological order of the condensation (producers
+	// first).
 	Nodes  []*Node
 	NodeOf map[*ir.Instr]*Node
-	// Succs/Preds are dependence edges between nodes: an edge a -> b means
-	// b consumes values (or memory state) produced by a.
+	// Succs are dependence edges between nodes: an edge a -> b means b
+	// consumes values (or memory state) produced by a.
 	Succs map[*Node][]*Node
-	Preds map[*Node][]*Node
 }
 
 // Classifiers supplies the loop-level analyses the aSCCDAG needs to tag
@@ -91,64 +99,70 @@ type Classifiers struct {
 }
 
 // Build condenses the refined loop dependence graph ldg (internal nodes
-// only) into an aSCCDAG.
+// only) into an aSCCDAG. It works on ldg's node positions: Tarjan, the
+// condensation and Kahn's order run on int32 CSR graphs.
 func Build(ldg *pdg.Graph, cls Classifiers) *SCCDAG {
-	dg := graph.New[*ir.Instr]()
-	for _, n := range ldg.InternalNodes() {
-		dg.AddNode(n)
-	}
-	ldg.Edges(func(e *pdg.Edge) bool {
-		if ldg.Internal(e.From) && ldg.Internal(e.To) {
-			dg.AddEdge(e.From, e.To)
+	instrs := ldg.InternalNodes()
+	n := int32(len(instrs))
+	from, to := make([]int32, 0, ldg.NumEdges()), make([]int32, 0, ldg.NumEdges())
+	ldg.IndexedEdges(func(e *pdg.Edge, f, t int32) bool {
+		if f < n && t < n {
+			from, to = append(from, f), append(to, t)
 			if e.LoopCarried {
 				// A carried dependence also constrains the earlier
 				// instruction's next instance: close the cycle so the SCC
 				// reflects cross-iteration coupling.
-				dg.AddEdge(e.To, e.From)
+				from, to = append(from, t), append(to, f)
 			}
 		}
 		return true
 	})
+	dg := graph.NewCSR(int(n), from, to)
+	comps := dg.SCCs()
+	cond := dg.Condense(comps)
 
-	cond := dg.Condense()
 	s := &SCCDAG{
-		NodeOf: map[*ir.Instr]*Node{},
+		Nodes:  make([]*Node, comps.Len()),
+		NodeOf: make(map[*ir.Instr]*Node, n),
 		Succs:  map[*Node][]*Node{},
-		Preds:  map[*Node][]*Node{},
 	}
-	byComp := map[*graph.SCC[*ir.Instr]]*Node{}
-	for _, comp := range cond.Topo() {
-		n := &Node{Instrs: comp.Nodes}
-		byComp[comp] = n
-		s.Nodes = append(s.Nodes, n)
-		for _, in := range comp.Nodes {
-			s.NodeOf[in] = n
+	backing := make([]Node, comps.Len())
+	members := make([]*ir.Instr, 0, n)
+	byComp := make([]*Node, comps.Len())
+	for p, k := range cond.Topo() {
+		node := &backing[p]
+		first := len(members)
+		for _, v := range comps.Nodes(k) {
+			members = append(members, instrs[v])
+			s.NodeOf[instrs[v]] = node
 		}
+		node.Instrs = members[first:len(members):len(members)]
+		s.Nodes[p], byComp[k] = node, node
 	}
-	for comp, node := range byComp {
-		for _, sc := range cond.Edges[comp] {
-			s.Succs[node] = append(s.Succs[node], byComp[sc])
-			s.Preds[byComp[sc]] = append(s.Preds[byComp[sc]], node)
+	succs := make([]*Node, len(cond.Succ))
+	for k, node := range byComp {
+		first, last := cond.Off[k], cond.Off[k+1]
+		for i, sc := range cond.Succs(int32(k)) {
+			succs[first+int32(i)] = byComp[sc]
+		}
+		if last > first {
+			s.Succs[node] = succs[first:last:last]
 		}
 	}
 
 	// Collect carried edges per node and classify.
-	ldg.Edges(func(e *pdg.Edge) bool {
-		if !e.LoopCarried {
-			return true
-		}
-		from, to := s.NodeOf[e.From], s.NodeOf[e.To]
-		if from == nil || from != to {
-			return true
-		}
-		from.Carried = append(from.Carried, e)
-		if e.Memory {
-			from.HasMemoryCarried = true
+	ldg.IndexedEdges(func(e *pdg.Edge, f, t int32) bool {
+		if e.LoopCarried && f < n && t < n && comps.Of[f] == comps.Of[t] {
+			node := byComp[comps.Of[f]]
+			node.Carried = append(node.Carried, e)
+			if e.Memory {
+				node.HasMemoryCarried = true
+			}
 		}
 		return true
 	})
-	for _, n := range s.Nodes {
-		classify(n, cls)
+	for _, node := range s.Nodes {
+		classify(node, cls)
 	}
 	return s
 }
@@ -212,33 +226,8 @@ func (s *SCCDAG) Counts() (independent, sequential, reducible int) {
 	return
 }
 
-// TopoOrder returns nodes in dependence order (producers first).
-func (s *SCCDAG) TopoOrder() []*Node {
-	inDeg := map[*Node]int{}
-	for _, n := range s.Nodes {
-		inDeg[n] = 0
-	}
-	for _, n := range s.Nodes {
-		for _, m := range s.Succs[n] {
-			inDeg[m]++
-		}
-	}
-	var q, out []*Node
-	for _, n := range s.Nodes {
-		if inDeg[n] == 0 {
-			q = append(q, n)
-		}
-	}
-	for len(q) > 0 {
-		n := q[0]
-		q = q[1:]
-		out = append(out, n)
-		for _, m := range s.Succs[n] {
-			inDeg[m]--
-			if inDeg[m] == 0 {
-				q = append(q, m)
-			}
-		}
-	}
-	return out
-}
+// TopoOrder returns nodes in dependence order (producers first): Kahn's
+// order over Nodes and Succs, which is Nodes' own order, because Nodes is
+// Kahn's order over the same successor lists with its sources seeded in
+// the order Nodes lists them.
+func (s *SCCDAG) TopoOrder() []*Node { return slices.Clone(s.Nodes) }

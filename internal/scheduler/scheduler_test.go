@@ -153,10 +153,9 @@ entry:
 	// Hand-build a dependence cycle a <-> b (as stale or pessimistic
 	// analyses can produce): the reorderer must bail out and keep the
 	// original order.
-	g := pdg.NewGraph()
-	f.Instrs(func(in *ir.Instr) bool { g.AddInternal(in); return true })
-	g.AddEdge(&pdg.Edge{From: a, To: b})
-	g.AddEdge(&pdg.Edge{From: b, To: a})
+	var instrs []*ir.Instr
+	f.Instrs(func(in *ir.Instr) bool { instrs = append(instrs, in); return true })
+	g := pdg.NewGraph(instrs, []pdg.Edge{{From: a, To: b}, {From: b, To: a}}, nil, nil)
 	s := scheduler.New(f, g)
 
 	changed := s.ReorderBlock(f.Entry(), func(in *ir.Instr) int {
