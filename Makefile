@@ -68,7 +68,12 @@ race:
 # map-keyed builders it replaced (before and after `auto`), the bundle
 # over store-decoded and embedded PDGs against the cold one, CSR's Tarjan,
 # condensation and Kahn's order against the map-keyed ones on random
-# graphs, and the bulk PDG layout against insertion order.
+# graphs, and the bulk PDG layout against insertion order. The text and
+# key layers close it: irtext's pull scanner against the token-slice
+# parser (same module or same error string) and the one-buffer
+# fingerprint walk against the per-field writer (same bits), each on the
+# generated subjects and the whole program, the fingerprints again after
+# `auto` lowered them.
 tier-diff:
 	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
@@ -76,13 +81,16 @@ tier-diff:
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
+	$(GO) test -run 'TestParseMatchesReference|TestFingerprintMatchesReference' -v ./internal/irtext/ ./internal/ir/
 
 # The repo's own unit costs, one iteration each (about a second; CI's
-# test job prints them): the whole-module points-to analysis
-# (BenchmarkPointsToWhole: ns, bytes and allocations per solve), auto's
-# plan-and-price decision (BenchmarkAutoPricing: one training run), a
-# cold and a warm pass over every function PDG, the loop bundle of every
-# loop over built PDGs (BenchmarkLoopBundle), and the ablations.
+# test job prints them): reading the whole program's text
+# (BenchmarkParseWhole) and keying it (BenchmarkFingerprintWhole), the
+# whole-module points-to analysis (BenchmarkPointsToWhole: ns, bytes and
+# allocations per solve), auto's plan-and-price decision
+# (BenchmarkAutoPricing: one training run), a cold and a warm pass over
+# every function PDG, the loop bundle of every loop over built PDGs
+# (BenchmarkLoopBundle), and the ablations.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
@@ -152,14 +160,17 @@ campaign-smoke:
 	$(GO) run -race ./cmd/noelle-fuzz -leg faults -seeds 12 -blocks 4 -arrays 3 -arraylen 32
 	$(GO) run -race ./cmd/noelle-fuzz -leg inject -seeds 40 -blocks 4 -arrays 3 -arraylen 32
 
-# Native Go fuzzing, ten seconds of it: FuzzQueueOps drives random
+# Native Go fuzzing, ten seconds per target: FuzzQueueOps drives random
 # Push/PushN/Pop/PopN/Close sequences in non-blocking mode against a
-# slice model (no panic, same values in the same order, same errors).
-# The committed seeds under internal/queue/testdata/fuzz/ also run as
+# slice model (no panic, same values in the same order, same errors);
+# FuzzParse feeds irtext.Parse arbitrary text and holds it to the
+# token-slice reference parser (no panic, same module or same error).
+# The committed seeds under each package's testdata/fuzz/ also run as
 # plain subtests of every `go test`; a crasher the fuzzer finds lands
 # there too and keeps failing until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 10s ./internal/queue/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/irtext/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

@@ -1,7 +1,8 @@
 // Package noelle's root benchmarks measure what nothing else in the
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
-// cold vs warm abstraction-store load, the unit costs of a points-to
-// analysis, of the loop bundle and of auto's pricing, and four design
+// cold vs warm abstraction-store load, the unit costs of reading and
+// keying a module, of a points-to analysis, of the loop bundle and of
+// auto's pricing, and four design
 // ablations (demand-driven construction, alias stacks, HELIX header
 // scheduling, DOALL chunk size). Run them with
 //
@@ -22,6 +23,7 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/eval"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/loops"
 	"noelle/internal/machine"
 	"noelle/internal/pdg"
@@ -73,11 +75,12 @@ func BenchmarkFunctionPDGCold(b *testing.B) {
 
 // BenchmarkFunctionPDGWarm measures the warm path: a fresh manager per
 // iteration (simulating a new process) loads every PDG from a pre-
-// populated store by structural fingerprint — fingerprint walk + record
-// decode, no alias analysis. The ratio to BenchmarkFunctionPDGCold is
-// the store's speedup on function PDGs alone: about 5x while the analysis
-// cost 90 ms, about 1x once it cost 3, and about 0.55x since the cold
-// build lays each graph out in one pass (ROADMAP item 6b).
+// populated store by structural fingerprint — fingerprint walk, one
+// segment read, record decode, no alias analysis. The ratio to
+// BenchmarkFunctionPDGCold is the store's speedup on function PDGs
+// alone: about 0.55x while each record was a file of its own and the
+// fingerprint walk fed SHA-256 field by field, about 1.2x since a store
+// reads one segment and the walk hashes one buffer per body.
 func BenchmarkFunctionPDGWarm(b *testing.B) {
 	m := cacheBenchModule(b)
 	dir := b.TempDir()
@@ -170,6 +173,35 @@ func BenchmarkLoopBundle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(lss)), "loops")
+}
+
+// BenchmarkParseWhole is the unit cost of reading a module: irtext.Parse
+// (scan, parse and verify) of bench.WholeProgram printed, 356 KB of text
+// and 123 functions. Every compile op and every daemon request pays it.
+func BenchmarkParseWhole(b *testing.B) {
+	text := ir.Print(cacheBenchModule(b))
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := irtext.Parse(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFingerprintWhole is the unit cost of keying a module: every
+// function's structural fingerprint and the module's, on a fresh
+// Fingerprinter over bench.WholeProgram read back from its text, which is
+// what a store-backed compile op and a daemon session resolve compute.
+func BenchmarkFingerprintWhole(b *testing.B) {
+	m, err := irtext.Parse(ir.Print(cacheBenchModule(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		ir.NewFingerprinter(m).Module()
+	}
 }
 
 func cacheBenchModule(b *testing.B) *ir.Module {

@@ -4,17 +4,21 @@
 //
 // Usage: noelle-cache -dir DIR <command>
 //
-//	stats      store-wide totals: modules, records, bytes, and the
-//	           hit/miss/put counters sessions fold into the stats file
+//	stats      store-wide totals: modules, segments, records, bytes, and
+//	           the hit/miss/put counters sessions fold into the stats file
 //	           (last.* describes the most recent session — a fully warm
 //	           run shows last.misses=0); -json renders the same data
 //	           through the abscache.RootStats codec the noelle-serve
 //	           stats endpoint also speaks
-//	ls         every module directory with its indexed functions
-//	dump FN    decode function FN's record: edges (positional, with the
-//	           pdg flag encoding) and per-loop abstraction summaries
-//	gc         delete corrupt records, records orphaned by
-//	           re-fingerprinting, and leftover temp files
+//	ls         every module directory with its segments and indexed
+//	           functions
+//	dump FN    decode function FN's record from the segments: edges
+//	           (positional, with the pdg flag encoding) and per-loop
+//	           abstraction summaries
+//	gc         compact each module's records the index still names into
+//	           one segment, then delete superseded segments, leftover
+//	           temp files and legacy *.rec files; corrupt records and
+//	           records orphaned by re-fingerprinting are left behind
 //	clear      delete every record, index and counter under the root
 package main
 
@@ -87,15 +91,16 @@ func stats(dir string) error {
 	if err != nil {
 		return err
 	}
-	records, indexed := 0, 0
+	segments, records, indexed := 0, 0, 0
 	var bytes int64
 	for _, mi := range mods {
+		segments += mi.Segments
 		records += mi.Records
 		bytes += mi.Bytes
 		indexed += len(mi.Entries)
 	}
-	fmt.Printf("store %s: %d modules, %d records (%d indexed), %d bytes\n",
-		dir, len(mods), records, indexed, bytes)
+	fmt.Printf("store %s: %d modules, %d records (%d indexed) in %d segments, %d bytes\n",
+		dir, len(mods), records, indexed, segments, bytes)
 	counters, _ := abscache.ReadStatsFile(dir)
 	if len(counters) == 0 {
 		fmt.Println("no session counters recorded yet")
@@ -118,7 +123,7 @@ func ls(dir string) error {
 		return err
 	}
 	for _, mi := range mods {
-		fmt.Printf("module %s: %d records, %d bytes\n", mi.Key, mi.Records, mi.Bytes)
+		fmt.Printf("module %s: %d records in %d segments, %d bytes\n", mi.Key, mi.Records, mi.Segments, mi.Bytes)
 		for _, e := range mi.Entries {
 			fmt.Printf("  %-24s %s  instrs=%d edges=%d loops=%d\n",
 				"@"+e.Name, e.Fingerprint[:16], e.Instrs, e.Edges, e.Loops)
@@ -148,6 +153,7 @@ func gc(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gc: removed %d corrupt, %d orphaned, %d temp files\n", res.Corrupt, res.Orphaned, res.Temp)
+	fmt.Printf("gc: kept %d records; dropped %d corrupt, %d orphaned; deleted %d superseded segments, %d temp files, %d legacy record files\n",
+		res.Kept, res.Corrupt, res.Orphaned, res.Superseded, res.Temp, res.Legacy)
 	return nil
 }

@@ -1,10 +1,12 @@
 package abscache_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"noelle/internal/abscache"
 	"noelle/internal/ir"
@@ -152,9 +154,7 @@ func TestStoreWarmAcrossSessions(t *testing.T) {
 	if _, _, ok := s1.Get(rec.Fingerprint, f1); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s1.Put(rec); err != nil {
-		t.Fatalf("put: %v", err)
-	}
+	s1.Put(rec)
 	if err := s1.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -216,51 +216,49 @@ func mustRemap(t *testing.T, f1, f2 *ir.Function, g *pdg.Graph) *pdg.Graph {
 	return pdg.NewGraph(i1, edges, nil, nil)
 }
 
+// TestStoreDegradesOnCorruptedRecord: a flipped byte inside one record of
+// a segment makes exactly that record miss (a rebuild, never a graph);
+// the segment's other records still hit, and gc drops the damaged one.
 func TestStoreDegradesOnCorruptedRecord(t *testing.T) {
 	dir := t.TempDir()
 	m := compile(t)
+	putAndClose(t, dir, m, 0, "step", "main")
+
+	seg := onlySegment(t, dir, m)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	frame := frameOf(t, data, "step")
+	data[(frame[0]+frame[1])/2] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
 	s, err := abscache.Open(dir, m, 0)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	f, _, rec := buildRecord(t, m, "step")
-	if err := s.Put(rec); err != nil {
-		t.Fatalf("put: %v", err)
+	for _, c := range []struct {
+		name string
+		hit  bool
+	}{{"step", false}, {"main", true}} {
+		f := m.FunctionByName(c.name)
+		if _, _, ok := s.Get(ir.NewFingerprinter(m).Function(f), f); ok != c.hit {
+			t.Errorf("@%s: hit = %v after corrupting @step's record, want %v", c.name, ok, c.hit)
+		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// Corrupt the record on disk.
-	path := filepath.Join(dir, abscache.ModuleKey(m), rec.Fingerprint.String()+".rec")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-
-	// A fresh session must treat it as a miss (rebuild), never a graph.
-	s2, err := abscache.Open(dir, m, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if _, _, ok := s2.Get(rec.Fingerprint, f); ok {
-		t.Fatal("store returned a graph from a corrupted record")
-	}
-	if st := s2.Stats(); st.Misses != 1 || st.Hits != 0 {
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats after corruption = %+v", st)
 	}
 
-	// gc removes it (it is still indexed, but undecodable).
+	// gc compacts the intact record and drops the damaged one.
 	res, err := abscache.GC(dir)
 	if err != nil {
 		t.Fatalf("gc: %v", err)
 	}
-	if res.Corrupt != 1 {
-		t.Fatalf("gc removed %d corrupt records, want 1", res.Corrupt)
+	if res.Corrupt != 1 || res.Kept != 1 || res.Superseded != 1 {
+		t.Fatalf("gc = %+v, want 1 corrupt, 1 kept, 1 superseded", res)
 	}
 }
 
@@ -272,9 +270,7 @@ func TestStoreLoopSummariesPersist(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	_, _, rec := buildRecord(t, m, "step")
-	if err := s.Put(rec); err != nil {
-		t.Fatalf("put: %v", err)
-	}
+	s.Put(rec)
 	sum := abscache.LoopSummary{Header: 1, Depth: 1, NumInstrs: 10, IVs: 1, HasGovIV: true, Invariants: 2, Reductions: 1}
 	s.AddLoopSummary(rec.Fingerprint, sum)
 	s.AddLoopSummary(rec.Fingerprint, sum) // idempotent
@@ -289,54 +285,78 @@ func TestStoreLoopSummariesPersist(t *testing.T) {
 	if len(got.Loops) != 1 || got.Loops[0] != sum {
 		t.Fatalf("persisted loops = %+v, want [%+v]", got.Loops, sum)
 	}
+
+	// A later session enriches the record further: its flush writes the
+	// record again in a segment of its own, and the newer copy wins. The
+	// first segment is dated an hour back, so the order does not hang on
+	// the file system's timestamp resolution.
+	first := onlySegment(t, dir, m)
+	s2, err := abscache.Open(dir, m, 0)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sum2 := abscache.LoopSummary{Header: 4, Depth: 2, NumInstrs: 5}
+	s2.AddLoopSummary(rec.Fingerprint, sum2)
+	if err := s2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(first, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err = abscache.FindRecord(dir, "step"); err != nil || len(got.Loops) != 2 || got.Loops[1] != sum2 {
+		t.Fatalf("after a second session: loops = %+v (%v), want [%+v %+v]", got.Loops, err, sum, sum2)
+	}
 }
 
 func TestScanGCClear(t *testing.T) {
 	dir := t.TempDir()
 	m := compile(t)
-	s, err := abscache.Open(dir, m, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	for _, name := range []string{"step", "main"} {
-		_, _, rec := buildRecord(t, m, name)
-		if err := s.Put(rec); err != nil {
-			t.Fatalf("put: %v", err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+	putAndClose(t, dir, m, 0, "step", "main")
 
 	mods, err := abscache.ScanRoot(dir)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	if len(mods) != 1 || mods[0].Records != 2 || len(mods[0].Entries) != 2 {
+	if len(mods) != 1 || mods[0].Segments != 1 || mods[0].Records != 2 || len(mods[0].Entries) != 2 {
 		t.Fatalf("scan = %+v", mods)
 	}
 
-	// Drop an orphan record (not referenced by the index) and a stale
-	// temp file; gc must sweep both and keep the live records.
+	// Drop a segment holding an orphan record (one the index does not
+	// name), a stale temp file and a record file of the old layout; gc
+	// must compact the live records into one segment and sweep the rest.
 	modDir := mods[0].Dir
-	orphanFP := ir.Fingerprint{1, 2, 3}
-	orphan := abscache.Encode(&abscache.Record{Fingerprint: orphanFP, FuncName: "ghost"})
-	if err := os.WriteFile(filepath.Join(modDir, orphanFP.String()+".rec"), orphan, 0o644); err != nil {
+	orphan := abscache.Encode(&abscache.Record{Fingerprint: ir.Fingerprint{1, 2, 3}, FuncName: "ghost"})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(orphan)))
+	if err := os.WriteFile(filepath.Join(modDir, "0123.seg"), append(frame, orphan...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(modDir, ".tmp-123"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(modDir, "0123.rec"), orphan, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, err := abscache.GC(dir)
 	if err != nil {
 		t.Fatalf("gc: %v", err)
 	}
-	if res.Orphaned != 1 || res.Temp != 1 || res.Corrupt != 0 {
-		t.Fatalf("gc = %+v", res)
+	// The session's own segment holds exactly the live records, so it is
+	// the compaction: only the orphan's segment is superseded.
+	want := abscache.GCResult{Kept: 2, Orphaned: 1, Superseded: 1, Temp: 1, Legacy: 1}
+	if res != want {
+		t.Fatalf("gc = %+v, want %+v", res, want)
 	}
 	mods, _ = abscache.ScanRoot(dir)
-	if mods[0].Records != 2 {
-		t.Fatalf("gc removed live records: %+v", mods)
+	if mods[0].Segments != 1 || mods[0].Records != 2 {
+		t.Fatalf("gc did not leave the live records in one segment: %+v", mods)
+	}
+	// A compacted store is its own compaction.
+	if res, err := abscache.GC(dir); err != nil || res != (abscache.GCResult{Kept: 2}) {
+		t.Fatalf("second gc = %+v, %v", res, err)
+	}
+	if _, _, err := abscache.FindRecord(dir, "step"); err != nil {
+		t.Fatalf("find after gc: %v", err)
 	}
 
 	if err := abscache.Clear(dir); err != nil {

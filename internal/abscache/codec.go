@@ -3,12 +3,13 @@
 // whole-module alias analysis, and the loop summaries derived from them —
 // are serialized into versioned binary records keyed by a structural
 // function fingerprint (ir.Fingerprint), fronted by an in-memory LRU and
-// backed by an append-friendly on-disk layout with crash-safe
-// write-temp-then-rename commits (in the spirit of rockyardkv's SST +
-// inspection tooling). A warm load decodes records instead of re-running
-// the Andersen solve; any mismatch — version, checksum, instruction count
-// — degrades to a rebuild, never to a wrong graph. See README.md in this
-// directory for the on-disk format and the invalidation rules.
+// backed by immutable segment files, one per flush, each committed with
+// one crash-safe write-temp-then-rename (in the spirit of rockyardkv's
+// SST + inspection tooling). A warm load decodes records instead of
+// re-running the Andersen solve; any mismatch — version, checksum,
+// instruction count — degrades to a rebuild, never to a wrong graph. See
+// README.md in this directory for the on-disk format and the
+// invalidation rules.
 package abscache
 
 import (
@@ -26,7 +27,7 @@ import (
 // reject versions they do not understand (degrading to a rebuild).
 const codecVersion = 1
 
-// recordMagic leads every record file.
+// recordMagic leads every record.
 var recordMagic = [4]byte{'N', 'A', 'B', 'S'}
 
 // EdgeRec is one serialized dependence edge. Endpoints are linear
@@ -137,26 +138,27 @@ func instrPositions(f *ir.Function) map[*ir.Instr]int {
 //	| crc32(IEEE) of everything before, u32 LE
 //
 // Integers are uvarints, strings are length-prefixed.
-func Encode(r *Record) []byte {
-	var b bytes.Buffer
-	b.Write(recordMagic[:])
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], codecVersion)
-	b.Write(v[:])
-	b.Write(r.Fingerprint[:])
-	putStr(&b, r.FuncName)
-	putUvarint(&b, uint64(r.NumInstrs))
-	putUvarint(&b, uint64(len(r.Edges)))
+func Encode(r *Record) []byte { return appendRecord(nil, r) }
+
+// appendRecord appends r's encoding to b.
+func appendRecord(b []byte, r *Record) []byte {
+	start := len(b)
+	b = append(b, recordMagic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, codecVersion)
+	b = append(b, r.Fingerprint[:]...)
+	b = appendStr(b, r.FuncName)
+	b = binary.AppendUvarint(b, uint64(r.NumInstrs))
+	b = binary.AppendUvarint(b, uint64(len(r.Edges)))
 	for _, e := range r.Edges {
-		putUvarint(&b, uint64(e.From))
-		putUvarint(&b, uint64(e.To))
-		putStr(&b, e.Flags)
+		b = binary.AppendUvarint(b, uint64(e.From))
+		b = binary.AppendUvarint(b, uint64(e.To))
+		b = appendStr(b, e.Flags)
 	}
-	putUvarint(&b, uint64(len(r.Loops)))
+	b = binary.AppendUvarint(b, uint64(len(r.Loops)))
 	for _, l := range r.Loops {
-		putUvarint(&b, uint64(l.Header))
-		putUvarint(&b, uint64(l.Depth))
-		putUvarint(&b, uint64(l.NumInstrs))
+		b = binary.AppendUvarint(b, uint64(l.Header))
+		b = binary.AppendUvarint(b, uint64(l.Depth))
+		b = binary.AppendUvarint(b, uint64(l.NumInstrs))
 		bits := byte(0)
 		if l.DoWhile {
 			bits |= 1
@@ -164,21 +166,18 @@ func Encode(r *Record) []byte {
 		if l.HasGovIV {
 			bits |= 2
 		}
-		b.WriteByte(bits)
-		putUvarint(&b, uint64(l.IVs))
-		putUvarint(&b, uint64(l.Invariants))
-		putUvarint(&b, uint64(l.Reductions))
+		b = append(b, bits)
+		b = binary.AppendUvarint(b, uint64(l.IVs))
+		b = binary.AppendUvarint(b, uint64(l.Invariants))
+		b = binary.AppendUvarint(b, uint64(l.Reductions))
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
-	b.Write(crc[:])
-	return b.Bytes()
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// Decode parses a record, verifying magic, version and checksum. Every
-// failure is an error — corrupt records must read as "absent", not as a
-// wrong graph.
-func Decode(data []byte) (*Record, error) {
+// checkRecord verifies an encoded record's length, checksum, magic and
+// version, and returns the payload after the version: the fingerprint
+// first.
+func checkRecord(data []byte) ([]byte, error) {
 	if len(data) < len(recordMagic)+2+32+4 {
 		return nil, fmt.Errorf("abscache: record truncated (%d bytes)", len(data))
 	}
@@ -192,115 +191,105 @@ func Decode(data []byte) (*Record, error) {
 	if ver := binary.LittleEndian.Uint16(payload[4:6]); ver != codecVersion {
 		return nil, fmt.Errorf("abscache: unsupported record version %d", ver)
 	}
-	rd := bytes.NewReader(payload[6:])
-	rec := &Record{}
-	if _, err := rd.Read(rec.Fingerprint[:]); err != nil {
-		return nil, fmt.Errorf("abscache: record fingerprint: %w", err)
-	}
-	var err error
-	if rec.FuncName, err = getStr(rd); err != nil {
-		return nil, err
-	}
-	if rec.NumInstrs, err = getInt(rd); err != nil {
-		return nil, err
-	}
-	numEdges, err := getInt(rd)
+	return payload[6:], nil
+}
+
+// Decode parses a record, verifying magic, version and checksum. Every
+// failure is an error — corrupt records must read as "absent", not as a
+// wrong graph.
+func Decode(data []byte) (*Record, error) {
+	payload, err := checkRecord(data)
 	if err != nil {
 		return nil, err
 	}
-	if numEdges > 0 {
-		rec.Edges = make([]EdgeRec, 0, numEdges)
+	rec := &Record{Fingerprint: ir.Fingerprint(payload[:32])}
+	d := decoder{b: payload[32:]}
+	rec.FuncName = string(d.bytes())
+	rec.NumInstrs = d.int()
+	// Every edge takes at least three bytes, which bounds the allocation.
+	if numEdges := d.int(); numEdges > len(d.b)/3 {
+		d.fail("abscache: %d edges cannot fit in %d bytes", numEdges, len(d.b))
+	} else if numEdges > 0 {
+		rec.Edges = make([]EdgeRec, numEdges)
+		flags := map[string]string{} // intern the handful of distinct flag strings
+		for i := range rec.Edges {
+			e := &rec.Edges[i]
+			e.From, e.To = d.int(), d.int()
+			b := d.bytes()
+			f, ok := flags[string(b)]
+			if !ok {
+				f = string(b)
+				flags[f] = f
+			}
+			e.Flags = f
+		}
 	}
-	flagCache := map[string]string{} // intern the handful of distinct flag strings
-	for i := 0; i < numEdges; i++ {
-		var e EdgeRec
-		if e.From, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if e.To, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if e.Flags, err = getStr(rd); err != nil {
-			return nil, err
-		}
-		if interned, ok := flagCache[e.Flags]; ok {
-			e.Flags = interned
-		} else {
-			flagCache[e.Flags] = e.Flags
-		}
-		rec.Edges = append(rec.Edges, e)
-	}
-	numLoops, err := getInt(rd)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < numLoops; i++ {
+	for numLoops := d.int(); d.err == nil && len(rec.Loops) < numLoops; {
 		var l LoopSummary
-		if l.Header, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if l.Depth, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if l.NumInstrs, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		bits, err := rd.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("abscache: loop bits: %w", err)
-		}
-		l.DoWhile = bits&1 != 0
-		l.HasGovIV = bits&2 != 0
-		if l.IVs, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if l.Invariants, err = getInt(rd); err != nil {
-			return nil, err
-		}
-		if l.Reductions, err = getInt(rd); err != nil {
-			return nil, err
-		}
+		l.Header, l.Depth, l.NumInstrs = d.int(), d.int(), d.int()
+		bits := d.byte()
+		l.DoWhile, l.HasGovIV = bits&1 != 0, bits&2 != 0
+		l.IVs, l.Invariants, l.Reductions = d.int(), d.int(), d.int()
 		rec.Loops = append(rec.Loops, l)
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("abscache: %d trailing bytes in record", rd.Len())
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("abscache: %d trailing bytes in record", len(d.b))
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return rec, nil
 }
 
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	b.Write(buf[:n])
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func putStr(b *bytes.Buffer, s string) {
-	putUvarint(b, uint64(len(s)))
-	b.WriteString(s)
+// decoder reads a record payload. The first malformed read records an
+// error, and every read after it returns zero.
+type decoder struct {
+	b   []byte
+	err error
 }
 
-func getInt(rd *bytes.Reader) (int, error) {
-	v, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return 0, fmt.Errorf("abscache: record truncated: %w", err)
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
-	if v > 1<<31 {
-		return 0, fmt.Errorf("abscache: implausible count %d", v)
-	}
-	return int(v), nil
+	d.b = nil
 }
 
-func getStr(rd *bytes.Reader) (string, error) {
-	n, err := getInt(rd)
-	if err != nil {
-		return "", err
+func (d *decoder) int() int {
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n <= 0:
+		d.fail("abscache: record truncated")
+		return 0
+	case v > 1<<31:
+		d.fail("abscache: implausible count %d", v)
+		return 0
 	}
-	if n > rd.Len() {
-		return "", fmt.Errorf("abscache: string length %d exceeds record", n)
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *decoder) bytes() []byte {
+	n := d.int()
+	if n > len(d.b) {
+		d.fail("abscache: string length %d exceeds record", n)
+		return nil
 	}
-	buf := make([]byte, n)
-	if _, err := rd.Read(buf); err != nil {
-		return "", err
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("abscache: record truncated")
+		return 0
 	}
-	return string(buf), nil
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
 }

@@ -1,11 +1,14 @@
 package abscache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"noelle/internal/ir"
 )
 
 // This file is the inspection surface behind cmd/noelle-cache — the
@@ -15,15 +18,16 @@ import (
 
 // ModuleInfo describes one module directory of a store root.
 type ModuleInfo struct {
-	Key     string
-	Dir     string
-	Records int
-	Bytes   int64
-	Entries []IndexEntry
+	Key      string
+	Dir      string
+	Segments int   // segment files
+	Records  int   // distinct intact records across them
+	Bytes    int64 // segment bytes
+	Entries  []IndexEntry
 }
 
-// ScanRoot walks every module directory under root, counting record
-// files and reading each index. A root that does not exist scans empty.
+// ScanRoot walks every module directory under root, reading its segments
+// and its index. A root that does not exist scans empty.
 func ScanRoot(root string) ([]ModuleInfo, error) {
 	dirs, err := os.ReadDir(root)
 	if os.IsNotExist(err) {
@@ -38,19 +42,8 @@ func ScanRoot(root string) ([]ModuleInfo, error) {
 			continue
 		}
 		mi := ModuleInfo{Key: d.Name(), Dir: filepath.Join(root, d.Name())}
-		files, err := os.ReadDir(mi.Dir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if !strings.HasSuffix(f.Name(), ".rec") {
-				continue
-			}
-			mi.Records++
-			if info, err := f.Info(); err == nil {
-				mi.Bytes += info.Size()
-			}
-		}
+		segs := readSegments(mi.Dir)
+		mi.Segments, mi.Records, mi.Bytes = segs.files, len(segs.records), segs.bytes
 		mi.Entries = readIndexEntries(mi.Dir)
 		out = append(out, mi)
 	}
@@ -78,9 +71,13 @@ func FindRecord(root, fnName string) (*Record, string, error) {
 			if e.Name != fnName {
 				continue
 			}
-			data, err := os.ReadFile(filepath.Join(mi.Dir, e.Fingerprint+".rec"))
+			fp, err := ir.ParseFingerprint(e.Fingerprint)
 			if err != nil {
 				return nil, "", fmt.Errorf("abscache: record for @%s: %w", fnName, err)
+			}
+			data, ok := readSegments(mi.Dir).records[fp]
+			if !ok {
+				return nil, "", fmt.Errorf("abscache: record for @%s: no intact record %s in %s", fnName, fp.Short(), mi.Dir)
 			}
 			rec, err := Decode(data)
 			if err != nil {
@@ -92,16 +89,23 @@ func FindRecord(root, fnName string) (*Record, string, error) {
 	return nil, "", fmt.Errorf("abscache: no record for @%s under %s", fnName, root)
 }
 
-// GCResult reports what a garbage-collection pass removed.
+// GCResult reports what a garbage-collection pass kept and removed.
 type GCResult struct {
-	Corrupt  int // records that failed to decode (bad magic/version/crc)
-	Orphaned int // records no index entry references
-	Temp     int // leftover .tmp-* files from interrupted commits
+	Kept       int // records compacted into the module's one segment
+	Corrupt    int // frames that failed their checksum, magic or version, and torn tails
+	Orphaned   int // intact records no index entry names
+	Superseded int // segment files replaced by the compacted one
+	Temp       int // leftover .tmp-* files from interrupted commits
+	Legacy     int // *.rec files of the one-file-per-record layout
 }
 
-// GC sweeps every module directory: corrupt records, records orphaned by
-// re-fingerprinting (the old record of a since-transformed function), and
-// leftover temp files are deleted. Indexed, decodable records survive.
+// GC compacts every module directory: the records its index still names
+// go into one new segment, and then every other segment, leftover temp
+// file and legacy *.rec file is deleted. Corrupt and orphaned records
+// (the old record of a since-transformed function) are what compaction
+// leaves behind. Run it while no process writes to the store: a segment
+// committed during the pass is deleted with the superseded ones, which
+// costs that process's warmth, never correctness.
 func GC(root string) (GCResult, error) {
 	var res GCResult
 	mods, err := ScanRoot(root)
@@ -109,9 +113,36 @@ func GC(root string) (GCResult, error) {
 		return res, err
 	}
 	for _, mi := range mods {
-		referenced := map[string]bool{}
+		segs := readSegments(mi.Dir)
+		res.Corrupt += segs.corrupt
+		var keep []*Record
+		kept := map[ir.Fingerprint]bool{}
 		for _, e := range mi.Entries {
-			referenced[e.Fingerprint] = true
+			fp, err := ir.ParseFingerprint(e.Fingerprint)
+			if err != nil || kept[fp] {
+				continue
+			}
+			if data, ok := segs.records[fp]; ok {
+				if rec, err := Decode(data); err == nil {
+					kept[fp] = true
+					keep = append(keep, rec)
+				}
+			}
+		}
+		res.Kept += len(keep)
+		res.Orphaned += len(segs.records) - len(keep)
+		compacted := ""
+		if len(keep) > 0 {
+			sort.Slice(keep, func(i, j int) bool {
+				return bytes.Compare(keep[i].Fingerprint[:], keep[j].Fingerprint[:]) < 0
+			})
+			var seg []byte
+			for _, rec := range keep {
+				seg = appendFrame(seg, rec)
+			}
+			if compacted, err = writeSegment(mi.Dir, seg); err != nil {
+				return res, err
+			}
 		}
 		files, err := os.ReadDir(mi.Dir)
 		if err != nil {
@@ -119,31 +150,19 @@ func GC(root string) (GCResult, error) {
 		}
 		for _, f := range files {
 			name := f.Name()
-			path := filepath.Join(mi.Dir, name)
-			if strings.HasPrefix(name, ".tmp-") {
-				if os.Remove(path) == nil {
-					res.Temp++
-				}
+			var count *int
+			switch {
+			case strings.HasPrefix(name, ".tmp-"):
+				count = &res.Temp
+			case strings.HasSuffix(name, segExt) && name != compacted:
+				count = &res.Superseded
+			case strings.HasSuffix(name, ".rec"):
+				count = &res.Legacy
+			default:
 				continue
 			}
-			if !strings.HasSuffix(name, ".rec") {
-				continue
-			}
-			fp := strings.TrimSuffix(name, ".rec")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			if _, derr := Decode(data); derr != nil {
-				if os.Remove(path) == nil {
-					res.Corrupt++
-				}
-				continue
-			}
-			if !referenced[fp] {
-				if os.Remove(path) == nil {
-					res.Orphaned++
-				}
+			if os.Remove(filepath.Join(mi.Dir, name)) == nil {
+				*count++
 			}
 		}
 	}

@@ -37,34 +37,19 @@ func (c *lruCache) get(fp ir.Fingerprint) (*Record, bool) {
 	return el.Value.(*lruEntry).rec, true
 }
 
-// put inserts (or refreshes) a record and returns the entries it pushed
-// out, oldest first. The Store inspects evictees for unwritten
-// loop-summary enrichment: a dirty record leaving memory silently would
-// lose its summaries, which concurrent sessions thrashing a small LRU
-// (the noelle-serve daemon) would hit routinely.
-func (c *lruCache) put(fp ir.Fingerprint, rec *Record) []*lruEntry {
+// put inserts (or refreshes) a record, evicting the least recently used
+// ones beyond capacity. Eviction loses nothing: a record not yet flushed
+// is also in the Store's pending set.
+func (c *lruCache) put(fp ir.Fingerprint, rec *Record) {
 	if el, ok := c.byFP[fp]; ok {
 		el.Value.(*lruEntry).rec = rec
 		c.order.MoveToFront(el)
-		return nil
+		return
 	}
 	c.byFP[fp] = c.order.PushFront(&lruEntry{fp: fp, rec: rec})
-	var evicted []*lruEntry
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		e := last.Value.(*lruEntry)
-		delete(c.byFP, e.fp)
-		evicted = append(evicted, e)
-	}
-	return evicted
-}
-
-func (c *lruCache) remove(fp ir.Fingerprint) {
-	if el, ok := c.byFP[fp]; ok {
-		c.order.Remove(el)
-		delete(c.byFP, fp)
+		delete(c.byFP, last.Value.(*lruEntry).fp)
 	}
 }
-
-func (c *lruCache) len() int { return c.order.Len() }

@@ -8,6 +8,7 @@ package abscache
 type RootStats struct {
 	Root     string           `json:"root"`
 	Modules  int              `json:"modules"`
+	Segments int              `json:"segments"`
 	Records  int              `json:"records"`
 	Indexed  int              `json:"indexed"`
 	Bytes    int64            `json:"bytes"`
@@ -24,6 +25,7 @@ func CollectRootStats(root string) (*RootStats, error) {
 	}
 	rs := &RootStats{Root: root, Modules: len(mods)}
 	for _, mi := range mods {
+		rs.Segments += mi.Segments
 		rs.Records += mi.Records
 		rs.Bytes += mi.Bytes
 		rs.Indexed += len(mi.Entries)

@@ -1,6 +1,7 @@
 package abscache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -58,11 +59,12 @@ func parseIndex(data []byte) []IndexEntry {
 }
 
 // Store is a two-tier persistent abstraction store: an in-memory LRU of
-// decoded records in front of one on-disk directory per module key.
-// Records are immutable once written except for loop-summary enrichment,
-// and every file commit is write-temp-then-rename, so a crash leaves
-// either the old record or the new one — never a torn read. Safe for
-// concurrent use.
+// decoded records in front of one on-disk directory per module key. Put
+// and AddLoopSummary stay in memory: they mark records pending, and Flush
+// commits every pending record as one immutable segment, then the index,
+// each with one write-temp-then-rename, so a crash leaves the old files
+// or the new ones — never a torn read. A Store reads its namespace's
+// segments once, on its first miss. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	root   string
@@ -70,11 +72,17 @@ type Store struct {
 	modDir string
 
 	lru        *lruCache
+	pending    map[ir.Fingerprint]*Record // put or enriched since the last Flush
 	index      map[string]IndexEntry
 	indexDirty bool
-	dirty      map[ir.Fingerprint]bool // records with unwritten loop summaries
 	stats      Stats
 	closed     bool
+
+	// disk holds the encoded records of the namespace's segments, the
+	// newest per fingerprint: read on the first miss, then extended by
+	// every Flush.
+	loadDisk sync.Once
+	disk     map[ir.Fingerprint][]byte
 }
 
 // DefaultLRUEntries is the in-memory tier's default capacity.
@@ -105,12 +113,13 @@ func Open(root string, m *ir.Module, lruEntries int) (*Store, error) {
 		return nil, fmt.Errorf("abscache: %w", err)
 	}
 	s := &Store{
-		root:   root,
-		modKey: key,
-		modDir: modDir,
-		lru:    newLRU(lruEntries),
-		index:  map[string]IndexEntry{},
-		dirty:  map[ir.Fingerprint]bool{},
+		root:    root,
+		modKey:  key,
+		modDir:  modDir,
+		lru:     newLRU(lruEntries),
+		pending: map[ir.Fingerprint]*Record{},
+		index:   map[string]IndexEntry{},
+		disk:    map[ir.Fingerprint][]byte{},
 	}
 	s.loadIndex()
 	return s, nil
@@ -124,67 +133,89 @@ func (s *Store) ModKey() string { return s.modKey }
 
 // Get looks up the record for fp and reconstructs f's PDG from it. Any
 // failure — absent record, corrupt bytes, shape mismatch — is a miss.
-// The disk read, decode, and graph assembly run outside the store lock
-// so concurrent warm loads (PrecomputePDGs workers) proceed in parallel;
-// two goroutines racing the same cold fingerprint at worst decode the
-// record twice.
+// The segment read, the decode and the graph assembly run outside the
+// store lock, so concurrent warm loads (PrecomputePDGs workers) proceed
+// in parallel.
 func (s *Store) Get(fp ir.Fingerprint, f *ir.Function) (*pdg.Graph, *Record, bool) {
-	s.mu.Lock()
-	rec, cached := s.lru.get(fp)
-	s.mu.Unlock()
-	if !cached {
+	rec, ok := s.lookup(fp)
+	var g *pdg.Graph
+	if ok {
 		var err error
-		rec, err = s.readRecord(fp)
-		if err != nil {
-			s.miss()
-			return nil, nil, false
-		}
+		g, err = rec.BuildGraph(f)
+		ok = err == nil
 	}
-	g, err := rec.BuildGraph(f)
-	if err != nil {
-		s.miss()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !ok {
+		s.stats.Misses++
 		return nil, nil, false
 	}
-	s.mu.Lock()
-	if !cached {
-		s.admitLocked(fp, rec)
-	}
 	s.stats.Hits++
-	s.mu.Unlock()
 	return g, rec, true
 }
 
-// admitLocked inserts rec into the memory tier, writing back any evicted
-// record that still carries unflushed loop-summary enrichment — without
-// this, concurrent sessions thrashing the LRU (the daemon's steady
-// state) would silently drop summaries that were only resident in the
-// evicted copy. The write is best effort: an error only costs warmth,
-// never correctness. Caller holds mu.
-func (s *Store) admitLocked(fp ir.Fingerprint, rec *Record) {
-	for _, ev := range s.lru.put(fp, rec) {
-		if s.dirty[ev.fp] {
-			delete(s.dirty, ev.fp)
-			s.writeRecord(ev.rec)
+// lookup returns the record for fp: the one in memory, else the one its
+// segments hold, decoded and admitted to the LRU. Two goroutines racing
+// the same cold fingerprint at worst decode the record twice; the first
+// to admit it wins, so memory holds one copy of each record.
+func (s *Store) lookup(fp ir.Fingerprint) (*Record, bool) {
+	s.mu.Lock()
+	rec, ok := s.memLocked(fp)
+	s.mu.Unlock()
+	if ok {
+		return rec, true
+	}
+	s.loadDisk.Do(s.readDisk)
+	s.mu.Lock()
+	data, ok := s.disk[fp]
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	rec, err := Decode(data)
+	if err != nil || rec.Fingerprint != fp {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.memLocked(fp); ok {
+		return cur, true
+	}
+	s.lru.put(fp, rec)
+	return rec, true
+}
+
+// memLocked finds fp's record in memory: pending first, because a pending
+// record the LRU evicted is still the one the next Flush writes. Caller
+// holds mu.
+func (s *Store) memLocked(fp ir.Fingerprint) (*Record, bool) {
+	if rec, ok := s.pending[fp]; ok {
+		return rec, true
+	}
+	return s.lru.get(fp)
+}
+
+// readDisk reads the namespace's segments, outside the lock. What a Flush
+// of this Store committed meanwhile is newer, so it is kept.
+func (s *Store) readDisk() {
+	segs := readSegments(s.modDir)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for fp, data := range segs.records {
+		if _, ok := s.disk[fp]; !ok {
+			s.disk[fp] = data
 		}
 	}
 }
 
-func (s *Store) miss() {
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-}
-
-// Put commits rec to disk (write-temp-then-rename) and the LRU, and
+// Put admits rec to the memory tier, marks it for the next Flush, and
 // points the function-name index at it.
-func (s *Store) Put(rec *Record) error {
+func (s *Store) Put(rec *Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
-	s.admitLocked(rec.Fingerprint, rec)
-	if err := s.writeRecord(rec); err != nil {
-		return err
-	}
+	s.lru.put(rec.Fingerprint, rec)
+	s.pending[rec.Fingerprint] = rec
 	s.index[rec.FuncName] = IndexEntry{
 		Name:        rec.FuncName,
 		Fingerprint: rec.Fingerprint.String(),
@@ -193,35 +224,33 @@ func (s *Store) Put(rec *Record) error {
 		Loops:       len(rec.Loops),
 	}
 	s.indexDirty = true
-	return nil
 }
 
 // AddLoopSummary enriches the record for fp with one loop's abstraction
 // summary (replacing any previous summary for the same header). A no-op
 // when no record exists for fp; the summary is persisted on Flush/Close.
 func (s *Store) AddLoopSummary(fp ir.Fingerprint, sum LoopSummary) {
+	rec, ok := s.lookup(fp)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.lru.get(fp)
-	if !ok {
-		var err error
-		if rec, err = s.readRecord(fp); err != nil {
-			return
-		}
-		s.admitLocked(fp, rec)
+	if cur, ok := s.memLocked(fp); ok {
+		rec = cur // the copy another goroutine admitted or enriched
 	}
 	for i, l := range rec.Loops {
 		if l.Header == sum.Header {
 			if l != sum {
 				rec.Loops[i] = sum
-				s.dirty[fp] = true
+				s.pending[fp] = rec
 			}
 			return
 		}
 	}
 	rec.Loops = append(rec.Loops, sum)
 	sort.Slice(rec.Loops, func(i, j int) bool { return rec.Loops[i].Header < rec.Loops[j].Header })
-	s.dirty[fp] = true
+	s.pending[fp] = rec
 	if e, ok := s.index[rec.FuncName]; ok && e.Fingerprint == fp.String() {
 		e.Loops = len(rec.Loops)
 		s.index[rec.FuncName] = e
@@ -238,8 +267,8 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Flush persists pending loop-summary updates and the index. It does not
-// write the session counters; Close does.
+// Flush commits every pending record as one segment, then the index. It
+// does not write the session counters; Close does.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,16 +276,27 @@ func (s *Store) Flush() error {
 }
 
 func (s *Store) flushLocked() error {
-	for fp := range s.dirty {
-		rec, ok := s.lru.get(fp)
-		if !ok {
-			continue // unreachable: eviction writes dirty records back and clears the mark
+	if len(s.pending) > 0 {
+		fps := make([]ir.Fingerprint, 0, len(s.pending))
+		for fp := range s.pending {
+			fps = append(fps, fp)
 		}
-		if err := s.writeRecord(rec); err != nil {
+		sort.Slice(fps, func(i, j int) bool { return bytes.Compare(fps[i][:], fps[j][:]) < 0 })
+		var seg []byte
+		for _, fp := range fps {
+			seg = appendFrame(seg, s.pending[fp])
+		}
+		if _, err := writeSegment(s.modDir, seg); err != nil {
 			return err
 		}
+		// Later misses find these records in memory, the LRU or not.
+		i := 0
+		scanFrames(seg, func(rec []byte) {
+			s.disk[fps[i]] = rec
+			i++
+		})
+		clear(s.pending)
 	}
-	s.dirty = map[ir.Fingerprint]bool{}
 	if s.indexDirty {
 		if err := s.writeIndex(); err != nil {
 			return err
@@ -283,29 +323,6 @@ func (s *Store) Close() error {
 }
 
 // ---- on-disk plumbing ----
-
-func (s *Store) recordPath(fp ir.Fingerprint) string {
-	return filepath.Join(s.modDir, fp.String()+".rec")
-}
-
-func (s *Store) readRecord(fp ir.Fingerprint) (*Record, error) {
-	data, err := os.ReadFile(s.recordPath(fp))
-	if err != nil {
-		return nil, err
-	}
-	rec, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Fingerprint != fp {
-		return nil, fmt.Errorf("abscache: record %s holds fingerprint %s", fp.Short(), rec.Fingerprint.Short())
-	}
-	return rec, nil
-}
-
-func (s *Store) writeRecord(rec *Record) error {
-	return commitFile(s.recordPath(rec.Fingerprint), Encode(rec))
-}
 
 const indexName = "index"
 

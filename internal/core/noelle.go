@@ -190,8 +190,8 @@ func (n *Noelle) CacheStats() (builds, hits, misses int64) {
 	return n.pdgBuilds.Load(), n.storeHits.Load(), n.storeMisses.Load()
 }
 
-// FlushStore persists pending store state (loop summaries, index). A
-// no-op without a store.
+// FlushStore persists pending store state (records, loop summaries,
+// index) as one segment and the index. A no-op without a store.
 func (n *Noelle) FlushStore() error {
 	if s := n.Store(); s != nil {
 		return s.Flush()
@@ -326,7 +326,7 @@ func (n *Noelle) FunctionPDG(f *ir.Function) *pdg.Graph {
 // buildPDG materializes f's PDG from the cheapest valid source: embedded
 // noelle.pdg.* metadata first (the noelle-meta-pdg-embed round trip),
 // then the persistent store by structural fingerprint, and only then a
-// cold build over the alias stack — which is immediately persisted so
+// cold build over the alias stack — which the next flush persists so
 // the next process loads warm. The builder (and its whole-module
 // points-to fixed point) is only materialized on an actual cold build:
 // a fully warm run never pays the Andersen solve. gen is the caller's
@@ -357,7 +357,7 @@ func (n *Noelle) buildPDG(f *ir.Function, gen uint64) *pdg.Graph {
 		ok := n.gen == gen
 		n.mu.Unlock()
 		if ok {
-			s.Put(abscache.NewRecord(fp, f, g)) // best effort: a write error only costs warmth
+			s.Put(abscache.NewRecord(fp, f, g)) // written by the next flush
 		}
 	}
 	return g

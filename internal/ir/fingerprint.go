@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"sort"
 	"sync"
@@ -56,6 +55,11 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 // serialize per fingerprint; the memoization keeps each locked section
 // to one body walk, which is small next to a record decode and tiny
 // next to the alias solve a hit avoids.
+//
+// Every hashed stream is encoded into one reused buffer and hashed by one
+// sha256.Sum256 call. The byte streams are part of the store's key
+// format: internal/ir/reference_test.go holds them to the per-field
+// writer they were first defined by.
 type Fingerprinter struct {
 	mod *Module
 
@@ -64,8 +68,21 @@ type Fingerprinter struct {
 	closures map[*Function]Fingerprint
 	typeStrs map[*Type]string
 	callees  map[*Function]calleeSet
+	byName   map[string]*Function // the first function of each name, as FunctionByName finds it
 	globals  Fingerprint
 	haveGlob bool
+
+	// buf, pos and bpos are reused by every body walk: the encoded stream,
+	// and the body's instructions and blocks numbered in syntactic order.
+	// seen (stamped with gen), work and names are reused by every callee
+	// closure walk.
+	buf   []byte
+	pos   map[*Instr]int
+	bpos  map[*Block]int
+	seen  map[*Function]uint32
+	gen   uint32
+	work  []*Function
+	names []string
 }
 
 // calleeSet is one function's memoized direct-call information.
@@ -76,13 +93,23 @@ type calleeSet struct {
 
 // NewFingerprinter prepares a fingerprinter for m.
 func NewFingerprinter(m *Module) *Fingerprinter {
-	return &Fingerprinter{
+	p := &Fingerprinter{
 		mod:      m,
 		locals:   map[*Function]Fingerprint{},
 		closures: map[*Function]Fingerprint{},
 		typeStrs: map[*Type]string{},
 		callees:  map[*Function]calleeSet{},
+		byName:   make(map[string]*Function, len(m.Functions)),
+		pos:      map[*Instr]int{},
+		bpos:     map[*Block]int{},
+		seen:     map[*Function]uint32{},
 	}
+	for _, f := range m.Functions {
+		if _, ok := p.byName[f.Nam]; !ok {
+			p.byName[f.Nam] = f
+		}
+	}
+	return p
 }
 
 // typeStr memoizes Type.String: type nodes are shared heavily, and the
@@ -100,32 +127,32 @@ func (p *Fingerprinter) typeStr(t *Type) string {
 func (p *Fingerprinter) Function(f *Function) Fingerprint {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.functionLocked(f)
+}
+
+func (p *Fingerprinter) functionLocked(f *Function) Fingerprint {
 	if fp, ok := p.closures[f]; ok {
 		return fp
 	}
-	h := sha256.New()
-	h.Write([]byte("noelle.fn.v1"))
 	g := p.globalsLocked()
-	h.Write(g[:])
 	l := p.localLocked(f)
-	h.Write(l[:])
-	// Callee closure: the bodies every reachable callee contributes. The
-	// set is sorted by name so the hash is independent of discovery order.
-	reach := p.reachableLocked(f)
-	names := make([]string, 0, len(reach))
-	for callee := range reach {
-		if callee != f {
-			names = append(names, callee.Nam)
-		}
-	}
-	sort.Strings(names)
+	// Callee closure: the bodies every reachable callee contributes, in
+	// name order so the hash is independent of discovery order.
+	names := p.calleeNamesLocked(f)
+	// Hash every callee body first: the walks reuse buf.
 	for _, name := range names {
-		writeStr(h, name)
-		lh := p.localLocked(p.mod.FunctionByName(name))
-		h.Write(lh[:])
+		p.localLocked(p.byName[name])
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
+	b := append(p.buf[:0], "noelle.fn.v1"...)
+	b = append(b, g[:]...)
+	b = append(b, l[:]...)
+	for _, name := range names {
+		b = appendStr(b, name)
+		lh := p.localLocked(p.byName[name])
+		b = append(b, lh[:]...)
+	}
+	p.buf = b
+	fp := Fingerprint(sha256.Sum256(b))
 	p.closures[f] = fp
 	return fp
 }
@@ -139,20 +166,21 @@ func (p *Fingerprinter) Function(f *Function) Fingerprint {
 func (p *Fingerprinter) Module() Fingerprint {
 	fns := append([]*Function(nil), p.mod.Functions...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Nam < fns[j].Nam })
-	h := sha256.New()
-	writeStr(h, "noelle.modfp.v1")
 	p.mu.Lock()
-	g := p.globalsLocked()
-	p.mu.Unlock()
-	h.Write(g[:])
+	defer p.mu.Unlock()
 	for _, f := range fns {
-		writeStr(h, f.Nam)
-		fp := p.Function(f)
-		h.Write(fp[:])
+		p.functionLocked(f)
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	g := p.globalsLocked()
+	b := appendStr(p.buf[:0], "noelle.modfp.v1")
+	b = append(b, g[:]...)
+	for _, f := range fns {
+		b = appendStr(b, f.Nam)
+		fp := p.closures[f]
+		b = append(b, fp[:]...)
+	}
+	p.buf = b
+	return sha256.Sum256(b)
 }
 
 // ModuleFingerprint computes m's structural fingerprint with a throwaway
@@ -162,38 +190,38 @@ func ModuleFingerprint(m *Module) Fingerprint {
 	return NewFingerprinter(m).Module()
 }
 
-// reachableLocked returns the functions reachable from f through direct
-// calls. An indirect call makes the result conservatively the whole
-// module (any address-taken function may run). The per-function callee
-// lists are memoized so fingerprinting a whole module walks each body
-// once, not once per caller.
-func (p *Fingerprinter) reachableLocked(f *Function) map[*Function]bool {
-	seen := map[*Function]bool{f: true}
-	work := []*Function{f}
-	widen := func() {
-		for _, g := range p.mod.Functions {
-			if !seen[g] {
-				seen[g] = true
-				work = append(work, g)
-			}
+// calleeNamesLocked returns the sorted names of the functions reachable
+// from f through direct calls, f excluded. An indirect call makes the
+// result conservatively the whole module (any address-taken function may
+// run). The per-function callee lists are memoized so fingerprinting a
+// whole module walks each body once, not once per caller. The result is
+// valid until the next call.
+func (p *Fingerprinter) calleeNamesLocked(f *Function) []string {
+	p.gen++
+	p.seen[f] = p.gen
+	work, names := append(p.work[:0], f), p.names[:0]
+	visit := func(g *Function) {
+		if p.seen[g] != p.gen {
+			p.seen[g] = p.gen
+			work = append(work, g)
+			names = append(names, g.Nam)
 		}
 	}
-	for len(work) > 0 {
-		cur := work[0]
-		work = work[1:]
-		cs := p.calleesLocked(cur)
+	for i := 0; i < len(work); i++ {
+		cs := p.calleesLocked(work[i])
 		if cs.indirect {
-			widen()
+			for _, g := range p.mod.Functions {
+				visit(g)
+			}
 			continue
 		}
 		for _, callee := range cs.direct {
-			if !seen[callee] {
-				seen[callee] = true
-				work = append(work, callee)
-			}
+			visit(callee)
 		}
 	}
-	return seen
+	sort.Strings(names)
+	p.work, p.names = work, names
+	return names
 }
 
 func (p *Fingerprinter) calleesLocked(f *Function) calleeSet {
@@ -231,43 +259,43 @@ func (p *Fingerprinter) localLocked(f *Function) Fingerprint {
 	if fp, ok := p.locals[f]; ok {
 		return fp
 	}
-	h := sha256.New()
+	var b []byte
 	if f.IsDeclaration() {
-		writeStr(h, "decl")
-		writeStr(h, p.typeStr(f.Sig))
+		b = appendStr(p.buf[:0], "decl")
+		b = appendStr(b, p.typeStr(f.Sig))
 	} else {
-		writeStr(h, "body")
-		writeStr(h, p.typeStr(f.Sig))
-		pos := map[*Instr]int{}
-		bpos := map[*Block]int{}
+		b = appendStr(p.buf[:0], "body")
+		b = appendStr(b, p.typeStr(f.Sig))
+		clear(p.pos)
+		clear(p.bpos)
 		n := 0
-		for bi, b := range f.Blocks {
-			bpos[b] = bi
-			for _, in := range b.Instrs {
-				pos[in] = n
+		for bi, blk := range f.Blocks {
+			p.bpos[blk] = bi
+			for _, in := range blk.Instrs {
+				p.pos[in] = n
 				n++
 			}
 		}
-		for _, b := range f.Blocks {
-			writeInt(h, int64(len(b.Instrs)))
-			for _, in := range b.Instrs {
-				writeInt(h, int64(in.Opcode))
-				writeStr(h, p.typeStr(in.Ty))
+		for _, blk := range f.Blocks {
+			b = binary.AppendVarint(b, int64(len(blk.Instrs)))
+			for _, in := range blk.Instrs {
+				b = binary.AppendVarint(b, int64(in.Opcode))
+				b = appendStr(b, p.typeStr(in.Ty))
 				if in.Opcode == OpAlloca {
-					writeStr(h, p.typeStr(in.AllocaElem))
-					writeInt(h, int64(in.AllocaCount))
+					b = appendStr(b, p.typeStr(in.AllocaElem))
+					b = binary.AppendVarint(b, int64(in.AllocaCount))
 				}
 				for _, op := range in.Ops {
-					writeOperand(h, op, pos)
+					b = p.appendOperand(b, op)
 				}
 				for _, tb := range in.Blocks {
-					writeInt(h, int64(bpos[tb]))
+					b = binary.AppendVarint(b, int64(p.bpos[tb]))
 				}
 			}
 		}
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
+	p.buf = b
+	fp := Fingerprint(sha256.Sum256(b))
 	p.locals[f] = fp
 	return fp
 }
@@ -281,60 +309,54 @@ func (p *Fingerprinter) globalsLocked() Fingerprint {
 	}
 	gs := append([]*Global(nil), p.mod.Globals...)
 	sort.Slice(gs, func(i, j int) bool { return gs[i].Nam < gs[j].Nam })
-	h := sha256.New()
-	writeStr(h, "noelle.globals.v1")
+	b := appendStr(p.buf[:0], "noelle.globals.v1")
 	for _, g := range gs {
-		writeStr(h, g.Nam)
-		writeStr(h, p.typeStr(g.Elem))
-		writeInt(h, int64(len(g.Init)))
+		b = appendStr(b, g.Nam)
+		b = appendStr(b, p.typeStr(g.Elem))
+		b = binary.AppendVarint(b, int64(len(g.Init)))
 		for _, v := range g.Init {
-			writeInt(h, v)
+			b = binary.AppendVarint(b, v)
 		}
-		writeInt(h, int64(len(g.FInit)))
+		b = binary.AppendVarint(b, int64(len(g.FInit)))
 		for _, v := range g.FInit {
-			writeInt(h, int64(math.Float64bits(v)))
+			b = binary.AppendVarint(b, int64(math.Float64bits(v)))
 		}
 	}
-	h.Sum(p.globals[:0])
+	p.buf = b
+	p.globals = sha256.Sum256(b)
 	p.haveGlob = true
 	return p.globals
 }
 
-func writeOperand(h hash.Hash, v Value, pos map[*Instr]int) {
+// appendOperand encodes one operand of the body being walked.
+func (p *Fingerprinter) appendOperand(b []byte, v Value) []byte {
 	switch x := v.(type) {
 	case *Const:
-		writeStr(h, "C")
-		writeInt(h, int64(x.Ty.Kind))
-		writeInt(h, x.Int)
-		writeInt(h, int64(math.Float64bits(x.Flt)))
+		b = appendStr(b, "C")
+		b = binary.AppendVarint(b, int64(x.Ty.Kind))
+		b = binary.AppendVarint(b, x.Int)
+		return binary.AppendVarint(b, int64(math.Float64bits(x.Flt)))
 	case *Param:
-		writeStr(h, "P")
-		writeInt(h, int64(x.Index))
+		b = appendStr(b, "P")
+		return binary.AppendVarint(b, int64(x.Index))
 	case *Global:
-		writeStr(h, "G")
-		writeStr(h, x.Nam)
+		b = appendStr(b, "G")
+		return appendStr(b, x.Nam)
 	case *Function:
-		writeStr(h, "F")
-		writeStr(h, x.Nam)
+		b = appendStr(b, "F")
+		return appendStr(b, x.Nam)
 	case *Instr:
-		writeStr(h, "I")
-		if p, ok := pos[x]; ok {
-			writeInt(h, int64(p))
-		} else {
-			writeInt(h, -1) // cross-function reference (malformed IR)
+		b = appendStr(b, "I")
+		if n, ok := p.pos[x]; ok {
+			return binary.AppendVarint(b, int64(n))
 		}
+		return binary.AppendVarint(b, -1) // cross-function reference (malformed IR)
 	default:
-		writeStr(h, "?")
+		return appendStr(b, "?")
 	}
 }
 
-func writeInt(h hash.Hash, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	h.Write(buf[:n])
-}
-
-func writeStr(h hash.Hash, s string) {
-	writeInt(h, int64(len(s)))
-	h.Write([]byte(s))
+// appendStr encodes s as its varint length and its bytes.
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendVarint(b, int64(len(s))), s...)
 }

@@ -93,12 +93,19 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// opByName inverts opNames for the parser.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, s := range opNames {
+		m[s] = op
+	}
+	return m
+}()
+
 // OpFromName returns the opcode for a mnemonic, or OpInvalid.
 func OpFromName(name string) Op {
-	for op, s := range opNames {
-		if s == name {
-			return op
-		}
+	if op, ok := opByName[name]; ok {
+		return op
 	}
 	return OpInvalid
 }

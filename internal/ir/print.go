@@ -31,11 +31,12 @@ func metadataSuffix(md Metadata) string {
 }
 
 // FormatFloat renders a float constant so that it is lexically
-// distinguishable from an integer (always contains '.', 'e', or a special
-// value marker). The parser relies on this property.
+// distinguishable from an integer: it contains '.' or 'e', or it is one of
+// the non-finite spellings +Inf, -Inf and NaN. The parser relies on this
+// property.
 func FormatFloat(v float64) string {
 	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eEnI") {
+	if !strings.ContainsAny(s, ".eIN") {
 		s += ".0"
 	}
 	return s

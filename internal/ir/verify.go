@@ -246,9 +246,12 @@ func Verify(m *Module) error {
 					}
 					seen[ib] = true
 				}
-				for p := range pset {
+				// In predecessor order, each once, so the message is
+				// deterministic.
+				for _, p := range preds[b] {
 					if !seen[p] {
 						addf("%s/%s: phi %s missing incoming for predecessor %s", f.Nam, b.Nam, phi.Ident(), p.Nam)
+						seen[p] = true
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package irtext
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"noelle/internal/ir"
@@ -135,6 +138,18 @@ entry:
   %x = add 3, 4
   ret %x
 }`},
+		{"not an infinity", `module "m"` + `
+func @f() f64 {
+entry:
+  %x = fadd -Infinity, 1.0
+  ret %x
+}`},
+		{"ptradd cycle", `module "m"` + `
+func @f() i64 {
+entry:
+  %x = ptradd %x, 1
+  ret 0
+}`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {
@@ -161,6 +176,87 @@ entry:
 	if c.Flt != -2.5 {
 		t.Errorf("negative float constant = %v", c.Flt)
 	}
+}
+
+// TestFloatConstantsRoundTrip: every float constant ir.FormatFloat can
+// print — the infinities, NaN, negative zero, extremes and random bit
+// patterns — parses back, as an operand and as a global initializer.
+// Print → parse → print is a fixed point, the bits survive for every
+// non-NaN value, and NaN stays NaN.
+func TestFloatConstantsRoundTrip(t *testing.T) {
+	vals := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0, 1e300, -1e-300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 3}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+
+	m := ir.NewModule("floats")
+	m.AddGlobal(&ir.Global{Nam: "tab", Elem: ir.ArrayOf(ir.F64Type, len(vals)), FInit: vals})
+	f := ir.NewFunction("f", ir.FuncOf(ir.F64Type))
+	m.AddFunction(f)
+	b := ir.NewBuilder()
+	b.SetInsertionBlock(f.NewBlock("entry"))
+	acc := ir.Value(ir.ConstFloat(0))
+	for i, v := range vals {
+		acc = b.CreateBinOp(ir.OpFAdd, acc, ir.ConstFloat(v), fmt.Sprintf("a%d", i))
+	}
+	b.CreateRet(acc)
+
+	s1 := ir.Print(m)
+	m2, err := Parse(s1)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if s2 := ir.Print(m2); s2 != s1 {
+		t.Fatalf("print → parse → print is not a fixed point")
+	}
+	same := func(what string, want, got float64) {
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Errorf("%s: NaN came back as %v", what, got)
+			}
+		} else if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %v (%#x) came back as %v (%#x)", what, want, math.Float64bits(want), got, math.Float64bits(got))
+		}
+	}
+	g := m2.GlobalByName("tab")
+	for i, v := range vals {
+		same(fmt.Sprintf("global [%d]", i), v, g.FInit[i])
+		same(fmt.Sprintf("operand %d", i), v, m2.FunctionByName("f").Blocks[0].Instrs[i].Ops[1].(*ir.Const).Flt)
+	}
+}
+
+// TestParseForwardTypedOperands: a ptradd or select may read one laid
+// out further down the function; its type still follows.
+func TestParseForwardTypedOperands(t *testing.T) {
+	src := `module "m"
+func @f(%p: ptr<[4 x i64]>, %c: i1) i64 {
+entry:
+  br def
+use:
+  %s = select %c, %b, %a
+  %v = load i64, %s
+  ret %v
+mid:
+  %b = ptradd %a, 1
+  br use
+def:
+  %a = ptradd %p, 0
+  br mid
+}`
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	m.FunctionByName("f").Instrs(func(in *ir.Instr) bool {
+		if in.Opcode == ir.OpPtrAdd || in.Opcode == ir.OpSelect {
+			if got := in.Type().String(); got != "ptr<i64>" {
+				t.Errorf("%%%s has type %s, want ptr<i64>", in.Nam, got)
+			}
+		}
+		return true
+	})
 }
 
 func TestParseIndirectCall(t *testing.T) {

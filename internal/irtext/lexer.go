@@ -6,7 +6,6 @@ package irtext
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokKind int
@@ -17,7 +16,7 @@ const (
 	tokLocal  // %name
 	tokGlobal // @name
 	tokInt    // 123, -4
-	tokFloat  // 1.5, -2e3
+	tokFloat  // 1.5, -2e3, +Inf, -Inf
 	tokString // "..."
 	tokPunct  // single punctuation rune
 )
@@ -28,20 +27,15 @@ type token struct {
 	line int
 }
 
-func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
-		return "<eof>"
-	default:
-		return t.text
-	}
-}
-
-type lexer struct {
+// scanner is a pull lexer: the parser asks for one token at a time, so no
+// token slice is ever built. Its whole state is a position, a line and
+// the first error, so a copy of it is a saved lexer state. After an error
+// every call returns EOF. Comments run from ';' to end of line.
+type scanner struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	err  error
 }
 
 func isIdentRune(r byte) bool {
@@ -49,117 +43,122 @@ func isIdentRune(r byte) bool {
 		(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
 }
 
-// lex tokenizes the whole input. Comments run from ';' to end of line.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+func (s *scanner) next() token {
+	for s.err == nil && s.pos < len(s.src) {
+		c := s.src[s.pos]
 		switch {
 		case c == '\n':
-			l.line++
-			l.pos++
+			s.line++
+			s.pos++
 		case c == ' ' || c == '\t' || c == '\r':
-			l.pos++
+			s.pos++
 		case c == ';':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+			for s.pos < len(s.src) && s.src[s.pos] != '\n' {
+				s.pos++
 			}
 		case c == '"':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
+			return s.scanString()
 		case c == '%' || c == '@':
 			kind := tokLocal
 			if c == '@' {
 				kind = tokGlobal
 			}
-			start := l.pos + 1
-			l.pos++
-			for l.pos < len(l.src) && isIdentRune(l.src[l.pos]) {
-				l.pos++
+			s.pos++
+			start := s.pos
+			for s.pos < len(s.src) && isIdentRune(s.src[s.pos]) {
+				s.pos++
 			}
-			if l.pos == start {
-				return nil, fmt.Errorf("line %d: empty %c-identifier", l.line, c)
+			if s.pos == start {
+				return s.fail("empty %c-identifier", c)
 			}
-			l.emit(kind, l.src[start:l.pos])
-		case c == '-' || (c >= '0' && c <= '9'):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
+			return s.tok(kind, start)
+		case c == '-' || c == '+' || (c >= '0' && c <= '9'):
+			return s.scanNumber()
+		case isIdentRune(c):
+			start := s.pos
+			for s.pos < len(s.src) && isIdentRune(s.src[s.pos]) {
+				s.pos++
 			}
-		case isIdentRune(c) && !unicode.IsDigit(rune(c)):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentRune(l.src[l.pos]) {
-				l.pos++
-			}
-			l.emit(tokIdent, l.src[start:l.pos])
-		case strings.ContainsRune("(){}[]<>,:=!", rune(c)):
-			l.emit(tokPunct, string(c))
-			l.pos++
+			return s.tok(tokIdent, start)
+		case strings.IndexByte("(){}[]<>,:=!", c) >= 0:
+			s.pos++
+			return s.tok(tokPunct, s.pos-1)
 		default:
-			return nil, fmt.Errorf("line %d: unexpected character %q", l.line, c)
+			return s.fail("unexpected character %q", c)
 		}
 	}
-	l.emit(tokEOF, "")
-	return l.toks, nil
+	return token{kind: tokEOF, line: s.line}
 }
 
-func (l *lexer) emit(kind tokKind, text string) {
-	l.toks = append(l.toks, token{kind: kind, text: text, line: l.line})
+// tok returns the token of kind spanning src[start:pos].
+func (s *scanner) tok(kind tokKind, start int) token {
+	return token{kind: kind, text: s.src[start:s.pos], line: s.line}
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	for l.pos < len(l.src) {
-		switch l.src[l.pos] {
+func (s *scanner) fail(format string, args ...any) token {
+	s.err = fmt.Errorf("line %d: %s", s.line, fmt.Sprintf(format, args...))
+	return token{kind: tokEOF, line: s.line}
+}
+
+func (s *scanner) scanString() token {
+	start := s.pos
+	s.pos++ // opening quote
+	for s.pos < len(s.src) {
+		switch s.src[s.pos] {
 		case '\\':
-			l.pos += 2
+			s.pos += 2
 		case '"':
-			l.pos++
-			l.emit(tokString, l.src[start:l.pos])
-			return nil
+			s.pos++
+			return s.tok(tokString, start)
 		case '\n':
-			return fmt.Errorf("line %d: newline in string", l.line)
+			return s.fail("newline in string")
 		default:
-			l.pos++
+			s.pos++
 		}
 	}
-	return fmt.Errorf("line %d: unterminated string", l.line)
+	return s.fail("unterminated string")
 }
 
-func (l *lexer) lexNumber() error {
-	start := l.pos
-	if l.src[l.pos] == '-' {
-		l.pos++
+// scanNumber lexes an integer or float literal, including the two signed
+// infinities ir.FormatFloat prints (NaN is an identifier the operand
+// parser maps). A '+' starts nothing else.
+func (s *scanner) scanNumber() token {
+	start := s.pos
+	if c := s.src[s.pos]; c == '-' || c == '+' {
+		rest := s.src[s.pos+1:]
+		if strings.HasPrefix(rest, "Inf") && (len(rest) == 3 || !isIdentRune(rest[3])) {
+			s.pos += 4
+			return s.tok(tokFloat, start)
+		}
+		if c == '+' {
+			return s.fail("unexpected character %q", c)
+		}
+		s.pos++
 	}
 	isFloat := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
+scan:
+	for s.pos < len(s.src) {
+		switch c := s.src[s.pos]; {
 		case c >= '0' && c <= '9':
-			l.pos++
+			s.pos++
 		case c == '.':
 			isFloat = true
-			l.pos++
+			s.pos++
 		case c == 'e' || c == 'E':
 			isFloat = true
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-				l.pos++
+			s.pos++
+			if s.pos < len(s.src) && (s.src[s.pos] == '+' || s.src[s.pos] == '-') {
+				s.pos++
 			}
 		default:
-			goto done
+			break scan
 		}
 	}
-done:
-	text := l.src[start:l.pos]
-	if text == "-" {
-		return fmt.Errorf("line %d: lone '-'", l.line)
+	if s.pos-start == 1 && s.src[start] == '-' {
+		return s.fail("lone '-'")
 	}
 	if isFloat {
-		l.emit(tokFloat, text)
-	} else {
-		l.emit(tokInt, text)
+		return s.tok(tokFloat, start)
 	}
-	return nil
+	return s.tok(tokInt, start)
 }

@@ -26,22 +26,79 @@ func Parse(src string) (*ir.Module, error) {
 // harnesses probing the verifier itself — and must not be used by
 // anything that will execute the result.
 func ParseUnverified(src string) (*ir.Module, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{
+		lex:     lexState{sc: scanner{src: src, line: 1}},
+		funcs:   map[string]*ir.Function{},
+		globals: map[string]*ir.Global{},
 	}
-	p := &parser{toks: toks}
-	return p.parseModule()
+	p.lex.tok = p.scan()
+	p.lex.ahead = p.scan()
+	m, err := p.parseModule()
+	// A lex error anywhere in the input wins over a parse error.
+	if lexErr := p.lexError(); lexErr != nil {
+		return nil, lexErr
+	}
+	return m, err
+}
+
+// lexState is the parser's view of the input: the scanner plus its two
+// tokens of lookahead. A copy of it is a saved position.
+type lexState struct {
+	sc         scanner
+	tok, ahead token
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	mod  *ir.Module
+	lex lexState
+	mod *ir.Module
+
+	// funcs and globals resolve @name to the module's first function or
+	// global of that name, as Module.FunctionByName and GlobalByName would.
+	funcs   map[string]*ir.Function
+	globals map[string]*ir.Global
+
+	lexErr error // the first lex error met by any scan
+	clean  bool  // some scan reached the end of the input without one
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// scan pulls the next token from the scanner, noting how the scan ended.
+func (p *parser) scan() token {
+	t := p.lex.sc.next()
+	if t.kind == tokEOF {
+		if p.lex.sc.err != nil {
+			p.lexErr = p.lex.sc.err
+		} else {
+			p.clean = true
+		}
+	}
+	return t
+}
+
+// lexError returns the input's first lex error, scanning on to the end of
+// the input when no scan has got there yet. Scans only ever run forward
+// from ground an earlier scan covered cleanly, so the first error any scan
+// meets is the input's first.
+func (p *parser) lexError() error {
+	for p.lexErr == nil && !p.clean {
+		p.scan()
+	}
+	return p.lexErr
+}
+
+func (p *parser) peek() token { return p.lex.tok }
+func (p *parser) next() token {
+	t := p.lex.tok
+	p.lex.tok, p.lex.ahead = p.lex.ahead, p.scan()
+	return t
+}
+
+// addFunction adds f, whose name the @name table lacks, to the module and
+// the table.
+func (p *parser) addFunction(f *ir.Function) {
+	p.mod.AddFunction(f)
+	p.funcs[f.Nam] = f
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
 }
@@ -64,7 +121,7 @@ func (p *parser) expectIdent(s string) error {
 
 func (p *parser) acceptPunct(s string) bool {
 	if p.peek().kind == tokPunct && p.peek().text == s {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -144,10 +201,11 @@ func (p *parser) parseModule() (*ir.Module, error) {
 }
 
 // prescanFuncs walks the token stream at brace depth zero and registers a
-// shell for every `func @name(...) ret` definition.
+// shell for every `func @name(...) ret` definition, then rewinds the lexer
+// to where it started.
 func (p *parser) prescanFuncs() error {
-	save := p.pos
-	defer func() { p.pos = save }()
+	save := p.lex
+	defer func() { p.lex = save }()
 	depth := 0
 	for p.peek().kind != tokEOF {
 		t := p.next()
@@ -161,8 +219,8 @@ func (p *parser) prescanFuncs() error {
 			if err != nil {
 				return err
 			}
-			if p.mod.FunctionByName(name) == nil {
-				p.mod.AddFunction(ir.NewFunction(name, sig, paramNames...))
+			if p.funcs[name] == nil {
+				p.addFunction(ir.NewFunction(name, sig, paramNames...))
 			}
 		}
 	}
@@ -338,7 +396,7 @@ func (p *parser) parseGlobal() error {
 			first = false
 			v := p.next()
 			switch {
-			case isFloat && (v.kind == tokFloat || v.kind == tokInt):
+			case isFloat && (v.kind == tokFloat || v.kind == tokInt || isNaN(v)):
 				fv, err := strconv.ParseFloat(v.text, 64)
 				if err != nil {
 					return err
@@ -363,8 +421,15 @@ func (p *parser) parseGlobal() error {
 	}
 	g.MD = md
 	p.mod.AddGlobal(g)
+	if _, ok := p.globals[g.Nam]; !ok {
+		p.globals[g.Nam] = g
+	}
 	return nil
 }
+
+// isNaN reports whether t is the NaN literal ir.FormatFloat prints. It
+// lexes as an identifier, so a block may still be labelled NaN.
+func isNaN(t token) bool { return t.kind == tokIdent && t.text == "NaN" }
 
 func (p *parser) parseDeclare() error {
 	p.next() // "declare"
@@ -388,7 +453,7 @@ func (p *parser) parseDeclare() error {
 	}
 	// A definition elsewhere in the file (pre-scanned) satisfies the
 	// declaration.
-	if exist := p.mod.FunctionByName(nameTok.text); exist != nil {
+	if exist := p.funcs[nameTok.text]; exist != nil {
 		if !exist.Sig.Equal(sig) {
 			return fmt.Errorf("line %d: declare @%s conflicts with earlier signature", nameTok.line, nameTok.text)
 		}
@@ -396,6 +461,6 @@ func (p *parser) parseDeclare() error {
 	}
 	f := ir.NewFunction(nameTok.text, sig)
 	f.MD = md
-	p.mod.AddFunction(f)
+	p.addFunction(f)
 	return nil
 }

@@ -2,6 +2,7 @@ package irtext
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"noelle/internal/ir"
@@ -21,6 +22,7 @@ type funcParser struct {
 	fn     *ir.Function
 	locals map[string]ir.Value
 	blocks map[string]*ir.Block
+	order  []*ir.Block // blocks by first mention
 	defed  map[string]bool
 	fixups []fixup
 }
@@ -41,11 +43,11 @@ func (p *parser) parseFunc() error {
 	}
 
 	// The pre-scan registered a shell; fill it in.
-	fn := p.mod.FunctionByName(name)
+	fn := p.funcs[name]
 	switch {
 	case fn == nil:
 		fn = ir.NewFunction(name, sig, paramNames...)
-		p.mod.AddFunction(fn)
+		p.addFunction(fn)
 	case !fn.IsDeclaration():
 		return fmt.Errorf("line %d: duplicate definition of @%s", line, name)
 	case !fn.Sig.Equal(sig):
@@ -72,6 +74,7 @@ func (fp *funcParser) block(name string, line int) *ir.Block {
 	}
 	b := &ir.Block{Nam: name, Parent: fp.fn, ID: -1}
 	fp.blocks[name] = b
+	fp.order = append(fp.order, b)
 	return b
 }
 
@@ -85,7 +88,7 @@ func (fp *funcParser) parseBody() error {
 			break
 		}
 		// Block label: ident followed by ':'.
-		if t.kind == tokIdent && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == ":" {
+		if t.kind == tokIdent && p.lex.ahead.kind == tokPunct && p.lex.ahead.text == ":" {
 			p.next()
 			p.next()
 			if fp.defed[t.text] {
@@ -126,27 +129,50 @@ func (fp *funcParser) parseBody() error {
 		}
 		fx.in.Ops[fx.idx] = v
 	}
-	// All referenced blocks must have been defined.
-	for name, b := range fp.blocks {
-		if !fp.defed[name] {
+	// All referenced blocks must have been defined; the first one
+	// mentioned that was not is the one reported.
+	for _, b := range fp.order {
+		if !fp.defed[b.Nam] {
 			return fmt.Errorf("func @%s: branch to undefined block %q", fp.fn.Nam, b.Nam)
 		}
 	}
-	// Recompute types that depend on (possibly forward) operands.
+	return fp.typeForwardResults()
+}
+
+// typeForwardResults computes the result types of ptradd and select,
+// which come from an operand that may be defined further down. Each waits
+// for the ptradd or select it reads, so a chain types in any order; a
+// cycle of them has no type and is an error.
+func (fp *funcParser) typeForwardResults() error {
+	var todo []*ir.Instr
 	fp.fn.Instrs(func(in *ir.Instr) bool {
-		switch in.Opcode {
-		case ir.OpPtrAdd:
-			pt := in.Ops[0].Type()
-			if pt.IsPtr() && pt.Elem.Kind == ir.ArrayKind {
-				in.Ty = ir.PointerTo(pt.Elem.Elem)
-			} else {
-				in.Ty = pt
-			}
-		case ir.OpSelect:
-			in.Ty = in.Ops[1].Type()
+		if in.Opcode == ir.OpPtrAdd || in.Opcode == ir.OpSelect {
+			todo = append(todo, in)
 		}
 		return true
 	})
+	for len(todo) > 0 {
+		rest := todo[:0]
+		for _, in := range todo {
+			src := in.Ops[0]
+			if in.Opcode == ir.OpSelect {
+				src = in.Ops[1]
+			}
+			t := src.Type()
+			switch {
+			case t == nil:
+				rest = append(rest, in)
+			case in.Opcode == ir.OpPtrAdd && t.IsPtr() && t.Elem.Kind == ir.ArrayKind:
+				in.Ty = ir.PointerTo(t.Elem.Elem)
+			default:
+				in.Ty = t
+			}
+		}
+		if len(rest) == len(todo) {
+			return fmt.Errorf("func @%s: %%%s has no type: its operand types form a cycle", fp.fn.Nam, rest[0].Nam)
+		}
+		todo = rest
+	}
 	return nil
 }
 
@@ -163,10 +189,10 @@ func (fp *funcParser) operand(in *ir.Instr, idx int) (ir.Value, error) {
 		fp.fixups = append(fp.fixups, fixup{in: in, idx: idx, name: t.text, line: t.line})
 		return nil, nil
 	case tokGlobal:
-		if f := p.mod.FunctionByName(t.text); f != nil {
+		if f := p.funcs[t.text]; f != nil {
 			return f, nil
 		}
-		if g := p.mod.GlobalByName(t.text); g != nil {
+		if g := p.globals[t.text]; g != nil {
 			return g, nil
 		}
 		return nil, fmt.Errorf("line %d: unknown global @%s", t.line, t.text)
@@ -188,6 +214,8 @@ func (fp *funcParser) operand(in *ir.Instr, idx int) (ir.Value, error) {
 			return ir.ConstBool(true), nil
 		case "false":
 			return ir.ConstBool(false), nil
+		case "NaN":
+			return ir.ConstFloat(math.NaN()), nil
 		}
 	}
 	return nil, fmt.Errorf("line %d: expected operand, got %q", t.line, t.text)

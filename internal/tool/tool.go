@@ -326,9 +326,9 @@ func RunPipeline(ctx context.Context, n *core.Noelle, names []string, opts Optio
 // operation the pipeline triggers (warm Gets during precompute, Puts
 // after cold builds, loop-summary enrichment, and the post-stage /
 // end-of-pipeline Flush calls) is serialized by the store's own mutex,
-// and Flush only commits crash-safe whole-record renames, so interleaved
-// flushes from concurrent pipelines cannot tear records or the index
-// (regression-tested in internal/tools with -race).
+// and each Flush commits one immutable segment and the index by rename,
+// so interleaved flushes from concurrent pipelines cannot tear records or
+// the index (regression-tested in internal/tools with -race).
 func RunPipelineStream(ctx context.Context, n *core.Noelle, names []string, opts Options, emit func(Report)) ([]Report, VerifierStats, error) {
 	tier, err := verify.ParseTier(opts.VerifyTier)
 	if err != nil {

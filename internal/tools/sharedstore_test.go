@@ -13,7 +13,10 @@ import (
 	"testing"
 
 	"noelle/internal/abscache"
+	"noelle/internal/bench"
+	"noelle/internal/core"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/tool"
 )
 
@@ -86,4 +89,46 @@ func TestConcurrentPipelinesSharingOneStore(t *testing.T) {
 	if res.Corrupt != 0 || res.Temp != 0 {
 		t.Errorf("gc found %d corrupt records, %d temp files; want none", res.Corrupt, res.Temp)
 	}
+}
+
+// TestColdCompileWritesAtMostTwoSegments: a cold compile op over the
+// whole program (text in, perspective,licm,dead with an empty store,
+// flush) commits every defined function's record in at most two segment
+// files, one per flush that has records pending, where one file per
+// record (and one more per enriched record) made it 242 commits.
+func TestColdCompileWritesAtMostTwoSegments(t *testing.T) {
+	whole, err := bench.WholeProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := irtext.Parse(ir.Print(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	opts := core.DefaultOptions()
+	opts.CacheDir = root
+	n := core.New(m, opts)
+	topts := tool.DefaultOptions()
+	topts.PrecomputeWorkers, topts.VerifyTier = 2, "quick"
+	if _, _, err := tool.RunPipeline(context.Background(), n, []string{"perspective", "licm", "dead"}, topts); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	mods, err := abscache.ScanRoot(root)
+	if err != nil || len(mods) != 1 {
+		t.Fatalf("scan = %+v, %v", mods, err)
+	}
+	defined := 0
+	for _, f := range m.Functions {
+		if !f.IsDeclaration() {
+			defined++
+		}
+	}
+	if mods[0].Segments < 1 || mods[0].Segments > 2 || mods[0].Records < defined {
+		t.Errorf("cold op left %d records in %d segments, want every defined function's record in at most 2", mods[0].Records, mods[0].Segments)
+	}
+	t.Logf("%d records in %d segments, %d bytes", mods[0].Records, mods[0].Segments, mods[0].Bytes)
 }
