@@ -164,13 +164,20 @@ campaign-smoke:
 # Push/PushN/Pop/PopN/Close sequences in non-blocking mode against a
 # slice model (no panic, same values in the same order, same errors);
 # FuzzParse feeds irtext.Parse arbitrary text and holds it to the
-# token-slice reference parser (no panic, same module or same error).
+# token-slice reference parser (no panic, same module or same error);
+# FuzzDecode feeds abscache.Decode arbitrary record bytes, checksum
+# re-sealed so mutations reach the field parsers (no panic, and building
+# an accepted record's graph allocates in proportion to the function and
+# the record, never to a count the record claims; its seeds are
+# kilobyte records, and minimizing each new input for the default 60 s
+# would spend the whole budget on the first one).
 # The committed seeds under each package's testdata/fuzz/ also run as
 # plain subtests of every `go test`; a crasher the fuzzer finds lands
 # there too and keeps failing until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 10s ./internal/queue/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/irtext/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/abscache/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

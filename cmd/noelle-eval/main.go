@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"noelle/internal/bench"
+	"noelle/internal/core"
 	"noelle/internal/eval"
 	"noelle/internal/toolio"
 )
@@ -95,6 +96,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, GC-settled) to this file")
 	flag.Parse()
+	if err := core.CheckCores(*cores); err != nil {
+		fmt.Fprintf(os.Stderr, "noelle-eval: -cores: %v\n", err)
+		os.Exit(2)
+	}
 
 	selected := artifacts
 	if *only != "" {

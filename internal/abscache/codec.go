@@ -93,17 +93,19 @@ func NewRecord(fp ir.Fingerprint, f *ir.Function, g *pdg.Graph) *Record {
 // the record's shape no longer matches f — the caller must rebuild. The
 // edges come from one contiguous allocation and the graph is assembled
 // through the bulk constructor with the endpoint positions the record
-// already holds: warm loads are allocation-light.
+// already holds: warm loads are allocation-light. Everything it allocates
+// is sized by f and by the decoded edges, never by a count the record
+// claims.
 func (r *Record) BuildGraph(f *ir.Function) (*pdg.Graph, error) {
+	if n := f.NumInstrs(); n != r.NumInstrs {
+		return nil, fmt.Errorf("abscache: record for @%s has %d instructions, function has %d",
+			r.FuncName, r.NumInstrs, n)
+	}
 	instrs := make([]*ir.Instr, 0, r.NumInstrs)
 	f.Instrs(func(in *ir.Instr) bool {
 		instrs = append(instrs, in)
 		return true
 	})
-	if len(instrs) != r.NumInstrs {
-		return nil, fmt.Errorf("abscache: record for @%s has %d instructions, function has %d",
-			r.FuncName, r.NumInstrs, len(instrs))
-	}
 	edges := make([]pdg.Edge, len(r.Edges))
 	from := make([]int32, len(r.Edges))
 	to := make([]int32, len(r.Edges))

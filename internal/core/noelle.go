@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,22 @@ type Options struct {
 	// CacheLRUEntries caps the store's in-memory record tier
 	// (0 = abscache.DefaultLRUEntries).
 	CacheLRUEntries int
+}
+
+// MaxCores is the largest core count a parallelizer may target. The
+// lowerings emit per-worker code and state (DOALL folds one private
+// accumulator per worker after the dispatch), so the count bounds the
+// size of what they build.
+const MaxCores = 1024
+
+// CheckCores refuses a core count outside [1, MaxCores]: zero or fewer
+// cores divide by zero in the schedules and the emitted code, and more
+// build modules without bound.
+func CheckCores(cores int) error {
+	if cores < 1 || cores > MaxCores {
+		return fmt.Errorf("cores %d outside [1, %d]", cores, MaxCores)
+	}
+	return nil
 }
 
 // DefaultOptions mirrors the paper's evaluation setup.

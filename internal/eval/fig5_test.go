@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"noelle/internal/bench"
@@ -59,9 +60,10 @@ func driverRun(t *testing.T, m *ir.Module, technique string, cores int) auto.Res
 
 // TestFigure5IsTheDriver: every cell is the Amdahl composition, redone
 // here by hand, over the loops an independent driver run lowered — and
-// over nothing else: canneal's do-while loop has a profitable HELIX plan
-// and a profitable DSWP plan, neither can be lowered ("not
-// header-exiting"), and it contributes to neither column.
+// over nothing else. A plan is a promise, so every profitable plan is
+// lowered: canneal's do-while loop, which neither code generator covers,
+// is refused by the HELIX and DSWP planners themselves ("not
+// header-exiting") and contributes to neither column.
 func TestFigure5IsTheDriver(t *testing.T) {
 	const cores = 2
 	for _, name := range []string{"swaptions", "canneal", "qsort", "mcf_r"} {
@@ -82,9 +84,8 @@ func TestFigure5IsTheDriver(t *testing.T) {
 				case s.Lowered:
 					seqs, pars = append(seqs, c.Seq), append(pars, c.Par)
 				case c.Plan != nil && c.Par < c.Seq:
-					if len(s.Fallbacks) == 0 {
-						t.Errorf("%s %s @%s/%s: profitable plan neither lowered nor refused", name, tech, s.Fn, s.Header)
-					}
+					t.Errorf("%s %s @%s/%s: profitable plan not lowered", name, tech, s.Fn, s.Header)
+				case strings.Contains(c.Rejection, "not header-exiting"):
 					refused++
 				}
 			}
@@ -95,7 +96,7 @@ func TestFigure5IsTheDriver(t *testing.T) {
 				t.Errorf("%s %s: cell %v below 1 without a clamp: a counted loop has Par >= Seq", name, tech, cells[tech])
 			}
 			if name == "canneal" && tech != "doall" && refused == 0 {
-				t.Errorf("canneal %s: expected a profitable plan that fails to lower", tech)
+				t.Errorf("canneal %s: expected the planner to refuse a loop that is not header-exiting", tech)
 			}
 		}
 	}

@@ -510,6 +510,29 @@ func TestRunErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestRunRefusesCoreCounts: a run request whose opts.cores is outside
+// [1, core.MaxCores] fails with StatusError, and the daemon keeps serving
+// (auto's schedules divide by the core count).
+func TestRunRefusesCoreCounts(t *testing.T) {
+	_, dial := startServer(t, Config{Workers: 1})
+	c := dial()
+	mod := moduleText(t, 300)
+	for _, cores := range []int{0, -1, core.MaxCores + 1} {
+		req := runReq(mod, "auto")
+		req.Opts.Cores, req.Opts.ExecutePlans = cores, true
+		d, err := c.Run(req, nil)
+		if err != nil {
+			t.Fatalf("cores %d: run: %v", cores, err)
+		}
+		if d.Status != StatusError || !strings.Contains(d.Error, "cores") {
+			t.Errorf("cores %d: status %q (%s), want the core count refused", cores, d.Status, d.Error)
+		}
+	}
+	if _, d := renderRun(t, c, runReq(mod, "auto")); d == nil {
+		t.Fatal("daemon unusable after refusing core counts")
+	}
+}
+
 // TestWantIRAndStats: WantIR returns the transformed module; the stats
 // request reflects the traffic.
 func TestWantIRAndStats(t *testing.T) {

@@ -6,7 +6,9 @@
 // mutating the module; the Plan exposes its segmentation so the machine
 // package can price it against measured per-iteration costs, estimates
 // its own parallel time under the technique's scheduling recurrence, and
-// — only when asked — lowers the loop to executable form.
+// — only when asked — lowers the loop to executable form. A plan is a
+// promise: a planner refuses a loop its code generator does not cover,
+// so every Plan it returns can be lowered.
 //
 // Everything around that seam exists once, in the driver of
 // internal/tools/auto: the walk over the hot loops and their children,
@@ -15,10 +17,9 @@
 // tool) plans every loop it may visit with every technique before
 // lowering any, prices all the plans in one training run, then per loop
 // scores each technique's plan against those rows and lowers only the
-// predicted-fastest profitable one, falling back down the ranking when a
-// winner cannot be lowered. Pinned (the doall, dswp and helix tools: the user named the
-// technique) asks one planner and lowers every plan that can be lowered,
-// with no scoring, no training run and no profitability gate — so a
+// predicted-fastest profitable one. Pinned (the doall, dswp and helix
+// tools: the user named the technique) asks one planner and lowers every
+// plan, with no scoring, no training run and no profitability gate — so a
 // technique's tool is a planner registration plus a few lines that pin
 // the driver to it.
 
@@ -50,12 +51,12 @@ type Plan interface {
 	// the invocation's sequential cycles for profitability.
 	EstimateInvocation(inv *machine.Invocation) int64
 	// Lower rewrites the loop into its executable parallel form, naming
-	// generated task functions after taskName. It fails — without
-	// corrupting the module — when the technique's code generator does
-	// not cover the loop's shape; the caller then falls back to the
-	// next-best plan. A successful Lower invalidates the manager's cached
-	// abstractions, and no plan made before it survives it: the caller
-	// plans a loop only once every earlier lowering is done.
+	// generated task functions after taskName. The planner already
+	// checked that its code generator covers the loop, so an error here
+	// is a planner bug, which the driver reports as its own error. Lower
+	// invalidates the manager's cached abstractions, and no plan made
+	// before it survives it: the caller plans a loop only once every
+	// earlier lowering is done.
 	Lower(taskName string) error
 	// Describe is a one-line account of the plan's shape ("4 stages",
 	// "2 sequential segments").
@@ -69,8 +70,9 @@ type Plan interface {
 type Planner interface {
 	// Technique is the registry key (lower-case).
 	Technique() string
-	// PlanLoop plans ls without lowering it. The error is the per-loop
-	// rejection reason surfaced to the user (LoopRejection.Reason).
+	// PlanLoop plans ls without lowering it, and returns a plan only if
+	// its Lower will succeed. The error is the per-loop rejection reason
+	// surfaced to the user (LoopRejection.Reason).
 	// Implementations must not mutate the module: the auto driver plans
 	// every candidate loop up front and prices the module it planned.
 	PlanLoop(n *core.Noelle, ls *loops.LS, opts Options) (Plan, error)

@@ -335,6 +335,9 @@ func RunPipelineStream(ctx context.Context, n *core.Noelle, names []string, opts
 		return nil, VerifierStats{}, fmt.Errorf("tool: %w", err)
 	}
 	stats := VerifierStats{Tier: tier}
+	if err := core.CheckCores(n.Opts.Cores); err != nil {
+		return nil, stats, fmt.Errorf("tool: %w", err)
+	}
 	tools := make([]Tool, 0, len(names))
 	for _, name := range names {
 		t, ok := Lookup(name)

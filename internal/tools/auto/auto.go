@@ -15,13 +15,18 @@
 // that run, and any other is priced alone on the current module (a price
 // miss, counted and named on its why-line). The predicted-fastest
 // profitable technique is selected and — under -exec-plans — exactly the
-// winning plan is lowered, falling back down the ranking when a winner
-// cannot be lowered (its code generator does not cover the loop's shape).
+// winning plan is lowered.
+//
+// A plan is a promise: a planner refuses a loop its code generator does
+// not cover, so the loop a run selects is the loop it lowers, plan-only
+// or not, and there is no search for a second choice. A Lower or
+// comm-tier verification failure after a successful plan is the driver's
+// error, naming the loop and the technique.
 //
 // Pinned (the doall, dswp and helix tools, RunPinned): the user named the
-// technique, so the same walk skips the score-and-rank step — no
-// training run, no Par < Seq gate — and lowers every plan that can be
-// lowered. That is deliberately ungated: a pinned run is how one
+// technique, so the same walk skips the scoring step — no training run,
+// no Par < Seq gate — and lowers every plan. That is deliberately
+// ungated: a pinned run is how one
 // technique's lowering is measured on its own (the benchmark's
 // dswp_pipe/helix_pipe workloads), and the do-no-harm gate of ROADMAP
 // item 1c belongs in selectLoop, the one place a loop's fate is decided,
@@ -30,8 +35,8 @@
 // Either way, when nothing fits a loop the walk descends into its
 // children, so an outer sequential driver still gets its inner loops
 // parallelized, and every decision is reported through the one Report
-// function: per-loop candidates, why the winner won, per-technique
-// rejection reasons, and which plans fell back.
+// function: per-loop candidates, why the winner won, and per-technique
+// rejection reasons.
 package auto
 
 import (
@@ -39,7 +44,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"noelle/internal/core"
@@ -90,9 +94,6 @@ type Selection struct {
 	// Lowered reports whether the winning plan was actually lowered
 	// (false in plan-only mode, where Winner is the prediction).
 	Lowered bool
-	// Fallbacks lists ranked-better techniques whose Lower failed, as
-	// "technique: reason", in ranking order.
-	Fallbacks []string
 	// Why is the one-line account of the decision.
 	Why string
 }
@@ -183,8 +184,8 @@ func RunWith(ctx context.Context, n *core.Noelle, opts tool.Options, planners []
 }
 
 // RunPinned is the pinned run: only the named technique's planner
-// answers, nothing is scored, and under opts.ExecutePlans every plan that
-// can be lowered is (generated tasks are named <technique>.taskN).
+// answers, nothing is scored, and under opts.ExecutePlans every plan is
+// lowered (generated tasks are named <technique>.taskN).
 func RunPinned(ctx context.Context, n *core.Noelle, opts tool.Options, technique string) (Result, error) {
 	p, ok := tool.LookupPlanner(technique)
 	if !ok {
@@ -389,61 +390,53 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 		return sel, false, nil
 	}
 
-	// A pinned run takes its one plan as it is, unpriced; a competing run
-	// scores and ranks, and may find nothing worth lowering.
-	ranked, prefix, verb := planned, "", "planned"
-	why := func(w *Candidate, verb string) string {
-		return fmt.Sprintf("%s %s (%s)", w.Technique, verb, w.Shape)
-	}
+	// ---- select: a pinned run takes its one plan as it is, unpriced; a
+	// competing run takes the fastest profitable one, if any ----
+	w, prefix, verb := planned[0], "", "planned"
 	if pr != nil {
 		prefix, verb = "auto.", "predicted"
-		why = func(w *Candidate, verb string) string { return winnerWhy(w, sel.Candidates, verb) }
 		var err error
-		if ranked, err = pr.rank(n, ls, sel, planned); err != nil || len(ranked) == 0 {
+		if w, err = pr.fastest(n, ls, sel, planned); err != nil || w == nil {
 			return sel, false, err
 		}
 	}
-
-	// ---- select (and lower): best plan that can be realized wins ----
+	why := func(verb string) string {
+		if pr == nil {
+			return fmt.Sprintf("%s %s (%s)", w.Technique, verb, w.Shape)
+		}
+		return winnerWhy(w, sel.Candidates, verb)
+	}
+	sel.Winner = w.Technique
 	if !opts.ExecutePlans {
-		w := ranked[0]
-		sel.Winner = w.Technique
-		sel.Why = why(w, verb)
+		sel.Why = why(verb)
 		return sel, true, nil
 	}
-	for _, c := range ranked {
-		name := fmt.Sprintf("%s%s.task%d", prefix, c.Technique, *taskID)
-		if err := c.Plan.Lower(name); err != nil {
-			sel.Fallbacks = append(sel.Fallbacks, c.Technique+": "+err.Error())
-			continue
-		}
-		// Static verification gates dynamic execution: a lowered candidate
-		// that breaks the communication protocol has already rewritten the
-		// loop, so it cannot be skipped over — fail the selection with the
-		// named invariant instead of letting the miscompile run.
-		if verr := verify.Module(n.Mod, verify.TierComm).Err(); verr != nil {
-			sel.Fallbacks = append(sel.Fallbacks, c.Technique+": lowered plan failed static verification")
-			return sel, false, fmt.Errorf("@%s/%s: %s lowering: %w", ls.Fn.Nam, ls.Header.Nam, c.Technique, verr)
-		}
-		*taskID++
-		sel.Winner = c.Technique
-		sel.TaskName = name
-		sel.Lowered = true
-		sel.Why = why(c, "lowered")
-		return sel, true, nil
+
+	// ---- lower: the plan promised it can be, so a failure is an error ----
+	name := fmt.Sprintf("%s%s.task%d", prefix, w.Technique, *taskID)
+	if err := w.Plan.Lower(name); err != nil {
+		return sel, false, fmt.Errorf("@%s/%s: %s planned the loop but did not lower it: %w", ls.Fn.Nam, ls.Header.Nam, w.Technique, err)
 	}
-	sel.Why = fmt.Sprintf("every plan tried failed to lower (%s)",
-		strings.Join(sel.Fallbacks, "; "))
-	return sel, false, nil
+	// Static verification gates dynamic execution: fail the run with the
+	// named invariant instead of letting the miscompile run.
+	if verr := verify.Module(n.Mod, verify.TierComm).Err(); verr != nil {
+		return sel, false, fmt.Errorf("@%s/%s: %s lowering: %w", ls.Fn.Nam, ls.Header.Nam, w.Technique, verr)
+	}
+	*taskID++
+	sel.TaskName = name
+	sel.Lowered = true
+	sel.Why = why("lowered")
+	return sel, true, nil
 }
 
-// rank is the competing run's score-and-rank step: the up-front training
+// fastest is the competing run's scoring step: the up-front training
 // run's rows price every plan at once when the loop's plans segment it as
 // they did then; otherwise the loop is priced alone on the current module
-// (machine.AttributeLoops, a batch of one). The profitable plans come back
-// fastest modeled time first (stable: registry order breaks ties). When it
-// returns no plan, sel.Why says why the loop stays sequential.
-func (pr *pricer) rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) ([]*Candidate, error) {
+// (machine.AttributeLoops, a batch of one). It returns the plan with the
+// fastest modeled time (registry order breaks ties) when that time beats
+// the sequential one; otherwise nil, with sel.Why saying why the loop
+// stays sequential.
+func (pr *pricer) fastest(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) (*Candidate, error) {
 	specs := make([]machine.SegSpec, len(planned))
 	techs := make([]string, len(planned))
 	for i, c := range planned {
@@ -468,24 +461,20 @@ func (pr *pricer) rank(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*
 		return nil, nil
 	}
 	seq := machine.SequentialCycles(invss[0])
-	var ranked []*Candidate
 	best := planned[0]
 	for i, c := range planned {
 		c.Seq = seq
 		c.Par = machine.SimulateAll(invss[i], c.Plan.EstimateInvocation)
-		if c.Par < c.Seq {
-			ranked = append(ranked, c)
-		}
 		if c.Par < best.Par {
 			best = c
 		}
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Par < ranked[j].Par })
-	if len(ranked) == 0 {
+	if best.Par >= seq {
 		sel.Why = fmt.Sprintf("no technique predicted a speedup (best %s: %d >= seq %d cycles)",
 			best.Technique, best.Par, seq)
+		return nil, nil
 	}
-	return ranked, nil
+	return best, nil
 }
 
 // winnerWhy renders the "why this technique won" line: the winner's

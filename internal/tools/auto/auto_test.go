@@ -231,9 +231,9 @@ int main() {
 }
 
 // greedyPlanner claims an absurdly fast plan for every loop but can never
-// lower it: the orchestrator must fall back to the best real technique.
-// The registry is process-global, so the planner stays registered after
-// its test; greedyEnabled confines its influence to that test.
+// lower it: it breaks the promise a plan makes. The registry is
+// process-global, so the planner stays registered after its test;
+// greedyEnabled confines its influence to that test.
 var greedyEnabled = false
 
 type greedyPlanner struct{}
@@ -269,28 +269,26 @@ type lowerErr struct{}
 
 func (*lowerErr) Error() string { return "greedy plans are not realizable" }
 
-func TestAutoFallsBackWhenWinnerCannotLower(t *testing.T) {
+// A plan is a promise: when the winning plan's Lower fails anyway, the
+// run fails, naming the loop and the planner, instead of searching for a
+// second choice the plan-only run would not have made.
+func TestAutoFailsWhenAWinningPlanDoesNotLower(t *testing.T) {
 	tool.RegisterPlanner(greedyPlanner{})
 	greedyEnabled = true
 	t.Cleanup(func() { greedyEnabled = false })
 
-	res, _ := runAuto(t, dataParallelSrc, 0)
-	fellBack := false
-	for _, s := range res.Selections {
-		if s.Winner == "" {
-			continue
-		}
-		if s.Winner == "zz-greedy" {
-			t.Errorf("@%s/%s: unlowerable planner won", s.Fn, s.Header)
-		}
-		for _, fb := range s.Fallbacks {
-			if strings.Contains(fb, "zz-greedy") && strings.Contains(fb, "not realizable") {
-				fellBack = true
-			}
-		}
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	n := core.New(compile(t, dataParallelSrc), opts)
+	first := n.HotLoops()[0]
+	_, err := auto.Run(context.Background(), n, tool.Options{ExecutePlans: true})
+	if err == nil {
+		t.Fatal("auto lowered every loop although the winning plan cannot be lowered")
 	}
-	if !fellBack {
-		t.Errorf("no selection recorded a fallback from the greedy planner: %+v", res.Selections)
+	for _, want := range []string{"@" + first.Fn.Nam + "/" + first.Header.Nam + ":", "zz-greedy", "not realizable"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -36,10 +36,10 @@ func (autoTool) Run(ctx context.Context, n *core.Noelle, opts tool.Options) (too
 
 // Report renders a driver Result, competing or pinned, in the one
 // vocabulary the four parallelizing tools share: how many visited loops
-// got a technique, one why-line per loop (with its task name and
-// fallbacks), one line per loop left sequential, and the metrics loops /
-// selected / lowered / unparallelized / fallbacks / selected_<technique>,
-// plus a competing run's training_runs / price_misses.
+// got a technique, one why-line per loop (with its task name), one line
+// per loop left sequential, and the metrics loops / selected / lowered /
+// unparallelized / selected_<technique>, plus a competing run's
+// training_runs / price_misses.
 func Report(r Result, opts tool.Options) tool.Report {
 	perTech := map[string]int64{}
 	for _, s := range r.Selections {
@@ -74,11 +74,6 @@ func Report(r Result, opts tool.Options) tool.Report {
 			"unparallelized": int64(len(r.Rejections)),
 		},
 	}
-	fallbacks := int64(0)
-	for _, s := range r.Selections {
-		fallbacks += int64(len(s.Fallbacks))
-	}
-	rep.Metrics["fallbacks"] = fallbacks
 	if r.Pinned == "" {
 		rep.Metrics["training_runs"] = int64(r.TrainingRuns)
 		rep.Metrics["price_misses"] = int64(r.PriceMisses)
@@ -91,9 +86,6 @@ func Report(r Result, opts tool.Options) tool.Report {
 		line := fmt.Sprintf("@%s/%s: %s", s.Fn, s.Header, s.Why)
 		if s.TaskName != "" {
 			line += " -> " + s.TaskName
-		}
-		for _, fb := range s.Fallbacks {
-			line += "; fallback from " + fb
 		}
 		rep.Detail = append(rep.Detail, line)
 	}

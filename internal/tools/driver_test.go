@@ -255,3 +255,64 @@ func TestLoweringIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanOnlyMatchesLowered: a plan is a promise. On every corpus
+// program, profiled, at 2 and 12 cores, the competing run and each pinned
+// run select the same (function, header, technique) set plan-only as they
+// do when lowering a clone — so a plan-only report says what the tool
+// does, and no plan falls through to a second choice at lowering time.
+func TestPlanOnlyMatchesLowered(t *testing.T) {
+	selected := func(res auto.Result) []string {
+		var out []string
+		for _, s := range res.Selections {
+			if s.Winner != "" {
+				out = append(out, "@"+s.Fn+"/"+s.Header+" "+s.Winner)
+			}
+		}
+		return out
+	}
+	cells, lowered := 0, 0
+	for _, b := range bench.List() {
+		m, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := profiler.Collect(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof.Embed()
+		for _, cores := range []int{2, 12} {
+			copts := core.DefaultOptions()
+			copts.Cores = cores
+			for _, tech := range append([]string{""}, tool.PlannerNames()...) {
+				runs := [2][]string{}
+				for i, execute := range []bool{false, true} {
+					opts := tool.DefaultOptions()
+					opts.ExecutePlans = execute
+					n := core.New(ir.CloneModule(m), copts)
+					var res auto.Result
+					if tech == "" {
+						res, err = auto.Run(context.Background(), n, opts)
+					} else {
+						res, err = auto.RunPinned(context.Background(), n, opts, tech)
+					}
+					if err != nil {
+						t.Fatalf("%s at %d cores (%q, lowering %v): %v", b.Name, cores, tech, execute, err)
+					}
+					runs[i] = selected(res)
+					if execute {
+						lowered += res.Lowered()
+					}
+				}
+				if strings.Join(runs[0], "\n") != strings.Join(runs[1], "\n") {
+					t.Errorf("%s at %d cores (%q): plan-only selects %v, lowering selects %v", b.Name, cores, tech, runs[0], runs[1])
+				}
+				cells++
+			}
+		}
+	}
+	if cells != 41*2*4 || lowered == 0 {
+		t.Errorf("%d cells, %d loops lowered; want 328 cells and some lowering", cells, lowered)
+	}
+}

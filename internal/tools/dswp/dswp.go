@@ -42,24 +42,21 @@ type Plan struct {
 // Lower rewrites the planned loop into its executable pipeline form —
 // per-stage worker functions communicating over bounded queues, launched
 // through noelle_dispatch under taskName — invalidating the manager's
-// cached abstractions on success. It refuses (without corrupting the
-// module) when the code generator does not cover the plan's shape
-// (CanLower).
+// cached abstractions. PlanLoop only returns plans canLower accepts, so
+// Lower does not check again.
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
 	p.n.Use(core.AbsTask)
 	p.n.Use(core.AbsLB)
-	if err := CanLower(p); err != nil {
-		return err
-	}
 	transform(p, taskName)
 	p.n.InvalidateModule()
 	return nil
 }
 
 // PlanLoop plans one specific loop; a nil plan comes with the rejection
-// reason.
+// reason. A plan is a promise: one the code generator does not cover
+// (canLower) is refused here, so every plan returned can be lowered.
 func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	l := n.Loop(ls)
 	dag := l.SCCDAG
@@ -114,6 +111,9 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	p.NumStages = stage + 1
 	if p.NumStages < 2 {
 		return nil, fmt.Errorf("stage packing collapsed to one stage")
+	}
+	if err := canLower(p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

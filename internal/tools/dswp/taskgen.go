@@ -274,12 +274,12 @@ func bodyTop(ls *loops.LS) *ir.Block {
 	return bt
 }
 
-// CanLower checks whether a plan can be lowered to executable pipeline
+// canLower checks whether a plan can be lowered to executable pipeline
 // form: the canonical loop shape the generator handles, fully replicable
 // control, a body top and a latch where every sent value can be staged
 // exactly once per iteration, and no calls (stage-grouped execution would
 // reorder their I/O).
-func CanLower(p *Plan) error {
+func canLower(p *Plan) error {
 	ls, l := p.LS, p.Loop
 	// Stages replicate the loop control as it is; nothing is re-seeded.
 	if err := loopbuilder.Outlinable(l, false); err != nil {

@@ -76,18 +76,14 @@ func ShrinkHeaders(n *core.Noelle) int {
 // Lower rewrites the planned loop into its executable per-block form —
 // one dispatched task invocation per block of iterations, each sequential
 // segment a phase loop bracketed by its ticket signal, under taskName —
-// invalidating the manager's cached abstractions on success. It refuses
-// (without corrupting the module) when the code generator does not cover
-// the plan's shape (CanLower).
+// invalidating the manager's cached abstractions on success. PlanLoop
+// only returns plans canLower accepts, so Lower does not check again.
 func (p *Plan) Lower(taskName string) error {
 	// The mechanisms the rewrite is built from.
 	p.n.Use(core.AbsENV)
 	p.n.Use(core.AbsTask)
 	p.n.Use(core.AbsLB)
 	p.n.Use(core.AbsIVS)
-	if err := CanLower(p); err != nil {
-		return err
-	}
 	if err := transform(p, taskName); err != nil {
 		return err
 	}
@@ -97,7 +93,9 @@ func (p *Plan) Lower(taskName string) error {
 
 // PlanLoop plans one specific loop without touching the module (auto
 // plans every candidate loop before lowering any, and prices what it
-// planned); a nil plan comes with the rejection reason.
+// planned); a nil plan comes with the rejection reason. A plan is a
+// promise: one the code generator does not cover (canLower) is refused
+// here, so every plan returned can be lowered.
 func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	l := n.Loop(ls)
 	if l.IVs.GoverningIV() == nil {
@@ -139,6 +137,9 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 			}
 			return true
 		})
+	}
+	if err := canLower(p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -81,12 +81,14 @@ func plans(res auto.Result) []*helix.Plan {
 	return out
 }
 
-// notLowered lists the "technique: reason" records of the plans whose
-// Lower failed.
+// notLowered lists the planner's refusals as "technique: reason", one per
+// visited loop it did not plan (a plan it returns is one it can lower).
 func notLowered(res auto.Result) []string {
 	var out []string
 	for _, s := range res.Selections {
-		out = append(out, s.Fallbacks...)
+		if c := s.Candidates[0]; c.Rejection != "" {
+			out = append(out, c.Technique+": "+c.Rejection)
+		}
 	}
 	return out
 }

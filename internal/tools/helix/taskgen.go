@@ -141,7 +141,7 @@ func (ph *phasing) deps(l *loops.Loop, fn func(from, to *ir.Instr, carried bool)
 	})
 	for _, br := range ph.branches {
 		if br.merge == nil {
-			continue // CanLower refuses the loop
+			continue // canLower refuses the loop
 		}
 		for _, phi := range br.merge.Phis() {
 			if more {
@@ -293,11 +293,11 @@ func lastValuePhi(p *Plan, phi *ir.Instr) bool {
 	return unread(p.LS, phi)
 }
 
-// CanLower checks whether a plan can be lowered to per-block dispatch:
+// canLower checks whether a plan can be lowered to per-block dispatch:
 // canonical loop shape, affinely re-seedable IVs, loop control every phase
 // can replicate, sequential state expressible as guarded cells, and
 // dependences that all point forward along the phases.
-func CanLower(p *Plan) error {
+func canLower(p *Plan) error {
 	ls, l := p.LS, p.Loop
 	// Every phase loop re-seeds its IVs at the block's first iteration.
 	if err := loopbuilder.Outlinable(l, true); err != nil {

@@ -238,6 +238,28 @@ func TestPipelineUnknownToolFails(t *testing.T) {
 	}
 }
 
+// TestPipelineRefusesCoreCounts: a core count outside [1, core.MaxCores]
+// is refused before any stage runs: with zero cores DOALL's product
+// prints zeros, HELIX's divides by zero and auto panics, and thousands of
+// cores take seconds to lower a handful of loops.
+func TestPipelineRefusesCoreCounts(t *testing.T) {
+	for _, cores := range []int{0, -1, core.MaxCores + 1} {
+		m := compile(t, registryFixture)
+		before := ir.Print(m)
+		opts := core.DefaultOptions()
+		opts.Cores = cores
+		topts := tool.DefaultOptions()
+		topts.ExecutePlans = true
+		reps, _, err := tool.RunPipeline(context.Background(), core.New(m, opts), []string{"doall", "helix", "auto"}, topts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cores %d outside [1, %d]", cores, core.MaxCores)) {
+			t.Errorf("cores %d: error %v, want the core count refused", cores, err)
+		}
+		if len(reps) != 0 || ir.Print(m) != before {
+			t.Errorf("cores %d: %d stages ran before the refusal", cores, len(reps))
+		}
+	}
+}
+
 func TestPipelineCancelledContext(t *testing.T) {
 	m := compile(t, registryFixture)
 	n := newN(m)

@@ -12,6 +12,7 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/machine"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
@@ -29,6 +30,7 @@ import (
 	"noelle/internal/tools/perspective"
 	"noelle/internal/tools/prvj"
 	"noelle/internal/tools/timesq"
+	"noelle/internal/verify"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -137,12 +139,16 @@ int main() {
 	r0, o0, _ := run(t, ir.CloneModule(m))
 	res := dead.Run(newN(m))
 	// plain_dead must go. stored_never_called has its address taken but
-	// the complete call graph proves no call can reach it: it goes too.
+	// the complete call graph proves no call can reach it: its body goes
+	// too, and its symbol stays as a stub for the stored address to name.
 	if m.FunctionByName("plain_dead") != nil {
 		t.Error("plain_dead survived")
 	}
-	if m.FunctionByName("stored_never_called") != nil {
-		t.Error("stored_never_called survived despite complete call graph")
+	if f := m.FunctionByName("stored_never_called"); f == nil || len(f.Blocks) != 1 || len(f.Blocks[0].Instrs) != 1 || res.Stubbed != 1 {
+		t.Errorf("stored_never_called not reduced to a stub despite complete call graph (stubbed %d)", res.Stubbed)
+	}
+	if err := verify.Module(m, verify.TierSSA).Err(); err != nil {
+		t.Errorf("module does not verify after dead: %v", err)
 	}
 	if m.FunctionByName("used") == nil {
 		t.Error("used was removed")
@@ -171,6 +177,75 @@ int main() {
 	}
 	if m2.FunctionByName("plain_dead") != nil {
 		t.Error("baseline kept plain_dead")
+	}
+}
+
+// An unreachable function that returns a pointer cannot be stubbed, so
+// its body survives whole, and a function whose address only that body
+// takes must survive too (as a stub), or the body names nothing.
+func TestDeadKeepsWhatSurvivingBodiesName(t *testing.T) {
+	m, err := irtext.Parse(`module "m"
+func @inner(%x: i64) i64 {
+entry:
+  %y = mul %x, 2
+  ret %y
+}
+func @outer() ptr<fn(i64) i64> {
+entry:
+  %p = alloca fn(i64) i64, 1
+  store fn(i64) i64 @inner, %p
+  ret %p
+}
+func @main() i64 {
+entry:
+  %q = alloca fn() ptr<fn(i64) i64>, 1
+  store fn() ptr<fn(i64) i64> @outer, %q
+  ret 0
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := dead.Run(newN(m))
+	if res.Removed != 0 || res.Stubbed != 1 || m.FunctionByName("outer").NumInstrs() != 3 || m.FunctionByName("inner").NumInstrs() != 1 {
+		t.Errorf("removed %d, stubbed %d; want @outer whole and @inner stubbed", res.Removed, res.Stubbed)
+	}
+	if err := verify.Module(m, verify.TierSSA).Err(); err != nil {
+		t.Errorf("module does not verify after dead: %v", err)
+	}
+}
+
+// TestDeadKeepsCorpusValid: on every corpus program, what dead leaves
+// verifies at the ssa tier (no surviving instruction names a deleted
+// function; omnetpp_r and perlbench_r store the address of a handler no
+// call reaches) and prints what the original prints on the walker.
+func TestDeadKeepsCorpusValid(t *testing.T) {
+	walk := func(m *ir.Module) (int64, string) {
+		it := interp.New(m)
+		it.Eng = interp.EngineWalker
+		r, err := it.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		return r, it.Output.String()
+	}
+	stubbed := 0
+	for _, b := range bench.List() {
+		m, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0, o0 := walk(ir.CloneModule(m))
+		stubbed += dead.Run(newN(m)).Stubbed
+		if err := verify.Module(m, verify.TierSSA).Err(); err != nil {
+			t.Errorf("%s: dead left a module that does not verify: %v", b.Name, err)
+			continue
+		}
+		if r1, o1 := walk(m); r1 != r0 || o1 != o0 {
+			t.Errorf("%s: dead changed what the program prints: (%d, %q) -> (%d, %q)", b.Name, r0, o0, r1, o1)
+		}
+	}
+	if stubbed == 0 {
+		t.Error("no corpus program has an address-taken function no call reaches")
 	}
 }
 
@@ -383,11 +458,7 @@ int main() {
 // ---------- HELIX / DSWP ----------
 
 func TestHELIXPlansSequentialSegments(t *testing.T) {
-	b, err := bench.ByName("rawcaudio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := b.Compile()
+	m, err := bench.PipelineProgram(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +490,7 @@ func TestHELIXPlansSequentialSegments(t *testing.T) {
 		}
 	}
 	if !foundSeq {
-		t.Error("ADPCM's carried state produced no sequential segment")
+		t.Error("the pipeline program's recurrence produced no sequential segment")
 	}
 }
 
