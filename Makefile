@@ -60,10 +60,14 @@ race:
 # differentials (compiled Collect and compiled loop-cost attribution,
 # each loop alone and every loop of a module in one run, against the
 # walker on the corpus, the synthetic programs, their lowerings and 150
-# generated programs). The alias package rides along
-# the same way: its worklist solver and bottom-up summaries are held to
-# the round-robin reference on those subjects before and after `auto`
-# lowered them, and four concurrent PDG builds share one PointsTo. So does
+# generated programs). The memory rides along by name too: the page
+# table against the sharded page map and 8-slot cache it replaced, on
+# one seeded random sequence of reads, writes and bulk runs (same values,
+# same fingerprint), and goroutines racing to install one fresh page in
+# one fresh leaf (every write survives), under -race. The alias package
+# rides along the same way: its worklist solver and bottom-up summaries
+# are held to the round-robin reference on those subjects before and
+# after `auto` lowered them, and four concurrent PDG builds share one PointsTo. So does
 # the loop bundle: every query of every loop's bundle against the
 # map-keyed builders it replaced (before and after `auto`), the bundle
 # over store-decoded and embedded PDGs against the cold one, CSR's Tarjan,
@@ -79,6 +83,7 @@ tier-diff:
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
+	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace' -v ./internal/interp/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
 	$(GO) test -run 'TestParseMatchesReference|TestFingerprintMatchesReference' -v ./internal/irtext/ ./internal/ir/
@@ -90,7 +95,9 @@ tier-diff:
 # allocations per solve), auto's plan-and-price decision
 # (BenchmarkAutoPricing: one training run), a cold and a warm pass over
 # every function PDG, the loop bundle of every loop over built PDGs
-# (BenchmarkLoopBundle), and the ablations.
+# (BenchmarkLoopBundle), an interpreted step on the compiled tier
+# (BenchmarkInterpSteps: ns/step over the untransformed
+# bench.ParallelProgram(65536)), and the ablations.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 

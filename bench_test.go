@@ -1,8 +1,8 @@
 // Package noelle's root benchmarks measure what nothing else in the
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
 // cold vs warm abstraction-store load, the unit costs of reading and
-// keying a module, of a points-to analysis, of the loop bundle and of
-// auto's pricing, and four design
+// keying a module, of a points-to analysis, of the loop bundle, of
+// auto's pricing and of an interpreted step, and four design
 // ablations (demand-driven construction, alias stacks, HELIX header
 // scheduling, DOALL chunk size). Run them with
 //
@@ -22,6 +22,7 @@ import (
 	"noelle/internal/bench"
 	"noelle/internal/core"
 	"noelle/internal/eval"
+	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/irtext"
 	"noelle/internal/loops"
@@ -202,6 +203,29 @@ func BenchmarkFingerprintWhole(b *testing.B) {
 	for b.Loop() {
 		ir.NewFingerprinter(m).Module()
 	}
+}
+
+// BenchmarkInterpSteps is the unit cost of an interpreted step: the
+// untransformed bench.ParallelProgram(65536) run to completion on the
+// compiled tier, whose loops load and store three arrays at the same
+// index. It reports ns per executed step; a fresh image per run, so
+// first-write page creation is part of the price.
+func BenchmarkInterpSteps(b *testing.B) {
+	m, err := bench.ParallelProgram(65536)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var steps int64
+	b.ReportAllocs()
+	for b.Loop() {
+		it := interp.New(m)
+		it.Eng = interp.EngineCompiled
+		if _, err := it.Run(); err != nil {
+			b.Fatal(err)
+		}
+		steps += it.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
 func cacheBenchModule(b *testing.B) *ir.Module {

@@ -1,0 +1,66 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// wildStore stores through a pointer 16 bytes below its global (@g is
+// laid out at address 8), from @main or from worker 1 of a dispatch.
+const wildStore = `module "wild"
+global @g : [2 x i64] zeroinit
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %p = ptradd @g, -2
+  store i64 %w, %p
+  ret void
+}
+func @main() i64 {
+entry:
+  %p = ptradd @g, -2
+  store i64 7, %p
+  ret 0
+}
+`
+
+// TestWildStoreExitsWithError builds noelle-bin and runs it on a store to
+// a negative address: every engine, -seq or not, must report the
+// interpreter's error and exit 1, not crash (a Go panic exits 2).
+func TestWildStoreExitsWithError(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "noelle-bin")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ name, main string }{
+		{"root", wildStore},
+		{"worker", strings.Replace(wildStore, "  %p = ptradd @g, -2\n  store i64 7, %p\n",
+			"  %env = alloca i64, 1\n  call void @noelle_dispatch(@task, %env, 2)\n", 1)},
+	} {
+		in := filepath.Join(dir, tc.name+".nir")
+		if err := os.WriteFile(in, []byte(tc.main), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"-engine", "walker"}, {"-engine", "compiled"}, {"-seq", "-engine", "walker"}, {"-seq", "-engine", "compiled"},
+		} {
+			cmd := exec.Command(bin, append(args, in)...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%s %v: %v, want exit status 1\n%s", tc.name, args, err, stderr.String())
+				continue
+			}
+			if want := "interp: store at address -8 outside memory"; !strings.Contains(stderr.String(), want) {
+				t.Errorf("%s %v: stderr %q does not report %q", tc.name, args, stderr.String(), want)
+			}
+		}
+	}
+}

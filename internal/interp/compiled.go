@@ -91,8 +91,15 @@ blockLoop:
 				// where the walker's per-instruction check would. Safe to
 				// abort mid-op: only the final fused instruction (the
 				// store or the branch) has an observable effect, and it
-				// only runs if every check below passes.
-				for _, c := range op.subCost {
+				// only runs if every check below passes. A fused load
+				// from outside memory traps right after it retires, in
+				// front of the next budget check, as the walker's does.
+				for i, c := range op.subCost {
+					if i == 1 && op.code == cLoadOpStore {
+						if p := int64(op.a.get(fr)); !inMemory(p) {
+							return 0, errAddress("load", p)
+						}
+					}
 					if it.Steps >= maxSteps {
 						var ok bool
 						if maxSteps, ok = it.extendStepBudget(); !ok {
@@ -167,9 +174,22 @@ blockLoop:
 				}
 				fr[op.dst] = pick.get(fr)
 			case cLoad:
-				fr[op.dst] = it.readCell(int64(op.a.get(fr)))
+				// pageOf inline, readCell (not inlinable) on a miss.
+				p := int64(op.a.get(fr))
+				if pg := it.pageOf(uint64(p) >> 3); pg != nil {
+					fr[op.dst] = pg[uint64(p)>>3%pageCells]
+				} else if v, ok := it.readCell(p); ok {
+					fr[op.dst] = v
+				} else {
+					return 0, errAddress("load", p)
+				}
 			case cStore:
-				it.writeCell(int64(op.b.get(fr)), op.a.get(fr))
+				p := int64(op.b.get(fr))
+				if pg := it.pageOf(uint64(p) >> 3); pg != nil {
+					pg[uint64(p)>>3%pageCells] = op.a.get(fr)
+				} else if !it.writeCell(p, op.a.get(fr)) {
+					return 0, errAddress("store", p)
+				}
 			case cPtrAdd:
 				fr[op.dst] = uint64(int64(op.a.get(fr)) + int64(op.b.get(fr))*op.k)
 			case cAlloca:
@@ -231,7 +251,14 @@ blockLoop:
 				continue blockLoop
 			case cLoadOpStore:
 				p := int64(op.a.get(fr))
-				x, y := it.readCell(p), op.b.get(fr)
+				x, ok := it.readCell(p)
+				if !ok {
+					// The walker traps at the load: retire only it.
+					it.Steps -= op.steps - 1
+					it.Cycles -= op.cost - op.subCost[0]
+					return 0, errAddress("load", p)
+				}
+				y := op.b.get(fr)
 				if op.rev {
 					x, y = y, x
 				}

@@ -188,15 +188,18 @@ const maxBulkValues = 1 << 20
 
 // bulkRun returns the cells of the buffer [addr, addr+8n) that lie in
 // addr's page: the piece of it a bulk operation can hand to the queue
-// runtime as one slice, with no copy through the context.
+// runtime as one slice, with no copy through the context. checkBulk has
+// put the whole buffer inside memory.
 func (it *Interp) bulkRun(addr, n int64) []uint64 {
-	cell := addr >> 3
+	cell := uint64(addr) >> 3
 	off := cell % pageCells
-	return it.img.pages.getOrCreate(cell / pageCells)[off:min(off+n, pageCells)]
+	return it.page(cell)[off:min(off+uint64(n), pageCells)]
 }
 
+// checkBulk rejects a count beyond maxBulkValues and a buffer that does
+// not lie wholly inside memory, before the operation moves any value.
 func checkBulk(name string, addr, n int64) error {
-	if n < 0 || n > maxBulkValues || addr < 0 {
+	if n < 0 || n > maxBulkValues || !inMemory(addr) || uint64(addr)>>3+uint64(n) > memCells {
 		return fmt.Errorf("interp: @%s: buffer %d, count %d out of range", name, addr, n)
 	}
 	return nil

@@ -10,66 +10,114 @@ import (
 	"noelle/internal/queue"
 )
 
-// pageShardCount spreads the page map over independently-locked shards so
-// concurrent dispatch workers touching different pages never contend on
-// one lock. Must be a power of two.
-const pageShardCount = 64
+// Memory geometry. A cell is 8 bytes; addr>>3 names it. The page table
+// is two levels deep: a top-level slice of leaves, each leaf a fixed
+// array of page pointers, each page a fixed array of cells.
+const (
+	pageShift = 10 // 1024 cells: 8 KiB pages
+	pageCells = 1 << pageShift
+	leafShift = 9 // 512 pages: a leaf maps 4 MiB and costs 4 KiB
+	leafPages = 1 << leafShift
 
-// pageStore is the concurrency-safe page map shared by every execution
-// context of one module image. Pages are created on first touch and live
-// for the image's lifetime (freeing an allocation only retires its range
-// from the allocation table), so a []uint64 obtained from the store stays
-// valid forever and can be cached lock-free by execution contexts.
+	// memBytes is the address range: every load, store and bulk queue
+	// buffer lies in [0, memBytes) or is a run-time error. Allocas are
+	// never reused, and a HELIX lowering allocates crossing-value
+	// buffers on every task call, mostly never written: the largest
+	// image the corpus programs, their lowerings at 2 and 12 cores and
+	// the generated fuzzing subjects reach is about 600 MiB (leela_r),
+	// and blender_r's HELIX lowering reaches about 3 GiB from 128 cores
+	// up to core.MaxCores. 16 GiB leaves room at every core count while
+	// bounding the pages a program can create; the top level it needs is
+	// at most 4096 pointers, and only touched leaves exist.
+	memBytes  = 1 << 34
+	memCells  = memBytes >> 3
+	maxLeaves = memCells >> (pageShift + leafShift)
+)
+
+// page is one page of cells; leaf maps leafPages consecutive pages, a
+// slot staying nil until its page's first write.
+type (
+	page [pageCells]uint64
+	leaf [leafPages]atomic.Pointer[page]
+)
+
+// pageTable is the memory shared by every execution context of one
+// module image. A leaf, once installed, never moves and is never
+// replaced, and neither is a page, installed in its leaf by
+// compare-and-swap (freeing an allocation only retires its range from the
+// allocation table). The top level only ever grows, by copy under grow,
+// when a write lands beyond it, and grow also serializes leaf installs,
+// so none is lost to a concurrent copy. So a context can keep its own
+// copy of the top level and reach any cell with two indexed loads, no
+// lock, no map and nothing to evict (Interp.pageOf).
 //
-// The store synchronizes the page *directory* only. Cell reads and writes
-// on a page are plain slice accesses: correctly-parallelized tasks write
-// disjoint cells (reductions are privatized per worker through ENV slots),
-// so concurrent accesses to one page land on different elements, which the
-// Go memory model permits without synchronization — and a genuine
-// same-cell conflict is a real bug in the parallelized program that the
-// race detector should surface, not one the runtime should hide.
-type pageStore struct {
-	shards [pageShardCount]pageShard
+// The table synchronizes the page *directory* only. Cell reads and
+// writes on a page are plain array accesses: correctly-parallelized
+// tasks write disjoint cells (reductions are privatized per worker
+// through ENV slots), so concurrent accesses to one page land on
+// different elements, which the Go memory model permits without
+// synchronization — and a genuine same-cell conflict is a real bug in
+// the parallelized program that the race detector should surface, not
+// one the runtime should hide.
+type pageTable struct {
+	grow sync.Mutex
+	top  atomic.Pointer[[]atomic.Pointer[leaf]]
 }
 
-type pageShard struct {
-	mu    sync.RWMutex
-	pages map[int64][]uint64
+// leaves returns the published top level (nil before the first write).
+func (t *pageTable) leaves() []atomic.Pointer[leaf] {
+	if top := t.top.Load(); top != nil {
+		return *top
+	}
+	return nil
 }
 
-func (ps *pageStore) shard(page int64) *pageShard {
-	return &ps.shards[uint64(page)%pageShardCount]
-}
-
-// get returns the page's cell array, or nil if the page was never written.
-func (ps *pageStore) get(page int64) []uint64 {
-	s := ps.shard(page)
-	s.mu.RLock()
-	p := s.pages[page]
-	s.mu.RUnlock()
+// page returns the page holding cell (which must be below memCells), or
+// nil if it was never written and create is false. With create set it
+// installs the page, and first its leaf, on first touch.
+func (t *pageTable) page(cell uint64, create bool) *page {
+	top, l := t.leaves(), cell>>(pageShift+leafShift)
+	var lf *leaf
+	if l < uint64(len(top)) {
+		lf = top[l].Load()
+	}
+	if lf == nil {
+		if !create {
+			return nil
+		}
+		lf = t.addLeaf(l)
+	}
+	slot := &lf[cell>>pageShift%leafPages]
+	p := slot.Load()
+	if p == nil && create {
+		p = new(page)
+		if !slot.CompareAndSwap(nil, p) {
+			p = slot.Load() // another context touched it first
+		}
+	}
 	return p
 }
 
-// getOrCreate returns the page's cell array, allocating it on first touch.
-func (ps *pageStore) getOrCreate(page int64) []uint64 {
-	s := ps.shard(page)
-	s.mu.RLock()
-	p := s.pages[page]
-	s.mu.RUnlock()
-	if p != nil {
-		return p
+// addLeaf returns leaf l, installing it first if no context has, in a
+// top level grown (at least doubled) to reach it if it does not.
+func (t *pageTable) addLeaf(l uint64) *leaf {
+	t.grow.Lock()
+	defer t.grow.Unlock()
+	top := t.leaves()
+	if l >= uint64(len(top)) {
+		grown := make([]atomic.Pointer[leaf], min(max(l+1, 2*uint64(len(top))), maxLeaves))
+		for i := range top {
+			grown[i].Store(top[i].Load())
+		}
+		top = grown
+		t.top.Store(&top)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.pages[page]; p != nil {
-		return p // another worker touched it first
+	lf := top[l].Load()
+	if lf == nil {
+		lf = new(leaf)
+		top[l].Store(lf)
 	}
-	p = make([]uint64, pageCells)
-	if s.pages == nil {
-		s.pages = map[int64][]uint64{}
-	}
-	s.pages[page] = p
-	return p
+	return lf
 }
 
 // image is the module's shared execution state: memory pages, the
@@ -78,8 +126,8 @@ func (ps *pageStore) getOrCreate(page int64) []uint64 {
 // dispatcher forks from it; the mutable parts are concurrency-safe, the
 // rest is immutable after New.
 type image struct {
-	mod   *ir.Module
-	pages pageStore
+	mod *ir.Module
+	mem pageTable
 
 	// heapMu guards the bump allocator and the live-allocation table.
 	heapMu  sync.RWMutex
@@ -118,7 +166,7 @@ type image struct {
 	commGen atomic.Int64
 
 	// comm is the inter-worker communication runtime (bounded queues and
-	// ticket signals, internal/queue). Like the page store it is shared
+	// ticket signals, internal/queue). Like the page table it is shared
 	// by every execution context of the image; handles created by the
 	// dispatching context are visible to all its workers.
 	comm *queue.Runtime
@@ -185,14 +233,18 @@ func (img *image) validAddress(addr int64) bool {
 	return false
 }
 
+// writeCell and readCell are the image's own accesses: global
+// initializers and the fingerprint. An initializer past the address range
+// is dropped, since no load can reach it.
 func (img *image) writeCell(addr int64, v uint64) {
-	cell := addr >> 3
-	img.pages.getOrCreate(cell / pageCells)[cell%pageCells] = v
+	if cell := uint64(addr) >> 3; cell < memCells {
+		img.mem.page(cell, true)[cell%pageCells] = v
+	}
 }
 
 func (img *image) readCell(addr int64) uint64 {
-	cell := addr >> 3
-	if p := img.pages.get(cell / pageCells); p != nil {
+	cell := uint64(addr) >> 3
+	if p := img.mem.page(cell, false); p != nil {
 		return p[cell%pageCells]
 	}
 	return 0

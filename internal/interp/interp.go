@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"noelle/internal/ir"
 	"noelle/internal/obs"
@@ -24,14 +25,14 @@ func errInvalidFnID(idx int64) error {
 	return fmt.Errorf("interp: indirect call to invalid function id %d", idx)
 }
 
-const pageCells = 1024 // 8 KiB pages
+// errAddress is a load, store or bulk queue buffer outside [0, memBytes):
+// the same error on both engines, so a wild pointer is a trap, not a
+// host panic or an unbounded page allocation.
+func errAddress(access string, addr int64) error {
+	return fmt.Errorf("interp: %s at address %d outside memory [0, %d)", access, addr, int64(memBytes))
+}
 
 const defaultMaxSteps = 200_000_000
-
-// pageCacheSize is the per-context direct-mapped cache of page arrays:
-// once a page exists its cell array never moves, so a context can keep
-// the mapping and skip the shared store's lock on repeated touches.
-const pageCacheSize = 8
 
 // Interp is one execution context over a module image: a private call
 // stack, step/cycle counters, output buffer, and hook set. New returns
@@ -139,9 +140,10 @@ type Interp struct {
 	// contexts (see stepPool in parallel.go).
 	pool *stepPool
 
-	// Direct-mapped cache over img.pages (see pageCacheSize).
-	cacheKeys  [pageCacheSize]int64
-	cachePages [pageCacheSize][]uint64
+	// leaves is this context's copy of the image's page-table top level
+	// (see pageTable), reloaded only when an address falls beyond it or
+	// in a leaf it does not hold yet.
+	leaves []atomic.Pointer[leaf]
 
 	// probes is the observation this context serves on the compiled tier
 	// (CountEdges, ObserveLoops; see observe.go). Zero on a plain context.
@@ -156,11 +158,13 @@ type Extern func(it *Interp, args []uint64) (uint64, error)
 // New prepares a root interpreter context for m: assigns IDs, lays out
 // globals into a fresh shared image, and registers the default externs.
 func New(m *ir.Module) *Interp {
+	img := newImage(m)
 	it := &Interp{
 		Mod:      m,
 		Cost:     DefaultCostModel(),
 		MaxSteps: defaultMaxSteps,
-		img:      newImage(m),
+		img:      img,
+		leaves:   img.mem.leaves(),
 	}
 	registerDefaultExterns(it)
 	return it
@@ -192,31 +196,64 @@ func (it *Interp) alloc(size int64) int64 { return it.img.alloc(size) }
 
 func (it *Interp) free(addr int64) { it.img.free(addr) }
 
-func (it *Interp) writeCell(addr int64, v uint64) {
-	cell := addr >> 3
-	page := cell / pageCells
-	slot := uint64(page) % pageCacheSize
-	p := it.cachePages[slot]
-	if p == nil || it.cacheKeys[slot] != page {
-		p = it.img.pages.getOrCreate(page)
-		it.cacheKeys[slot], it.cachePages[slot] = page, p
+// inMemory reports whether addr lies in the address range [0, memBytes).
+func inMemory(addr int64) bool { return uint64(addr)>>3 < memCells }
+
+// pageOf is the fast path of every access: the page holding cell, found
+// through the context's copy of the top level with two indexed loads and
+// no lock, map or eviction. nil sends the access to its slow path, which
+// tells a page never written from a leaf or top level added since the
+// copy and from an address outside memory.
+func (it *Interp) pageOf(cell uint64) *page {
+	if l := cell >> (pageShift + leafShift); l < uint64(len(it.leaves)) {
+		if lf := it.leaves[l].Load(); lf != nil {
+			return lf[cell>>pageShift%leafPages].Load()
+		}
 	}
-	p[cell%pageCells] = v
+	return nil
 }
 
-func (it *Interp) readCell(addr int64) uint64 {
-	cell := addr >> 3
-	page := cell / pageCells
-	slot := uint64(page) % pageCacheSize
-	p := it.cachePages[slot]
-	if p == nil || it.cacheKeys[slot] != page {
-		p = it.img.pages.get(page)
-		if p == nil {
-			return 0
+// readCell returns the cell at addr; a page never written reads 0. ok is
+// false outside the address range, and the caller traps (errAddress).
+func (it *Interp) readCell(addr int64) (v uint64, ok bool) {
+	cell := uint64(addr) >> 3
+	p := it.pageOf(cell)
+	if p == nil {
+		if cell >= memCells {
+			return 0, false
 		}
-		it.cacheKeys[slot], it.cachePages[slot] = page, p
+		it.leaves = it.img.mem.leaves()
+		if p = it.img.mem.page(cell, false); p == nil {
+			return 0, true
+		}
 	}
-	return p[cell%pageCells]
+	return p[cell%pageCells], true
+}
+
+// writeCell stores v at addr, creating its page on first write; ok is
+// false outside the address range, and nothing is written.
+func (it *Interp) writeCell(addr int64, v uint64) (ok bool) {
+	cell := uint64(addr) >> 3
+	p := it.pageOf(cell)
+	if p == nil {
+		if p = it.page(cell); p == nil {
+			return false
+		}
+	}
+	p[cell%pageCells] = v
+	return true
+}
+
+// page is the slow path of a write: the page holding cell, created on
+// first touch, with the context's top level refreshed after any growth.
+// It returns nil for a cell outside the address range.
+func (it *Interp) page(cell uint64) *page {
+	if cell >= memCells {
+		return nil
+	}
+	p := it.img.mem.page(cell, true)
+	it.leaves = it.img.mem.leaves()
+	return p
 }
 
 // MemoryFingerprint hashes the contents of all global storage; semantic
@@ -402,7 +439,11 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 				if err != nil {
 					return 0, err
 				}
-				frame[in] = it.readCell(int64(p))
+				v, ok := it.readCell(int64(p))
+				if !ok {
+					return 0, errAddress("load", int64(p))
+				}
+				frame[in] = v
 
 			case ir.OpStore:
 				v, err := it.value(frame, in.Ops[0])
@@ -413,7 +454,9 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 				if err != nil {
 					return 0, err
 				}
-				it.writeCell(int64(p), v)
+				if !it.writeCell(int64(p), v) {
+					return 0, errAddress("store", int64(p))
+				}
 
 			case ir.OpPtrAdd:
 				p, err := it.value(frame, in.Ops[0])

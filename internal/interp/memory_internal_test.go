@@ -1,0 +1,127 @@
+package interp
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Memory is the address range [0, memBytes). These tests hold both tiers
+// to one rule at its edges: a load, store or bulk queue buffer outside it
+// is an interp: error, from the root context and from a dispatch worker,
+// the same under -seq and parallel dispatch; the last cell inside it is
+// ordinary memory.
+
+// wildAccess is one access at @g + 8*idx (@g is the first global, laid
+// out at address 8). loadopstore is the load;add;store-back idiom the
+// compiled tier fuses into one op.
+var wildAccess = map[string]string{
+	"load": `  %v = load i64, %p
+  call void @print_i64(%v)`,
+	"store": `  store i64 7, %p`,
+	"loadopstore": `  %v = load i64, %p
+  %s = add %v, 1
+  store i64 %s, %p`,
+	"push_n": `  %q = call i64 @noelle_queue_create(4)
+  call void @noelle_queue_push_n(%q, %p, 2)`,
+	"pop_n": `  %q = call i64 @noelle_queue_create(4)
+  call void @noelle_queue_push(%q, 5)
+  call void @noelle_queue_push(%q, 6)
+  call void @noelle_queue_pop_n(%q, %p, 2)`,
+}
+
+// wildModule makes the access from @main, or from worker 1 of a
+// two-worker dispatch whose worker 0 only stores to @g.
+func wildModule(t *testing.T, access string, idx int64, dispatched bool) *Interp {
+	t.Helper()
+	body := fmt.Sprintf("  %%p = ptradd @g, %d\n%s\n", idx, wildAccess[access])
+	src := `module "m"
+global @g : [4 x i64] zeroinit` + commDecls
+	if !dispatched {
+		return mustParse(t, src+`
+func @main() i64 {
+entry:
+`+body+`  ret 0
+}`)
+	}
+	return mustParse(t, src+`
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %first = eq %w, 0
+  condbr %first, quiet, wild
+quiet:
+  %g0 = ptradd @g, 0
+  store i64 1, %g0
+  ret void
+wild:
+`+body+`  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 1
+  call void @noelle_dispatch(@task, %env, 2)
+  ret 0
+}`)
+}
+
+func TestWildAddressesTrap(t *testing.T) {
+	const gAddr = 8
+	past := int64(memBytes-gAddr) / 8 // @g + 8*past is memBytes itself
+	for _, addr := range []struct {
+		name string
+		idx  int64
+	}{
+		{"negative", -2}, {"far_negative", -1 << 40}, {"past_range", past}, {"far_past_range", 1 << 40},
+	} {
+		for _, access := range []string{"load", "store", "loadopstore", "push_n", "pop_n"} {
+			for _, dispatched := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/dispatched=%v", addr.name, access, dispatched)
+				t.Run(name, func(t *testing.T) {
+					a := int64(gAddr) + 8*addr.idx
+					want := wildError(access, a)
+					if dispatched {
+						want = "interp: dispatch worker 1: " + want
+					}
+					m := wildModule(t, access, addr.idx, dispatched).Mod
+					var errs []string
+					for _, conf := range []func(*Interp){
+						func(it *Interp) { it.SeqDispatch = true },
+						func(it *Interp) { it.DispatchWorkers = 2 },
+					} {
+						r := assertTiersAgree(t, m, conf)
+						errs = append(errs, r.err)
+					}
+					if errs[0] != want || errs[1] != want {
+						t.Errorf("-seq error %q, parallel error %q; want %q", errs[0], errs[1], want)
+					}
+				})
+			}
+		}
+	}
+}
+
+func wildError(access string, addr int64) string {
+	switch access {
+	case "push_n", "pop_n":
+		return fmt.Sprintf("interp: @noelle_queue_%s: buffer %d, count 2 out of range", access, addr)
+	case "store":
+		return errAddress("store", addr).Error()
+	}
+	return errAddress("load", addr).Error()
+}
+
+// TestLastCellIsMemory: the highest cell below memBytes loads, stores and
+// carries a bulk run like any other, on both tiers.
+func TestLastCellIsMemory(t *testing.T) {
+	last := int64(memBytes-8-8) / 8 // @g + 8*last is memBytes-8
+	for _, access := range []string{"store", "loadopstore"} {
+		it := wildModule(t, access, last, false)
+		r := assertTiersAgree(t, it.Mod, nil)
+		if r.err != "" {
+			t.Errorf("%s at memBytes-8: %s", access, r.err)
+		}
+	}
+	it := wildModule(t, "pop_n", last-1, false)
+	if r := assertTiersAgree(t, it.Mod, nil); r.err != "" {
+		t.Errorf("pop_n into the last two cells: %s", r.err)
+	}
+}

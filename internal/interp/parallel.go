@@ -2,7 +2,7 @@
 // invocation in its own goroutine over a forked worker context. Worker
 // contexts have private call stacks, step/cycle counters, and output
 // buffers, and share the module's memory image through the
-// concurrency-safe page store; after the barrier the parent aggregates
+// concurrency-safe page table; after the barrier the parent aggregates
 // every worker in worker order, so a parallel dispatch is observationally
 // identical to the sequential fallback (same output bytes, same Steps and
 // Cycles totals, same memory image). Hooked contexts, and contexts
@@ -115,6 +115,7 @@ func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Inte
 		Tracer:          it.Tracer,
 		rec:             rec,
 		img:             it.img,
+		leaves:          it.leaves,
 		pool:            pool,
 		parWorker:       true, // pops and waits from workers block
 		pushBlocks:      pushBlocks,
@@ -124,7 +125,7 @@ func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Inte
 
 // tally is what a finished worker leaves behind for the barrier: the
 // counters and output absorb folds into the parent. The context itself —
-// value stack, page cache, configuration — is garbage the moment its Call
+// value stack, configuration — is garbage the moment its Call
 // returns, so a dispatch holds one tally per worker, not one context.
 type tally struct {
 	steps, cycles                                   int64

@@ -70,32 +70,6 @@ func AttributeLoops(m *ir.Module, loops []LoopSpecs) ([][][]*Invocation, error) 
 	return out, nil
 }
 
-// AddSegmentOverhead returns a copy of inv with extra cycles added to the
-// given segment of every iteration (seg < 0 addresses the last segment).
-// The planners use it to price per-iteration costs their lowering adds on
-// top of the original loop body: speculation validation, privatization
-// redirection, per-iteration task spawning.
-func AddSegmentOverhead(inv *Invocation, seg int, extra int64) *Invocation {
-	out := &Invocation{IterSegCosts: make([][]int64, len(inv.IterSegCosts))}
-	var n int
-	for _, segs := range inv.IterSegCosts {
-		n += len(segs)
-	}
-	flat := make([]int64, 0, n) // every row of the copy is cut from it
-	for i, segs := range inv.IterSegCosts {
-		at := len(flat)
-		flat = append(flat, segs...)
-		row := flat[at:len(flat):len(flat)]
-		s := seg
-		if s < 0 || s >= len(row) {
-			s = len(row) - 1
-		}
-		row[s] += extra
-		out.IterSegCosts[i] = row
-	}
-	return out
-}
-
 // SequentialCycles sums the sequential time over all invocations.
 func SequentialCycles(invs []*Invocation) int64 {
 	var t int64

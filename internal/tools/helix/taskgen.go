@@ -57,8 +57,9 @@ import (
 // keeps a 4-core plan at 16. maxBlock sizes the crossing-value buffers
 // (maxBlock+1 cells of frame address space each; only touched pages are
 // ever backed); padding them by a page so that successive blocks' buffers
-// fall in different slots of the interpreter's page cache read 0.87–0.92
-// and was left out as not resolved from the unpadded runs.
+// fell in different slots of the 8-slot page cache the interpreter had
+// then read 0.87–0.92 and was left out as not resolved from the unpadded
+// runs.
 const (
 	blocksPerCore = 4
 	maxBlock      = 8192

@@ -11,9 +11,7 @@ package perspective
 
 import (
 	"noelle/internal/core"
-	"noelle/internal/ir"
 	"noelle/internal/loops"
-	"noelle/internal/machine"
 	"noelle/internal/pdg"
 	"noelle/internal/sccdag"
 )
@@ -168,25 +166,4 @@ func speculable(node *sccdag.Node) bool {
 		}
 	}
 	return len(node.Carried) > 0
-}
-
-// Simulate evaluates a parallelizable plan as DOALL with the plan's
-// per-iteration overhead added to every iteration.
-func Simulate(n *core.Noelle, p *LoopPlan, cores int) (seq, par int64, err error) {
-	segmentOf := map[*ir.Instr]int{}
-	invs, err := machine.AttributeLoopCosts(n.Mod, p.LS.Nat, segmentOf, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	seq = machine.SequentialCycles(invs)
-	if !p.Parallelizable {
-		return seq, seq, nil
-	}
-	cfg := machine.DefaultConfig(n.Arch(), cores)
-	par = machine.SimulateAll(invs, func(inv *machine.Invocation) int64 {
-		// Add the strategy overhead to each iteration.
-		adjusted := machine.AddSegmentOverhead(inv, -1, p.OverheadPerIter)
-		return machine.SimulateDOALL(adjusted, cfg, 8)
-	})
-	return seq, par, nil
 }
