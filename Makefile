@@ -177,7 +177,11 @@ campaign-smoke:
 # an accepted record's graph allocates in proportion to the function and
 # the record, never to a count the record claims; its seeds are
 # kilobyte records, and minimizing each new input for the default 60 s
-# would spend the whole budget on the first one).
+# would spend the whole budget on the first one); FuzzRequest feeds the
+# compile daemon's request path (one frame read under a 64 KiB limit, the
+# request JSON decode, the run options' mapping onto tool.Options) bytes
+# off the wire (no panic, an oversized length prefix refused without
+# allocating, the wire settings carried into the one interp.ExecConfig).
 # The committed seeds under each package's testdata/fuzz/ also run as
 # plain subtests of every `go test`; a crasher the fuzzer finds lands
 # there too and keeps failing until fixed.
@@ -185,6 +189,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 10s ./internal/queue/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/irtext/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/abscache/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

@@ -41,18 +41,13 @@ import (
 
 func main() {
 	emit := flag.String("emit", "", "write the executable IR image instead of running")
-	seq := flag.Bool("seq", false, "run dispatched tasks sequentially (debugging fallback)")
-	workers := flag.Int("workers", 0, "cap on simultaneously-running dispatch workers (0 = GOMAXPROCS)")
-	queueCap := flag.Int("queue-cap", 0, "override the capacity of the module's communication queues (0 = respect the module)")
-	engine := flag.String("engine", "", "interpreter execution tier: walker|compiled (default: process default, see NOELLE_ENGINE)")
-	trace := flag.String("trace", "", "export the run as a Chrome trace-event JSON timeline (chrome://tracing, Perfetto)")
-	metrics := flag.Bool("metrics", false, "print the run's span metrics (counts, totals, p50/p95/p99) and wall-clock attribution to stderr")
+	execFlags := toolio.RegisterExecFlags(flag.CommandLine, "workers", true)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: noelle-bin [-seq] [-workers N] [-queue-cap N] [-engine walker|compiled] [-trace out.json] [-metrics] [-emit out.nir] whole.nir")
 		os.Exit(2)
 	}
-	eng, err := interp.ParseEngine(*engine)
+	cfg, err := execFlags.Config()
 	if err != nil {
 		toolio.Fatal(err)
 	}
@@ -73,13 +68,7 @@ func main() {
 		return
 	}
 	it := interp.New(m)
-	it.SeqDispatch = *seq
-	it.DispatchWorkers = *workers
-	it.QueueCap = *queueCap
-	it.Eng = eng
-	if *trace != "" || *metrics {
-		it.Tracer = obs.NewTracer()
-	}
+	it.ExecConfig = cfg
 	start := time.Now()
 	code, err := it.Run()
 	wall := time.Since(start)
@@ -89,27 +78,18 @@ func main() {
 	fmt.Print(it.Output.String())
 	fmt.Fprintf(os.Stderr, "exit=%d cycles=%d steps=%d engine=%s\n", code, it.Cycles, it.Steps, it.Engine())
 	// Per-lane stats surface worker skew the post-barrier merge hides.
-	// Bounded: a dispatch-per-iteration module would otherwise flood the
-	// footer (the full data is in -trace).
-	const maxWorkerLines = 32
-	stats := it.WorkerStats()
-	for i, ws := range stats {
-		if i == maxWorkerLines {
-			fmt.Fprintf(os.Stderr, "worker stats: ... %d more lanes\n", len(stats)-i)
-			break
-		}
-		fmt.Fprintf(os.Stderr, "worker d%d.w%d: claims=%d steps=%d cycles=%d\n",
-			ws.Dispatch, ws.Lane, ws.Claims, ws.Steps, ws.Cycles)
+	for _, line := range it.WorkerStatLines() {
+		fmt.Fprintln(os.Stderr, line)
 	}
-	if *metrics {
+	if execFlags.Metrics {
 		reg := obs.NewRegistry()
 		it.Tracer.MergeInto(reg)
 		fmt.Fprint(os.Stderr, reg.Format())
 		parks := it.ParkStats()
 		fmt.Fprint(os.Stderr, obs.AttributeTrace(it.Tracer, wall, parks.PushParkNS, parks.PopParkNS, parks.WaitParkNS).Format())
 	}
-	if *trace != "" {
-		if err := toolio.WriteTraceFile(*trace, obs.TraceLeg{Name: "noelle-bin", Tracer: it.Tracer}); err != nil {
+	if execFlags.Trace != "" {
+		if err := toolio.WriteTraceFile(execFlags.Trace, obs.TraceLeg{Name: "noelle-bin", Tracer: it.Tracer}); err != nil {
 			toolio.Fatal(err)
 		}
 	}

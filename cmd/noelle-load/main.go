@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"noelle/internal/core"
-	"noelle/internal/interp"
 	"noelle/internal/obs"
 	"noelle/internal/tool"
 	"noelle/internal/toolio"
@@ -50,14 +49,10 @@ func main() {
 	optimize := flag.Bool("optimize", true, "enable tools' optional optimization stages (e.g. HELIX's SCD header shrinking)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size for the parallel PDG precompute (0 keeps the layer fully demand-driven; tools that never request a PDG then pay nothing)")
 	cacheDir := flag.String("cache-dir", "", "persistent abstraction store directory: PDGs are loaded by structural fingerprint instead of rebuilt, and new builds are persisted for later runs (inspect with noelle-cache)")
-	seq := flag.Bool("seq", false, "run dispatched tasks sequentially when a tool executes the module (the parallel runtime's debugging fallback)")
-	dispatchWorkers := flag.Int("dispatch-workers", 0, "cap on simultaneously-running dispatch workers when a tool executes the module (0 = GOMAXPROCS)")
 	execPlans := flag.Bool("exec-plans", false, "lower dswp/helix/auto plans to executable form: stage/iteration tasks communicating over the queue+signal runtime, launched through noelle_dispatch")
-	queueCap := flag.Int("queue-cap", 0, "capacity of the communication queues generated by -exec-plans (0 = default; shapes backpressure only, never results)")
 	verifyTier := flag.String("verify", "quick", "static verification tier run after each transforming stage: quick (structure+SSA), ssa (+extern contracts), or comm (+concurrency-protocol linter); rejections exit with code 3")
-	engine := flag.String("engine", "", "interpreter execution tier when a tool executes the module: walker|compiled (default: process default, see NOELLE_ENGINE)")
-	trace := flag.String("trace", "", "export tool-driven module executions as a Chrome trace-event JSON timeline (chrome://tracing, Perfetto)")
-	metrics := flag.Bool("metrics", false, "print span metrics of tool-driven module executions (counts, totals, p50/p95/p99) to stderr")
+	// How a tool that executes the module runs it (carat's guard validation).
+	execFlags := toolio.RegisterExecFlags(flag.CommandLine, "dispatch-workers", false)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the pipeline to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-pipeline, GC-settled) to this file")
 	flag.Parse()
@@ -79,7 +74,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if _, err := interp.ParseEngine(*engine); err != nil {
+	cfg, err := execFlags.Config()
+	if err != nil {
 		toolio.Fatal(err)
 	}
 
@@ -100,15 +96,9 @@ func main() {
 	topts.Budget = *budget
 	topts.Optimize = *optimize
 	topts.PrecomputeWorkers = *workers
-	topts.SeqDispatch = *seq
-	topts.DispatchWorkers = *dispatchWorkers
 	topts.ExecutePlans = *execPlans
-	topts.QueueCapacity = *queueCap
 	topts.VerifyTier = *verifyTier
-	topts.Engine = *engine
-	if *trace != "" || *metrics {
-		topts.Tracer = obs.NewTracer()
-	}
+	topts.ExecConfig = cfg
 
 	stopProfiles, perr := toolio.StartProfiles(*cpuprofile, *memprofile)
 	if perr != nil {
@@ -124,13 +114,13 @@ func main() {
 	if vstats.Stages > 0 {
 		fmt.Fprintln(os.Stderr, vstats)
 	}
-	if *metrics {
+	if execFlags.Metrics {
 		reg := obs.NewRegistry()
 		topts.Tracer.MergeInto(reg)
 		fmt.Fprint(os.Stderr, reg.Format())
 	}
-	if *trace != "" {
-		if terr := toolio.WriteTraceFile(*trace, obs.TraceLeg{Name: "noelle-load", Tracer: topts.Tracer}); terr != nil {
+	if execFlags.Trace != "" {
+		if terr := toolio.WriteTraceFile(execFlags.Trace, obs.TraceLeg{Name: "noelle-load", Tracer: topts.Tracer}); terr != nil {
 			fmt.Fprintf(os.Stderr, "warning: writing trace: %v\n", terr)
 		}
 	}

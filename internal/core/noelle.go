@@ -401,12 +401,18 @@ func (n *Noelle) embeddedPDG(f *ir.Function) *pdg.Graph {
 
 // PrecomputePDGs materializes the PDG of every defined function across a
 // worker pool before tools run — the paper's parallel abstraction
-// computation inside noelle-load. It stops early (returning ctx.Err())
-// when the context is cancelled.
+// computation inside noelle-load. The pool is at most one worker per
+// defined function, whatever count the caller (a flag, a daemon
+// request) asks for. It stops early (returning ctx.Err()) when the
+// context is cancelled.
 func (n *Noelle) PrecomputePDGs(ctx context.Context, workers int) error {
-	if workers < 1 {
-		workers = 1
+	defined := 0
+	for _, f := range n.Mod.Functions {
+		if !f.IsDeclaration() {
+			defined++
+		}
 	}
+	workers = max(min(workers, defined), 1)
 	// Without a persistent store every function is a cold build, so
 	// materialize the shared builder (and its points-to fixed point) once
 	// up front and let workers start from a read-only analysis stack.

@@ -8,6 +8,7 @@ package core_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -178,6 +179,30 @@ func TestPrecomputePDGs(t *testing.T) {
 		g2 := n.FunctionPDG(f)
 		if g1 == nil || g1 != g2 {
 			t.Fatalf("PDG for %s not cached after precompute", f.Nam)
+		}
+	}
+}
+
+// TestPrecomputePDGsBoundsWorkers: the worker count comes from a flag or
+// a daemon request, so a huge one must not start a goroutine per worker.
+// The pool is at most one worker per defined function: the goroutine
+// stacks the call leaves behind stay within a few MB (200,000 workers
+// once took 308 MB of stacks).
+func TestPrecomputePDGsBoundsWorkers(t *testing.T) {
+	n := newN(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := n.PrecomputePDGs(context.Background(), 200_000); err != nil {
+		t.Fatalf("PrecomputePDGs: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.StackSys) - int64(before.StackSys); grew > 4<<20 {
+		t.Errorf("200,000 requested workers grew stacks by %d KB, want a pool of at most %d", grew>>10, len(definedFunctions(n.Mod)))
+	}
+	for _, f := range definedFunctions(n.Mod) {
+		if n.FunctionPDG(f) == nil {
+			t.Fatalf("PDG for %s not built", f.Nam)
 		}
 	}
 }

@@ -27,7 +27,6 @@
 package fuzz
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -36,12 +35,10 @@ import (
 	"sync"
 	"time"
 
-	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/interp/interptest"
 	"noelle/internal/ir"
 	"noelle/internal/irtext"
-	"noelle/internal/tool"
 
 	// Link the registered custom tools (doall, dswp, helix, auto, ...)
 	// into every campaign process.
@@ -59,8 +56,8 @@ type Matrix struct {
 }
 
 // DefaultMatrix sweeps every lowering technique plus the auto
-// orchestrator across two core counts and two queue capacities (0 keeps
-// each lowering's own choice; a small cap forces backpressure).
+// orchestrator across two core counts and two run-time queue capacities
+// (0 keeps each lowering's own choice; a small cap forces backpressure).
 func DefaultMatrix() Matrix {
 	return Matrix{
 		Techniques: []string{"doall", "dswp", "helix", "auto"},
@@ -69,15 +66,17 @@ func DefaultMatrix() Matrix {
 	}
 }
 
-// Cell is one matrix coordinate for one seed.
+// Cell is one matrix coordinate for one seed. The lowering depends on
+// Technique and Cores only; QCap is the run-time queue capacity
+// (interp.ExecConfig.QueueCap) the cell's executions use.
 type Cell struct {
 	Technique string
 	Cores     int
-	QueueCap  int
+	QCap      int
 }
 
 func (cl Cell) String() string {
-	return fmt.Sprintf("tech=%s cores=%d qcap=%d", cl.Technique, cl.Cores, cl.QueueCap)
+	return fmt.Sprintf("tech=%s cores=%d qcap=%d", cl.Technique, cl.Cores, cl.QCap)
 }
 
 // Config shapes a campaign.
@@ -191,7 +190,7 @@ func (c *Campaign) Cells() []Cell {
 	for _, t := range c.cfg.Matrix.Techniques {
 		for _, cores := range c.cfg.Matrix.Cores {
 			for _, qc := range c.cfg.Matrix.QueueCaps {
-				cells = append(cells, Cell{Technique: t, Cores: cores, QueueCap: qc})
+				cells = append(cells, Cell{Technique: t, Cores: cores, QCap: qc})
 			}
 		}
 	}
@@ -329,32 +328,13 @@ func (c *Campaign) CheckCell(p *Program, cell Cell) (reason string, lowered bool
 		return err.Error(), false, 0
 	}
 
-	work := ir.CloneModule(m)
-	opts := core.DefaultOptions()
-	opts.Cores = cell.Cores
-	opts.MinHotness = c.cfg.MinHotness
-	n := core.New(work, opts)
-	topts := tool.DefaultOptions()
-	topts.ExecutePlans = true
-	topts.QueueCapacity = cell.QueueCap
-	topts.VerifyTier = "comm"
-	var perr error
-	gerr := guard("pipeline "+cell.String(), c.cfg.Timeout, func() error {
-		_, _, perr = tool.RunPipeline(context.Background(), n, []string{cell.Technique}, topts)
-		return nil
-	})
-	if gerr != nil {
-		return gerr.Error(), false, 0
+	work, lowered, err := c.lower(m, cell.Technique, cell.Cores)
+	if err != nil {
+		return err.Error(), false, 0
 	}
-	if perr != nil {
-		// Includes *verify.Error: a lowering the comm linter rejected
-		// never reaches execution, and is exactly a campaign finding.
-		return fmt.Sprintf("pipeline failed: %v", perr), false, 0
-	}
-	if ir.ModuleFingerprint(work) == ir.ModuleFingerprint(m) {
+	if !lowered {
 		return "", false, 0 // nothing lowered: a planning-only cell
 	}
-	lowered = true
 
 	// Execute the lowering on both engines, sequential and parallel.
 	type key struct {
@@ -364,11 +344,11 @@ func (c *Campaign) CheckCell(p *Program, cell Cell) (reason string, lowered bool
 	results := map[key]interptest.Result{}
 	for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
 		for _, seq := range []bool{true, false} {
-			cfg := interptest.Config{
+			cfg := interptest.Config{ExecConfig: interp.ExecConfig{
 				SeqDispatch:     seq,
 				DispatchWorkers: cell.Cores,
-				QueueCap:        cell.QueueCap,
-			}
+				QueueCap:        cell.QCap,
+			}}
 			var r interptest.Result
 			op := fmt.Sprintf("execution %s engine=%s seq=%v", cell, eng, seq)
 			gerr := guard(op, c.cfg.Timeout, func() error {
@@ -444,7 +424,7 @@ func (c *Campaign) writeRepro(p *Program, leg string, cell *Cell, reason string)
 	}
 	name := fmt.Sprintf("seed%d", p.Seed)
 	if cell != nil {
-		name += fmt.Sprintf("_%s_c%d_q%d", cell.Technique, cell.Cores, cell.QueueCap)
+		name += fmt.Sprintf("_%s_c%d_q%d", cell.Technique, cell.Cores, cell.QCap)
 	}
 	path := filepath.Join(c.cfg.OutDir, name+".nir")
 	var sb strings.Builder
@@ -474,7 +454,7 @@ func replayCommand(p *Program, leg string, cell *Cell) string {
 	cmd := fmt.Sprintf("go run ./cmd/noelle-fuzz -leg %s -seed-base %d -seeds 1 -blocks %d -arrays %d -arraylen %d",
 		leg, p.Seed, p.Cfg.Blocks, p.Cfg.Arrays, p.Cfg.ArrayLen)
 	if cell != nil {
-		cmd += fmt.Sprintf(" -matrix %q", fmt.Sprintf("tech=%s;cores=%d;qcap=%d", cell.Technique, cell.Cores, cell.QueueCap))
+		cmd += fmt.Sprintf(" -matrix %q", fmt.Sprintf("tech=%s;cores=%d;qcap=%d", cell.Technique, cell.Cores, cell.QCap))
 	}
 	return cmd
 }

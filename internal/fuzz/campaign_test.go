@@ -69,7 +69,7 @@ func TestCampaignFailureWritesRepro(t *testing.T) {
 	cfg.NoMinimize = true
 	c := New(cfg)
 	p := Generate(5, cfg.Gen)
-	cell := Cell{Technique: "dswp", Cores: 2, QueueCap: 0}
+	cell := Cell{Technique: "dswp", Cores: 2, QCap: 0}
 	f := c.fail(p, "campaign", &cell, "synthetic failure for the reporting path")
 	if f.Repro == "" {
 		t.Fatal("no reproducer path recorded")

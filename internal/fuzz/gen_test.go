@@ -111,7 +111,7 @@ func TestGenerateHotBlockLowers(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, lowered, err := c.lower(m, "auto", 4, 0); err == nil && lowered {
+		if _, lowered, err := c.lower(m, "auto", 4); err == nil && lowered {
 			return
 		}
 	}
@@ -157,16 +157,16 @@ func TestRunModuleExternOverride(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		w, lowered, err := c.lower(m, "dswp", 2, 0)
+		w, lowered, err := c.lower(m, "dswp", 2)
 		if err != nil || !lowered {
 			continue
 		}
-		clean, err := interptest.RunModule(w, interp.EngineWalker, interptest.Config{SeqDispatch: true, DispatchWorkers: 2})
+		clean, err := interptest.RunModule(w, interp.EngineWalker, interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true, DispatchWorkers: 2}})
 		if err != nil || clean.Err != nil || clean.Comm[1] == 0 {
 			continue // lowering without queue traffic; override unexercised
 		}
 		r, err := interptest.RunModule(w, interp.EngineWalker, interptest.Config{
-			SeqDispatch: true, DispatchWorkers: 2, Externs: poisonedPushes,
+			ExecConfig: interp.ExecConfig{SeqDispatch: true, DispatchWorkers: 2}, Externs: poisonedPushes,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

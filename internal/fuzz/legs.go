@@ -18,9 +18,10 @@ import (
 )
 
 // lower clones m and runs one technique's pipeline over the clone at
-// the given coordinate. Returns the (possibly transformed) clone and
-// whether anything was lowered.
-func (c *Campaign) lower(m *ir.Module, tech string, cores, qcap int) (*ir.Module, bool, error) {
+// the given core count. Returns the (possibly transformed) clone and
+// whether anything was lowered. A queue capacity is no coordinate of the
+// lowering: it is set at run time (interp.ExecConfig.QueueCap).
+func (c *Campaign) lower(m *ir.Module, tech string, cores int) (*ir.Module, bool, error) {
 	work := ir.CloneModule(m)
 	opts := core.DefaultOptions()
 	opts.Cores = cores
@@ -28,10 +29,9 @@ func (c *Campaign) lower(m *ir.Module, tech string, cores, qcap int) (*ir.Module
 	n := core.New(work, opts)
 	topts := tool.DefaultOptions()
 	topts.ExecutePlans = true
-	topts.QueueCapacity = qcap
 	topts.VerifyTier = "comm"
 	var perr error
-	gerr := guard(fmt.Sprintf("pipeline tech=%s cores=%d qcap=%d", tech, cores, qcap), c.cfg.Timeout, func() error {
+	gerr := guard(fmt.Sprintf("pipeline tech=%s cores=%d", tech, cores), c.cfg.Timeout, func() error {
 		_, _, perr = tool.RunPipeline(context.Background(), n, []string{tech}, topts)
 		return nil
 	})
@@ -39,7 +39,9 @@ func (c *Campaign) lower(m *ir.Module, tech string, cores, qcap int) (*ir.Module
 		return work, false, gerr
 	}
 	if perr != nil {
-		return work, false, perr
+		// Includes *verify.Error: a lowering the comm linter rejected
+		// never reaches execution, and is exactly a campaign finding.
+		return work, false, fmt.Errorf("pipeline failed: %w", perr)
 	}
 	return work, ir.ModuleFingerprint(work) != ir.ModuleFingerprint(m), nil
 }
@@ -68,7 +70,7 @@ func (c *Campaign) Stress(seeds []int64, goroutines, rounds int) Stats {
 			continue
 		}
 		cores := maxInt(c.cfg.Matrix.Cores)
-		work, lowered, err := c.lower(m, "auto", cores, 0)
+		work, lowered, err := c.lower(m, "auto", cores)
 		if err != nil {
 			st.Failures = append(st.Failures, c.fail(p, "stress", nil, err.Error()))
 			continue
@@ -79,7 +81,7 @@ func (c *Campaign) Stress(seeds []int64, goroutines, rounds int) Stats {
 		}
 		st.Lowered++
 		execCfg := func(seq bool) interptest.Config {
-			return interptest.Config{SeqDispatch: seq, DispatchWorkers: cores}
+			return interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: cores}}
 		}
 		base, err := interptest.RunModule(work, interp.EngineCompiled, execCfg(true))
 		if err != nil || base.Err != nil {
@@ -179,7 +181,7 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 		var work *ir.Module
 		var tech string
 		for _, t := range []string{"dswp", "helix", "auto", "doall"} {
-			w, lowered, err := c.lower(m, t, 2, 0)
+			w, lowered, err := c.lower(m, t, 2)
 			if err == nil && lowered {
 				work, tech = w, t
 				break
@@ -190,9 +192,9 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 			continue
 		}
 		st.Lowered++
-		cell := Cell{Technique: tech, Cores: 2, QueueCap: 0}
+		cell := Cell{Technique: tech, Cores: 2, QCap: 0}
 
-		clean, err := interptest.RunModule(work, interp.EngineCompiled, interptest.Config{SeqDispatch: true, DispatchWorkers: 2})
+		clean, err := interptest.RunModule(work, interp.EngineCompiled, interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true, DispatchWorkers: 2}})
 		if err != nil || clean.Err != nil {
 			st.Failures = append(st.Failures, c.fail(p, "faults", &cell, fmt.Sprintf("clean run failed: %v / %v", err, clean.Err)))
 			continue
@@ -207,7 +209,7 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 		failed := false
 		for _, seq := range []bool{true, false} {
 			for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
-				cfg := interptest.Config{SeqDispatch: seq, DispatchWorkers: 2, MaxSteps: cap64}
+				cfg := interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: 2}, MaxSteps: cap64}
 				var r interptest.Result
 				op := fmt.Sprintf("step-exhaustion %s engine=%s seq=%v", cell, eng, seq)
 				gerr := guard(op, c.cfg.Timeout, func() error {
@@ -249,7 +251,7 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 		}
 		for _, seq := range []bool{true, false} {
 			for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
-				cfg := interptest.Config{SeqDispatch: seq, DispatchWorkers: 2, Externs: poisonedPushes}
+				cfg := interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: 2}, Externs: poisonedPushes}
 				var r interptest.Result
 				op := fmt.Sprintf("worker-abort %s engine=%s seq=%v", cell, eng, seq)
 				gerr := guard(op, c.cfg.Timeout, func() error {
@@ -309,7 +311,7 @@ func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 		if err != nil {
 			continue
 		}
-		work, lowered, err := c.lower(m, "dswp", 2, 0)
+		work, lowered, err := c.lower(m, "dswp", 2)
 		if err != nil || !lowered {
 			continue
 		}
@@ -329,7 +331,7 @@ func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 					mc.Name, seed, want, res.Err())
 			}
 		}
-		cell := Cell{Technique: "dswp", Cores: 2, QueueCap: 0}
+		cell := Cell{Technique: "dswp", Cores: 2, QCap: 0}
 		reason := fmt.Sprintf("injected miscompile %s caught by the static comm oracle: %v", mc.Name, res.Err())
 		f := Failure{Seed: seed, Leg: "inject", Cell: cell.String(), Reason: reason}
 		f.Replay = replayCommand(p, "inject", &cell)
@@ -356,7 +358,7 @@ func (c *Campaign) writeMutatedRepro(work *ir.Module, p *Program, cell *Cell, na
 	fmt.Fprintf(&sb, "; replay: %s\n", replayCommand(p, "inject", cell))
 	sb.WriteString(ir.Print(work))
 	path := filepath.Join(c.cfg.OutDir, fmt.Sprintf("seed%d_inject_%s_%s_c%d_q%d.nir",
-		p.Seed, name, cell.Technique, cell.Cores, cell.QueueCap))
+		p.Seed, name, cell.Technique, cell.Cores, cell.QCap))
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		c.logf("cannot write reproducer: %v", err)
 		return ""

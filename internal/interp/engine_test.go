@@ -68,8 +68,8 @@ func TestTiersAgreeDOALLDispatch(t *testing.T) {
 		name string
 		c    interptest.Config
 	}{
-		{"seq", interptest.Config{SeqDispatch: true}},
-		{"par", interptest.Config{DispatchWorkers: 4}},
+		{"seq", interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true}}},
+		{"par", interptest.Config{ExecConfig: interp.ExecConfig{DispatchWorkers: 4}}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			interptest.AssertTiersAgree(t, m, cfg.c)
@@ -163,10 +163,10 @@ func TestTiersAgreePipelines(t *testing.T) {
 			m := pipelineLower(t, tech, 256, 3)
 			var seq, par interptest.Result
 			seqOK := t.Run("seq", func(t *testing.T) {
-				seq, _ = interptest.AssertTiersAgree(t, m, interptest.Config{SeqDispatch: true})
+				seq, _ = interptest.AssertTiersAgree(t, m, interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true}})
 			})
 			parOK := t.Run("par", func(t *testing.T) {
-				par, _ = interptest.AssertTiersAgree(t, m, interptest.Config{DispatchWorkers: 3})
+				par, _ = interptest.AssertTiersAgree(t, m, interptest.Config{ExecConfig: interp.ExecConfig{DispatchWorkers: 3}})
 			})
 			if !seqOK || !parOK {
 				return // the cross-mode diff below would only repeat the failure

@@ -34,6 +34,42 @@ func errAddress(access string, addr int64) error {
 
 const defaultMaxSteps = 200_000_000
 
+// ExecConfig is the one declaration of the execution settings: every
+// layer that runs a module embeds or builds this value. None of the
+// settings changes what a run computes, only how.
+type ExecConfig struct {
+	// Eng selects the execution tier for defined functions: EngineWalker
+	// or EngineCompiled, with "" taking the process default (compiled,
+	// or $NOELLE_ENGINE). Both tiers are observationally identical —
+	// same Output, Steps, Cycles, counters, memory image — on every
+	// well-formed module; hooked contexts always run on the walker
+	// regardless of Eng (hooks need the canonical event order), and
+	// contexts serving an observation request on the compiled tier. See
+	// engine.go.
+	Eng Engine
+	// SeqDispatch forces the noelle_dispatch extern to run task workers
+	// sequentially in this context (the -seq debugging fallback). The
+	// default executes them concurrently on real cores.
+	SeqDispatch bool
+	// DispatchWorkers caps how many dispatch workers run simultaneously
+	// (0 means GOMAXPROCS). Worker invocations beyond the cap queue.
+	DispatchWorkers int
+	// QueueCap overrides the capacity baked into noelle_queue_create
+	// calls (0 respects the module's value). Capacity only shapes
+	// backpressure, never results, so overriding it is always safe.
+	QueueCap int
+	// Tracer, when set on the root context before Run, enables the
+	// observability plane (internal/obs): the dispatch path records
+	// dispatch/task spans per lane, and the communication externs record
+	// queue push/pop and signal wait spans — including blocked time — into
+	// per-lane lock-free recorders. Unlike the observation hooks of
+	// Interp, tracing keeps the parallel dispatch path (spans are
+	// per-lane, so no cross-worker ordering is imposed) and never perturbs
+	// results. When nil (the default), every instrumented site reduces to
+	// one pointer check: no allocations, no atomics, no clock reads.
+	Tracer *obs.Tracer
+}
+
 // Interp is one execution context over a module image: a private call
 // stack, step/cycle counters, output buffer, and hook set. New returns
 // the root context (which also owns the image); the parallel dispatcher
@@ -48,41 +84,13 @@ type Interp struct {
 	// MaxSteps bounds execution (0 means the default of 200M).
 	MaxSteps int64
 
-	// SeqDispatch forces the noelle_dispatch extern to run task workers
-	// sequentially in this context (the -seq debugging fallback). The
-	// default executes them concurrently on real cores.
-	SeqDispatch bool
-	// DispatchWorkers caps how many dispatch workers run simultaneously
-	// (0 means GOMAXPROCS). Worker invocations beyond the cap queue.
-	DispatchWorkers int
-	// QueueCap overrides the capacity baked into noelle_queue_create
-	// calls (0 respects the module's value). Capacity only shapes
-	// backpressure, never results, so overriding it is always safe.
-	QueueCap int
-
-	// Eng selects the execution tier for defined functions: EngineWalker
-	// or EngineCompiled, with "" taking the process default (compiled,
-	// or $NOELLE_ENGINE). Both tiers are observationally identical —
-	// same Output, Steps, Cycles, counters, memory image — on every
-	// well-formed module; hooked contexts always run on the walker
-	// regardless of Eng (hooks need the canonical event order), and
-	// contexts serving an observation request on the compiled tier. See
-	// engine.go.
-	Eng Engine
+	// ExecConfig is how this context runs dispatched tasks, queues and
+	// defined functions; worker contexts inherit it at fork time.
+	ExecConfig
 	// engineUsed records the tier the last Call actually ran on (the
 	// Engine accessor reports it).
 	engineUsed Engine
 
-	// Tracer, when set on the root context before Run, enables the
-	// observability plane (internal/obs): the dispatch path records
-	// dispatch/task spans per lane, and the communication externs record
-	// queue push/pop and signal wait spans — including blocked time — into
-	// per-lane lock-free recorders. Unlike the observation hooks below,
-	// tracing keeps the parallel dispatch path (spans are per-lane, so no
-	// cross-worker ordering is imposed) and never perturbs results. When
-	// nil (the default), every instrumented site reduces to one pointer
-	// check: no allocations, no atomics, no clock reads.
-	Tracer *obs.Tracer
 	// rec is this context's span recorder (nil when tracing is off).
 	// Root contexts create theirs lazily; worker contexts inherit their
 	// lane's recorder at fork time.
@@ -331,6 +339,28 @@ func (it *Interp) WorkerStats() []WorkerStat {
 	it.img.statsMu.Lock()
 	defer it.img.statsMu.Unlock()
 	return append([]WorkerStat(nil), it.img.workerStats...)
+}
+
+// maxWorkerLines bounds WorkerStatLines: a dispatch-per-iteration module
+// would otherwise flood a report or a footer (the full data is in a
+// trace).
+const maxWorkerLines = 32
+
+// WorkerStatLines renders WorkerStats one lane per line,
+// "worker dN.wM: claims=C steps=S cycles=Y", cut after maxWorkerLines
+// lanes by one "worker stats: ... K more lanes" line. Per-lane stats
+// make the worker skew visible that the aggregate Steps/Cycles hide.
+func (it *Interp) WorkerStatLines() []string {
+	stats := it.WorkerStats()
+	var lines []string
+	for i, ws := range stats {
+		if i == maxWorkerLines {
+			return append(lines, fmt.Sprintf("worker stats: ... %d more lanes", len(stats)-i))
+		}
+		lines = append(lines, fmt.Sprintf("worker d%d.w%d: claims=%d steps=%d cycles=%d",
+			ws.Dispatch, ws.Lane, ws.Claims, ws.Steps, ws.Cycles))
+	}
+	return lines
 }
 
 // Call executes f with raw argument bits and returns the raw result

@@ -29,11 +29,9 @@ type Config struct {
 	Fn string
 	// Args are the entry function's arguments.
 	Args []uint64
-	// SeqDispatch, DispatchWorkers, and QueueCap configure the dispatch
-	// runtime exactly as the corresponding Interp fields do.
-	SeqDispatch     bool
-	DispatchWorkers int
-	QueueCap        int
+	// ExecConfig configures the run exactly as it configures an Interp,
+	// except that the engine is RunModule's to choose.
+	interp.ExecConfig
 	// MaxSteps bounds each run (0 = interpreter default).
 	MaxSteps int64
 	// Externs are extra host functions registered on both tiers. They
@@ -63,10 +61,8 @@ type Result struct {
 // perfectly comparable observable.
 func RunModule(m *ir.Module, eng interp.Engine, cfg Config) (Result, error) {
 	it := interp.New(m)
+	it.ExecConfig = cfg.ExecConfig
 	it.Eng = eng
-	it.SeqDispatch = cfg.SeqDispatch
-	it.DispatchWorkers = cfg.DispatchWorkers
-	it.QueueCap = cfg.QueueCap
 	it.MaxSteps = cfg.MaxSteps
 	res := Result{ExternCalls: map[string]int64{}}
 	for name, fn := range cfg.Externs {

@@ -106,20 +106,16 @@ func (it *Interp) extendStepBudget() (int64, bool) {
 // when tracing is off); every worker a lane claims records into it.
 func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Interp {
 	return &Interp{
-		Mod:             it.Mod,
-		Cost:            it.Cost,
-		SeqDispatch:     it.SeqDispatch,
-		DispatchWorkers: it.DispatchWorkers,
-		QueueCap:        it.QueueCap,
-		Eng:             it.Eng,
-		Tracer:          it.Tracer,
-		rec:             rec,
-		img:             it.img,
-		leaves:          it.leaves,
-		pool:            pool,
-		parWorker:       true, // pops and waits from workers block
-		pushBlocks:      pushBlocks,
-		MaxSteps:        -1, // nothing granted yet: first step hits the pool
+		Mod:        it.Mod,
+		Cost:       it.Cost,
+		ExecConfig: it.ExecConfig,
+		rec:        rec,
+		img:        it.img,
+		leaves:     it.leaves,
+		pool:       pool,
+		parWorker:  true, // pops and waits from workers block
+		pushBlocks: pushBlocks,
+		MaxSteps:   -1, // nothing granted yet: first step hits the pool
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -85,6 +86,37 @@ func TestTracedWorkerStats(t *testing.T) {
 	}
 	if laneSteps <= 0 || laneSteps >= it.Steps {
 		t.Errorf("lane steps %d out of range (run total %d)", laneSteps, it.Steps)
+	}
+}
+
+// TestWorkerStatLines: the one rendering of per-lane stats (noelle-bin's
+// footer, carat's report) prints a line per lane and cuts off after 32
+// lanes with a count of the rest. Forty two-worker dispatches record at
+// least forty lanes.
+func TestWorkerStatLines(t *testing.T) {
+	src := strings.NewReplacer(
+		"  call void @noelle_dispatch(@task, %env, 4)\n",
+		"  br again\nagain:\n  %k = phi i64 [ 0, entry ], [ %knext, again ]\n"+
+			"  call void @noelle_dispatch(@task, %env, 2)\n"+
+			"  %knext = add %k, 1\n  %more = lt %knext, 40\n  condbr %more, again, after\nafter:\n",
+	).Replace(dispatchSrc)
+	it := interp.New(parse(t, src))
+	it.DispatchWorkers = 2
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	stats, lines := it.WorkerStats(), it.WorkerStatLines()
+	if len(stats) < 40 || len(lines) != 33 {
+		t.Fatalf("%d lanes rendered as %d lines, want at least 40 as 33", len(stats), len(lines))
+	}
+	for i, ws := range stats[:32] {
+		want := fmt.Sprintf("worker d%d.w%d: claims=%d steps=%d cycles=%d", ws.Dispatch, ws.Lane, ws.Claims, ws.Steps, ws.Cycles)
+		if lines[i] != want {
+			t.Errorf("line %d = %q, want %q", i, lines[i], want)
+		}
+	}
+	if want := fmt.Sprintf("worker stats: ... %d more lanes", len(stats)-32); lines[32] != want {
+		t.Errorf("last line = %q, want %q", lines[32], want)
 	}
 }
 

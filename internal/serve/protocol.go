@@ -25,6 +25,7 @@ import (
 
 	"noelle/internal/abscache"
 	"noelle/internal/core"
+	"noelle/internal/interp"
 	"noelle/internal/tool"
 )
 
@@ -122,7 +123,9 @@ type RunRequest struct {
 }
 
 // RunOptions is the JSON projection of the manager and tool knobs a
-// request may set — the same surface noelle-load exposes as flags.
+// request may set — the same surface noelle-load exposes as flags. Its
+// execution settings are wire names only: toolOptions maps them onto
+// the one interp.ExecConfig.
 type RunOptions struct {
 	Budget            int64   `json:"budget"`
 	Optimize          bool    `json:"optimize"`
@@ -130,7 +133,6 @@ type RunOptions struct {
 	SeqDispatch       bool    `json:"seq_dispatch"`
 	DispatchWorkers   int     `json:"dispatch_workers"`
 	ExecutePlans      bool    `json:"exec_plans"`
-	QueueCapacity     int     `json:"queue_capacity"`
 	VerifyTier        string  `json:"verify_tier"`
 	Engine            string  `json:"engine"`
 	Cores             int     `json:"cores"`
@@ -153,19 +155,25 @@ func DefaultRunOptions() RunOptions {
 	}
 }
 
-// toolOptions projects the request knobs onto tool.Options.
-func (o RunOptions) toolOptions() tool.Options {
+// toolOptions projects the request knobs onto tool.Options, refusing an
+// engine the interpreter does not know.
+func (o RunOptions) toolOptions() (tool.Options, error) {
+	eng, err := interp.ParseEngine(o.Engine)
+	if err != nil {
+		return tool.Options{}, err
+	}
 	return tool.Options{
 		Budget:            o.Budget,
 		Optimize:          o.Optimize,
 		PrecomputeWorkers: o.PrecomputeWorkers,
-		SeqDispatch:       o.SeqDispatch,
-		DispatchWorkers:   o.DispatchWorkers,
 		ExecutePlans:      o.ExecutePlans,
-		QueueCapacity:     o.QueueCapacity,
 		VerifyTier:        o.VerifyTier,
-		Engine:            o.Engine,
-	}
+		ExecConfig: interp.ExecConfig{
+			Eng:             eng,
+			SeqDispatch:     o.SeqDispatch,
+			DispatchWorkers: o.DispatchWorkers,
+		},
+	}, nil
 }
 
 // coreOptions projects the request knobs onto the manager options a

@@ -13,7 +13,6 @@ import (
 
 	"noelle/internal/abscache"
 	"noelle/internal/core"
-	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/obs"
 	"noelle/internal/tool"
@@ -418,8 +417,8 @@ func (s *Server) execute(j *job) {
 		s.testHookRunning(j.key)
 	}
 
-	topts := j.req.Opts.toolOptions()
-	if _, err := interp.ParseEngine(topts.Engine); err != nil {
+	topts, err := j.req.Opts.toolOptions()
+	if err != nil {
 		result = Done{Status: StatusError, Error: err.Error()}
 		return
 	}

@@ -162,7 +162,11 @@ func TestWarmSessionByteIdenticalReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultRunOptions()
-	reps, _, err := tool.RunPipeline(context.Background(), core.New(parsed, opts.coreOptions()), []string{"perspective"}, opts.toolOptions())
+	topts, err := opts.toolOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _, err := tool.RunPipeline(context.Background(), core.New(parsed, opts.coreOptions()), []string{"perspective"}, topts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,6 +535,40 @@ func TestRunRefusesCoreCounts(t *testing.T) {
 	if _, d := renderRun(t, c, runReq(mod, "auto")); d == nil {
 		t.Fatal("daemon unusable after refusing core counts")
 	}
+}
+
+// TestRunRefusesUnknownEngine: an engine the interpreter does not know
+// fails the request with StatusError before anything runs, and the
+// daemon keeps serving.
+func TestRunRefusesUnknownEngine(t *testing.T) {
+	_, dial := startServer(t, Config{Workers: 1})
+	c := dial()
+	mod := moduleText(t, 300)
+	req := runReq(mod, "carat")
+	req.Opts.Engine = "bogus"
+	d, err := c.Run(req, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if d.Status != StatusError || !strings.Contains(d.Error, "bogus") {
+		t.Errorf("engine bogus: status %q (%s), want the engine refused", d.Status, d.Error)
+	}
+	if _, d := renderRun(t, c, runReq(mod, "carat")); d == nil {
+		t.Fatal("daemon unusable after refusing an engine")
+	}
+}
+
+// TestHugePrecomputeWorkers: a request asking for ten million precompute
+// workers is served (the pool never outnumbers the module's functions),
+// and so is the next request.
+func TestHugePrecomputeWorkers(t *testing.T) {
+	_, dial := startServer(t, Config{Workers: 1})
+	c := dial()
+	mod := moduleText(t, 300)
+	req := runReq(mod, "perspective")
+	req.Opts.PrecomputeWorkers = 10_000_000
+	renderRun(t, c, req)
+	renderRun(t, c, runReq(mod, "licm"))
 }
 
 // TestWantIRAndStats: WantIR returns the transformed module; the stats

@@ -24,7 +24,7 @@ import (
 	"sync"
 
 	"noelle/internal/core"
-	"noelle/internal/obs"
+	"noelle/internal/interp"
 	"noelle/internal/verify"
 )
 
@@ -40,40 +40,24 @@ type Options struct {
 	// materialize function PDGs before the first tool runs (0 disables
 	// the precompute stage).
 	PrecomputeWorkers int
-	// SeqDispatch forces tools that execute the module under the
-	// interpreter (e.g. COOS's gap validation) to run dispatched tasks
-	// sequentially — the interpreter's -seq debugging fallback.
-	SeqDispatch bool
-	// DispatchWorkers caps how many dispatch workers the interpreter runs
-	// simultaneously when a tool executes the module (0 = GOMAXPROCS).
-	DispatchWorkers int
 	// ExecutePlans makes the loop-parallelization driver (dswp, helix,
 	// auto; doall always lowers) lower plans to executable form — task
 	// functions communicating over the internal/queue runtime, launched
 	// through noelle_dispatch — instead of stopping at the plan report.
 	ExecutePlans bool
-	// QueueCapacity bounds the communication queues the lowered pipelines
-	// create (0 = queue.DefaultCapacity). Capacity shapes backpressure
-	// only, never results.
-	QueueCapacity int
 	// VerifyTier selects how deeply RunPipeline statically verifies the
 	// module after each transforming stage: "quick" (structural + SSA,
 	// the historical default, also selected by ""), "ssa" (+ extern
 	// contracts), or "comm" (+ the concurrency-protocol linter over
 	// lowered parallel plans). See internal/verify.
 	VerifyTier string
-	// Engine selects the interpreter execution tier for tools that run
-	// the module ("walker", "compiled", or "" for the process default).
-	// Profiling and cost-attribution runs are served by the compiled tier
-	// regardless (and a hooked context, which only tests build, by the
-	// walker); see internal/interp's engine documentation.
-	Engine string
-	// Tracer, when non-nil, is attached to every interpreter a tool runs
-	// the module under (noelle-load -trace/-metrics): the executions'
-	// dispatch/task/communication spans land in it for export or metric
-	// aggregation after the pipeline. Nil keeps the interpreter's traced
-	// paths on their zero-cost fast path.
-	Tracer *obs.Tracer
+	// ExecConfig is how a tool that executes the module runs it (carat's
+	// guard validation): the engine, -seq, the dispatch-worker cap, the
+	// queue-capacity override, and a Tracer the executions' spans land in
+	// (noelle-load -trace/-metrics). Profiling and cost-attribution runs
+	// are served by the compiled tier regardless; see internal/interp's
+	// engine documentation.
+	interp.ExecConfig
 }
 
 // DefaultOptions mirrors the historical noelle-load flag defaults.

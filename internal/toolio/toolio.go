@@ -1,5 +1,6 @@
-// Package toolio carries the file plumbing shared by the noelle-* command
-// line tools: reading and writing textual IR modules and mini-C sources.
+// Package toolio carries the plumbing shared by the noelle-* command
+// line tools: reading and writing textual IR modules and mini-C sources,
+// profiles and traces, and the execution flags.
 package toolio
 
 import (

@@ -36,36 +36,19 @@ func (caratTool) Run(_ context.Context, n *core.Noelle, opts tool.Options) (tool
 	// Measured validation: execute the instrumented program and report
 	// the dynamic guard behaviour. Guard counters are per-worker and fold
 	// deterministically at the dispatch barrier, so this run honours the
-	// pipeline's execution options (noelle-load -seq/-dispatch-workers).
+	// pipeline's execution config (noelle-load -seq/-dispatch-workers/-engine).
 	// Modules without a main (library inputs) skip the run; an execution
 	// failure is surfaced in the report without aborting the pipeline.
 	if n.Mod.FunctionByName("main") != nil {
 		it := interp.New(n.Mod)
-		it.SeqDispatch = opts.SeqDispatch
-		it.DispatchWorkers = opts.DispatchWorkers
-		it.Eng = interp.Engine(opts.Engine)
-		it.Tracer = opts.Tracer
+		it.ExecConfig = opts.ExecConfig
 		if _, err := it.Run(); err != nil {
 			rep.Detail = append(rep.Detail, fmt.Sprintf("guard validation run failed: %v", err))
 			rep.Metrics["guard_run_failed"] = 1
 		} else {
 			rep.Metrics["guard_calls"] = it.GuardCalls
 			rep.Metrics["guard_failures"] = it.GuardFailures
-			// Per-lane execution stats make worker skew visible without
-			// tracing: the aggregate Steps/Cycles alone can hide one lane
-			// doing all the work. Bounded so a dispatch-per-iteration
-			// module cannot flood the report.
-			const maxWorkerLines = 32
-			stats := it.WorkerStats()
-			for i, ws := range stats {
-				if i == maxWorkerLines {
-					rep.Detail = append(rep.Detail, fmt.Sprintf("worker stats: ... %d more lanes", len(stats)-i))
-					break
-				}
-				rep.Detail = append(rep.Detail, fmt.Sprintf(
-					"worker d%d.w%d: claims=%d steps=%d cycles=%d",
-					ws.Dispatch, ws.Lane, ws.Claims, ws.Steps, ws.Cycles))
-			}
+			rep.Detail = append(rep.Detail, it.WorkerStatLines()...)
 		}
 	}
 	return rep, nil

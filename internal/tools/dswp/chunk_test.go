@@ -100,7 +100,7 @@ func TestLowerChunkBoundaries(t *testing.T) {
 				if want.err != "" {
 					t.Fatalf("original: %s", want.err)
 				}
-				res := runDSWP(t, newN(t, m, cores), true, 0)
+				res := runDSWP(t, newN(t, m, cores), true)
 				if res.Lowered() == 0 {
 					t.Fatalf("nothing lowered: %v", notLowered(res))
 				}
@@ -154,7 +154,7 @@ int main() {
 			if !strings.HasSuffix(want.err, "integer remainder by zero") || want.output != "77\n" {
 				t.Fatalf("original: output %q, err %q; want the trap after 77", want.output, want.err)
 			}
-			res := runDSWP(t, newN(t, m, 2), true, 0)
+			res := runDSWP(t, newN(t, m, 2), true)
 			if res.Lowered() != 2 {
 				t.Fatalf("lowered %d loops, want both: %v", res.Lowered(), notLowered(res))
 			}
@@ -220,7 +220,7 @@ func TestRematerializedValuesDoNotTravel(t *testing.T) {
 	prof.Embed()
 	opts := core.DefaultOptions()
 	opts.MinHotness, opts.Cores = 0.2, 2
-	if res := runDSWP(t, core.New(m, opts), true, 0); res.Lowered() != 1 {
+	if res := runDSWP(t, core.New(m, opts), true); res.Lowered() != 1 {
 		t.Fatalf("lowered %d loops, want the hot one: %v", res.Lowered(), notLowered(res))
 	}
 	var values int

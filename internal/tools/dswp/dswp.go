@@ -34,9 +34,6 @@ type Plan struct {
 	NumStages int
 
 	n *core.Noelle
-	// queueCap bounds the queues Lower generates (0 =
-	// queue.DefaultCapacity).
-	queueCap int
 }
 
 // Lower rewrites the planned loop into its executable pipeline form —

@@ -63,10 +63,9 @@ int main() {
 
 // runDSWP is the loop-parallelization driver pinned to DSWP: plan-only,
 // or lowering every plan it can when lower is set.
-func runDSWP(t *testing.T, n *core.Noelle, lower bool, queueCap int) auto.Result {
+func runDSWP(t *testing.T, n *core.Noelle, lower bool) auto.Result {
 	t.Helper()
-	res, err := auto.RunPinned(context.Background(), n,
-		tool.Options{ExecutePlans: lower, QueueCapacity: queueCap}, "dswp")
+	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: lower}, "dswp")
 	if err != nil {
 		t.Fatalf("dswp: %v", err)
 	}
@@ -102,7 +101,7 @@ func planFirst(t *testing.T, src string, cores int) (*core.Noelle, *dswp.Plan) {
 	t.Helper()
 	m := compile(t, src)
 	n := newN(t, m, cores)
-	res := runDSWP(t, n, false, 0)
+	res := runDSWP(t, n, false)
 	if len(plans(res)) == 0 {
 		t.Fatalf("planned nothing (rejections: %v)", res.Rejections)
 	}
@@ -220,7 +219,7 @@ int main() {
 func TestPlanRejectionReasons(t *testing.T) {
 	m := compile(t, pipelineSrc)
 	n := newN(t, m, 1) // one core: nothing can pipeline
-	res := runDSWP(t, n, false, 0)
+	res := runDSWP(t, n, false)
 	if len(plans(res)) != 0 {
 		t.Fatalf("planned %d loops on one core", len(plans(res)))
 	}
@@ -253,7 +252,7 @@ func runLowered(t *testing.T, src string, cores, wantLowered int) auto.Result {
 	}
 
 	n := newN(t, m, cores)
-	res := runDSWP(t, n, true, 0)
+	res := runDSWP(t, n, true)
 	if res.Lowered() != wantLowered {
 		t.Fatalf("lowered %d loops, want %d (not lowered: %v)\n%s",
 			res.Lowered(), wantLowered, notLowered(res), ir.Print(m))
@@ -371,7 +370,7 @@ int main() {
   return 0;
 }`)
 	n := newN(t, m, 2)
-	res := runDSWP(t, n, true, 0)
+	res := runDSWP(t, n, true)
 	found := false
 	for _, reason := range notLowered(res) {
 		if strings.Contains(reason, "call") {
@@ -384,16 +383,17 @@ int main() {
 	}
 }
 
-// The queue capacity knob must not change results, only backpressure.
+// The queue capacity must not change results, only backpressure: one
+// lowering, run at capacities from one value to many chunks.
 func TestLowerQueueCapacityInvariance(t *testing.T) {
+	m := compile(t, pipelineSrc)
+	if res := runDSWP(t, newN(t, m, 3), true); res.Lowered() == 0 {
+		t.Fatal("nothing lowered")
+	}
 	var outputs []string
 	for _, cap := range []int{1, 4, 4096} {
-		m := compile(t, pipelineSrc)
-		n := newN(t, m, 3)
-		if res := runDSWP(t, n, true, cap); res.Lowered() == 0 {
-			t.Fatalf("cap=%d: nothing lowered", cap)
-		}
 		it := interp.New(m)
+		it.QueueCap = cap
 		if _, err := it.Run(); err != nil {
 			t.Fatalf("cap=%d: %v", cap, err)
 		}
@@ -452,7 +452,7 @@ func TestNoTokenQueueWithoutMemoryDependence(t *testing.T) {
 	prof.Embed()
 	opts := core.DefaultOptions()
 	opts.MinHotness, opts.Cores = 0.2, 3
-	res := runDSWP(t, core.New(m, opts), true, 0)
+	res := runDSWP(t, core.New(m, opts), true)
 	if res.Lowered() == 0 {
 		t.Fatalf("nothing lowered (not lowered: %v, rejections: %v)", notLowered(res), res.Rejections)
 	}
@@ -496,7 +496,7 @@ int main() {
 	runLowered(t, src, 2, 2)
 	// runLowered keeps its module to itself; lower once more to look at it.
 	m := compile(t, src)
-	runDSWP(t, newN(t, m, 2), true, 0)
+	runDSWP(t, newN(t, m, 2), true)
 	var chained int
 	for _, deps := range wrapperMemDeps(t, m) {
 		if deps == "0>1" {

@@ -19,13 +19,8 @@ type planner struct{}
 
 func (planner) Technique() string { return "dswp" }
 
-func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, opts tool.Options) (tool.Plan, error) {
-	p, err := PlanLoop(n, ls)
-	if err != nil {
-		return nil, err
-	}
-	p.queueCap = opts.QueueCapacity
-	return p, nil
+func (planner) PlanLoop(n *core.Noelle, ls *loops.LS, _ tool.Options) (tool.Plan, error) {
+	return PlanLoop(n, ls)
 }
 
 func (p *Plan) Technique() string { return "dswp" }

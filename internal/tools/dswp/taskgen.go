@@ -69,8 +69,10 @@ import (
 // fallback, for the same reasons dispatch itself is deterministic.
 
 // chunk is K, the iterations a staging buffer holds and one bulk queue
-// operation moves; chunkedQueueCap is the capacity, in values, of a queue
-// the lowering creates when nobody chose one. Measured on the benchmark's
+// operation moves; chunkedQueueCap is the capacity, in values, of every
+// value queue the lowering creates (a token queue, one token per chunk,
+// holds chunkedQueueCap/chunk; noelle-bin -queue-cap overrides both at
+// run time). Measured on the benchmark's
 // 2-vCPU host (dswp_pipe: pipeline-65536 at 2 cores, compiled engine;
 // run_ms over the same run's orig_run_ms, three runs of --seconds 3 per
 // cell, the original at 13.1-15.7 ms): at capacity 1024, K = 32 1.00-1.08,
@@ -392,10 +394,6 @@ func transform(p *Plan, taskName string) {
 	o := loopbuilder.BeginOutline(m, p.LS, taskName)
 
 	// ---- queue creation in the pre-header ----
-	capVal := int64(p.queueCap)
-	if capVal <= 0 {
-		capVal = chunkedQueueCap
-	}
 	newQueue := func(name, role string, capacity int64) ir.Value {
 		q := o.Bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capacity)}, name)
 		o.Tag(q, verify.MDQueue, role)
@@ -403,7 +401,7 @@ func transform(p *Plan, taskName string) {
 	}
 	qs.val = make([]ir.Value, len(x.edges))
 	for i := range x.edges {
-		qs.val[i] = newQueue(fmt.Sprintf("q%d", i), verify.QueueValue, capVal)
+		qs.val[i] = newQueue(fmt.Sprintf("q%d", i), verify.QueueValue, chunkedQueueCap)
 	}
 	// tok[k] links stage k to stage k+1; nil where no cross-stage memory
 	// dependence spans the pair (the comm tier's coverage check asks for
@@ -417,7 +415,7 @@ func transform(p *Plan, taskName string) {
 			if qs.tok[k] == nil {
 				qs.push = m.DeclareFunction(interp.ExternQueuePush, ir.FuncOf(ir.VoidType, i64, i64))
 				qs.pop = m.DeclareFunction(interp.ExternQueuePop, ir.FuncOf(i64, i64))
-				qs.tok[k] = newQueue(fmt.Sprintf("tq%d", k), verify.QueueToken, max(capVal/chunk, 1))
+				qs.tok[k] = newQueue(fmt.Sprintf("tq%d", k), verify.QueueToken, chunkedQueueCap/chunk)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ noelle-load -tools auto -o /dev/null "$tmp/prof.nir" 2>"$tmp/plan.txt"
 grep -q "predicted winners" "$tmp/plan.txt" ||
   { echo "FAIL: plan-only auto run did not report predictions"; cat "$tmp/plan.txt"; exit 1; }
 
-noelle-load -tools auto -exec-plans -queue-cap 64 -o "$tmp/par.nir" "$tmp/prof.nir" 2>"$tmp/report.txt"
+noelle-load -tools auto -exec-plans -o "$tmp/par.nir" "$tmp/prof.nir" 2>"$tmp/report.txt"
 cat "$tmp/report.txt"
 
 grep -q "doall lowered" "$tmp/report.txt" ||
