@@ -76,12 +76,13 @@ func BenchmarkFunctionPDGCold(b *testing.B) {
 
 // BenchmarkFunctionPDGWarm measures the warm path: a fresh manager per
 // iteration (simulating a new process) loads every PDG from a pre-
-// populated store by structural fingerprint — fingerprint walk, one
-// segment read, record decode, no alias analysis. The ratio to
-// BenchmarkFunctionPDGCold is the store's speedup on function PDGs
-// alone: about 0.55x while each record was a file of its own and the
-// fingerprint walk fed SHA-256 field by field, about 1.2x since a store
-// reads one segment and the walk hashes one buffer per body.
+// populated store by the module's structural fingerprint — one
+// fingerprint walk, one segment read, record decode, no alias analysis.
+// The ratio to BenchmarkFunctionPDGCold is the store's speedup on
+// function PDGs alone: about 0.55x while each record was a file of its
+// own and the fingerprint walk fed SHA-256 field by field, about 1.2x
+// since a store reads one segment and the walk hashes one buffer per
+// body.
 func BenchmarkFunctionPDGWarm(b *testing.B) {
 	m := cacheBenchModule(b)
 	dir := b.TempDir()
@@ -191,9 +192,10 @@ func BenchmarkParseWhole(b *testing.B) {
 }
 
 // BenchmarkFingerprintWhole is the unit cost of keying a module: every
-// function's structural fingerprint and the module's, on a fresh
-// Fingerprinter over bench.WholeProgram read back from its text, which is
-// what a store-backed compile op and a daemon session resolve compute.
+// function body's local hash folded into the module's structural
+// fingerprint, on a fresh Fingerprinter over bench.WholeProgram read back
+// from its text, which is what a store-backed compile op and a daemon
+// session resolve compute.
 func BenchmarkFingerprintWhole(b *testing.B) {
 	m, err := irtext.Parse(ir.Print(cacheBenchModule(b)))
 	if err != nil {

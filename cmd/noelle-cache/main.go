@@ -12,13 +12,13 @@
 //	           stats endpoint also speaks
 //	ls         every module directory with its segments and indexed
 //	           functions
-//	dump FN    decode function FN's record from the segments: edges
-//	           (positional, with the pdg flag encoding) and per-loop
-//	           abstraction summaries
-//	gc         compact each module's records the index still names into
-//	           one segment, then delete superseded segments, leftover
-//	           temp files and legacy *.rec files; corrupt records and
-//	           records orphaned by re-fingerprinting are left behind
+//	dump FN    decode function FN's latest record from the segments: its
+//	           edges (positional, with the pdg flag encoding)
+//	gc         compact each module's records the index still names (the
+//	           latest per function) into one segment, then delete
+//	           superseded segments, leftover temp files and legacy *.rec
+//	           files; corrupt records, records of an older format and
+//	           records of earlier versions of the module are left behind
 //	clear      delete every record, index and counter under the root
 package main
 
@@ -125,8 +125,7 @@ func ls(dir string) error {
 	for _, mi := range mods {
 		fmt.Printf("module %s: %d records in %d segments, %d bytes\n", mi.Key, mi.Records, mi.Segments, mi.Bytes)
 		for _, e := range mi.Entries {
-			fmt.Printf("  %-24s %s  instrs=%d edges=%d loops=%d\n",
-				"@"+e.Name, e.Fingerprint[:16], e.Instrs, e.Edges, e.Loops)
+			fmt.Printf("  %-24s %s  instrs=%d edges=%d\n", "@"+e.Name, e.Key[:16], e.Instrs, e.Edges)
 		}
 	}
 	return nil
@@ -137,13 +136,10 @@ func dump(dir, fn string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("@%s (module %s, fingerprint %s)\n", rec.FuncName, modKey, rec.Fingerprint.Short())
-	fmt.Printf("instrs=%d edges=%d loops=%d\n", rec.NumInstrs, len(rec.Edges), len(rec.Loops))
+	fmt.Printf("@%s (module %s, key %s)\n", rec.FuncName, modKey, rec.Key.Short())
+	fmt.Printf("instrs=%d edges=%d\n", rec.NumInstrs, len(rec.Edges))
 	for _, e := range rec.Edges {
 		fmt.Printf("  %d>%d:%s\n", e.From, e.To, e.Flags)
-	}
-	for _, l := range rec.Loops {
-		fmt.Printf("  %s\n", l)
 	}
 	return nil
 }

@@ -48,7 +48,7 @@ func main() {
 	hot := flag.Float64("hot", core.DefaultOptions().MinHotness, "minimum loop hotness tools consider (fraction of execution)")
 	optimize := flag.Bool("optimize", true, "enable tools' optional optimization stages (e.g. HELIX's SCD header shrinking)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size for the parallel PDG precompute (0 keeps the layer fully demand-driven; tools that never request a PDG then pay nothing)")
-	cacheDir := flag.String("cache-dir", "", "persistent abstraction store directory: PDGs are loaded by structural fingerprint instead of rebuilt, and new builds are persisted for later runs (inspect with noelle-cache)")
+	cacheDir := flag.String("cache-dir", "", "persistent abstraction store directory: PDGs are loaded by the module's structural fingerprint instead of rebuilt, and new builds are persisted for later runs (inspect with noelle-cache)")
 	execPlans := flag.Bool("exec-plans", false, "lower dswp/helix/auto plans to executable form: stage/iteration tasks communicating over the queue+signal runtime, launched through noelle_dispatch")
 	verifyTier := flag.String("verify", "quick", "static verification tier run after each transforming stage: quick (structure+SSA), ssa (+extern contracts), or comm (+concurrency-protocol linter); rejections exit with code 3")
 	// How a tool that executes the module runs it (carat's guard validation).

@@ -3,10 +3,11 @@ package abscache_test
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"noelle/internal/abscache"
 	"noelle/internal/ir"
@@ -55,8 +56,12 @@ func buildRecord(t *testing.T, m *ir.Module, name string) (*ir.Function, *pdg.Gr
 		t.Fatalf("no function @%s", name)
 	}
 	g := pdg.NewBuilder(m).FunctionPDG(f)
-	fp := ir.NewFingerprinter(m).Function(f)
-	return f, g, abscache.NewRecord(fp, f, g)
+	return f, g, abscache.NewRecord(keyOf(m, name), f, g)
+}
+
+// keyOf is the store key of m's function name under the full alias stack.
+func keyOf(m *ir.Module, name string) ir.Fingerprint {
+	return abscache.Key(ir.ModuleFingerprint(m), "full", name)
 }
 
 // graphShape renders a graph as a set of positional edge strings so two
@@ -95,18 +100,15 @@ func sameShape(t *testing.T, f *ir.Function, want, got *pdg.Graph) {
 func TestCodecRoundTrip(t *testing.T) {
 	m := compile(t)
 	f, g, rec := buildRecord(t, m, "step")
-	rec.Loops = append(rec.Loops, abscache.LoopSummary{
-		Header: 1, Depth: 1, NumInstrs: 12, DoWhile: true, IVs: 1, HasGovIV: true, Invariants: 3, Reductions: 1,
-	})
 
 	back, err := abscache.Decode(abscache.Encode(rec))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if back.Fingerprint != rec.Fingerprint || back.FuncName != rec.FuncName || back.NumInstrs != rec.NumInstrs {
+	if back.Key != rec.Key || back.FuncName != rec.FuncName || back.NumInstrs != rec.NumInstrs {
 		t.Fatalf("header mismatch: %+v vs %+v", back, rec)
 	}
-	if len(back.Edges) != len(rec.Edges) || len(back.Loops) != 1 || back.Loops[0] != rec.Loops[0] {
+	if len(back.Edges) != len(rec.Edges) {
 		t.Fatalf("payload mismatch")
 	}
 	rebuilt, err := back.BuildGraph(f)
@@ -151,7 +153,7 @@ func TestStoreWarmAcrossSessions(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	f1, g1, rec := buildRecord(t, m1, "step")
-	if _, _, ok := s1.Get(rec.Fingerprint, f1); ok {
+	if _, _, ok := s1.Get(rec.Key, f1); ok {
 		t.Fatal("empty store reported a hit")
 	}
 	s1.Put(rec)
@@ -167,15 +169,15 @@ func TestStoreWarmAcrossSessions(t *testing.T) {
 	// pointers) and a fresh store over the same directory.
 	m2 := compile(t)
 	f2 := m2.FunctionByName("step")
-	fp2 := ir.NewFingerprinter(m2).Function(f2)
-	if fp2 != rec.Fingerprint {
-		t.Fatalf("recompiled fingerprint drifted: %s vs %s", fp2.Short(), rec.Fingerprint.Short())
+	key2 := keyOf(m2, "step")
+	if key2 != rec.Key {
+		t.Fatalf("recompiled key drifted: %s vs %s", key2.Short(), rec.Key.Short())
 	}
 	s2, err := abscache.Open(dir, m2, 0)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	g2, _, ok := s2.Get(fp2, f2)
+	g2, _, ok := s2.Get(key2, f2)
 	if !ok {
 		t.Fatal("warm session missed")
 	}
@@ -244,7 +246,7 @@ func TestStoreDegradesOnCorruptedRecord(t *testing.T) {
 		hit  bool
 	}{{"step", false}, {"main", true}} {
 		f := m.FunctionByName(c.name)
-		if _, _, ok := s.Get(ir.NewFingerprinter(m).Function(f), f); ok != c.hit {
+		if _, _, ok := s.Get(keyOf(m, c.name), f); ok != c.hit {
 			t.Errorf("@%s: hit = %v after corrupting @step's record, want %v", c.name, ok, c.hit)
 		}
 	}
@@ -262,50 +264,37 @@ func TestStoreDegradesOnCorruptedRecord(t *testing.T) {
 	}
 }
 
-func TestStoreLoopSummariesPersist(t *testing.T) {
+// TestOlderVersionRecordsMissAndGCDrops: a record of the version-1
+// format, whose key meant something else, reads as a miss, and gc drops
+// it as corrupt.
+func TestOlderVersionRecordsMissAndGCDrops(t *testing.T) {
 	dir := t.TempDir()
 	m := compile(t)
-	s, err := abscache.Open(dir, m, 0)
+	putAndClose(t, dir, m, 0, "step")
+	seg := onlySegment(t, dir, m)
+	data, err := os.ReadFile(seg)
 	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	_, _, rec := buildRecord(t, m, "step")
-	s.Put(rec)
-	sum := abscache.LoopSummary{Header: 1, Depth: 1, NumInstrs: 10, IVs: 1, HasGovIV: true, Invariants: 2, Reductions: 1}
-	s.AddLoopSummary(rec.Fingerprint, sum)
-	s.AddLoopSummary(rec.Fingerprint, sum) // idempotent
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	got, _, err := abscache.FindRecord(dir, "step")
-	if err != nil {
-		t.Fatalf("find: %v", err)
-	}
-	if len(got.Loops) != 1 || got.Loops[0] != sum {
-		t.Fatalf("persisted loops = %+v, want [%+v]", got.Loops, sum)
-	}
-
-	// A later session enriches the record further: its flush writes the
-	// record again in a segment of its own, and the newer copy wins. The
-	// first segment is dated an hour back, so the order does not hang on
-	// the file system's timestamp resolution.
-	first := onlySegment(t, dir, m)
-	s2, err := abscache.Open(dir, m, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	sum2 := abscache.LoopSummary{Header: 4, Depth: 2, NumInstrs: 5}
-	s2.AddLoopSummary(rec.Fingerprint, sum2)
-	if err := s2.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	hourAgo := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(first, hourAgo, hourAgo); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err = abscache.FindRecord(dir, "step"); err != nil || len(got.Loops) != 2 || got.Loops[1] != sum2 {
-		t.Fatalf("after a second session: loops = %+v (%v), want [%+v %+v]", got.Loops, err, sum, sum2)
+	// Frame, magic, then the u16 version: rewrite it to 1 and reseal.
+	binary.LittleEndian.PutUint16(data[4+4:], 1)
+	body := data[4 : len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+	if _, err := abscache.Decode(data[4:]); err == nil || !strings.Contains(err.Error(), "unsupported record version 1") {
+		t.Fatalf("decode of a version-1 record: %v", err)
+	}
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := hits(t, dir, m, "step"); got["step"] {
+		t.Error("a version-1 record hit")
+	}
+	res, err := abscache.GC(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Corrupt != 1 || res.Kept != 0 || res.Superseded != 1 {
+		t.Errorf("gc = %+v, want the version-1 record dropped with its segment", res)
 	}
 }
 
@@ -326,7 +315,7 @@ func TestScanGCClear(t *testing.T) {
 	// name), a stale temp file and a record file of the old layout; gc
 	// must compact the live records into one segment and sweep the rest.
 	modDir := mods[0].Dir
-	orphan := abscache.Encode(&abscache.Record{Fingerprint: ir.Fingerprint{1, 2, 3}, FuncName: "ghost"})
+	orphan := abscache.Encode(&abscache.Record{Key: ir.Fingerprint{1, 2, 3}, FuncName: "ghost"})
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(orphan)))
 	if err := os.WriteFile(filepath.Join(modDir, "0123.seg"), append(frame, orphan...), 0o644); err != nil {
 		t.Fatal(err)
@@ -370,7 +359,8 @@ func TestScanGCClear(t *testing.T) {
 
 // TestFingerprintStableAcrossPrintParse is the irtext leg of the
 // fingerprint-stability contract: a print→parse round trip (which may
-// uniquify SSA names and drops assigned IDs) preserves fingerprints.
+// uniquify SSA names and drops assigned IDs) preserves the module
+// fingerprint, so every function's store key.
 func TestFingerprintStableAcrossPrintParse(t *testing.T) {
 	m := compile(t)
 	m.AssignIDs()
@@ -378,17 +368,9 @@ func TestFingerprintStableAcrossPrintParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p1, p2 := ir.NewFingerprinter(m), ir.NewFingerprinter(back)
 	for _, f := range m.Functions {
-		if f.IsDeclaration() {
-			continue
-		}
-		bf := back.FunctionByName(f.Nam)
-		if bf == nil {
-			t.Fatalf("round trip lost @%s", f.Nam)
-		}
-		if a, b := p1.Function(f), p2.Function(bf); a != b {
-			t.Errorf("@%s: fingerprint %s != %s after print→parse", f.Nam, b.Short(), a.Short())
+		if a, b := keyOf(m, f.Nam), keyOf(back, f.Nam); a != b {
+			t.Errorf("@%s: key %s != %s after print→parse", f.Nam, b.Short(), a.Short())
 		}
 	}
 }

@@ -1,19 +1,20 @@
 // Package abscache is a persistent, content-addressed store for NOELLE
-// abstractions. The expensive abstractions — per-function PDGs built over
-// whole-module alias analysis, and the loop summaries derived from them —
-// are serialized into versioned binary records keyed by a structural
-// function fingerprint (ir.Fingerprint), fronted by an in-memory LRU and
-// backed by immutable segment files, one per flush, each committed with
-// one crash-safe write-temp-then-rename (in the spirit of rockyardkv's
-// SST + inspection tooling). A warm load decodes records instead of
-// re-running the Andersen solve; any mismatch — version, checksum,
-// instruction count — degrades to a rebuild, never to a wrong graph. See
-// README.md in this directory for the on-disk format and the
-// invalidation rules.
+// abstractions. The expensive abstraction — a function PDG built over
+// whole-module alias analysis — is serialized into a versioned binary
+// record keyed by what it depends on (Key: the module's structural
+// fingerprint, the alias stack and the function's name), fronted by an
+// in-memory LRU and backed by immutable segment files, one per flush,
+// each committed with one crash-safe write-temp-then-rename (in the
+// spirit of rockyardkv's SST + inspection tooling). A warm load decodes
+// records instead of re-running the Andersen solve; any mismatch —
+// version, checksum, instruction count — degrades to a rebuild, never to
+// a wrong graph. See README.md in this directory for the on-disk format
+// and the invalidation rules.
 package abscache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -23,9 +24,10 @@ import (
 	"noelle/internal/pdg"
 )
 
-// Record format version. Bump on any change to the byte layout; readers
-// reject versions they do not understand (degrading to a rebuild).
-const codecVersion = 1
+// Record format version. Bump on any change to the byte layout or to what
+// a key means; readers reject versions they do not understand (degrading
+// to a rebuild).
+const codecVersion = 2
 
 // recordMagic leads every record.
 var recordMagic = [4]byte{'N', 'A', 'B', 'S'}
@@ -39,35 +41,30 @@ type EdgeRec struct {
 	Flags    string
 }
 
-// LoopSummary is the per-loop abstraction digest stored alongside the
-// PDG: the LS shape bits plus the IV/INV/RD counts the manager derived.
-// Summaries are inspection data (noelle-cache dump), not enough to
-// reconstruct the L abstraction.
-type LoopSummary struct {
-	Header     int // linear position of the header block within the function
-	Depth      int
-	NumInstrs  int
-	DoWhile    bool
-	IVs        int
-	HasGovIV   bool
-	Invariants int
-	Reductions int
+// Key derives a record's key from everything a function PDG depends on:
+// the module's structural fingerprint (whole-module points-to lets a
+// function's graph depend on its callers, its callees and every global),
+// the alias stack the graph was built over, and the function's name.
+func Key(module ir.Fingerprint, aliasStack, fn string) ir.Fingerprint {
+	b := append([]byte("noelle.key.v2"), module[:]...)
+	b = appendStr(b, aliasStack)
+	b = appendStr(b, fn)
+	return sha256.Sum256(b)
 }
 
-// Record is the cached abstraction bundle of one function.
+// Record is the cached PDG of one function. It never changes once built.
 type Record struct {
-	Fingerprint ir.Fingerprint
-	FuncName    string
-	NumInstrs   int
-	Edges       []EdgeRec
-	Loops       []LoopSummary
+	Key       ir.Fingerprint
+	FuncName  string
+	NumInstrs int
+	Edges     []EdgeRec
 }
 
-// NewRecord captures f's PDG into a record keyed by fp. Edges whose
+// NewRecord captures f's PDG into a record under key. Edges whose
 // endpoints fall outside f (malformed graphs) are skipped.
-func NewRecord(fp ir.Fingerprint, f *ir.Function, g *pdg.Graph) *Record {
+func NewRecord(key ir.Fingerprint, f *ir.Function, g *pdg.Graph) *Record {
 	pos := instrPositions(f)
-	rec := &Record{Fingerprint: fp, FuncName: f.Nam, NumInstrs: len(pos)}
+	rec := &Record{Key: key, FuncName: f.Nam, NumInstrs: len(pos)}
 	g.Edges(func(e *pdg.Edge) bool {
 		from, okF := pos[e.From]
 		to, okT := pos[e.To]
@@ -135,8 +132,8 @@ func instrPositions(f *ir.Function) map[*ir.Instr]int {
 
 // Encode serializes the record:
 //
-//	magic "NABS" | version u16 | fingerprint 32B | name | numInstrs
-//	| numEdges | edges (from, to, flags) | numLoops | loop summaries
+//	magic "NABS" | version u16 | key 32B | name | numInstrs
+//	| numEdges | edges (from, to, flags)
 //	| crc32(IEEE) of everything before, u32 LE
 //
 // Integers are uvarints, strings are length-prefixed.
@@ -147,7 +144,7 @@ func appendRecord(b []byte, r *Record) []byte {
 	start := len(b)
 	b = append(b, recordMagic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, codecVersion)
-	b = append(b, r.Fingerprint[:]...)
+	b = append(b, r.Key[:]...)
 	b = appendStr(b, r.FuncName)
 	b = binary.AppendUvarint(b, uint64(r.NumInstrs))
 	b = binary.AppendUvarint(b, uint64(len(r.Edges)))
@@ -156,29 +153,11 @@ func appendRecord(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, uint64(e.To))
 		b = appendStr(b, e.Flags)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Loops)))
-	for _, l := range r.Loops {
-		b = binary.AppendUvarint(b, uint64(l.Header))
-		b = binary.AppendUvarint(b, uint64(l.Depth))
-		b = binary.AppendUvarint(b, uint64(l.NumInstrs))
-		bits := byte(0)
-		if l.DoWhile {
-			bits |= 1
-		}
-		if l.HasGovIV {
-			bits |= 2
-		}
-		b = append(b, bits)
-		b = binary.AppendUvarint(b, uint64(l.IVs))
-		b = binary.AppendUvarint(b, uint64(l.Invariants))
-		b = binary.AppendUvarint(b, uint64(l.Reductions))
-	}
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // checkRecord verifies an encoded record's length, checksum, magic and
-// version, and returns the payload after the version: the fingerprint
-// first.
+// version, and returns the payload after the version: the key first.
 func checkRecord(data []byte) ([]byte, error) {
 	if len(data) < len(recordMagic)+2+32+4 {
 		return nil, fmt.Errorf("abscache: record truncated (%d bytes)", len(data))
@@ -204,7 +183,7 @@ func Decode(data []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &Record{Fingerprint: ir.Fingerprint(payload[:32])}
+	rec := &Record{Key: ir.Fingerprint(payload[:32])}
 	d := decoder{b: payload[32:]}
 	rec.FuncName = string(d.bytes())
 	rec.NumInstrs = d.int()
@@ -225,14 +204,6 @@ func Decode(data []byte) (*Record, error) {
 			}
 			e.Flags = f
 		}
-	}
-	for numLoops := d.int(); d.err == nil && len(rec.Loops) < numLoops; {
-		var l LoopSummary
-		l.Header, l.Depth, l.NumInstrs = d.int(), d.int(), d.int()
-		bits := d.byte()
-		l.DoWhile, l.HasGovIV = bits&1 != 0, bits&2 != 0
-		l.IVs, l.Invariants, l.Reductions = d.int(), d.int(), d.int()
-		rec.Loops = append(rec.Loops, l)
 	}
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("abscache: %d trailing bytes in record", len(d.b))
@@ -284,14 +255,4 @@ func (d *decoder) bytes() []byte {
 	s := d.b[:n]
 	d.b = d.b[n:]
 	return s
-}
-
-func (d *decoder) byte() byte {
-	if len(d.b) == 0 {
-		d.fail("abscache: record truncated")
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
 }

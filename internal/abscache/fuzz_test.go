@@ -21,7 +21,8 @@ import (
 // comparing it with the function, and run the process out of memory.
 // Committed seeds (testdata/fuzz/FuzzDecode): an encoded record of
 // bench.WholeProgram's @work0, which builds, and one input per error path
-// of Decode and BuildGraph.
+// of Decode and BuildGraph; the unsupported-version one is that record in
+// the version-1 format.
 func FuzzDecode(f *testing.F) {
 	m, err := bench.WholeProgram()
 	if err != nil {

@@ -71,13 +71,13 @@ func FindRecord(root, fnName string) (*Record, string, error) {
 			if e.Name != fnName {
 				continue
 			}
-			fp, err := ir.ParseFingerprint(e.Fingerprint)
+			key, err := ir.ParseFingerprint(e.Key)
 			if err != nil {
 				return nil, "", fmt.Errorf("abscache: record for @%s: %w", fnName, err)
 			}
-			data, ok := readSegments(mi.Dir).records[fp]
+			data, ok := readSegments(mi.Dir).records[key]
 			if !ok {
-				return nil, "", fmt.Errorf("abscache: record for @%s: no intact record %s in %s", fnName, fp.Short(), mi.Dir)
+				return nil, "", fmt.Errorf("abscache: record for @%s: no intact record %s in %s", fnName, key.Short(), mi.Dir)
 			}
 			rec, err := Decode(data)
 			if err != nil {
@@ -100,9 +100,10 @@ type GCResult struct {
 }
 
 // GC compacts every module directory: the records its index still names
-// go into one new segment, and then every other segment, leftover temp
-// file and legacy *.rec file is deleted. Corrupt and orphaned records
-// (the old record of a since-transformed function) are what compaction
+// (the latest per function name) go into one new segment, and then every
+// other segment, leftover temp file and legacy *.rec file is deleted.
+// Corrupt records, records of an older format version, and orphaned
+// records (those of earlier versions of the module) are what compaction
 // leaves behind. Run it while no process writes to the store: a segment
 // committed during the pass is deleted with the superseded ones, which
 // costs that process's warmth, never correctness.
@@ -118,13 +119,13 @@ func GC(root string) (GCResult, error) {
 		var keep []*Record
 		kept := map[ir.Fingerprint]bool{}
 		for _, e := range mi.Entries {
-			fp, err := ir.ParseFingerprint(e.Fingerprint)
-			if err != nil || kept[fp] {
+			key, err := ir.ParseFingerprint(e.Key)
+			if err != nil || kept[key] {
 				continue
 			}
-			if data, ok := segs.records[fp]; ok {
+			if data, ok := segs.records[key]; ok {
 				if rec, err := Decode(data); err == nil {
-					kept[fp] = true
+					kept[key] = true
 					keep = append(keep, rec)
 				}
 			}
@@ -134,7 +135,7 @@ func GC(root string) (GCResult, error) {
 		compacted := ""
 		if len(keep) > 0 {
 			sort.Slice(keep, func(i, j int) bool {
-				return bytes.Compare(keep[i].Fingerprint[:], keep[j].Fingerprint[:]) < 0
+				return bytes.Compare(keep[i].Key[:], keep[j].Key[:]) < 0
 			})
 			var seg []byte
 			for _, rec := range keep {

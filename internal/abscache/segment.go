@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"noelle/internal/ir"
 )
@@ -61,41 +59,25 @@ func writeSegment(dir string, seg []byte) (string, error) {
 type segments struct {
 	files   int                       // segment files read
 	bytes   int64                     // their total size
-	records map[ir.Fingerprint][]byte // the newest intact record of each fingerprint
+	records map[ir.Fingerprint][]byte // one intact record per key
 	corrupt int                       // frames that failed their checksum, magic or version, and torn tails
 }
 
-// readSegments reads every segment of dir, oldest first by modification
-// time, so a record written again by a later flush (with more loop
-// summaries) overrides the earlier copy. Only intact records are kept. An
-// unreadable directory or file reads as empty: the store degrades to cold.
+// readSegments reads every segment of dir. Only intact records are kept;
+// records under one key are interchangeable (a record never changes once
+// built), so the first one read serves. An unreadable directory or file
+// reads as empty: the store degrades to cold.
 func readSegments(dir string) segments {
 	out := segments{records: map[ir.Fingerprint][]byte{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return out
 	}
-	type seg struct {
-		name string
-		mod  time.Time
-	}
-	var segs []seg
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), segExt) {
 			continue
 		}
-		if info, err := e.Info(); err == nil {
-			segs = append(segs, seg{e.Name(), info.ModTime()})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if !segs[i].mod.Equal(segs[j].mod) {
-			return segs[i].mod.Before(segs[j].mod)
-		}
-		return segs[i].name < segs[j].name
-	})
-	for _, sg := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, sg.name))
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			continue
 		}
@@ -107,7 +89,9 @@ func readSegments(dir string) segments {
 				out.corrupt++
 				return
 			}
-			out.records[ir.Fingerprint(payload[:32])] = rec
+			if key := ir.Fingerprint(payload[:32]); out.records[key] == nil {
+				out.records[key] = rec
+			}
 		})
 		if torn {
 			out.corrupt++

@@ -2,6 +2,7 @@ package abscache_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,11 +83,9 @@ func hits(t *testing.T, dir string, m *ir.Module, names ...string) map[string]bo
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	p := ir.NewFingerprinter(m)
 	out := map[string]bool{}
 	for _, name := range names {
-		f := m.FunctionByName(name)
-		_, _, out[name] = s.Get(p.Function(f), f)
+		_, _, out[name] = s.Get(keyOf(m, name), m.FunctionByName(name))
 	}
 	return out
 }
@@ -124,11 +123,10 @@ func TestTruncatedSegmentServesPrefix(t *testing.T) {
 	}
 }
 
-// TestEvictedPendingRecordIsFlushed: a record put (and enriched with loop
-// summaries) into a one-entry memory tier and pushed out of it by the
-// next put is still pending: a later enrichment lands on it, and the next
-// Flush writes it with both summaries. Once flushed and out of memory, it
-// is still found in the same session.
+// TestEvictedPendingRecordIsFlushed: a record put into a one-entry
+// memory tier and pushed out of it by the next put is still pending, so
+// it is still found, and the next Flush writes it. Once flushed and out
+// of memory, it is still found in the same session.
 func TestEvictedPendingRecordIsFlushed(t *testing.T) {
 	m := compile(t)
 	root := t.TempDir()
@@ -137,30 +135,21 @@ func TestEvictedPendingRecordIsFlushed(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	fStep, _, recStep := buildRecord(t, m, "step")
-	if _, _, ok := st.Get(recStep.Fingerprint, fStep); ok { // the miss a cold build starts with
+	if _, _, ok := st.Get(recStep.Key, fStep); ok { // the miss a cold build starts with
 		t.Fatal("empty store reported a hit")
 	}
 	st.Put(recStep)
-	sum1 := abscache.LoopSummary{Header: 1, Depth: 1, NumInstrs: 9, IVs: 1, HasGovIV: true}
-	st.AddLoopSummary(recStep.Fingerprint, sum1)
-
 	_, _, recMain := buildRecord(t, m, "main")
 	st.Put(recMain) // evicts @step from the memory tier
-	sum2 := abscache.LoopSummary{Header: 3, Depth: 1, NumInstrs: 4}
-	st.AddLoopSummary(recStep.Fingerprint, sum2)
+	if _, _, ok := st.Get(recStep.Key, fStep); !ok {
+		t.Error("an evicted pending record missed")
+	}
+	st.Put(recMain) // evicts @step again
 	if err := st.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if _, _, ok := st.Get(recStep.Fingerprint, fStep); !ok {
+	if _, _, ok := st.Get(recStep.Key, fStep); !ok {
 		t.Error("a flushed record that left the memory tier missed in its own session")
-	}
-
-	rec, _, err := abscache.FindRecord(root, "step")
-	if err != nil {
-		t.Fatalf("find: %v", err)
-	}
-	if len(rec.Loops) != 2 || rec.Loops[0] != sum1 || rec.Loops[1] != sum2 {
-		t.Errorf("loop summaries on disk = %+v, want [%+v %+v]", rec.Loops, sum1, sum2)
 	}
 	if got := hits(t, root, m, "step", "main"); !got["step"] || !got["main"] {
 		t.Errorf("hits after flush = %v", got)
@@ -168,24 +157,26 @@ func TestEvictedPendingRecordIsFlushed(t *testing.T) {
 }
 
 // TestConcurrentFlushesOneDirectory: two Stores (two processes, say) that
-// enrich and flush one directory at the same time leave both sets of
+// put and flush into one directory at the same time leave both sets of
 // records readable, with no torn file and no temp file behind.
 func TestConcurrentFlushesOneDirectory(t *testing.T) {
 	dir := t.TempDir()
 	m := compile(t)
+	mod := ir.ModuleFingerprint(m)
 	var wg sync.WaitGroup
 	for _, name := range []string{"step", "main"} {
 		s, err := abscache.Open(dir, m, 0)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		_, _, rec := buildRecord(t, m, name)
+		f, g, rec := buildRecord(t, m, name)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s.Put(rec)
+			// Records under other alias-stack names: one more segment per flush.
 			for i := 0; i < 20; i++ {
-				s.AddLoopSummary(rec.Fingerprint, abscache.LoopSummary{Header: i, NumInstrs: i})
+				s.Put(abscache.NewRecord(abscache.Key(mod, fmt.Sprint("stack", i), name), f, g))
 				if err := s.Flush(); err != nil {
 					t.Errorf("flush: %v", err)
 				}

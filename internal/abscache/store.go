@@ -27,15 +27,13 @@ type Stats struct {
 	Puts   int64 `json:"puts"`
 }
 
-// IndexEntry is one line of a module's index file: the latest
-// fingerprint stored for a function name, plus display counts for
-// noelle-cache ls.
+// IndexEntry is one line of a namespace's index file: the latest key
+// stored for a function name, plus display counts for noelle-cache ls.
 type IndexEntry struct {
-	Name        string
-	Fingerprint string
-	Instrs      int
-	Edges       int
-	Loops       int
+	Name   string
+	Key    string
+	Instrs int
+	Edges  int
 }
 
 // parseIndex decodes an index file; malformed lines are skipped (the
@@ -44,27 +42,23 @@ func parseIndex(data []byte) []IndexEntry {
 	var out []IndexEntry
 	for _, line := range strings.Split(string(data), "\n") {
 		fields := strings.Split(line, "\t")
-		if len(fields) != 5 {
+		if len(fields) != 4 {
 			continue
 		}
 		instrs, _ := strconv.Atoi(fields[2])
 		edges, _ := strconv.Atoi(fields[3])
-		loops, _ := strconv.Atoi(fields[4])
-		out = append(out, IndexEntry{
-			Name: fields[0], Fingerprint: fields[1],
-			Instrs: instrs, Edges: edges, Loops: loops,
-		})
+		out = append(out, IndexEntry{Name: fields[0], Key: fields[1], Instrs: instrs, Edges: edges})
 	}
 	return out
 }
 
 // Store is a two-tier persistent abstraction store: an in-memory LRU of
-// decoded records in front of one on-disk directory per module key. Put
-// and AddLoopSummary stay in memory: they mark records pending, and Flush
-// commits every pending record as one immutable segment, then the index,
-// each with one write-temp-then-rename, so a crash leaves the old files
-// or the new ones — never a torn read. A Store reads its namespace's
-// segments once, on its first miss. Safe for concurrent use.
+// decoded records in front of one on-disk directory per module namespace.
+// Put stays in memory: it marks the record pending, and Flush commits
+// every pending record as one immutable segment, then the index, each
+// with one write-temp-then-rename, so a crash leaves the old files or the
+// new ones — never a torn read. A Store reads its namespace's segments
+// once, on its first miss. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	root   string
@@ -72,15 +66,14 @@ type Store struct {
 	modDir string
 
 	lru        *lruCache
-	pending    map[ir.Fingerprint]*Record // put or enriched since the last Flush
+	pending    map[ir.Fingerprint]*Record // put since the last Flush
 	index      map[string]IndexEntry
 	indexDirty bool
 	stats      Stats
 	closed     bool
 
-	// disk holds the encoded records of the namespace's segments, the
-	// newest per fingerprint: read on the first miss, then extended by
-	// every Flush.
+	// disk holds the encoded records of the namespace's segments, one per
+	// key: read on the first miss, then extended by every Flush.
 	loadDisk sync.Once
 	disk     map[ir.Fingerprint][]byte
 }
@@ -89,10 +82,11 @@ type Store struct {
 const DefaultLRUEntries = 4096
 
 // ModuleKey derives the store subdirectory for a module. It hashes the
-// module name only: correctness lives entirely in the per-function
-// fingerprints (which cover bodies, callees and globals), so the module
-// key is a namespace that lets unchanged functions stay warm across
-// transforming runs of the same program.
+// module name only, so it is a namespace, not a key: correctness lives
+// entirely in each record's Key, which covers the whole module. Every
+// version of one program (each stage of a transforming pipeline, each
+// edit) shares the directory, and gc keeps the latest record per
+// function name.
 func ModuleKey(m *ir.Module) string {
 	sum := sha256.Sum256([]byte("noelle.mod.v1\x00" + m.Name))
 	return hex.EncodeToString(sum[:8])
@@ -131,13 +125,13 @@ func (s *Store) Root() string { return s.root }
 // ModKey returns the module subdirectory key.
 func (s *Store) ModKey() string { return s.modKey }
 
-// Get looks up the record for fp and reconstructs f's PDG from it. Any
+// Get looks up the record under key and reconstructs f's PDG from it. Any
 // failure — absent record, corrupt bytes, shape mismatch — is a miss.
 // The segment read, the decode and the graph assembly run outside the
 // store lock, so concurrent warm loads (PrecomputePDGs workers) proceed
 // in parallel.
-func (s *Store) Get(fp ir.Fingerprint, f *ir.Function) (*pdg.Graph, *Record, bool) {
-	rec, ok := s.lookup(fp)
+func (s *Store) Get(key ir.Fingerprint, f *ir.Function) (*pdg.Graph, *Record, bool) {
+	rec, ok := s.lookup(key)
 	var g *pdg.Graph
 	if ok {
 		var err error
@@ -154,56 +148,56 @@ func (s *Store) Get(fp ir.Fingerprint, f *ir.Function) (*pdg.Graph, *Record, boo
 	return g, rec, true
 }
 
-// lookup returns the record for fp: the one in memory, else the one its
-// segments hold, decoded and admitted to the LRU. Two goroutines racing
-// the same cold fingerprint at worst decode the record twice; the first
+// lookup returns the record under key: the one in memory, else the one
+// its segments hold, decoded and admitted to the LRU. Two goroutines
+// racing the same cold key at worst decode the record twice; the first
 // to admit it wins, so memory holds one copy of each record.
-func (s *Store) lookup(fp ir.Fingerprint) (*Record, bool) {
+func (s *Store) lookup(key ir.Fingerprint) (*Record, bool) {
 	s.mu.Lock()
-	rec, ok := s.memLocked(fp)
+	rec, ok := s.memLocked(key)
 	s.mu.Unlock()
 	if ok {
 		return rec, true
 	}
 	s.loadDisk.Do(s.readDisk)
 	s.mu.Lock()
-	data, ok := s.disk[fp]
+	data, ok := s.disk[key]
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	rec, err := Decode(data)
-	if err != nil || rec.Fingerprint != fp {
+	if err != nil || rec.Key != key {
 		return nil, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.memLocked(fp); ok {
+	if cur, ok := s.memLocked(key); ok {
 		return cur, true
 	}
-	s.lru.put(fp, rec)
+	s.lru.put(key, rec)
 	return rec, true
 }
 
-// memLocked finds fp's record in memory: pending first, because a pending
-// record the LRU evicted is still the one the next Flush writes. Caller
-// holds mu.
-func (s *Store) memLocked(fp ir.Fingerprint) (*Record, bool) {
-	if rec, ok := s.pending[fp]; ok {
+// memLocked finds key's record in memory: pending first, because a
+// pending record the LRU evicted is still the one the next Flush writes.
+// Caller holds mu.
+func (s *Store) memLocked(key ir.Fingerprint) (*Record, bool) {
+	if rec, ok := s.pending[key]; ok {
 		return rec, true
 	}
-	return s.lru.get(fp)
+	return s.lru.get(key)
 }
 
-// readDisk reads the namespace's segments, outside the lock. What a Flush
-// of this Store committed meanwhile is newer, so it is kept.
+// readDisk reads the namespace's segments, outside the lock, keeping what
+// a Flush of this Store committed meanwhile.
 func (s *Store) readDisk() {
 	segs := readSegments(s.modDir)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for fp, data := range segs.records {
-		if _, ok := s.disk[fp]; !ok {
-			s.disk[fp] = data
+	for key, data := range segs.records {
+		if _, ok := s.disk[key]; !ok {
+			s.disk[key] = data
 		}
 	}
 }
@@ -214,48 +208,15 @@ func (s *Store) Put(rec *Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
-	s.lru.put(rec.Fingerprint, rec)
-	s.pending[rec.Fingerprint] = rec
+	s.lru.put(rec.Key, rec)
+	s.pending[rec.Key] = rec
 	s.index[rec.FuncName] = IndexEntry{
-		Name:        rec.FuncName,
-		Fingerprint: rec.Fingerprint.String(),
-		Instrs:      rec.NumInstrs,
-		Edges:       len(rec.Edges),
-		Loops:       len(rec.Loops),
+		Name:   rec.FuncName,
+		Key:    rec.Key.String(),
+		Instrs: rec.NumInstrs,
+		Edges:  len(rec.Edges),
 	}
 	s.indexDirty = true
-}
-
-// AddLoopSummary enriches the record for fp with one loop's abstraction
-// summary (replacing any previous summary for the same header). A no-op
-// when no record exists for fp; the summary is persisted on Flush/Close.
-func (s *Store) AddLoopSummary(fp ir.Fingerprint, sum LoopSummary) {
-	rec, ok := s.lookup(fp)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.memLocked(fp); ok {
-		rec = cur // the copy another goroutine admitted or enriched
-	}
-	for i, l := range rec.Loops {
-		if l.Header == sum.Header {
-			if l != sum {
-				rec.Loops[i] = sum
-				s.pending[fp] = rec
-			}
-			return
-		}
-	}
-	rec.Loops = append(rec.Loops, sum)
-	sort.Slice(rec.Loops, func(i, j int) bool { return rec.Loops[i].Header < rec.Loops[j].Header })
-	s.pending[fp] = rec
-	if e, ok := s.index[rec.FuncName]; ok && e.Fingerprint == fp.String() {
-		e.Loops = len(rec.Loops)
-		s.index[rec.FuncName] = e
-		s.indexDirty = true
-	}
 }
 
 // Stats returns a snapshot of this session's counters: a by-value copy
@@ -277,14 +238,14 @@ func (s *Store) Flush() error {
 
 func (s *Store) flushLocked() error {
 	if len(s.pending) > 0 {
-		fps := make([]ir.Fingerprint, 0, len(s.pending))
-		for fp := range s.pending {
-			fps = append(fps, fp)
+		keys := make([]ir.Fingerprint, 0, len(s.pending))
+		for key := range s.pending {
+			keys = append(keys, key)
 		}
-		sort.Slice(fps, func(i, j int) bool { return bytes.Compare(fps[i][:], fps[j][:]) < 0 })
+		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
 		var seg []byte
-		for _, fp := range fps {
-			seg = appendFrame(seg, s.pending[fp])
+		for _, key := range keys {
+			seg = appendFrame(seg, s.pending[key])
 		}
 		if _, err := writeSegment(s.modDir, seg); err != nil {
 			return err
@@ -292,7 +253,7 @@ func (s *Store) flushLocked() error {
 		// Later misses find these records in memory, the LRU or not.
 		i := 0
 		scanFrames(seg, func(rec []byte) {
-			s.disk[fps[i]] = rec
+			s.disk[keys[i]] = rec
 			i++
 		})
 		clear(s.pending)
@@ -345,7 +306,7 @@ func (s *Store) writeIndex() error {
 	var b strings.Builder
 	for _, n := range names {
 		e := s.index[n]
-		fmt.Fprintf(&b, "%s\t%s\t%d\t%d\t%d\n", n, e.Fingerprint, e.Instrs, e.Edges, e.Loops)
+		fmt.Fprintf(&b, "%s\t%s\t%d\t%d\n", n, e.Key, e.Instrs, e.Edges)
 	}
 	return commitFile(filepath.Join(s.modDir, indexName), []byte(b.String()))
 }

@@ -16,6 +16,7 @@ import (
 	"noelle/internal/passes"
 	"noelle/internal/pdg"
 	"noelle/internal/sccdag"
+	"noelle/internal/tools/doall"
 )
 
 const cacheSrc = `
@@ -124,9 +125,10 @@ func TestWarmLoadBuildsZeroPDGs(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationRebuilds: mutating a function changes its
-// fingerprint, so a warm store must not serve the stale record for it —
-// while untouched functions still load warm.
+// TestCacheInvalidationRebuilds: a store record is keyed by the whole
+// module's fingerprint, so once @fill is edited no record of the first
+// session serves the second: whole-module points-to can carry an edit
+// into any function's graph, so every function misses and is rebuilt.
 func TestCacheInvalidationRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -158,25 +160,160 @@ func TestCacheInvalidationRebuilds(t *testing.T) {
 		t.Fatal("no add instruction to edit in @fill")
 	}
 	n2 := core.New(m2, opts)
-	n2.FunctionPDG(fill)
-	builds, hits, misses := n2.CacheStats()
-	if builds != 1 || misses != 1 || hits != 0 {
-		t.Fatalf("edited @fill: builds=%d hits=%d misses=%d, want 1/0/1", builds, hits, misses)
+	if err := n2.PrecomputePDGs(ctx, 2); err != nil {
+		t.Fatal(err)
 	}
-	// @scan does not call @fill, so it still loads warm.
-	n2.FunctionPDG(m2.FunctionByName("scan"))
-	builds, hits, _ = n2.CacheStats()
-	if builds != 1 || hits != 1 {
-		t.Fatalf("untouched @scan: builds=%d hits=%d, want 1/1", builds, hits)
-	}
-	// @main calls @fill, so its fingerprint changed too: rebuild.
-	n2.FunctionPDG(m2.FunctionByName("main"))
-	builds, _, _ = n2.CacheStats()
-	if builds != 2 {
-		t.Fatalf("caller @main: builds=%d, want 2", builds)
+	want := int64(definedFuncs(m2))
+	if builds, hits, misses := n2.CacheStats(); builds != want || misses != want || hits != 0 {
+		t.Fatalf("after editing @fill: builds=%d hits=%d misses=%d, want %d/0/%d", builds, hits, misses, want, want)
 	}
 	if err := n2.CloseStore(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// shiftSrc is a program whose @shift is one body under two callers:
+// with dst != src its loop is DOALL, with dst == src every iteration
+// reads what the previous one wrote. A key over @shift's body and
+// callees alone is equal in both programs, and serving the first's graph
+// to the second lets DOALL lower a loop-carried dependence.
+const shiftSrc = `
+int a[201];
+int b[201];
+
+void shift(int *p, int *q, int n) {
+  for (int i = 0; i < n; i = i + 1) {
+    p[i + 1] = (q[i] + i) %% 1000003;
+  }
+}
+
+int main() {
+  for (int i = 0; i < 201; i = i + 1) {
+    a[i] = i * 7 + 1;
+  }
+  shift(%s, 200);
+  int s = 0;
+  for (int i = 0; i < 201; i = i + 1) {
+    s = s + a[i] + b[i] * (i + 1);
+  }
+  print_i64(s);
+  return 0;
+}
+`
+
+// compileShift compiles shiftSrc calling shift(args, 200), under the one
+// module name every program of noelle-whole-ir has, so both programs
+// share a store namespace.
+func compileShift(t *testing.T, args string) *ir.Module {
+	t.Helper()
+	m, err := minic.Compile("whole", fmt.Sprintf(shiftSrc, args))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	passes.Optimize(m)
+	return m
+}
+
+// shape renders g as f's positional edges, sorted.
+func shape(f *ir.Function, g *pdg.Graph) []string {
+	pos := map[*ir.Instr]int{}
+	f.Instrs(func(in *ir.Instr) bool {
+		pos[in] = len(pos)
+		return true
+	})
+	var out []string
+	g.Edges(func(e *pdg.Edge) bool {
+		out = append(out, fmt.Sprintf("%d>%d:%s", pos[e.From], pos[e.To], pdg.EncodeEdgeFlags(e)))
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
+// TestStoreKeyCoversCallers: after the program calling shift(b, a) has
+// filled a store, the program calling shift(a, a) gets the graph of
+// @shift its own storeless build has, and DOALL refuses @shift's loop.
+func TestStoreKeyCoversCallers(t *testing.T) {
+	dir := t.TempDir()
+	opts := core.DefaultOptions()
+	opts.CacheDir = dir
+	first := core.New(compileShift(t, "b, a"), opts)
+	if err := first.PrecomputePDGs(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := compileShift(t, "a, a")
+	n := core.New(m, opts)
+	shift := m.FunctionByName("shift")
+	coldShift := compileShift(t, "a, a").FunctionByName("shift")
+	want := shape(coldShift, core.New(coldShift.Parent, core.DefaultOptions()).FunctionPDG(coldShift))
+	if got := shape(shift, n.FunctionPDG(shift)); !slices.Equal(got, want) {
+		t.Errorf("@shift from the store has %d edges, its storeless build %d:\n got  %q\n want %q", len(got), len(want), got, want)
+	}
+	if _, hits, _ := n.CacheStats(); hits != 0 {
+		t.Errorf("%d store hits across programs", hits)
+	}
+	lss := n.LoopStructures(shift)
+	if len(lss) != 1 {
+		t.Fatalf("@shift has %d loops, want 1", len(lss))
+	}
+	if _, err := doall.PlanLoop(n, lss[0]); err == nil {
+		t.Error("doall planned @shift's loop, which carries a dependence through *p")
+	}
+	if err := n.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreKeyCoversAliasStack: a baseline-alias-stack manager and a
+// full-stack one sharing a store directory each get the graphs their own
+// storeless build has, whichever filled the store first.
+func TestStoreKeyCoversAliasStack(t *testing.T) {
+	storeless := func(baseline bool) map[string][]string {
+		m := compileShift(t, "b, a")
+		n := core.New(m, core.Options{BaselineAA: baseline, MinHotness: 0.05, Cores: 2})
+		out := map[string][]string{}
+		for _, f := range m.Functions {
+			if !f.IsDeclaration() {
+				out[f.Nam] = shape(f, n.FunctionPDG(f))
+			}
+		}
+		return out
+	}
+	want := map[bool]map[string][]string{false: storeless(false), true: storeless(true)}
+	differ := 0
+	for name, g := range want[false] {
+		if !slices.Equal(g, want[true][name]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two alias stacks build the same graphs: the fixture tests nothing")
+	}
+	for _, baselineFirst := range []bool{false, true} {
+		dir := t.TempDir()
+		for _, baseline := range []bool{baselineFirst, !baselineFirst} {
+			m := compileShift(t, "b, a")
+			n := core.New(m, core.Options{BaselineAA: baseline, MinHotness: 0.05, Cores: 2, CacheDir: dir})
+			for _, f := range m.Functions {
+				if f.IsDeclaration() {
+					continue
+				}
+				if got := shape(f, n.FunctionPDG(f)); !slices.Equal(got, want[baseline][f.Nam]) {
+					t.Errorf("baseline=%v after baseline=%v: @%s has %d edges, its storeless build %d",
+						baseline, baselineFirst, f.Nam, len(got), len(want[baseline][f.Nam]))
+				}
+			}
+			if _, hits, _ := n.CacheStats(); hits != 0 {
+				t.Errorf("baseline=%v after baseline=%v: %d store hits across alias stacks", baseline, baselineFirst, hits)
+			}
+			if err := n.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -70,13 +70,21 @@ type Options struct {
 	Cores int
 	// CacheDir, when non-empty, enables the persistent abstraction store
 	// (internal/abscache) rooted there: function PDGs are looked up by
-	// structural fingerprint before being built, and new builds are
-	// persisted for later processes. Open failures degrade to an
-	// uncached manager (see Noelle.StoreErr).
+	// the module's structural fingerprint, the alias stack and the
+	// function's name before being built, and new builds are persisted
+	// for later processes. Open failures degrade to an uncached manager
+	// (see Noelle.StoreErr).
 	CacheDir string
-	// CacheLRUEntries caps the store's in-memory record tier
-	// (0 = abscache.DefaultLRUEntries).
-	CacheLRUEntries int
+}
+
+// aliasStack names the alias stack the manager's PDGs are built over.
+// It is part of every store key: the two stacks build different graphs
+// for one function.
+func (o Options) aliasStack() string {
+	if o.BaselineAA {
+		return "baseline"
+	}
+	return "full"
 }
 
 // MaxCores is the largest core count a parallelizer may target. The
@@ -134,11 +142,13 @@ type Noelle struct {
 
 	// Persistent store state. store is written once at construction (or
 	// via SetStore) and read under mu; the Store itself is
-	// concurrency-safe. fper memoizes structural fingerprints and is
-	// discarded on invalidation. embedded holds graphs decoded from
-	// noelle.pdg.* metadata (the noelle-meta-pdg-embed round trip); once
-	// the module mutates before the first decode, extraction is disabled
-	// (embeddedStale) — degrading to a rebuild, never a wrong graph.
+	// concurrency-safe. fper memoizes the module's structural
+	// fingerprint and is used under mu: InvalidateFunction drops one
+	// body's hash from it, InvalidateModule discards it. embedded holds
+	// graphs decoded from noelle.pdg.* metadata (the noelle-meta-pdg-embed
+	// round trip); once the module mutates before the first decode,
+	// extraction is disabled (embeddedStale) — degrading to a rebuild,
+	// never a wrong graph.
 	store          *abscache.Store
 	storeErr       error
 	fper           *ir.Fingerprinter
@@ -170,7 +180,7 @@ func New(m *ir.Module, opts Options) *Noelle {
 		scheds:   map[*ir.Function]*scheduler.Scheduler{},
 	}
 	if opts.CacheDir != "" {
-		n.store, n.storeErr = abscache.Open(opts.CacheDir, m, opts.CacheLRUEntries)
+		n.store, n.storeErr = abscache.Open(opts.CacheDir, m, 0)
 	}
 	return n
 }
@@ -207,8 +217,8 @@ func (n *Noelle) CacheStats() (builds, hits, misses int64) {
 	return n.pdgBuilds.Load(), n.storeHits.Load(), n.storeMisses.Load()
 }
 
-// FlushStore persists pending store state (records, loop summaries,
-// index) as one segment and the index. A no-op without a store.
+// FlushStore persists pending store records as one segment, then the
+// index. A no-op without a store.
 func (n *Noelle) FlushStore() error {
 	if s := n.Store(); s != nil {
 		return s.Flush()
@@ -226,16 +236,17 @@ func (n *Noelle) CloseStore() error {
 	return nil
 }
 
-// fingerprint returns f's structural fingerprint, memoized per
-// invalidation generation.
-func (n *Noelle) fingerprint(f *ir.Function) ir.Fingerprint {
+// storeKey returns the store key of f's PDG: the module's structural
+// fingerprint (folded once per invalidation, re-hashing only the bodies
+// invalidated since), the alias stack and f's name.
+func (n *Noelle) storeKey(f *ir.Function) ir.Fingerprint {
 	n.mu.Lock()
 	if n.fper == nil {
 		n.fper = ir.NewFingerprinter(n.Mod)
 	}
-	p := n.fper
+	mod := n.fper.Module()
 	n.mu.Unlock()
-	return p.Function(f)
+	return abscache.Key(mod, n.Opts.aliasStack(), f.Nam)
 }
 
 // Use records a request for an abstraction without constructing anything
@@ -342,7 +353,7 @@ func (n *Noelle) FunctionPDG(f *ir.Function) *pdg.Graph {
 
 // buildPDG materializes f's PDG from the cheapest valid source: embedded
 // noelle.pdg.* metadata first (the noelle-meta-pdg-embed round trip),
-// then the persistent store by structural fingerprint, and only then a
+// then the persistent store by module fingerprint, and only then a
 // cold build over the alias stack — which the next flush persists so
 // the next process loads warm. The builder (and its whole-module
 // points-to fixed point) is only materialized on an actual cold build:
@@ -353,10 +364,10 @@ func (n *Noelle) buildPDG(f *ir.Function, gen uint64) *pdg.Graph {
 		return g
 	}
 	s := n.Store()
-	var fp ir.Fingerprint
+	var key ir.Fingerprint
 	if s != nil {
-		fp = n.fingerprint(f)
-		if g, _, ok := s.Get(fp, f); ok {
+		key = n.storeKey(f)
+		if g, _, ok := s.Get(key, f); ok {
 			n.storeHits.Add(1)
 			return g
 		}
@@ -366,15 +377,15 @@ func (n *Noelle) buildPDG(f *ir.Function, gen uint64) *pdg.Graph {
 	n.pdgBuilds.Add(1)
 	if s != nil {
 		// Persist only when no invalidation raced the build: a mutation
-		// mid-build would otherwise pair the pre-mutation fingerprint
-		// with a post-mutation graph on disk — the one way a store could
-		// serve a wrong graph to a later process. (Same discipline as
-		// the in-memory fpdgs cache.)
+		// mid-build would otherwise pair the pre-mutation key with a
+		// post-mutation graph on disk — the one way a store could serve a
+		// wrong graph to a later process. (Same discipline as the
+		// in-memory fpdgs cache.)
 		n.mu.Lock()
 		ok := n.gen == gen
 		n.mu.Unlock()
 		if ok {
-			s.Put(abscache.NewRecord(fp, f, g)) // written by the next flush
+			s.Put(abscache.NewRecord(key, f, g)) // written by the next flush
 		}
 	}
 	return g
@@ -523,19 +534,6 @@ func (n *Noelle) Loop(ls *loops.LS) *loops.Loop {
 		impure = func(call *ir.Instr) bool { return !pt.CallIsPure(call) }
 	}
 	l := loops.NewLoop(ls, fpdg, impure)
-	if s := n.Store(); s != nil {
-		// Enrich the function's record with this loop's abstraction
-		// summary — but only when no invalidation raced the
-		// computation, so a summary of mutated IR never attaches to a
-		// pre-mutation record.
-		fp := n.fingerprint(ls.Fn)
-		n.mu.Lock()
-		ok := n.gen == gen
-		n.mu.Unlock()
-		if ok {
-			s.AddLoopSummary(fp, abscache.SummarizeLoop(l))
-		}
-	}
 
 	n.mu.Lock()
 	if n.gen == gen {
@@ -648,7 +646,9 @@ func (n *Noelle) InvalidateFunction(f *ir.Function) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.gen++
-	n.fper = nil // structural fingerprints must be recomputed
+	if n.fper != nil {
+		n.fper.Invalidate(f) // re-hash f's body, keep every other one
+	}
 	if n.embeddedLoaded {
 		delete(n.embedded, f) // other functions' decoded graphs stay valid
 	} else {

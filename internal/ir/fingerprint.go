@@ -7,21 +7,21 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
-// Fingerprint is a deterministic content hash over a function and
-// everything its analyses can observe: its own blocks, instructions and
-// operands, the bodies of its (transitive) callees, and the module's
-// globals (whole-module alias analysis makes every global alias-relevant).
-// Two functions with equal fingerprints have equal PDGs, so persistent
-// abstraction stores (internal/abscache) key records by it.
+// Fingerprint is a deterministic structural content hash. A module's
+// fingerprint (Fingerprinter.Module) covers every function body and every
+// global: whole-module points-to analysis lets a function's PDG depend on
+// its callers, its callees and every global, so the persistent
+// abstraction store (internal/abscache) keys each record by the module's
+// fingerprint and the function's name, and a compile service
+// (internal/serve) keys warm sessions by it.
 //
 // The hash is structural: SSA names, metadata attachments, and assigned
 // deterministic IDs do not contribute, so a fingerprint survives
 // ir.CloneModule, print→parse round trips through irtext (which may
 // uniquify names), and Module.AssignIDs renumbering. Any semantic edit —
-// an operand, an opcode, a callee body, a global initializer — changes it.
+// an operand, an opcode, a function body, a global initializer — changes it.
 type Fingerprint [32]byte
 
 // String renders the fingerprint as lowercase hex.
@@ -47,14 +47,10 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 	return fp, nil
 }
 
-// Fingerprinter computes function fingerprints over one module, memoizing
-// the per-function local hashes and call-closure hashes so fingerprinting
-// every function of a module stays linear. It must be discarded (and a
-// fresh one created) after any IR mutation. It is safe for concurrent
-// use, but one mutex guards the memo tables, so concurrent callers
-// serialize per fingerprint; the memoization keeps each locked section
-// to one body walk, which is small next to a record decode and tiny
-// next to the alias solve a hit avoids.
+// Fingerprinter computes one module's fingerprint, memoizing each
+// function body's local hash, the globals hash and the module fold, so
+// re-fingerprinting after an edit re-hashes only what Invalidate dropped.
+// Not safe for concurrent use: core.Noelle calls it under its own lock.
 //
 // Every hashed stream is encoded into one reused buffer and hashed by one
 // sha256.Sum256 call. The byte streams are part of the store's key
@@ -63,53 +59,29 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 type Fingerprinter struct {
 	mod *Module
 
-	mu       sync.Mutex
 	locals   map[*Function]Fingerprint
-	closures map[*Function]Fingerprint
 	typeStrs map[*Type]string
-	callees  map[*Function]calleeSet
-	byName   map[string]*Function // the first function of each name, as FunctionByName finds it
 	globals  Fingerprint
 	haveGlob bool
+	module   Fingerprint
+	haveMod  bool
 
 	// buf, pos and bpos are reused by every body walk: the encoded stream,
 	// and the body's instructions and blocks numbered in syntactic order.
-	// seen (stamped with gen), work and names are reused by every callee
-	// closure walk.
-	buf   []byte
-	pos   map[*Instr]int
-	bpos  map[*Block]int
-	seen  map[*Function]uint32
-	gen   uint32
-	work  []*Function
-	names []string
-}
-
-// calleeSet is one function's memoized direct-call information.
-type calleeSet struct {
-	direct   []*Function
-	indirect bool // an indirect call widens reachability to the whole module
+	buf  []byte
+	pos  map[*Instr]int
+	bpos map[*Block]int
 }
 
 // NewFingerprinter prepares a fingerprinter for m.
 func NewFingerprinter(m *Module) *Fingerprinter {
-	p := &Fingerprinter{
+	return &Fingerprinter{
 		mod:      m,
 		locals:   map[*Function]Fingerprint{},
-		closures: map[*Function]Fingerprint{},
 		typeStrs: map[*Type]string{},
-		callees:  map[*Function]calleeSet{},
-		byName:   make(map[string]*Function, len(m.Functions)),
 		pos:      map[*Instr]int{},
 		bpos:     map[*Block]int{},
-		seen:     map[*Function]uint32{},
 	}
-	for _, f := range m.Functions {
-		if _, ok := p.byName[f.Nam]; !ok {
-			p.byName[f.Nam] = f
-		}
-	}
-	return p
 }
 
 // typeStr memoizes Type.String: type nodes are shared heavily, and the
@@ -123,139 +95,51 @@ func (p *Fingerprinter) typeStr(t *Type) string {
 	return s
 }
 
-// Function returns the fingerprint of f.
-func (p *Fingerprinter) Function(f *Function) Fingerprint {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.functionLocked(f)
+// Invalidate drops f's local hash after f's body changed, so the next
+// Module re-hashes that one body and re-folds. Functions added to the
+// module since are hashed on the next Module without being named here.
+func (p *Fingerprinter) Invalidate(f *Function) {
+	delete(p.locals, f)
+	p.haveMod = false
 }
 
-func (p *Fingerprinter) functionLocked(f *Function) Fingerprint {
-	if fp, ok := p.closures[f]; ok {
-		return fp
-	}
-	g := p.globalsLocked()
-	l := p.localLocked(f)
-	// Callee closure: the bodies every reachable callee contributes, in
-	// name order so the hash is independent of discovery order.
-	names := p.calleeNamesLocked(f)
-	// Hash every callee body first: the walks reuse buf.
-	for _, name := range names {
-		p.localLocked(p.byName[name])
-	}
-	b := append(p.buf[:0], "noelle.fn.v1"...)
-	b = append(b, g[:]...)
-	b = append(b, l[:]...)
-	for _, name := range names {
-		b = appendStr(b, name)
-		lh := p.localLocked(p.byName[name])
-		b = append(b, lh[:]...)
-	}
-	p.buf = b
-	fp := Fingerprint(sha256.Sum256(b))
-	p.closures[f] = fp
-	return fp
-}
-
-// Module returns a structural fingerprint of the whole module: the
-// globals hash plus every function's closure fingerprint, folded in
-// name-sorted order. Two modules with equal fingerprints have equal
-// abstractions for every function, so a compile service (internal/serve)
-// keys warm per-module sessions by it. Like Function, the hash survives
-// CloneModule, print→parse round trips, and ID renumbering.
+// Module returns the module's structural fingerprint: the globals hash
+// plus every function's local hash, folded in name-sorted order so the
+// hash is independent of declaration order. Like every local hash, it
+// survives CloneModule, print→parse round trips, and ID renumbering.
 func (p *Fingerprinter) Module() Fingerprint {
+	if p.haveMod {
+		return p.module
+	}
 	fns := append([]*Function(nil), p.mod.Functions...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Nam < fns[j].Nam })
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	// Hash every body first: the walks reuse buf.
+	g := p.globalsHash()
 	for _, f := range fns {
-		p.functionLocked(f)
+		p.local(f)
 	}
-	g := p.globalsLocked()
-	b := appendStr(p.buf[:0], "noelle.modfp.v1")
+	b := appendStr(p.buf[:0], "noelle.modfp.v2")
 	b = append(b, g[:]...)
 	for _, f := range fns {
 		b = appendStr(b, f.Nam)
-		fp := p.closures[f]
-		b = append(b, fp[:]...)
+		l := p.locals[f]
+		b = append(b, l[:]...)
 	}
 	p.buf = b
-	return sha256.Sum256(b)
+	p.module, p.haveMod = sha256.Sum256(b), true
+	return p.module
 }
 
 // ModuleFingerprint computes m's structural fingerprint with a throwaway
-// fingerprinter (callers that also need per-function fingerprints should
-// share one Fingerprinter instead).
+// fingerprinter.
 func ModuleFingerprint(m *Module) Fingerprint {
 	return NewFingerprinter(m).Module()
 }
 
-// calleeNamesLocked returns the sorted names of the functions reachable
-// from f through direct calls, f excluded. An indirect call makes the
-// result conservatively the whole module (any address-taken function may
-// run). The per-function callee lists are memoized so fingerprinting a
-// whole module walks each body once, not once per caller. The result is
-// valid until the next call.
-func (p *Fingerprinter) calleeNamesLocked(f *Function) []string {
-	p.gen++
-	p.seen[f] = p.gen
-	work, names := append(p.work[:0], f), p.names[:0]
-	visit := func(g *Function) {
-		if p.seen[g] != p.gen {
-			p.seen[g] = p.gen
-			work = append(work, g)
-			names = append(names, g.Nam)
-		}
-	}
-	for i := 0; i < len(work); i++ {
-		cs := p.calleesLocked(work[i])
-		if cs.indirect {
-			for _, g := range p.mod.Functions {
-				visit(g)
-			}
-			continue
-		}
-		for _, callee := range cs.direct {
-			visit(callee)
-		}
-	}
-	sort.Strings(names)
-	p.work, p.names = work, names
-	return names
-}
-
-func (p *Fingerprinter) calleesLocked(f *Function) calleeSet {
-	if cs, ok := p.callees[f]; ok {
-		return cs
-	}
-	var cs calleeSet
-	dedup := map[*Function]bool{}
-	f.Instrs(func(in *Instr) bool {
-		if in.Opcode != OpCall {
-			return true
-		}
-		if callee := in.CalledFunction(); callee != nil {
-			if !dedup[callee] {
-				dedup[callee] = true
-				cs.direct = append(cs.direct, callee)
-			}
-		} else {
-			cs.indirect = true
-			return false
-		}
-		return true
-	})
-	p.callees[f] = cs
-	return cs
-}
-
-// localLocked hashes one function body structurally. Operands referring to
+// local hashes one function body structurally. Operands referring to
 // instructions or blocks are encoded by syntactic position, never by name
 // or assigned ID.
-func (p *Fingerprinter) localLocked(f *Function) Fingerprint {
-	if f == nil {
-		return Fingerprint{}
-	}
+func (p *Fingerprinter) local(f *Function) Fingerprint {
 	if fp, ok := p.locals[f]; ok {
 		return fp
 	}
@@ -300,10 +184,10 @@ func (p *Fingerprinter) localLocked(f *Function) Fingerprint {
 	return fp
 }
 
-// globalsLocked hashes every global's name, storage type and initializer
+// globalsHash hashes every global's name, storage type and initializer
 // (sorted by name). Whole-module points-to facts can depend on any global,
-// so every function fingerprint includes this hash.
-func (p *Fingerprinter) globalsLocked() Fingerprint {
+// so the module fingerprint includes this hash.
+func (p *Fingerprinter) globalsHash() Fingerprint {
 	if p.haveGlob {
 		return p.globals
 	}

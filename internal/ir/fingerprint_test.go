@@ -3,7 +3,7 @@ package ir
 import "testing"
 
 // buildCallerModule builds a module where @main calls @sum, with one
-// global, so fingerprints exercise the callee-closure and globals hashes.
+// global, so fingerprints exercise the body and globals hashes.
 func buildCallerModule(t *testing.T) *Module {
 	t.Helper()
 	m, sum := buildSumFunc(t)
@@ -24,26 +24,29 @@ func buildCallerModule(t *testing.T) *Module {
 	return m
 }
 
-func fpOf(m *Module, name string) Fingerprint {
-	return NewFingerprinter(m).Function(m.FunctionByName(name))
+// addConstFunc adds a function @name whose body returns c.
+func addConstFunc(m *Module, name string, c int64) *Function {
+	f := NewFunction(name, FuncOf(I64Type))
+	m.AddFunction(f)
+	b := NewBuilder()
+	b.SetInsertionBlock(f.NewBlock("entry"))
+	b.CreateRet(ConstInt(c))
+	return f
 }
 
 func TestFingerprintStableAcrossClone(t *testing.T) {
 	m := buildCallerModule(t)
-	clone := CloneModule(m)
-	for _, name := range []string{"sum", "main"} {
-		if a, b := fpOf(m, name), fpOf(clone, name); a != b {
-			t.Errorf("@%s: clone fingerprint %s != original %s", name, b.Short(), a.Short())
-		}
+	if a, b := ModuleFingerprint(m), ModuleFingerprint(CloneModule(m)); a != b {
+		t.Errorf("clone fingerprint %s != original %s", b.Short(), a.Short())
 	}
 }
 
 func TestFingerprintIgnoresIDsNamesAndMetadata(t *testing.T) {
 	m := buildCallerModule(t)
-	want := fpOf(m, "main")
+	want := ModuleFingerprint(m)
 
 	m.AssignIDs()
-	if got := fpOf(m, "main"); got != want {
+	if got := ModuleFingerprint(m); got != want {
 		t.Errorf("AssignIDs changed fingerprint: %s != %s", got.Short(), want.Short())
 	}
 	// Renumber to something AssignIDs would never produce.
@@ -51,7 +54,7 @@ func TestFingerprintIgnoresIDsNamesAndMetadata(t *testing.T) {
 		in.ID = in.ID*31 + 1000
 		return true
 	})
-	if got := fpOf(m, "main"); got != want {
+	if got := ModuleFingerprint(m); got != want {
 		t.Errorf("renumbered IDs changed fingerprint: %s != %s", got.Short(), want.Short())
 	}
 	// SSA names and metadata are cosmetic too.
@@ -60,26 +63,16 @@ func TestFingerprintIgnoresIDsNamesAndMetadata(t *testing.T) {
 	main.SetMD("noelle.something", "x")
 	main.Blocks[0].Instrs[0].SetMD("k", "v")
 	m.SetMD("noelle.pdg.main", "0>1:0M")
-	if got := fpOf(m, "main"); got != want {
+	if got := ModuleFingerprint(m); got != want {
 		t.Errorf("names/metadata changed fingerprint: %s != %s", got.Short(), want.Short())
 	}
 }
 
-func TestFingerprintChangesOnSemanticEdits(t *testing.T) {
-	base := fpOf(buildCallerModule(t), "main")
-
-	// Operand edit in main's own body.
-	m := buildCallerModule(t)
-	m.FunctionByName("main").Blocks[0].Instrs[1].Ops[1] = ConstInt(42)
-	if fpOf(m, "main") == base {
-		t.Error("operand edit did not change fingerprint")
-	}
-
-	// Callee-body edit: main's code is unchanged, but @sum's step becomes 2.
-	m = buildCallerModule(t)
-	sum := m.FunctionByName("sum")
-	var edited bool
-	sum.Instrs(func(in *Instr) bool {
+// editSumStep makes @sum's induction step 2.
+func editSumStep(t *testing.T, m *Module) {
+	t.Helper()
+	edited := false
+	m.FunctionByName("sum").Instrs(func(in *Instr) bool {
 		if in.Nam == "i2" {
 			in.Ops[1] = ConstInt(2)
 			edited = true
@@ -90,22 +83,61 @@ func TestFingerprintChangesOnSemanticEdits(t *testing.T) {
 	if !edited {
 		t.Fatal("did not find @sum's induction update")
 	}
-	if fpOf(m, "main") == base {
-		t.Error("callee body edit did not change caller fingerprint")
+}
+
+func TestFingerprintChangesOnSemanticEdits(t *testing.T) {
+	base := ModuleFingerprint(buildCallerModule(t))
+
+	// Operand edit in @main's body.
+	m := buildCallerModule(t)
+	m.FunctionByName("main").Blocks[0].Instrs[1].Ops[1] = ConstInt(42)
+	if ModuleFingerprint(m) == base {
+		t.Error("operand edit did not change fingerprint")
+	}
+
+	// An edit to @sum, which @main calls.
+	m = buildCallerModule(t)
+	editSumStep(t, m)
+	if ModuleFingerprint(m) == base {
+		t.Error("callee body edit did not change fingerprint")
 	}
 
 	// Alias-relevant global edit.
 	m = buildCallerModule(t)
 	m.Globals[0].Init[0] = 99
-	if fpOf(m, "main") == base {
+	if ModuleFingerprint(m) == base {
 		t.Error("global initializer edit did not change fingerprint")
 	}
 }
 
+// TestFingerprintDistinctFunctionsDiffer: the fold binds each body to its
+// name, so two functions trading bodies change the module.
 func TestFingerprintDistinctFunctionsDiffer(t *testing.T) {
 	m := buildCallerModule(t)
-	if fpOf(m, "main") == fpOf(m, "sum") {
-		t.Error("different functions share a fingerprint")
+	addConstFunc(m, "one", 1)
+	addConstFunc(m, "two", 2)
+	swapped := buildCallerModule(t)
+	addConstFunc(swapped, "one", 2)
+	addConstFunc(swapped, "two", 1)
+	if ModuleFingerprint(m) == ModuleFingerprint(swapped) {
+		t.Error("functions trading bodies left the module fingerprint unchanged")
+	}
+}
+
+// TestFingerprinterInvalidateRehashesOneBody: a Fingerprinter keeps its
+// fold across an edit until the edited function is invalidated, and then
+// agrees with a fresh one.
+func TestFingerprinterInvalidateRehashesOneBody(t *testing.T) {
+	m := buildCallerModule(t)
+	p := NewFingerprinter(m)
+	before := p.Module()
+	editSumStep(t, m)
+	if p.Module() != before {
+		t.Error("the fold changed before anything was invalidated")
+	}
+	p.Invalidate(m.FunctionByName("sum"))
+	if got, want := p.Module(), ModuleFingerprint(m); got != want || got == before {
+		t.Errorf("after Invalidate: %s, fresh %s, before the edit %s", got.Short(), want.Short(), before.Short())
 	}
 }
 
@@ -153,14 +185,10 @@ func TestModuleFingerprintChangesOnSemanticEdits(t *testing.T) {
 		t.Error("global initializer edit did not change module fingerprint")
 	}
 
-	// An extra function changes the module even though existing
-	// functions keep their fingerprints.
+	// An extra function changes the module even though no existing
+	// function changed.
 	m = buildCallerModule(t)
-	f := NewFunction("extra", FuncOf(I64Type))
-	m.AddFunction(f)
-	b := NewBuilder()
-	b.SetInsertionBlock(f.NewBlock("entry"))
-	b.CreateRet(ConstInt(0))
+	addConstFunc(m, "extra", 0)
 	if ModuleFingerprint(m) == want {
 		t.Error("added function did not change module fingerprint")
 	}

@@ -26,127 +26,32 @@ import (
 type refFingerprinter struct {
 	mod      *ir.Module
 	locals   map[*ir.Function]ir.Fingerprint
-	closures map[*ir.Function]ir.Fingerprint
-	callees  map[*ir.Function]refCalleeSet
 	globals  ir.Fingerprint
 	haveGlob bool
 }
 
-type refCalleeSet struct {
-	direct   []*ir.Function
-	indirect bool
-}
-
 func newRefFingerprinter(m *ir.Module) *refFingerprinter {
-	return &refFingerprinter{
-		mod:      m,
-		locals:   map[*ir.Function]ir.Fingerprint{},
-		closures: map[*ir.Function]ir.Fingerprint{},
-		callees:  map[*ir.Function]refCalleeSet{},
-	}
-}
-
-func (p *refFingerprinter) function(f *ir.Function) ir.Fingerprint {
-	if fp, ok := p.closures[f]; ok {
-		return fp
-	}
-	h := sha256.New()
-	h.Write([]byte("noelle.fn.v1"))
-	g := p.globalsHash()
-	h.Write(g[:])
-	l := p.local(f)
-	h.Write(l[:])
-	reach := p.reachable(f)
-	names := make([]string, 0, len(reach))
-	for callee := range reach {
-		if callee != f {
-			names = append(names, callee.Nam)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		refWriteStr(h, name)
-		lh := p.local(p.mod.FunctionByName(name))
-		h.Write(lh[:])
-	}
-	var fp ir.Fingerprint
-	h.Sum(fp[:0])
-	p.closures[f] = fp
-	return fp
+	return &refFingerprinter{mod: m, locals: map[*ir.Function]ir.Fingerprint{}}
 }
 
 func (p *refFingerprinter) module() ir.Fingerprint {
 	fns := append([]*ir.Function(nil), p.mod.Functions...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Nam < fns[j].Nam })
 	h := sha256.New()
-	refWriteStr(h, "noelle.modfp.v1")
+	refWriteStr(h, "noelle.modfp.v2")
 	g := p.globalsHash()
 	h.Write(g[:])
 	for _, f := range fns {
 		refWriteStr(h, f.Nam)
-		fp := p.function(f)
-		h.Write(fp[:])
+		l := p.local(f)
+		h.Write(l[:])
 	}
 	var fp ir.Fingerprint
 	h.Sum(fp[:0])
 	return fp
 }
 
-func (p *refFingerprinter) reachable(f *ir.Function) map[*ir.Function]bool {
-	seen := map[*ir.Function]bool{f: true}
-	work := []*ir.Function{f}
-	for len(work) > 0 {
-		cur := work[0]
-		work = work[1:]
-		cs := p.calleeSet(cur)
-		if cs.indirect {
-			for _, g := range p.mod.Functions {
-				if !seen[g] {
-					seen[g] = true
-					work = append(work, g)
-				}
-			}
-			continue
-		}
-		for _, callee := range cs.direct {
-			if !seen[callee] {
-				seen[callee] = true
-				work = append(work, callee)
-			}
-		}
-	}
-	return seen
-}
-
-func (p *refFingerprinter) calleeSet(f *ir.Function) refCalleeSet {
-	if cs, ok := p.callees[f]; ok {
-		return cs
-	}
-	var cs refCalleeSet
-	dedup := map[*ir.Function]bool{}
-	f.Instrs(func(in *ir.Instr) bool {
-		if in.Opcode != ir.OpCall {
-			return true
-		}
-		if callee := in.CalledFunction(); callee != nil {
-			if !dedup[callee] {
-				dedup[callee] = true
-				cs.direct = append(cs.direct, callee)
-			}
-		} else {
-			cs.indirect = true
-			return false
-		}
-		return true
-	})
-	p.callees[f] = cs
-	return cs
-}
-
 func (p *refFingerprinter) local(f *ir.Function) ir.Fingerprint {
-	if f == nil {
-		return ir.Fingerprint{}
-	}
 	if fp, ok := p.locals[f]; ok {
 		return fp
 	}
@@ -255,29 +160,19 @@ func refWriteStr(h hash.Hash, s string) {
 	h.Write([]byte(s))
 }
 
-// checkFingerprints holds every function fingerprint of m, and its module
-// fingerprint, to the reference's.
+// checkFingerprints holds m's module fingerprint to the reference's.
 func checkFingerprints(t *testing.T, name string, m *ir.Module) {
 	t.Helper()
-	p, ref := ir.NewFingerprinter(m), newRefFingerprinter(m)
-	bad := 0
-	for _, f := range m.Functions {
-		if got, want := p.Function(f), ref.function(f); got != want && bad < 5 {
-			bad++
-			t.Errorf("%s: @%s fingerprint %s, reference %s", name, f.Nam, got.Short(), want.Short())
-		}
-	}
-	if got, want := p.Module(), ref.module(); got != want {
+	if got, want := ir.ModuleFingerprint(m), newRefFingerprinter(m).module(); got != want {
 		t.Errorf("%s: module fingerprint %s, reference %s", name, got.Short(), want.Short())
 	}
 }
 
-// TestFingerprintMatchesReference: every function and module fingerprint
-// of every module fuzz.Subjects yields (the 41 corpus programs among
-// them) and of bench.WholeProgram equals the per-field writer's, before
-// and after `auto -exec-plans` lowered the module: task functions,
-// indirect dispatch calls and environment casts are the shapes a lowering
-// adds.
+// TestFingerprintMatchesReference: the module fingerprint of every module
+// fuzz.Subjects yields (the 41 corpus programs among them) and of
+// bench.WholeProgram equals the per-field writer's, before and after
+// `auto -exec-plans` lowered the module: task functions, indirect
+// dispatch calls and environment casts are the shapes a lowering adds.
 func TestFingerprintMatchesReference(t *testing.T) {
 	n, lowered := 0, 0
 	check := func(name string, m *ir.Module, lower func(*core.Noelle) (auto.Result, error)) {

@@ -36,9 +36,6 @@ type Config struct {
 	// CacheDir roots the shared persistent abstraction stores ("" runs
 	// memory-only: sessions still stay warm, nothing survives restart).
 	CacheDir string
-	// CacheLRUEntries caps each store's in-memory record tier
-	// (0 = abscache.DefaultLRUEntries).
-	CacheLRUEntries int
 	// MaxFrame bounds one protocol frame (0 = MaxFrameBytes).
 	MaxFrame int
 	// Registry receives the service metrics (nil allocates a private
@@ -132,7 +129,7 @@ func New(cfg Config) *Server {
 		doneCh:   make(chan struct{}),
 	}
 	if cfg.CacheDir != "" {
-		s.stores = newStorePool(cfg.CacheDir, cfg.CacheLRUEntries)
+		s.stores = newStorePool(cfg.CacheDir)
 	}
 	return s
 }
@@ -427,8 +424,9 @@ func (s *Server) execute(j *job) {
 	// pipelines run on the session's shared warm manager (serialized per
 	// session); transforming pipelines clone the pristine module and run
 	// over a throwaway manager attached to the same persistent store, so
-	// the session never observes mutated IR and unchanged functions
-	// still load warm by fingerprint.
+	// the session never observes mutated IR. The clone has the session's
+	// module fingerprint, so its PDGs load warm from records any earlier
+	// run of the same module put.
 	var (
 		n *core.Noelle
 		m *ir.Module

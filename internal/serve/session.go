@@ -157,20 +157,20 @@ func (sc *sessions) len() int {
 }
 
 // storePool shares one abscache.Store per module namespace (ModuleKey
-// hashes the module name, so structurally different versions of one
-// program reuse each other's unchanged-function records — the whole
-// point of a warm fleet). Stores are opened lazily and closed only at
-// daemon shutdown, folding their session counters into the on-disk
-// stats file exactly once.
+// hashes the module name). A record's key covers the whole module, so
+// the sessions of one program share the namespace's records only where
+// their modules are structurally identical: a warm fleet serves repeated
+// and re-printed modules, never one version's graphs to another. Stores
+// are opened lazily and closed only at daemon shutdown, folding their
+// session counters into the on-disk stats file exactly once.
 type storePool struct {
 	mu     sync.Mutex
 	root   string
-	lru    int
 	stores map[string]*abscache.Store
 }
 
-func newStorePool(root string, lruEntries int) *storePool {
-	return &storePool{root: root, lru: lruEntries, stores: map[string]*abscache.Store{}}
+func newStorePool(root string) *storePool {
+	return &storePool{root: root, stores: map[string]*abscache.Store{}}
 }
 
 // open returns the store for m's namespace, opening it on first use. A
@@ -186,7 +186,7 @@ func (p *storePool) open(m *ir.Module) *abscache.Store {
 	if s, ok := p.stores[key]; ok {
 		return s
 	}
-	s, err := abscache.Open(p.root, m, p.lru)
+	s, err := abscache.Open(p.root, m, 0)
 	if err != nil {
 		return nil
 	}

@@ -291,9 +291,11 @@ func (s *VerifierStats) add(r *verify.Result) {
 //
 // When the manager carries a persistent abstraction store, the
 // precompute stage and every rebuild populate it, and pending store
-// state is flushed after each transforming stage and at pipeline end —
-// transformed functions re-fingerprint, so their stale records are
-// simply never requested again (noelle-cache gc sweeps them).
+// records are flushed after each transforming stage and at pipeline end.
+// A transformed module has a new fingerprint, so the records of the
+// input are never requested by later stages (noelle-cache gc sweeps
+// them), and a rerun of the same pipeline on the same input hits every
+// stage's records.
 func RunPipeline(ctx context.Context, n *core.Noelle, names []string, opts Options) ([]Report, VerifierStats, error) {
 	return RunPipelineStream(ctx, n, names, opts, nil)
 }
@@ -308,11 +310,11 @@ func RunPipeline(ctx context.Context, n *core.Noelle, names []string, opts Optio
 // concurrently over distinct managers attached (WithStore/SetStore) to
 // one abscache.Store — the daemon does exactly that. Every store
 // operation the pipeline triggers (warm Gets during precompute, Puts
-// after cold builds, loop-summary enrichment, and the post-stage /
-// end-of-pipeline Flush calls) is serialized by the store's own mutex,
-// and each Flush commits one immutable segment and the index by rename,
-// so interleaved flushes from concurrent pipelines cannot tear records or
-// the index (regression-tested in internal/tools with -race).
+// after cold builds, and the post-stage / end-of-pipeline Flush calls)
+// is serialized by the store's own mutex, and each Flush commits one
+// immutable segment and the index by rename, so interleaved flushes from
+// concurrent pipelines cannot tear records or the index
+// (regression-tested in internal/tools with -race).
 func RunPipelineStream(ctx context.Context, n *core.Noelle, names []string, opts Options, emit func(Report)) ([]Report, VerifierStats, error) {
 	tier, err := verify.ParseTier(opts.VerifyTier)
 	if err != nil {

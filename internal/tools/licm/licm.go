@@ -31,8 +31,8 @@ func Run(n *core.Noelle) Result {
 		// (FR provides the order).
 		for _, node := range n.Forest(f).InnermostFirst() {
 			res.Loops++
-			res.Hoisted += hoistLoop(n, node.LS)
-			if res.Hoisted > 0 {
+			if hoisted := hoistLoop(n, node.LS); hoisted > 0 {
+				res.Hoisted += hoisted
 				// Hoisting changed the function: refresh cached analyses.
 				n.InvalidateFunction(f)
 			}

@@ -124,6 +124,44 @@ int main() { return kernel(&table[0]); }`
 	}
 }
 
+// TestLICMInvalidatesOnlyLoopsThatHoisted: a loop with nothing to hoist
+// leaves its function's abstractions cached, even after an earlier loop
+// of the same function hoisted. @kernel's first loop hoists a*b+3; its
+// two later loops have no invariants, so the PDG is built once for the
+// first loop and once more after the hoist, and never again.
+func TestLICMInvalidatesOnlyLoopsThatHoisted(t *testing.T) {
+	m := compile(t, `
+int table[32];
+int a = 6;
+int b = 7;
+int kernel(int *p) {
+  int acc = 0;
+  for (int i = 0; i < 32; i = i + 1) {
+    p[i] = a * b + 3;
+  }
+  for (int i = 0; i < 32; i = i + 1) {
+    acc = acc + i;
+  }
+  for (int i = 0; i < 32; i = i + 1) {
+    acc = acc * 3 + i;
+  }
+  return acc;
+}
+int main() { int r = kernel(&table[0]); print_i64(r); return r % 256; }`)
+	var res licm.Result
+	var builds int64
+	checkEquivalent(t, m, func(n *core.Noelle) {
+		res = licm.Run(n)
+		builds, _, _ = n.CacheStats()
+	})
+	if res.Hoisted == 0 || res.Loops != 3 {
+		t.Fatalf("licm hoisted %d instructions across %d loops, want some across 3", res.Hoisted, res.Loops)
+	}
+	if builds != 2 {
+		t.Errorf("licm built %d PDGs of @kernel, want 2: one before the hoist and one after", builds)
+	}
+}
+
 // ---------- DEAD ----------
 
 func TestDeadRemovesIndirectlyUnreachable(t *testing.T) {

@@ -35,9 +35,10 @@
 //
 // Setting Options.CacheDir points the manager at a persistent
 // content-addressed abstraction store (internal/abscache): function PDGs
-// are fingerprinted structurally, looked up on disk before being built,
-// and persisted after a cold build, so a second load of the same program
-// reconstructs every PDG without re-running the alias analyses. Open a
+// are keyed by the module's structural fingerprint, looked up on disk
+// before being built, and persisted after a cold build, so a second load
+// of the same program reconstructs every PDG without re-running the alias
+// analyses. Open a
 // store explicitly with OpenStore and attach it with WithStore to share
 // one across managers; inspect it with the noelle-cache CLI.
 package noelle
@@ -86,8 +87,8 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 func DefaultToolOptions() ToolOptions { return tool.DefaultOptions() }
 
 // Store is the persistent content-addressed abstraction store
-// (internal/abscache): function PDGs and loop summaries keyed by
-// structural fingerprint, behind an in-memory LRU.
+// (internal/abscache): function PDGs keyed by the module's structural
+// fingerprint, behind an in-memory LRU.
 type Store = abscache.Store
 
 // Load loads the NOELLE layer over a module without computing anything;
