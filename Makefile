@@ -56,7 +56,10 @@ race:
 # non-race run enforces the compiled tier's >= 2x wall-clock bar over
 # the walker on bench.WholeProgram (TestCompiledTierSpeedup; its noise
 # margin is documented at the assertion) plus the byte-identical
-# corpus/pipeline agreement suite and, by name, the two observation
+# corpus/pipeline agreement suite (TestTiersAgreeAtEveryBudget among it:
+# one small program per shape of op segment, run at every step budget
+# from 1 to one past its total, so the budget cuts every segment at
+# every op) and, by name, the two observation
 # differentials (compiled Collect and compiled loop-cost attribution,
 # each loop alone and every loop of a module in one run, against the
 # walker on the corpus, the synthetic programs, their lowerings and 150
@@ -181,7 +184,10 @@ campaign-smoke:
 # compile daemon's request path (one frame read under a 64 KiB limit, the
 # request JSON decode, the run options' mapping onto tool.Options) bytes
 # off the wire (no panic, an oversized length prefix refused without
-# allocating, the wire settings carried into the one interp.ExecConfig).
+# allocating, the wire settings carried into the one interp.ExecConfig);
+# FuzzTiersAgree feeds irtext.Parse arbitrary text and runs what parses
+# on both engines at a fuzzed step budget in [1, 5000], sequential
+# dispatch (every observable interptest.Compare diffs must match).
 # The committed seeds under each package's testdata/fuzz/ also run as
 # plain subtests of every `go test`; a crasher the fuzzer finds lands
 # there too and keeps failing until fixed.
@@ -190,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/irtext/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/abscache/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzTiersAgree$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/interp/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

@@ -359,15 +359,20 @@ entry:
 }
 
 // TestCompiledCallsAllocFree pins the compiled tier's call path: frames
-// and argument vectors come off the context's value stack, so a loop that
-// calls a registered extern and a defined function allocates nothing per
-// iteration — and, once the stack has grown, nothing per run either.
+// and argument vectors come off the context's value stack and a frame's
+// alloca addresses off its alloca stack, so a loop that calls a
+// registered extern and a defined function with an alloca allocates
+// nothing per iteration — and, once the stacks have grown, nothing per
+// run either.
 func TestCompiledCallsAllocFree(t *testing.T) {
 	m := parseModule(t, `module "m"
 declare @probe : fn(i64, i64) i64
 func @callee(%a: i64, %b: i64) i64 {
 entry:
-  %s = add %a, %b
+  %tmp = alloca i64, 1
+  store i64 %a, %tmp
+  %x = load i64, %tmp
+  %s = add %x, %b
   ret %s
 }
 func @loop(%n: i64) i64 {
@@ -408,7 +413,7 @@ entry:
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("a compiled loop of %d extern calls and %d defined calls allocates %.2f objects per run, want 0",
+		t.Errorf("a compiled loop of %d extern calls and %d calls of a function with an alloca allocates %.2f objects per run, want 0",
 			n, n, allocs)
 	}
 }

@@ -4,18 +4,31 @@
 // variant) and resolves everything that is invariant
 // across calls:
 //
-//   - operands become orefs — a frame slot index for SSA values, an
-//     immediate for constants, global addresses, and function ids — so
-//     the executor never touches a map or a type switch;
+//   - every operand is a frame slot: SSA values have their own, and the
+//     constants, global addresses and function ids the body names sit in
+//     a per-function pool (cfunc.consts) copied into the frame on entry,
+//     so the executor never touches a map, a type switch or a branch on
+//     an operand's kind;
+//   - an arithmetic, compare, conversion or ptradd instruction whose
+//     operands are all known at compile time is evaluated there (through
+//     ir.Eval; a division by zero stays an op, so it traps where the
+//     walker does): its result joins the constant pool, and its step and
+//     cycles ride on the next op as a leading fused instruction;
 //   - phis disappear: every CFG edge carries the successor's phi
 //     parallel assignment as pre-resolved slot moves (with a scratch
 //     area when a move's destination feeds another move's source);
-//   - the two idioms the benches are made of fuse into
-//     superinstructions: compare+condbr (cCmpBr) and
-//     load;binop;store-back (cLoadOpStore), each retiring the walker's
-//     step and cycle counts for the whole idiom;
-//   - cost-model cycles are pre-added per op, so the executor charges
-//     one pre-summed constant instead of switching on the opcode;
+//   - the idioms the benches are made of fuse into superinstructions:
+//     compare+condbr (cCmpBr), load;binop;store-back (cLoadOpStore), and
+//     a ptradd feeding only the adjacent load or store's address
+//     (cPtrLoad, cPtrStore), each retiring the walker's step and cycle
+//     counts for the whole idiom;
+//   - cost-model cycles are pre-added per op, and per op *segment*: a run
+//     of ops ending at a call, at a probe that reads Cycles (cLoopCall,
+//     cLoopReturn), at cCount or at a terminator. The segment's first op
+//     carries the budget headroom the run needs, and every op what the
+//     ops after it in its segment cost, so the executor checks the budget
+//     and charges the counters once per segment, at its first op, and a
+//     trap gives back what the ops after it were charged;
 //   - a direct call to noelle_queue_push/pop, their bulk forms push_n/
 //     pop_n, or noelle_signal_wait/fire
 //     becomes a first-class op (cQueuePush, ...) carrying the call's and
@@ -40,24 +53,6 @@ import (
 
 	"noelle/internal/ir"
 )
-
-// oref is a pre-resolved operand: a frame slot for SSA values, an
-// immediate for everything known at compile time.
-type oref struct {
-	slot int32 // >= 0: frame slot index; < 0: use imm
-	imm  uint64
-}
-
-func immRef(v uint64) oref { return oref{slot: -1, imm: v} }
-func slotRef(s int32) oref { return oref{slot: s} }
-
-// get resolves the operand against a frame.
-func (o oref) get(fr []uint64) uint64 {
-	if o.slot >= 0 {
-		return fr[o.slot]
-	}
-	return o.imm
-}
 
 // copcode is a compiled op's dispatch code.
 type copcode uint8
@@ -115,8 +110,12 @@ const (
 	// Superinstructions.
 	cCmpBr       // fused compare (sub) + condbr, retires 2 steps
 	cLoadOpStore // fused mem[a] = mem[a] <sub> b, retires 3 steps
+	cPtrLoad     // fused ptradd + load: dst = mem[a + b*k], retires 2 steps
+	cPtrStore    // fused ptradd + store: mem[b + c*k] = a, retires 2 steps
 
 	cErr // compile-embedded runtime error (walker-identical message)
+
+	cFolded // compile time only: an instruction folded into the pool (carry)
 
 	// Communication ops: the runtime's own externs, bound at compile time.
 	cQueuePush  // push(a, b)
@@ -138,8 +137,7 @@ const (
 
 // cmove is one phi slot assignment on a CFG edge.
 type cmove struct {
-	dst int32
-	src oref
+	dst, src int32
 }
 
 // cedge is a compiled CFG edge: the successor block plus the successor's
@@ -162,19 +160,28 @@ type cedge struct {
 // calls carry the callee operand.
 type ccall struct {
 	direct *ir.Function // nil: indirect via callee's bits
-	callee oref
-	args   []oref
+	callee int32
+	args   []int32
 }
 
 // cop is one compiled op.
 type cop struct {
-	code copcode
-	sub  ir.Op // superinstructions: the fused compare/binop opcode
-	rev  bool  // cLoadOpStore: the loaded value is the right operand
-	dst  int32 // result slot, -1 when the op produces no value
+	sub  ir.Op   // superinstructions: the fused compare/binop opcode
+	code copcode // dispatch code
+	rev  bool    // cLoadOpStore: the loaded value is the right operand
+	dst  int32   // result slot, -1 when the op produces no value
 
-	a, b, c oref
-	k       int64 // cAlloca: byte size; cPtrAdd: element size
+	a, b, c int32 // operand slots
+	k       int64 // cAlloca: byte size; cPtrAdd, cPtrLoad, cPtrStore: element size
+
+	// need, non-zero on a segment's first op only, is the budget headroom
+	// the segment runs in without a check: the walker's per-instruction
+	// check cannot fire inside it while Steps <= budget-need. Such an op
+	// charges the whole segment up front: its own steps and cost plus the
+	// rest. restSteps and restCycles are what the ops after this one in
+	// its segment charge, in advance; a trap here gives them back.
+	need                  int64
+	restSteps, restCycles int64
 
 	steps int64 // instructions this op retires (superinstructions > 1)
 	cost  int64 // pre-summed cost-model cycles for those instructions
@@ -200,11 +207,15 @@ type cfunc struct {
 	commGen int64
 	// probes is the observation bound into the stream (zero: the plain
 	// stream); like cost and commGen it keys the cached body.
-	probes   probes
-	blocks   [][]cop
-	frameLen int32 // slots + phi-move scratch area
-	scratch  int32 // base of the scratch area
-	nallocas int   // static alloca count (0 skips the free-on-exit defer)
+	probes probes
+	blocks [][]cop
+	// The frame is the parameters, one slot per result, the constant pool
+	// (consts, copied in from slot pool on entry), then the phi-move
+	// scratch area from slot scratch.
+	consts   []uint64
+	pool     int32
+	scratch  int32
+	frameLen int32
 }
 
 // simpleCop maps the plain value-producing opcodes to their compiled
@@ -232,7 +243,8 @@ var simpleCop = map[ir.Op]copcode{
 // with a probe per loop, and brackets their in-loop calls.
 func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
 	// Slot assignment: parameters first (so copy(frame, args) places
-	// them), then every result-producing instruction in block order.
+	// them), then every result-producing instruction in block order, then
+	// the constant pool as resolve meets its entries.
 	slots := map[ir.Value]int32{}
 	next := int32(0)
 	for _, p := range f.Params {
@@ -254,23 +266,77 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 		}
 	}
 
-	resolve := func(v ir.Value) (oref, error) {
+	cf := &cfunc{fn: f, cost: cost, probes: pr, pool: next}
+	// known returns v's bits when they are fixed at compile time: a
+	// constant, a global's address, a function id, or an instruction
+	// folded below (its slot is then a pool slot).
+	known := func(v ir.Value) (uint64, bool) {
 		switch x := v.(type) {
 		case *ir.Const:
-			return immRef(x.Bits()), nil
+			return x.Bits(), true
 		case *ir.Global:
-			return immRef(uint64(img.globalAddr[x])), nil
+			return uint64(img.globalAddr[x]), true
 		case *ir.Function:
-			return immRef(uint64(img.fnIndex[x])), nil
-		default:
-			s, ok := slots[v]
-			if !ok {
-				// An operand defined outside this function: the walker's
-				// runtime undefined-value check is the reference here.
-				return oref{}, fmt.Errorf("interp: compile @%s: unresolvable operand %s", f.Nam, v.Ident())
+			return uint64(img.fnIndex[x]), true
+		case *ir.Instr:
+			if s, ok := slots[x]; ok && s >= cf.pool {
+				return cf.consts[s-cf.pool], true
 			}
-			return slotRef(s), nil
 		}
+		return 0, false
+	}
+	pooled := map[uint64]int32{}
+	constant := func(bits uint64) int32 {
+		s, ok := pooled[bits]
+		if !ok {
+			s = cf.pool + int32(len(cf.consts))
+			pooled[bits] = s
+			cf.consts = append(cf.consts, bits)
+		}
+		return s
+	}
+	resolve := func(v ir.Value) (int32, error) {
+		switch v.(type) {
+		case *ir.Const, *ir.Global, *ir.Function:
+			bits, _ := known(v)
+			return constant(bits), nil
+		}
+		s, ok := slots[v]
+		if !ok {
+			// An operand defined outside this function: the walker's
+			// runtime undefined-value check is the reference here.
+			return 0, fmt.Errorf("interp: compile @%s: unresolvable operand %s", f.Nam, v.Ident())
+		}
+		return s, nil
+	}
+	// Fold before lowering, so a use in a block listed ahead of its
+	// definition's reads the pool too. An instruction folds when its
+	// operands are known and it computes a value from them alone that
+	// cannot trap: a ptradd, or what ir.Eval defines and accepts.
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			var v [2]uint64
+			ok := len(in.Ops) <= len(v)
+			for i := 0; ok && i < len(in.Ops); i++ {
+				v[i], ok = known(in.Ops[i])
+			}
+			if !ok {
+				continue
+			}
+			if in.Opcode == ir.OpPtrAdd {
+				slots[in] = constant(uint64(int64(v[0]) + int64(v[1])*int64(in.Ty.Elem.Size())))
+			} else if bits, ok := ir.Eval(in.Opcode, v[0], v[1]); ok {
+				slots[in] = constant(bits)
+			}
+		}
+	}
+	operands := func(vs ...ir.Value) (refs [3]int32, err error) {
+		for i, v := range vs {
+			if refs[i], err = resolve(v); err != nil {
+				return refs, err
+			}
+		}
+		return refs, nil
 	}
 
 	// Use counts drive superinstruction fusion: an intermediate may only
@@ -313,7 +379,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 			dsts[mv.dst] = true
 		}
 		for _, mv := range e.moves {
-			if mv.src.slot >= 0 && dsts[mv.src.slot] {
+			if dsts[mv.src] {
 				e.scratch = true
 				if n := int32(len(e.moves)); n > scratchLen {
 					scratchLen = n
@@ -335,7 +401,6 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 		}
 	}
 
-	cf := &cfunc{fn: f, cost: cost, probes: pr}
 	if pr.counts != nil {
 		cf.blocks = append(cf.blocks, []cop{{code: cCount, dst: -1,
 			k: pr.counts.counter(nil, f.Entry()), edges: []cedge{{target: first}}}})
@@ -349,14 +414,15 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 		for i := 0; i < len(ins); i++ {
 			in := ins[i]
 
+			if s, ok := slots[in]; ok && s >= cf.pool {
+				ops = append(ops, cop{code: cFolded, dst: -1, steps: 1, cost: cost.Cost(in)})
+				continue
+			}
+
 			// Superinstruction: compare feeding only the adjacent condbr.
 			if in.Opcode.IsCompare() && i+1 < len(ins) && uses[in] == 1 {
 				if br := ins[i+1]; br.Opcode == ir.OpCondBr && br.Ops[0] == ir.Value(in) {
-					a, err := resolve(in.Ops[0])
-					if err != nil {
-						return nil, err
-					}
-					bb, err := resolve(in.Ops[1])
+					refs, err := operands(in.Ops[0], in.Ops[1])
 					if err != nil {
 						return nil, err
 					}
@@ -368,12 +434,8 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 					if err != nil {
 						return nil, err
 					}
-					ops = append(ops, cop{
-						code: cCmpBr, sub: in.Opcode, dst: -1, a: a, b: bb,
-						steps: 2, cost: cost.Cost(in) + cost.Cost(br),
-						subCost: []int64{cost.Cost(in), cost.Cost(br)},
-						edges:   []cedge{et, ef},
-					})
+					ops = append(ops, fused(cop{code: cCmpBr, sub: in.Opcode, dst: -1, a: refs[0], b: refs[1],
+						edges: []cedge{et, ef}}, cost, in, br))
 					i++
 					continue
 				}
@@ -384,20 +446,39 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 			if in.Opcode == ir.OpLoad && i+2 < len(ins) && uses[in] == 1 {
 				bin, st := ins[i+1], ins[i+2]
 				if other, rev, ok := fusableLoadOpStore(in, bin, st, uses); ok {
-					a, err := resolve(in.Ops[0])
+					refs, err := operands(in.Ops[0], other)
 					if err != nil {
 						return nil, err
 					}
-					bb, err := resolve(other)
-					if err != nil {
-						return nil, err
-					}
-					ops = append(ops, cop{
-						code: cLoadOpStore, sub: bin.Opcode, rev: rev, dst: -1, a: a, b: bb,
-						steps: 3, cost: cost.Cost(in) + cost.Cost(bin) + cost.Cost(st),
-						subCost: []int64{cost.Cost(in), cost.Cost(bin), cost.Cost(st)},
-					})
+					ops = append(ops, fused(cop{code: cLoadOpStore, sub: bin.Opcode, rev: rev, dst: -1,
+						a: refs[0], b: refs[1]}, cost, in, bin, st))
 					i += 2
+					continue
+				}
+			}
+
+			// Superinstruction: ptradd whose only use is the address of
+			// the adjacent load or store.
+			if in.Opcode == ir.OpPtrAdd && i+1 < len(ins) && uses[in] == 1 {
+				mem, k := ins[i+1], int64(in.Ty.Elem.Size())
+				if mem.Opcode == ir.OpLoad && mem.Ops[0] == ir.Value(in) {
+					refs, err := operands(in.Ops[0], in.Ops[1])
+					if err != nil {
+						return nil, err
+					}
+					ops = append(ops, fused(cop{code: cPtrLoad, dst: slots[mem], a: refs[0], b: refs[1], k: k},
+						cost, in, mem))
+					i++
+					continue
+				}
+				if mem.Opcode == ir.OpStore && mem.Ops[1] == ir.Value(in) {
+					refs, err := operands(mem.Ops[0], in.Ops[0], in.Ops[1])
+					if err != nil {
+						return nil, err
+					}
+					ops = append(ops, fused(cop{code: cPtrStore, dst: -1, a: refs[0], b: refs[1], c: refs[2], k: k},
+						cost, in, mem))
+					i++
 					continue
 				}
 			}
@@ -421,12 +502,97 @@ func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc,
 				errMsg: fmt.Sprintf("interp: @%s/%s: fell off block end", f.Nam, b.Nam),
 			})
 		}
-		cf.blocks = append(cf.blocks, ops)
+		cf.blocks = append(cf.blocks, carry(ops))
 	}
 	cf.blocks = append(cf.blocks, counted...)
-	cf.scratch = next
-	cf.frameLen = next + scratchLen
+	for _, ops := range cf.blocks {
+		segment(ops)
+	}
+	cf.scratch = cf.pool + int32(len(cf.consts))
+	cf.frameLen = cf.scratch + scratchLen
 	return cf, nil
+}
+
+// fused completes a superinstruction: it retires every fused instruction's
+// step and cycles, and keeps the per-instruction breakdown for a budget
+// boundary inside it.
+func fused(op cop, cost CostModel, ins ...*ir.Instr) cop {
+	op.steps = int64(len(ins))
+	op.subCost = make([]int64, len(ins))
+	for i, in := range ins {
+		op.subCost[i] = cost.Cost(in)
+		op.cost += op.subCost[i]
+	}
+	return op
+}
+
+// carry drops the cFolded ops from a block, each one's charge riding on
+// the op after it as a leading fused instruction (every block ends in a
+// terminator or cErr, so there always is one).
+func carry(ops []cop) []cop {
+	out := ops[:0]
+	var pre []int64
+	for _, op := range ops {
+		if op.code == cFolded {
+			if pre == nil {
+				pre = make([]int64, 0, 4)
+			}
+			pre = append(pre, op.cost)
+			continue
+		}
+		if len(pre) > 0 {
+			if op.subCost == nil && op.steps == 1 {
+				op.subCost = append(pre, op.cost)
+			} else {
+				op.subCost = append(pre, op.subCost...)
+			}
+			for _, c := range pre {
+				op.cost += c
+			}
+			op.steps += int64(len(pre))
+			pre = nil
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
+// endsSegment reports whether the op after this one starts a new
+// segment: a call runs code that charges the counters itself, a probe
+// reads Cycles or leaves the block, and a terminator leaves it.
+func endsSegment(code copcode) bool {
+	switch code {
+	case cCall, cLoopCall, cLoopReturn, cCount,
+		cBr, cCondBr, cRet, cRetVoid, cCmpBr, cErr:
+		return true
+	}
+	return false
+}
+
+// segment fills in one block's segment accounting. The walker checks the
+// budget before every instruction, and inside a superinstruction before
+// every fused one; a segment runs unchecked only if none of those checks
+// could fire, so its headroom is the largest prefix that must still fit:
+// the steps before an op plus its own, or plus one for an op that retires
+// nothing (its check sits at the prefix itself).
+func segment(ops []cop) {
+	for head := 0; head < len(ops); {
+		end := head
+		for !endsSegment(ops[end].code) {
+			end++
+		}
+		var steps, cycles int64
+		for i := end; i >= head; i-- {
+			ops[i].restSteps, ops[i].restCycles = steps, cycles
+			steps += ops[i].steps
+			cycles += ops[i].cost
+		}
+		for i, prefix := head, int64(0); i <= end; i++ {
+			ops[head].need = max(ops[head].need, prefix+max(ops[i].steps, 1))
+			prefix += ops[i].steps
+		}
+		head = end + 1
+	}
 }
 
 // fusableLoadOpStore reports whether ld/bin/st form the store-back idiom
@@ -455,18 +621,17 @@ func fusableLoadOpStore(ld, bin, st *ir.Instr, uses map[*ir.Instr]int) (other ir
 
 // compileOne lowers a single non-fused instruction.
 func compileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
-	resolve func(ir.Value) (oref, error), edgeTo func(from, to *ir.Block) (cedge, error)) (cop, error) {
+	resolve func(ir.Value) (int32, error), edgeTo func(from, to *ir.Block) (cedge, error)) (cop, error) {
 	op := cop{dst: -1, steps: 1, cost: cost.Cost(in)}
 	if in.HasResult() {
 		op.dst = slots[in]
 	}
-	operand := func(i int) (oref, error) { return resolve(in.Ops[i]) }
+	operand := func(i int) (int32, error) { return resolve(in.Ops[i]) }
 	var err error
 	switch in.Opcode {
 	case ir.OpAlloca:
 		op.code = cAlloca
 		op.k = int64(in.AllocaElem.Size() * in.AllocaCount)
-		cf.nallocas++
 	case ir.OpLoad:
 		op.code = cLoad
 		op.a, err = operand(0)

@@ -38,14 +38,16 @@ func countOps(cf *cfunc, code copcode) int {
 }
 
 // TestSuperinstructionFusion pins the compiler's idiom recognition: a
-// counted loop's compare+condbr back edge must lower to one cCmpBr, and
-// an in-place array update (load; add; store to the same address) to one
-// cLoadOpStore. These fusions carry the compiled tier's speedup on loop
-// bodies; losing one silently costs dispatch overhead, so their presence
-// is asserted, not assumed.
+// counted loop's compare+condbr back edge must lower to one cCmpBr, an
+// in-place array update (load; add; store to the same address) to one
+// cLoadOpStore, and a ptradd feeding only the adjacent load or store to
+// one cPtrLoad or cPtrStore. These fusions carry the compiled tier's
+// speedup on loop bodies; losing one silently costs dispatch overhead, so
+// their presence is asserted, not assumed.
 func TestSuperinstructionFusion(t *testing.T) {
 	cf := compileSrc(t, `module "m"
 global @arr : [8 x i64] zeroinit
+global @out : [8 x i64] zeroinit
 
 func @hot(%n: i64) i64 {
 entry:
@@ -56,17 +58,31 @@ loop:
   %v = load i64, %p
   %v2 = add %v, 3
   store i64 %v2, %p
+  %q = ptradd @arr, %i
+  %w = load i64, %q
+  %r = ptradd @out, %i
+  store i64 %w, %r
   %next = add %i, 1
   %c = lt %next, %n
   condbr %c, loop, done
 done:
   ret %n
 }`, "hot")
-	if n := countOps(cf, cCmpBr); n != 1 {
-		t.Errorf("compare+condbr back edge compiled to %d cCmpBr ops, want 1", n)
+	for _, want := range []struct {
+		code copcode
+		what string
+	}{
+		{cCmpBr, "compare+condbr back edge"},
+		{cLoadOpStore, "load;add;store idiom"},
+		{cPtrLoad, "ptradd feeding the adjacent load"},
+		{cPtrStore, "ptradd feeding the adjacent store's address"},
+	} {
+		if n := countOps(cf, want.code); n != 1 {
+			t.Errorf("%s compiled to %d ops of code %d, want 1", want.what, n, want.code)
+		}
 	}
-	if n := countOps(cf, cLoadOpStore); n != 1 {
-		t.Errorf("load;add;store idiom compiled to %d cLoadOpStore ops, want 1", n)
+	if n := countOps(cf, cPtrAdd); n != 1 {
+		t.Errorf("%d cPtrAdd ops left, want 1 (the one the store-back reuses)", n)
 	}
 	// The fused instructions must still retire their full step/cycle
 	// charge (walker-identical accounting).
@@ -82,13 +98,19 @@ done:
 				if op.steps != 3 || len(op.subCost) != 3 {
 					t.Errorf("cLoadOpStore retires %d steps (%d sub-costs), want 3", op.steps, len(op.subCost))
 				}
+			case cPtrLoad, cPtrStore:
+				if op.steps != 2 || len(op.subCost) != 2 || op.k != 8 {
+					t.Errorf("op %d retires %d steps (%d sub-costs) over %d-byte elements, want 2 over 8",
+						op.code, op.steps, len(op.subCost), op.k)
+				}
 			}
 		}
 	}
 }
 
 // TestFusionRespectsExtraUses: an intermediate with a second consumer
-// must not fuse away (its slot value is still needed).
+// must not fuse away (its slot value is still needed), and a ptradd fuses
+// only as the address of the load or store right after it.
 func TestFusionRespectsExtraUses(t *testing.T) {
 	cf := compileSrc(t, `module "m"
 func @f(%n: i64) i64 {
@@ -105,6 +127,65 @@ done:
 }`, "f")
 	if n := countOps(cf, cCmpBr); n != 0 {
 		t.Errorf("compare with a second use fused into %d cCmpBr ops, want 0", n)
+	}
+
+	for _, tc := range []struct{ name, body string }{
+		{"second use", `
+  %p = ptradd %base, %i
+  %v = load i64, %p
+  %k = p2i %p
+  %r = add %v, %k`},
+		{"stored value", `
+  %p = ptradd %base, %i
+  store ptr<i64> %p, %slot
+  %r = add %i, 1`},
+		{"not adjacent", `
+  %p = ptradd %base, %i
+  %r = add %i, 1
+  store i64 %r, %p`},
+	} {
+		cf := compileSrc(t, `module "m"
+func @f(%base: ptr<i64>, %slot: ptr<ptr<i64>>, %i: i64) i64 {
+entry:`+tc.body+`
+  ret %r
+}`, "f")
+		if n := countOps(cf, cPtrLoad) + countOps(cf, cPtrStore); n != 0 {
+			t.Errorf("%s: ptradd fused into %d ops, want 0", tc.name, n)
+		}
+		if n := countOps(cf, cPtrAdd); n != 1 {
+			t.Errorf("%s: %d cPtrAdd ops, want 1", tc.name, n)
+		}
+	}
+}
+
+// TestKnownOperandsFold: an instruction whose operands are all known at
+// compile time is evaluated into the constant pool, and its step and
+// cycles ride on the next op; a division by zero stays an op, so it traps
+// where the walker does.
+func TestKnownOperandsFold(t *testing.T) {
+	cf := compileSrc(t, `module "m"
+global @g : [8 x i64] zeroinit
+func @f(%i: i64) i64 {
+entry:
+  %base = ptradd @g, 0
+  %q = ptradd %base, %i
+  %v = load i64, %q
+  %z = sub 4, 4
+  %r = div %v, %z
+  %bad = div 7, 0
+  ret %bad
+}`, "f")
+	ops := cf.blocks[0]
+	if len(ops) != 4 || ops[0].code != cPtrLoad || ops[1].code != cDiv || ops[2].code != cDiv || ops[3].code != cRet {
+		t.Fatalf("compiled to %d ops, want cPtrLoad, cDiv, cDiv, cRet", len(ops))
+	}
+	for i, want := range []int64{3, 2, 1, 1} {
+		if ops[i].steps != want {
+			t.Errorf("op %d retires %d steps, want %d", i, ops[i].steps, want)
+		}
+	}
+	if got := cf.consts[ops[1].b-cf.pool]; got != 0 {
+		t.Errorf("the folded divisor is %d, want 0", got)
 	}
 }
 

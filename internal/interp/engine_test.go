@@ -2,6 +2,11 @@ package interp_test
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +15,7 @@ import (
 	"noelle/internal/interp"
 	"noelle/internal/interp/interptest"
 	"noelle/internal/ir"
+	"noelle/internal/irtext"
 	"noelle/internal/profiler"
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
@@ -345,4 +351,307 @@ func TestCompiledTierSpeedup(t *testing.T) {
 	if speedup < 2 {
 		t.Errorf("compiled tier speedup %.2fx, want >= 2x", speedup)
 	}
+}
+
+// budgetPrograms are small programs, one per shape of compiled op
+// segment: a segment the budget can cut anywhere, and one ending at each
+// kind of op a segment ends at or a trap inside it.
+var budgetPrograms = []struct{ name, src string }{
+	{"call-defined", `module "m"
+func @sq(%x: i64) i64 {
+entry:
+  %buf = alloca i64, 2
+  %y = mul %x, %x
+  store i64 %y, %buf
+  %z = load i64, %buf
+  ret %z
+}
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %n, loop ]
+  %acc = phi i64 [ 0, entry ], [ %acc2, loop ]
+  %a = add %i, 3
+  %s = call i64 @sq(%a)
+  %acc2 = add %s, %acc
+  %n = add %i, 1
+  %c = lt %n, 4
+  condbr %c, loop, done
+done:
+  ret %acc2
+}`},
+	{"call-extern", `module "m"
+declare @print_i64 : fn(i64) void
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %n, loop ]
+  %a = mul %i, 7
+  %b = xor %a, 5
+  call void @print_i64(%b)
+  %n = add %i, 1
+  %c = lt %n, 4
+  condbr %c, loop, done
+done:
+  ret %n
+}`},
+	{"dispatch", `module "m"
+global @arr : [12 x i64] zeroinit
+declare @print_i64 : fn(i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %base = mul %w, 6
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %inext, loop ]
+  %idx = add %base, %i
+  %v = mul %idx, 3
+  %p = ptradd @arr, %idx
+  store i64 %v, %p
+  %inext = add %i, 1
+  %c = lt %inext, 6
+  condbr %c, loop, done
+done:
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 1
+  store i64 5, %env
+  call void @noelle_dispatch(@task, %env, 2)
+  br sum
+sum:
+  %j = phi i64 [ 0, entry ], [ %jnext, sum ]
+  %acc = phi i64 [ 0, entry ], [ %acc2, sum ]
+  %p = ptradd @arr, %j
+  %v = load i64, %p
+  %acc2 = add %acc, %v
+  %jnext = add %j, 1
+  %c = lt %jnext, 12
+  condbr %c, sum, done
+done:
+  call void @print_i64(%acc2)
+  ret %acc2
+}`},
+	{"superinstructions", `module "m"
+global @a : [8 x i64] zeroinit
+global @b : [8 x i64] zeroinit
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %n, loop ]
+  %pa = ptradd @a, %i
+  %x = load i64, %pa
+  %x2 = add %x, 3
+  store i64 %x2, %pa
+  %q = ptradd @a, %i
+  %y = load i64, %q
+  %z = mul %y, %i
+  %r = ptradd @b, %i
+  store i64 %z, %r
+  %n = add %i, 1
+  %c = lt %n, 8
+  condbr %c, loop, done
+done:
+  %last = ptradd @b, 7
+  %v = load i64, %last
+  ret %v
+}`},
+	{"folded", `module "m"
+global @g : [8 x i64] zeroinit
+declare @print_i64 : fn(i64) void
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %n, loop ]
+  %base = ptradd @g, 0
+  %q = ptradd %base, %i
+  %v = load i64, %q
+  %p = ptradd @g, %i
+  %k = mul 2, 3
+  %x = load i64, %p
+  %x2 = add %x, %k
+  store i64 %x2, %p
+  %eight = shl 1, 3
+  call void @print_i64(%eight)
+  %d = div 8, 2
+  %n = add %i, %d
+  %lim = add 8, 1
+  %c = lt %n, %lim
+  condbr %c, loop, done
+done:
+  %z = sub 4, 4
+  %r = rem %v, %z
+  ret %r
+}`},
+	{"folded-out-of-order", `module "m"
+func @main() i64 {
+entry:
+  br start
+use:
+  %w = add %late, 1
+  ret %w
+start:
+  %late = mul 3, 5
+  br use
+}`},
+	{"phi-swap", `module "m"
+func @main() i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %n, loop ]
+  %x = phi i64 [ 1, entry ], [ %y, loop ]
+  %y = phi i64 [ 2, entry ], [ %x, loop ]
+  %s = phi i64 [ 0, entry ], [ %s2, loop ]
+  %t = mul %x, 10
+  %s2 = add %s, %t
+  %n = add %i, 1
+  %c = lt %n, 5
+  condbr %c, loop, done
+done:
+  %r = add %s2, %y
+  ret %r
+}`},
+	{"div-by-zero", `module "m"
+global @g : [4 x i64] zeroinit
+func @main() i64 {
+entry:
+  %g0 = ptradd @g, 0
+  %x = load i64, %g0
+  %a = add %x, 7
+  %p = ptradd @g, 2
+  store i64 %a, %p
+  %z = sub %a, 7
+  %d = div %a, %z
+  %e = add %d, 1
+  %f = mul %e, 2
+  ret %f
+}`},
+	{"wild-load", `module "m"
+global @g : [4 x i64] zeroinit
+func @main() i64 {
+entry:
+  %g0 = ptradd @g, 0
+  %x = load i64, %g0
+  %a = add %x, 7
+  %big = shl %a, 60
+  %p = ptradd @g, %big
+  %v = load i64, %p
+  %e = add %v, 1
+  %f = mul %e, 2
+  ret %f
+}`},
+	{"wild-load-op-store", `module "m"
+global @g : [4 x i64] zeroinit
+func @main() i64 {
+entry:
+  %g0 = ptradd @g, 0
+  %x = load i64, %g0
+  %a = add %x, 7
+  %big = shl %a, 60
+  %p = ptradd @g, %big
+  %k = mul 2, 3
+  %v = load i64, %p
+  %v2 = add %v, %k
+  store i64 %v2, %p
+  ret %a
+}`},
+}
+
+// TestTiersAgreeAtEveryBudget runs each budget program at every step
+// budget from 1 to one past its unbounded run's total, so the budget runs
+// out in front of, and inside, every op of every segment: the compiled
+// tier must stop where the walker stops, with the same error, Steps,
+// Cycles, output and memory. The dispatch program runs sequentially and
+// on 2 workers. Which worker draws a dispatch's last granted steps is a
+// race by design (parallel.go's step pool), so the 2-worker sweep skips
+// the budgets that reach the dispatch with steps left but fewer than two
+// grant chunks (64 each, more than either worker runs); the sum after
+// the dispatch is what it sweeps past it.
+func TestTiersAgreeAtEveryBudget(t *testing.T) {
+	for _, p := range budgetPrograms {
+		m := parse(t, p.src)
+		modes := []interp.ExecConfig{{}}
+		if p.name == "dispatch" {
+			modes = []interp.ExecConfig{{SeqDispatch: true}, {DispatchWorkers: 2}}
+		}
+		for _, ec := range modes {
+			name := p.name
+			if ec.DispatchWorkers > 0 {
+				name += "/par"
+			}
+			t.Run(name, func(t *testing.T) {
+				full, _ := interptest.AssertTiersAgree(t, m, interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true}})
+				atDispatch := int64(-1) // the first budget whose run stops inside the dispatch
+				for budget := int64(1); budget <= full.Steps+1; budget++ {
+					if ec.DispatchWorkers > 0 && atDispatch >= 0 && budget > atDispatch && budget < atDispatch+128 {
+						continue
+					}
+					walker, compiled := interptest.AssertTiersAgree(t, m, interptest.Config{ExecConfig: ec, MaxSteps: budget})
+					if t.Failed() {
+						t.Fatalf("first divergence at budget %d", budget)
+					}
+					if walker.Err != nil && strings.Contains(walker.Err.Error(), "dispatch worker") && atDispatch < 0 {
+						atDispatch = budget
+					}
+					if compiled.Engine != interp.EngineCompiled {
+						t.Fatalf("compiled run fell back to %s", compiled.Engine)
+					}
+					if cut := budget < full.Steps; errors.Is(walker.Err, interp.ErrStepLimit) != cut {
+						t.Fatalf("budget %d of %d steps: error %v, step limit %t", budget, full.Steps, walker.Err, cut)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzTiersAgree holds the compiled tier to the walker on arbitrary
+// modules at arbitrary step budgets in [1, 5000]: every observable
+// interptest.Compare diffs must match, with dispatches sequential so a
+// run is deterministic. Text irtext.Parse refuses is skipped. Seeds: the
+// budget programs and the FuzzParse inputs that parse.
+func FuzzTiersAgree(f *testing.F) {
+	for _, p := range budgetPrograms {
+		f.Add(p.src, uint16(40))
+	}
+	files, err := filepath.Glob("../irtext/testdata/fuzz/FuzzParse/*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A corpus file is "go test fuzz v1" and one string(...) line.
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\nstring(")
+		src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		if _, err := irtext.Parse(src); err == nil {
+			f.Add(src, uint16(4999))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, budget uint16) {
+		m, err := irtext.Parse(src)
+		if err != nil {
+			return
+		}
+		cfg := interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: true}, MaxSteps: 1 + int64(budget)%5000}
+		_, _, diffs, err := interptest.TiersAgree(m, cfg)
+		if err != nil {
+			return // no @main
+		}
+		for _, d := range diffs {
+			t.Errorf("budget %d: tiers disagree on %s", cfg.MaxSteps, d)
+		}
+	})
 }

@@ -143,6 +143,10 @@ type Interp struct {
 	// stack is the compiled tier's value stack: frames and call argument
 	// vectors (see push in compiled.go).
 	stack []uint64
+	// allocas holds the addresses the compiled tier's live frames
+	// allocated, innermost frame last; a frame frees its own on exit
+	// (execCompiled).
+	allocas []int64
 
 	// pool is the dispatch tree's shared step budget; nil on root
 	// contexts (see stepPool in parallel.go).
