@@ -59,7 +59,11 @@ race:
 # corpus/pipeline agreement suite (TestTiersAgreeAtEveryBudget among it:
 # one small program per shape of op segment, run at every step budget
 # from 1 to one past its total, so the budget cuts every segment at
-# every op) and, by name, the two observation
+# every op), the compiler against the one it replaced
+# (TestCompileMatchesReference: the same compiled body, plain, counting
+# and loop-observing, for every function of the corpus, the whole
+# program, the synthetic programs' lowerings and 150 generated programs)
+# and, by name, the two observation
 # differentials (compiled Collect and compiled loop-cost attribution,
 # each loop alone and every loop of a module in one run, against the
 # walker on the corpus, the synthetic programs, their lowerings and 150
@@ -84,7 +88,7 @@ race:
 tier-diff:
 	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
-	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup' -v ./internal/interp/
+	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup|TestCompileMatchesReference' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
 	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace' -v ./internal/interp/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
@@ -98,7 +102,10 @@ tier-diff:
 # allocations per solve), auto's plan-and-price decision
 # (BenchmarkAutoPricing: one training run), a cold and a warm pass over
 # every function PDG, the loop bundle of every loop over built PDGs
-# (BenchmarkLoopBundle), an interpreted step on the compiled tier
+# (BenchmarkLoopBundle), the compiled tier's compile of every function
+# of the whole program on a fresh image, which every run pays for what it
+# calls (BenchmarkCompileWhole: ns per instruction and allocations per
+# function), an interpreted step on the compiled tier
 # (BenchmarkInterpSteps: ns/step over the untransformed
 # bench.ParallelProgram(65536)), and the ablations.
 bench:

@@ -15,6 +15,7 @@ package noelle
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -228,6 +229,42 @@ func BenchmarkInterpSteps(b *testing.B) {
 		steps += it.Steps
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
+// BenchmarkCompileWhole is the unit cost of the compiled tier's compile:
+// every defined function of bench.WholeProgram (123 functions, 12,414
+// instructions) lowered on a fresh image, which is what every run pays
+// for the functions it calls, since each interp.New is a new image. It
+// reports ns per compiled instruction and allocations per function; the
+// image itself is built with the timer stopped.
+func BenchmarkCompileWhole(b *testing.B) {
+	m := cacheBenchModule(b)
+	instrs, fns := 0, 0
+	for _, f := range m.Functions {
+		if !f.IsDeclaration() {
+			instrs += f.NumInstrs()
+			fns++
+		}
+	}
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		it := interp.New(m)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		if err := it.Precompile(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
+	b.ReportMetric(float64(mallocs)/float64(b.N*fns), "allocs/fn")
 }
 
 func cacheBenchModule(b *testing.B) *ir.Module {

@@ -20,7 +20,9 @@
 // -engine selects the interpreter execution tier: "compiled" (the
 // default fast path: functions lowered once to pre-bound ops) or
 // "walker" (the instruction-walking reference; both tiers produce
-// byte-identical output and counters).
+// byte-identical output and counters). The footer's walker-fallback=
+// names the functions the compiled tier rejected, which ran on the
+// walker.
 //
 // Usage: noelle-bin [-seq] [-workers N] [-queue-cap N] [-engine walker|compiled]
 //
@@ -31,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"noelle/internal/interp"
@@ -76,7 +79,7 @@ func main() {
 		toolio.Fatal(err)
 	}
 	fmt.Print(it.Output.String())
-	fmt.Fprintf(os.Stderr, "exit=%d cycles=%d steps=%d engine=%s\n", code, it.Cycles, it.Steps, it.Engine())
+	fmt.Fprintln(os.Stderr, footer(it, code))
 	// Per-lane stats surface worker skew the post-barrier merge hides.
 	for _, line := range it.WorkerStatLines() {
 		fmt.Fprintln(os.Stderr, line)
@@ -94,4 +97,15 @@ func main() {
 		}
 	}
 	os.Exit(int(code & 0xff))
+}
+
+// footer is the run's summary line: exit code, counters and engine, then
+// the functions the compiled tier rejected, which ran on the walker
+// whatever engine the line names.
+func footer(it *interp.Interp, code int64) string {
+	line := fmt.Sprintf("exit=%d cycles=%d steps=%d engine=%s", code, it.Cycles, it.Steps, it.Engine())
+	if rejected := it.Rejected(); len(rejected) > 0 {
+		line += " walker-fallback=@" + strings.Join(rejected, ",@")
+	}
+	return line
 }

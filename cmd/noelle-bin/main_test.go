@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"noelle/internal/interp"
+	"noelle/internal/ir"
 )
 
 // wildStore stores through a pointer 16 bytes below its global (@g is
@@ -62,5 +65,37 @@ func TestWildStoreExitsWithError(t *testing.T) {
 				t.Errorf("%s %v: stderr %q does not report %q", tc.name, args, stderr.String(), want)
 			}
 		}
+	}
+}
+
+// TestFooterNamesWalkerFallback: a function the compiled tier rejects
+// runs on the walker, and the footer says so. @main reads, on a path the
+// run never takes, a value of another function, which only the walker's
+// run-time check accepts (the verifier would refuse the module, so it is
+// built here, not read).
+func TestFooterNamesWalkerFallback(t *testing.T) {
+	bld := ir.NewBuilder()
+	ghost := ir.NewFunction("ghost", ir.FuncOf(ir.I64Type))
+	bld.SetInsertionBlock(ghost.NewBlock("entry"))
+	foreign := bld.CreateBinOp(ir.OpAdd, ir.ConstInt(1), ir.ConstInt(2), "foreign")
+
+	m := ir.NewModule("m")
+	main := m.AddFunction(ir.NewFunction("main", ir.FuncOf(ir.I64Type)))
+	entry, never, done := main.NewBlock("entry"), main.NewBlock("never"), main.NewBlock("done")
+	bld.SetInsertionBlock(entry)
+	bld.CreateCondBr(ir.ConstBool(false), never, done)
+	bld.SetInsertionBlock(never)
+	bld.CreateRet(foreign)
+	bld.SetInsertionBlock(done)
+	bld.CreateRet(ir.ConstInt(3))
+
+	it := interp.New(m)
+	it.Eng = interp.EngineCompiled
+	code, err := it.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := footer(it, code), "exit=3 cycles=2 steps=2 engine=walker walker-fallback=@main"; got != want {
+		t.Errorf("footer %q, want %q", got, want)
 	}
 }

@@ -1,8 +1,12 @@
 package interp
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
+	"noelle/internal/bench"
 	"noelle/internal/irtext"
 )
 
@@ -282,3 +286,93 @@ entry:
 // plainBody drops image.compiled's error: nil is the rejection these
 // tests look for.
 func plainBody(cf *cfunc, _ error) *cfunc { return cf }
+
+// allocSrc is a module whose @f runs a loop of k copies of one body: a
+// folded constant, a ptradd feeding its load, a load;add;store-back, a
+// call, a select and a queue push, so every table compileFunc fills grows
+// with k.
+func allocSrc(k int) string {
+	var b strings.Builder
+	b.WriteString(`module "m"
+global @a : [64 x i64] zeroinit
+declare @noelle_queue_push : fn(i64, i64) void
+func @g(%x: i64, %y: i64) i64 {
+entry:
+  %s = add %x, %y
+  ret %s
+}
+func @f(%n: i64, %q: i64) i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %next, loop ]
+  %acc = phi i64 [ 0, entry ], [ %acc` + strconv.Itoa(k-1) + `, loop ]
+`)
+	prev := "%acc"
+	for j := range k {
+		fmt.Fprintf(&b, `  %%k%[1]d = add 3, %[1]d
+  %%p%[1]d = ptradd @a, %%i
+  %%v%[1]d = load i64, %%p%[1]d
+  %%w%[1]d = add %%v%[1]d, %%k%[1]d
+  store i64 %%w%[1]d, %%p%[1]d
+  %%c%[1]d = call i64 @g(%%w%[1]d, %[2]s)
+  %%t%[1]d = lt %%c%[1]d, %%n
+  %%acc%[1]d = select %%t%[1]d, %%c%[1]d, %[2]s
+  call void @noelle_queue_push(%%q, %%acc%[1]d)
+`, j, prev)
+		prev = fmt.Sprintf("%%acc%d", j)
+	}
+	b.WriteString(`  %next = add %i, 1
+  %c = lt %next, %n
+  condbr %c, loop, done
+done:
+  ret %acc
+}`)
+	return b.String()
+}
+
+// TestCompileAllocsConstant: compiling a function allocates a handful of
+// objects — the body and one backing array per table — however many
+// instructions it has. The compiler this replaced allocated about one per
+// instruction; a regression to per-op or per-edge allocation fails here
+// instead of drifting in BenchmarkCompileWhole.
+func TestCompileAllocsConstant(t *testing.T) {
+	const maxAllocs = 10
+	var allocs []float64
+	for _, k := range []int{2, 40, 200} {
+		m, err := irtext.Parse(allocSrc(k))
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		it := New(m)
+		f := m.FunctionByName("f")
+		n := testing.AllocsPerRun(50, func() {
+			if _, err := compileFunc(it.img, f, it.Cost, probes{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > maxAllocs {
+			t.Errorf("compiling %d instructions allocates %.1f objects, want at most %d", f.NumInstrs(), n, maxAllocs)
+		}
+		allocs = append(allocs, n)
+	}
+	if allocs[2] > allocs[0]+0.5 {
+		t.Errorf("allocations grow with the function: %v for 2, 40 and 200 loop bodies", allocs)
+	}
+}
+
+// TestNewAllocs bounds what New allocates: the default externs are
+// published in one table, and the image's maps come presized. Each
+// registration used to copy the table and rebuild its index, about 100 of
+// the 135 objects New allocated for the whole program.
+func TestNewAllocs(t *testing.T) {
+	const maxAllocs = 32
+	m, err := bench.WholeProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { New(m) }); n > maxAllocs {
+		t.Errorf("New allocates %.0f objects for %d functions and %d globals, want at most %d",
+			n, len(m.Functions), len(m.Globals), maxAllocs)
+	}
+}

@@ -105,3 +105,35 @@ func (it *Interp) Engine() Engine {
 	}
 	return it.selectEngine()
 }
+
+// Precompile lowers every defined function of the module on the compiled
+// tier under this context's cost model, as each one's first call would,
+// and returns the first rejection. The bodies stay cached on the image.
+func (it *Interp) Precompile() error {
+	var first error
+	for _, f := range it.img.fnTable {
+		if f.IsDeclaration() {
+			continue
+		}
+		if _, err := it.img.compiled(f, it.Cost, probes{}); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// Rejected returns the names of the functions the compiled tier has
+// rejected on this context's image so far, in module order. A plain call
+// of one runs on the walker (Call) whatever engine the context selects, so
+// a caller that reports the engine reports these with it.
+func (it *Interp) Rejected() []string {
+	var names []string
+	for _, f := range it.img.fnTable {
+		if v, ok := it.img.progs.Load(f); ok {
+			if _, rejected := v.(error); rejected {
+				names = append(names, f.Nam)
+			}
+		}
+	}
+	return names
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,15 +120,16 @@ func lowerWith(t *testing.T, m *ir.Module, tech string, cores int) {
 
 // TestCorpusCompilesFully: Call falls back to the walker per function
 // when the compiler rejects one, and a run still reports
-// engine=compiled if its entry function compiled. So every defined
-// function of everything the tier differential and the benchmark
-// execute — the bundled corpus, both synthetic programs, and their
-// DSWP/HELIX lowerings with the generated task functions — must lower,
-// or a silent walker fallback would hide behind the engine name.
+// engine=compiled if its entry function compiled (Rejected names the
+// others). So every defined function of everything the tier differential
+// and the benchmark execute — the bundled corpus, both synthetic
+// programs, and their DSWP/HELIX lowerings with the generated task
+// functions — must lower, or the tier differential would be holding the
+// walker to itself.
 func TestCorpusCompilesFully(t *testing.T) {
 	check := func(name string, m *ir.Module) {
 		t.Helper()
-		if err := interp.CompileAll(m); err != nil {
+		if err := interp.New(m).Precompile(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -654,4 +656,48 @@ func FuzzTiersAgree(f *testing.F) {
 			t.Errorf("budget %d: tiers disagree on %s", cfg.MaxSteps, d)
 		}
 	})
+}
+
+// TestRejectedFunctionRunsOnWalker: a function the compiler rejects runs
+// on the walker, and the context names it, so a caller reporting the
+// engine can report the fallback too. @pick reads, on a path the run never takes, a value of another
+// function: the compiler cannot resolve the operand, the walker never
+// meets it.
+func TestRejectedFunctionRunsOnWalker(t *testing.T) {
+	m := ir.NewModule("m")
+	bld := ir.NewBuilder()
+	ghost := ir.NewFunction("ghost", ir.FuncOf(ir.I64Type))
+	bld.SetInsertionBlock(ghost.NewBlock("entry"))
+	foreign := bld.CreateBinOp(ir.OpAdd, ir.ConstInt(1), ir.ConstInt(2), "foreign")
+
+	pick := m.AddFunction(ir.NewFunction("pick", ir.FuncOf(ir.I64Type, ir.I64Type), "x"))
+	entry, never, taken := pick.NewBlock("entry"), pick.NewBlock("never"), pick.NewBlock("taken")
+	bld.SetInsertionBlock(entry)
+	bld.CreateCondBr(bld.CreateCmp(ir.OpNe, pick.Params[0], ir.ConstInt(0), "c"), never, taken)
+	bld.SetInsertionBlock(never)
+	bld.CreateRet(bld.CreateBinOp(ir.OpAdd, foreign, pick.Params[0], "r"))
+	bld.SetInsertionBlock(taken)
+	bld.CreateRet(ir.ConstInt(7))
+
+	main := m.AddFunction(ir.NewFunction("main", ir.FuncOf(ir.I64Type)))
+	bld.SetInsertionBlock(main.NewBlock("entry"))
+	bld.CreateRet(bld.CreateCall(pick, []ir.Value{ir.ConstInt(0)}, "v"))
+
+	for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
+		it := interp.New(m)
+		it.Eng = eng
+		if r, err := it.Run(); r != 7 || err != nil {
+			t.Fatalf("%s: main = %d, %v; want 7", eng, r, err)
+		}
+		want := []string(nil)
+		if eng == interp.EngineCompiled {
+			want = []string{"pick"}
+		}
+		if got := it.Rejected(); !slices.Equal(got, want) {
+			t.Errorf("%s: rejected %v, want %v", eng, got, want)
+		}
+	}
+	if err := interp.New(m).Precompile(); err == nil || !strings.Contains(err.Error(), "unresolvable operand %foreign") {
+		t.Errorf("Precompile: %v, want the unresolvable operand", err)
+	}
 }

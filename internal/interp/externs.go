@@ -48,11 +48,11 @@ const (
 )
 
 // defaultExternArities is the single source of truth for the argument
-// counts of the runtime's default externs. registerDefaultExterns
-// enforces them dynamically (a wrong-arity call errors instead of
-// indexing out of range); ExternArities exports them so the static
-// verifier (internal/verify) can reject a wrong-arity call site before
-// a single instruction executes.
+// counts of the runtime's default externs. The registrations of
+// defaultExterns enforce them dynamically (a wrong-arity call errors
+// instead of indexing out of range); ExternArities exports them so the
+// static verifier (internal/verify) can reject a wrong-arity call site
+// before a single instruction executes.
 var defaultExternArities = map[string]int{
 	ExternPrintI64:     1,
 	ExternPrintF64:     1,
@@ -82,70 +82,78 @@ func ExternArities() map[string]int {
 	return out
 }
 
-// Default externs are registered with their exact arity: a malformed
-// module that declares (and calls) one of them with the wrong signature
-// gets an error instead of an index-out-of-range panic in the host body.
-func registerDefaultExterns(it *Interp) {
-	it.RegisterExternArity(ExternPrintI64, defaultExternArities[ExternPrintI64], func(it *Interp, args []uint64) (uint64, error) {
+// defaultExterns are the runtime's own host functions, registered with
+// their exact arity: a malformed module that declares (and calls) one of
+// them with the wrong signature gets an error instead of an
+// index-out-of-range panic in the host body. New publishes them all at
+// once (registerExterns). Push, pop, their bulk forms, wait and fire are
+// also first-class ops of the compiled tier (compile.go binds direct calls
+// to them while these registrations stand), so each body is a method both
+// call.
+var defaultExterns = []externEntry{
+	{name: ExternPrintI64, fn: func(it *Interp, args []uint64) (uint64, error) {
 		fmt.Fprintf(&it.Output, "%d\n", int64(args[0]))
 		return 0, nil
-	})
-	it.RegisterExternArity(ExternPrintF64, defaultExternArities[ExternPrintF64], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternPrintF64, fn: func(it *Interp, args []uint64) (uint64, error) {
 		fmt.Fprintf(&it.Output, "%g\n", math.Float64frombits(args[0]))
 		return 0, nil
-	})
-	it.RegisterExternArity(ExternGuard, defaultExternArities[ExternGuard], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternGuard, fn: func(it *Interp, args []uint64) (uint64, error) {
 		it.GuardCalls++
 		if !it.ValidAddress(int64(args[0])) {
 			it.GuardFailures++
 		}
 		return 0, nil
-	})
-	it.RegisterExternArity(ExternCallback, defaultExternArities[ExternCallback], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternCallback, fn: func(it *Interp, args []uint64) (uint64, error) {
 		it.Callbacks++
 		return 0, nil
-	})
-	it.RegisterExternArity(ExternClockSet, defaultExternArities[ExternClockSet], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternClockSet, fn: func(it *Interp, args []uint64) (uint64, error) {
 		it.ClockSets++
 		return 0, nil
-	})
-	it.RegisterExternArity(ExternDispatch, defaultExternArities[ExternDispatch], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternDispatch, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return it.dispatch(args)
-	})
-	it.RegisterExternArity(ExternQueueCreate, defaultExternArities[ExternQueueCreate], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueueCreate, fn: func(it *Interp, args []uint64) (uint64, error) {
 		capacity := int(int64(args[0]))
 		if it.QueueCap > 0 {
 			capacity = it.QueueCap // runtime override (noelle-bin -queue-cap)
 		}
 		return uint64(it.img.comm.CreateQueue(capacity)), nil
-	})
-	// Push, pop, their bulk forms, wait and fire are also first-class ops
-	// of the compiled tier (compile.go binds direct calls to them while
-	// these registrations stand), so each body is a method both call.
-	it.img.registerExtern(ExternQueuePush, defaultExternArities[ExternQueuePush], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueuePush, op: cQueuePush, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.queuePush(int64(args[0]), args[1])
-	}, cQueuePush)
-	it.img.registerExtern(ExternQueuePop, defaultExternArities[ExternQueuePop], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueuePop, op: cQueuePop, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return it.queuePop(int64(args[0]))
-	}, cQueuePop)
-	it.img.registerExtern(ExternQueuePushN, defaultExternArities[ExternQueuePushN], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueuePushN, op: cQueuePushN, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.queuePushN(int64(args[0]), int64(args[1]), int64(args[2]))
-	}, cQueuePushN)
-	it.img.registerExtern(ExternQueuePopN, defaultExternArities[ExternQueuePopN], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueuePopN, op: cQueuePopN, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.queuePopN(int64(args[0]), int64(args[1]), int64(args[2]))
-	}, cQueuePopN)
-	it.RegisterExternArity(ExternQueueClose, defaultExternArities[ExternQueueClose], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternQueueClose, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.img.comm.Close(int64(args[0]))
-	})
-	it.RegisterExternArity(ExternSignalCreate, defaultExternArities[ExternSignalCreate], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternSignalCreate, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return uint64(it.img.comm.CreateSignal(int64(args[0]))), nil
-	})
-	it.img.registerExtern(ExternSignalWait, defaultExternArities[ExternSignalWait], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternSignalWait, op: cSignalWait, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.signalWait(int64(args[0]), int64(args[1]))
-	}, cSignalWait)
-	it.img.registerExtern(ExternSignalFire, defaultExternArities[ExternSignalFire], func(it *Interp, args []uint64) (uint64, error) {
+	}},
+	{name: ExternSignalFire, op: cSignalFire, fn: func(it *Interp, args []uint64) (uint64, error) {
 		return 0, it.img.comm.Fire(int64(args[0]), int64(args[1]))
-	}, cSignalFire)
+	}},
+}
+
+func init() {
+	for i := range defaultExterns {
+		defaultExterns[i].arity = defaultExternArities[defaultExterns[i].name]
+	}
 }
 
 // queuePush is noelle_queue_push: parallel workers of a fully resident

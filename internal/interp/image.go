@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,6 +160,9 @@ type image struct {
 	// observe.go) the same way: one per function, recompiled when the
 	// request it was bound to is not the one asking.
 	probed sync.Map
+	// scratch is a compiler's scratch tables, held by no compile at the
+	// moment and reused by the next (compileFunc).
+	scratch atomic.Pointer[compiler]
 	// commGen counts re-registrations of the externs the compiler binds
 	// to first-class ops (externEntry.op). A body compiled under an older
 	// count may have such an op where the replacement must now be called,
@@ -271,36 +275,38 @@ const (
 	externMissing    = -1
 )
 
-// registerExtern installs fn for declarations named name. Registration
-// copies the snapshot table and index (append-only for re-registered
-// names too: the index simply points at the newest entry), then resets
-// the resolution cache of every declaration with that name so the next
-// call re-resolves. op is cInvalid except for the runtime's own
-// communication externs (see externEntry.op); replacing one of those
-// invalidates the compiled bodies that may have bound it.
-func (img *image) registerExtern(name string, arity int, fn Extern, op copcode) {
+// registerExterns installs es, in order, in one publication. It copies
+// the snapshot table and index (append-only for re-registered names too:
+// the index simply points at the newest entry), then resets the
+// resolution cache of every declaration with one of their names so the
+// next call re-resolves. An entry's op is cInvalid except on the
+// runtime's own communication externs (see externEntry.op); replacing one
+// of those invalidates the compiled bodies that may have bound it.
+func (img *image) registerExterns(es ...externEntry) {
 	img.externMu.Lock()
-	old := *img.externTab.Load()
-	tab := make([]externEntry, len(old), len(old)+1)
+	defer img.externMu.Unlock()
+	old, oldIdx := *img.externTab.Load(), *img.externIdx.Load()
+	tab := make([]externEntry, len(old), len(old)+len(es))
 	copy(tab, old)
-	tab = append(tab, externEntry{name: name, arity: arity, fn: fn, kind: externKinds[name], op: op})
-	oldIdx := *img.externIdx.Load()
-	if prev, has := oldIdx[name]; has && old[prev].op != cInvalid {
-		img.commGen.Add(1)
-	}
-	idx := make(map[string]int32, len(oldIdx)+1)
+	idx := make(map[string]int32, len(oldIdx)+len(es))
 	for k, v := range oldIdx {
 		idx[k] = v
 	}
-	idx[name] = int32(len(tab) - 1)
+	for _, e := range es {
+		if prev, has := idx[e.name]; has && tab[prev].op != cInvalid {
+			img.commGen.Add(1)
+		}
+		e.kind = externKinds[e.name]
+		idx[e.name] = int32(len(tab))
+		tab = append(tab, e)
+	}
 	img.externTab.Store(&tab)
 	img.externIdx.Store(&idx)
 	for i, f := range img.fnTable {
-		if f.IsDeclaration() && f.Nam == name {
+		if f.IsDeclaration() && slices.ContainsFunc(es, func(e externEntry) bool { return e.name == f.Nam }) {
 			img.declSlot[i].Store(externUnresolved)
 		}
 	}
-	img.externMu.Unlock()
 }
 
 func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
@@ -404,9 +410,10 @@ func newImage(m *ir.Module) *image {
 	img := &image{
 		mod:        m,
 		nextPtr:    8, // keep 0 as a null page
-		allocs:     map[int64]int64{},
-		globalAddr: map[*ir.Global]int64{},
-		fnIndex:    map[*ir.Function]int64{},
+		allocs:     make(map[int64]int64, len(m.Globals)),
+		globalAddr: make(map[*ir.Global]int64, len(m.Globals)),
+		fnTable:    make([]*ir.Function, 0, len(m.Functions)),
+		fnIndex:    make(map[*ir.Function]int64, len(m.Functions)),
 		comm:       queue.NewRuntime(),
 	}
 	emptyTab := []externEntry{}

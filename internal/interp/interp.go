@@ -178,7 +178,7 @@ func New(m *ir.Module) *Interp {
 		img:      img,
 		leaves:   img.mem.leaves(),
 	}
-	registerDefaultExterns(it)
+	img.registerExterns(defaultExterns...)
 	return it
 }
 
@@ -187,14 +187,14 @@ func New(m *ir.Module) *Interp {
 // registration is synchronized but a replacement mid-dispatch is not
 // observed by workers already inside the extern.
 func (it *Interp) RegisterExtern(name string, fn Extern) {
-	it.img.registerExtern(name, -1, fn, cInvalid)
+	it.img.registerExterns(externEntry{name: name, arity: -1, fn: fn})
 }
 
 // RegisterExternArity installs a host function that requires exactly
 // arity arguments; calls with any other count fail with an error instead
 // of the extern body indexing out of range.
 func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
-	it.img.registerExtern(name, arity, fn, cInvalid)
+	it.img.registerExterns(externEntry{name: name, arity: arity, fn: fn})
 }
 
 // GlobalAddr returns the address of g's storage.
