@@ -194,7 +194,9 @@ campaign-smoke:
 # allocating, the wire settings carried into the one interp.ExecConfig);
 # FuzzTiersAgree feeds irtext.Parse arbitrary text and runs what parses
 # on both engines at a fuzzed step budget in [1, 5000], sequential
-# dispatch (every observable interptest.Compare diffs must match).
+# dispatch (every observable interptest.Compare diffs must match);
+# FuzzCompile feeds minic.Compile arbitrary text (no panic, no hang, and
+# a module it returns verifies).
 # The committed seeds under each package's testdata/fuzz/ also run as
 # plain subtests of every `go test`; a crasher the fuzzer finds lands
 # there too and keeps failing until fixed.
@@ -204,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/abscache/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzTiersAgree$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/interp/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/minic/
 
 # Documentation consistency: markdown links resolve, every backticked
 # path and make target the docs cite exists, cmd/README.md lists every

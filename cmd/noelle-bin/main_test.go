@@ -68,6 +68,28 @@ func TestWildStoreExitsWithError(t *testing.T) {
 	}
 }
 
+// TestEngineEnvRefused: a NOELLE_ENGINE value that names no tier stops
+// noelle-bin before it reads the module, with exit 1 and the variable
+// named, instead of running the default tier.
+func TestEngineEnvRefused(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "noelle-bin")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "no-such-module.nir")
+	cmd.Env = append(os.Environ(), "NOELLE_ENGINE=walkr")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v, want exit status 1\n%s", err, stderr.String())
+	}
+	if want := `NOELLE_ENGINE: interp: unknown engine "walkr"`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not report %q", stderr.String(), want)
+	}
+}
+
 // TestFooterNamesWalkerFallback: a function the compiled tier rejects
 // runs on the walker, and the footer says so. @main reads, on a path the
 // run never takes, a value of another function, which only the walker's

@@ -26,8 +26,8 @@ entry:
 `
 
 // TestExecFlags builds noelle-load and checks its execution flags: an
-// engine the interpreter does not know exits 1 before any stage runs,
-// -queue-cap is no flag of the lowering (a chosen capacity is set at run
+// engine the interpreter does not know, by flag or by NOELLE_ENGINE,
+// exits 1 before any stage runs, -queue-cap is no flag of the lowering (a chosen capacity is set at run
 // time, by noelle-bin), and a valid configuration reaches carat's run.
 func TestExecFlags(t *testing.T) {
 	dir := t.TempDir()
@@ -40,15 +40,18 @@ func TestExecFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
+		env    string
 		args   []string
 		exit   int
 		stderr string
 	}{
-		{[]string{"-engine", "bogus"}, 1, `unknown engine "bogus"`},
-		{[]string{"-queue-cap", "64"}, 2, "flag provided but not defined: -queue-cap"},
-		{[]string{"-engine", "walker", "-seq", "-dispatch-workers", "2"}, 0, "guard_calls=1"},
+		{"", []string{"-engine", "bogus"}, 1, `unknown engine "bogus"`},
+		{"walkr", nil, 1, `NOELLE_ENGINE: interp: unknown engine "walkr"`},
+		{"", []string{"-queue-cap", "64"}, 2, "flag provided but not defined: -queue-cap"},
+		{"walker", []string{"-engine", "walker", "-seq", "-dispatch-workers", "2"}, 0, "guard_calls=1"},
 	} {
 		cmd := exec.Command(bin, append(append([]string{"-tools", "carat", "-o", os.DevNull}, tc.args...), in)...)
+		cmd.Env = append(os.Environ(), "NOELLE_ENGINE="+tc.env)
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		err := cmd.Run()
@@ -60,7 +63,7 @@ func TestExecFlags(t *testing.T) {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
 		if code != tc.exit || !strings.Contains(stderr.String(), tc.stderr) {
-			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr.String(), tc.exit, tc.stderr)
+			t.Errorf("NOELLE_ENGINE=%s %v: exit %d, stderr %q; want exit %d and %q", tc.env, tc.args, code, stderr.String(), tc.exit, tc.stderr)
 		}
 	}
 }

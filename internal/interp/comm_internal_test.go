@@ -167,7 +167,7 @@ entry:
 	if _, err := it.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cf := plainBody(it.img.compiled(m.FunctionByName("main"), it.Cost, probes{})); cf == nil || countOps(cf, cQueuePush) != 1 || countOps(cf, cQueuePop) != 1 {
+	if cf := plainBody(it.img.compiled(m.FunctionByName("main"), probes{})); cf == nil || countOps(cf, cQueuePush) != 1 || countOps(cf, cQueuePop) != 1 {
 		t.Fatal("main did not compile its push and pop to first-class ops")
 	}
 	custom := 0
@@ -181,7 +181,7 @@ entry:
 	if custom != 1 || it.Output.String() != "5\n105\n" {
 		t.Errorf("replacement ran %d times, output %q; want once and 5, 105", custom, it.Output.String())
 	}
-	cf := plainBody(it.img.compiled(m.FunctionByName("main"), it.Cost, probes{}))
+	cf := plainBody(it.img.compiled(m.FunctionByName("main"), probes{}))
 	if countOps(cf, cQueuePush) != 0 || countOps(cf, cQueuePop) != 1 {
 		t.Error("after the replacement, push must be a generic call and pop still first-class")
 	}
@@ -580,7 +580,7 @@ entry:
 	if _, err := it.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cf := plainBody(it.img.compiled(m.FunctionByName("main"), it.Cost, probes{})); cf == nil || countOps(cf, cQueuePushN) != 1 || countOps(cf, cQueuePopN) != 1 {
+	if cf := plainBody(it.img.compiled(m.FunctionByName("main"), probes{})); cf == nil || countOps(cf, cQueuePushN) != 1 || countOps(cf, cQueuePopN) != 1 {
 		t.Fatal("main did not compile its push_n and pop_n to first-class ops")
 	}
 	custom := 0
@@ -594,7 +594,7 @@ entry:
 	if custom != 1 || it.Output.String() != "5\n105\n" {
 		t.Errorf("replacement ran %d times, output %q; want once and 5, 105", custom, it.Output.String())
 	}
-	cf := plainBody(it.img.compiled(m.FunctionByName("main"), it.Cost, probes{}))
+	cf := plainBody(it.img.compiled(m.FunctionByName("main"), probes{}))
 	if countOps(cf, cQueuePushN) != 0 || countOps(cf, cQueuePopN) != 1 {
 		t.Error("after the replacement, push_n must be a generic call and pop_n still first-class")
 	}

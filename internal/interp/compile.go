@@ -29,13 +29,13 @@
 //     a ptradd feeding only the adjacent load or store's address
 //     (cPtrLoad, cPtrStore), each retiring the walker's step and cycle
 //     counts for the whole idiom;
-//   - cost-model cycles are pre-added per op, and per op *segment*: a run
-//     of ops ending at a call, at a probe that reads Cycles (cLoopCall,
-//     cLoopReturn), at cCount or at a terminator. The segment's first op
-//     carries the budget headroom the run needs, and every op what the
-//     ops after it in its segment cost, so the executor checks the budget
-//     and charges the counters once per segment, at its first op, and a
-//     trap gives back what the ops after it were charged;
+//   - the price list's cycles (cost.go) are pre-added per op, and per op
+//     *segment*: a run of ops ending at a call, at a probe that reads
+//     Cycles (cLoopCall, cLoopReturn), at cCount or at a terminator. The
+//     segment's first op carries the budget headroom the run needs, and
+//     every op what the ops after it in its segment cost, so the executor
+//     checks the budget and charges the counters once per segment, at its
+//     first op, and a trap gives back what the ops after it were charged;
 //   - a direct call to noelle_queue_push/pop, their bulk forms push_n/
 //     pop_n, or noelle_signal_wait/fire
 //     becomes a first-class op (cQueuePush, ...) carrying the call's and
@@ -210,14 +210,12 @@ type cop struct {
 // cfunc is one function's compiled body.
 type cfunc struct {
 	fn *ir.Function
-	// cost is the model the per-op cycles were pre-resolved against, and
-	// commGen the extern-registry generation the communication ops were
-	// bound under; a context running a different model, or a replaced
-	// communication extern, recompiles (see image.compiled).
-	cost    CostModel
+	// commGen is the extern-registry generation the communication ops
+	// were bound under; a replaced communication extern recompiles (see
+	// image.compiled).
 	commGen int64
 	// probes is the observation bound into the stream (zero: the plain
-	// stream); like cost and commGen it keys the cached body.
+	// stream); like commGen it keys the cached body.
 	probes probes
 	blocks [][]cop
 	// The frame is the parameters, one slot per result, the constant pool
@@ -256,12 +254,6 @@ type compiler struct {
 	cf    *cfunc
 	pr    probes
 	first int32 // index of f's entry block: 1 behind a function-entry counter
-
-	// model and costs: the cost model, and its Cost of each opcode (Cost
-	// reads nothing else of an instruction), filled once costed.
-	model  CostModel
-	costs  [ir.OpRet + 1]int64
-	costed bool
 
 	// Scratch. slot numbers the results (parameters take slots 0..n-1, by
 	// index) and block the blocks; phis holds each block's count of
@@ -328,8 +320,8 @@ func resize[T int32 | uint8](s []T, n int) []T {
 	return s
 }
 
-// compileFunc lowers f against img's layout under the given cost model,
-// with the probes of pr (already narrowed to f, see probes.in) bound in.
+// compileFunc lowers f against img's layout, with the probes of pr
+// (already narrowed to f, see probes.in) bound in.
 //
 // A counting stream differs from the plain one in its blocks only: block
 // 0 is the function-entry counter, f's blocks follow from index 1, and
@@ -339,25 +331,19 @@ func resize[T int32 | uint8](s []T, n int) []T {
 // with a probe per loop, and brackets their in-loop calls.
 //
 // Four passes over f: number, fold, plan, lower.
-func compileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
+func compileFunc(img *image, f *ir.Function, pr probes) (*cfunc, error) {
 	c := img.scratch.Swap(nil) // nil while another compile holds it
 	if c == nil {
 		c = new(compiler) // sizes its maps for the first function it numbers
 	}
 	defer c.release()
 	c.img, c.f, c.pr = img, f, pr
-	if !c.costed || c.model != cost {
-		c.model, c.costed = cost, true
-		for op := range c.costs {
-			c.costs[op] = cost.Cost(&ir.Instr{Opcode: ir.Op(op)})
-		}
-	}
 	c.first = 0
 	if pr.counts != nil {
 		c.first = 1
 	}
 	nEdges, nMoves, nCalls, nArgs := c.number()
-	c.cf = &cfunc{fn: f, cost: cost, probes: pr, pool: int32(len(c.uses))}
+	c.cf = &cfunc{fn: f, probes: pr, pool: int32(len(c.uses))}
 	c.foldConstants()
 	nOps, nSubs := c.plan()
 	if pr.counts != nil {
@@ -591,7 +577,7 @@ func (c *compiler) lower() error {
 		ins, sl, span := b.Instrs[nPhi:], c.ordSlot[base+nPhi:base+len(b.Instrs)], c.span[base+nPhi:]
 		base += len(b.Instrs)
 		if pr.loops != nil {
-			for _, op := range pr.loops.blockProbes(b, c.model) {
+			for _, op := range pr.loops.blockProbes(b) {
 				c.push(op)
 			}
 		}
@@ -610,7 +596,7 @@ func (c *compiler) lower() error {
 				if err := c.compileOne(&op, in, b, sl[i]); err != nil {
 					return err
 				}
-				before, after := pr.loops.callProbes(in, b, c.model)
+				before, after := pr.loops.callProbes(in, b)
 				for _, p := range before {
 					c.push(p)
 				}
@@ -681,7 +667,7 @@ func (c *compiler) lowerIdiom(b *ir.Block, ins []*ir.Instr) error {
 	// breakdown for a budget boundary inside the op.
 	at := len(c.subs)
 	for _, in := range ins {
-		k := c.cost(in)
+		k := Cost(in)
 		c.subs = append(c.subs, k)
 		op.cost += k
 	}
@@ -718,14 +704,6 @@ func (c *compiler) finish() *cfunc {
 	cf.scratch = cf.pool + int32(len(cf.consts))
 	cf.frameLen = cf.scratch + c.scratchLen
 	return cf
-}
-
-// cost is in's cycle cost under the model.
-func (c *compiler) cost(in *ir.Instr) int64 {
-	if uint(in.Opcode) < uint(len(c.costs)) {
-		return c.costs[in.Opcode]
-	}
-	return c.model.Cost(in)
 }
 
 // constant returns the pool slot holding bits, adding it on first use.
@@ -814,7 +792,7 @@ func (c *compiler) carry(in *ir.Instr) {
 	if c.pend == 0 {
 		c.pendAt = len(c.subs)
 	}
-	k := c.cost(in)
+	k := Cost(in)
 	c.subs = append(c.subs, k)
 	c.pend++
 	c.pendCost += k
@@ -860,7 +838,7 @@ func (c *compiler) plainEdge(from, to *ir.Block) (cedge, error) {
 		}
 		c.moves = append(c.moves, cmove{dst: c.slot[phi], src: src})
 		e.steps++
-		e.cycles += c.cost(phi)
+		e.cycles += Cost(phi)
 	}
 	if len(c.moves) == at {
 		return e, nil
@@ -920,7 +898,7 @@ func segment(ops []cop) {
 // compileOne builds, in op, a single non-fused instruction whose result,
 // if any, has slot s.
 func (c *compiler) compileOne(op *cop, in *ir.Instr, b *ir.Block, s int32) error {
-	op.dst, op.steps, op.cost = -1, 1, c.cost(in)
+	op.dst, op.steps, op.cost = -1, 1, Cost(in)
 	if in.HasResult() {
 		op.dst = s
 	}
@@ -953,7 +931,7 @@ func (c *compiler) compileOne(op *cop, in *ir.Instr, b *ir.Block, s int32) error
 			if ext := c.img.externFor(f); ext != nil && ext.op != cInvalid &&
 				len(in.Ops)-1 == ext.arity && in.HasResult() == (ext.op == cQueuePop) {
 				op.code = ext.op
-				op.cost += c.model.externCost(ext.kind)
+				op.cost += externCost[ext.kind]
 				if op.a, err = operand(1); err == nil && ext.arity > 1 {
 					op.b, err = operand(2)
 				}

@@ -22,7 +22,7 @@ func compileSrc(t *testing.T, src, fn string) *cfunc {
 	if f == nil {
 		t.Fatalf("no @%s", fn)
 	}
-	cf, cerr := compileFunc(it.img, f, it.Cost, probes{})
+	cf, cerr := compileFunc(it.img, f, probes{})
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
 	}
@@ -193,36 +193,6 @@ entry:
 	}
 }
 
-// TestCompiledCacheInvalidation: a context running a different cost
-// model must not reuse a body compiled under the old model (per-op
-// cycles are baked in at compile time).
-func TestCompiledCacheInvalidation(t *testing.T) {
-	m, err := irtext.Parse(`module "m"
-func @main() i64 {
-entry:
-  %a = mul 3, 4
-  ret %a
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := New(m)
-	f := m.FunctionByName("main")
-	cf1 := plainBody(it.img.compiled(f, it.Cost, probes{}))
-	if cf1 == nil {
-		t.Fatal("main did not compile")
-	}
-	hot := it.Cost
-	hot.IntMul += 100
-	cf2 := plainBody(it.img.compiled(f, hot, probes{}))
-	if cf2 == nil {
-		t.Fatal("main did not recompile under the new model")
-	}
-	if cf1 == cf2 {
-		t.Error("cost-model change did not invalidate the compiled body")
-	}
-}
-
 // TestExternDispatchAllocFree pins the indexed extern registry's hot
 // path: calling a registered declaration resolves through the cached
 // declaration slot — one atomic load — and the dispatch itself performs
@@ -347,7 +317,7 @@ func TestCompileAllocsConstant(t *testing.T) {
 		it := New(m)
 		f := m.FunctionByName("f")
 		n := testing.AllocsPerRun(50, func() {
-			if _, err := compileFunc(it.img, f, it.Cost, probes{}); err != nil {
+			if _, err := compileFunc(it.img, f, probes{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -21,7 +21,7 @@ import (
 // whose bodies, or rejections, differ.
 func CompileMatchesReference(m *ir.Module, reqs []LoopRequest) error {
 	img := New(m).img
-	cost := DefaultCostModel()
+	cost := refPrices()
 	var counts [2]EdgeCounts
 	var loops [2]*loopSet
 	for i := range loops {
@@ -47,7 +47,7 @@ func CompileMatchesReference(m *ir.Module, reqs []LoopRequest) error {
 			variants = append(variants, variant{"observing", [2]probes{{loops: loops[0]}, {loops: loops[1]}}})
 		}
 		for _, v := range variants {
-			got, gerr := compileFunc(img, f, cost, v.pr[0])
+			got, gerr := compileFunc(img, f, v.pr[0])
 			want, werr := refCompileFunc(img, f, cost, v.pr[1])
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				return fmt.Errorf("@%s %s: compile error %v, reference %v", f.Nam, v.name, gerr, werr)
@@ -114,7 +114,7 @@ var refSimpleCop = map[ir.Op]copcode{
 // on (the phi moves stay with the branch that takes the edge). A stream
 // with observed loops opens their blocks, and the blocks they exit to,
 // with a probe per loop, and brackets their in-loop calls.
-func refCompileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
+func refCompileFunc(img *image, f *ir.Function, cost refModel, pr probes) (*cfunc, error) {
 	// Slot assignment: parameters first (so copy(frame, args) places
 	// them), then every result-producing instruction in block order, then
 	// the constant pool as resolve meets its entries.
@@ -139,7 +139,7 @@ func refCompileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfu
 		}
 	}
 
-	cf := &cfunc{fn: f, cost: cost, probes: pr, pool: next}
+	cf := &cfunc{fn: f, probes: pr, pool: next}
 	// known returns v's bits when they are fixed at compile time: a
 	// constant, a global's address, a function id, or an instruction
 	// folded below (its slot is then a pool slot).
@@ -282,7 +282,7 @@ func refCompileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfu
 		ins := b.Instrs[b.FirstNonPhi():]
 		ops := make([]cop, 0, len(ins))
 		if pr.loops != nil {
-			ops = append(ops, pr.loops.blockProbes(b, cost)...)
+			ops = append(ops, pr.loops.blockProbes(b)...)
 		}
 		for i := 0; i < len(ins); i++ {
 			in := ins[i]
@@ -361,7 +361,7 @@ func refCompileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfu
 				return nil, err
 			}
 			if pr.loops != nil && in.Opcode == ir.OpCall {
-				before, after := pr.loops.callProbes(in, b, cost)
+				before, after := pr.loops.callProbes(in, b)
 				ops = append(append(append(ops, before...), op), after...)
 				continue
 			}
@@ -389,7 +389,7 @@ func refCompileFunc(img *image, f *ir.Function, cost CostModel, pr probes) (*cfu
 // refFused completes a superinstruction: it retires every fused instruction's
 // step and cycles, and keeps the per-instruction breakdown for a budget
 // boundary inside it.
-func refFused(op cop, cost CostModel, ins ...*ir.Instr) cop {
+func refFused(op cop, cost refModel, ins ...*ir.Instr) cop {
 	op.steps = int64(len(ins))
 	op.subCost = make([]int64, len(ins))
 	for i, in := range ins {
@@ -455,7 +455,7 @@ func refFusableLoadOpStore(ld, bin, st *ir.Instr, uses map[*ir.Instr]int) (other
 }
 
 // refCompileOne lowers a single non-fused instruction.
-func refCompileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
+func refCompileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost refModel, slots map[ir.Value]int32,
 	resolve func(ir.Value) (int32, error), edgeTo func(from, to *ir.Block) (cedge, error)) (cop, error) {
 	op := cop{dst: -1, steps: 1, cost: cost.Cost(in)}
 	if in.HasResult() {

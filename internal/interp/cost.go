@@ -9,82 +9,85 @@ package interp
 
 import "noelle/internal/ir"
 
-// CostModel assigns an abstract cycle cost to each executed instruction.
-// The defaults approximate a simple in-order core: they only need to be
-// *relatively* plausible, since every evaluation in this repo compares
-// configurations under the same model.
-type CostModel struct {
-	IntALU    int64 // add/sub/logic/shift/compare
-	IntMul    int64
-	IntDiv    int64
-	FloatALU  int64 // fadd/fsub
-	FloatMul  int64
-	FloatDiv  int64
-	Load      int64
-	Store     int64
-	Branch    int64
-	CallOver  int64 // call/return overhead
-	Cast      int64
-	Select    int64
-	Phi       int64
-	Alloca    int64
-	ExternFix int64 // fixed cost of runtime externs (print etc.)
+// The price list: the abstract cycles every executed instruction and
+// extern call is charged. The values approximate a simple in-order core:
+// they only need to be *relatively* plausible, since every evaluation in
+// this repo compares configurations under the same prices. They are
+// constants, so the walker, the compiled tier (which bakes them into its
+// ops), the planners and the timing simulator can never disagree; a
+// re-pricing is an edit here, checked by TestPriceListMatchesReference.
+const (
+	CostIntALU    int64 = 1 // add/sub/logic/shift/compare/ptradd
+	CostIntMul    int64 = 3
+	CostIntDiv    int64 = 24
+	CostFloatALU  int64 = 3 // fadd/fsub
+	CostFloatMul  int64 = 5
+	CostFloatDiv  int64 = 18
+	CostLoad      int64 = 4
+	CostStore     int64 = 4
+	CostBranch    int64 = 1
+	CostCallOver  int64 = 6 // call/return overhead
+	CostCast      int64 = 1
+	CostSelect    int64 = 1
+	CostPhi       int64 = 0
+	CostAlloca    int64 = 1
+	CostExternFix int64 = 10 // fixed cost of runtime externs (print etc.)
 
 	// Communication runtime externs (internal/queue) are charged per
 	// operation so pipelined schedules pay a modeled cost for every
-	// cross-stage value and segment signal; machine.CalibratedConfig
-	// derives its QueueLatency from these entries.
-	QueueCreate int64
-	QueuePush   int64
-	QueuePop    int64
-	QueueClose  int64
-	// QueueBulkValue is what noelle_queue_push_n / pop_n add per value
-	// moved to the fixed QueuePush / QueuePop they are charged like their
-	// scalar forms: a bulk operation is one call and one index publication
-	// plus a copy that grows with the count.
-	QueueBulkValue int64
-	SignalCreate   int64
-	SignalWait     int64
-	SignalFire     int64
+	// cross-stage value and segment signal; machine.QueueOpCycles prices
+	// a DSWP stage boundary from these.
+	CostQueueCreate int64 = 40
+	CostQueuePush   int64 = 12
+	CostQueuePop    int64 = 12
+	CostQueueClose  int64 = 8
+	// CostQueueBulkValue is what noelle_queue_push_n / pop_n add per value
+	// moved to the fixed CostQueuePush / CostQueuePop they are charged
+	// like their scalar forms: a bulk operation is one call and one index
+	// publication plus a copy that grows with the count.
+	CostQueueBulkValue int64 = 1
+	CostSignalCreate   int64 = 20
+	CostSignalWait     int64 = 10
+	CostSignalFire     int64 = 8
+)
+
+// opCost prices each opcode; Cost reads nothing else of an instruction.
+// Opcodes without an entry of their own (the bit reinterpretations, and
+// OpInvalid) cost 1.
+var opCost = [ir.OpRet + 1]int64{
+	ir.OpInvalid: 1,
+	ir.OpAlloca:  CostAlloca, ir.OpLoad: CostLoad, ir.OpStore: CostStore, ir.OpPtrAdd: CostIntALU,
+	ir.OpAdd: CostIntALU, ir.OpSub: CostIntALU, ir.OpMul: CostIntMul, ir.OpDiv: CostIntDiv, ir.OpRem: CostIntDiv,
+	ir.OpAnd: CostIntALU, ir.OpOr: CostIntALU, ir.OpXor: CostIntALU, ir.OpShl: CostIntALU, ir.OpShr: CostIntALU,
+	ir.OpFAdd: CostFloatALU, ir.OpFSub: CostFloatALU, ir.OpFMul: CostFloatMul, ir.OpFDiv: CostFloatDiv,
+	ir.OpEq: CostIntALU, ir.OpNe: CostIntALU, ir.OpLt: CostIntALU, ir.OpLe: CostIntALU, ir.OpGt: CostIntALU, ir.OpGe: CostIntALU,
+	ir.OpFEq: CostIntALU, ir.OpFNe: CostIntALU, ir.OpFLt: CostIntALU, ir.OpFLe: CostIntALU, ir.OpFGt: CostIntALU, ir.OpFGe: CostIntALU,
+	ir.OpSIToFP: CostCast, ir.OpFPToSI: CostCast, ir.OpZExt: CostCast, ir.OpTrunc: CostCast,
+	ir.OpFBits: 1, ir.OpBitsF: 1, ir.OpP2I: 1, ir.OpI2P: 1,
+	ir.OpSelect: CostSelect, ir.OpPhi: CostPhi, ir.OpCall: CostCallOver,
+	ir.OpBr: CostBranch, ir.OpCondBr: CostBranch, ir.OpRet: CostBranch,
 }
 
-// DefaultCostModel returns the cost model used throughout the evaluation.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		IntALU:    1,
-		IntMul:    3,
-		IntDiv:    24,
-		FloatALU:  3,
-		FloatMul:  5,
-		FloatDiv:  18,
-		Load:      4,
-		Store:     4,
-		Branch:    1,
-		CallOver:  6,
-		Cast:      1,
-		Select:    1,
-		Phi:       0,
-		Alloca:    1,
-		ExternFix: 10,
-
-		QueueCreate:    40,
-		QueuePush:      12,
-		QueuePop:       12,
-		QueueClose:     8,
-		QueueBulkValue: 1,
-		SignalCreate:   20,
-		SignalWait:     10,
-		SignalFire:     8,
+// Cost returns the cycles charged for executing in (for a call, the call
+// overhead only: the callee's body, or an extern's own price, is charged
+// where it runs).
+func Cost(in *ir.Instr) int64 {
+	if uint(in.Opcode) < uint(len(opCost)) {
+		return opCost[in.Opcode]
 	}
+	return 1
 }
 
-// externKind names the cost-model entry an extern is charged from. The
-// registry resolves it from the extern's name once, at registration, so a
-// call indexes the model instead of comparing strings.
+// externKind names the price an extern is charged. The registry resolves
+// it from the extern's name once, at registration, so a call indexes
+// externCost instead of comparing strings. Charged at the call site in
+// both sequential and parallel dispatch, so Cycles totals stay
+// mode-independent (time spent blocked on a queue or signal is
+// wall-clock, not modeled cycles).
 type externKind uint8
 
 const (
-	externFix externKind = iota // everything without an entry of its own
+	externFix externKind = iota // everything without a price of its own
 	externQueueCreate
 	externQueuePush
 	externQueuePop
@@ -106,73 +109,14 @@ var externKinds = map[string]externKind{
 	ExternSignalFire:   externSignalFire,
 }
 
-// externCost returns the cycles charged for calling an extern of kind k.
-func (c *CostModel) externCost(k externKind) int64 {
-	switch k {
-	case externQueueCreate:
-		return c.QueueCreate
-	case externQueuePush:
-		return c.QueuePush
-	case externQueuePop:
-		return c.QueuePop
-	case externQueueClose:
-		return c.QueueClose
-	case externSignalCreate:
-		return c.SignalCreate
-	case externSignalWait:
-		return c.SignalWait
-	case externSignalFire:
-		return c.SignalFire
-	}
-	return c.ExternFix
-}
-
-// ExternCost returns the cycles charged for calling the named extern:
-// communication runtime externs have per-op entries, everything else pays
-// the fixed extern cost. Charged at the call site in both sequential and
-// parallel dispatch, so Cycles totals stay mode-independent (time spent
-// blocked on a queue or signal is wall-clock, not modeled cycles).
-func (c CostModel) ExternCost(name string) int64 {
-	return c.externCost(externKinds[name])
-}
-
-// Cost returns the cycle cost of executing in under the model.
-func (c CostModel) Cost(in *ir.Instr) int64 {
-	switch in.Opcode {
-	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
-		return c.IntALU
-	case ir.OpMul:
-		return c.IntMul
-	case ir.OpDiv, ir.OpRem:
-		return c.IntDiv
-	case ir.OpFAdd, ir.OpFSub:
-		return c.FloatALU
-	case ir.OpFMul:
-		return c.FloatMul
-	case ir.OpFDiv:
-		return c.FloatDiv
-	case ir.OpLoad:
-		return c.Load
-	case ir.OpStore:
-		return c.Store
-	case ir.OpBr, ir.OpCondBr, ir.OpRet:
-		return c.Branch
-	case ir.OpCall:
-		return c.CallOver
-	case ir.OpSIToFP, ir.OpFPToSI, ir.OpZExt, ir.OpTrunc:
-		return c.Cast
-	case ir.OpSelect:
-		return c.Select
-	case ir.OpPhi:
-		return c.Phi
-	case ir.OpAlloca:
-		return c.Alloca
-	case ir.OpPtrAdd:
-		return c.IntALU
-	default:
-		if in.Opcode.IsCompare() {
-			return c.IntALU
-		}
-		return 1
-	}
+// externCost is the cycles charged for calling an extern of each kind.
+var externCost = [...]int64{
+	externFix:          CostExternFix,
+	externQueueCreate:  CostQueueCreate,
+	externQueuePush:    CostQueuePush,
+	externQueuePop:     CostQueuePop,
+	externQueueClose:   CostQueueClose,
+	externSignalCreate: CostSignalCreate,
+	externSignalWait:   CostSignalWait,
+	externSignalFire:   CostSignalFire,
 }

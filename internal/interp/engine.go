@@ -57,24 +57,36 @@ func ParseEngine(s string) (Engine, error) {
 	return "", fmt.Errorf("interp: unknown engine %q (have walker, compiled)", s)
 }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngineVal  Engine
-)
+// defaultEngine reads NOELLE_ENGINE once per process: unset selects the
+// compiled tier, and a value ParseEngine rejects is an error naming the
+// variable (the compiled tier still runs for a caller that ignores it).
+var defaultEngine = sync.OnceValues(func() (Engine, error) {
+	eng, err := ParseEngine(os.Getenv("NOELLE_ENGINE"))
+	if err != nil {
+		return EngineCompiled, fmt.Errorf("NOELLE_ENGINE: %w", err)
+	}
+	if eng == "" {
+		eng = EngineCompiled
+	}
+	return eng, nil
+})
 
 // DefaultEngine returns the process-wide default tier: compiled, unless
 // the NOELLE_ENGINE environment variable selects the walker. The env
 // knob is what CI's tier-diff step uses to run whole test suites on
 // either tier without threading a flag through every harness.
 func DefaultEngine() Engine {
-	defaultEngineOnce.Do(func() {
-		if eng, err := ParseEngine(os.Getenv("NOELLE_ENGINE")); err == nil && eng != "" {
-			defaultEngineVal = eng
-			return
-		}
-		defaultEngineVal = EngineCompiled
-	})
-	return defaultEngineVal
+	eng, _ := defaultEngine()
+	return eng
+}
+
+// EngineEnvErr reports a NOELLE_ENGINE value ParseEngine rejects (nil
+// when the variable is unset or valid). The CLIs refuse to run on one,
+// and the interp suite fails on one, so a misspelt tier never passes as
+// a run on the default tier.
+func EngineEnvErr() error {
+	_, err := defaultEngine()
+	return err
 }
 
 // selectEngine resolves the tier the next defined-function Call will run
@@ -107,15 +119,15 @@ func (it *Interp) Engine() Engine {
 }
 
 // Precompile lowers every defined function of the module on the compiled
-// tier under this context's cost model, as each one's first call would,
-// and returns the first rejection. The bodies stay cached on the image.
+// tier, as each one's first call would, and returns the first rejection.
+// The bodies stay cached on the image.
 func (it *Interp) Precompile() error {
 	var first error
 	for _, f := range it.img.fnTable {
 		if f.IsDeclaration() {
 			continue
 		}
-		if _, err := it.img.compiled(f, it.Cost, probes{}); err != nil && first == nil {
+		if _, err := it.img.compiled(f, probes{}); err != nil && first == nil {
 			first = err
 		}
 	}

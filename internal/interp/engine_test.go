@@ -274,6 +274,15 @@ entry:
 	}
 }
 
+// TestEngineEnvIsValid fails the suite when NOELLE_ENGINE is set to a
+// tier that does not exist: every run would otherwise take the compiled
+// tier, and a "walker" pass of the suite would check nothing.
+func TestEngineEnvIsValid(t *testing.T) {
+	if err := interp.EngineEnvErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEngineSelection covers the query surface: ParseEngine validation
 // and the Eng-override / default resolution order.
 func TestEngineSelection(t *testing.T) {

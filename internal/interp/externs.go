@@ -216,13 +216,13 @@ func checkBulk(name string, addr, n int64) error {
 // queuePushN is noelle_queue_push_n: the n cells at addr go to queue id in
 // order, blocking as queuePush does. One operation however many values:
 // one count in QueuePushes, one span, the extern's fixed cost (charged by
-// the caller) plus QueueBulkValue cycles per value.
+// the caller) plus CostQueueBulkValue cycles per value.
 func (it *Interp) queuePushN(id, addr, n int64) error {
 	it.QueuePushes++
 	if err := checkBulk(ExternQueuePushN, addr, n); err != nil {
 		return err
 	}
-	it.Cycles += n * it.Cost.QueueBulkValue
+	it.Cycles += n * CostQueueBulkValue
 	if r := it.rec; r != nil {
 		start := r.Clock()
 		err := it.pushRuns(id, addr, n)
@@ -267,7 +267,7 @@ func (it *Interp) popRuns(id, addr, n int64) error {
 		run := it.bulkRun(addr, n)
 		got, err := it.img.comm.PopN(id, run, it.parWorker)
 		moved += int64(got)
-		it.Cycles += int64(got) * it.Cost.QueueBulkValue
+		it.Cycles += int64(got) * CostQueueBulkValue
 		if got < len(run) {
 			if moved > 0 && errors.Is(err, queue.ErrClosed) {
 				return nil // dry at a page boundary of the buffer: short, as within a page

@@ -260,7 +260,7 @@ type externEntry struct {
 	name  string
 	arity int
 	fn    Extern
-	// kind is the cost-model entry calls are charged from (by name).
+	// kind is the price calls are charged (externCost; by name).
 	kind externKind
 	// op is the compiled tier's first-class op with fn's behaviour, set
 	// only on the runtime's own push/pop/wait/fire registrations; a direct
@@ -347,14 +347,13 @@ func (img *image) externFor(f *ir.Function) *externEntry {
 	return &(*img.externTab.Load())[slot]
 }
 
-// compiled returns f's compiled body for the given cost model and probes
-// (zero: the plain body), compiling on first use. A function the compiler
-// rejects caches its error and returns it forever after — a plain caller
-// falls back to the walker. A cost-model change invalidates the cached
-// body (recompile: per-op costs are baked in), and so do replacing an
-// extern that bodies bind as a first-class op and, for a probed body, a
-// different request.
-func (img *image) compiled(f *ir.Function, cost CostModel, pr probes) (*cfunc, error) {
+// compiled returns f's compiled body for the given probes (zero: the
+// plain body), compiling on first use. A function the compiler rejects
+// caches its error and returns it forever after — a plain caller falls
+// back to the walker. Replacing an extern that bodies bind as a
+// first-class op invalidates the cached body, and so does, for a probed
+// body, a different request.
+func (img *image) compiled(f *ir.Function, pr probes) (*cfunc, error) {
 	cache := &img.progs
 	if pr != (probes{}) {
 		cache = &img.probed
@@ -362,14 +361,14 @@ func (img *image) compiled(f *ir.Function, cost CostModel, pr probes) (*cfunc, e
 	gen := img.commGen.Load()
 	if v, ok := cache.Load(f); ok {
 		if cf, isFn := v.(*cfunc); isFn {
-			if cf.cost == cost && cf.commGen == gen && cf.probes == pr {
+			if cf.commGen == gen && cf.probes == pr {
 				return cf, nil
 			}
 		} else {
 			return nil, v.(error) // cached compile error
 		}
 	}
-	cf, err := compileFunc(img, f, cost, pr)
+	cf, err := compileFunc(img, f, pr)
 	if err != nil {
 		cache.Store(f, err)
 		return nil, err

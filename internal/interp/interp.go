@@ -77,9 +77,8 @@ type ExecConfig struct {
 // layout, and extern registry. Create with New, run with Run or Call.
 type Interp struct {
 	Mod   *ir.Module
-	Cost  CostModel
 	Steps int64 // executed instruction count
-	// Cycles is the accumulated cost-model time.
+	// Cycles is the accumulated time at the price list's rates (cost.go).
 	Cycles int64
 	// MaxSteps bounds execution (0 means the default of 200M).
 	MaxSteps int64
@@ -173,7 +172,6 @@ func New(m *ir.Module) *Interp {
 	img := newImage(m)
 	it := &Interp{
 		Mod:      m,
-		Cost:     DefaultCostModel(),
 		MaxSteps: defaultMaxSteps,
 		img:      img,
 		leaves:   img.mem.leaves(),
@@ -381,7 +379,7 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 		if ext.arity >= 0 && len(args) != ext.arity {
 			return 0, fmt.Errorf("interp: extern @%s: %d args, want %d", f.Nam, len(args), ext.arity)
 		}
-		it.Cycles += it.Cost.externCost(ext.kind)
+		it.Cycles += externCost[ext.kind]
 		return ext.fn(it, args)
 	}
 	if len(args) != len(f.Params) {
@@ -390,7 +388,7 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 	err := errHookedObservation
 	if it.selectEngine() == EngineCompiled {
 		var cf *cfunc
-		if cf, err = it.img.compiled(f, it.Cost, it.probes.in(f)); err == nil {
+		if cf, err = it.img.compiled(f, it.probes.in(f)); err == nil {
 			it.engineUsed = EngineCompiled
 			return it.execCompiled(cf, args)
 		}
@@ -445,7 +443,7 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 			for i, phi := range phis {
 				frame[phi] = vals[i]
 				it.Steps++
-				it.Cycles += it.Cost.Cost(phi)
+				it.Cycles += Cost(phi)
 				if it.InstrHook != nil {
 					it.InstrHook(phi)
 				}
@@ -460,7 +458,7 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 				}
 			}
 			it.Steps++
-			it.Cycles += it.Cost.Cost(in)
+			it.Cycles += Cost(in)
 
 			switch in.Opcode {
 			case ir.OpAlloca:

@@ -141,8 +141,7 @@ entry:
 	if _, err := it.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cm := interp.DefaultCostModel()
-	want := cm.IntMul + cm.IntALU + cm.Branch // mul + add + ret
+	want := interp.CostIntMul + interp.CostIntALU + interp.CostBranch // mul + add + ret
 	if it.Cycles != want {
 		t.Errorf("cycles = %d, want %d", it.Cycles, want)
 	}

@@ -3,9 +3,9 @@
 // functions it then calls are compiled with the counting bound in as ops
 // of their own (cCount, cLoopIter, ...), zero steps and zero cycles each.
 // Such a stream is a variant of the function's plain one, cached beside
-// it on the image (image.probed) and keyed by the request the way a plain
-// stream is keyed by its cost model; the plain stream never carries a
-// probe and the executor's per-op and per-edge path never tests for one.
+// it on the image (image.probed) and keyed by the request; the plain
+// stream never carries a probe and the executor's per-op and per-edge
+// path never tests for one.
 //
 // An observing context is the only one of its run: it dispatches
 // sequentially, as a hooked context does, so a request's counters and
@@ -217,7 +217,7 @@ func (lc *LoopCosts) cols(in *ir.Instr) []int {
 // both carrying the block's static cost (phis included: the walker
 // retires them after the block is entered), and end-invocation where the
 // loop is left.
-func (s *loopSet) blockProbes(b *ir.Block, cost CostModel) []cop {
+func (s *loopSet) blockProbes(b *ir.Block) []cop {
 	var ops []cop
 	for _, lc := range s.loops {
 		switch {
@@ -225,7 +225,7 @@ func (s *loopSet) blockProbes(b *ir.Block, cost CostModel) []cop {
 			row := make([]int64, lc.width)
 			for _, in := range b.Instrs {
 				for _, col := range lc.cols(in) {
-					row[col] += cost.Cost(in)
+					row[col] += Cost(in)
 				}
 			}
 			var cs []charge
@@ -251,7 +251,7 @@ func (s *loopSet) blockProbes(b *ir.Block, cost CostModel) []cop {
 // callProbes returns the ops that bracket a call in block b: one pair per
 // observed loop holding b, the befores outermost loop first and the afters
 // in reverse.
-func (s *loopSet) callProbes(in *ir.Instr, b *ir.Block, cost CostModel) (before, after []cop) {
+func (s *loopSet) callProbes(in *ir.Instr, b *ir.Block) (before, after []cop) {
 	var holding []*LoopCosts
 	for _, lc := range s.loops {
 		if lc.inLoop[b] {
@@ -261,7 +261,7 @@ func (s *loopSet) callProbes(in *ir.Instr, b *ir.Block, cost CostModel) (before,
 	// Loops holding one block nest: the outer one has more blocks.
 	slices.SortStableFunc(holding, func(x, y *LoopCosts) int { return len(y.inLoop) - len(x.inLoop) })
 	for _, lc := range holding {
-		s.calls = append(s.calls, callSite{lc: lc, own: cost.Cost(in), cols: lc.cols(in)})
+		s.calls = append(s.calls, callSite{lc: lc, own: Cost(in), cols: lc.cols(in)})
 		k := int64(len(s.calls) - 1)
 		before = append(before, cop{code: cLoopCall, dst: -1, k: k})
 		after = append([]cop{{code: cLoopReturn, dst: -1, k: k}}, after...)

@@ -65,18 +65,18 @@ func TestPlainStreamAfterProbedOnes(t *testing.T) {
 	m := parseModule(t, observedSrc)
 	main := m.FunctionByName("main")
 	it := New(m)
-	counted, err := it.img.compiled(main, it.Cost, probes{counts: it.CountEdges()})
+	counted, err := it.img.compiled(main, probes{counts: it.CountEdges()})
 	if err != nil || countOps(counted, cCount) != 4 {
 		t.Fatalf("counting stream: %v, %d counters; want main's entry and its three edges", err, countOps(counted, cCount))
 	}
 	observeLoop(t, it)
-	looped, err := it.img.compiled(main, it.Cost, probes{loops: it.probes.loops})
+	looped, err := it.img.compiled(main, probes{loops: it.probes.loops})
 	if err != nil || countOps(looped, cLoopIter) != 1 || countOps(looped, cLoopExit) != 1 ||
 		countOps(looped, cLoopCall) != 2 || countOps(looped, cLoopReturn) != 2 {
 		t.Fatalf("loop stream: %v; want one header probe, one exit probe and two bracketed calls", err)
 	}
-	plain := plainBody(it.img.compiled(main, it.Cost, probes{}))
-	fresh := plainBody(New(m).img.compiled(main, it.Cost, probes{}))
+	plain := plainBody(it.img.compiled(main, probes{}))
+	fresh := plainBody(New(m).img.compiled(main, probes{}))
 	if !reflect.DeepEqual(plain.blocks, fresh.blocks) || plain.frameLen != fresh.frameLen || plain.probes != (probes{}) {
 		t.Error("the plain stream compiled after the probed ones differs from a fresh image's")
 	}
@@ -88,7 +88,7 @@ func TestPlainStreamAfterProbedOnes(t *testing.T) {
 			t.Errorf("plain stream carries %d probe ops of code %d", n, code)
 		}
 	}
-	if again, _ := it.img.compiled(main, it.Cost, probes{loops: it.probes.loops}); again != looped {
+	if again, _ := it.img.compiled(main, probes{loops: it.probes.loops}); again != looped {
 		t.Error("the loop stream was not served from the cache")
 	}
 }

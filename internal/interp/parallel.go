@@ -96,10 +96,10 @@ func (it *Interp) extendStepBudget() (int64, bool) {
 }
 
 // fork creates a worker context sharing this context's image. The worker
-// inherits the cost model and dispatch configuration; it starts with no
-// step grant and draws from pool as it executes. Workers never carry
-// hooks or probes: a hooked or observing context dispatches sequentially
-// instead (see dispatch).
+// inherits the dispatch configuration; it starts with no step grant and
+// draws from pool as it executes. Workers never carry hooks or probes: a
+// hooked or observing context dispatches sequentially instead (see
+// dispatch).
 // pushBlocks enables bounded (backpressuring) queue pushes; it is only
 // safe when every worker of the dispatch is resident on its own
 // goroutine (see dispatchParallel). rec is the lane's span recorder (nil
@@ -107,7 +107,6 @@ func (it *Interp) extendStepBudget() (int64, bool) {
 func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Interp {
 	return &Interp{
 		Mod:        it.Mod,
-		Cost:       it.Cost,
 		ExecConfig: it.ExecConfig,
 		rec:        rec,
 		img:        it.img,

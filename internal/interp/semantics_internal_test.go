@@ -139,7 +139,7 @@ func buildForms(t *testing.T, op ir.Op) *opForms {
 		if f == nil {
 			continue
 		}
-		cf, err := compileFunc(fs.it.img, f, fs.it.Cost, probes{})
+		cf, err := compileFunc(fs.it.img, f, probes{})
 		if err != nil {
 			t.Fatalf("%s: @%s does not compile: %v", op, f.Nam, err)
 		}

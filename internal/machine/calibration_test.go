@@ -11,7 +11,7 @@ import (
 // calibrationBound is the documented tolerance between the simulator's
 // calibrated QueueLatency (minus the architectural signal latency) and
 // the cost the interpreter actually charges per queue push/pop pair.
-// Both sides are derived from the same CostModel, so the bound is tight;
+// Both sides are derived from the same price list, so the bound is tight;
 // it exists so a deliberate future re-pricing of the externs fails this
 // test loudly instead of silently skewing modeled-vs-measured studies.
 const calibrationBound = 4
@@ -29,9 +29,9 @@ func runCycles(t *testing.T, src string) int64 {
 	return it.Cycles
 }
 
-// TestQueueLatencyCalibration pins machine.CalibratedConfig to the
+// TestQueueLatencyCalibration pins machine.DefaultConfig to the
 // measured cost of the queue externs: running 256 push/pop pairs must
-// cost exactly QueueOpCycles(cm) more per iteration than the same loop
+// cost exactly QueueOpCycles more per iteration than the same loop
 // without them, and the calibrated QueueLatency must equal the
 // architectural latency plus that measured cost (within
 // calibrationBound).
@@ -71,30 +71,23 @@ done:
 	const iters = 256
 	measured := (runCycles(t, withQueue) - runCycles(t, control)) / iters
 
-	cm := interp.DefaultCostModel()
-	if modeled := QueueOpCycles(cm); abs64(modeled-measured) > calibrationBound {
+	if abs64(QueueOpCycles-measured) > calibrationBound {
 		t.Errorf("QueueOpCycles = %d, measured per-boundary cost = %d (bound %d)",
-			modeled, measured, calibrationBound)
+			QueueOpCycles, measured, calibrationBound)
 	}
 	d := arch.Default()
 	for _, cores := range []int{2, 4, 12} {
-		cfg := CalibratedConfig(d, cores, cm)
+		cfg := DefaultConfig(d, cores)
 		want := d.AvgLatency(cores) + measured
 		if abs64(cfg.QueueLatency-want) > calibrationBound {
 			t.Errorf("cores=%d: calibrated QueueLatency = %d, want %d±%d",
 				cores, cfg.QueueLatency, want, calibrationBound)
 		}
-		// Calibration must leave the rest of the config untouched.
-		base := DefaultConfig(d, cores)
-		if cfg.Cores != base.Cores || cfg.CommLatency != base.CommLatency ||
-			cfg.DispatchOverhead != base.DispatchOverhead || cfg.ReduceOverhead != base.ReduceOverhead {
-			t.Errorf("cores=%d: calibration changed unrelated config fields", cores)
-		}
 	}
 }
 
 // The signal externs are priced too: a wait/fire pair must cost exactly
-// its cost-model entries (the HELIX segment-overhead story depends on
+// what the price list charges (the HELIX segment-overhead story depends on
 // blocked wall-clock time never leaking into Cycles).
 func TestSignalCostCharging(t *testing.T) {
 	withSignal := `module "m"
@@ -131,8 +124,7 @@ done:
 }`
 	const iters = 256
 	measured := (runCycles(t, withSignal) - runCycles(t, control)) / iters
-	cm := interp.DefaultCostModel()
-	want := cm.SignalWait + cm.SignalFire + 2*cm.CallOver
+	want := interp.CostSignalWait + interp.CostSignalFire + 2*interp.CostCallOver
 	if measured != want {
 		t.Errorf("per-iteration signal cost = %d, want %d", measured, want)
 	}

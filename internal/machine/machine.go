@@ -32,37 +32,26 @@ type Config struct {
 	PerTaskOverhead int64
 }
 
-// DefaultConfig derives a Config from an architecture description.
+// QueueOpCycles is what the interpreter charges for moving one value
+// across a DSWP stage boundary: the producer's noelle_queue_push and the
+// consumer's noelle_queue_pop, plus the call overhead of each
+// (TestQueueLatencyCalibration pins it to what execution charges).
+const QueueOpCycles = interp.CostQueuePush + interp.CostQueuePop + 2*interp.CostCallOver
+
+// DefaultConfig derives a Config from an architecture description. Its
+// QueueLatency is calibrated against the executable queue runtime: the
+// cross-core signal latency plus QueueOpCycles, so SimulateDSWP's modeled
+// pipeline times and the measured pipeline runs price a stage boundary
+// consistently.
 func DefaultConfig(d *arch.Description, cores int) Config {
 	return Config{
 		Cores:            cores,
 		CommLatency:      d.AvgLatency(cores),
 		DispatchOverhead: 400,
-		QueueLatency:     d.AvgLatency(cores) + 10,
+		QueueLatency:     d.AvgLatency(cores) + QueueOpCycles,
 		ReduceOverhead:   30,
 		PerTaskOverhead:  60,
 	}
-}
-
-// QueueOpCycles is the measured cost-model price of moving one value
-// across a DSWP stage boundary under the interpreter's communication
-// runtime: the producer's noelle_queue_push and the consumer's
-// noelle_queue_pop extern bodies, plus the call overhead of each. The
-// QueueLatency calibration test (machine_test.go) pins this formula to
-// what execution actually charges.
-func QueueOpCycles(cm interp.CostModel) int64 {
-	return cm.QueuePush + cm.QueuePop + 2*cm.CallOver
-}
-
-// CalibratedConfig is DefaultConfig with QueueLatency calibrated against
-// the executable queue runtime: the simulated push-to-pop time is the
-// cross-core signal latency plus exactly what the interpreter charges
-// for the push/pop extern pair, so SimulateDSWP's modeled pipeline times
-// and the measured pipeline runs price a stage boundary consistently.
-func CalibratedConfig(d *arch.Description, cores int, cm interp.CostModel) Config {
-	cfg := DefaultConfig(d, cores)
-	cfg.QueueLatency = d.AvgLatency(cores) + QueueOpCycles(cm)
-	return cfg
 }
 
 // Invocation holds the measured per-iteration, per-segment costs of one

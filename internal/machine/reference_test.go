@@ -27,7 +27,6 @@ import (
 // the change in Cycles across it, settled at the loop's next instruction.
 func attributeOnWalker(m *ir.Module, nat *analysis.NaturalLoop, specs []machine.SegSpec) ([][]*machine.Invocation, error) {
 	it := interp.New(m)
-	cm := it.Cost
 
 	inLoop := map[*ir.Block]bool{}
 	for b := range nat.Blocks {
@@ -109,7 +108,7 @@ func attributeOnWalker(m *ir.Module, nat *analysis.NaturalLoop, specs []machine.
 			return
 		}
 		if pending {
-			ran := it.Cycles - cm.Cost(in) - callStart
+			ran := it.Cycles - interp.Cost(in) - callStart
 			for i := range specs {
 				curIter[i][callSeg[i]] += ran
 			}
@@ -121,7 +120,7 @@ func attributeOnWalker(m *ir.Module, nat *analysis.NaturalLoop, specs []machine.
 			}
 			return
 		}
-		c := cm.Cost(in)
+		c := interp.Cost(in)
 		for i, sp := range specs {
 			seg, ok := sp.SegmentOf[in]
 			if !ok {
@@ -557,8 +556,7 @@ entry:
 		if len(first) != 3 || len(second) != 4 {
 			t.Errorf("rows %d and %d, want 3 (left through bail) and 4", len(first), len(second))
 		}
-		cm := interp.DefaultCostModel()
-		leaf := cm.CallOver + cm.IntMul + cm.Branch // the call, then @leaf's mul and ret
+		leaf := interp.CostCallOver + interp.CostIntMul + interp.CostBranch // the call, then @leaf's mul and ret
 		if first[0][0] != leaf || second[0][0] != leaf {
 			t.Errorf("@leaf's segment: %d and %d cycles, want %d", first[0][0], second[0][0], leaf)
 		}
@@ -599,8 +597,7 @@ done:
 			}
 		}
 		_, got := both(t, m, "main", "body", []machine.SegSpec{{SegmentOf: seg, NumSegs: 4}})
-		cm := interp.DefaultCostModel()
-		want := []int64{cm.Load + cm.IntALU, 2*cm.IntALU + cm.Branch, cm.Store, 2 * cm.IntALU}
+		want := []int64{interp.CostLoad + interp.CostIntALU, 2*interp.CostIntALU + interp.CostBranch, interp.CostStore, 2 * interp.CostIntALU}
 		if row := got[0][0].IterSegCosts[3]; !reflect.DeepEqual(row, want) {
 			t.Errorf("row %v, want %v (load+lt, add+add+condbr, store, the two ptradds)", row, want)
 		}
@@ -634,13 +631,12 @@ int main() {
 	quiet, loud := compile(""), compile("print_i64(i);")
 	_, without := both(t, quiet, "main", header(quiet), nil)
 	_, with := both(t, loud, "main", header(loud), nil)
-	cm := interp.DefaultCostModel()
 	a, b := without[0][0].IterSegCosts, with[0][0].IterSegCosts
 	if len(with[0]) != 1 || len(a) != 11 || len(b) != 11 {
 		t.Fatalf("%d rows without the print, %d with, in %d invocations; want 11 and 11 in one", len(a), len(b), len(with[0]))
 	}
 	for i := range a {
-		extra := cm.CallOver + cm.ExternFix
+		extra := interp.CostCallOver + interp.CostExternFix
 		if i == 10 {
 			extra = 0 // the exit check prints nothing
 		}

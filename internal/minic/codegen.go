@@ -106,13 +106,20 @@ func (g *codegen) run(prog *Program) error {
 		g.glbls[gd.Name] = &globalInfo{g: irg, ctype: gd.Type}
 	}
 	// Declare all functions first so forward references and function
-	// pointers work.
+	// pointers work. No body is generated yet, so a definition is told
+	// from a declaration by name; one that completes a declaration must
+	// have its type, or the body would be built against other parameters.
+	defined := map[string]bool{}
 	for _, fd := range prog.Funcs {
-		if fi, dup := g.funcs[fd.Name]; dup && !fi.fn.IsDeclaration() {
+		if defined[fd.Name] {
 			return fmt.Errorf("line %d: duplicate function %q", fd.Line, fd.Name)
 		}
-		if _, dup := g.funcs[fd.Name]; !dup {
+		defined[fd.Name] = true
+		fi, declared := g.funcs[fd.Name]
+		if !declared {
 			g.declareFunc(fd)
+		} else if ct := funcType(fd); !fi.ctype.equal(ct) {
+			return fmt.Errorf("line %d: function %q defined as %s, declared as %s", fd.Line, fd.Name, ct, fi.ctype)
 		}
 	}
 	for _, fd := range prog.Funcs {
@@ -123,11 +130,19 @@ func (g *codegen) run(prog *Program) error {
 	return nil
 }
 
-func (g *codegen) declareFunc(fd *FuncDecl) {
+// funcType is fd's function type.
+func funcType(fd *FuncDecl) *CType {
 	ct := &CType{Kind: CFunc, Ret: fd.Ret}
-	var names []string
 	for _, p := range fd.Params {
 		ct.Params = append(ct.Params, p.Type)
+	}
+	return ct
+}
+
+func (g *codegen) declareFunc(fd *FuncDecl) {
+	ct := funcType(fd)
+	var names []string
+	for _, p := range fd.Params {
 		names = append(names, p.Name)
 	}
 	fn := ir.NewFunction(fd.Name, irType(ct), names...)

@@ -282,6 +282,10 @@ func TestTypeErrors(t *testing.T) {
 		{"void in expr", `int main() { int x = print_i64(3); return x; }`},
 		{"assign to array", `int a[3]; int main() { a = 4; return 0; }`},
 		{"break outside loop", `int main() { break; return 0; }`},
+		{"function defined twice", `int f(int x) { return x; } int f(float y) { return 0; } int main() { return 0; }`},
+		{"definition retypes extern", `extern int f(int x); int f(float y) { return 0; } int main() { return 0; }`},
+		{"zero-length array", `int main() { int a[0]; return 0; }`},
+		{"array size overflows", `int a[99999999999999999999]; int main() { return 0; }`},
 	}
 	for _, c := range cases {
 		if _, err := Compile("bad", c.src); err == nil {

@@ -174,19 +174,29 @@ func (p *cparser) parseFuncHeader() (*FuncDecl, error) {
 	return fd, nil
 }
 
-func (p *cparser) parseGlobalRest(ty *CType, nameTok Tok) (*GlobalDecl, error) {
-	g := &GlobalDecl{Name: nameTok.Text, Type: ty, Line: nameTok.Line}
-	if p.accept("[") {
-		szTok := p.next()
-		if szTok.Kind != TokInt {
-			return nil, fmt.Errorf("line %d: expected array size", szTok.Line)
-		}
-		n, _ := strconv.Atoi(szTok.Text)
-		if err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		g.Type = cArray(ty, n)
+// arraySuffix parses the optional "[N]" after a declared name: ty when
+// there is none, else an array of N ty, N a positive integer.
+func (p *cparser) arraySuffix(ty *CType) (*CType, error) {
+	if !p.accept("[") {
+		return ty, nil
 	}
+	szTok := p.next()
+	n, err := strconv.Atoi(szTok.Text)
+	if szTok.Kind != TokInt || err != nil || n < 1 {
+		return nil, fmt.Errorf("line %d: expected array size, got %q", szTok.Line, szTok.Text)
+	}
+	if err := p.expect("]"); err != nil {
+		return nil, err
+	}
+	return cArray(ty, n), nil
+}
+
+func (p *cparser) parseGlobalRest(ty *CType, nameTok Tok) (*GlobalDecl, error) {
+	ty, err := p.arraySuffix(ty)
+	if err != nil {
+		return nil, err
+	}
+	g := &GlobalDecl{Name: nameTok.Text, Type: ty, Line: nameTok.Line}
 	if p.accept("=") {
 		isFloat := scalarOf(g.Type).Kind == CFloat
 		parseLit := func() error {
@@ -332,16 +342,9 @@ func (p *cparser) parseDecl() (Stmt, error) {
 	if nameTok.Kind != TokIdent {
 		return nil, fmt.Errorf("line %d: expected variable name", nameTok.Line)
 	}
-	if p.accept("[") {
-		szTok := p.next()
-		if szTok.Kind != TokInt {
-			return nil, fmt.Errorf("line %d: expected array size", szTok.Line)
-		}
-		n, _ := strconv.Atoi(szTok.Text)
-		if err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		ty = cArray(ty, n)
+	ty, err = p.arraySuffix(ty)
+	if err != nil {
+		return nil, err
 	}
 	d := &DeclStmt{Name: nameTok.Text, Type: ty, Line: line}
 	if p.accept("=") {

@@ -68,12 +68,11 @@ func Collect(m *ir.Module) (*Profile, error) {
 	return p, nil
 }
 
-// BlockCycles returns the cost-model cycles one execution of b takes.
+// BlockCycles returns the cycles one execution of b is charged.
 func BlockCycles(b *ir.Block) int64 {
-	cm := interp.DefaultCostModel()
 	var total int64
 	for _, in := range b.Instrs {
-		total += cm.Cost(in)
+		total += interp.Cost(in)
 	}
 	return total
 }

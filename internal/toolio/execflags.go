@@ -38,9 +38,13 @@ func RegisterExecFlags(fs *flag.FlagSet, workersFlag string, withQueueCap bool) 
 	return f
 }
 
-// Config validates the parsed flags and returns the settings, with a
-// fresh Tracer when -trace or -metrics asked for one.
+// Config validates the parsed flags and the NOELLE_ENGINE environment
+// variable and returns the settings, with a fresh Tracer when -trace or
+// -metrics asked for one.
 func (f *ExecFlags) Config() (interp.ExecConfig, error) {
+	if err := interp.EngineEnvErr(); err != nil {
+		return interp.ExecConfig{}, err
+	}
 	eng, err := interp.ParseEngine(f.engine)
 	if err != nil {
 		return interp.ExecConfig{}, err

@@ -66,7 +66,6 @@ func Run(n *core.Noelle, budget int64) Result {
 // the caller's window is empty at entry (main) or accounted by the
 // caller through the summary.
 func instrument(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget int64, summaries map[*ir.Function]*summary, recursive bool) int {
-	cm := interp.DefaultCostModel()
 	inserted := 0
 	bld := ir.NewBuilder()
 
@@ -92,7 +91,7 @@ func instrument(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget int64,
 		}
 		// Extern or recursive not-yet-summarized callee.
 		if callee.IsDeclaration() {
-			return cm.ExternFix, false
+			return interp.CostExternFix, false
 		}
 		return budget, false // conservative for recursion
 	}
@@ -118,9 +117,9 @@ func instrument(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget int64,
 				resets := false
 				if in.Opcode == ir.OpCall {
 					c, r := callCost(in)
-					cost, resets = c+cm.CallOver, r
+					cost, resets = c+interp.CostCallOver, r
 				} else {
-					cost = cm.Cost(in)
+					cost = interp.Cost(in)
 				}
 				if cur+cost > budget && !resets {
 					// Punctuate before this instruction.
@@ -163,7 +162,6 @@ func instrument(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget int64,
 // instrumentLoops places one callback in every loop that can outlive the
 // budget, innermost-first so outer loops see the inner reset.
 func instrumentLoops(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget int64) int {
-	cm := interp.DefaultCostModel()
 	inserted := 0
 	bld := ir.NewBuilder()
 	for _, node := range n.Forest(f).InnermostFirst() {
@@ -173,7 +171,7 @@ func instrumentLoops(n *core.Noelle, f *ir.Function, cbFn *ir.Function, budget i
 		}
 		var bodyCost int64
 		ls.Instrs(func(in *ir.Instr) bool {
-			bodyCost += cm.Cost(in)
+			bodyCost += interp.Cost(in)
 			return true
 		})
 		l := n.Loop(ls)
@@ -224,13 +222,12 @@ func hasCallback(f *ir.Function, cbFn *ir.Function) bool {
 
 // summarize computes the caller-visible windows after instrumentation.
 func summarize(f *ir.Function, cbFn *ir.Function, budget int64) *summary {
-	cm := interp.DefaultCostModel()
 	s := &summary{hasCB: hasCallback(f, cbFn)}
 	if !s.hasCB {
 		// Short leaf function: its whole cost is one window.
 		var total int64
 		f.Instrs(func(in *ir.Instr) bool {
-			total += cm.Cost(in)
+			total += interp.Cost(in)
 			return true
 		})
 		if total > budget {

@@ -63,11 +63,10 @@ func PlanLoop(n *core.Noelle, ls *loops.LS) (*Plan, error) {
 	}
 
 	// Weight each SCC by its static cost (the stage balancer's input).
-	cm := interp.DefaultCostModel()
 	weight := func(node *sccdag.Node) int64 {
 		var w int64
 		for _, in := range node.Instrs {
-			w += cm.Cost(in)
+			w += interp.Cost(in)
 		}
 		return w
 	}

@@ -116,10 +116,9 @@ func planFirst(t *testing.T, src string, cores int) (*core.Noelle, *dswp.Plan) {
 }
 
 func stageWeights(p *dswp.Plan) []int64 {
-	cm := interp.DefaultCostModel()
 	w := make([]int64, p.NumStages)
 	for in, s := range p.SegmentOf {
-		w[s] += cm.Cost(in)
+		w[s] += interp.Cost(in)
 	}
 	return w
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"noelle/internal/core"
-	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/loops"
 	"noelle/internal/machine"
@@ -38,6 +37,6 @@ func (p *Plan) Segments() (map[*ir.Instr]int, int) {
 // machine configuration (AR) is asked for here, not while planning: a
 // pinned run never prices a plan.
 func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
-	cfg := machine.CalibratedConfig(p.n.Arch(), p.n.Opts.Cores, interp.DefaultCostModel())
+	cfg := machine.DefaultConfig(p.n.Arch(), p.n.Opts.Cores)
 	return machine.SimulateDSWP(inv, cfg) + int64(p.NumStages)*cfg.PerTaskOverhead
 }

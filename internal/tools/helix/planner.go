@@ -45,7 +45,6 @@ func (p *Plan) Segments() (map[*ir.Instr]int, int) {
 // every phase loop, and the loop control again in every phase loop after
 // the first.
 func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
-	cm := interp.DefaultCostModel()
 	ph := p.phases()
 	bucket := func(q int) int {
 		if q%2 == 1 {
@@ -59,25 +58,25 @@ func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
 		if !ph.runs(q) {
 			continue
 		}
-		perIter[bucket(q)] += cm.IntALU
+		perIter[bucket(q)] += interp.CostIntALU
 		if !first {
-			perIter[bucket(q)] += cm.IntALU + 2*cm.Branch
+			perIter[bucket(q)] += interp.CostIntALU + 2*interp.CostBranch
 		}
 		first = false
 	}
 	for _, d := range ph.cross {
-		perIter[bucket(ph.pos[d])] += cm.IntALU + cm.Store
+		perIter[bucket(ph.pos[d])] += interp.CostIntALU + interp.CostStore
 		for q := range ph.readers[d] {
-			perIter[bucket(q)] += cm.IntALU + cm.Load
+			perIter[bucket(q)] += interp.CostIntALU + interp.CostLoad
 		}
 	}
 	perBlock := make([]int64, p.NumSegments())
 	for s := 0; s < p.NumSeq; s++ {
-		perBlock[s] = cm.SignalWait + cm.SignalFire + 2*cm.CallOver
+		perBlock[s] = interp.CostSignalWait + interp.CostSignalFire + 2*interp.CostCallOver
 	}
 	for _, phi := range p.LS.HeaderPhis() {
 		if carriedPhi(p, phi) {
-			perBlock[p.SegmentOf[phi]] += 2*cm.IntALU + cm.Load + cm.Store
+			perBlock[p.SegmentOf[phi]] += 2*interp.CostIntALU + interp.CostLoad + interp.CostStore
 		}
 	}
 

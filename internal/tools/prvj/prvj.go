@@ -15,6 +15,7 @@ import (
 
 	"noelle/internal/analysis"
 	"noelle/internal/core"
+	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/loops"
 )
@@ -172,7 +173,6 @@ func qualityByName(name string) int {
 // their trip count (or a nominal 16 when unknown) so an iterative
 // generator is costed per call, not per source line.
 func staticCost(f *ir.Function) int64 {
-	cm := costModel()
 	li := analysis.NewLoopInfo(f)
 	weightOf := func(b *ir.Block) int64 {
 		w := int64(1)
@@ -191,7 +191,7 @@ func staticCost(f *ir.Function) int64 {
 	for _, b := range f.Blocks {
 		var blockCost int64
 		for _, in := range b.Instrs {
-			blockCost += cm.Cost(in)
+			blockCost += interp.Cost(in)
 		}
 		total += blockCost * weightOf(b)
 	}
