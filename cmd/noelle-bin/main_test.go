@@ -10,6 +10,7 @@ import (
 
 	"noelle/internal/interp"
 	"noelle/internal/ir"
+	"noelle/internal/minic"
 )
 
 // wildStore stores through a pointer 16 bytes below its global (@g is
@@ -63,6 +64,40 @@ func TestWildStoreExitsWithError(t *testing.T) {
 			}
 			if want := "interp: store at address -8 outside memory"; !strings.Contains(stderr.String(), want) {
 				t.Errorf("%s %v: stderr %q does not report %q", tc.name, args, stderr.String(), want)
+			}
+		}
+	}
+}
+
+// TestOversizedGlobalExitsWithError: a module with a global too large for
+// the interpreter's memory makes noelle-bin exit 1 naming the global,
+// before the program prints anything.
+func TestOversizedGlobalExitsWithError(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "noelle-bin")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, size := range []string{"1000000000000", "2000000000000000000"} {
+		m, err := minic.Compile("big", "int a["+size+"]; int b;\nint main() { b = 5; print_i64(b); return 0; }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := filepath.Join(dir, "big.nir")
+		if err := os.WriteFile(in, []byte(ir.Print(m)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []string{"walker", "compiled"} {
+			cmd := exec.Command(bin, "-engine", eng, in)
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 {
+				t.Errorf("a[%s] -engine %s: %v, stdout %q, want exit status 1 and no output\n%s", size, eng, err, stdout.String(), stderr.String())
+			}
+			if want := "interp: global @a of type [" + size + " x i64] does not fit in memory"; !strings.Contains(stderr.String(), want) {
+				t.Errorf("a[%s] -engine %s: stderr %q does not report %q", size, eng, stderr.String(), want)
 			}
 		}
 	}

@@ -17,10 +17,10 @@
 //	          engines at once (run under -race)
 //	faults    step-budget exhaustion mid-pipeline and aborted-worker
 //	          injection; every run must terminate with the right error
-//	inject    seeds each known DSWP miscompile (dropped token push,
-//	          chunk-size mismatch, dropped tail chunk, ...) into a real
-//	          DSWP lowering and requires the oracle stack to name it;
-//	          exits 0 only if every miscompile is caught
+//	inject    seeds each known DSWP and HELIX miscompile (dropped token
+//	          push, chunk-size mismatch, swapped wait/fire, ...) into a
+//	          real lowering of its technique and requires the oracle
+//	          stack to name it; exits 0 only if every one is caught
 //	all       campaign + stress + faults + inject
 //
 // Usage: noelle-fuzz [-leg L] [-seeds N] [-seed-base S] [-duration D]

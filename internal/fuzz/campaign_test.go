@@ -99,9 +99,10 @@ func TestCampaignFailureWritesRepro(t *testing.T) {
 }
 
 // TestInjectMiscompileCaught is the acceptance criterion in miniature:
-// seed every known DSWP miscompile (the table the verify mutation suite
-// runs) into a real DSWP lowering of a generated program and require the
-// campaign's static oracle to name each one and write a reproducer.
+// seed every known miscompile (the table the verify mutation suite runs,
+// seven DSWP and four HELIX entries) into a real lowering of its
+// technique of a generated program and require the campaign's static
+// oracle to name each one and write a reproducer.
 func TestInjectMiscompileCaught(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -111,11 +112,11 @@ func TestInjectMiscompileCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inject leg: %v", err)
 	}
-	if len(caught) != len(DSWPMiscompiles()) {
-		t.Fatalf("%d of %d miscompiles caught", len(caught), len(DSWPMiscompiles()))
+	if len(caught) != 11 || len(Miscompiles()) != 11 {
+		t.Fatalf("%d of %d miscompiles caught, want all 11", len(caught), len(Miscompiles()))
 	}
 	for i, f := range caught {
-		name := DSWPMiscompiles()[i].Name
+		name := Miscompiles()[i].Name
 		if f.Repro == "" {
 			t.Fatalf("%s: inject leg wrote no reproducer", name)
 		}

@@ -1,17 +1,20 @@
 package fuzz
 
 // The seed corpus under corpus/ pins the harness's detection power as
-// go test regressions: each .nir file is a real DSWP/HELIX lowering
-// with one hand-seeded miscompile (the same shapes internal/verify's
-// mutation suite constructs in memory), plus one clean lowering as the
-// negative control. Every file header records the diagnostics the comm
-// linter must report (`; expect: ...`) or `; expect-clean`. The corpus
-// is regenerated — never hand-edited — with:
+// go test regressions: each .nir file is a real DSWP or HELIX lowering
+// with one entry of the miscompile table (Miscompiles, which
+// internal/verify's mutation suite and the inject leg run too) seeded
+// through the lowering's protocol record, plus one clean lowering of each
+// technique as the negative control. Every file header records the
+// diagnostics the comm linter must report (`; expect: ...`) or
+// `; expect-clean`. The corpus is regenerated — never hand-edited — with:
 //
 //	go test ./internal/fuzz -run TestCorpus -regen-corpus
 //
 // so a taskgen change that alters the lowering shape refreshes the
-// files while the expectations stay the regression contract.
+// files while the expectations stay the regression contract. Without the
+// flag, TestCorpusRegen holds each freshly built recipe to the same
+// expectations in memory.
 
 import (
 	"context"
@@ -23,25 +26,26 @@ import (
 	"testing"
 
 	"noelle/internal/core"
-	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
-	"noelle/internal/tools/helix"
 	"noelle/internal/verify"
 )
 
 var regenCorpus = flag.Bool("regen-corpus", false, "rewrite internal/fuzz/corpus from the mutation recipes")
 
-// corpusPipelineSrc mirrors the DSWP-lowerable shape from the verify
-// mutation suite: an Independent chain storing c[i], a Sequential
-// accumulator loading it back and storing acc + x, and the stage cut
-// between them, so the lowering carries a value queue (x) and the token
-// queue that orders the cross-stage store->load.
-const corpusPipelineSrc = `
+// corpusSrc holds the program each technique's recipes lower. The DSWP
+// one is an Independent chain storing c[i], a Sequential accumulator
+// loading it back and storing acc + x, and the stage cut between them, so
+// the lowering carries a value queue (x) and the token queue that orders
+// the cross-stage store->load. The HELIX one is an order-sensitive
+// recurrence (a signal-bracketed sequential segment with a carried cell)
+// inside a parallel body.
+var corpusSrc = map[string]string{
+	verify.DSWP: `
 int b[96];
 int c[96];
 int d[96];
@@ -60,12 +64,8 @@ int main() {
   }
   print_i64(acc);
   return (acc + d[95]) % 251;
-}`
-
-// corpusCarriedSrc mirrors the HELIX-lowerable shape: an
-// order-sensitive recurrence (sequential, signal-bracketed segment)
-// inside a parallel body.
-const corpusCarriedSrc = `
+}`,
+	verify.HELIX: `
 int a[72];
 int c[72];
 int main() {
@@ -80,17 +80,29 @@ int main() {
   }
   print_i64(acc);
   return acc % 251;
-}`
+}`,
+}
 
 type corpusRecipe struct {
 	name   string
+	tech   string
 	expect []string // comm-tier diagnostics; empty = expect-clean
-	build  func(t *testing.T) *ir.Module
+	mutate func(*ir.Module) bool
 }
 
-func corpusLowerDSWP(t *testing.T) *ir.Module {
+func corpusRecipes() []corpusRecipe {
+	recipes := []corpusRecipe{{name: "clean_dswp", tech: verify.DSWP}, {name: "clean_helix", tech: verify.HELIX}}
+	for _, mc := range Miscompiles() {
+		recipes = append(recipes, corpusRecipe{name: mc.Name, tech: mc.Technique, expect: mc.Want, mutate: mc.Apply})
+	}
+	return recipes
+}
+
+// build lowers the recipe's program with its technique at 2 cores and
+// seeds its miscompile.
+func (r corpusRecipe) build(t *testing.T) *ir.Module {
 	t.Helper()
-	m, err := minic.Compile("corpus", corpusPipelineSrc)
+	m, err := minic.Compile("corpus", corpusSrc[r.tech])
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -98,167 +110,75 @@ func corpusLowerDSWP(t *testing.T) *ir.Module {
 	opts := core.DefaultOptions()
 	opts.MinHotness = 0
 	opts.Cores = 2
-	n := core.New(m, opts)
-	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "dswp")
-	if err != nil || res.Lowered() == 0 {
-		t.Fatalf("dswp lowered nothing (error %v, rejections %v)", err, res.Rejections)
+	if _, err := auto.RunPinned(context.Background(), core.New(m, opts), tool.Options{ExecutePlans: true}, r.tech); err != nil {
+		t.Fatal(err)
+	}
+	if r.mutate != nil && !r.mutate(m) {
+		t.Fatalf("the %s lowering has no site for %s:\n%s", r.tech, r.name, ir.Print(m))
+	}
+	if r.mutate == nil && !protocolIn(m, r.tech) {
+		t.Fatalf("%s lowered no loop with communication", r.tech)
 	}
 	return m
 }
 
-func corpusLowerHELIX(t *testing.T) *ir.Module {
+// protocolIn reports whether m holds a pipeline, or a HELIX task with a
+// segment signal.
+func protocolIn(m *ir.Module, tech string) bool {
+	for _, l := range verify.Lowerings(m) {
+		if l.Err == nil && l.Proto.Technique == tech && len(l.Proto.Queues)+len(l.Proto.Signals) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkComm runs m through the comm tier: it must not trip the
+// shallower quick/SSA tiers (the miscompiles are SSA-preserving by
+// construction — that is what makes them a dynamic hazard worth a
+// dedicated linter), and it must report every expected diagnostic, or
+// nothing at all when none is expected.
+func checkComm(t *testing.T, m *ir.Module, expect []string) {
 	t.Helper()
-	m, err := minic.Compile("corpus", corpusCarriedSrc)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	res := verify.Module(m, verify.TierComm)
+	if res.CountAt(verify.TierQuick) > 0 || res.CountAt(verify.TierSSA) > 0 {
+		t.Fatalf("corpus entry trips shallow tiers (must be SSA-preserving): %v", res.Err())
 	}
-	passes.Optimize(m)
-	opts := core.DefaultOptions()
-	opts.MinHotness = 0
-	n := core.New(m, opts)
-	res, err := auto.RunPinned(context.Background(), n, tool.Options{ExecutePlans: true}, "helix")
-	segs := 0
-	for _, s := range res.Selections {
-		if s.Lowered {
-			segs += s.Candidates[0].Plan.(*helix.Plan).NumSeq
+	if len(expect) == 0 {
+		if err := res.Err(); err != nil {
+			t.Fatalf("clean control flagged by the comm tier: %v", err)
+		}
+		return
+	}
+	for _, want := range expect {
+		found := false
+		for _, f := range res.Findings {
+			found = found || strings.Contains(f.Detail, want)
+		}
+		if !found {
+			t.Errorf("comm tier did not report %q; findings:\n%v", want, res.Err())
 		}
 	}
-	if err != nil || segs == 0 {
-		t.Fatalf("helix lowered no signal-carrying loop (error %v, selections %+v)", err, res.Selections)
-	}
-	return m
 }
 
-func corpusFindCall(f *ir.Function, extern string, pred func(*ir.Instr) bool) *ir.Instr {
-	var found *ir.Instr
-	f.Instrs(func(in *ir.Instr) bool {
-		if in.Opcode != ir.OpCall {
-			return true
-		}
-		if c := in.CalledFunction(); c == nil || c.Nam != extern {
-			return true
-		}
-		if pred != nil && !pred(in) {
-			return true
-		}
-		found = in
-		return false
-	})
-	return found
-}
-
-func corpusHelixTaskFn(t *testing.T, m *ir.Module) *ir.Function {
-	t.Helper()
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindHelixTask &&
-			corpusFindCall(f, interp.ExternSignalWait, nil) != nil {
-			return f
-		}
-	}
-	t.Fatal("no signal-carrying helix task in lowered module")
-	return nil
-}
-
-func corpusRecipes() []corpusRecipe {
-	recipes := []corpusRecipe{{name: "clean_dswp", build: corpusLowerDSWP}}
-	for _, mc := range DSWPMiscompiles() {
-		recipes = append(recipes, corpusRecipe{name: mc.Name, expect: mc.Want, build: func(t *testing.T) *ir.Module {
-			m := corpusLowerDSWP(t)
-			if !mc.Apply(m) {
-				t.Fatalf("the lowering has no site for %s", mc.Name)
-			}
-			return m
-		}})
-	}
-	return append(recipes, []corpusRecipe{
-		{
-			name:   "swapped_wait_fire",
-			expect: []string{"precedes its wait (happens-before chain is cyclic)"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerHELIX(t)
-				task := corpusHelixTaskFn(t, m)
-				wait := corpusFindCall(task, interp.ExternSignalWait, nil)
-				fire := corpusFindCall(task, interp.ExternSignalFire, nil)
-				if wait == nil || fire == nil {
-					t.Fatal("task lacks the wait/fire bracket")
-				}
-				fire.Parent.Remove(fire)
-				wait.Parent.InsertBefore(fire, wait)
-				return m
-			},
-		},
-		{
-			name:   "dropped_fire",
-			expect: []string{"awaited but never fired"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerHELIX(t)
-				fire := corpusFindCall(corpusHelixTaskFn(t, m), interp.ExternSignalFire, nil)
-				if fire == nil {
-					t.Fatal("task has no fire")
-				}
-				fire.Parent.Remove(fire)
-				return m
-			},
-		},
-		{
-			name:   "fire_sunk_into_segment_loop",
-			expect: []string{"@noelle_signal_fire of segment 0 signal sits in a loop of the task"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerHELIX(t)
-				task := corpusHelixTaskFn(t, m)
-				wait := corpusFindCall(task, interp.ExternSignalWait, nil)
-				fire := corpusFindCall(task, interp.ExternSignalFire, nil)
-				if wait == nil || fire == nil {
-					t.Fatal("task lacks the wait/fire bracket")
-				}
-				hdr := wait.Parent.Terminator().Blocks[0]
-				fire.Parent.Remove(fire)
-				hdr.InsertBefore(fire, hdr.Terminator())
-				return m
-			},
-		},
-		{
-			name:   "carried_cell_written_after_fire",
-			expect: []string{"carried state of segment 0"},
-			build: func(t *testing.T) *ir.Module {
-				m := corpusLowerHELIX(t)
-				fire := corpusFindCall(corpusHelixTaskFn(t, m), interp.ExternSignalFire, nil)
-				if fire == nil {
-					t.Fatal("task has no fire")
-				}
-				var store *ir.Instr
-				for _, in := range fire.Parent.Instrs {
-					if in.Opcode == ir.OpStore {
-						store = in
-					}
-				}
-				if store == nil {
-					t.Fatal("no carried-state write-back before the fire")
-				}
-				fire.Parent.Remove(store)
-				fire.Parent.InsertAfter(store, fire)
-				return m
-			},
-		},
-	}...)
-}
-
-// TestCorpusRegen rewrites the corpus files when -regen-corpus is set;
-// otherwise it only checks the recipes still build (so a taskgen change
-// that breaks a recipe is caught here, with the regen command in the
-// failure message, not as a stale-file mystery in TestCorpusReplay).
+// TestCorpusRegen builds every recipe and holds it to its expectations;
+// with -regen-corpus it also rewrites the corpus files (so a taskgen
+// change that breaks a recipe is caught here, with the regen command in
+// the failure message, not as a stale-file mystery in TestCorpusReplay).
 func TestCorpusRegen(t *testing.T) {
 	for _, r := range corpusRecipes() {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
 			m := r.build(t)
+			checkComm(t, m, r.expect)
 			if !*regenCorpus {
 				return
 			}
 			var sb strings.Builder
-			fmt.Fprintf(&sb, "; corpus: %s — hand-seeded comm-protocol miscompile (see corpus_test.go)\n", r.name)
 			if len(r.expect) == 0 {
-				sb.WriteString("; expect-clean\n")
+				fmt.Fprintf(&sb, "; corpus: %s — clean lowering, the negative control (see corpus_test.go)\n; expect-clean\n", r.name)
+			} else {
+				fmt.Fprintf(&sb, "; corpus: %s — hand-seeded comm-protocol miscompile (see corpus_test.go)\n", r.name)
 			}
 			for _, e := range r.expect {
 				fmt.Fprintf(&sb, "; expect: %s\n", e)
@@ -309,28 +229,7 @@ func TestCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus file does not parse: %v", err)
 			}
-			res := verify.Module(m, verify.TierComm)
-			if res.CountAt(verify.TierQuick) > 0 || res.CountAt(verify.TierSSA) > 0 {
-				t.Fatalf("corpus entry trips shallow tiers (must be SSA-preserving): %v", res.Err())
-			}
-			if clean {
-				if err := res.Err(); err != nil {
-					t.Fatalf("clean control flagged by the comm tier: %v", err)
-				}
-				return
-			}
-			for _, want := range expects {
-				found := false
-				for _, f := range res.Findings {
-					if strings.Contains(f.Detail, want) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("comm tier did not report %q; findings:\n%v", want, res.Err())
-				}
-			}
+			checkComm(t, m, expects)
 		})
 	}
 }

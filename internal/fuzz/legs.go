@@ -282,8 +282,8 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 }
 
 // InjectMiscompiles is the harness's own acceptance check: it seeds each
-// of the known DSWP miscompiles (DSWPMiscompiles, the table the verify
-// mutation suite runs too) into a real DSWP lowering of a generated
+// of the known miscompiles (Miscompiles, the table the verify mutation
+// suite runs too) into a real lowering of its technique of a generated
 // program and asserts the campaign's static oracle names it. It returns
 // one reported Failure per miscompile caught (with its reproducer written
 // like any other); the error names the first miscompile that found no
@@ -294,7 +294,7 @@ func (c *Campaign) InjectMiscompiles(maxSeeds int) ([]Failure, error) {
 		maxSeeds = 50
 	}
 	var caught []Failure
-	for _, mc := range DSWPMiscompiles() {
+	for _, mc := range Miscompiles() {
 		f, err := c.inject(mc, maxSeeds)
 		if err != nil {
 			return caught, err
@@ -311,7 +311,7 @@ func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 		if err != nil {
 			continue
 		}
-		work, lowered, err := c.lower(m, "dswp", 2)
+		work, lowered, err := c.lower(m, mc.Technique, 2)
 		if err != nil || !lowered {
 			continue
 		}
@@ -331,14 +331,14 @@ func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 					mc.Name, seed, want, res.Err())
 			}
 		}
-		cell := Cell{Technique: "dswp", Cores: 2, QCap: 0}
+		cell := Cell{Technique: mc.Technique, Cores: 2, QCap: 0}
 		reason := fmt.Sprintf("injected miscompile %s caught by the static comm oracle: %v", mc.Name, res.Err())
 		f := Failure{Seed: seed, Leg: "inject", Cell: cell.String(), Reason: reason}
 		f.Replay = replayCommand(p, "inject", &cell)
 		f.Repro = c.writeMutatedRepro(work, p, &cell, mc.Name, reason)
 		return f, nil
 	}
-	return Failure{}, fmt.Errorf("fuzz: no seed in 1..%d produced a DSWP lowering with a site for %s", maxSeeds, mc.Name)
+	return Failure{}, fmt.Errorf("fuzz: no seed in 1..%d produced a %s lowering with a site for %s", maxSeeds, mc.Technique, mc.Name)
 }
 
 // writeMutatedRepro dumps an already-mutated module (the inject leg's

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -137,8 +138,11 @@ type image struct {
 
 	// Immutable after New.
 	globalAddr map[*ir.Global]int64
-	fnTable    []*ir.Function
-	fnIndex    map[*ir.Function]int64
+	// layoutErr names the first global that does not fit in memory; the
+	// globals behind it are not laid out, and every Call fails with it.
+	layoutErr error
+	fnTable   []*ir.Function
+	fnIndex   map[*ir.Function]int64
 
 	// The extern registry is indexed: entries live in an append-only
 	// table behind an atomic pointer (registration copies, readers never
@@ -309,15 +313,6 @@ func (img *image) registerExterns(es ...externEntry) {
 	}
 }
 
-func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
-	i, has := (*img.externIdx.Load())[name]
-	if !has {
-		return nil, -1, false
-	}
-	e := &(*img.externTab.Load())[i]
-	return e.fn, e.arity, true
-}
-
 // externFor returns the registered entry backing declaration f, or nil.
 // The hot path is one atomic load of f's cached table slot; resolution
 // through the name index happens once per declaration (and again after a
@@ -404,6 +399,15 @@ func (img *image) fingerprint() uint64 {
 	return h
 }
 
+// fits reports whether a value of type t takes at least one and at most
+// limit bytes, its size computed without wrapping.
+func fits(t *ir.Type, limit int64) bool {
+	if t.Kind == ir.ArrayKind {
+		return t.Len > 0 && fits(t.Elem, limit/int64(t.Len))
+	}
+	return t.Size() > 0 && int64(t.Size()) <= limit
+}
+
 // newImage lays out m's globals and functions into a fresh image.
 func newImage(m *ir.Module) *image {
 	img := &image{
@@ -428,6 +432,10 @@ func newImage(m *ir.Module) *image {
 		img.declSlot[i].Store(externUnresolved)
 	}
 	for _, g := range m.Globals {
+		if !fits(g.Elem, memBytes-img.nextPtr) {
+			img.layoutErr = fmt.Errorf("interp: global @%s of type %s does not fit in memory [0, %d)", g.Nam, g.Elem, int64(memBytes))
+			break
+		}
 		addr := img.alloc(int64(g.Elem.Size()))
 		img.globalAddr[g] = addr
 		scalar := g.ScalarElem()

@@ -195,9 +195,6 @@ func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
 	it.img.registerExterns(externEntry{name: name, arity: arity, fn: fn})
 }
 
-// GlobalAddr returns the address of g's storage.
-func (it *Interp) GlobalAddr(g *ir.Global) int64 { return it.img.globalAddr[g] }
-
 // ValidAddress reports whether addr falls inside a live allocation.
 func (it *Interp) ValidAddress(addr int64) bool { return it.img.validAddress(addr) }
 
@@ -371,6 +368,9 @@ func (it *Interp) WorkerStatLines() []string {
 // call); defined functions run on the selected execution tier, with the
 // walker as fallback for the rare function the compiler rejects.
 func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
+	if it.img.layoutErr != nil {
+		return 0, it.img.layoutErr
+	}
 	if f.IsDeclaration() {
 		ext := it.img.externFor(f)
 		if ext == nil {

@@ -2,7 +2,10 @@ package interp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"noelle/internal/minic"
 )
 
 // Memory is the address range [0, memBytes). These tests hold both tiers
@@ -123,5 +126,27 @@ func TestLastCellIsMemory(t *testing.T) {
 	it := wildModule(t, "pop_n", last-1, false)
 	if r := assertTiersAgree(t, it.Mod, nil); r.err != "" {
 		t.Errorf("pop_n into the last two cells: %s", r.err)
+	}
+}
+
+// TestOversizedGlobalRefused: a global too large for memory, or whose
+// size wraps (8 * 2e18 bytes reads as a negative int), is refused when
+// the image is laid out — not placed on top of its neighbours — and
+// every run fails naming it before its first instruction, on both tiers.
+func TestOversizedGlobalRefused(t *testing.T) {
+	for _, size := range []string{"1000000000000", "2000000000000000000", "2305843009213693953"} {
+		m, err := minic.Compile("big", "int a["+size+"]; int b;\nint main() { b = 5; print_i64(b); return 0; }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []Engine{EngineWalker, EngineCompiled} {
+			it := New(m)
+			it.Eng = eng
+			_, err := it.Run()
+			want := "interp: global @a of type [" + size + " x i64] does not fit in memory"
+			if err == nil || !strings.Contains(err.Error(), want) || it.Steps != 0 || it.Output.Len() != 0 {
+				t.Errorf("a[%s] on %s: error %v after %d steps, output %q; want %q before any step", size, eng, err, it.Steps, it.Output.String(), want)
+			}
+		}
 	}
 }

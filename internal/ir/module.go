@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Module is a translation unit: globals plus functions. noelle-whole-ir
@@ -125,18 +124,6 @@ func (m *Module) NumInstrs() int {
 		n += f.NumInstrs()
 	}
 	return n
-}
-
-// SortFunctions orders functions by name (declarations last) to make
-// linked-module output deterministic.
-func (m *Module) SortFunctions() {
-	sort.SliceStable(m.Functions, func(i, j int) bool {
-		fi, fj := m.Functions[i], m.Functions[j]
-		if fi.IsDeclaration() != fj.IsDeclaration() {
-			return !fi.IsDeclaration()
-		}
-		return fi.Nam < fj.Nam
-	})
 }
 
 // Instrs calls fn for every instruction in the module.

@@ -62,18 +62,16 @@ type Outline struct {
 
 	mod    *ir.Module
 	ls     *loops.LS
-	family string
 	pre    *ir.Block
 	envPtr ir.Value
 }
 
-// BeginOutline starts outlining ls into tasks of the lowering family
-// family (the task name handed to Plan.Lower).
-func BeginOutline(m *ir.Module, ls *loops.LS, family string) *Outline {
+// BeginOutline starts outlining ls into dispatched tasks.
+func BeginOutline(m *ir.Module, ls *loops.LS) *Outline {
 	pre := EnsurePreheader(ls)
 	bld := ir.NewBuilder()
 	bld.SetInsertionBefore(pre.Terminator())
-	return &Outline{Bld: bld, mod: m, ls: ls, family: family, pre: pre}
+	return &Outline{Bld: bld, mod: m, ls: ls, pre: pre}
 }
 
 // PackEnv finalizes the environment, allocates its block — one cell per
@@ -109,29 +107,19 @@ func (o *Outline) Reload(cell int, ty *ir.Type) ir.Value {
 	return env.FromBits(o.Bld, raw, ty)
 }
 
-// NewTask adds an empty task function over the packed environment,
-// marked for the comm verifier with its kind and the outline's family.
-func (o *Outline) NewTask(name, kind string) *env.Task {
-	t := env.NewTask(o.mod, name, o.Env)
-	t.Fn.SetMD(verify.MDKind, kind)
-	t.Fn.SetMD(verify.MDFamily, o.family)
-	return t
+// NewTask adds an empty task function over the packed environment.
+func (o *Outline) NewTask(name string) *env.Task {
+	return env.NewTask(o.mod, name, o.Env)
 }
 
-// Tag marks a communication handle (a queue or signal creation call)
-// with its role under key, and with the outline's family.
-func (o *Outline) Tag(handle *ir.Instr, key, role string) {
-	handle.SetMD(key, role)
-	handle.SetMD(verify.MDFamily, o.family)
-}
-
-// Dispatch emits noelle_dispatch(fn, env, workers). The extern is
+// Dispatch emits noelle_dispatch(fn, env, workers), stamped with the
+// lowering's protocol record for the comm verifier. The extern is
 // declared here, on first use, so a technique's own externs — declared
 // before it gets this far — keep their place in the module.
-func (o *Outline) Dispatch(fn *ir.Function, workers ir.Value) {
+func (o *Outline) Dispatch(fn *ir.Function, workers ir.Value, proto *verify.Protocol) {
 	dispatch := o.mod.DeclareFunction(interp.ExternDispatch,
 		ir.FuncOf(ir.VoidType, env.TaskSignature(), ir.PointerTo(ir.I64Type), ir.I64Type))
-	o.Bld.CreateCall(dispatch, []ir.Value{fn, o.envPtr, workers}, "")
+	o.Bld.CreateCall(dispatch, []ir.Value{fn, o.envPtr, workers}, "").SetMD(verify.MDProtocol, proto.Encode())
 }
 
 // IVFinal emits an induction variable's value after tc iterations:

@@ -130,7 +130,7 @@ func instrNamed(t *testing.T, l *loops.Loop, name string) *ir.Instr {
 // one task holding the loop clone shaped by shape (nil for a full clone),
 // every live-out published from done and reloaded after the dispatch.
 func outlineAsOneWorker(m *ir.Module, l *loops.Loop, shape func(b *loopbuilder.Body)) {
-	o := loopbuilder.BeginOutline(m, l.LS, "one.task")
+	o := loopbuilder.BeginOutline(m, l.LS)
 	eb := env.NewBuilder()
 	for _, v := range l.LiveIn {
 		eb.AddLiveIn(v)
@@ -140,7 +140,7 @@ func outlineAsOneWorker(m *ir.Module, l *loops.Loop, shape func(b *loopbuilder.B
 	}
 	o.PackEnv(eb, 0, "one.env")
 
-	task := o.NewTask("one.task", verify.KindDoallTask)
+	task := o.NewTask("one.task")
 	b := loopbuilder.NewBody(task, l.LS)
 	if shape == nil {
 		b.Clone(nil)
@@ -154,7 +154,7 @@ func outlineAsOneWorker(m *ir.Module, l *loops.Loop, shape func(b *loopbuilder.B
 	}
 	b.Bld.CreateRet(nil)
 
-	o.Dispatch(task.Fn, ir.ConstInt(1))
+	o.Dispatch(task.Fn, ir.ConstInt(1), &verify.Protocol{Technique: verify.DOALL, Tasks: []string{"one.task"}})
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
 		finals[out] = o.Reload(o.Env.SlotOf(out).Index, out.Ty)

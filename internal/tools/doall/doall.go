@@ -122,7 +122,7 @@ func isReconstructibleLiveOut(l *loops.Loop, out *ir.Instr) bool {
 // transform rewrites the loop into a dispatched task.
 func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 	cores := n.Opts.Cores
-	o := loopbuilder.BeginOutline(n.Mod, l.LS, taskName)
+	o := loopbuilder.BeginOutline(n.Mod, l.LS)
 	tc, err := loopbuilder.EmitTripCount(o.Bld, l.IVs.GoverningIV())
 	if err != nil {
 		return err
@@ -138,9 +138,9 @@ func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 	o.PackEnv(eb, len(l.Reductions.Reductions)*cores, "doall.env")
 	redBase := o.Env.NumSlots()
 
-	task := o.NewTask(taskName, verify.KindDoallTask)
+	task := o.NewTask(taskName)
 	buildTaskBody(l, task, tc, redBase, cores)
-	o.Dispatch(task.Fn, ir.ConstInt(int64(cores)))
+	o.Dispatch(task.Fn, ir.ConstInt(int64(cores)), &verify.Protocol{Technique: verify.DOALL, Tasks: []string{taskName}})
 
 	// Reduction folds and IV finals reconstruct the live-outs.
 	finals := map[*ir.Instr]ir.Value{} // in-loop def -> post-loop value

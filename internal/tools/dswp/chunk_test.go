@@ -171,13 +171,13 @@ int main() {
 	}
 }
 
-// stageHas reports whether a stage-idx function of m holds an instruction
-// pred accepts.
+// stageHas reports whether stage stage of a pipeline of m holds an
+// instruction pred accepts.
 func stageHas(m *ir.Module, stage int, pred func(*ir.Instr) bool) bool {
 	found := false
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPStage && f.MD.Get(verify.MDStage) == fmt.Sprint(stage) {
-			f.Instrs(func(in *ir.Instr) bool {
+	for _, l := range verify.Lowerings(m) {
+		if l.Err == nil && l.Proto.Technique == verify.DSWP && stage < len(l.Tasks) {
+			l.Tasks[stage].Instrs(func(in *ir.Instr) bool {
 				found = found || pred(in)
 				return !found
 			})
@@ -223,14 +223,7 @@ func TestRematerializedValuesDoNotTravel(t *testing.T) {
 	if res := runDSWP(t, core.New(m, opts), true); res.Lowered() != 1 {
 		t.Fatalf("lowered %d loops, want the hot one: %v", res.Lowered(), notLowered(res))
 	}
-	var values int
-	m.Instrs(func(_ *ir.Function, in *ir.Instr) bool {
-		if in.MD.Get(verify.MDQueue) == verify.QueueValue {
-			values++
-		}
-		return true
-	})
-	if values != 2 {
+	if values := queues(t, m, false); values != 2 {
 		t.Errorf("lowering creates %d value queues, want 2:\n%s", values, ir.Print(m))
 	}
 	if stageHas(m, 0, addressInto("c")) {

@@ -2,6 +2,7 @@ package dswp_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -405,32 +406,36 @@ func TestLowerQueueCapacityInvariance(t *testing.T) {
 	}
 }
 
-// tokenQueues counts the token queues a lowered module creates.
-func tokenQueues(m *ir.Module) int {
-	n := 0
-	for _, f := range m.Functions {
-		f.Instrs(func(in *ir.Instr) bool {
-			if in.MD.Get(verify.MDQueue) == verify.QueueToken {
-				n++
-			}
-			return true
-		})
-	}
-	return n
-}
-
-func wrapperMemDeps(t *testing.T, m *ir.Module) []string {
+// pipelines returns the protocol records of m's DSWP lowerings.
+func pipelines(t *testing.T, m *ir.Module) []*verify.Protocol {
 	t.Helper()
-	var deps []string
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindDSWPWrapper {
-			deps = append(deps, f.MD.Get(verify.MDMemDeps))
+	var out []*verify.Protocol
+	for _, l := range verify.Lowerings(m) {
+		if l.Err != nil {
+			t.Fatal(l.Err)
+		}
+		if l.Proto.Technique == verify.DSWP {
+			out = append(out, l.Proto)
 		}
 	}
-	if len(deps) == 0 {
-		t.Fatal("lowered module has no DSWP wrapper")
+	if len(out) == 0 {
+		t.Fatal("lowered module has no DSWP pipeline")
 	}
-	return deps
+	return out
+}
+
+// queues counts the token (or value) queues m's pipelines create.
+func queues(t *testing.T, m *ir.Module, token bool) int {
+	t.Helper()
+	n := 0
+	for _, p := range pipelines(t, m) {
+		for _, q := range p.Queues {
+			if q.Token == token {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestNoTokenQueueWithoutMemoryDependence: the bundled pipeline program's
@@ -455,12 +460,12 @@ func TestNoTokenQueueWithoutMemoryDependence(t *testing.T) {
 	if res.Lowered() == 0 {
 		t.Fatalf("nothing lowered (not lowered: %v, rejections: %v)", notLowered(res), res.Rejections)
 	}
-	for _, deps := range wrapperMemDeps(t, m) {
-		if deps != "" {
-			t.Fatalf("pipeline program recorded cross-stage memory dependences %q", deps)
+	for _, p := range pipelines(t, m) {
+		if len(p.MemDeps) != 0 {
+			t.Fatalf("pipeline program recorded cross-stage memory dependences %v", p.MemDeps)
 		}
 	}
-	if n := tokenQueues(m); n != 0 {
+	if n := queues(t, m, true); n != 0 {
 		t.Errorf("lowering creates %d token queues, want none", n)
 	}
 	if err := verify.Module(m, verify.TierComm).Err(); err != nil {
@@ -497,17 +502,17 @@ int main() {
 	m := compile(t, src)
 	runDSWP(t, newN(t, m, 2), true)
 	var chained int
-	for _, deps := range wrapperMemDeps(t, m) {
-		if deps == "0>1" {
+	for _, p := range pipelines(t, m) {
+		if slices.Equal(p.MemDeps, [][2]int{{0, 1}}) {
 			chained++
-		} else if deps != "" {
-			t.Errorf("unexpected memdeps %q", deps)
+		} else if len(p.MemDeps) != 0 {
+			t.Errorf("unexpected memdeps %v", p.MemDeps)
 		}
 	}
 	if chained != 1 {
 		t.Fatalf("%d pipelines record the store->load dependence 0>1, want the one that has it (the planner no longer cuts between the store and the load?)", chained)
 	}
-	if n := tokenQueues(m); n != 1 {
+	if n := queues(t, m, true); n != 1 {
 		t.Errorf("lowering creates %d token queues, want the one link 0>1", n)
 	}
 	if err := verify.Module(m, verify.TierComm).Err(); err != nil {

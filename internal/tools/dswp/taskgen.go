@@ -3,8 +3,6 @@ package dswp
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"noelle/internal/analysis"
 	"noelle/internal/env"
@@ -391,17 +389,15 @@ func transform(p *Plan, taskName string) {
 		bulkPop:  m.DeclareFunction(interp.ExternQueuePopN, ir.FuncOf(ir.VoidType, i64, buf, i64)),
 		close:    m.DeclareFunction(interp.ExternQueueClose, ir.FuncOf(ir.VoidType, i64)),
 	}
-	o := loopbuilder.BeginOutline(m, p.LS, taskName)
+	o := loopbuilder.BeginOutline(m, p.LS)
 
 	// ---- queue creation in the pre-header ----
-	newQueue := func(name, role string, capacity int64) ir.Value {
-		q := o.Bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capacity)}, name)
-		o.Tag(q, verify.MDQueue, role)
-		return q
+	newQueue := func(name string, capacity int64) ir.Value {
+		return o.Bld.CreateCall(qcreate, []ir.Value{ir.ConstInt(capacity)}, name)
 	}
 	qs.val = make([]ir.Value, len(x.edges))
 	for i := range x.edges {
-		qs.val[i] = newQueue(fmt.Sprintf("q%d", i), verify.QueueValue, chunkedQueueCap)
+		qs.val[i] = newQueue(fmt.Sprintf("q%d", i), chunkedQueueCap)
 	}
 	// tok[k] links stage k to stage k+1; nil where no cross-stage memory
 	// dependence spans the pair (the comm tier's coverage check asks for
@@ -415,7 +411,7 @@ func transform(p *Plan, taskName string) {
 			if qs.tok[k] == nil {
 				qs.push = m.DeclareFunction(interp.ExternQueuePush, ir.FuncOf(ir.VoidType, i64, i64))
 				qs.pop = m.DeclareFunction(interp.ExternQueuePop, ir.FuncOf(i64, i64))
-				qs.tok[k] = newQueue(fmt.Sprintf("tq%d", k), verify.QueueToken, chunkedQueueCap/chunk)
+				qs.tok[k] = newQueue(fmt.Sprintf("tq%d", k), chunkedQueueCap/chunk)
 			}
 		}
 	}
@@ -439,20 +435,26 @@ func transform(p *Plan, taskName string) {
 	o.PackEnv(eb, 0, "dswp.env")
 
 	// ---- stage workers + the worker-id demultiplexer ----
+	proto := &verify.Protocol{Technique: verify.DSWP, K: chunk, MemDeps: memDeps}
 	stages := make([]*env.Task, p.NumStages)
 	for s := range stages {
-		stages[s] = o.NewTask(fmt.Sprintf("%s.stage%d", taskName, s), verify.KindDSWPStage)
-		stages[s].Fn.SetMD(verify.MDStage, strconv.Itoa(s))
+		stages[s] = o.NewTask(fmt.Sprintf("%s.stage%d", taskName, s))
+		proto.Tasks = append(proto.Tasks, stages[s].Fn.Nam)
 		buildStage(p, stages[s], x, qs, s)
 	}
-	wrapper := o.NewTask(taskName, verify.KindDSWPWrapper)
-	wrapper.Fn.SetMD(verify.MDStages, strconv.Itoa(p.NumStages))
-	wrapper.Fn.SetMD(verify.MDMemDeps, memDepsMD(memDeps))
-	wrapper.Fn.SetMD(verify.MDChunk, strconv.Itoa(chunk))
+	wrapper := o.NewTask(taskName)
 	buildWrapper(wrapper, stages)
+	for i, e := range x.edges {
+		proto.Queues = append(proto.Queues, verify.Queue{Slot: int64(o.Env.SlotOf(qs.val[i]).Index), From: e.from, To: e.to})
+	}
+	for k, q := range qs.tok {
+		if q != nil {
+			proto.Queues = append(proto.Queues, verify.Queue{Slot: int64(o.Env.SlotOf(q).Index), Token: true, From: k, To: k + 1})
+		}
+	}
 
 	// ---- dispatch + live-out reconstruction ----
-	o.Dispatch(wrapper.Fn, ir.ConstInt(int64(p.NumStages)))
+	o.Dispatch(wrapper.Fn, ir.ConstInt(int64(p.NumStages)), proto)
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
 		finals[out] = o.Reload(o.Env.SlotOf(out).Index, out.Ty)
@@ -495,16 +497,6 @@ func crossStageMemDeps(p *Plan) [][2]int {
 		return pairs[i][1] < pairs[j][1]
 	})
 	return pairs
-}
-
-// memDepsMD renders the dependences as the wrapper's noelle.memdeps
-// metadata, which the comm linter checks the token chain against.
-func memDepsMD(pairs [][2]int) string {
-	parts := make([]string, len(pairs))
-	for i, pr := range pairs {
-		parts[i] = fmt.Sprintf("%d>%d", pr[0], pr[1])
-	}
-	return strings.Join(parts, ",")
 }
 
 // pubStageOf picks the stage that publishes a live-out: the owning stage

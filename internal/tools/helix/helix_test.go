@@ -278,9 +278,9 @@ func runLowered(t *testing.T, src string, wantMinLowered int) auto.Result {
 // nseq sequential segments.
 func helixTask(t *testing.T, m *ir.Module, nseq int) string {
 	t.Helper()
-	for _, f := range m.Functions {
-		if f.MD.Get(verify.MDKind) == verify.KindHelixTask && f.MD.Get(verify.MDSegments) == fmt.Sprint(nseq) {
-			return ir.Print(&ir.Module{Name: "task", Functions: []*ir.Function{f}})
+	for _, l := range verify.Lowerings(m) {
+		if l.Err == nil && l.Proto.Technique == verify.HELIX && len(l.Proto.Signals) == nseq {
+			return ir.Print(&ir.Module{Name: "task", Functions: []*ir.Function{l.Tasks[0]}})
 		}
 	}
 	t.Fatalf("no helix task with %d segments\n%s", nseq, ir.Print(m))

@@ -2,8 +2,6 @@ package helix
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"noelle/internal/analysis"
 	"noelle/internal/env"
@@ -405,7 +403,7 @@ func transform(p *Plan, taskName string) error {
 	screate := m.DeclareFunction(interp.ExternSignalCreate, ir.FuncOf(i64, i64))
 	swait := m.DeclareFunction(interp.ExternSignalWait, ir.FuncOf(ir.VoidType, i64, i64))
 	sfire := m.DeclareFunction(interp.ExternSignalFire, ir.FuncOf(ir.VoidType, i64, i64))
-	o := loopbuilder.BeginOutline(m, ls, taskName)
+	o := loopbuilder.BeginOutline(m, ls)
 
 	// ---- pre-header: trip count, block size, signals, environment ----
 	tc, err := loopbuilder.EmitTripCount(o.Bld, l.IVs.GoverningIV())
@@ -417,9 +415,7 @@ func transform(p *Plan, taskName string) error {
 	nblocks := o.Bld.CreateBinOp(ir.OpDiv, up, blk, "nblocks")
 	sigs := make([]ir.Value, p.NumSeq)
 	for s := range sigs {
-		sig := o.Bld.CreateCall(screate, []ir.Value{ir.ConstInt(0)}, fmt.Sprintf("sig%d", s))
-		o.Tag(sig, verify.MDSignal, strconv.Itoa(s))
-		sigs[s] = sig
+		sigs[s] = o.Bld.CreateCall(screate, []ir.Value{ir.ConstInt(0)}, fmt.Sprintf("sig%d", s))
 	}
 
 	// Cells: carried state (guarded by its segment's signal) and
@@ -443,21 +439,22 @@ func transform(p *Plan, taskName string) error {
 		eb.AddLiveOut(phi)
 	}
 	o.PackEnv(eb, 0, "helix.env")
-	var guarded []string
+	proto := &verify.Protocol{Technique: verify.HELIX, Tasks: []string{taskName}}
+	for s, sig := range sigs {
+		proto.Signals = append(proto.Signals, verify.Cell{Slot: int64(o.Env.SlotOf(sig).Index), Seg: s})
+	}
 	for _, phi := range cells {
 		slot := o.Env.SlotOf(phi).Index
 		o.Store(slot, ls.EntryIncoming(phi))
 		if s, ok := p.SegmentOf[phi]; ok {
-			guarded = append(guarded, fmt.Sprintf("%d:%d", slot, s))
+			proto.Carried = append(proto.Carried, verify.Cell{Slot: int64(slot), Seg: s})
 		}
 	}
 
 	// ---- the per-block task, one dispatched worker per block ----
-	task := o.NewTask(taskName, verify.KindHelixTask)
-	task.Fn.SetMD(verify.MDSegments, strconv.Itoa(p.NumSeq))
-	task.Fn.SetMD(verify.MDCarried, strings.Join(guarded, ","))
+	task := o.NewTask(taskName)
 	buildBlockTask(p, task, tc, blk, sigs, swait, sfire)
-	o.Dispatch(task.Fn, nblocks)
+	o.Dispatch(task.Fn, nblocks, proto)
 
 	// ---- live-out reconstruction ----
 	finals := map[*ir.Instr]ir.Value{}

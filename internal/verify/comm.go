@@ -1,18 +1,25 @@
 package verify
 
-// The comm tier: a protocol linter over lowered parallel plans. The
-// taskgens stamp their intent as metadata — which functions form a
-// pipeline family, which queue carries tokens for which stage pair,
-// which signal guards which sequential segment — and the linter
-// cross-checks the generated IR against that declared intent. Mutations
-// (and miscompiles) alter the IR, not the metadata, so a dropped token
-// push or a swapped wait/fire shows up as a named protocol violation
-// instead of a hang or a wrong answer at run time.
+// The comm tier: a protocol linter over lowered parallel plans. Every
+// lowering declares its protocol in one record (Protocol, stamped as
+// noelle.protocol on the noelle_dispatch call that runs it): the
+// technique, the task functions in stage order, a pipeline's K, its
+// queues (slot, role, producer and consumer stage) and cross-stage
+// memory dependences, a HELIX task's segment signals and carried cells.
+// The linter checks the generated IR against that record. Mutations (and
+// miscompiles) alter the IR, not the record, so a dropped token push or
+// a swapped wait/fire shows up as a named protocol violation instead of
+// a hang or a wrong answer at run time.
 //
-// Enforced protocol, per pipeline family:
+// Enforced protocol, per lowering:
 //
-//   - every queue is SPSC: exactly one producing stage and one consuming
-//     stage, and the value flows forward through the pipeline;
+//   - the record parses and is one a lowering could emit (ParseProtocol),
+//     and names task functions the module defines;
+//   - the host ships every recorded queue and signal: it stores a create
+//     of the right extern to the recorded slot of the environment it
+//     dispatches;
+//   - every queue is SPSC: pushed by its recorded producer stage only and
+//     popped by its recorded consumer stage only;
 //   - every communicating stage counts its position in the current chunk
 //     in a header phi of the stage loop that runs 0..K-1 and wraps, with
 //     one block that runs only on a chunk's first iteration and one that
@@ -37,212 +44,73 @@ package verify
 //     chain across workers stays acyclic); every access to a cell holding
 //     a segment's carried state sits inside that segment's bracket;
 //   - the token-queue chain covers every cross-stage memory dependence
-//     the plan recorded;
+//     the record lists, through links whose IR checks passed;
 //   - DOALL task bodies are communication-free.
-//
-// Code without family metadata is outside the linter's jurisdiction: the
-// comm tier constrains what the taskgens emit, not what users write.
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"noelle/internal/analysis"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
 )
 
-// Metadata keys the taskgens stamp on their output for the comm linter.
-const (
-	// MDKind marks a generated function's role (on functions).
-	MDKind = "noelle.kind"
-	// MDFamily names the lowering family — the task name passed to the
-	// lowerer — on every generated function and on each queue/signal
-	// create call, tying a pipeline's parts together.
-	MDFamily = "noelle.family"
-	// MDStage is a DSWP stage function's stage index.
-	MDStage = "noelle.stage"
-	// MDStages is the stage count, on the DSWP wrapper.
-	MDStages = "noelle.stages"
-	// MDSegments is the sequential-segment count, on a HELIX task.
-	MDSegments = "noelle.segments"
-	// MDCarried lists, on a HELIX task, the environment cells holding
-	// carried sequential state as "slot:segment" pairs, comma-separated
-	// ("" when none).
-	MDCarried = "noelle.carried"
-	// MDMemDeps lists the plan's cross-stage memory dependences on the
-	// DSWP wrapper as "from>to" pairs, comma-separated ("" when none).
-	MDMemDeps = "noelle.memdeps"
-	// MDChunk is, on the DSWP wrapper, the iterations one bulk queue
-	// operation of the pipeline moves.
-	MDChunk = "noelle.chunk"
-	// MDQueue marks a noelle_queue_create call as QueueToken or
-	// QueueValue.
-	MDQueue = "noelle.queue"
-	// MDSignal marks a noelle_signal_create call with the index of the
-	// sequential segment it guards.
-	MDSignal = "noelle.signal"
-)
-
-// MDKind values.
-const (
-	KindDSWPWrapper = "dswp-wrapper"
-	KindDSWPStage   = "dswp-stage"
-	KindHelixTask   = "helix-task"
-	KindDoallTask   = "doall-task"
-)
-
-// MDQueue values.
-const (
-	QueueToken = "token"
-	QueueValue = "value"
-)
-
-// channel is one queue or signal created by a lowering: the create call,
-// the function it lives in, its declared role, and the environment slot
-// its handle is shipped through (-1 when no store ships it).
-type channel struct {
-	create *ir.Instr
-	host   *ir.Function
-	role   string
-	slot   int64
-}
-
-// family groups one lowering's functions and channels under its task
-// name.
-type family struct {
-	name    string
-	wrapper *ir.Function
-	stages  map[int]*ir.Function
-	helix   *ir.Function
-	queues  []*channel
-	signals []*channel
-}
-
-// lintComm runs the protocol linter over every lowering family in m.
+// lintComm checks every recorded lowering of m against its record.
 func lintComm(m *ir.Module) []Finding {
-	fams, fs := collectFamilies(m)
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fam := fams[name]
-		if fam.wrapper != nil || len(fam.stages) > 0 || len(fam.queues) > 0 {
-			fs = append(fs, lintDSWP(fam)...)
+	var fs []Finding
+	for _, l := range Lowerings(m) {
+		c := &checker{Lowering: l}
+		switch {
+		case l.Err != nil:
+			c.find(l.Host.Nam, "malformed %s record: %v", MDProtocol, l.Err)
+		case l.Proto.Technique == DOALL:
+			c.doall()
+		case l.Proto.Technique == DSWP:
+			c.dswp()
+		default:
+			c.helix()
 		}
-		if fam.helix != nil || len(fam.signals) > 0 {
-			fs = append(fs, lintHELIX(fam)...)
-		}
+		fs = append(fs, c.fs...)
 	}
-	fs = append(fs, lintDOALL(m)...)
 	return fs
 }
 
-// collectFamilies gathers the metadata-stamped functions and channel
-// creates of m, grouped by family name.
-func collectFamilies(m *ir.Module) (map[string]*family, []Finding) {
-	var fs []Finding
-	fams := map[string]*family{}
-	fam := func(name string) *family {
-		f, ok := fams[name]
-		if !ok {
-			f = &family{name: name, stages: map[int]*ir.Function{}}
-			fams[name] = f
-		}
-		return f
-	}
-	for _, f := range m.Functions {
-		if f.IsDeclaration() {
-			continue
-		}
-		name := f.MD.Get(MDFamily)
-		if name == "" {
-			name = f.Nam
-		}
-		switch f.MD.Get(MDKind) {
-		case KindDSWPWrapper:
-			fam(name).wrapper = f
-		case KindDSWPStage:
-			s, err := strconv.Atoi(f.MD.Get(MDStage))
-			if err != nil || s < 0 {
-				fs = append(fs, Finding{Tier: TierComm, Fn: f.Nam,
-					Detail: fmt.Sprintf("dswp stage function has invalid %s=%q", MDStage, f.MD.Get(MDStage))})
-				continue
-			}
-			fam(name).stages[s] = f
-		case KindHelixTask:
-			fam(name).helix = f
-		}
-	}
-	m.Instrs(func(host *ir.Function, in *ir.Instr) bool {
-		if in.Opcode != ir.OpCall {
-			return true
-		}
-		callee := in.CalledFunction()
-		if callee == nil {
-			return true
-		}
-		name := in.MD.Get(MDFamily)
-		switch {
-		case callee.Nam == interp.ExternQueueCreate && in.MD.Has(MDQueue):
-			if name == "" {
-				return true // untracked queue: outside the linter's jurisdiction
-			}
-			fam(name).queues = append(fam(name).queues, &channel{
-				create: in, host: host, role: in.MD.Get(MDQueue), slot: shippedSlot(host, in),
-			})
-		case callee.Nam == interp.ExternSignalCreate && in.MD.Has(MDSignal):
-			if name == "" {
-				return true
-			}
-			fam(name).signals = append(fam(name).signals, &channel{
-				create: in, host: host, role: in.MD.Get(MDSignal), slot: shippedSlot(host, in),
-			})
-		}
-		return true
-	})
-	for _, f := range fams {
-		sortChannels(f.queues)
-		sortChannels(f.signals)
-	}
-	return fams, fs
+// checker lints one lowering against its record.
+type checker struct {
+	*Lowering
+	fs []Finding
 }
 
-// sortChannels orders channels by environment slot, unshipped (-1) last.
-func sortChannels(chs []*channel) {
-	sort.SliceStable(chs, func(i, j int) bool {
-		a, b := chs[i].slot, chs[j].slot
-		if (a < 0) != (b < 0) {
-			return b < 0
-		}
-		return a < b
-	})
+func (c *checker) find(fn, format string, args ...interface{}) {
+	c.fs = append(c.fs, Finding{Tier: TierComm, Fn: fn, Detail: fmt.Sprintf(format, args...)})
 }
 
-// shippedSlot finds the environment slot a channel handle is stored to:
-// store create, ptradd(env, const slot). -1 when no such store exists —
-// an orphaned channel no task can ever reach.
-func shippedSlot(host *ir.Function, create *ir.Instr) int64 {
-	slot := int64(-1)
-	host.Instrs(func(in *ir.Instr) bool {
-		if in.Opcode != ir.OpStore || len(in.Ops) != 2 || in.Ops[0] != ir.Value(create) {
+// shipped reports whether the host stores a call to create into slot of
+// the environment it dispatches, and names the channel (what) when not.
+func (c *checker) shipped(create string, slot int64, what string) bool {
+	env := c.Call.CallArgs()[1]
+	if a, _ := env.(*ir.Instr); a != nil && a.Opcode == ir.OpAlloca && slot >= int64(a.AllocaCount) {
+		c.find(c.Host.Nam, "%s is outside the %d-cell environment", what, a.AllocaCount)
+		return false
+	}
+	found := false
+	c.Host.Instrs(func(in *ir.Instr) bool {
+		if in.Opcode != ir.OpStore || len(in.Ops) != 2 {
 			return true
 		}
-		addr, ok := in.Ops[1].(*ir.Instr)
-		if !ok || addr.Opcode != ir.OpPtrAdd {
-			return true
+		v, _ := in.Ops[0].(*ir.Instr)
+		addr, _ := in.Ops[1].(*ir.Instr)
+		if v != nil && addr != nil && v.Opcode == ir.OpCall && addr.Opcode == ir.OpPtrAdd && addr.Ops[0] == env {
+			callee := v.CalledFunction()
+			found = callee != nil && callee.Nam == create && isConstInt(addr.Ops[1], slot)
 		}
-		if c, ok := addr.Ops[1].(*ir.Const); ok {
-			slot = c.Int
-			return false
-		}
-		return true
+		return !found
 	})
-	return slot
+	if !found {
+		c.find(c.Host.Nam, "%s is created but never shipped to an environment slot (orphaned)", what)
+	}
+	return found
 }
 
 // commOp is one queue/signal operation a task issues, resolved to the
@@ -250,27 +118,26 @@ func shippedSlot(host *ir.Function, create *ir.Instr) int64 {
 type commOp struct {
 	instr *ir.Instr
 	name  string // extern name
+	stage int    // the issuing stage, in a pipeline
 }
 
 // taskOps indexes a task function's communication operations by handle
-// slot, with lazily-built dominator tree and loop info for placement
-// checks.
+// slot, with the dominator tree and loop info for placement checks.
 type taskOps struct {
 	fn  *ir.Function
 	ops map[int64][]*commOp
 	dom *analysis.DomTree
 	li  *analysis.LoopInfo
-	// chunks is the stage's chunk structure (DSWP stages only), derived
-	// on first use; nil when the IR has none.
-	chunks     *chunking
-	chunksDone bool
+	// chunks is the stage's chunk structure (DSWP stages only); nil when
+	// the IR has none.
+	chunks *chunking
 }
 
 // scanTask resolves fn's communication calls to environment slots. A
 // handle is recognized through the lowering's access pattern:
 // load(ptradd(envParam, const slot)).
 func scanTask(fn *ir.Function) *taskOps {
-	t := &taskOps{fn: fn, ops: map[int64][]*commOp{}}
+	t := &taskOps{fn: fn, ops: map[int64][]*commOp{}, dom: analysis.NewDomTree(fn), li: analysis.NewLoopInfo(fn)}
 	if len(fn.Params) == 0 {
 		return t
 	}
@@ -308,6 +175,7 @@ func scanTask(fn *ir.Function) *taskOps {
 		t.ops[slot] = append(t.ops[slot], &commOp{instr: in, name: callee.Nam})
 		return true
 	})
+	t.chunks = t.chunking()
 	return t
 }
 
@@ -320,31 +188,17 @@ func isCommExtern(name string) bool {
 	return false
 }
 
-func (t *taskOps) domTree() *analysis.DomTree {
-	if t.dom == nil {
-		t.dom = analysis.NewDomTree(t.fn)
-	}
-	return t.dom
-}
-
-func (t *taskOps) loops() *analysis.LoopInfo {
-	if t.li == nil {
-		t.li = analysis.NewLoopInfo(t.fn)
-	}
-	return t.li
-}
-
 // oncePerIteration reports whether in executes exactly once per
 // iteration of loop l: in one of l's own blocks (not in a loop nested in
 // it), dominating every latch. This is the balance condition — a staging
 // access placed here happens once along every path through the stage
 // body.
 func (t *taskOps) oncePerIteration(in *ir.Instr, l *analysis.NaturalLoop) bool {
-	if t.loops().LoopOf(in.Parent) != l {
+	if t.li.LoopOf(in.Parent) != l {
 		return false
 	}
 	for _, latch := range l.Latches {
-		if !t.domTree().Dominates(in.Parent, latch) {
+		if !t.dom.Dominates(in.Parent, latch) {
 			return false
 		}
 	}
@@ -374,15 +228,12 @@ func isConstInt(v ir.Value, want int64) bool {
 // chunking finds the stage's position counter and the blocks hanging off
 // its tests.
 func (t *taskOps) chunking() *chunking {
-	if t.chunksDone {
-		return t.chunks
-	}
-	t.chunksDone = true
+	var c *chunking
 	t.fn.Instrs(func(phi *ir.Instr) bool {
-		t.chunks = t.counterAt(phi)
-		return t.chunks == nil
+		c = t.counterAt(phi)
+		return c == nil
 	})
-	if c := t.chunks; c != nil {
+	if c != nil {
 		for b := range c.loop.Blocks {
 			preds := b.Preds()
 			if len(preds) != 1 {
@@ -398,13 +249,16 @@ func (t *taskOps) chunking() *chunking {
 			}
 		}
 	}
-	return t.chunks
+	return c
 }
 
 // counterAt matches phi against the position counter's shape.
 func (t *taskOps) counterAt(phi *ir.Instr) *chunking {
-	l := t.loops().LoopOf(phi.Parent)
-	if phi.Opcode != ir.OpPhi || len(phi.Ops) != 2 || l == nil || l.Header != phi.Parent {
+	if phi.Opcode != ir.OpPhi || len(phi.Ops) != 2 {
+		return nil
+	}
+	l := t.li.LoopOf(phi.Parent)
+	if l == nil || l.Header != phi.Parent {
 		return nil
 	}
 	var wrap *ir.Instr
@@ -463,7 +317,7 @@ func (t *taskOps) staging(buf ir.Value, op ir.Op) []*ir.Instr {
 
 // outsideLoops reports whether in sits outside every loop of its task.
 func (t *taskOps) outsideLoops(in *ir.Instr) bool {
-	return t.loops().LoopOf(in.Parent) == nil
+	return t.li.LoopOf(in.Parent) == nil
 }
 
 // reachableAfter returns the ops of others that can execute after from:
@@ -494,211 +348,140 @@ func reachableAfter(from *ir.Instr, others []*commOp) []*commOp {
 	return out
 }
 
-func opVerb(extern string) string {
-	switch extern {
-	case interp.ExternQueuePush, interp.ExternQueuePushN:
-		return "push"
-	case interp.ExternQueuePop, interp.ExternQueuePopN:
-		return "pop"
-	case interp.ExternQueueClose:
-		return "close"
-	case interp.ExternSignalWait:
-		return "wait"
-	case interp.ExternSignalFire:
-		return "fire"
+// dswp checks a pipeline: SPSC queue discipline against the recorded
+// stages, the chunked transfer protocol, the close protocol, and token
+// coverage of the recorded cross-stage memory dependences.
+func (c *checker) dswp() {
+	host := c.Host.Nam
+	scans := make([]*taskOps, len(c.Tasks))
+	for s, f := range c.Tasks {
+		scans[s] = scanTask(f)
 	}
-	return extern
-}
-
-// lintDSWP checks one pipeline family: SPSC queue discipline, the chunked
-// transfer protocol, the close protocol, and token coverage of the plan's
-// cross-stage memory dependences.
-func lintDSWP(fam *family) []Finding {
-	var fs []Finding
-	find := func(fn, format string, args ...interface{}) {
-		fs = append(fs, Finding{Tier: TierComm, Fn: fn, Detail: fmt.Sprintf(format, args...)})
-	}
-
-	if fam.wrapper == nil {
-		find("", "dswp family %q has stages or queues but no wrapper function", fam.name)
-		return fs
-	}
-	w := fam.wrapper
-	n, err := strconv.Atoi(w.MD.Get(MDStages))
-	if err != nil || n < 2 {
-		find(w.Nam, "dswp wrapper has invalid %s=%q", MDStages, w.MD.Get(MDStages))
-		return fs
-	}
-	missing := false
-	for s := 0; s < n; s++ {
-		if fam.stages[s] == nil {
-			find(w.Nam, "pipeline stage %d of %d has no stage function", s, n)
-			missing = true
-		}
-	}
-	if missing {
-		return fs
-	}
-
-	scans := make([]*taskOps, n)
-	for s := 0; s < n; s++ {
-		scans[s] = scanTask(fam.stages[s])
-	}
-	chunk, err := strconv.ParseInt(w.MD.Get(MDChunk), 10, 64)
-	if err != nil || chunk < 1 {
-		find(w.Nam, "dswp wrapper has invalid %s=%q", MDChunk, w.MD.Get(MDChunk))
-		return fs
-	}
+	stage := func(s int) string { return c.Tasks[s].Nam }
 
 	// tokenLinks[s] is set when a verified token queue orders stage s
 	// before stage s+1 — the happens-before the memory-dependence
 	// coverage check below consumes.
 	tokenLinks := map[int]bool{}
 
-	for _, q := range fam.queues {
-		if q.slot < 0 {
-			find(q.host.Nam, "%s queue %s is created but never shipped to an environment slot (orphaned)",
-				q.role, q.create.Ident())
+	for _, q := range c.Proto.Queues {
+		role := q.Role()
+		if !c.shipped(interp.ExternQueueCreate, q.Slot, fmt.Sprintf("%s queue (slot %d)", role, q.Slot)) {
 			continue
 		}
 		// Gather this queue's ops across the stages.
-		var pushes, pops, closes []stagedOp
-		for s := 0; s < n; s++ {
-			for _, o := range scans[s].ops[q.slot] {
-				so := stagedOp{stage: s, op: o}
+		var pushes, pops, closes []*commOp
+		for s, scan := range scans {
+			for _, o := range scan.ops[q.Slot] {
+				o.stage = s
 				switch o.name {
 				case interp.ExternQueuePush, interp.ExternQueuePushN:
-					pushes = append(pushes, so)
+					pushes = append(pushes, o)
 				case interp.ExternQueuePop, interp.ExternQueuePopN:
-					pops = append(pops, so)
+					pops = append(pops, o)
 				case interp.ExternQueueClose:
-					closes = append(closes, so)
+					closes = append(closes, o)
 				}
 			}
 		}
 		pushStages := stageSet(pushes)
 		popStages := stageSet(pops)
 
-		// SPSC: exactly one producing stage, exactly one consuming stage.
+		// SPSC: the recorded producer pushes, the recorded consumer pops,
+		// and no other stage does either.
 		switch {
 		case len(pushStages) == 0 && len(popStages) == 0:
-			find(w.Nam, "%s queue (slot %d) is shipped but no stage pushes or pops it", q.role, q.slot)
+			c.find(host, "%s queue (slot %d) is shipped but no stage pushes or pops it", role, q.Slot)
 			continue
 		case len(pushStages) == 0:
-			find(fam.stages[popStages[0]].Nam,
-				"%s queue (slot %d) is popped by stage %d but never pushed", q.role, q.slot, popStages[0])
+			c.find(stage(popStages[0]), "%s queue (slot %d) is popped by stage %d but never pushed", role, q.Slot, popStages[0])
 			continue
 		case len(popStages) == 0:
-			find(fam.stages[pushStages[0]].Nam,
-				"%s queue (slot %d) is pushed by stage %d but never popped", q.role, q.slot, pushStages[0])
+			c.find(stage(pushStages[0]), "%s queue (slot %d) is pushed by stage %d but never popped", role, q.Slot, pushStages[0])
 			continue
-		case len(pushStages) > 1:
-			find(w.Nam, "%s queue (slot %d) has producers in stages %v (SPSC wants exactly one)",
-				q.role, q.slot, pushStages)
+		case len(pushStages) > 1 || pushStages[0] != q.From:
+			c.find(host, "%s queue (slot %d) has producers in stages %v (SPSC wants exactly stage %d)", role, q.Slot, pushStages, q.From)
 			continue
-		case len(popStages) > 1:
-			find(w.Nam, "%s queue (slot %d) has consumers in stages %v (SPSC wants exactly one)",
-				q.role, q.slot, popStages)
+		case len(popStages) > 1 || popStages[0] != q.To:
+			c.find(host, "%s queue (slot %d) has consumers in stages %v (SPSC wants exactly stage %d)", role, q.Slot, popStages, q.To)
 			continue
 		}
-		prod, cons := pushStages[0], popStages[0]
-		linkOK := true
-		if q.role == QueueToken && cons != prod+1 {
-			find(w.Nam, "token queue (slot %d) links stage %d to stage %d (token queues must link adjacent stages)",
-				q.slot, prod, cons)
-			linkOK = false
-		}
-		if q.role == QueueValue && cons <= prod {
-			find(w.Nam, "value queue (slot %d) does not flow forward through the pipeline (stage %d to stage %d)",
-				q.slot, prod, cons)
-		}
+		prod := q.From
 
 		// One transfer per chunk on each side, plus the producer's short
 		// last one; a value queue moves staged buffers, a token queue one
 		// token.
-		if !lintChunked(find, fam, q, chunk, scans[prod], scans[cons], prod, cons, pushes, pops) {
-			linkOK = false
-		}
+		linkOK := c.chunked(q, scans[prod], scans[q.To], pushes, pops)
 
 		// Close protocol: the producer closes, exactly once, after its
 		// loop, and nothing touches the queue past the close.
-		for _, c := range closes {
-			if c.stage != prod {
-				find(fam.stages[c.stage].Nam, "%s queue (slot %d) is closed by stage %d, not its producer stage %d",
-					q.role, q.slot, c.stage, prod)
-			}
-		}
 		prodCloses := 0
-		for _, c := range closes {
-			if c.stage == prod {
+		for _, cl := range closes {
+			if cl.stage != prod {
+				c.find(stage(cl.stage), "%s queue (slot %d) is closed by stage %d, not its producer stage %d",
+					role, q.Slot, cl.stage, prod)
+			} else {
 				prodCloses++
 			}
 		}
 		switch {
 		case prodCloses == 0:
-			find(fam.stages[prod].Nam, "%s queue (slot %d) is never closed by its producer (stage %d)",
-				q.role, q.slot, prod)
+			c.find(stage(prod), "%s queue (slot %d) is never closed by its producer (stage %d)", role, q.Slot, prod)
 		case prodCloses > 1:
-			find(fam.stages[prod].Nam, "%s queue (slot %d) is closed %d times (double close)",
-				q.role, q.slot, prodCloses)
+			c.find(stage(prod), "%s queue (slot %d) is closed %d times (double close)", role, q.Slot, prodCloses)
 		}
-		for _, c := range closes {
-			if !scans[c.stage].outsideLoops(c.op.instr) {
-				find(fam.stages[c.stage].Nam, "close of %s queue (slot %d) executes inside the stage loop",
-					q.role, q.slot)
+		for _, cl := range closes {
+			if !scans[cl.stage].outsideLoops(cl.instr) {
+				c.find(stage(cl.stage), "close of %s queue (slot %d) executes inside the stage loop", role, q.Slot)
 			}
-			for _, o := range reachableAfter(c.op.instr, scans[c.stage].ops[q.slot]) {
+			for _, o := range reachableAfter(cl.instr, scans[cl.stage].ops[q.Slot]) {
 				if o.name == interp.ExternQueueClose {
 					continue // the double close above already names this
 				}
-				find(fam.stages[c.stage].Nam, "%s of %s queue (slot %d) is reachable after its close",
-					opVerb(o.name), q.role, q.slot)
+				c.find(stage(cl.stage), "@%s of %s queue (slot %d) is reachable after its close", o.name, role, q.Slot)
 			}
 		}
 
-		if q.role == QueueToken && linkOK {
+		if q.Token && linkOK {
 			tokenLinks[prod] = true
 		}
 	}
 
-	// Token coverage: each cross-stage memory dependence the plan
-	// recorded needs the complete chain of token links between its
-	// endpoints to carry the happens-before.
-	deps, depFs := parseMemDeps(w)
-	fs = append(fs, depFs...)
-	for _, d := range deps {
+	// Token coverage: each recorded cross-stage memory dependence needs
+	// the complete chain of token links between its endpoints to carry
+	// the happens-before.
+	for _, d := range c.Proto.MemDeps {
 		for k := d[0]; k < d[1]; k++ {
 			if !tokenLinks[k] {
-				find(w.Nam, "cross-stage memory dependence %d>%d is not covered by the token chain (missing token link %d>%d)",
+				c.find(host, "cross-stage memory dependence %d>%d is not covered by the token chain (missing token link %d>%d)",
 					d[0], d[1], k, k+1)
 				break
 			}
 		}
 	}
-	return fs
 }
 
-// lintChunked checks queue q's transfers against the chunk structure of
-// its two stages and reports whether they hold up.
-func lintChunked(find func(fn, format string, args ...interface{}), fam *family, q *channel, chunk int64,
-	ps, cs *taskOps, prod, cons int, pushes, pops []stagedOp) bool {
-	pfn, cfn := fam.stages[prod].Nam, fam.stages[cons].Nam
+// chunked checks queue q's transfers against the chunk structure of its
+// two stages and reports whether they hold up.
+func (c *checker) chunked(q Queue, ps, cs *taskOps, pushes, pops []*commOp) bool {
+	prod, cons, chunk, role := q.From, q.To, c.Proto.K, q.Role()
+	pfn, cfn := ps.fn.Nam, cs.fn.Nam
 	ok := true
 	bad := func(fn, format string, args ...interface{}) {
-		find(fn, format, args...)
+		c.find(fn, format, args...)
 		ok = false
 	}
 	wantPush, wantPop := interp.ExternQueuePushN, interp.ExternQueuePopN
-	if q.role == QueueToken {
+	if q.Token {
 		wantPush, wantPop = interp.ExternQueuePush, interp.ExternQueuePop
 	}
-	for _, o := range append(append([]stagedOp{}, pushes...), pops...) {
-		if o.op.name != wantPush && o.op.name != wantPop {
-			bad(fam.stages[o.stage].Nam, "%s queue (slot %d) is moved by @%s in stage %d (want @%s and @%s)",
-				q.role, q.slot, o.op.name, o.stage, wantPush, wantPop)
+	for _, o := range append(append([]*commOp{}, pushes...), pops...) {
+		if o.name != wantPush && o.name != wantPop {
+			bad(c.Tasks[o.stage].Nam, "%s queue (slot %d) is moved by @%s in stage %d (want @%s and @%s)",
+				role, q.Slot, o.name, o.stage, wantPush, wantPop)
 		}
 	}
-	pc, cc := ps.chunking(), cs.chunking()
+	pc, cc := ps.chunks, cs.chunks
 	if pc == nil {
 		bad(pfn, "stage %d has no chunk position counter (a header phi counting 0..K-1 and wrapping)", prod)
 	}
@@ -711,47 +494,47 @@ func lintChunked(find func(fn, format string, args ...interface{}), fam *family,
 
 	var perChunk, tail []*commOp
 	for _, p := range pushes {
-		if ps.outsideLoops(p.op.instr) {
-			tail = append(tail, p.op)
+		if ps.outsideLoops(p.instr) {
+			tail = append(tail, p)
 		} else {
-			perChunk = append(perChunk, p.op)
+			perChunk = append(perChunk, p)
 		}
 	}
 	if len(perChunk) != 1 {
-		bad(pfn, "stage %d pushes %s queue (slot %d) %d times per chunk (want exactly once)", prod, q.role, q.slot, len(perChunk))
+		bad(pfn, "stage %d pushes %s queue (slot %d) %d times per chunk (want exactly once)", prod, role, q.Slot, len(perChunk))
 	} else if perChunk[0].instr.Parent != pc.end {
-		bad(pfn, "push of %s queue (slot %d) does not execute exactly once per chunk", q.role, q.slot)
+		bad(pfn, "push of %s queue (slot %d) does not execute exactly once per chunk", role, q.Slot)
 	}
 	switch {
 	case len(tail) == 0:
-		bad(pfn, "tail chunk of %s queue (slot %d) is never pushed (want one push after the loop, before the close)", q.role, q.slot)
+		bad(pfn, "tail chunk of %s queue (slot %d) is never pushed (want one push after the loop, before the close)", role, q.Slot)
 	case len(tail) > 1:
-		bad(pfn, "tail chunk of %s queue (slot %d) is pushed %d times after the loop", q.role, q.slot, len(tail))
+		bad(pfn, "tail chunk of %s queue (slot %d) is pushed %d times after the loop", role, q.Slot, len(tail))
 	}
 	if len(pops) != 1 {
-		bad(cfn, "stage %d pops %s queue (slot %d) %d times per chunk (want exactly once)", cons, q.role, q.slot, len(pops))
-	} else if pops[0].op.instr.Parent != cc.begin {
-		bad(cfn, "pop of %s queue (slot %d) does not execute exactly once per chunk", q.role, q.slot)
+		bad(cfn, "stage %d pops %s queue (slot %d) %d times per chunk (want exactly once)", cons, role, q.Slot, len(pops))
+	} else if pops[0].instr.Parent != cc.begin {
+		bad(cfn, "pop of %s queue (slot %d) does not execute exactly once per chunk", role, q.Slot)
 	}
-	if !ok || q.role != QueueValue {
+	if !ok || q.Token {
 		return ok
 	}
 
-	push, last, pop := perChunk[0].instr.CallArgs(), tail[0].instr.CallArgs(), pops[0].op.instr.CallArgs()
+	push, last, pop := perChunk[0].instr.CallArgs(), tail[0].instr.CallArgs(), pops[0].instr.CallArgs()
 	pushK, popK := bulkCount(push), bulkCount(pop)
 	switch {
 	case pushK != popK:
-		bad(fam.wrapper.Nam, "chunk-size mismatch on value queue (slot %d): stage %d pushes %d values per chunk, stage %d pops %d",
-			q.slot, prod, pushK, cons, popK)
+		bad(c.Host.Nam, "chunk-size mismatch on value queue (slot %d): stage %d pushes %d values per chunk, stage %d pops %d",
+			q.Slot, prod, pushK, cons, popK)
 	case pushK != chunk || pc.k != chunk || cc.k != chunk:
-		bad(fam.wrapper.Nam, "value queue (slot %d) moves %d values per chunk between counters wrapping at %d and %d, the pipeline's chunk is %d",
-			q.slot, pushK, pc.k, cc.k, chunk)
+		bad(c.Host.Nam, "value queue (slot %d) moves %d values per chunk between counters wrapping at %d and %d, the pipeline's chunk is %d",
+			q.Slot, pushK, pc.k, cc.k, chunk)
 	}
 	if last[1] != push[1] || last[2] != ir.Value(pc.pos) {
-		bad(pfn, "tail push of value queue (slot %d) does not push the staged part of its buffer", q.slot)
+		bad(pfn, "tail push of value queue (slot %d) does not push the staged part of its buffer", q.Slot)
 	}
-	lintStaging(bad, q, ps, pc, prod, push[1], ir.OpStore, "store")
-	lintStaging(bad, q, cs, cc, cons, pop[1], ir.OpLoad, "load")
+	lintStaging(bad, q.Slot, ps, pc, prod, push[1], ir.OpStore, "store")
+	lintStaging(bad, q.Slot, cs, cc, cons, pop[1], ir.OpLoad, "load")
 	return ok
 }
 
@@ -766,121 +549,59 @@ func bulkCount(args []ir.Value) int64 {
 
 // lintStaging checks one end of a value queue: a buffer of the chunk's
 // size, accessed at the counted position exactly once per iteration.
-func lintStaging(bad func(fn, format string, args ...interface{}), q *channel, t *taskOps, c *chunking, stage int,
+func lintStaging(bad func(fn, format string, args ...interface{}), slot int64, t *taskOps, c *chunking, stage int,
 	buf ir.Value, op ir.Op, verb string) {
 	if a, _ := buf.(*ir.Instr); a == nil || a.Opcode != ir.OpAlloca || int64(a.AllocaCount) != c.k {
-		bad(t.fn.Nam, "staging buffer of value queue (slot %d) in stage %d is not a stage-local buffer of %d cells", q.slot, stage, c.k)
+		bad(t.fn.Nam, "staging buffer of value queue (slot %d) in stage %d is not a stage-local buffer of %d cells", slot, stage, c.k)
 		return
 	}
 	accesses := t.staging(buf, op)
 	if len(accesses) != 1 {
-		bad(t.fn.Nam, "stage %d has %d staging %ss for value queue (slot %d) (want exactly one)", stage, len(accesses), verb, q.slot)
+		bad(t.fn.Nam, "stage %d has %d staging %ss for value queue (slot %d) (want exactly one)", stage, len(accesses), verb, slot)
 		return
 	}
 	in := accesses[0]
 	if !t.oncePerIteration(in, c.loop) {
-		bad(t.fn.Nam, "staging %s of value queue (slot %d) does not execute exactly once per iteration", verb, q.slot)
+		bad(t.fn.Nam, "staging %s of value queue (slot %d) does not execute exactly once per iteration", verb, slot)
 	}
 	if addr := in.Ops[len(in.Ops)-1].(*ir.Instr); addr.Ops[1] != ir.Value(c.pos) {
-		bad(t.fn.Nam, "staging %s of value queue (slot %d) is not at the chunk position", verb, q.slot)
+		bad(t.fn.Nam, "staging %s of value queue (slot %d) is not at the chunk position", verb, slot)
 	}
 }
 
-// stagedOp is a communication operation tagged with the pipeline stage
-// that issues it.
-type stagedOp struct {
-	stage int
-	op    *commOp
-}
-
-// stageSet returns the distinct, ordered stage indices of ops.
-func stageSet(ops []stagedOp) []int {
-	seen := map[int]bool{}
+// stageSet returns the distinct, ordered stages issuing ops.
+func stageSet(ops []*commOp) []int {
 	var out []int
 	for _, o := range ops {
-		if !seen[o.stage] {
-			seen[o.stage] = true
-			out = append(out, o.stage)
-		}
+		out = append(out, o.stage)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// parseMemDeps reads the wrapper's recorded cross-stage memory
-// dependences: "from>to" pairs, comma-separated.
-func parseMemDeps(w *ir.Function) ([][2]int, []Finding) {
-	raw := w.MD.Get(MDMemDeps)
-	if raw == "" {
-		return nil, nil
-	}
-	var deps [][2]int
-	for _, part := range strings.Split(raw, ",") {
-		var from, to int
-		if _, err := fmt.Sscanf(part, "%d>%d", &from, &to); err != nil || from >= to || from < 0 {
-			return nil, []Finding{{Tier: TierComm, Fn: w.Nam,
-				Detail: fmt.Sprintf("dswp wrapper has malformed %s entry %q", MDMemDeps, part)}}
-		}
-		deps = append(deps, [2]int{from, to})
-	}
-	return deps, nil
-}
-
-// lintHELIX checks one per-block task family: each sequential segment's
-// signal is bracketed by exactly one wait(worker) and one fire(worker+1),
-// both outside the task's loops (once per block), with the wait
-// dominating the fire so the cross-worker happens-before chain stays
-// acyclic, and the segment's carried-state cells are touched only inside
-// the bracket.
-func lintHELIX(fam *family) []Finding {
-	var fs []Finding
-	find := func(fn, format string, args ...interface{}) {
-		fs = append(fs, Finding{Tier: TierComm, Fn: fn, Detail: fmt.Sprintf(format, args...)})
-	}
-	if fam.helix == nil {
-		find("", "helix family %q has signals but no task function", fam.name)
-		return fs
-	}
-	task := fam.helix
-	nsegs, err := strconv.Atoi(task.MD.Get(MDSegments))
-	if err != nil || nsegs < 0 {
-		find(task.Nam, "helix task has invalid %s=%q", MDSegments, task.MD.Get(MDSegments))
-		return fs
-	}
-	bySeg := map[int]*channel{}
-	for _, ch := range fam.signals {
-		s, err := strconv.Atoi(ch.role)
-		if err != nil || s < 0 {
-			find(ch.host.Nam, "signal %s has invalid %s=%q", ch.create.Ident(), MDSignal, ch.role)
-			continue
-		}
-		if bySeg[s] != nil {
-			find(ch.host.Nam, "sequential segment %d has two signals", s)
-			continue
-		}
-		bySeg[s] = ch
+// helix checks a per-block task: each recorded segment signal is
+// bracketed by exactly one wait(worker) and one fire(worker+1), both
+// outside the task's loops (once per block), with the wait dominating the
+// fire so the cross-worker happens-before chain stays acyclic, and each
+// recorded carried cell is touched only inside its segment's bracket.
+func (c *checker) helix() {
+	task := c.Tasks[0]
+	if len(task.Params) < 2 {
+		c.find(task.Nam, "helix task does not have the (env, worker, nworkers) signature")
+		return
 	}
 	scan := scanTask(task)
-	if len(task.Params) < 2 {
-		find(task.Nam, "helix task does not have the (env, worker, nworkers) signature")
-		return fs
-	}
 	worker := ir.Value(task.Params[1])
 	type bracket struct{ wait, fire *ir.Instr }
 	brackets := map[int]bracket{}
 
-	for s := 0; s < nsegs; s++ {
-		ch := bySeg[s]
-		if ch == nil {
-			find(task.Nam, "sequential segment %d has no signal", s)
-			continue
-		}
-		if ch.slot < 0 {
-			find(ch.host.Nam, "signal for segment %d is created but never shipped to an environment slot (orphaned)", s)
+	for _, sig := range c.Proto.Signals {
+		s := sig.Seg
+		if !c.shipped(interp.ExternSignalCreate, sig.Slot, fmt.Sprintf("signal for segment %d (slot %d)", s, sig.Slot)) {
 			continue
 		}
 		var waits, fires []*commOp
-		for _, o := range scan.ops[ch.slot] {
+		for _, o := range scan.ops[sig.Slot] {
 			switch o.name {
 			case interp.ExternSignalWait:
 				waits = append(waits, o)
@@ -890,34 +611,34 @@ func lintHELIX(fam *family) []Finding {
 		}
 		switch {
 		case len(waits) == 0 && len(fires) == 0:
-			find(task.Nam, "signal for segment %d is never awaited or fired", s)
+			c.find(task.Nam, "signal for segment %d is never awaited or fired", s)
 			continue
 		case len(waits) == 0:
-			find(task.Nam, "signal for segment %d is fired but never awaited", s)
+			c.find(task.Nam, "signal for segment %d is fired but never awaited", s)
 			continue
 		case len(fires) == 0:
-			find(task.Nam, "signal for segment %d is awaited but never fired (later workers would wait forever)", s)
+			c.find(task.Nam, "signal for segment %d is awaited but never fired (later workers would wait forever)", s)
 			continue
 		case len(waits) > 1:
-			find(task.Nam, "signal for segment %d is awaited %d times (want exactly once)", s, len(waits))
+			c.find(task.Nam, "signal for segment %d is awaited %d times (want exactly once)", s, len(waits))
 			continue
 		case len(fires) > 1:
-			find(task.Nam, "signal for segment %d is fired %d times (want exactly once)", s, len(fires))
+			c.find(task.Nam, "signal for segment %d is fired %d times (want exactly once)", s, len(fires))
 			continue
 		}
 		wait, fire := waits[0], fires[0]
 		if args := wait.instr.CallArgs(); len(args) == 2 && args[1] != worker {
-			find(task.Nam, "wait ticket of segment %d signal is not the worker index", s)
+			c.find(task.Nam, "wait ticket of segment %d signal is not the worker index", s)
 		}
 		if args := fire.instr.CallArgs(); len(args) == 2 && !isPlusOne(args[1], worker) {
-			find(task.Nam, "fire ticket of segment %d signal is not worker+1", s)
+			c.find(task.Nam, "fire ticket of segment %d signal is not worker+1", s)
 		}
-		if !scan.domTree().DominatesInstr(wait.instr, fire.instr) {
-			find(task.Nam, "fire of segment %d signal precedes its wait (happens-before chain is cyclic)", s)
+		if !scan.dom.DominatesInstr(wait.instr, fire.instr) {
+			c.find(task.Nam, "fire of segment %d signal precedes its wait (happens-before chain is cyclic)", s)
 		}
 		for _, o := range []*commOp{wait, fire} {
 			if !scan.outsideLoops(o.instr) {
-				find(task.Nam, "@%s of segment %d signal sits in a loop of the task (want once per block)", o.name, s)
+				c.find(task.Nam, "@%s of segment %d signal sits in a loop of the task (want once per block)", o.name, s)
 			}
 		}
 		brackets[s] = bracket{wait.instr, fire.instr}
@@ -927,16 +648,8 @@ func lintHELIX(fam *family) []Finding {
 	// its write-back precede the fire, or a neighbouring block reads a
 	// stale value (or overwrites a fresh one).
 	carried := map[int64]int{}
-	if raw := task.MD.Get(MDCarried); raw != "" {
-		for _, part := range strings.Split(raw, ",") {
-			var slot int64
-			var seg int
-			if _, err := fmt.Sscanf(part, "%d:%d", &slot, &seg); err != nil {
-				find(task.Nam, "helix task has malformed %s entry %q", MDCarried, part)
-				return fs
-			}
-			carried[slot] = seg
-		}
+	for _, cell := range c.Proto.Carried {
+		carried[cell.Slot] = cell.Seg
 	}
 	task.Instrs(func(in *ir.Instr) bool {
 		var addr ir.Value
@@ -957,12 +670,11 @@ func lintHELIX(fam *family) []Finding {
 		seg, isCarried := carried[cell.Int]
 		br, bracketed := brackets[seg]
 		if isCarried && bracketed &&
-			!(scan.domTree().DominatesInstr(br.wait, in) && scan.domTree().DominatesInstr(in, br.fire)) {
-			find(task.Nam, "carried state of segment %d (environment cell %d) is accessed outside the segment's wait/fire bracket", seg, cell.Int)
+			!(scan.dom.DominatesInstr(br.wait, in) && scan.dom.DominatesInstr(in, br.fire)) {
+			c.find(task.Nam, "carried state of segment %d (environment cell %d) is accessed outside the segment's wait/fire bracket", seg, cell.Int)
 		}
 		return true
 	})
-	return fs
 }
 
 // isPlusOne matches add(x, 1): the fire ticket over the worker index, the
@@ -983,25 +695,18 @@ func isPlusOne(v ir.Value, x ir.Value) bool {
 	return false
 }
 
-// lintDOALL checks that DOALL task bodies stay communication-free:
+// doall checks that the task body stays communication-free:
 // embarrassingly-parallel workers have no business touching queues or
 // signals.
-func lintDOALL(m *ir.Module) []Finding {
-	var fs []Finding
-	for _, f := range m.Functions {
-		if f.IsDeclaration() || f.MD.Get(MDKind) != KindDoallTask {
-			continue
-		}
-		f.Instrs(func(in *ir.Instr) bool {
-			if in.Opcode != ir.OpCall {
-				return true
-			}
-			if callee := in.CalledFunction(); callee != nil && isCommExtern(callee.Nam) {
-				fs = append(fs, Finding{Tier: TierComm, Fn: f.Nam,
-					Detail: fmt.Sprintf("doall task calls communication extern @%s (DOALL bodies must be communication-free)", callee.Nam)})
-			}
+func (c *checker) doall() {
+	task := c.Tasks[0]
+	task.Instrs(func(in *ir.Instr) bool {
+		if in.Opcode != ir.OpCall {
 			return true
-		})
-	}
-	return fs
+		}
+		if callee := in.CalledFunction(); callee != nil && isCommExtern(callee.Nam) {
+			c.find(task.Nam, "doall task calls communication extern @%s (DOALL bodies must be communication-free)", callee.Nam)
+		}
+		return true
+	})
 }

@@ -58,17 +58,19 @@ module "clean"
 declare @noelle_signal_create : fn(i64) i64
 declare @noelle_signal_wait : fn(i64, i64) void
 declare @noelle_signal_fire : fn(i64, i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
 
 func @host() i64 {
 entry:
   %env = alloca i64, 1
-  %sg = call i64 @noelle_signal_create(0) !{noelle.signal="0", noelle.family="htask"}
+  %sg = call i64 @noelle_signal_create(0)
   %a0 = ptradd %env, 0
   store i64 %sg, %a0
+  call void @noelle_dispatch(@htask, %env, 2) !{noelle.protocol="helix tasks=htask signals=0:0"}
   ret 0
 }
 
-func @htask(%env: ptr<i64>, %w: i64, %n: i64) void !{noelle.kind="helix-task", noelle.family="htask", noelle.segments="1"} {
+func @htask(%env: ptr<i64>, %w: i64, %n: i64) void {
 entry:
   %a0 = ptradd %env, 0
   %sg = load i64, %a0

@@ -2,7 +2,9 @@
 # serve_smoke.sh — end-to-end smoke check for the compile service
 # (make serve-smoke).
 #
-# Starts noelle-serve under -race on a unix socket, drives it with
+# Builds noelle-serve with -race into the work directory first (so the
+# daemon's start is not a cold race build racing servesmoke's dial
+# window), starts it on a unix socket, drives it with
 # scripts/servesmoke (cold populate, concurrent identical burst that
 # must coalesce, warm re-run that must hit the resident session, mixed
 # second-module traffic, stats assertions), then
@@ -16,13 +18,17 @@ trap 'rm -rf "$workdir"; [ -n "${daemon_pid:-}" ] && kill "$daemon_pid" 2>/dev/n
 sock="$workdir/noelle.sock"
 cache="$workdir/cache"
 
+echo "== build daemon (-race) =="
+go build -race -o "$workdir/noelle-serve" ./cmd/noelle-serve
+
 echo "== start daemon =="
-go run -race ./cmd/noelle-serve -listen "unix:$sock" -cache-dir "$cache" \
+"$workdir/noelle-serve" -listen "unix:$sock" -cache-dir "$cache" \
   -workers 2 -queue 32 -sessions 8 -metrics 2> "$workdir/daemon.log" &
 daemon_pid=$!
 
 echo "== drive traffic (scripts/servesmoke) =="
-go run ./scripts/servesmoke -addr "unix:$sock" -out-dir "$workdir"
+go run ./scripts/servesmoke -addr "unix:$sock" -out-dir "$workdir" \
+  -daemon-pid "$daemon_pid" -daemon-log "$workdir/daemon.log"
 
 echo "== wait for clean daemon exit =="
 if ! wait "$daemon_pid"; then

@@ -5,9 +5,13 @@
 // module, and a stats probe asserting warm-hit and coalesce counters
 // moved. It writes the module and the canonical report rendering under
 // -out-dir so scripts/serve_smoke.sh can diff them against a cold
-// noelle-load run, then asks the daemon to shut down.
+// noelle-load run, then asks the daemon to shut down. Given the daemon's
+// -daemon-pid, it stops waiting for the daemon to come up as soon as that
+// process has exited, and prints -daemon-log.
 //
 // Usage: go run ./scripts/servesmoke -addr unix:PATH|tcp:HOST:PORT [-out-dir DIR]
+//
+//	[-daemon-pid PID] [-daemon-log FILE]
 package main
 
 import (
@@ -17,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"noelle/internal/ir"
@@ -85,8 +90,10 @@ func moduleText(seed int) (string, error) {
 func main() {
 	addr := flag.String("addr", "", "daemon address (unix:PATH or tcp:HOST:PORT)")
 	outDir := flag.String("out-dir", ".", "directory for the module and report artifacts")
+	daemonPid := flag.Int("daemon-pid", 0, "the daemon's process id: stop waiting for it once it has exited")
+	daemonLog := flag.String("daemon-log", "", "the daemon's log, printed when it never comes up")
 	flag.Parse()
-	if err := smoke(*addr, *outDir); err != nil {
+	if err := smoke(*addr, *outDir, *daemonPid, *daemonLog); err != nil {
 		fmt.Fprintln(os.Stderr, "servesmoke:", err)
 		os.Exit(1)
 	}
@@ -109,7 +116,7 @@ func renderRun(cl *serve.Client, req *serve.RunRequest) (string, *serve.Done, er
 	return b.String(), done, nil
 }
 
-func smoke(addr, outDir string) error {
+func smoke(addr, outDir string, daemonPid int, daemonLog string) error {
 	if addr == "" {
 		return fmt.Errorf("-addr is required")
 	}
@@ -125,14 +132,16 @@ func smoke(addr, outDir string) error {
 		return err
 	}
 
-	// The daemon may still be binding its socket.
+	// The daemon may still be binding its socket, or may have died.
 	var cl *serve.Client
 	for i := 0; ; i++ {
 		if cl, err = serve.Dial(addr); err == nil {
 			break
 		}
-		if i > 100 {
-			return fmt.Errorf("daemon never came up at %s: %w", addr, err)
+		exited := daemonPid > 0 && syscall.Kill(daemonPid, 0) != nil
+		if i > 100 || exited {
+			log, _ := os.ReadFile(daemonLog)
+			return fmt.Errorf("daemon never came up at %s (exited: %v): %w\ndaemon log:\n%s", addr, exited, err, log)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
