@@ -313,6 +313,15 @@ func (img *image) registerExterns(es ...externEntry) {
 	}
 }
 
+func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
+	i, has := (*img.externIdx.Load())[name]
+	if !has {
+		return nil, -1, false
+	}
+	e := &(*img.externTab.Load())[i]
+	return e.fn, e.arity, true
+}
+
 // externFor returns the registered entry backing declaration f, or nil.
 // The hot path is one atomic load of f's cached table slot; resolution
 // through the name index happens once per declaration (and again after a

@@ -195,6 +195,9 @@ func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
 	it.img.registerExterns(externEntry{name: name, arity: arity, fn: fn})
 }
 
+// GlobalAddr returns the address of g's storage.
+func (it *Interp) GlobalAddr(g *ir.Global) int64 { return it.img.globalAddr[g] }
+
 // ValidAddress reports whether addr falls inside a live allocation.
 func (it *Interp) ValidAddress(addr int64) bool { return it.img.validAddress(addr) }
 

@@ -94,13 +94,3 @@ func BenchmarkQueueExterns(b *testing.B) {
 		})
 	}
 }
-
-// lookupExtern returns the extern registered under name.
-func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
-	i, has := (*img.externIdx.Load())[name]
-	if !has {
-		return nil, -1, false
-	}
-	e := &(*img.externTab.Load())[i]
-	return e.fn, e.arity, true
-}

@@ -137,3 +137,13 @@ func (f *Function) SetMD(key, value string) {
 	}
 	f.MD[key] = value
 }
+
+// ParamByName returns the parameter with the given name, or nil.
+func (f *Function) ParamByName(name string) *Param {
+	for _, p := range f.Params {
+		if p.Nam == name {
+			return p
+		}
+	}
+	return nil
+}

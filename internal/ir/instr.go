@@ -119,6 +119,15 @@ func (o Op) IsCompare() bool { return o >= OpEq && o <= OpFGe }
 // IsTerminator reports whether o terminates a basic block.
 func (o Op) IsTerminator() bool { return o == OpBr || o == OpCondBr || o == OpRet }
 
+// IsCommutative reports whether the binary operation commutes.
+func (o Op) IsCommutative() bool {
+	switch o {
+	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpFAdd, OpFMul, OpEq, OpNe, OpFEq, OpFNe:
+		return true
+	}
+	return false
+}
+
 // SwappedCompare returns the comparison opcode that yields the same result
 // when the operands are swapped (e.g. lt -> gt), and ok=false when o is not
 // a comparison.
@@ -196,6 +205,17 @@ func (in *Instr) HasResult() bool { return in.Ty != nil && in.Ty.Kind != VoidKin
 
 // IsTerminator reports whether the instruction ends its block.
 func (in *Instr) IsTerminator() bool { return in.Opcode.IsTerminator() }
+
+// MayReadMemory reports whether the instruction may read from memory.
+func (in *Instr) MayReadMemory() bool {
+	switch in.Opcode {
+	case OpLoad:
+		return true
+	case OpCall:
+		return true // refined by mod/ref analysis
+	}
+	return false
+}
 
 // MayWriteMemory reports whether the instruction may write to memory.
 func (in *Instr) MayWriteMemory() bool {

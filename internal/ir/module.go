@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 )
 
 // Module is a translation unit: globals plus functions. noelle-whole-ir
@@ -124,6 +125,18 @@ func (m *Module) NumInstrs() int {
 		n += f.NumInstrs()
 	}
 	return n
+}
+
+// SortFunctions orders functions by name (declarations last) to make
+// linked-module output deterministic.
+func (m *Module) SortFunctions() {
+	sort.SliceStable(m.Functions, func(i, j int) bool {
+		fi, fj := m.Functions[i], m.Functions[j]
+		if fi.IsDeclaration() != fj.IsDeclaration() {
+			return !fi.IsDeclaration()
+		}
+		return fi.Nam < fj.Nam
+	})
 }
 
 // Instrs calls fn for every instruction in the module.

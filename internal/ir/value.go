@@ -94,6 +94,9 @@ func (g *Global) ScalarElem() *Type {
 	return t
 }
 
+// NumScalars returns the number of scalar cells in the global's storage.
+func (g *Global) NumScalars() int { return g.Elem.Size() / 8 }
+
 // Metadata is a set of string key/value attachments used by noelle tools to
 // embed information (profiles, dependence graphs, IDs) inside the IR.
 type Metadata map[string]string

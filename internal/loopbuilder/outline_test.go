@@ -154,7 +154,7 @@ func outlineAsOneWorker(m *ir.Module, l *loops.Loop, shape func(b *loopbuilder.B
 	}
 	b.Bld.CreateRet(nil)
 
-	o.Dispatch(task.Fn, ir.ConstInt(1), &verify.Protocol{Technique: verify.DOALL, Tasks: []string{"one.task"}})
+	o.Dispatch(task.Fn, ir.ConstInt(1), &verify.Protocol{Technique: verify.DOALL})
 	finals := map[*ir.Instr]ir.Value{}
 	for _, out := range l.LiveOut {
 		finals[out] = o.Reload(o.Env.SlotOf(out).Index, out.Ty)

@@ -42,6 +42,18 @@ type ReductionAnalysis struct {
 // ForPhi returns the reduction carried by phi, or nil.
 func (ra *ReductionAnalysis) ForPhi(phi *ir.Instr) *Reduction { return ra.byPhi[phi] }
 
+// IsReductionInstr reports whether in belongs to some reduction's cycle.
+func (ra *ReductionAnalysis) IsReductionInstr(in *ir.Instr) bool {
+	for _, r := range ra.Reductions {
+		for _, x := range r.SCC {
+			if x == in {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // newReductionAnalysis detects reductions over the loop's cyclic register
 // SCCs (registerSCCs), excluding SCCs already claimed as induction
 // variables.

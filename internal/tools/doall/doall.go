@@ -140,7 +140,7 @@ func transform(n *core.Noelle, l *loops.Loop, taskName string) error {
 
 	task := o.NewTask(taskName)
 	buildTaskBody(l, task, tc, redBase, cores)
-	o.Dispatch(task.Fn, ir.ConstInt(int64(cores)), &verify.Protocol{Technique: verify.DOALL, Tasks: []string{taskName}})
+	o.Dispatch(task.Fn, ir.ConstInt(int64(cores)), &verify.Protocol{Technique: verify.DOALL})
 
 	// Reduction folds and IV finals reconstruct the live-outs.
 	finals := map[*ir.Instr]ir.Value{} // in-loop def -> post-loop value

@@ -89,10 +89,13 @@ int main() {
 // TestLowerChunkBoundaries walks the trip count across the chunk
 // boundaries: no iteration, one, a chunk less one, exactly one chunk, one
 // more, several chunks and a tail. Original, -seq and parallel, both
-// engines, every queue capacity: same output, exit code and memory.
+// engines, every queue capacity: same output, exit code and memory. At 4
+// cores the store->load falls between the two middle stages of a 4-stage
+// pipeline, so the comm tier checks a token link that does not start at
+// stage 0.
 func TestLowerChunkBoundaries(t *testing.T) {
 	k := dswp.Chunk
-	for _, cores := range []int{2, 3} {
+	for _, cores := range []int{2, 3, 4} {
 		for _, n := range []int{0, 1, k - 1, k, k + 1, 3*k + 7} {
 			t.Run(fmt.Sprintf("cores%d_n%d", cores, n), func(t *testing.T) {
 				m := compile(t, chunkedSrc(n))
@@ -106,6 +109,9 @@ func TestLowerChunkBoundaries(t *testing.T) {
 				}
 				if err := verify.Module(m, verify.TierComm).Err(); err != nil {
 					t.Fatalf("lowering is not comm-clean: %v", err)
+				}
+				if cores == 4 && (len(pipelines(t, m)[0].Tasks) != 4 || queues(t, m, true) == 0) {
+					t.Fatalf("want a 4-stage pipeline with a token link:\n%s", ir.Print(m))
 				}
 				got := lowered(t, m)
 				if got.err != "" || got.output != want.output || got.exit != want.exit || got.fingerprint != want.fingerprint {

@@ -439,7 +439,7 @@ func transform(p *Plan, taskName string) error {
 		eb.AddLiveOut(phi)
 	}
 	o.PackEnv(eb, 0, "helix.env")
-	proto := &verify.Protocol{Technique: verify.HELIX, Tasks: []string{taskName}}
+	proto := &verify.Protocol{Technique: verify.HELIX}
 	for s, sig := range sigs {
 		proto.Signals = append(proto.Signals, verify.Cell{Slot: int64(o.Env.SlotOf(sig).Index), Seg: s})
 	}

@@ -3,7 +3,8 @@ package verify
 // The comm tier: a protocol linter over lowered parallel plans. Every
 // lowering declares its protocol in one record (Protocol, stamped as
 // noelle.protocol on the noelle_dispatch call that runs it): the
-// technique, the task functions in stage order, a pipeline's K, its
+// technique, a pipeline's stage functions in order (a DOALL or HELIX
+// task is the function the call dispatches), a pipeline's K, its
 // queues (slot, role, producer and consumer stage) and cross-stage
 // memory dependences, a HELIX task's segment signals and carried cells.
 // The linter checks the generated IR against that record. Mutations (and
@@ -14,7 +15,7 @@ package verify
 // Enforced protocol, per lowering:
 //
 //   - the record parses and is one a lowering could emit (ParseProtocol),
-//     and names task functions the module defines;
+//     and its tasks are functions the module defines;
 //   - the host ships every recorded queue and signal: it stores a create
 //     of the right extern to the recorded slot of the environment it
 //     dispatches;

@@ -2,15 +2,15 @@ package verify_test
 
 // Mutation testing for the comm linter: seed each entry of the
 // miscompile table (fuzz.Miscompiles, which the fuzz corpus recipes and
-// the inject leg run too) into the clean DSWP or HELIX lowering the fuzz
-// corpus keeps, and assert the linter names it. The mutations alter the
-// IR only — the protocol record still declares the original intent,
-// which is exactly the mismatch the linter exists to catch.
+// the inject leg run too) into a lowering of a bench corpus program, and
+// assert the linter names it. The corpus recipes seed the same table into
+// a program written for them; here it must find its sites through the
+// protocol records of a program written for neither. The mutations alter
+// the IR only — the record still declares the original intent, which is
+// exactly the mismatch the linter exists to catch.
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,27 +18,44 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/fuzz"
 	"noelle/internal/ir"
-	"noelle/internal/irtext"
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
 	"noelle/internal/verify"
 
-	// Register the DSWP planner the driver is pinned to.
+	// Register the planners the driver is pinned to.
 	_ "noelle/internal/tools/dswp"
+	_ "noelle/internal/tools/helix"
 )
 
-// control parses the clean lowering of technique tech kept in the fuzz
-// corpus (regenerated with go test ./internal/fuzz -run TestCorpus
-// -regen-corpus).
-func control(t *testing.T, tech string) *ir.Module {
+// subject is the bench program the table is seeded into: its DSWP
+// lowering carries value and token queues, its HELIX lowering a segment
+// signal and a carried cell, so every entry has a site.
+const subject = "fft_inv"
+
+// lower lowers the subject with technique tech at 2 cores.
+func lower(t *testing.T, tech string) *ir.Module {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("..", "fuzz", "corpus", "clean_"+tech+".nir"))
+	b, err := bench.ByName(subject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := irtext.Parse(string(src))
+	m, err := b.Compile()
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
+	}
+	return lowerWith(t, m, tech, 2)
+}
+
+// lowerWith lowers every loop of m it can with technique tech at cores
+// cores, and requires at least one lowering.
+func lowerWith(t *testing.T, m *ir.Module, tech string, cores int) *ir.Module {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	opts.Cores = cores
+	res, err := auto.RunPinned(context.Background(), core.New(m, opts), tool.Options{ExecutePlans: true}, tech)
+	if err != nil || res.Lowered() == 0 {
+		t.Fatalf("%s lowered nothing (error %v, rejections %v)", tech, err, res.Rejections)
 	}
 	return m
 }
@@ -54,15 +71,15 @@ func mustBeCommClean(t *testing.T, m *ir.Module) {
 }
 
 // mutate seeds the named miscompile of the table into its technique's
-// control and requires the comm tier, and only the comm tier, to say
-// everything the table wants said about it.
+// lowering of the subject and requires the comm tier, and only the comm
+// tier, to say everything the table wants said about it.
 func mutate(t *testing.T, name string) {
 	t.Helper()
 	for _, mc := range fuzz.Miscompiles() {
 		if mc.Name != name {
 			continue
 		}
-		m := control(t, mc.Technique)
+		m := lower(t, mc.Technique)
 		mustBeCommClean(t, m)
 		if !mc.Apply(m) {
 			t.Fatalf("the %s lowering has no site for %s", mc.Technique, name)
@@ -110,14 +127,7 @@ func TestChunkedPipelinesAreCommClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := core.DefaultOptions()
-		opts.MinHotness = 0
-		opts.Cores = cores
-		res, err := auto.RunPinned(context.Background(), core.New(m, opts), tool.Options{ExecutePlans: true}, "dswp")
-		if err != nil || res.Lowered() == 0 {
-			t.Fatalf("nothing lowered (error %v, rejections %v)", err, res.Rejections)
-		}
-		mustBeCommClean(t, m)
+		mustBeCommClean(t, lowerWith(t, m, verify.DSWP, cores))
 		stages := 0
 		for _, l := range verify.Lowerings(m) {
 			if l.Err == nil && l.Proto.Technique == verify.DSWP && len(l.Tasks) == cores {

@@ -30,8 +30,9 @@ const (
 type Protocol struct {
 	// Technique is DOALL, DSWP or HELIX.
 	Technique string
-	// Tasks names the task functions in stage order: a pipeline's stages,
-	// or the one task of a DOALL or HELIX lowering.
+	// Tasks names a pipeline's stage functions in stage order. A DOALL or
+	// HELIX lowering's one task is the function its dispatch call runs, so
+	// its record names none.
 	Tasks []string
 	// K is the iterations one bulk queue operation of a pipeline moves.
 	K int64
@@ -71,7 +72,7 @@ type Cell struct {
 // Encode renders p as the value of MDProtocol, e.g.
 //
 //	dswp tasks=f.stage0,f.stage1 k=128 queues=3:value:0>1,4:token:0>1 memdeps=0>1
-//	helix tasks=f signals=5:0 carried=7:0
+//	helix signals=5:0 carried=7:0
 //
 // ParseProtocol reads it back.
 func (p *Protocol) Encode() string {
@@ -101,8 +102,8 @@ func (p *Protocol) Encode() string {
 }
 
 // ParseProtocol reads a record Encode wrote and checks that it is one a
-// lowering could have emitted: a known technique with its number of
-// tasks, a pipeline's K >= 1, stages within the pipeline, token queues
+// lowering could have emitted: a known technique, a pipeline's two or
+// more stages and K >= 1, no tasks named by any other record, stages within the pipeline, token queues
 // linking adjacent stages, value queues flowing forward, one signal per
 // segment and carried cells of existing segments.
 func ParseProtocol(s string) (*Protocol, error) {
@@ -191,8 +192,10 @@ func (p *Protocol) check() error {
 		return fmt.Errorf("unknown technique %q", p.Technique)
 	case p.Technique == DSWP && (n < 2 || p.K < 1):
 		return fmt.Errorf("a pipeline needs two stages and K >= 1 (have %d stages, K=%d)", n, p.K)
-	case p.Technique != DSWP && n != 1:
-		return fmt.Errorf("a %s record names one task (have %d)", p.Technique, n)
+	case p.Technique != DSWP && n != 0:
+		return fmt.Errorf("a %s record names no tasks: its task is the dispatched function", p.Technique)
+	case p.Technique != DSWP:
+		n = 1
 	}
 	for _, q := range p.Queues {
 		switch {
@@ -228,9 +231,10 @@ func (p *Protocol) check() error {
 type Lowering struct {
 	Host *ir.Function
 	Call *ir.Instr
-	// Proto is the parsed record and Tasks its task functions, unless Err
-	// says why the record does not parse or names a function the module
-	// does not define.
+	// Proto is the parsed record and Tasks its task functions (the
+	// pipeline's stages, or the dispatched function), unless Err says why
+	// the record does not parse or a task is not a function the module
+	// defines.
 	Proto *Protocol
 	Tasks []*ir.Function
 	Err   error
@@ -248,17 +252,27 @@ func Lowerings(m *ir.Module) []*Lowering {
 		}
 		l := &Lowering{Host: host, Call: in}
 		l.Proto, l.Err = ParseProtocol(in.MD.Get(MDProtocol))
+		if l.Err == nil && l.Proto.Technique != DSWP {
+			fn, _ := in.CallArgs()[0].(*ir.Function)
+			l.task(fn, in.CallArgs()[0].Ident())
+		}
 		for i := 0; l.Err == nil && i < len(l.Proto.Tasks); i++ {
-			f := m.FunctionByName(l.Proto.Tasks[i])
-			if f == nil || f.IsDeclaration() {
-				l.Err = fmt.Errorf("task @%s is not a function of the module", l.Proto.Tasks[i])
-			}
-			l.Tasks = append(l.Tasks, f)
+			l.task(m.FunctionByName(l.Proto.Tasks[i]), "@"+l.Proto.Tasks[i])
 		}
 		out = append(out, l)
 		return true
 	})
 	return out
+}
+
+// task appends f, the task called name, to l's tasks, or sets l.Err
+// when it is not a function the module defines.
+func (l *Lowering) task(f *ir.Function, name string) {
+	if f == nil || f.IsDeclaration() {
+		l.Err = fmt.Errorf("task %s is not a function of the module", name)
+		return
+	}
+	l.Tasks = append(l.Tasks, f)
 }
 
 // Site finds task's first call to extern on the handle shipped through

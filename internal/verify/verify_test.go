@@ -66,7 +66,7 @@ entry:
   %sg = call i64 @noelle_signal_create(0)
   %a0 = ptradd %env, 0
   store i64 %sg, %a0
-  call void @noelle_dispatch(@htask, %env, 2) !{noelle.protocol="helix tasks=htask signals=0:0"}
+  call void @noelle_dispatch(@htask, %env, 2) !{noelle.protocol="helix signals=0:0"}
   ret 0
 }
 
