@@ -216,6 +216,7 @@ check-docs:
 
 # The examples/parallelize walkthrough, replayed through the real CLIs
 # against its committed expected output, ending with a traced run whose
-# Chrome trace scripts/tracecheck validates (left in trace_example.json).
+# Chrome trace scripts/tracecheck validates (left in trace_example.json),
+# then examples/quickstart, the library facade's example.
 example-smoke:
 	bash scripts/example_smoke.sh

@@ -1,6 +1,6 @@
-// noelle-arch measures the (simulated) architecture — core counts, SMT,
-// NUMA layout, and core-to-core latencies — and writes the description
-// file HELIX consumes (paper Table 2).
+// noelle-arch prints the architecture description arch.Measure models —
+// core counts, SMT, NUMA layout, and core-to-core latencies (paper
+// Table 2).
 //
 // Usage: noelle-arch [-cores N] [-smt N] [-numa N] [-o arch.txt]
 package main

@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"noelle/internal/core"
-	"noelle/internal/minic"
-	"noelle/internal/passes"
+	"noelle"
 )
 
 const src = `
@@ -35,16 +33,15 @@ int main() {
 
 func main() {
 	// 1. Frontend + standard pipeline (the "clang -O2" of this substrate).
-	m, err := minic.Compile("quickstart", src)
+	m, err := noelle.CompileC("quickstart", src)
 	if err != nil {
 		log.Fatal(err)
 	}
-	passes.Optimize(m)
 
 	// 2. Load the NOELLE layer. Nothing is computed yet: abstractions
 	//    materialize on first request (and the manager records what you
 	//    asked for).
-	n := core.New(m, core.DefaultOptions())
+	n := noelle.Load(m, noelle.DefaultOptions())
 
 	// 3. The program dependence graph of main.
 	mainFn := m.FunctionByName("main")

@@ -122,9 +122,6 @@ func Open(root string, m *ir.Module, lruEntries int) (*Store, error) {
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
-// ModKey returns the module subdirectory key.
-func (s *Store) ModKey() string { return s.modKey }
-
 // Get looks up the record under key and reconstructs f's PDG from it. Any
 // failure — absent record, corrupt bytes, shape mismatch — is a miss.
 // The segment read, the decode and the graph assembly run outside the

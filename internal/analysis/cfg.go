@@ -75,13 +75,3 @@ func (c *CFG) ExitBlocks() []*ir.Block {
 	}
 	return exits
 }
-
-// IsEdge reports whether from->to is a CFG edge.
-func (c *CFG) IsEdge(from, to *ir.Block) bool {
-	for _, s := range c.Succs[from] {
-		if s == to {
-			return true
-		}
-	}
-	return false
-}

@@ -29,9 +29,6 @@ func NewDefUse(f *ir.Function) *DefUse {
 	return du
 }
 
-// UsesOf returns the recorded uses of v.
-func (du *DefUse) UsesOf(v ir.Value) []Use { return du.Uses[v] }
-
 // HasUses reports whether v has at least one use.
 func (du *DefUse) HasUses(v ir.Value) bool { return len(du.Uses[v]) > 0 }
 

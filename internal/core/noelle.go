@@ -573,13 +573,6 @@ func (n *Noelle) Arch() *arch.Description {
 	return n.archD
 }
 
-// SetArch installs an externally measured description (noelle-arch file).
-func (n *Noelle) SetArch(d *arch.Description) {
-	n.mu.Lock()
-	n.archD = d
-	n.mu.Unlock()
-}
-
 // Scheduler returns the PDG-guarded scheduler for f.
 func (n *Noelle) Scheduler(f *ir.Function) *scheduler.Scheduler {
 	n.Use(AbsSCD)

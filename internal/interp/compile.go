@@ -45,8 +45,9 @@
 //     without building an argument vector or going through the registry.
 //
 // Walker-visible runtime errors (fell off block end, missing phi
-// incoming) compile to cErr ops carrying the walker's exact message, so
-// the tiers stay byte-identical even on those paths. A function the
+// incoming, an alloca too large for memory) compile to cErr ops carrying
+// the walker's exact message, so the tiers stay byte-identical even on
+// those paths. A function the
 // compiler cannot lower (malformed operands) is rejected — Call falls
 // back to the walker, whose runtime checks are the reference behaviour,
 // and Interp.Rejected names it (noelle-bin's footer prints the names) —
@@ -907,7 +908,11 @@ func (c *compiler) compileOne(op *cop, in *ir.Instr, b *ir.Block, s int32) error
 	switch in.Opcode {
 	case ir.OpAlloca:
 		op.code = cAlloca
-		op.k = int64(in.AllocaElem.Size() * in.AllocaCount)
+		if op.k, err = allocaSize(in); err != nil {
+			// Charged as the alloca, as the walker charges it before it
+			// traps.
+			op.code, op.errMsg, err = cErr, err.Error(), nil
+		}
 	case ir.OpLoad:
 		op.code = cLoad
 		op.a, err = operand(0)

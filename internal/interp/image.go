@@ -313,15 +313,6 @@ func (img *image) registerExterns(es ...externEntry) {
 	}
 }
 
-func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
-	i, has := (*img.externIdx.Load())[name]
-	if !has {
-		return nil, -1, false
-	}
-	e := &(*img.externTab.Load())[i]
-	return e.fn, e.arity, true
-}
-
 // externFor returns the registered entry backing declaration f, or nil.
 // The hot path is one atomic load of f's cached table slot; resolution
 // through the name index happens once per declaration (and again after a
@@ -415,6 +406,18 @@ func fits(t *ir.Type, limit int64) bool {
 		return t.Len > 0 && fits(t.Elem, limit/int64(t.Len))
 	}
 	return t.Size() > 0 && int64(t.Size()) <= limit
+}
+
+// allocaSize returns the bytes alloca in reserves, or the error it traps
+// with when they are not between one and the memory's size, the product
+// computed without wrapping. The compiled tier decides it when it
+// compiles in.
+func allocaSize(in *ir.Instr) (int64, error) {
+	if n := int64(in.AllocaCount); n > 0 && fits(in.AllocaElem, memBytes/n) {
+		return int64(in.AllocaElem.Size()) * n, nil
+	}
+	return 0, fmt.Errorf("interp: @%s: alloca %s of %d x %s does not fit in memory [0, %d)",
+		in.Parent.Parent.Nam, in.Ident(), in.AllocaCount, in.AllocaElem, int64(memBytes))
 }
 
 // newImage lays out m's globals and functions into a fresh image.

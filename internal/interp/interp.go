@@ -195,9 +195,6 @@ func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
 	it.img.registerExterns(externEntry{name: name, arity: arity, fn: fn})
 }
 
-// GlobalAddr returns the address of g's storage.
-func (it *Interp) GlobalAddr(g *ir.Global) int64 { return it.img.globalAddr[g] }
-
 // ValidAddress reports whether addr falls inside a live allocation.
 func (it *Interp) ValidAddress(addr int64) bool { return it.img.validAddress(addr) }
 
@@ -465,7 +462,11 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 
 			switch in.Opcode {
 			case ir.OpAlloca:
-				addr := it.alloc(int64(in.AllocaElem.Size() * in.AllocaCount))
+				size, err := allocaSize(in)
+				if err != nil {
+					return 0, err
+				}
+				addr := it.alloc(size)
 				frameAllocs = append(frameAllocs, addr)
 				frame[in] = uint64(addr)
 

@@ -150,3 +150,31 @@ func TestOversizedGlobalRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedAllocaTraps: a local array too large for memory, or whose
+// byte size wraps (8 * 2305843009213693953 reads as 8), traps when its
+// alloca executes — not sized so that the next local overlaps it — with
+// one error and the same counters and output on both tiers. A function
+// holding one that never runs costs its program nothing.
+func TestOversizedAllocaTraps(t *testing.T) {
+	for _, size := range []string{"1000000000000", "2000000000000000000", "2305843009213693953"} {
+		m, err := minic.Compile("big", "int f() { int a["+size+"]; int b[4]; b[0] = 5; a[1] = 7; return b[0]; }\n"+
+			"int main() { print_i64(1); print_i64(f()); return 0; }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := assertTiersAgree(t, m, nil)
+		want := "interp: @f: alloca %a of " + size + " x i64 does not fit in memory [0, 17179869184)"
+		if r.err != want || r.output != "1\n" {
+			t.Errorf("a[%s]: error %q, output %q; want %q after printing 1", size, r.err, r.output, want)
+		}
+	}
+	m, err := minic.Compile("idle", "int f() { int a[2305843009213693953]; a[1] = 7; return a[1]; }\n"+
+		"int main() { print_i64(5); return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := assertTiersAgree(t, m, nil); r.err != "" || r.output != "5\n" {
+		t.Errorf("uncalled oversized alloca: error %q, output %q; want none, \"5\\n\"", r.err, r.output)
+	}
+}

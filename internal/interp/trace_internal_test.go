@@ -18,6 +18,17 @@ func mustParse(t testing.TB, src string) *Interp {
 	return New(m)
 }
 
+// externFn returns the extern backing the module's declaration of name,
+// as a call through it resolves it.
+func externFn(t testing.TB, it *Interp, name string) Extern {
+	t.Helper()
+	e := it.img.externFor(it.Mod.FunctionByName(name))
+	if e == nil {
+		t.Fatalf("extern @%s not registered", name)
+	}
+	return e.fn
+}
+
 const traceProbeSrc = `module "m"
 declare @noelle_queue_create : fn(i64) i64
 declare @noelle_queue_push : fn(i64, i64) void
@@ -36,14 +47,7 @@ entry:
 func TestTracingOffExternsAllocFree(t *testing.T) {
 	it := mustParse(t, traceProbeSrc)
 	qid := it.img.comm.CreateQueue(16)
-	push, _, ok := it.img.lookupExtern(ExternQueuePush)
-	if !ok {
-		t.Fatal("push extern not registered")
-	}
-	pop, _, ok := it.img.lookupExtern(ExternQueuePop)
-	if !ok {
-		t.Fatal("pop extern not registered")
-	}
+	push, pop := externFn(t, it, ExternQueuePush), externFn(t, it, ExternQueuePop)
 	pushArgs := []uint64{uint64(qid), 7}
 	popArgs := []uint64{uint64(qid)}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -77,8 +81,7 @@ func BenchmarkQueueExterns(b *testing.B) {
 				it.initRecorder()
 			}
 			qid := it.img.comm.CreateQueue(16)
-			push, _, _ := it.img.lookupExtern(ExternQueuePush)
-			pop, _, _ := it.img.lookupExtern(ExternQueuePop)
+			push, pop := externFn(b, it, ExternQueuePush), externFn(b, it, ExternQueuePop)
 			pushArgs := []uint64{uint64(qid), 7}
 			popArgs := []uint64{uint64(qid)}
 			b.ReportAllocs()

@@ -96,66 +96,3 @@ func cloneBody(f, nf *Function, gmap map[*Global]*Global, fmap map[*Function]*Fu
 		}
 	}
 }
-
-// CloneFunctionInto copies f's body into dst (which must share f's
-// signature and belong to a module containing the same globals/functions by
-// identity). It returns the mapping from original to cloned instructions.
-func CloneFunctionInto(f, dst *Function) map[*Instr]*Instr {
-	gid := map[*Global]*Global{}
-	if f.Parent != nil {
-		for _, g := range f.Parent.Globals {
-			gid[g] = g
-		}
-	}
-	fid := map[*Function]*Function{}
-	if f.Parent != nil {
-		for _, fn := range f.Parent.Functions {
-			fid[fn] = fn
-		}
-	}
-	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := dst.NewBlock(b.Nam)
-		nb.MD = b.MD.Clone()
-		bmap[b] = nb
-	}
-	imap := map[*Instr]*Instr{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			ni := &Instr{
-				Opcode:      in.Opcode,
-				Ty:          in.Ty,
-				Nam:         in.Nam,
-				AllocaElem:  in.AllocaElem,
-				AllocaCount: in.AllocaCount,
-				Parent:      bmap[b],
-				ID:          -1,
-				MD:          in.MD.Clone(),
-			}
-			bmap[b].Instrs = append(bmap[b].Instrs, ni)
-			imap[in] = ni
-		}
-	}
-	remap := func(v Value) Value {
-		switch x := v.(type) {
-		case *Instr:
-			return imap[x]
-		case *Param:
-			return dst.Params[x.Index]
-		default:
-			return v
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			ni := imap[in]
-			for _, op := range in.Ops {
-				ni.Ops = append(ni.Ops, remap(op))
-			}
-			for _, tb := range in.Blocks {
-				ni.Blocks = append(ni.Blocks, bmap[tb])
-			}
-		}
-	}
-	return imap
-}

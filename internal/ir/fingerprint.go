@@ -30,9 +30,6 @@ func (fp Fingerprint) String() string { return hex.EncodeToString(fp[:]) }
 // Short renders the first 8 bytes, for human-facing listings.
 func (fp Fingerprint) Short() string { return hex.EncodeToString(fp[:8]) }
 
-// IsZero reports whether the fingerprint is unset.
-func (fp Fingerprint) IsZero() bool { return fp == Fingerprint{} }
-
 // ParseFingerprint decodes the hex form produced by String.
 func ParseFingerprint(s string) (Fingerprint, error) {
 	var fp Fingerprint

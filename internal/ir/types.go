@@ -82,9 +82,6 @@ func (t *Type) Equal(u *Type) bool {
 	}
 }
 
-// IsInt reports whether t is an integer type (i1 or i64).
-func (t *Type) IsInt() bool { return t.Kind == I1Kind || t.Kind == I64Kind }
-
 // IsFloat reports whether t is the float type.
 func (t *Type) IsFloat() bool { return t.Kind == F64Kind }
 

@@ -45,14 +45,6 @@ func (c *Const) Ident() string {
 	return strconv.FormatInt(c.Int, 10)
 }
 
-// IsZero reports whether the constant is the zero value of its type.
-func (c *Const) IsZero() bool {
-	if c.Ty.IsFloat() {
-		return c.Flt == 0
-	}
-	return c.Int == 0
-}
-
 // Param is a formal parameter of a function.
 type Param struct {
 	Nam    string
@@ -93,9 +85,6 @@ func (g *Global) ScalarElem() *Type {
 	}
 	return t
 }
-
-// NumScalars returns the number of scalar cells in the global's storage.
-func (g *Global) NumScalars() int { return g.Elem.Size() / 8 }
 
 // Metadata is a set of string key/value attachments used by noelle tools to
 // embed information (profiles, dependence graphs, IDs) inside the IR.

@@ -366,11 +366,3 @@ func verifyInstr(f *Function, b *Block, in *Instr, addf func(string, ...any)) {
 		}
 	}
 }
-
-// MustVerify panics if the module fails verification. Transform tests use
-// it to fail fast with the full problem list.
-func MustVerify(m *Module) {
-	if err := Verify(m); err != nil {
-		panic(err)
-	}
-}

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
-	"time"
 )
 
 // Client speaks the serve protocol over one connection. It is not safe
@@ -102,86 +100,6 @@ func (c *Client) Run(req *RunRequest, onReport func(ReportMsg)) (*Done, error) {
 			return nil, fmt.Errorf("serve: unexpected response type %q during run", resp.Type)
 		}
 	}
-}
-
-// RetryPolicy shapes RunRetry's backoff for retryable load-shedding
-// statuses (saturated, draining). The zero value is usable: 4 attempts,
-// 10ms base delay doubling to a 500ms cap, full jitter from the global
-// rand source.
-type RetryPolicy struct {
-	// Attempts is the total number of tries including the first
-	// (<=0 means 4).
-	Attempts int
-	// BaseDelay seeds the exponential backoff (<=0 means 10ms); the
-	// delay before retry k is BaseDelay<<k, capped at MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (<=0 means 500ms).
-	MaxDelay time.Duration
-	// Rand drives the jitter. A seeded source makes the schedule
-	// deterministic for tests; nil uses the global source.
-	Rand *rand.Rand
-	// Sleep replaces time.Sleep (tests observe the schedule instead of
-	// waiting it out); nil sleeps for real.
-	Sleep func(time.Duration)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// backoff returns the jittered delay before retry number k (0-based):
-// uniformly random in (0, min(BaseDelay<<k, MaxDelay)]. Full jitter
-// spreads a thundering herd of shed clients instead of re-synchronizing
-// them at the exact moment the queue drained.
-func (p RetryPolicy) backoff(k int) time.Duration {
-	d := p.BaseDelay << k
-	if d <= 0 || d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	var f float64
-	if p.Rand != nil {
-		f = p.Rand.Float64()
-	} else {
-		f = rand.Float64()
-	}
-	return time.Duration(f*float64(d-1)) + 1
-}
-
-// RunRetry is Run plus client-side retry for load-shedding outcomes: a
-// done frame with a retryable status (saturated while the queue is
-// full, draining while the daemon shuts down) is retried on the same
-// connection after a jittered exponential backoff, up to pol.Attempts
-// tries. Both statuses leave the connection at a clean request
-// boundary, so re-submitting reuses it. Every other outcome — success,
-// pipeline error, transport error — is returned immediately; after the
-// last attempt the retryable done frame itself is returned so callers
-// see the shed status they timed out on.
-func (c *Client) RunRetry(req *RunRequest, onReport func(ReportMsg), pol RetryPolicy) (*Done, error) {
-	pol = pol.withDefaults()
-	var done *Done
-	var err error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
-			pol.Sleep(pol.backoff(attempt - 1))
-		}
-		done, err = c.Run(req, onReport)
-		if err != nil || !done.Retryable {
-			return done, err
-		}
-	}
-	return done, err
 }
 
 // Stats fetches the service metrics and store snapshots.

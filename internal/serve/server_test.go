@@ -381,6 +381,16 @@ func TestBackpressureSaturated(t *testing.T) {
 			t.Errorf("queued request outcome: %+v", d)
 		}
 	}
+
+	// A saturated done frame leaves the connection at a request
+	// boundary: the same client's next request is served.
+	done, err = c.Run(runReq(moduleText(t, 300), "perspective"), nil)
+	if err != nil {
+		t.Fatalf("resend after saturated: %v", err)
+	}
+	if done.Status != StatusOK {
+		t.Fatalf("resend after saturated: status %q (%s), want ok", done.Status, done.Error)
+	}
 }
 
 // TestGracefulDrainOrdering: a request admitted before shutdown finishes

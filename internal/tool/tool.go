@@ -307,7 +307,7 @@ func RunPipeline(ctx context.Context, n *core.Noelle, names []string, opts Optio
 // returned slice still accumulates every emitted report.
 //
 // Concurrency note for shared stores: multiple pipelines may run
-// concurrently over distinct managers attached (WithStore/SetStore) to
+// concurrently over distinct managers attached (SetStore) to
 // one abscache.Store — the daemon does exactly that. Every store
 // operation the pipeline triggers (warm Gets during precompute, Puts
 // after cold builds, and the post-stage / end-of-pipeline Flush calls)

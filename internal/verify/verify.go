@@ -107,17 +107,6 @@ func (r *Result) CountAt(t Tier) int {
 	return n
 }
 
-// StatsLine renders the campaign-greppable one-line summary:
-// "tier=comm checked=12 findings: quick=0 ssa=0 comm=0".
-func (r *Result) StatsLine() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tier=%s checked=%d findings:", r.Tier, r.Checked)
-	for t := TierQuick; t <= r.Tier; t++ {
-		fmt.Fprintf(&b, " %s=%d", t, r.CountAt(t))
-	}
-	return b.String()
-}
-
 // Err returns the findings as an *Error, or nil when the module is clean.
 func (r *Result) Err() error {
 	if len(r.Findings) == 0 {

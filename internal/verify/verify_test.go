@@ -91,10 +91,6 @@ entry:
 	if res.Checked != 2 {
 		t.Errorf("checked %d functions, want 2", res.Checked)
 	}
-	want := "tier=comm checked=2 findings: quick=0 ssa=0 comm=0"
-	if got := res.StatsLine(); got != want {
-		t.Errorf("stats line = %q, want %q", got, want)
-	}
 }
 
 // TestUnreachableBlockIsSSAFinding: the quick tier tolerates dead

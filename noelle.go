@@ -8,7 +8,7 @@
 // A custom tool follows the paper's pattern — load the layer, then pull
 // abstractions on demand:
 //
-//	m, _ := noelle.CompileC("prog", source) // or parse textual IR
+//	m, _ := noelle.CompileC("prog", source)
 //	n := noelle.Load(m, noelle.DefaultOptions())
 //	pdg := n.FunctionPDG(m.FunctionByName("main"))
 //	for _, ls := range n.HotLoops() {
@@ -20,7 +20,7 @@
 // coos, prvj, timesq, perspective) register themselves behind the uniform
 // Tool interface — doall, dswp and helix being the one
 // loop-parallelization driver (auto) pinned to their technique's planner;
-// resolve them by name or run a multi-stage pipeline that
+// list them or run a multi-stage pipeline that
 // precomputes function PDGs in parallel and invalidates cached
 // abstractions between transforming stages:
 //
@@ -38,19 +38,15 @@
 // are keyed by the module's structural fingerprint, looked up on disk
 // before being built, and persisted after a cold build, so a second load
 // of the same program reconstructs every PDG without re-running the alias
-// analyses. Open a
-// store explicitly with OpenStore and attach it with WithStore to share
-// one across managers; inspect it with the noelle-cache CLI.
+// analyses. Inspect the store with the noelle-cache CLI.
 package noelle
 
 import (
 	"context"
 
-	"noelle/internal/abscache"
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
-	"noelle/internal/irtext"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/tool"
@@ -86,32 +82,13 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // DefaultToolOptions mirrors the noelle-load flag defaults.
 func DefaultToolOptions() ToolOptions { return tool.DefaultOptions() }
 
-// Store is the persistent content-addressed abstraction store
-// (internal/abscache): function PDGs keyed by the module's structural
-// fingerprint, behind an in-memory LRU.
-type Store = abscache.Store
-
 // Load loads the NOELLE layer over a module without computing anything;
 // abstractions materialize on first request. Set opts.CacheDir to load
 // warm from (and populate) a persistent abstraction store.
 func Load(m *Module, opts Options) *Noelle { return core.New(m, opts) }
 
-// OpenStore opens (creating if needed) the persistent abstraction store
-// rooted at dir for module m.
-func OpenStore(dir string, m *Module) (*Store, error) { return abscache.Open(dir, m, 0) }
-
-// WithStore attaches an already-open persistent store to the manager and
-// returns the manager (fluent form of n.SetStore).
-func WithStore(n *Noelle, s *Store) *Noelle {
-	n.SetStore(s)
-	return n
-}
-
 // Tools returns every registered custom tool, sorted by name.
 func Tools() []Tool { return tool.Tools() }
-
-// LookupTool resolves a registered custom tool by name.
-func LookupTool(name string) (Tool, bool) { return tool.Lookup(name) }
 
 // RunPipeline runs the named tools in sequence over one manager,
 // precomputing function PDGs in parallel first (when
@@ -134,33 +111,14 @@ func CompileC(name, src string) (*Module, error) {
 	return m, nil
 }
 
-// ParseIR parses a textual IR module (the .nir format the noelle-* tools
-// exchange).
-func ParseIR(src string) (*Module, error) { return irtext.Parse(src) }
-
-// PrintIR renders a module in the textual IR format.
-func PrintIR(m *Module) string { return ir.Print(m) }
-
 // Run executes a module's @main under the interpreter (on its default
 // execution tier — see internal/interp: the compiled fast path, or the
 // walker when NOELLE_ENGINE=walker) and
 // returns its exit code and output. Modules produced by the
 // parallelizing tools contain noelle_dispatch calls whose task workers
-// run concurrently on real cores; use RunSeq to force the sequential
-// debugging fallback (both produce byte-identical output for
-// correctly-parallelized modules).
+// run concurrently on real cores.
 func Run(m *Module) (int64, string, error) {
 	it := interp.New(m)
-	code, err := it.Run()
-	return code, it.Output.String(), err
-}
-
-// RunSeq executes a module like Run but with sequential dispatch: task
-// workers of parallelized loops run one after another in worker order
-// (the interpreter's -seq fallback).
-func RunSeq(m *Module) (int64, string, error) {
-	it := interp.New(m)
-	it.SeqDispatch = true
 	code, err := it.Run()
 	return code, it.Output.String(), err
 }

@@ -12,6 +12,8 @@
 #   3. A traced run of the lowered module (`noelle-bin -trace`) prints
 #      the same output and exports a well-formed Chrome trace
 #      (scripts/tracecheck), kept as trace_example.json for CI to upload.
+#   4. examples/quickstart, written against the library facade, runs
+#      and reports the abstractions it requested.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,4 +83,10 @@ diff -u "$tmp/par.txt" "$tmp/tr.txt"
 go run ./scripts/tracecheck "$tmp/trace.json"
 cp "$tmp/trace.json" trace_example.json
 
-echo "example-smoke: OK (auto selected per-loop techniques; output byte-identical)"
+echo "== quickstart: the library facade =="
+go run ./examples/quickstart >"$tmp/quickstart.txt"
+cat "$tmp/quickstart.txt"
+grep -q "^abstractions requested: \[.*PDG" "$tmp/quickstart.txt" ||
+  { echo "FAIL: examples/quickstart did not report the PDG among its abstractions"; exit 1; }
+
+echo "example-smoke: OK (auto selected per-loop techniques; output byte-identical; quickstart ran)"
