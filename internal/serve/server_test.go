@@ -349,19 +349,7 @@ func TestBackpressureSaturated(t *testing.T) {
 	go runAsync(100) // occupies the worker
 	<-running
 	go runAsync(200) // occupies the queue slot
-	// Gauges only appear in the rendered registry; poll through the
-	// stats-payload parser the CLI shares.
-	queueDepth := func() int64 {
-		p := StatsPayload{Metrics: reg.Format()}
-		return p.Counter("serve.queue.depth")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for queueDepth() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if queueDepth() < 1 {
-		t.Fatal("second request never queued")
-	}
+	waitQueueDepth(t, reg, 1)
 
 	c := dial()
 	done, err := c.Run(runReq(moduleText(t, 300), "perspective"), nil)
@@ -381,15 +369,92 @@ func TestBackpressureSaturated(t *testing.T) {
 			t.Errorf("queued request outcome: %+v", d)
 		}
 	}
+}
 
-	// A saturated done frame leaves the connection at a request
-	// boundary: the same client's next request is served.
-	done, err = c.Run(runReq(moduleText(t, 300), "perspective"), nil)
+// TestRunRetrySaturatedEventuallySucceeds: a saturated done frame leaves
+// the connection at a request boundary, so a client that resubmits on
+// the same connection once the queue drains is served. The test hook
+// holds the only worker while the one-slot queue is full, so the first
+// attempt sheds; releasing the worker and waiting for the queued job to
+// start frees the slot for the resubmission. No wall-clock sleeping
+// decides the outcome.
+func TestRunRetrySaturatedEventuallySucceeds(t *testing.T) {
+	reg := obs.NewRegistry()
+	release := make(chan struct{})
+	firstRunning := make(chan struct{}, 1)
+	laterRunning := make(chan struct{}, 4)
+	srv, dial := startServer(t, Config{Workers: 1, QueueDepth: 1, Registry: reg})
+	first := true
+	srv.testHookRunning = func(string) {
+		if first {
+			first = false
+			firstRunning <- struct{}{}
+			<-release
+			return
+		}
+		select {
+		case laterRunning <- struct{}{}:
+		default:
+		}
+	}
+
+	okDone := make(chan *Done, 2)
+	runAsync := func(seed int) {
+		c := dial()
+		done, err := c.Run(runReq(moduleText(t, seed), "perspective"), nil)
+		if err != nil {
+			t.Errorf("run: %v", err)
+		}
+		okDone <- done
+	}
+	go runAsync(100) // occupies the worker, held by the hook
+	<-firstRunning
+	go runAsync(200) // occupies the only queue slot
+	waitQueueDepth(t, reg, 1)
+
+	c := dial()
+	req := runReq(moduleText(t, 300), "perspective")
+	done, err := c.Run(req, nil)
 	if err != nil {
-		t.Fatalf("resend after saturated: %v", err)
+		t.Fatalf("first attempt: %v", err)
+	}
+	if done.Status != StatusSaturated || !done.Retryable {
+		t.Fatalf("first attempt: status %q retryable=%v, want saturated+retryable", done.Status, done.Retryable)
+	}
+
+	close(release) // worker finishes, dequeues the queued job
+	<-laterRunning // queued job running: the slot is free now
+	done, err = c.Run(req, nil)
+	if err != nil {
+		t.Fatalf("resubmit after saturated: %v", err)
 	}
 	if done.Status != StatusOK {
-		t.Fatalf("resend after saturated: status %q (%s), want ok", done.Status, done.Error)
+		t.Fatalf("resubmit after saturated: status %q (%s), want ok", done.Status, done.Error)
+	}
+	if got := reg.Counter("serve.rejected.saturated"); got != 1 {
+		t.Errorf("saturated counter = %d, want 1 (one shed attempt)", got)
+	}
+	for i := 0; i < 2; i++ {
+		if d := <-okDone; d == nil || d.Status != StatusOK {
+			t.Errorf("background request outcome: %+v", d)
+		}
+	}
+}
+
+// waitQueueDepth polls the queue-depth gauge through the stats-payload
+// parser the CLI shares (gauges only appear in the rendered registry).
+func waitQueueDepth(t *testing.T, reg *obs.Registry, want int64) {
+	t.Helper()
+	depth := func() int64 {
+		p := StatsPayload{Metrics: reg.Format()}
+		return p.Counter("serve.queue.depth")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for depth() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if depth() < want {
+		t.Fatalf("queue depth never reached %d", want)
 	}
 }
 
