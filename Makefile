@@ -70,8 +70,10 @@ race:
 # generated programs). The memory rides along by name too: the page
 # table against the sharded page map and 8-slot cache it replaced, on
 # one seeded random sequence of reads, writes and bulk runs (same values,
-# same fingerprint), and goroutines racing to install one fresh page in
-# one fresh leaf (every write survives), under -race. The alias package
+# same fingerprint), goroutines racing to install one fresh page in
+# one fresh leaf (every write survives), and a callee that allocas 800 KB
+# called 30,000 times, from main and from a DOALL-lowered loop's lanes
+# (its frames pop, so the program prints its sum), under -race. The alias package
 # rides along the same way: its worklist solver and bottom-up summaries
 # are held to the round-robin reference on those subjects before and
 # after `auto` lowered them, and four concurrent PDG builds share one PointsTo. So does
@@ -90,7 +92,7 @@ tier-diff:
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup|TestCompileMatchesReference' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
-	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace' -v ./internal/interp/
+	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace|TestCalleeAllocasPop|TestDOALLCalleeAllocasPop' -v ./internal/interp/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
 	$(GO) test -run 'TestParseMatchesReference|TestFingerprintMatchesReference' -v ./internal/irtext/ ./internal/ir/

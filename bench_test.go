@@ -2,7 +2,8 @@
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
 // cold vs warm abstraction-store load, the unit costs of reading and
 // keying a module, of a points-to analysis, of the loop bundle, of
-// auto's pricing and of an interpreted step, and four design
+// auto's pricing, of an interpreted step and of a call whose callee
+// allocas, and four design
 // ablations (demand-driven construction, alias stacks, HELIX header
 // scheduling, DOALL chunk size). Run them with
 //
@@ -229,6 +230,64 @@ func BenchmarkInterpSteps(b *testing.B) {
 		steps += it.Steps
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
+// allocaCallSrc is a 2-worker dispatch whose workers each call @f 65536
+// times; @f allocas 128 cells and stores into and loads one of them.
+const allocaCallSrc = `module "alloca_call"
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @f(%x: i64) i64 {
+entry:
+  %a = alloca i64, 128
+  %i = and %x, 127
+  %p = ptradd %a, %i
+  store i64 %x, %p
+  %v = load i64, %p
+  ret %v
+}
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %inext, loop ]
+  %s = phi i64 [ 0, entry ], [ %snext, loop ]
+  %v = call i64 @f(%i)
+  %snext = add %s, %v
+  %inext = add %i, 1
+  %c = lt %inext, 65536
+  condbr %c, loop, done
+done:
+  %cell = ptradd %env, %w
+  store i64 %snext, %cell
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 2
+  call void @noelle_dispatch(@task, %env, 2)
+  %r = load i64, %env
+  ret %r
+}`
+
+// BenchmarkAllocaCall is the unit cost of a call whose callee allocas: a
+// 128-cell local array, from each lane of a 2-lane DOALL-shaped dispatch
+// on the compiled tier. It reports ns per call, each run's New included.
+func BenchmarkAllocaCall(b *testing.B) {
+	m, err := irtext.Parse(allocaCallSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	calls := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		it := interp.New(m)
+		it.Eng, it.DispatchWorkers = interp.EngineCompiled, 2
+		if _, err := it.Run(); err != nil {
+			b.Fatal(err)
+		}
+		calls += 2 * 65536
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/call")
 }
 
 // BenchmarkCompileWhole is the unit cost of the compiled tier's compile:

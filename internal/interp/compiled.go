@@ -39,19 +39,15 @@ func (it *Interp) applyEdge(fr []uint64, cf *cfunc, e *cedge) {
 }
 
 // execCompiled runs one compiled function body over this context. The
-// frame comes off the context's value stack and the body's allocas are
-// recorded on the context's alloca stack, so a call allocates nothing.
+// frame comes off the context's value stack and the body's allocas off
+// its stack in memory, both popped on return, so a call allocates nothing.
 func (it *Interp) execCompiled(cf *cfunc, args []uint64) (uint64, error) {
-	base, allocs := len(it.stack), len(it.allocas)
+	base, sp := len(it.stack), it.sp
 	fr := it.push(int(cf.frameLen))
 	clear(fr[copy(fr, args):cf.pool])
 	copy(fr[cf.pool:], cf.consts)
 	r, err := it.runCompiled(cf, fr)
-	for _, a := range it.allocas[allocs:] {
-		it.free(a)
-	}
-	it.allocas = it.allocas[:allocs]
-	it.stack = it.stack[:base]
+	it.stack, it.sp = it.stack[:base], sp
 	return r, err
 }
 
@@ -241,8 +237,10 @@ blockLoop:
 			case cPtrAdd:
 				fr[op.dst] = uint64(int64(fr[op.a]) + int64(fr[op.b])*op.k)
 			case cAlloca:
-				addr := it.alloc(op.k)
-				it.allocas = append(it.allocas, addr)
+				addr, ok := it.alloca(op.k)
+				if !ok {
+					return 0, it.trap(op, gate < 0, errAlloca(resultAt(cf.fn, op.dst)))
+				}
 				fr[op.dst] = uint64(addr)
 			case cCall:
 				ci := op.call
@@ -365,6 +363,23 @@ blockLoop:
 		// Unreachable: every compiled block ends in a terminator or cErr.
 		return 0, errors.New("interp: compiled block fell through")
 	}
+}
+
+// resultAt returns f's instruction whose result has frame slot s, as the
+// compiler numbers them.
+func resultAt(f *ir.Function, s int32) *ir.Instr {
+	next := int32(len(f.Params))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.HasResult() {
+				if next == s {
+					return in
+				}
+				next++
+			}
+		}
+	}
+	return nil
 }
 
 func boolBits(c bool) uint64 {

@@ -15,7 +15,7 @@ const (
 	ExternPrintI64 = "print_i64"
 	ExternPrintF64 = "print_f64"
 	// ExternGuard is CARAT's runtime address check: guard(ptr) validates
-	// that ptr points into a live allocation.
+	// that ptr points into a global or a live alloca (ValidAddress).
 	ExternGuard = "carat_guard"
 	// ExternCallback is COOS's injected OS-routine call.
 	ExternCallback = "os_callback"

@@ -22,18 +22,19 @@ const (
 	leafPages = 1 << leafShift
 
 	// memBytes is the address range: every load, store and bulk queue
-	// buffer lies in [0, memBytes) or is a run-time error. Allocas are
-	// never reused, and a HELIX lowering allocates crossing-value
-	// buffers on every task call, mostly never written: the largest
-	// image the corpus programs, their lowerings at 2 and 12 cores and
-	// the generated fuzzing subjects reach is about 600 MiB (leela_r),
-	// and blender_r's HELIX lowering reaches about 3 GiB from 128 cores
-	// up to core.MaxCores. 16 GiB leaves room at every core count while
-	// bounding the pages a program can create; the top level it needs is
-	// at most 4096 pointers, and only touched leaves exist.
-	memBytes  = 1 << 34
-	memCells  = memBytes >> 3
-	maxLeaves = memCells >> (pageShift + leafShift)
+	// buffer lies in [0, memBytes) or is a run-time error. It holds the
+	// globals, the root's stack, then the lanes' stacks (stackPool). Over
+	// the corpus and its lowerings at 2, 12, 128 and core.MaxCores cores,
+	// fuzz.Subjects(150), a root stack reaches 12.6 MB (x264_r at
+	// core.MaxCores allocas a 1027-cell environment in a loop of main), a
+	// lane's 328 KB (800 KB for a callee allocaing 800 KB under DOALL)
+	// and the globals 49 KB: so 16 MiB and 1 MiB, and 16 GiB holds 16,367
+	// lanes, a 128-lane dispatch nested in each lane of another.
+	memBytes       = 1 << 34
+	rootStackBytes = 16 << 20
+	laneStackBytes = 1 << 20
+	memCells       = memBytes >> 3
+	maxLeaves      = memCells >> (pageShift + leafShift)
 )
 
 // page is one page of cells; leaf maps leafPages consecutive pages, a
@@ -46,8 +47,8 @@ type (
 // pageTable is the memory shared by every execution context of one
 // module image. A leaf, once installed, never moves and is never
 // replaced, and neither is a page, installed in its leaf by
-// compare-and-swap (freeing an allocation only retires its range from the
-// allocation table). The top level only ever grows, by copy under grow,
+// compare-and-swap (an alloca clears the pages a popped frame left in
+// place). The top level only ever grows, by copy under grow,
 // when a write lands beyond it, and grow also serializes leaf installs,
 // so none is lost to a concurrent copy. So a context can keep its own
 // copy of the top level and reach any cell with two indexed loads, no
@@ -122,22 +123,19 @@ func (t *pageTable) addLeaf(l uint64) *leaf {
 	return lf
 }
 
-// image is the module's shared execution state: memory pages, the
-// allocation table, global/function layout, and the extern registry. One
-// image backs the root interpreter and every worker context the parallel
+// image is the module's shared execution state: memory pages, the stack
+// regions, global/function layout, and the extern registry. One image
+// backs the root interpreter and every worker context the parallel
 // dispatcher forks from it; the mutable parts are concurrency-safe, the
 // rest is immutable after New.
 type image struct {
-	mod *ir.Module
-	mem pageTable
+	mod    *ir.Module
+	mem    pageTable
+	stacks stackPool
 
-	// heapMu guards the bump allocator and the live-allocation table.
-	heapMu  sync.RWMutex
-	nextPtr int64
-	allocs  map[int64]int64 // start -> size (live allocations)
-
-	// Immutable after New.
+	// Immutable after New. The globals lie in [8, globalsEnd).
 	globalAddr map[*ir.Global]int64
+	globalsEnd int64
 	// layoutErr names the first global that does not fit in memory; the
 	// globals behind it are not laid out, and every Call fails with it.
 	layoutErr error
@@ -209,36 +207,36 @@ func (img *image) recordWorkerStats(stats []WorkerStat) {
 	img.statsMu.Unlock()
 }
 
-// alloc reserves size bytes (rounded up to cells) and tracks the range.
-func (img *image) alloc(size int64) int64 {
-	if size < 8 {
-		size = 8
-	}
-	size = (size + 7) &^ 7
-	img.heapMu.Lock()
-	addr := img.nextPtr
-	img.nextPtr += size
-	img.allocs[addr] = size
-	img.heapMu.Unlock()
-	return addr
+// stackPool hands out the lanes' stack regions above the root's, and
+// reuses one given back before it cuts a new one. A dispatch takes and
+// gives back all its lanes' at once: no alloca takes the lock.
+type stackPool struct {
+	mu   sync.Mutex
+	free []int64
+	next int64 // base of the next region never handed out
 }
 
-func (img *image) free(addr int64) {
-	img.heapMu.Lock()
-	delete(img.allocs, addr)
-	img.heapMu.Unlock()
+// take returns the bases of n regions, or an error when memory has no
+// room for them.
+func (p *stackPool) take(n int) ([]int64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	reused := min(n, len(p.free))
+	if int64(n-reused) > (memBytes-p.next)/laneStackBytes {
+		return nil, fmt.Errorf("interp: no room in memory [0, %d) for %d lane stacks", int64(memBytes), n)
+	}
+	bases := slices.Clone(p.free[len(p.free)-reused:])
+	p.free = p.free[:len(p.free)-reused]
+	for ; len(bases) < n; p.next += laneStackBytes {
+		bases = append(bases, p.next)
+	}
+	return bases, nil
 }
 
-// validAddress reports whether addr falls inside a live allocation.
-func (img *image) validAddress(addr int64) bool {
-	img.heapMu.RLock()
-	defer img.heapMu.RUnlock()
-	for start, size := range img.allocs {
-		if addr >= start && addr < start+size {
-			return true
-		}
-	}
-	return false
+func (p *stackPool) give(bases []int64) {
+	p.mu.Lock()
+	p.free = append(p.free, bases...)
+	p.mu.Unlock()
 }
 
 // writeCell and readCell are the image's own accesses: global
@@ -399,33 +397,26 @@ func (img *image) fingerprint() uint64 {
 	return h
 }
 
-// fits reports whether a value of type t takes at least one and at most
-// limit bytes, its size computed without wrapping.
-func fits(t *ir.Type, limit int64) bool {
-	if t.Kind == ir.ArrayKind {
-		return t.Len > 0 && fits(t.Elem, limit/int64(t.Len))
-	}
-	return t.Size() > 0 && int64(t.Size()) <= limit
-}
-
-// allocaSize returns the bytes alloca in reserves, or the error it traps
-// with when they are not between one and the memory's size, the product
-// computed without wrapping. The compiled tier decides it when it
-// compiles in.
+// allocaSize returns the bytes alloca in takes off its context's stack,
+// or its trap when they exceed the largest stack or wrap. The compiled
+// tier decides it when it compiles in.
 func allocaSize(in *ir.Instr) (int64, error) {
-	if n := int64(in.AllocaCount); n > 0 && fits(in.AllocaElem, memBytes/n) {
+	if n := int64(in.AllocaCount); n > 0 && ir.Fits(in.AllocaElem, rootStackBytes/n) {
 		return int64(in.AllocaElem.Size()) * n, nil
 	}
-	return 0, fmt.Errorf("interp: @%s: alloca %s of %d x %s does not fit in memory [0, %d)",
-		in.Parent.Parent.Nam, in.Ident(), in.AllocaCount, in.AllocaElem, int64(memBytes))
+	return 0, errAlloca(in)
+}
+
+// errAlloca is an alloca's trap when it does not fit its stack.
+func errAlloca(in *ir.Instr) error {
+	return fmt.Errorf("interp: @%s: alloca %s of %d x %s overflows its stack",
+		in.Parent.Parent.Nam, in.Ident(), in.AllocaCount, in.AllocaElem)
 }
 
 // newImage lays out m's globals and functions into a fresh image.
 func newImage(m *ir.Module) *image {
 	img := &image{
 		mod:        m,
-		nextPtr:    8, // keep 0 as a null page
-		allocs:     make(map[int64]int64, len(m.Globals)),
 		globalAddr: make(map[*ir.Global]int64, len(m.Globals)),
 		fnTable:    make([]*ir.Function, 0, len(m.Functions)),
 		fnIndex:    make(map[*ir.Function]int64, len(m.Functions)),
@@ -443,12 +434,13 @@ func newImage(m *ir.Module) *image {
 	for i := range img.declSlot {
 		img.declSlot[i].Store(externUnresolved)
 	}
+	// The globals leave room for the root context's stack.
+	addr := int64(8)
 	for _, g := range m.Globals {
-		if !fits(g.Elem, memBytes-img.nextPtr) {
+		if !ir.Fits(g.Elem, memBytes-rootStackBytes-addr) {
 			img.layoutErr = fmt.Errorf("interp: global @%s of type %s does not fit in memory [0, %d)", g.Nam, g.Elem, int64(memBytes))
 			break
 		}
-		addr := img.alloc(int64(g.Elem.Size()))
 		img.globalAddr[g] = addr
 		scalar := g.ScalarElem()
 		if scalar.IsFloat() {
@@ -460,6 +452,8 @@ func newImage(m *ir.Module) *image {
 				img.writeCell(addr+int64(i)*8, uint64(v))
 			}
 		}
+		addr += int64(g.Elem.Size())
 	}
+	img.globalsEnd, img.stacks.next = addr, addr+rootStackBytes
 	return img
 }

@@ -142,10 +142,12 @@ type Interp struct {
 	// stack is the compiled tier's value stack: frames and call argument
 	// vectors (see push in compiled.go).
 	stack []uint64
-	// allocas holds the addresses the compiled tier's live frames
-	// allocated, innermost frame last; a frame frees its own on exit
-	// (execCompiled).
-	allocas []int64
+	// sp is the next free address of the context's stack region
+	// [stackBase, stackLimit): a frame's allocas take it up, and its
+	// return on either tier restores it.
+	sp, stackBase, stackLimit int64
+	// parent dispatched this worker and waits for it (nil on a root).
+	parent *Interp
 
 	// pool is the dispatch tree's shared step budget; nil on root
 	// contexts (see stepPool in parallel.go).
@@ -171,10 +173,13 @@ type Extern func(it *Interp, args []uint64) (uint64, error)
 func New(m *ir.Module) *Interp {
 	img := newImage(m)
 	it := &Interp{
-		Mod:      m,
-		MaxSteps: defaultMaxSteps,
-		img:      img,
-		leaves:   img.mem.leaves(),
+		Mod:        m,
+		MaxSteps:   defaultMaxSteps,
+		img:        img,
+		leaves:     img.mem.leaves(),
+		sp:         img.globalsEnd,
+		stackBase:  img.globalsEnd,
+		stackLimit: img.globalsEnd + rootStackBytes,
 	}
 	img.registerExterns(defaultExterns...)
 	return it
@@ -195,13 +200,39 @@ func (it *Interp) RegisterExternArity(name string, arity int, fn Extern) {
 	it.img.registerExterns(externEntry{name: name, arity: arity, fn: fn})
 }
 
-// ValidAddress reports whether addr falls inside a live allocation.
-func (it *Interp) ValidAddress(addr int64) bool { return it.img.validAddress(addr) }
+// ValidAddress reports whether addr falls inside a global or a live
+// alloca: below the stack pointer of this context or of one that
+// dispatched it, which does not move while it waits.
+func (it *Interp) ValidAddress(addr int64) bool {
+	if addr >= 8 && addr < it.img.globalsEnd {
+		return true
+	}
+	for c := it; c != nil; c = c.parent {
+		if addr >= c.stackBase && addr < c.sp {
+			return true
+		}
+	}
+	return false
+}
 
-// alloc reserves size bytes in the shared image.
-func (it *Interp) alloc(size int64) int64 { return it.img.alloc(size) }
-
-func (it *Interp) free(addr int64) { it.img.free(addr) }
+// alloca takes size bytes, a positive multiple of 8, off the stack, or
+// reports false when they do not fit. It clears what popped frames left
+// on the pages that exist; a page never written reads zero anyway.
+func (it *Interp) alloca(size int64) (int64, bool) {
+	addr := it.sp
+	if size > it.stackLimit-addr {
+		return 0, false
+	}
+	it.sp += size
+	for cell, end := uint64(addr)>>3, uint64(addr+size)>>3; cell < end; {
+		next := min(end, cell-cell%pageCells+pageCells)
+		if p := it.img.mem.page(cell, false); p != nil {
+			clear(p[cell%pageCells : cell%pageCells+next-cell])
+		}
+		cell = next
+	}
+	return addr, true
+}
 
 // inMemory reports whether addr lies in the address range [0, memBytes).
 func inMemory(addr int64) bool { return uint64(addr)>>3 < memCells }
@@ -398,7 +429,10 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 		return 0, fmt.Errorf("interp: cannot observe @%s: %w", f.Nam, err)
 	}
 	it.engineUsed = EngineWalker
-	return it.callWalker(f, args)
+	sp := it.sp
+	r, err := it.callWalker(f, args)
+	it.sp = sp // the frame's allocas pop
+	return r, err
 }
 
 // callWalker is the instruction-walking reference engine: the original
@@ -410,13 +444,6 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 	for i, p := range f.Params {
 		frame[p] = args[i]
 	}
-	var frameAllocs []int64
-	defer func() {
-		for _, a := range frameAllocs {
-			it.free(a)
-		}
-	}()
-
 	maxSteps := it.stepBudget()
 
 	block := f.Entry()
@@ -463,11 +490,10 @@ func (it *Interp) callWalker(f *ir.Function, args []uint64) (uint64, error) {
 			switch in.Opcode {
 			case ir.OpAlloca:
 				size, err := allocaSize(in)
-				if err != nil {
-					return 0, err
+				addr, ok := it.alloca(size)
+				if err != nil || !ok {
+					return 0, errAlloca(in)
 				}
-				addr := it.alloc(size)
-				frameAllocs = append(frameAllocs, addr)
 				frame[in] = uint64(addr)
 
 			case ir.OpLoad:

@@ -78,27 +78,63 @@ entry:
 	}
 }
 
+// TestGuardExtern: carat_guard accepts a global, a live alloca of the
+// context, and, from a dispatched worker, the environment alloca of the
+// context that dispatched it; it rejects an address past them and a
+// callee's alloca once the callee has returned. Sequential and parallel
+// dispatch count the same failures.
 func TestGuardExtern(t *testing.T) {
 	m := parse(t, `module "m"
 global @g : i64 zeroinit
 declare @carat_guard : fn(i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @leak() i64 {
+entry:
+  %l = alloca i64, 4
+  %a = p2i %l
+  ret %a
+}
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %e = p2i %env
+  call void @carat_guard(%e)
+  %own = alloca i64, 2
+  %o = p2i %own
+  call void @carat_guard(%o)
+  %gone = call i64 @leak()
+  call void @carat_guard(%gone)
+  ret void
+}
 func @main() i64 {
 entry:
   %addr = p2i @g
   call void @carat_guard(%addr)
   %bogus = add %addr, 65536
   call void @carat_guard(%bogus)
+  %live = alloca i64, 8
+  %l = p2i %live
+  call void @carat_guard(%l)
+  %last = ptradd %live, 7
+  %la = p2i %last
+  call void @carat_guard(%la)
+  %gone = call i64 @leak()
+  call void @carat_guard(%gone)
+  %env = alloca i64, 1
+  call void @noelle_dispatch(@task, %env, 2)
   ret 0
 }`)
-	it := interp.New(m)
-	if _, err := it.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if it.GuardCalls != 2 {
-		t.Errorf("guard calls = %d, want 2", it.GuardCalls)
-	}
-	if it.GuardFailures != 1 {
-		t.Errorf("guard failures = %d, want 1 (the out-of-bounds address)", it.GuardFailures)
+	for _, seq := range []bool{true, false} {
+		it := interp.New(m)
+		it.SeqDispatch, it.DispatchWorkers = seq, 2
+		if _, err := it.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if it.GuardCalls != 11 {
+			t.Errorf("seq=%v: guard calls = %d, want 11", seq, it.GuardCalls)
+		}
+		if it.GuardFailures != 4 {
+			t.Errorf("seq=%v: guard failures = %d, want 4 (the address past @g and the three returned callees' allocas)", seq, it.GuardFailures)
+		}
 	}
 }
 

@@ -133,12 +133,21 @@ func TestLastCellIsMemory(t *testing.T) {
 // size wraps (8 * 2e18 bytes reads as a negative int), is refused when
 // the image is laid out — not placed on top of its neighbours — and
 // every run fails naming it before its first instruction, on both tiers.
+// minic refuses the sizes whose bytes int64 does not hold, so the module
+// is written as IR.
 func TestOversizedGlobalRefused(t *testing.T) {
 	for _, size := range []string{"1000000000000", "2000000000000000000", "2305843009213693953"} {
-		m, err := minic.Compile("big", "int a["+size+"]; int b;\nint main() { b = 5; print_i64(b); return 0; }")
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := parseModule(t, `module "big"
+global @a : [`+size+` x i64] zeroinit
+global @b : i64 zeroinit
+declare @print_i64 : fn(i64) void
+func @main() i64 {
+entry:
+  store i64 5, @b
+  %v = load i64, @b
+  call void @print_i64(%v)
+  ret 0
+}`)
 		for _, eng := range []Engine{EngineWalker, EngineCompiled} {
 			it := New(m)
 			it.Eng = eng
@@ -151,30 +160,79 @@ func TestOversizedGlobalRefused(t *testing.T) {
 	}
 }
 
-// TestOversizedAllocaTraps: a local array too large for memory, or whose
+// TestOversizedAllocaTraps: a local array larger than a stack, or whose
 // byte size wraps (8 * 2305843009213693953 reads as 8), traps when its
-// alloca executes — not sized so that the next local overlaps it — with
+// alloca executes — not sized so that the next local overlaps it — and so
+// does one that fits a stack but not what the frames below it left, with
 // one error and the same counters and output on both tiers. A function
 // holding one that never runs costs its program nothing.
 func TestOversizedAllocaTraps(t *testing.T) {
-	for _, size := range []string{"1000000000000", "2000000000000000000", "2305843009213693953"} {
-		m, err := minic.Compile("big", "int f() { int a["+size+"]; int b[4]; b[0] = 5; a[1] = 7; return b[0]; }\n"+
-			"int main() { print_i64(1); print_i64(f()); return 0; }")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := assertTiersAgree(t, m, nil)
-		want := "interp: @f: alloca %a of " + size + " x i64 does not fit in memory [0, 17179869184)"
-		if r.err != want || r.output != "1\n" {
-			t.Errorf("a[%s]: error %q, output %q; want %q after printing 1", size, r.err, r.output, want)
+	overflow := func(size string) string {
+		return "interp: @f: alloca %a of " + size + " x i64 overflows its stack"
+	}
+	m, err := minic.Compile("big", "int f() { int a[1000000000000]; int b[4]; b[0] = 5; a[1] = 7; return b[0]; }\n"+
+		"int main() { print_i64(1); print_i64(f()); return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := assertTiersAgree(t, m, nil); r.err != overflow("1000000000000") || r.output != "1\n" {
+		t.Errorf("a[1000000000000]: error %q, output %q; want %q after printing 1", r.err, r.output, overflow("1000000000000"))
+	}
+	for _, size := range []string{"2000000000000000000", "2305843009213693953"} {
+		m := parseModule(t, `module "big"
+declare @print_i64 : fn(i64) void
+func @f() i64 {
+entry:
+  %a = alloca i64, `+size+`
+  %b = alloca i64, 4
+  store i64 5, %b
+  %p = ptradd %a, 1
+  store i64 7, %p
+  %v = load i64, %b
+  ret %v
+}
+func @main() i64 {
+entry:
+  call void @print_i64(1)
+  %v = call i64 @f()
+  call void @print_i64(%v)
+  ret 0
+}`)
+		if r := assertTiersAgree(t, m, nil); r.err != overflow(size) || r.output != "1\n" {
+			t.Errorf("a[%s]: error %q, output %q; want %q after printing 1", size, r.err, r.output, overflow(size))
 		}
 	}
-	m, err := minic.Compile("idle", "int f() { int a[2305843009213693953]; a[1] = 7; return a[1]; }\n"+
+	deep := fmt.Sprint(rootStackBytes / 8 / 6)
+	m, err = minic.Compile("deep", "int f(int n) { int a["+deep+"]; a[0] = n; if (n == 0) { return 0; } return f(n - 1) + a[0]; }\n"+
+		"int main() { print_i64(f(3)); print_i64(f(100)); return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := assertTiersAgree(t, m, nil); r.err != overflow(deep) || r.output != "6\n" {
+		t.Errorf("recursion past the stack: error %q, output %q; want %q after printing 6", r.err, r.output, overflow(deep))
+	}
+	m, err = minic.Compile("idle", "int f() { int a[1000000000000]; a[1] = 7; return a[1]; }\n"+
 		"int main() { print_i64(5); return 0; }")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := assertTiersAgree(t, m, nil); r.err != "" || r.output != "5\n" {
 		t.Errorf("uncalled oversized alloca: error %q, output %q; want none, \"5\\n\"", r.err, r.output)
+	}
+}
+
+// TestCalleeAllocasPop: a callee's allocas give their memory back when it
+// returns, so calling one that allocas 800 KB 30,000 times, 24 GB in
+// all, needs 800 KB of stack, and the program prints its sum on both
+// tiers. A bump allocator that never reuses the space stops with a store
+// outside memory after about 21,000 calls.
+func TestCalleeAllocasPop(t *testing.T) {
+	m, err := minic.Compile("pop", "int f(int x) { int a[100000]; a[x % 100000] = x; return a[x % 100000]; }\n"+
+		"int main() { int i; int s = 0; for (i = 0; i < 30000; i = i + 1) { s = s + f(i); } print_i64(s); return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := assertTiersAgree(t, m, nil); r.err != "" || r.output != "449985000\n" {
+		t.Errorf("error %q, output %q; want the sum 449985000", r.err, r.output)
 	}
 }

@@ -103,14 +103,19 @@ func (it *Interp) extendStepBudget() (int64, bool) {
 // pushBlocks enables bounded (backpressuring) queue pushes; it is only
 // safe when every worker of the dispatch is resident on its own
 // goroutine (see dispatchParallel). rec is the lane's span recorder (nil
-// when tracing is off); every worker a lane claims records into it.
-func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder) *Interp {
+// when tracing is off) and stack its stack region: every worker a lane
+// claims uses both in turn, its frames all popped when it returns.
+func (it *Interp) fork(pool *stepPool, pushBlocks bool, rec *obs.Recorder, stack int64) *Interp {
 	return &Interp{
 		Mod:        it.Mod,
 		ExecConfig: it.ExecConfig,
 		rec:        rec,
 		img:        it.img,
 		leaves:     it.leaves,
+		sp:         stack,
+		stackBase:  stack,
+		stackLimit: stack + laneStackBytes,
+		parent:     it,
 		pool:       pool,
 		parWorker:  true, // pops and waits from workers block
 		pushBlocks: pushBlocks,
@@ -259,6 +264,11 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 	if seqNo == 0 {
 		seqNo = it.img.dispatchSeq.Add(1)
 	}
+	stacks, err := it.img.stacks.take(int(par))
+	if err != nil {
+		return 0, err
+	}
+	defer it.img.stacks.give(stacks)
 	laneStats := make([]WorkerStat, par)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -276,7 +286,7 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 				if w >= nworkers {
 					return
 				}
-				wk := it.fork(pool, pushBlocks, rec)
+				wk := it.fork(pool, pushBlocks, rec, stacks[g])
 				var tStart time.Time
 				if rec != nil {
 					tStart = rec.Clock()

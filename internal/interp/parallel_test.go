@@ -10,6 +10,8 @@ import (
 	"noelle/internal/core"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
+	"noelle/internal/minic"
+	"noelle/internal/passes"
 	"noelle/internal/tool"
 	"noelle/internal/tools/auto"
 
@@ -420,5 +422,43 @@ func TestDOALLParallelSpeedup(t *testing.T) {
 	t.Logf("sequential %v, parallel %v, speedup %.2fx", seqD, parD, speedup)
 	if speedup < 2 {
 		t.Errorf("4-worker wall-clock speedup %.2fx, want >= 2x", speedup)
+	}
+}
+
+// TestDOALLCalleeAllocasPop: the callee of TestCalleeAllocasPop, 800 KB of
+// allocas per call, called from a DOALL-lowered loop at 2 cores. Each
+// worker's calls pop on its lane's stack, so the lowered program prints
+// the original's sum, and the same bytes under parallel and -seq
+// dispatch.
+func TestDOALLCalleeAllocasPop(t *testing.T) {
+	m, err := minic.Compile("pop", `int out[30000];
+int f(int x) { int a[100000]; a[x % 100000] = x; return a[x % 100000]; }
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 30000; i = i + 1) { out[i] = f(i); }
+  for (i = 0; i < 30000; i = i + 1) { s = s + out[i]; }
+  print_i64(s);
+  return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes.Optimize(m)
+	opts := core.DefaultOptions()
+	opts.MinHotness = 0
+	opts.Cores = 2
+	res, err := auto.RunPinned(context.Background(), core.New(m, opts), tool.Options{ExecutePlans: true}, "doall")
+	if err != nil {
+		t.Fatalf("doall: %v", err)
+	}
+	if res.Lowered() < 1 {
+		t.Fatalf("parallelized no loop: %+v", res.Rejections)
+	}
+	seq, par, rSeq, rPar := runModes(t, m)
+	if seq.Output.String() != "449985000\n" || par.Output.String() != seq.Output.String() || rSeq != rPar {
+		t.Errorf("seq output %q (exit %d), parallel %q (exit %d); want 449985000 from both", seq.Output.String(), rSeq, par.Output.String(), rPar)
+	}
+	if len(par.WorkerStats()) == 0 {
+		t.Error("the parallel run dispatched no workers")
 	}
 }

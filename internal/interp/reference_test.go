@@ -146,17 +146,18 @@ entry:
 // TestPageTableMatchesReference drives the page table and the reference
 // through one seeded random sequence of reads, writes and bulk runs, from
 // two contexts each (the root and a forked worker, each with its own copy
-// of the top level or its own cache): on globals, allocas, pages never
-// written, far pages that grow the top level, unaligned addresses and bulk
-// runs that cross a page boundary. Every read, every bulk run and the
-// final fingerprint must agree, and so must every touched cell read back
-// through a fresh context.
+// of the top level or its own cache): on globals, allocas off the root's
+// stack, pages never written, far pages that grow the top level,
+// unaligned addresses and bulk runs that cross a page boundary. Every
+// read, every bulk run and the final fingerprint must agree, and so must
+// every touched cell read back through a fresh context; the allocas,
+// popped and pushed again, read zero.
 func TestPageTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			root := refModule(t)
-			ctxs := []*Interp{root, root.fork(nil, false, nil)}
+			ctxs := []*Interp{root, root.fork(nil, false, nil, 0)}
 			ref := &refPages{}
 			refs := []*refContext{{pages: ref}, {pages: ref}}
 			for g, addr := range root.img.globalAddr {
@@ -170,9 +171,18 @@ func TestPageTableMatchesReference(t *testing.T) {
 			}
 			sort.Slice(globals, func(i, j int) bool { return globals[i][0] < globals[j][0] })
 			var allocas [][2]int64
-			for _, size := range []int64{8, 24, 8 * pageCells, 8*pageCells + 40, 3 * 8 * pageCells} {
-				allocas = append(allocas, [2]int64{root.alloc(size), size})
+			sp := root.sp
+			pushAllocas := func() {
+				allocas = allocas[:0]
+				for _, size := range []int64{8, 24, 8 * pageCells, 8*pageCells + 40, 3 * 8 * pageCells} {
+					addr, ok := root.alloca(size)
+					if !ok {
+						t.Fatalf("alloca of %d bytes overflows the root's stack", size)
+					}
+					allocas = append(allocas, [2]int64{addr, size})
+				}
 			}
+			pushAllocas()
 			// pick draws an address and the number of cells a bulk run
 			// from it may take.
 			pick := func() (int64, int64) {
@@ -239,7 +249,18 @@ func TestPageTableMatchesReference(t *testing.T) {
 			if got, want := root.MemoryFingerprint(), refs[0].fingerprint(root.img); got != want {
 				t.Errorf("fingerprint %#x, reference %#x", got, want)
 			}
-			fresh, freshRef := root.fork(nil, false, nil), &refContext{pages: ref}
+			// Pop the allocas and push them again: every cell reads zero.
+			root.sp = sp
+			pushAllocas()
+			for _, a := range allocas {
+				for addr := a[0]; addr < a[0]+a[1]; addr += 8 {
+					if got, _ := root.readCell(addr); got != 0 {
+						t.Fatalf("re-pushed alloca cell %d reads %d", addr, got)
+					}
+					refs[0].writeCell(addr, 0)
+				}
+			}
+			fresh, freshRef := root.fork(nil, false, nil, 0), &refContext{pages: ref}
 			fresh.leaves = nil
 			for cell := range touched {
 				if got, _ := fresh.readCell(cell << 3); got != freshRef.readCell(cell<<3) {
@@ -248,6 +269,36 @@ func TestPageTableMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	// A callee's alloca, popped when it returns and pushed again by the
+	// next call at the same address, reads zero there on both tiers,
+	// though the first call wrote it.
+	t.Run("popped_alloca_reads_zero", func(t *testing.T) {
+		m := parseModule(t, `module "m"
+declare @print_i64 : fn(i64) void
+func @g(%v: i64) i64 {
+entry:
+  %a = alloca i64, 2000
+  %p = ptradd %a, 1500
+  %old = load i64, %p
+  store i64 %v, %p
+  %addr = p2i %a
+  call void @print_i64(%addr)
+  ret %old
+}
+func @main() i64 {
+entry:
+  %x = call i64 @g(5)
+  call void @print_i64(%x)
+  %y = call i64 @g(6)
+  call void @print_i64(%y)
+  ret 0
+}`)
+		r := assertTiersAgree(t, m, nil)
+		lines := strings.Fields(r.output)
+		if r.err != "" || len(lines) != 4 || lines[0] != lines[2] || lines[1] != "0" || lines[3] != "0" {
+			t.Errorf("error %q, output %q; want the same alloca address twice and two zeros", r.err, r.output)
+		}
+	})
 }
 
 // TestPageTableFirstTouchRace: goroutines on their own contexts write
@@ -263,7 +314,7 @@ func TestPageTableFirstTouchRace(t *testing.T) {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := int64(0); w < workers; w++ {
-			wk := root.fork(nil, false, nil)
+			wk := root.fork(nil, false, nil, 0)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -103,6 +103,16 @@ func (t *Type) Size() int {
 	}
 }
 
+// Fits reports whether a value of type t takes at least one and at most
+// limit bytes, its size computed without wrapping: the one check to make
+// before trusting Size, which multiplies in int.
+func Fits(t *Type, limit int64) bool {
+	if t.Kind == ArrayKind {
+		return t.Len > 0 && Fits(t.Elem, limit/int64(t.Len))
+	}
+	return t.Size() > 0 && int64(t.Size()) <= limit
+}
+
 // String renders the type in the textual IR syntax.
 func (t *Type) String() string {
 	if t == nil {

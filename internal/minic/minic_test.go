@@ -292,6 +292,17 @@ func TestTypeErrors(t *testing.T) {
 			t.Errorf("%s: expected compile error", c.name)
 		}
 	}
+	// A size int accepts whose byte size int64 does not: 8 bytes times it
+	// wraps, so the program would otherwise reach the interpreter.
+	for _, src := range []string{
+		"int a[2305843009213693953]; int main() { return 0; }",
+		"int main() { int a[2000000000000000000]; return 0; }",
+	} {
+		_, err := Compile("bad", src)
+		if err == nil || !strings.Contains(err.Error(), "array a of ") || !strings.Contains(err.Error(), "byte size out of range") {
+			t.Errorf("%q: error %v, want one naming array a and its byte size", src, err)
+		}
+	}
 }
 
 func TestParseErrorsHaveLineNumbers(t *testing.T) {

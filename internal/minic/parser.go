@@ -2,7 +2,10 @@ package minic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"noelle/internal/ir"
 )
 
 // Parse parses a mini-C translation unit.
@@ -174,9 +177,10 @@ func (p *cparser) parseFuncHeader() (*FuncDecl, error) {
 	return fd, nil
 }
 
-// arraySuffix parses the optional "[N]" after a declared name: ty when
-// there is none, else an array of N ty, N a positive integer.
-func (p *cparser) arraySuffix(ty *CType) (*CType, error) {
+// arraySuffix parses the optional "[N]" after the declared name: ty when
+// there is none, else an array of N ty, N a positive integer and the
+// array's byte size one that int64 holds.
+func (p *cparser) arraySuffix(ty *CType, name Tok) (*CType, error) {
 	if !p.accept("[") {
 		return ty, nil
 	}
@@ -188,11 +192,15 @@ func (p *cparser) arraySuffix(ty *CType) (*CType, error) {
 	if err := p.expect("]"); err != nil {
 		return nil, err
 	}
-	return cArray(ty, n), nil
+	arr := cArray(ty, n)
+	if !ir.Fits(irType(arr), math.MaxInt64) {
+		return nil, fmt.Errorf("line %d: array %s of %d x %s: byte size out of range", name.Line, name.Text, n, irType(ty))
+	}
+	return arr, nil
 }
 
 func (p *cparser) parseGlobalRest(ty *CType, nameTok Tok) (*GlobalDecl, error) {
-	ty, err := p.arraySuffix(ty)
+	ty, err := p.arraySuffix(ty, nameTok)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +350,7 @@ func (p *cparser) parseDecl() (Stmt, error) {
 	if nameTok.Kind != TokIdent {
 		return nil, fmt.Errorf("line %d: expected variable name", nameTok.Line)
 	}
-	ty, err = p.arraySuffix(ty)
+	ty, err = p.arraySuffix(ty, nameTok)
 	if err != nil {
 		return nil, err
 	}
