@@ -86,7 +86,11 @@ race:
 # parser (same module or same error string) and the one-buffer
 # fingerprint walk against the per-field writer (same bits), each on the
 # generated subjects and the whole program, the fingerprints again after
-# `auto` lowered them.
+# `auto` lowered them. The order oracle ends it: the corpus lowered by
+# `doall` and by `auto` at 2 and 4 cores, run -seq with every doall
+# dispatch's workers reversed, must print, exit and leave the globals as
+# in order, and the self-dependence reproducer (pinned doall, 12 cores)
+# must differ reversed, which is the oracle's power.
 tier-diff:
 	NOELLE_ENGINE=walker NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
@@ -96,13 +100,15 @@ tier-diff:
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
 	$(GO) test -run 'TestParseMatchesReference|TestFingerprintMatchesReference' -v ./internal/irtext/ ./internal/ir/
+	$(GO) test -run 'TestWorkerOrder|TestReversedDOALLWorkersAgree|TestReversedWorkersExposeTheSelfDependenceRace' -v ./internal/interp/ ./internal/tools/
 
 # The repo's own unit costs, one iteration each (about a second; CI's
 # test job prints them): reading the whole program's text
 # (BenchmarkParseWhole) and keying it (BenchmarkFingerprintWhole), the
 # whole-module points-to analysis (BenchmarkPointsToWhole: ns, bytes and
 # allocations per solve), auto's plan-and-price decision
-# (BenchmarkAutoPricing: one training run), a cold and a warm pass over
+# (BenchmarkAutoPricing: one training run) and its training run as the
+# invocation count grows (BenchmarkAutoPrice: bytes per op stay flat), a cold and a warm pass over
 # every function PDG, the loop bundle of every loop over built PDGs
 # (BenchmarkLoopBundle), the compiled tier's compile of every function
 # of the whole program on a fresh image, which every run pays for what it

@@ -2,7 +2,8 @@
 // repository does: Algorithm 1 vs Algorithm 2 on one corpus (E11), the
 // cold vs warm abstraction-store load, the unit costs of reading and
 // keying a module, of a points-to analysis, of the loop bundle, of
-// auto's pricing, of an interpreted step and of a call whose callee
+// auto's pricing and of its training run as invocations grow, of an
+// interpreted step and of a call whose callee
 // allocas, and four design
 // ablations (demand-driven construction, alias stacks, HELIX header
 // scheduling, DOALL chunk size). Run them with
@@ -149,6 +150,37 @@ func BenchmarkAutoPricing(b *testing.B) {
 		if err != nil || res.Selected() == 0 {
 			b.Fatalf("auto: %v, %d selected", err, res.Selected())
 		}
+	}
+}
+
+// BenchmarkAutoPrice is the unit cost of auto's training run as the
+// invocation count grows: plan-only auto over a warm manager on a
+// profiled bench.NestProgram, whose inner loop of 1000 iterations closes
+// outer times. Each invocation is priced as it closes, so bytes per op
+// stay flat from outer 100 to outer 1000.
+func BenchmarkAutoPrice(b *testing.B) {
+	for _, outer := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("outer=%d", outer), func(b *testing.B) {
+			m, err := bench.NestProgram(outer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := profiler.Collect(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof.Embed()
+			opts := core.DefaultOptions()
+			opts.Cores = 2
+			n := core.New(m, opts)
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := auto.Run(context.Background(), n, tool.DefaultOptions())
+				if err != nil || res.TrainingRuns != 1 {
+					b.Fatalf("auto: %v, %d training runs", err, res.TrainingRuns)
+				}
+			}
+		})
 	}
 }
 

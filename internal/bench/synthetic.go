@@ -110,6 +110,38 @@ int main() {
 	return m, nil
 }
 
+// NestProgram generates a two-level nest: an inner DOALL-able loop of
+// 1000 iterations run outer times by an outer loop that carries the
+// array from one pass to the next. auto's training run prices the inner
+// loop once per outer iteration, so outer scales the invocation count and
+// nothing else.
+func NestProgram(outer int) (*ir.Module, error) {
+	src := fmt.Sprintf(`
+int a[1000];
+int main() {
+  int i;
+  int j;
+  for (i = 0; i < %d; i = i + 1) {
+    for (j = 0; j < 1000; j = j + 1) {
+      a[j] = (a[j] + i * 7 + j) %% 4093;
+    }
+  }
+  int s = 0;
+  for (j = 0; j < 1000; j = j + 1) {
+    s = s + a[j];
+  }
+  print_i64(s);
+  return s %% 251;
+}
+`, outer)
+	m, err := minic.Compile(fmt.Sprintf("nest-%d", outer), src)
+	if err != nil {
+		return nil, err
+	}
+	passes.Optimize(m)
+	return m, nil
+}
+
 // PipelineProgram generates the bundled whole-program benchmark for the
 // queue-based communication runtime: its hot loop is NOT DOALL-able — an
 // order-sensitive recurrence (acc = acc*3 + f(i) mod M defeats reduction

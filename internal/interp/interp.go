@@ -108,6 +108,13 @@ type Interp struct {
 	BlockHook func(b *ir.Block)
 	// EdgeHook observes every taken intra-function CFG edge.
 	EdgeHook func(from, to *ir.Block)
+	// WorkerOrder, when set, is the order in which a sequential dispatch
+	// of task runs its n workers: a permutation of 0…n−1, or nil for
+	// 0…n−1. It is for tests: a DOALL lowering claims its workers are
+	// independent, so another order must give the same bytes. Unlike the
+	// hooks it pins the context to no tier, and a parallel dispatch never
+	// reads it.
+	WorkerOrder func(task *ir.Function, n int64) []int64
 
 	// Output accumulates the text produced by print externs.
 	Output strings.Builder

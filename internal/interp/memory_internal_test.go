@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"noelle/internal/ir"
 	"noelle/internal/minic"
 )
 
@@ -133,12 +134,12 @@ func TestLastCellIsMemory(t *testing.T) {
 // size wraps (8 * 2e18 bytes reads as a negative int), is refused when
 // the image is laid out — not placed on top of its neighbours — and
 // every run fails naming it before its first instruction, on both tiers.
-// minic refuses the sizes whose bytes int64 does not hold, so the module
-// is written as IR.
+// minic and irtext refuse the sizes whose bytes int64 does not hold, so
+// the module is parsed with a one-cell @a and given its size after.
 func TestOversizedGlobalRefused(t *testing.T) {
-	for _, size := range []string{"1000000000000", "2000000000000000000", "2305843009213693953"} {
+	for _, size := range []int{1000000000000, 2000000000000000000, 2305843009213693953} {
 		m := parseModule(t, `module "big"
-global @a : [`+size+` x i64] zeroinit
+global @a : [1 x i64] zeroinit
 global @b : i64 zeroinit
 declare @print_i64 : fn(i64) void
 func @main() i64 {
@@ -148,13 +149,14 @@ entry:
   call void @print_i64(%v)
   ret 0
 }`)
+		m.GlobalByName("a").Elem = ir.ArrayOf(ir.I64Type, size)
 		for _, eng := range []Engine{EngineWalker, EngineCompiled} {
 			it := New(m)
 			it.Eng = eng
 			_, err := it.Run()
-			want := "interp: global @a of type [" + size + " x i64] does not fit in memory"
+			want := fmt.Sprintf("interp: global @a of type [%d x i64] does not fit in memory", size)
 			if err == nil || !strings.Contains(err.Error(), want) || it.Steps != 0 || it.Output.Len() != 0 {
-				t.Errorf("a[%s] on %s: error %v after %d steps, output %q; want %q before any step", size, eng, err, it.Steps, it.Output.String(), want)
+				t.Errorf("a[%d] on %s: error %v after %d steps, output %q; want %q before any step", size, eng, err, it.Steps, it.Output.String(), want)
 			}
 		}
 	}

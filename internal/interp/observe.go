@@ -91,12 +91,18 @@ type SegSpec struct {
 	NumSegs   int
 }
 
-// LoopRequest names one loop to observe: its header and blocks, and the
-// segmentations to price it under.
+// LoopRequest names one loop to observe: its header and blocks, the
+// segmentations to price it under, and the consumer of its invocations.
 type LoopRequest struct {
 	Header *ir.Block
 	Blocks map[*ir.Block]bool
 	Specs  []SegSpec
+	// Invocation receives every invocation of the loop as it closes, once
+	// per spec in spec order: rows[i][g] is what iteration i spent in
+	// segment g of Specs[spec]. rows and its cells are views the run
+	// reuses once the call returns: copy what must outlive it. Nil
+	// discards the invocations.
+	Invocation func(spec int, rows [][]int64)
 }
 
 // LoopCosts is one loop's share of a loop-cost request: for every dynamic
@@ -111,24 +117,29 @@ type LoopRequest struct {
 // in Cycles across it, charged to the call's segment; while it runs
 // (depth > 0) none of this loop's probes acts. The depth is the loop's
 // own, so a loop in a callee is observed while its caller's stands down.
+//
+// Rows are kept only while their invocation is open: when it closes they
+// go to the request's consumer, spec by spec, and their chunks back to the
+// request's free list. So what a run holds is its open invocations' rows,
+// never a row per iteration it has run.
 type LoopCosts struct {
-	header *ir.Block
-	inLoop map[*ir.Block]bool
-	exits  map[*ir.Block]bool // out-of-loop successors of loop blocks
-	specs  []SegSpec
-	offs   []int // spec i's first column
-	width  int   // columns per row
+	set     *loopSet
+	header  *ir.Block
+	inLoop  map[*ir.Block]bool
+	exits   map[*ir.Block]bool // out-of-loop successors of loop blocks
+	specs   []SegSpec
+	offs    []int // spec i's first column
+	width   int   // columns per row
+	consume func(spec int, rows [][]int64)
 
 	active    bool
 	depth     int   // in-loop calls on the stack
 	callStart int64 // Cycles when the outermost of them began
-	// The open invocation's rows, width cells each, in runs of chunks that
-	// never move, so nothing is copied as an invocation grows; row is the
-	// open iteration's.
-	runs      [][]int64
-	chunkRows int // rows in the last chunk allocated
-	row       []int64
-	done      [][][][]int64 // [spec][invocation][iteration][segment]
+	// The open invocation's rows, width cells each, in chunks that never
+	// move, so nothing is copied as an invocation grows; row is the open
+	// iteration's.
+	runs [][]int64
+	row  []int64
 }
 
 // loopSet is a context's loop-cost request: every observed loop, and the
@@ -141,7 +152,14 @@ type loopSet struct {
 	blocks []blockCharge         // cLoopIter, cLoopBlock
 	exits  []*LoopCosts          // cLoopExit
 	calls  []callSite            // cLoopCall, cLoopReturn
+	// free holds the chunks of closed invocations, for any loop's next
+	// rows, and views is the row list a consumer is handed.
+	free  [][]int64
+	views [][]int64
 }
+
+// chunkCells is the size of a chunk of rows, unless one row is wider.
+const chunkCells = 1024
 
 type blockCharge struct {
 	lc      *LoopCosts
@@ -163,16 +181,17 @@ type callSite struct {
 }
 
 // ObserveLoops asks this context to measure every requested loop under its
-// specs, all in the one run. Read each result with Invocations after the
-// run; result i answers reqs[i].
+// specs, all in the one run. Result i answers reqs[i]: its consumer
+// receives each invocation as it closes, and Close, called after the run,
+// hands it the one still open.
 func (it *Interp) ObserveLoops(reqs []LoopRequest) ([]*LoopCosts, error) {
 	set := &loopSet{fns: map[*ir.Function]bool{}}
 	for _, r := range reqs {
 		if len(r.Specs) == 0 {
 			return nil, fmt.Errorf("interp: no segmentations of the loop at %s", r.Header.Nam)
 		}
-		lc := &LoopCosts{header: r.Header, inLoop: r.Blocks, exits: map[*ir.Block]bool{}, specs: r.Specs,
-			done: make([][][][]int64, len(r.Specs))}
+		lc := &LoopCosts{set: set, header: r.Header, inLoop: r.Blocks, exits: map[*ir.Block]bool{}, specs: r.Specs,
+			consume: r.Invocation}
 		for _, sp := range r.Specs {
 			if sp.NumSegs < 1 {
 				return nil, fmt.Errorf("interp: segmentation with %d segments", sp.NumSegs)
@@ -282,17 +301,27 @@ func (s *loopSet) iterate(k int64) {
 }
 
 // newRow opens the next iteration's row: the next width cells of the
-// last chunk, or of a fresh one twice its size (at most 1024 rows).
+// last chunk, or of one from the free list, or of a fresh one.
 func (lc *LoopCosts) newRow() {
 	last := len(lc.runs) - 1
 	if last < 0 || cap(lc.runs[last])-len(lc.runs[last]) < lc.width {
-		lc.chunkRows = min(max(2*lc.chunkRows, 4), 1024)
-		lc.runs = append(lc.runs, make([]int64, 0, lc.chunkRows*lc.width))
+		lc.runs = append(lc.runs, lc.set.chunk(lc.width))
 		last++
 	}
 	run := lc.runs[last]
 	lc.runs[last] = run[:len(run)+lc.width]
 	lc.row = lc.runs[last][len(run):]
+	clear(lc.row)
+}
+
+// chunk returns an empty chunk that holds at least one row width wide.
+func (s *loopSet) chunk(width int) []int64 {
+	if n := len(s.free) - 1; n >= 0 && cap(s.free[n]) >= width {
+		c := s.free[n]
+		s.free = s.free[:n]
+		return c
+	}
+	return make([]int64, 0, max(chunkCells, width))
 }
 
 // charge is cLoopBlock: a loop block was entered.
@@ -313,28 +342,41 @@ func (lc *LoopCosts) charge(cs []charge) {
 // exit is cLoopExit: a block just outside a loop was entered.
 func (s *loopSet) exit(k int64) { s.exits[k].exit() }
 
-// exit closes the open invocation: its rows are cut, per spec, from its
-// runs, and the next invocation continues in the rest of the last chunk.
+// exit closes the open invocation: its rows are handed, per spec, to the
+// consumer, and its chunks go to the free list.
 func (lc *LoopCosts) exit() {
 	if lc.depth > 0 || !lc.active {
 		return
 	}
 	lc.active = false
-	n := 0
-	for _, run := range lc.runs {
-		n += len(run) / lc.width
-	}
-	for i, sp := range lc.specs {
-		rows := make([][]int64, 0, n)
+	s := lc.set
+	if lc.consume != nil {
+		n := 0
 		for _, run := range lc.runs {
-			for at := lc.offs[i]; at < len(run); at += lc.width {
-				rows = append(rows, run[at:at+sp.NumSegs:at+sp.NumSegs])
-			}
+			n += len(run) / lc.width
 		}
-		lc.done[i] = append(lc.done[i], rows)
+		// One row list serves every spec of every invocation: it grows to
+		// the longest invocation, in as few steps as doubling takes.
+		views := s.views[:0]
+		if cap(views) < n {
+			views = make([][]int64, 0, max(n, 2*cap(views)))
+		}
+		for i, sp := range lc.specs {
+			views = views[:0]
+			for _, run := range lc.runs {
+				for at := lc.offs[i]; at < len(run); at += lc.width {
+					views = append(views, run[at:at+sp.NumSegs:at+sp.NumSegs])
+				}
+			}
+			lc.consume(i, views[:n:n])
+		}
+		s.views = views
 	}
-	last := lc.runs[len(lc.runs)-1]
-	lc.runs = append(lc.runs[:0], last[len(last):])
+	for _, run := range lc.runs {
+		s.free = append(s.free, run[:0])
+	}
+	clear(lc.runs)
+	lc.runs, lc.row = lc.runs[:0], nil
 }
 
 // call is cLoopCall: an in-loop call is about to run.
@@ -357,11 +399,9 @@ func (s *loopSet) returned(k, cycles int64) {
 	}
 }
 
-// Invocations returns, per spec, every invocation's per-iteration rows:
-// result[s][v][i][g] is what iteration i of invocation v spent in segment
-// g of specs[s]. An invocation the run ended inside of is closed first.
-func (lc *LoopCosts) Invocations() [][][][]int64 {
+// Close ends the run's observation of the loop: an invocation the run
+// ended inside of is closed, and so goes to the consumer, like any other.
+func (lc *LoopCosts) Close() {
 	lc.depth = 0
 	lc.exit()
-	return lc.done
 }

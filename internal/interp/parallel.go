@@ -202,7 +202,17 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 		dStart = it.rec.Clock()
 	}
 	if it.SeqDispatch || nworkers <= 1 || it.hooked() || it.observing() {
-		for w := int64(0); w < nworkers; w++ {
+		var order []int64
+		if it.WorkerOrder != nil {
+			if order = it.WorkerOrder(task, nworkers); order != nil && int64(len(order)) != nworkers {
+				return 0, fmt.Errorf("interp: worker order of %d for %d workers", len(order), nworkers)
+			}
+		}
+		for i := int64(0); i < nworkers; i++ {
+			w := i
+			if order != nil {
+				w = order[i]
+			}
 			if _, err := it.Call(task, []uint64{args[1], uint64(w), args[2]}); err != nil {
 				return 0, fmt.Errorf("interp: dispatch worker %d: %w", w, err)
 			}

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +90,43 @@ func TestParallelDispatchMatchesSequential(t *testing.T) {
 	}
 	if seq.MemoryFingerprint() != par.MemoryFingerprint() {
 		t.Error("memory fingerprints diverged")
+	}
+}
+
+// TestWorkerOrder: a sequential dispatch runs its workers in the order
+// the hook gives, on either tier and with the same memory; a parallel one
+// never asks, and an order of the wrong length is an error.
+func TestWorkerOrder(t *testing.T) {
+	run := func(seqMode bool, order []int64) (*interp.Interp, int, error) {
+		it := interp.New(parse(t, dispatchSrc))
+		it.SeqDispatch, it.DispatchWorkers = seqMode, 2
+		asked := 0
+		it.WorkerOrder = func(task *ir.Function, n int64) []int64 {
+			if asked++; task.Nam != "task" || n != 4 {
+				t.Errorf("asked for the order of %d workers of @%s", n, task.Nam)
+			}
+			return order
+		}
+		_, err := it.Run()
+		return it, asked, err
+	}
+	in, _, err := run(true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, asked, err := run(true, []int64{3, 2, 1, 0})
+	if err != nil || asked != 1 {
+		t.Fatalf("reversed: %v, asked %d times", err, asked)
+	}
+	if rev.Output.String() != "3\n2\n1\n0\n" || rev.MemoryFingerprint() != in.MemoryFingerprint() {
+		t.Errorf("reversed output %q (fingerprint equal: %v), want worker ids 3 to 0 and the in-order memory",
+			rev.Output.String(), rev.MemoryFingerprint() == in.MemoryFingerprint())
+	}
+	if par, asked, err := run(false, []int64{3, 2, 1, 0}); err != nil || asked != 0 || par.Output.String() != "0\n1\n2\n3\n" {
+		t.Errorf("parallel dispatch: %v, asked %d times, output %q", err, asked, par.Output.String())
+	}
+	if _, _, err := run(true, []int64{0, 1}); err == nil || !strings.Contains(err.Error(), "worker order of 2 for 4 workers") {
+		t.Errorf("short order: %v", err)
 	}
 }
 

@@ -74,7 +74,8 @@ func TestParseMatchesReference(t *testing.T) {
 // FuzzParse: no input makes Parse panic, and Parse agrees with the
 // reference parser on every input. The committed seeds under
 // testdata/fuzz/FuzzParse are the package's sample module, each
-// TestParseErrors case and a truncated corpus module.
+// TestParseErrors case, a truncated corpus module and an array type whose
+// byte size int64 cannot hold.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		matchesReference(t, "input", src)

@@ -158,6 +158,33 @@ entry:
 	}
 }
 
+// TestParseRefusesOversizedArrays: an array type whose byte size int64
+// cannot hold is a parse error on its line, wherever the type is written,
+// so hand-written IR never reaches Type.Size's int multiply. A size that
+// fits in int64 but not in the interpreter's memory still parses: the
+// interpreter refuses it when it lays out the image.
+func TestParseRefusesOversizedArrays(t *testing.T) {
+	for _, c := range []struct{ ty, line, want string }{
+		{"[2305843009213693953 x i64]", "2", "[2305843009213693953 x i64]"},
+		{"[2 x [576460752303423488 x i64]]", "2", "[2 x [576460752303423488 x i64]]"},
+		{"[0 x i64]", "2", "[0 x i64]"},
+		{"[4 x void]", "2", "[4 x void]"},
+	} {
+		src := "module \"m\"\nglobal @a : " + c.ty + " zeroinit\nfunc @main() i64 {\nentry:\n  ret 0\n}"
+		want := "line " + c.line + ": array type " + c.want + ": byte size out of range"
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("global of %s: error %v, want %q", c.ty, err, want)
+		}
+	}
+	sig := "module \"m\"\nfunc @f(%p: i64) i64 {\nentry:\n  ret 0\n}\nfunc @g(%p: ptr<[4611686018427387904 x i64]>) i64 {\nentry:\n  ret 0\n}"
+	if _, err := Parse(sig); err == nil || err.Error() != "line 6: array type [4611686018427387904 x i64]: byte size out of range" {
+		t.Errorf("parameter of an oversized array pointer: error %v", err)
+	}
+	if _, err := Parse("module \"m\"\nglobal @a : [1000000000000 x i64] zeroinit\nfunc @main() i64 {\nentry:\n  ret 0\n}"); err != nil {
+		t.Errorf("an array of 8e12 bytes: %v, want it parsed for the interpreter to refuse", err)
+	}
+}
+
 func TestParseFloatLexing(t *testing.T) {
 	src := `module "m"
 func @f() f64 {

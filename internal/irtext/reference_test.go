@@ -432,7 +432,11 @@ func (p *parser) parseType() (*ir.Type, error) {
 		if err := p.expectPunct("]"); err != nil {
 			return nil, err
 		}
-		return ir.ArrayOf(elem, length), nil
+		arr := ir.ArrayOf(elem, length)
+		if !ir.Fits(arr, math.MaxInt64) {
+			return nil, fmt.Errorf("line %d: array type %s: byte size out of range", t.line, arr)
+		}
+		return arr, nil
 	case t.kind == tokIdent && t.text == "fn":
 		if err := p.expectPunct("("); err != nil {
 			return nil, err

@@ -39,35 +39,105 @@ func AttributeLoopCosts(m *ir.Module, nat *analysis.NaturalLoop, segmentOf map[*
 // calling instruction's segment, so SequentialCycles of any of a loop's
 // results is exactly what the run's Cycles advanced across the loop, and
 // every spec of it agrees on that; only the per-segment split differs.
-// Each loop's rows are what a call naming it alone returns, so one
-// training run prices every candidate plan of every loop a driver
-// considers. The run is on the compiled tier, with the loops' probes bound
-// into their functions' op streams (interp.ObserveLoops).
+// Each loop's rows are what a call naming it alone returns. It is
+// PriceLoops' observation with a consumer that copies every invocation, so
+// its memory grows with the run; a driver that only needs the prices calls
+// PriceLoops.
 func AttributeLoops(m *ir.Module, loops []LoopSpecs) ([][][]*Invocation, error) {
+	out := make([][][]*Invocation, len(loops))
+	for l, ls := range loops {
+		out[l] = make([][]*Invocation, len(ls.Specs))
+	}
+	err := observe(m, loops, func(l, s int, rows [][]int64) {
+		w := len(rows[0]) // an invocation has at least one row
+		cells := make([]int64, len(rows)*w)
+		inv := &Invocation{IterSegCosts: make([][]int64, len(rows))}
+		for i, r := range rows {
+			inv.IterSegCosts[i] = cells[i*w : (i+1)*w : (i+1)*w]
+			copy(inv.IterSegCosts[i], r)
+		}
+		out[l][s] = append(out[l][s], inv)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// LoopPlans is one loop to price: the segmentations of its candidate
+// plans and, for each, the plan's estimate of one invocation
+// (tool.Plan.EstimateInvocation).
+type LoopPlans struct {
+	Loop     *analysis.NaturalLoop
+	Specs    []SegSpec
+	Estimate []func(*Invocation) int64
+}
+
+// Price is one loop's cost over a training run: Seq its sequential cycles
+// (every spec agrees on them), Par[s] the sum of Estimate[s] over its
+// invocations, and the number of invocations (0: the run never entered
+// the loop).
+type Price struct {
+	Seq         int64
+	Par         []int64
+	Invocations int
+}
+
+// PriceLoops runs the program once, as AttributeLoops does, and prices
+// every loop under every plan as each invocation closes: result l is
+// SequentialCycles and, per spec, SimulateAll with its estimate over the
+// invocations AttributeLoops would return, but no row outlives its
+// invocation. So one training run prices every candidate plan of every
+// loop a driver considers, in memory that the open invocations bound. The
+// run is on the compiled tier, with the loops' probes bound into their
+// functions' op streams (interp.ObserveLoops).
+func PriceLoops(m *ir.Module, loops []LoopPlans) ([]Price, error) {
+	out := make([]Price, len(loops))
+	specs := make([]LoopSpecs, len(loops))
+	for l, lp := range loops {
+		if len(lp.Estimate) != len(lp.Specs) {
+			return nil, fmt.Errorf("machine: %d estimates for %d segmentations", len(lp.Estimate), len(lp.Specs))
+		}
+		specs[l] = LoopSpecs{Loop: lp.Loop, Specs: lp.Specs}
+		out[l].Par = make([]int64, len(lp.Specs))
+	}
+	var inv Invocation
+	err := observe(m, specs, func(l, s int, rows [][]int64) {
+		p := &out[l]
+		inv.IterSegCosts = rows
+		if s == 0 {
+			p.Seq += inv.TotalCycles()
+			p.Invocations++
+		}
+		p.Par[s] += loops[l].Estimate[s](&inv)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// observe is the one training run: it observes every loop under its
+// specs and hands each closed invocation of loop l to consume, once per
+// spec s, as views valid only during the call.
+func observe(m *ir.Module, loops []LoopSpecs, consume func(l, s int, rows [][]int64)) error {
 	reqs := make([]interp.LoopRequest, len(loops))
 	for i, l := range loops {
-		reqs[i] = interp.LoopRequest{Header: l.Loop.Header, Blocks: l.Loop.Blocks, Specs: l.Specs}
+		reqs[i] = interp.LoopRequest{Header: l.Loop.Header, Blocks: l.Loop.Blocks, Specs: l.Specs,
+			Invocation: func(s int, rows [][]int64) { consume(i, s, rows) }}
 	}
 	it := interp.New(m)
 	costs, err := it.ObserveLoops(reqs)
 	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
+		return fmt.Errorf("machine: %w", err)
 	}
 	if _, err := it.Run(); err != nil {
-		return nil, fmt.Errorf("machine: attribution run failed: %w", err)
+		return fmt.Errorf("machine: attribution run failed: %w", err)
 	}
-	out := make([][][]*Invocation, len(loops))
-	for l, lc := range costs {
-		out[l] = make([][]*Invocation, len(loops[l].Specs))
-		for s, rows := range lc.Invocations() {
-			invs := make([]Invocation, len(rows))
-			for v, iters := range rows {
-				invs[v].IterSegCosts = iters
-				out[l][s] = append(out[l][s], &invs[v])
-			}
-		}
+	for _, lc := range costs {
+		lc.Close()
 	}
-	return out, nil
+	return nil
 }
 
 // SequentialCycles sums the sequential time over all invocations.

@@ -3,9 +3,11 @@ package machine_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"noelle/internal/analysis"
+	"noelle/internal/arch"
 	"noelle/internal/core"
 	"noelle/internal/fuzz"
 	"noelle/internal/interp"
@@ -212,6 +214,100 @@ func TestAttributionMatchesWalkerReference(t *testing.T) {
 	}
 }
 
+// checkPrices prices loops in one PriceLoops run, spec s of loop l under
+// ests[l][s], and fails unless each loop's price is what its copied rows
+// give: rows[l] is what AttributeLoops returned for the same loops, Seq is
+// the SequentialCycles of every spec's rows, Par[s] is SimulateAll of
+// ests[l][s] over rows[l][s], the invocation count is theirs, and each
+// estimate was handed exactly those rows, invocation by invocation.
+func checkPrices(t *testing.T, name string, m *ir.Module, loops []machine.LoopSpecs,
+	ests [][]func(*machine.Invocation) int64, rows [][][]*machine.Invocation) {
+	t.Helper()
+	plans := make([]machine.LoopPlans, len(loops))
+	seen := make([][][][][]int64, len(loops))
+	for l, ls := range loops {
+		plans[l] = machine.LoopPlans{Loop: ls.Loop, Specs: ls.Specs}
+		seen[l] = make([][][][]int64, len(ls.Specs))
+		for s := range ls.Specs {
+			plans[l].Estimate = append(plans[l].Estimate, func(inv *machine.Invocation) int64 {
+				iters := make([][]int64, len(inv.IterSegCosts))
+				for i, r := range inv.IterSegCosts {
+					iters[i] = slices.Clone(r)
+				}
+				seen[l][s] = append(seen[l][s], iters)
+				return ests[l][s](inv)
+			})
+		}
+	}
+	prices, err := machine.PriceLoops(m, plans)
+	if err != nil {
+		t.Fatalf("%s: pricing %d loops: %v", name, len(loops), err)
+	}
+	for l, ls := range loops {
+		at := fmt.Sprintf("%s @%s/%s", name, ls.Loop.Header.Parent.Nam, ls.Loop.Header.Nam)
+		p := prices[l]
+		if p.Invocations != len(rows[l][0]) {
+			t.Errorf("%s: priced %d invocations, attributed %d", at, p.Invocations, len(rows[l][0]))
+		}
+		for s := range ls.Specs {
+			if seq := machine.SequentialCycles(rows[l][s]); p.Seq != seq {
+				t.Errorf("%s spec %d: streamed Seq %d, copied rows %d", at, s, p.Seq, seq)
+			}
+			if par := machine.SimulateAll(rows[l][s], ests[l][s]); p.Par[s] != par {
+				t.Errorf("%s spec %d: streamed Par %d, copied rows %d", at, s, p.Par[s], par)
+			}
+			if want := rowsOf(rows[l][s : s+1])[0]; !reflect.DeepEqual(seen[l][s], want) {
+				t.Errorf("%s spec %d: the estimate saw other rows than AttributeLoops copied:\n saw %v\nwant %v", at, s, seen[l][s], want)
+			}
+		}
+	}
+}
+
+// TestPricesMatchAttribution: on every loop of every subject, planned by
+// every planner, all loops of a subject in one run, the prices streamed
+// as each invocation closes are the copied rows' (checkPrices).
+func TestPricesMatchAttribution(t *testing.T) {
+	priced := 0
+	if err := fuzz.Subjects(150, func(name string, m *ir.Module) {
+		opts := core.DefaultOptions()
+		opts.MinHotness = 0
+		n := core.New(m, opts)
+		var batch []machine.LoopSpecs
+		var ests [][]func(*machine.Invocation) int64
+		for _, f := range m.Functions {
+			for _, ls := range n.LoopStructures(f) {
+				l := machine.LoopSpecs{Loop: ls.Nat}
+				var e []func(*machine.Invocation) int64
+				for _, p := range tool.Planners() {
+					if plan, err := p.PlanLoop(n, ls, tool.DefaultOptions()); err == nil {
+						segOf, numSegs := plan.Segments()
+						l.Specs = append(l.Specs, machine.SegSpec{SegmentOf: segOf, NumSegs: numSegs})
+						e = append(e, plan.EstimateInvocation)
+					}
+				}
+				if len(l.Specs) > 0 {
+					batch, ests = append(batch, l), append(ests, e)
+					priced += len(e)
+				}
+			}
+		}
+		if len(batch) == 0 {
+			return
+		}
+		rows, err := machine.AttributeLoops(m, batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkPrices(t, name, m, batch, ests, rows)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d plans priced both ways", priced)
+	if priced < 300 {
+		t.Errorf("only %d plans priced", priced)
+	}
+}
+
 // both attributes one loop under specs on the compiled tier and on the
 // walker reference, fails on any difference, and returns the rows.
 func both(t *testing.T, m *ir.Module, fn, header string, specs []machine.SegSpec) (*analysis.NaturalLoop, [][]*machine.Invocation) {
@@ -250,6 +346,19 @@ func batched(t *testing.T, m *ir.Module, names [][2]string, specs []machine.SegS
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := machine.DefaultConfig(arch.Default(), 4)
+	sims := []func(*machine.Invocation) int64{
+		func(inv *machine.Invocation) int64 { return machine.SimulateDOALL(inv, c, 3) },
+		func(inv *machine.Invocation) int64 { return machine.SimulateHELIX(inv, c) },
+		func(inv *machine.Invocation) int64 { return machine.SimulateDSWP(inv, c) },
+	}
+	ests := make([][]func(*machine.Invocation) int64, len(batch))
+	for i, l := range batch {
+		for s := range l.Specs {
+			ests[i] = append(ests[i], sims[s%len(sims)])
+		}
+	}
+	checkPrices(t, "", m, batch, ests, got)
 	for i, l := range batch {
 		want, err := attributeOnWalker(m, l.Loop, l.Specs)
 		if err != nil {

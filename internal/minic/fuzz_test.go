@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -8,11 +9,17 @@ import (
 	"noelle/internal/ir"
 )
 
-// FuzzCompile: no source text makes Compile panic or run away, and a
-// module it returns verifies. The committed seeds under
-// testdata/fuzz/FuzzCompile are small programs in the corpus's shape
-// (loops over global arrays, floats, calls, pointers, externs) and one
-// input per lexer and parser error path.
+// compileAllocBound is the most a Compile of one fuzz input may allocate
+// (runtime.MemStats.TotalAlloc across the call): 10× the largest of the
+// committed seeds, corpus_pointers_while, which allocates 64,960 B for its
+// 479 bytes of source.
+const compileAllocBound = 650_000
+
+// FuzzCompile: no source text makes Compile panic, run away or allocate
+// more than compileAllocBound, and a module it returns verifies. The
+// committed seeds under testdata/fuzz/FuzzCompile are small programs in
+// the corpus's shape (loops over global arrays, floats, calls, pointers,
+// externs) and one input per lexer and parser error path.
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<12 {
@@ -23,6 +30,8 @@ func FuzzCompile(f *testing.F) {
 			err error
 		}
 		done := make(chan result, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		go func() {
 			m, err := Compile("fuzz", src)
 			done <- result{m, err}
@@ -32,6 +41,10 @@ func FuzzCompile(f *testing.F) {
 		case r = <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("Compile did not return in 10 s on %q", src)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > compileAllocBound {
+			t.Fatalf("Compile allocated %d B on %q, more than %d B", n, src, compileAllocBound)
 		}
 		if r.err != nil {
 			// Compile verifies what it generates; this error is its bug, not the input's.

@@ -48,7 +48,9 @@ type Plan interface {
 	// measured invocation under this plan, including the technique's
 	// lowering overheads (per-task dispatch, queue traffic, signal
 	// latency). Lower values are better; the caller compares it against
-	// the invocation's sequential cycles for profitability.
+	// the invocation's sequential cycles for profitability. inv is valid
+	// only during the call: the training run prices each invocation as it
+	// closes and reuses its rows for the next one (machine.PriceLoops).
 	EstimateInvocation(inv *machine.Invocation) int64
 	// Lower rewrites the loop into its executable parallel form, naming
 	// generated task functions after taskName. The planner already

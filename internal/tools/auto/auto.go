@@ -8,12 +8,14 @@
 // hot root (profiler hotness over the -hot threshold) of the untransformed
 // module, and one training run prices all of those plans at once (the
 // machine package runs the training input on the interpreter's compiled
-// tier with every loop's cost probes bound in, and splits each loop's
-// per-iteration cycles along each plan's segmentation simultaneously).
-// Then, loop by loop, each planner answers again on the current module;
-// a loop whose plans still segment it as they did up front is scored from
-// that run, and any other is priced alone on the current module (a price
-// miss, counted and named on its why-line). The predicted-fastest
+// tier with every loop's cost probes bound in, splits each loop's
+// per-iteration cycles along each plan's segmentation simultaneously, and
+// prices each invocation under every plan as it closes, so no row
+// outlives its invocation). Then, loop by loop, each planner answers
+// again on the current module; a loop whose plans still segment it as
+// they did up front is scored with the up-front plans' prices, and any
+// other is priced alone on the current module (a price miss, counted and
+// named on its why-line). The predicted-fastest
 // profitable technique is selected and — under -exec-plans — exactly the
 // winning plan is lowered.
 //
@@ -274,7 +276,7 @@ func forestNode(n *core.Noelle, f *ir.Function, header string) *loops.ForestNode
 	return nil
 }
 
-// pricer is a competing run's training: the up-front rows of every loop
+// pricer is a competing run's training: the up-front prices of every loop
 // that had a plan, by header, and the runs and misses it took.
 type pricer struct {
 	loops        map[*ir.Block]*upFront
@@ -282,23 +284,23 @@ type pricer struct {
 }
 
 // upFront is one loop as it was planned and priced before any lowering:
-// its blocks, which techniques planned it, and each plan's segmentation
-// with its rows (nil when the training run failed).
+// its blocks, which techniques planned it, each plan's segmentation, and
+// the loop's price under those plans (nil when the training run failed).
 type upFront struct {
 	blocks map[*ir.Block]bool
 	techs  []string
 	specs  []machine.SegSpec
-	rows   [][]*machine.Invocation
+	price  *machine.Price
 }
 
 // priceUpFront plans every loop under each hot root with every planner
-// and prices all the plans in one AttributeLoops run. Planning is
+// and prices all the plans in one PriceLoops run. Planning is
 // read-only, so the module the loops are then decided on is the one
 // priced here. If that run fails no loop is served from it: each is
 // priced alone, and the first of them reports the failure.
 func priceUpFront(ctx context.Context, n *core.Noelle, opts tool.Options, planners []tool.Planner, roots []*loops.LS) (*pricer, error) {
 	pr := &pricer{loops: map[*ir.Block]*upFront{}}
-	var reqs []machine.LoopSpecs
+	var reqs []machine.LoopPlans
 	var planned []*upFront
 	var visit func(node *loops.ForestNode) error
 	visit = func(node *loops.ForestNode) error {
@@ -307,15 +309,17 @@ func priceUpFront(ctx context.Context, n *core.Noelle, opts tool.Options, planne
 		}
 		ls := node.LS
 		u := &upFront{blocks: ls.Nat.Blocks}
+		var ests []func(*machine.Invocation) int64
 		for _, p := range planners {
 			if plan, err := p.PlanLoop(n, ls, opts); err == nil {
 				u.techs = append(u.techs, p.Technique())
 				u.specs = append(u.specs, segSpec(plan))
+				ests = append(ests, plan.EstimateInvocation)
 			}
 		}
 		if len(u.specs) > 0 {
 			pr.loops[ls.Header] = u
-			reqs = append(reqs, machine.LoopSpecs{Loop: ls.Nat, Specs: u.specs})
+			reqs = append(reqs, machine.LoopPlans{Loop: ls.Nat, Specs: u.specs, Estimate: ests})
 			planned = append(planned, u)
 		}
 		for _, c := range node.Children {
@@ -336,9 +340,9 @@ func priceUpFront(ctx context.Context, n *core.Noelle, opts tool.Options, planne
 		return pr, nil
 	}
 	pr.runs++
-	if all, err := machine.AttributeLoops(n.Mod, reqs); err == nil {
+	if prices, err := machine.PriceLoops(n.Mod, reqs); err == nil {
 		for i, u := range planned {
-			u.rows = all[i]
+			u.price = &prices[i]
 		}
 	}
 	return pr, nil
@@ -430,41 +434,43 @@ func selectLoop(n *core.Noelle, ls *loops.LS, opts tool.Options, planners []tool
 }
 
 // fastest is the competing run's scoring step: the up-front training
-// run's rows price every plan at once when the loop's plans segment it as
-// they did then; otherwise the loop is priced alone on the current module
-// (machine.AttributeLoops, a batch of one). It returns the plan with the
+// run's prices of the up-front plans serve when the loop's plans segment
+// it as they did then; otherwise the loop is priced alone under the
+// current plans on the current module (machine.PriceLoops, a batch of
+// one). It returns the plan with the
 // fastest modeled time (registry order breaks ties) when that time beats
 // the sequential one; otherwise nil, with sel.Why saying why the loop
 // stays sequential.
 func (pr *pricer) fastest(n *core.Noelle, ls *loops.LS, sel *Selection, planned []*Candidate) (*Candidate, error) {
 	specs := make([]machine.SegSpec, len(planned))
 	techs := make([]string, len(planned))
+	ests := make([]func(*machine.Invocation) int64, len(planned))
 	for i, c := range planned {
-		specs[i], techs[i] = segSpec(c.Plan), c.Technique
+		specs[i], techs[i], ests[i] = segSpec(c.Plan), c.Technique, c.Plan.EstimateInvocation
 	}
 	u := pr.loops[ls.Header]
-	if u == nil || u.rows == nil || !maps.Equal(u.blocks, ls.Nat.Blocks) || !slices.Equal(u.techs, techs) ||
+	if u == nil || u.price == nil || !maps.Equal(u.blocks, ls.Nat.Blocks) || !slices.Equal(u.techs, techs) ||
 		!slices.EqualFunc(u.specs, specs, func(a, b machine.SegSpec) bool {
 			return a.NumSegs == b.NumSegs && maps.Equal(a.SegmentOf, b.SegmentOf)
 		}) {
 		pr.runs++
 		pr.misses++
-		all, err := machine.AttributeLoops(n.Mod, []machine.LoopSpecs{{Loop: ls.Nat, Specs: specs}})
+		prices, err := machine.PriceLoops(n.Mod, []machine.LoopPlans{{Loop: ls.Nat, Specs: specs, Estimate: ests}})
 		if err != nil {
 			return nil, fmt.Errorf("@%s/%s: %w", ls.Fn.Nam, ls.Header.Nam, err)
 		}
-		u = &upFront{rows: all[0]}
+		u = &upFront{price: &prices[0]}
 	}
-	invss := u.rows
-	if len(invss[0]) == 0 {
+	price := u.price
+	if price.Invocations == 0 {
 		sel.Why = "loop not executed by the training input (nothing to score)"
 		return nil, nil
 	}
-	seq := machine.SequentialCycles(invss[0])
+	seq := price.Seq
 	best := planned[0]
 	for i, c := range planned {
 		c.Seq = seq
-		c.Par = machine.SimulateAll(invss[i], c.Plan.EstimateInvocation)
+		c.Par = price.Par[i]
 		if c.Par < best.Par {
 			best = c
 		}

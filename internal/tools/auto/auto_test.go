@@ -2,6 +2,7 @@ package auto_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -529,5 +530,61 @@ func TestCorpusTrainsOnce(t *testing.T) {
 	t.Logf("%d loops scored over the corpus at 2 and 12 cores", scored)
 	if scored < 100 {
 		t.Errorf("only %d loops scored over the corpus", scored)
+	}
+}
+
+// nestPricingAlloc is what plan-only auto allocates (TotalAlloc) on a
+// profiled bench.NestProgram(outer) at 2 cores and hot 0.05, and its
+// result.
+func nestPricingAlloc(t *testing.T, outer int) (uint64, auto.Result) {
+	t.Helper()
+	m, err := bench.NestProgram(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profiler.Collect(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Embed()
+	opts := core.DefaultOptions()
+	opts.Cores, opts.MinHotness = 2, 0.05
+	n := core.New(m, opts)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := auto.Run(context.Background(), n, tool.DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc, res
+}
+
+// TestPricingMemoryIsBounded: the training run prices each invocation as
+// it closes, so what plan-only auto allocates on the nest does not grow
+// with the inner loop's invocation count. Keeping every row, as the run
+// once did, allocated 1.19 / 10.35 / 101.35 MB at outer 10 / 100 / 1000.
+func TestPricingMemoryIsBounded(t *testing.T) {
+	const bound = 2 << 20
+	base, _ := nestPricingAlloc(t, 10)
+	for _, outer := range []int{100, 1000} {
+		got, res := nestPricingAlloc(t, outer)
+		inner := 0
+		for _, s := range res.Selections {
+			for _, c := range s.Candidates {
+				if c.Rejection == "" && c.Seq > 0 {
+					inner++
+				}
+			}
+		}
+		if res.TrainingRuns != 1 || inner == 0 {
+			t.Fatalf("outer %d: %d training runs, %d priced candidates; want one run that prices", outer, res.TrainingRuns, inner)
+		}
+		t.Logf("outer %d: %d B (outer 10: %d B)", outer, got, base)
+		if got > bound || got > 2*base {
+			t.Errorf("outer %d: plan-only auto allocated %d B; want at most %d B and at most twice outer 10's %d B",
+				outer, got, bound, base)
+		}
 	}
 }

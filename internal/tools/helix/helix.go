@@ -44,6 +44,11 @@ type Plan struct {
 	n   *core.Noelle
 	cfg machine.Config
 	ph  *phasing // the lowering's phase loops, derived on first use
+	// EstimateInvocation's overheads (derived on first use) and the block
+	// rows it folds an invocation into, reused by the next call.
+	perIter, perBlock []int64
+	cells             []int64
+	blocks            machine.Invocation
 }
 
 // NumSegments includes the trailing parallel segment.

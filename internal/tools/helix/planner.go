@@ -2,6 +2,7 @@ package helix
 
 import (
 	"fmt"
+	"slices"
 
 	"noelle/internal/core"
 	"noelle/internal/interp"
@@ -39,12 +40,42 @@ func (p *Plan) Segments() (map[*ir.Instr]int, int) {
 // pre-header will compute for this trip count, and the blocks — not the
 // iterations — go through the HELIX recurrence, so the signal latency, a
 // segment's wait and fire, its carried-state reload and write-back and
-// the task spawn are paid once per block. Per iteration the lowering adds,
-// on top of the original body, one store and one load (per reading phase)
-// for every value that crosses phases, the block's iteration counter in
-// every phase loop, and the loop control again in every phase loop after
-// the first.
+// the task spawn are paid once per block. The blocks are folded into
+// rows the plan keeps from one call to the next, so pricing a training
+// run's invocations one by one allocates almost nothing per invocation.
 func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
+	perIter, perBlock := p.overheads()
+	iters := inv.IterSegCosts
+	size := int(blockSize(int64(len(iters)), p.cfg.Cores))
+	nb, w := (len(iters)+size-1)/size, len(perBlock)
+	p.cells = slices.Grow(p.cells[:0], nb*w)[:nb*w]
+	rows := p.blocks.IterSegCosts[:0]
+	for b := range nb {
+		row := p.cells[b*w : (b+1)*w : (b+1)*w]
+		copy(row, perBlock)
+		for _, segs := range iters[b*size : min((b+1)*size, len(iters))] {
+			for s, c := range segs {
+				row[s] += c + perIter[s]
+			}
+		}
+		rows = append(rows, row)
+	}
+	p.blocks.IterSegCosts = rows
+	// One task spawn per block, charged the way the sibling planners
+	// charge theirs (serially), so the techniques rank on one convention.
+	return machine.SimulateHELIX(&p.blocks, p.cfg) + int64(nb)*p.cfg.PerTaskOverhead
+}
+
+// overheads is what the lowering adds to each segment, derived on first
+// use: per iteration, on top of the original body, one store and one load
+// (per reading phase) for every value that crosses phases, the block's
+// iteration counter in every phase loop, and the loop control again in
+// every phase loop after the first; per block, a sequential segment's
+// wait, fire and call, and the reload and write-back of carried state.
+func (p *Plan) overheads() (perIter, perBlock []int64) {
+	if p.perIter != nil {
+		return p.perIter, p.perBlock
+	}
 	ph := p.phases()
 	bucket := func(q int) int {
 		if q%2 == 1 {
@@ -52,7 +83,7 @@ func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
 		}
 		return p.NumSeq // the parallel portion
 	}
-	perIter := make([]int64, p.NumSegments())
+	perIter = make([]int64, p.NumSegments())
 	first := true
 	for q := 0; q <= 2*p.NumSeq; q++ {
 		if !ph.runs(q) {
@@ -70,7 +101,7 @@ func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
 			perIter[bucket(q)] += interp.CostIntALU + interp.CostLoad
 		}
 	}
-	perBlock := make([]int64, p.NumSegments())
+	perBlock = make([]int64, p.NumSegments())
 	for s := 0; s < p.NumSeq; s++ {
 		perBlock[s] = interp.CostSignalWait + interp.CostSignalFire + 2*interp.CostCallOver
 	}
@@ -79,21 +110,6 @@ func (p *Plan) EstimateInvocation(inv *machine.Invocation) int64 {
 			perBlock[p.SegmentOf[phi]] += 2*interp.CostIntALU + interp.CostLoad + interp.CostStore
 		}
 	}
-
-	iters := inv.IterSegCosts
-	size := int(blockSize(int64(len(iters)), p.cfg.Cores))
-	blocks := &machine.Invocation{}
-	for lo := 0; lo < len(iters); lo += size {
-		row := append([]int64(nil), perBlock...)
-		for _, segs := range iters[lo:min(lo+size, len(iters))] {
-			for s, c := range segs {
-				row[s] += c + perIter[s]
-			}
-		}
-		blocks.IterSegCosts = append(blocks.IterSegCosts, row)
-	}
-	// One task spawn per block, charged the way the sibling planners
-	// charge theirs (serially), so the techniques rank on one convention.
-	return machine.SimulateHELIX(blocks, p.cfg) +
-		int64(len(blocks.IterSegCosts))*p.cfg.PerTaskOverhead
+	p.perIter, p.perBlock = perIter, perBlock
+	return perIter, perBlock
 }
