@@ -73,7 +73,11 @@ race:
 # same fingerprint), goroutines racing to install one fresh page in
 # one fresh leaf (every write survives), and a callee that allocas 800 KB
 # called 30,000 times, from main and from a DOALL-lowered loop's lanes
-# (its frames pop, so the program prints its sum), under -race. The alias package
+# (its frames pop, so the program prints its sum), under -race, and so
+# does nested dispatch: a dispatch from a worker runs in order on its
+# lane (the root's lanes only are recorded, a queue pipeline inside each
+# lane prints what -seq prints on both tiers, and more lanes than the
+# address range has stacks for are refused before any starts). The alias package
 # rides along the same way: its worklist solver and bottom-up summaries
 # are held to the round-robin reference on those subjects before and
 # after `auto` lowered them, and four concurrent PDG builds share one PointsTo. So does
@@ -96,7 +100,7 @@ tier-diff:
 	NOELLE_ENGINE=compiled NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./internal/interp/... ./internal/queue/... ./internal/profiler/ ./internal/machine/
 	$(GO) test -run 'TestTiersAgree|TestCompiledTierSpeedup|TestCompileMatchesReference' -v ./internal/interp/
 	$(GO) test -run 'TestCollectMatchesWalkerReference|TestAttributionMatchesWalkerReference' -v ./internal/profiler/ ./internal/machine/
-	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace|TestCalleeAllocasPop|TestDOALLCalleeAllocasPop' -v ./internal/interp/
+	$(GO) test -race -run 'TestPageTableMatchesReference|TestPageTableFirstTouchRace|TestCalleeAllocasPop|TestDOALLCalleeAllocasPop|TestNestedDispatch|TestNestedQueuePipeline|TestDispatchLaneStacksBound' -v ./internal/interp/
 	$(GO) test -race -run 'TestPointsToMatchesReference|TestConcurrentPDGBuildsShareOnePointsTo' -v ./internal/alias/
 	$(GO) test -run 'TestLoopBundleMatchesReference|TestWarmBundlesMatchCold|TestCSRMatchesReference|TestBulkGraphKeepsInsertionOrder' -v ./internal/loops/ ./internal/core/ ./internal/graph/ ./internal/pdg/
 	$(GO) test -run 'TestParseMatchesReference|TestFingerprintMatchesReference' -v ./internal/irtext/ ./internal/ir/
@@ -173,7 +177,8 @@ benchmark-check:
 # Differential fuzzing smoke under -race: 200 fixed-seed generated
 # programs swept across every technique plus the auto orchestrator
 # (both engines always run — walker vs compiled is an oracle), then the
-# stress, fault-injection, and miscompile-injection legs. Fixed seeds
+# stress, fault-injection, miscompile-injection and worker-order legs
+# (doall workers reversed on the sequential path). Fixed seeds
 # keep the run deterministic and replayable; any failure writes a
 # minimized .nir reproducer under fuzz-failures/. The inject leg exits
 # non-zero unless the seeded miscompile is caught, so the harness's
@@ -184,6 +189,7 @@ campaign-smoke:
 	$(GO) run -race ./cmd/noelle-fuzz -leg stress -seeds 12 -blocks 4 -arrays 3 -arraylen 32
 	$(GO) run -race ./cmd/noelle-fuzz -leg faults -seeds 12 -blocks 4 -arrays 3 -arraylen 32
 	$(GO) run -race ./cmd/noelle-fuzz -leg inject -seeds 40 -blocks 4 -arrays 3 -arraylen 32
+	$(GO) run -race ./cmd/noelle-fuzz -leg order -seeds 40 -blocks 4 -arrays 3 -arraylen 32
 
 # Native Go fuzzing, ten seconds per target: FuzzQueueOps drives random
 # Push/PushN/Pop/PopN/Close sequences in non-blocking mode against a

@@ -21,7 +21,10 @@
 //	          push, chunk-size mismatch, swapped wait/fire, ...) into a
 //	          real lowering of its technique and requires the oracle
 //	          stack to name it; exits 0 only if every one is caught
-//	all       campaign + stress + faults + inject
+//	order     lowers with doall and auto, then runs -seq with every doall
+//	          dispatch's workers reversed and requires the in-order
+//	          output, exit value, global fingerprint and counters
+//	all       campaign + stress + faults + order + inject
 //
 // Usage: noelle-fuzz [-leg L] [-seeds N] [-seed-base S] [-duration D]
 //
@@ -42,7 +45,7 @@ import (
 )
 
 func main() {
-	leg := flag.String("leg", "campaign", "campaign|stress|faults|inject|all")
+	leg := flag.String("leg", "campaign", "campaign|stress|faults|inject|order|all")
 	seeds := flag.Int("seeds", 50, "number of seeds to judge (per leg)")
 	seedBase := flag.Int64("seed-base", 1, "first seed (campaign seeds are seed-base..seed-base+seeds-1)")
 	duration := flag.Duration("duration", 0, "keep generating fresh seeds until this budget elapses (overrides -seeds)")
@@ -76,14 +79,23 @@ func main() {
 	}
 	c := fuzz.New(cfg)
 
-	runLegs := map[string]bool{}
-	switch *leg {
-	case "campaign", "stress", "faults", "inject":
-		runLegs[*leg] = true
-	case "all":
-		runLegs["campaign"], runLegs["stress"], runLegs["faults"], runLegs["inject"] = true, true, true, true
-	default:
-		fmt.Fprintf(os.Stderr, "error: unknown leg %q (want campaign|stress|faults|inject|all)\n", *leg)
+	// The seeded legs, in the order -leg all runs them; inject is last.
+	seeded := []struct {
+		name string
+		run  func([]int64) fuzz.Stats
+	}{
+		{"campaign", c.RunSeeds},
+		{"stress", func(s []int64) fuzz.Stats { return c.Stress(s, *goroutines, 2) }},
+		{"faults", c.Faults},
+		{"order", c.Order},
+	}
+	runs := func(name string) bool { return *leg == name || *leg == "all" }
+	known := runs("inject")
+	for _, l := range seeded {
+		known = known || runs(l.name)
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "error: unknown leg %q (want campaign|stress|faults|inject|order|all)\n", *leg)
 		os.Exit(2)
 	}
 
@@ -101,64 +113,31 @@ func main() {
 	// With -duration the seed stream is open-ended: batches of seeds are
 	// judged until the budget elapses, so longer budgets simply explore
 	// more of the (deterministic, replayable) seed space.
-	seedBatches := func() func() []int64 {
-		next := *seedBase
+	seedBatches := func(yield func([]int64) bool) {
 		if *duration <= 0 {
-			done := false
-			return func() []int64 {
-				if done {
-					return nil
-				}
-				done = true
-				return seedRange(next, *seeds)
-			}
+			yield(seedRange(*seedBase, *seeds))
+			return
 		}
-		deadline := time.Now().Add(*duration)
 		const batch = 10
-		return func() []int64 {
-			if !time.Now().Before(deadline) {
-				return nil
+		deadline := time.Now().Add(*duration)
+		for next := *seedBase; time.Now().Before(deadline); next += batch {
+			if !yield(seedRange(next, batch)) {
+				return
 			}
-			s := seedRange(next, batch)
-			next += batch
-			return s
 		}
 	}
 
-	if runLegs["campaign"] {
-		var st fuzz.Stats
-		for nextBatch := seedBatches(); ; {
-			batch := nextBatch()
-			if batch == nil {
-				break
-			}
-			st.Merge(c.RunSeeds(batch))
+	for _, l := range seeded {
+		if !runs(l.name) {
+			continue
 		}
-		report("campaign", st)
-	}
-	if runLegs["stress"] {
 		var st fuzz.Stats
-		for nextBatch := seedBatches(); ; {
-			batch := nextBatch()
-			if batch == nil {
-				break
-			}
-			st.Merge(c.Stress(batch, *goroutines, 2))
+		for batch := range seedBatches {
+			st.Merge(l.run(batch))
 		}
-		report("stress", st)
+		report(l.name, st)
 	}
-	if runLegs["faults"] {
-		var st fuzz.Stats
-		for nextBatch := seedBatches(); ; {
-			batch := nextBatch()
-			if batch == nil {
-				break
-			}
-			st.Merge(c.Faults(batch))
-		}
-		report("faults", st)
-	}
-	if runLegs["inject"] {
+	if runs("inject") {
 		caught, err := c.InjectMiscompiles(*seeds)
 		for _, f := range caught {
 			fmt.Printf("inject: caught as designed — %s\n", f)

@@ -23,7 +23,7 @@
 // minimized by block-dropping and array-shrinking and written out as a
 // replayable .nir reproducer whose header names the seed and matrix
 // cell. Stress, fault-injection, and miscompile-injection legs live in
-// legs.go; cmd/noelle-fuzz is the CLI.
+// legs.go, the worker-order leg in order.go; cmd/noelle-fuzz is the CLI.
 package fuzz
 
 import (
@@ -244,10 +244,18 @@ func (c *Campaign) RunSeed(seed int64) Stats {
 		st.Failures = append(st.Failures, c.fail(p, "campaign", nil, reason))
 		return st // the program itself is broken; cells would only echo it
 	}
-	for _, cell := range c.Cells() {
-		cell := cell
+	st.Merge(c.judgeCells(p, "campaign", c.Cells(), c.CheckCell))
+	return st
+}
+
+// judgeCells runs one of leg's cell oracles, check, on p at each cell and
+// tallies its verdicts: the violation ("" when clean), whether the cell
+// lowered anything, and how many executions it ran.
+func (c *Campaign) judgeCells(p *Program, leg string, cells []Cell, check func(*Program, Cell) (string, bool, int)) Stats {
+	var st Stats
+	for _, cell := range cells {
 		st.Cells++
-		reason, lowered, execs := c.CheckCell(p, cell)
+		reason, lowered, execs := check(p, cell)
 		st.Executions += execs
 		if lowered {
 			st.Lowered++
@@ -255,7 +263,7 @@ func (c *Campaign) RunSeed(seed int64) Stats {
 			st.NoLowering++
 		}
 		if reason != "" {
-			st.Failures = append(st.Failures, c.fail(p, "campaign", &cell, reason))
+			st.Failures = append(st.Failures, c.fail(p, leg, &cell, reason))
 		}
 	}
 	return st
@@ -395,8 +403,12 @@ func (c *Campaign) fail(p *Program, leg string, cell *Cell, reason string) Failu
 	min := p
 	if !c.cfg.NoMinimize {
 		min = Minimize(p, func(q *Program) bool {
-			if cell == nil {
+			switch {
+			case cell == nil:
 				return c.CheckProgram(q) != ""
+			case leg == "order":
+				r, _, _ := c.checkOrder(q, *cell)
+				return r != ""
 			}
 			r, _, _ := c.CheckCell(q, *cell)
 			return r != ""
@@ -415,18 +427,10 @@ func (c *Campaign) fail(p *Program, leg string, cell *Cell, reason string) Failu
 // writeRepro dumps the minimized program's IR as a commented .nir
 // reproducer under OutDir and returns its path.
 func (c *Campaign) writeRepro(p *Program, leg string, cell *Cell, reason string) string {
-	if c.cfg.OutDir == "" {
-		return ""
-	}
-	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
-		c.logf("cannot create reproducer dir: %v", err)
-		return ""
-	}
 	name := fmt.Sprintf("seed%d", p.Seed)
 	if cell != nil {
 		name += fmt.Sprintf("_%s_c%d_q%d", cell.Technique, cell.Cores, cell.QCap)
 	}
-	path := filepath.Join(c.cfg.OutDir, name+".nir")
 	var sb strings.Builder
 	sb.WriteString("; noelle-fuzz reproducer (minimized)\n")
 	fmt.Fprintf(&sb, "; leg=%s seed=%d blocks=%v arrays=%d arraylen=%d active=%v\n",
@@ -441,7 +445,21 @@ func (c *Campaign) writeRepro(p *Program, leg string, cell *Cell, reason string)
 	} else {
 		fmt.Fprintf(&sb, "; (program no longer compiles: %v)\n", err)
 	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	return c.writeOut(name+".nir", sb.String())
+}
+
+// writeOut writes a reproducer named name under OutDir and returns its
+// path, or "" when there is no OutDir or the write fails (logged).
+func (c *Campaign) writeOut(name, text string) string {
+	if c.cfg.OutDir == "" {
+		return ""
+	}
+	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
+		c.logf("cannot create reproducer dir: %v", err)
+		return ""
+	}
+	path := filepath.Join(c.cfg.OutDir, name)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		c.logf("cannot write reproducer: %v", err)
 		return ""
 	}

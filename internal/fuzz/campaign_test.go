@@ -162,6 +162,19 @@ func TestFaultsLeg(t *testing.T) {
 	}
 }
 
+// TestOrderLeg runs the worker-order leg: reversing the workers of every
+// doall dispatch of a doall or auto lowering changes nothing.
+func TestOrderLeg(t *testing.T) {
+	c := New(testConfig())
+	st := c.Order([]int64{1, 2, 3, 4, 5, 6})
+	if len(st.Failures) > 0 {
+		t.Fatalf("order leg failures:\n%s", failureList(st))
+	}
+	if st.Lowered == 0 || st.Executions != 2*st.Lowered {
+		t.Fatalf("order leg: %s; want lowered cells, two runs each", st.Summary())
+	}
+}
+
 func failureList(st Stats) string {
 	var sb strings.Builder
 	for _, f := range st.Failures {

@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -69,7 +68,7 @@ func (c *Campaign) Stress(seeds []int64, goroutines, rounds int) Stats {
 			st.Failures = append(st.Failures, c.fail(p, "stress", nil, err.Error()))
 			continue
 		}
-		cores := maxInt(c.cfg.Matrix.Cores)
+		cores := max(2, slices.Max(c.cfg.Matrix.Cores))
 		work, lowered, err := c.lower(m, "auto", cores)
 		if err != nil {
 			st.Failures = append(st.Failures, c.fail(p, "stress", nil, err.Error()))
@@ -106,13 +105,11 @@ func (c *Campaign) Stress(seeds []int64, goroutines, rounds int) Stats {
 						}
 						for r := 0; r < rounds; r++ {
 							res, err := interptest.RunModule(work, eng, execCfg(false))
+							diffs := interptest.Compare("seq-baseline", base, fmt.Sprintf("concurrent-par[g%d,r%d,%s]", g, r, eng), res)
 							if err != nil {
-								mu.Lock()
-								problems = append(problems, err.Error())
-								mu.Unlock()
-								return
+								diffs = []string{err.Error()}
 							}
-							if diffs := interptest.Compare("seq-baseline", base, fmt.Sprintf("concurrent-par[g%d,r%d,%s]", g, r, eng), res); len(diffs) > 0 {
+							if len(diffs) > 0 {
 								mu.Lock()
 								problems = append(problems, strings.Join(diffs, "; "))
 								mu.Unlock()
@@ -201,84 +198,66 @@ func (c *Campaign) Faults(seeds []int64) Stats {
 		}
 
 		// Leg (a): step-budget exhaustion mid-pipeline.
-		cap64 := clean.Steps * 3 / 4
-		if cap64 < 1 {
-			cap64 = 1
-		}
-		capped := map[bool]map[interp.Engine]interptest.Result{true: {}, false: {}}
-		failed := false
-		for _, seq := range []bool{true, false} {
-			for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
-				cfg := interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: 2}, MaxSteps: cap64}
-				var r interptest.Result
-				op := fmt.Sprintf("step-exhaustion %s engine=%s seq=%v", cell, eng, seq)
-				gerr := guard(op, c.cfg.Timeout, func() error {
-					var err error
-					r, err = interptest.RunModule(work, eng, cfg)
-					return err
-				})
-				st.Executions++
-				if gerr != nil {
-					st.Failures = append(st.Failures, c.fail(p, "faults", &cell, gerr.Error()))
-					failed = true
-					break
-				}
-				if !errors.Is(r.Err, interp.ErrStepLimit) {
-					st.Failures = append(st.Failures, c.fail(p, "faults", &cell,
-						fmt.Sprintf("%s: want ErrStepLimit, got %v", op, r.Err)))
-					failed = true
-					break
-				}
-				capped[seq][eng] = r
+		capped := interptest.Config{MaxSteps: max(clean.Steps*3/4, 1)}
+		reason, seqRuns := c.faultRuns(work, "step-exhaustion", cell, capped, &st, func(r interptest.Result) string {
+			if !errors.Is(r.Err, interp.ErrStepLimit) {
+				return fmt.Sprintf("want ErrStepLimit, got %v", r.Err)
 			}
-			if failed {
-				break
+			return ""
+		})
+		if reason == "" {
+			if diffs := interptest.Compare("walker", seqRuns[interp.EngineWalker], "compiled", seqRuns[interp.EngineCompiled]); len(diffs) > 0 {
+				reason = "engines disagree on the step-capped sequential run: " + strings.Join(diffs, "; ")
 			}
 		}
-		if failed {
-			continue
-		}
-		if diffs := interptest.Compare("walker", capped[true][interp.EngineWalker], "compiled", capped[true][interp.EngineCompiled]); len(diffs) > 0 {
-			st.Failures = append(st.Failures, c.fail(p, "faults", &cell,
-				"engines disagree on the step-capped sequential run: "+strings.Join(diffs, "; ")))
-			continue
-		}
-
 		// Leg (b): aborted worker — only meaningful when the lowering
 		// actually communicates.
-		if clean.Comm[1] == 0 { // no queue pushes
-			continue
+		if reason == "" && clean.Comm[1] > 0 { // queue pushes
+			reason, _ = c.faultRuns(work, "worker-abort", cell, interptest.Config{Externs: poisonedPushes}, &st, func(r interptest.Result) string {
+				switch {
+				case r.Err == nil:
+					return "injected push fault vanished (run succeeded)"
+				case !strings.Contains(r.Err.Error(), errInjectedFault.Error()) && !strings.Contains(r.Err.Error(), "abort"):
+					return fmt.Sprintf("error does not surface the injected fault: %v", r.Err)
+				}
+				return ""
+			})
 		}
-		for _, seq := range []bool{true, false} {
-			for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
-				cfg := interptest.Config{ExecConfig: interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: 2}, Externs: poisonedPushes}
-				var r interptest.Result
-				op := fmt.Sprintf("worker-abort %s engine=%s seq=%v", cell, eng, seq)
-				gerr := guard(op, c.cfg.Timeout, func() error {
-					var err error
-					r, err = interptest.RunModule(work, eng, cfg)
-					return err
-				})
-				st.Executions++
-				if gerr != nil {
-					st.Failures = append(st.Failures, c.fail(p, "faults", &cell, gerr.Error()))
-					break
-				}
-				if r.Err == nil {
-					st.Failures = append(st.Failures, c.fail(p, "faults", &cell,
-						fmt.Sprintf("%s: injected push fault vanished (run succeeded)", op)))
-					break
-				}
-				if !strings.Contains(r.Err.Error(), errInjectedFault.Error()) &&
-					!strings.Contains(r.Err.Error(), "abort") {
-					st.Failures = append(st.Failures, c.fail(p, "faults", &cell,
-						fmt.Sprintf("%s: error does not surface the injected fault: %v", op, r.Err)))
-					break
-				}
-			}
+		if reason != "" {
+			st.Failures = append(st.Failures, c.fail(p, "faults", &cell, reason))
 		}
 	}
 	return st
+}
+
+// faultRuns runs work -seq, then in parallel, on each engine at 2 lanes,
+// configured otherwise by cfg, and counts the runs in st. It stops at the
+// first run that the watchdog stops or check faults ("" passes) and names
+// it; otherwise it returns "" and the -seq runs by engine.
+func (c *Campaign) faultRuns(work *ir.Module, what string, cell Cell, cfg interptest.Config, st *Stats, check func(interptest.Result) string) (string, map[interp.Engine]interptest.Result) {
+	seqRuns := map[interp.Engine]interptest.Result{}
+	for _, seq := range []bool{true, false} {
+		for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
+			cfg.ExecConfig = interp.ExecConfig{SeqDispatch: seq, DispatchWorkers: 2}
+			op := fmt.Sprintf("%s %s engine=%s seq=%v", what, cell, eng, seq)
+			var r interptest.Result
+			gerr := guard(op, c.cfg.Timeout, func() (err error) {
+				r, err = interptest.RunModule(work, eng, cfg)
+				return err
+			})
+			st.Executions++
+			if gerr != nil {
+				return gerr.Error(), nil
+			}
+			if why := check(r); why != "" {
+				return op + ": " + why, nil
+			}
+			if seq {
+				seqRuns[eng] = r
+			}
+		}
+	}
+	return "", seqRuns
 }
 
 // InjectMiscompiles is the harness's own acceptance check: it seeds each
@@ -344,34 +323,11 @@ func (c *Campaign) inject(mc Miscompile, maxSeeds int) (Failure, error) {
 // writeMutatedRepro dumps an already-mutated module (the inject leg's
 // reproducer is the lowered IR itself, not the source program).
 func (c *Campaign) writeMutatedRepro(work *ir.Module, p *Program, cell *Cell, name, reason string) string {
-	if c.cfg.OutDir == "" {
-		return ""
-	}
-	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
-		c.logf("cannot create reproducer dir: %v", err)
-		return ""
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; noelle-fuzz reproducer (injected miscompile: %s)\n", name)
 	fmt.Fprintf(&sb, "; leg=inject seed=%d cell: %s\n", p.Seed, cell)
 	fmt.Fprintf(&sb, "; reason: %s\n", firstLine(reason))
 	fmt.Fprintf(&sb, "; replay: %s\n", replayCommand(p, "inject", cell))
 	sb.WriteString(ir.Print(work))
-	path := filepath.Join(c.cfg.OutDir, fmt.Sprintf("seed%d_inject_%s_%s_c%d_q%d.nir",
-		p.Seed, name, cell.Technique, cell.Cores, cell.QCap))
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		c.logf("cannot write reproducer: %v", err)
-		return ""
-	}
-	return path
-}
-
-func maxInt(xs []int) int {
-	best := 2
-	for _, x := range xs {
-		if x > best {
-			best = x
-		}
-	}
-	return best
+	return c.writeOut(fmt.Sprintf("seed%d_inject_%s_%s_c%d_q%d.nir", p.Seed, name, cell.Technique, cell.Cores, cell.QCap), sb.String())
 }

@@ -23,13 +23,13 @@ const (
 
 	// memBytes is the address range: every load, store and bulk queue
 	// buffer lies in [0, memBytes) or is a run-time error. It holds the
-	// globals, the root's stack, then the lanes' stacks (stackPool). Over
-	// the corpus and its lowerings at 2, 12, 128 and core.MaxCores cores,
-	// fuzz.Subjects(150), a root stack reaches 12.6 MB (x264_r at
-	// core.MaxCores allocas a 1027-cell environment in a loop of main), a
-	// lane's 328 KB (800 KB for a callee allocaing 800 KB under DOALL)
-	// and the globals 49 KB: so 16 MiB and 1 MiB, and 16 GiB holds 16,367
-	// lanes, a 128-lane dispatch nested in each lane of another.
+	// globals, the root's stack, then one stack per lane of the root's
+	// dispatch (image.lanes). Over the corpus and its lowerings at 2, 12,
+	// 128 and core.MaxCores cores, fuzz.Subjects(150), a root stack
+	// reaches 12.6 MB (x264_r at core.MaxCores allocas a 1027-cell
+	// environment in a loop of main), a lane's 328 KB (800 KB for a callee
+	// allocaing 800 KB under DOALL) and the globals 49 KB: so 16 MiB and
+	// 1 MiB, and 16 GiB holds 16,367 lanes.
 	memBytes       = 1 << 34
 	rootStackBytes = 16 << 20
 	laneStackBytes = 1 << 20
@@ -129,13 +129,16 @@ func (t *pageTable) addLeaf(l uint64) *leaf {
 // dispatcher forks from it; the mutable parts are concurrency-safe, the
 // rest is immutable after New.
 type image struct {
-	mod    *ir.Module
-	mem    pageTable
-	stacks stackPool
+	mod *ir.Module
+	mem pageTable
 
-	// Immutable after New. The globals lie in [8, globalsEnd).
+	// Immutable after New. The globals lie in [8, globalsEnd), the
+	// root's stack above them, and lane g of a parallel dispatch runs on
+	// the stack at lanes+g*laneStackBytes: only the root forks lanes, one
+	// dispatch at a time (see dispatch).
 	globalAddr map[*ir.Global]int64
 	globalsEnd int64
+	lanes      int64
 	// layoutErr names the first global that does not fit in memory; the
 	// globals behind it are not laid out, and every Call fails with it.
 	layoutErr error
@@ -178,14 +181,14 @@ type image struct {
 	comm *queue.Runtime
 
 	// dispatchSeq numbers the run's dispatches (shared across contexts:
-	// nested dispatches from worker lanes draw from the same sequence).
+	// traced dispatches from worker lanes draw from the same sequence).
 	// It keys trace span groups and the per-lane stats below.
 	dispatchSeq atomic.Int64
 
-	// statsMu guards workerStats: per-lane Steps/Cycles retained at each
-	// parallel dispatch's barrier, so per-worker skew survives the
-	// deterministic post-barrier merge into the parent's aggregates.
-	statsMu     sync.Mutex
+	// workerStats holds per-lane Steps/Cycles retained at each parallel
+	// dispatch's barrier, so per-worker skew survives the deterministic
+	// post-barrier merge into the parent's aggregates. Only the root
+	// writes it, at a barrier, when no worker runs: it needs no lock.
 	workerStats []WorkerStat
 }
 
@@ -194,50 +197,6 @@ type image struct {
 // the prefix), so observability never grows a long run's memory
 // unboundedly.
 const maxWorkerStats = 1 << 16
-
-// recordWorkerStats retains one dispatch's per-lane stats.
-func (img *image) recordWorkerStats(stats []WorkerStat) {
-	img.statsMu.Lock()
-	if room := maxWorkerStats - len(img.workerStats); room > 0 {
-		if len(stats) > room {
-			stats = stats[:room]
-		}
-		img.workerStats = append(img.workerStats, stats...)
-	}
-	img.statsMu.Unlock()
-}
-
-// stackPool hands out the lanes' stack regions above the root's, and
-// reuses one given back before it cuts a new one. A dispatch takes and
-// gives back all its lanes' at once: no alloca takes the lock.
-type stackPool struct {
-	mu   sync.Mutex
-	free []int64
-	next int64 // base of the next region never handed out
-}
-
-// take returns the bases of n regions, or an error when memory has no
-// room for them.
-func (p *stackPool) take(n int) ([]int64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	reused := min(n, len(p.free))
-	if int64(n-reused) > (memBytes-p.next)/laneStackBytes {
-		return nil, fmt.Errorf("interp: no room in memory [0, %d) for %d lane stacks", int64(memBytes), n)
-	}
-	bases := slices.Clone(p.free[len(p.free)-reused:])
-	p.free = p.free[:len(p.free)-reused]
-	for ; len(bases) < n; p.next += laneStackBytes {
-		bases = append(bases, p.next)
-	}
-	return bases, nil
-}
-
-func (p *stackPool) give(bases []int64) {
-	p.mu.Lock()
-	p.free = append(p.free, bases...)
-	p.mu.Unlock()
-}
 
 // writeCell and readCell are the image's own accesses: global
 // initializers and the fingerprint. An initializer past the address range
@@ -454,6 +413,6 @@ func newImage(m *ir.Module) *image {
 		}
 		addr += int64(g.Elem.Size())
 	}
-	img.globalsEnd, img.stacks.next = addr, addr+rootStackBytes
+	img.globalsEnd, img.lanes = addr, addr+rootStackBytes
 	return img
 }

@@ -110,10 +110,10 @@ type Interp struct {
 	EdgeHook func(from, to *ir.Block)
 	// WorkerOrder, when set, is the order in which a sequential dispatch
 	// of task runs its n workers: a permutation of 0…n−1, or nil for
-	// 0…n−1. It is for tests: a DOALL lowering claims its workers are
-	// independent, so another order must give the same bytes. Unlike the
-	// hooks it pins the context to no tier, and a parallel dispatch never
-	// reads it.
+	// 0…n−1. It is for the order oracle (tests, noelle-fuzz -leg order):
+	// a DOALL lowering claims its workers are independent, so another
+	// order must give the same bytes. Unlike the hooks it pins the context
+	// to no tier, and a parallel dispatch never reads it.
 	WorkerOrder func(task *ir.Function, n int64) []int64
 
 	// Output accumulates the text produced by print externs.
@@ -134,7 +134,8 @@ type Interp struct {
 	// parWorker marks contexts forked by the parallel dispatcher: their
 	// queue pops and signal waits block (the producer or firing iteration
 	// is live on another goroutine), while sequential contexts use the
-	// never-blocking fallback mode.
+	// never-blocking fallback mode, and so does a worker while it runs a
+	// dispatch of its own in order.
 	parWorker bool
 	// pushBlocks additionally bounds this worker's queue pushes at
 	// capacity. Set only when the dispatch runs every worker on its own
@@ -156,8 +157,8 @@ type Interp struct {
 	// parent dispatched this worker and waits for it (nil on a root).
 	parent *Interp
 
-	// pool is the dispatch tree's shared step budget; nil on root
-	// contexts (see stepPool in parallel.go).
+	// pool is the dispatch's shared step budget; nil on root contexts
+	// (see stepPool in parallel.go).
 	pool *stepPool
 
 	// leaves is this context's copy of the image's page-table top level
@@ -322,7 +323,7 @@ func (it *Interp) ParkStats() queue.ParkStats {
 
 // stepBudget resolves the effective step limit (0 meaning the default;
 // negative budgets — a forked worker with no grant yet — fall through to
-// the slow path, which draws from the dispatch tree's shared pool).
+// the slow path, which draws from the dispatch's shared pool).
 func (it *Interp) stepBudget() int64 {
 	if it.MaxSteps == 0 {
 		return defaultMaxSteps
@@ -373,8 +374,6 @@ type WorkerStat struct {
 // (the -seq fallback, hooked runs, single-worker fan-outs) record
 // nothing — their work is the root context's own Steps/Cycles.
 func (it *Interp) WorkerStats() []WorkerStat {
-	it.img.statsMu.Lock()
-	defer it.img.statsMu.Unlock()
 	return append([]WorkerStat(nil), it.img.workerStats...)
 }
 

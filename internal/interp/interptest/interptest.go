@@ -38,6 +38,8 @@ type Config struct {
 	// are wrapped with per-name call counters, which AssertTiersAgree
 	// diffs between tiers.
 	Externs map[string]interp.Extern
+	// WorkerOrder is the run's interp.Interp.WorkerOrder.
+	WorkerOrder func(task *ir.Function, n int64) []int64
 }
 
 // Result captures everything observable about one tier's run.
@@ -64,6 +66,7 @@ func RunModule(m *ir.Module, eng interp.Engine, cfg Config) (Result, error) {
 	it.ExecConfig = cfg.ExecConfig
 	it.Eng = eng
 	it.MaxSteps = cfg.MaxSteps
+	it.WorkerOrder = cfg.WorkerOrder
 	res := Result{ExternCalls: map[string]int64{}}
 	for name, fn := range cfg.Externs {
 		name, fn := name, fn

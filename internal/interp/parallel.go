@@ -7,7 +7,10 @@
 // identical to the sequential fallback (same output bytes, same Steps and
 // Cycles totals, same memory image). Hooked contexts, and contexts
 // serving an observation request (profiling, cost attribution), dispatch
-// sequentially: hooks keep the canonical order, counters one writer.
+// sequentially: hooks keep the canonical order, counters one writer. So
+// does a worker: a dispatch nested in a task runs in order on its lane,
+// so only the root forks lanes, one dispatch at a time, each lane on a
+// fixed stack.
 
 package interp
 
@@ -30,11 +33,10 @@ import (
 // erroring out beats allocating per-worker state for it.
 const maxDispatchFanout = 1 << 20
 
-// stepPool is the shared step budget of one dispatch tree: every worker
-// (and nested dispatch workers) draws chunks from the same pool, so the
-// whole tree executes at most the parent's unspent budget — matching the
-// sequential fallback's cumulative bound — without an atomic operation
-// per instruction.
+// stepPool is the shared step budget of one parallel dispatch: every
+// worker draws chunks from the same pool, so the workers execute at most
+// the root's unspent budget — matching the sequential fallback's
+// cumulative bound — without an atomic operation per instruction.
 type stepPool struct {
 	remaining atomic.Int64
 	chunk     int64
@@ -43,14 +45,7 @@ type stepPool struct {
 // newStepPool sizes chunks so even a tiny budget splits across workers
 // (stranding is at most one chunk per worker).
 func newStepPool(budget, nworkers int64) *stepPool {
-	chunk := budget / (8 * nworkers)
-	if chunk < 64 {
-		chunk = 64
-	}
-	if chunk > 65536 {
-		chunk = 65536
-	}
-	p := &stepPool{chunk: chunk}
+	p := &stepPool{chunk: min(max(budget/(8*nworkers), 64), 65536)}
 	p.remaining.Store(budget)
 	return p
 }
@@ -65,10 +60,7 @@ func (p *stepPool) take() int64 {
 		if rem <= 0 {
 			return 0
 		}
-		grant := p.chunk
-		if grant > rem {
-			grant = rem
-		}
+		grant := min(p.chunk, rem)
 		if p.remaining.CompareAndSwap(rem, rem-grant) {
 			return grant
 		}
@@ -76,7 +68,7 @@ func (p *stepPool) take() int64 {
 }
 
 // extendStepBudget is the slow path of the execution loop's step check:
-// worker contexts top up from the dispatch tree's shared pool; root
+// worker contexts top up from the dispatch's shared pool; root
 // contexts (no pool) are simply out of budget. It also absorbs the case
 // where an inner frame already extended the budget (the caller's cached
 // limit was stale).
@@ -147,14 +139,6 @@ func (it *Interp) tally() tally {
 // accumulated. Callers absorb workers in worker order; the result is
 // byte-identical to a sequential dispatch.
 func (it *Interp) absorb(w tally) {
-	if it.pool != nil && it.MaxSteps > 0 {
-		// The absorber is itself a worker holding an active grant: the
-		// sub-workers' steps were already debited from the shared pool by
-		// their own takes, so shift the local quota with them — otherwise
-		// the next budget check would discard (and strand) the unused
-		// remainder of the current grant.
-		it.MaxSteps += w.steps
-	}
 	it.Steps += w.steps
 	it.Cycles += w.cycles
 	it.GuardCalls += w.guardCalls
@@ -175,12 +159,13 @@ func (it *Interp) hooked() bool {
 // dispatch implements the noelle_dispatch extern: run task(env, w,
 // nworkers) for every worker w in [0, nworkers). Workers run concurrently
 // on real cores unless SeqDispatch is set, there is at most one worker,
-// a hook is installed or the context serves an observation request —
-// hooked runs take the sequential path so hooks observe the canonical
-// sequential event order without the runtime buffering O(steps) of
-// events per worker, observing ones (profiling, cost attribution) so a
-// request's counters and rows have one writer; the observable result is
-// identical either way.
+// a hook is installed, the context serves an observation request or is
+// a worker — hooked runs take the sequential path so hooks observe the
+// canonical sequential event order without the runtime buffering
+// O(steps) of events per worker, observing ones (profiling, cost
+// attribution) so a request's counters and rows have one writer, workers
+// so only the root forks lanes; the observable result is identical
+// either way.
 func (it *Interp) dispatch(args []uint64) (uint64, error) {
 	idx := int64(args[0])
 	if idx < 0 || idx >= int64(len(it.img.fnTable)) {
@@ -201,7 +186,13 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 		seq = it.img.dispatchSeq.Add(1)
 		dStart = it.rec.Clock()
 	}
-	if it.SeqDispatch || nworkers <= 1 || it.hooked() || it.observing() {
+	// A worker's dispatch runs in the sequential queue and signal mode:
+	// its consumers run after their producers, on one lane. So parent, not
+	// parWorker, marks a worker: a doubly nested dispatch must not fork.
+	if it.SeqDispatch || nworkers <= 1 || it.hooked() || it.observing() || it.parent != nil {
+		parWorker, pushBlocks := it.parWorker, it.pushBlocks
+		it.parWorker, it.pushBlocks = false, false
+		defer func() { it.parWorker, it.pushBlocks = parWorker, pushBlocks }()
 		var order []int64
 		if it.WorkerOrder != nil {
 			if order = it.WorkerOrder(task, nworkers); order != nil && int64(len(order)) != nworkers {
@@ -235,25 +226,22 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 // claimed and dropped as it returns (its tally stays), so a huge nworkers
 // costs a context per concurrent lane plus a tally per worker. All
 // workers run to completion (the shared step pool bounds total work by
-// the unspent budget) even when one fails; aggregation and error selection happen after the barrier, in
-// worker order, so runs are deterministic. seq is the dispatch's trace
-// sequence number (0 when tracing is off).
+// the root's unspent budget) even when one fails; aggregation and error
+// selection happen after the barrier, in worker order, so runs are
+// deterministic. seq is the dispatch's trace sequence number (0 when
+// tracing is off).
 func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, seq int64) (uint64, error) {
-	done := make([]tally, nworkers)
-	errs := make([]error, nworkers)
-	pool := it.pool
-	if pool == nil {
-		// Root of a dispatch tree: the pool holds this context's unspent
-		// budget. Nested dispatches reuse the tree's pool.
-		pool = newStepPool(it.stepBudget()-it.Steps, nworkers)
-	}
 	par := int64(it.DispatchWorkers)
 	if par <= 0 {
 		par = int64(runtime.GOMAXPROCS(0))
 	}
-	if par > nworkers {
-		par = nworkers
+	par = min(par, nworkers)
+	if par > (memBytes-it.img.lanes)/laneStackBytes {
+		return 0, fmt.Errorf("interp: no room in memory [0, %d) for %d lane stacks", int64(memBytes), par)
 	}
+	done := make([]tally, nworkers)
+	errs := make([]error, nworkers)
+	pool := newStepPool(it.stepBudget()-it.Steps, nworkers)
 	// Bounded (blocking) pushes are only deadlock-free when every worker
 	// is resident on its own goroutine: under a tighter cap, a producer
 	// parked on a full queue would wait for a consumer whose worker index
@@ -274,11 +262,6 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 	if seqNo == 0 {
 		seqNo = it.img.dispatchSeq.Add(1)
 	}
-	stacks, err := it.img.stacks.take(int(par))
-	if err != nil {
-		return 0, err
-	}
-	defer it.img.stacks.give(stacks)
 	laneStats := make([]WorkerStat, par)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -296,7 +279,7 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 				if w >= nworkers {
 					return
 				}
-				wk := it.fork(pool, pushBlocks, rec, stacks[g])
+				wk := it.fork(pool, pushBlocks, rec, it.img.lanes+g*laneStackBytes)
 				var tStart time.Time
 				if rec != nil {
 					tStart = rec.Clock()
@@ -323,13 +306,11 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 		}(g)
 	}
 	wg.Wait()
-	claimed := laneStats[:0:0]
 	for _, st := range laneStats {
-		if st.Claims > 0 {
-			claimed = append(claimed, st)
+		if st.Claims > 0 && len(it.img.workerStats) < maxWorkerStats {
+			it.img.workerStats = append(it.img.workerStats, st)
 		}
 	}
-	it.img.recordWorkerStats(claimed)
 	for _, w := range done {
 		it.absorb(w)
 	}

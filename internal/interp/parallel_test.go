@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,13 +232,9 @@ entry:
 	}
 }
 
-func TestNestedDispatch(t *testing.T) {
-	// An outer dispatch whose task dispatches again: each outer worker
-	// hands its inner workers a disjoint slice of the environment, so the
-	// whole tree is race-free and must aggregate deterministically
-	// through both barriers (including the shared step pool's quota
-	// shifts when a grant-holding worker absorbs sub-workers).
-	src := `module "m"
+// nestedSrc is an outer dispatch whose task dispatches again: each outer
+// worker hands its inner workers a disjoint slice of the environment.
+const nestedSrc = `module "m"
 declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
 func @inner(%env: ptr<i64>, %w: i64, %nw: i64) void {
 entry:
@@ -268,7 +265,13 @@ entry:
   %v = load i64, %p3
   ret %v
 }`
-	m := parse(t, src)
+
+// TestNestedDispatch: a dispatch from a worker runs in order on its lane,
+// so the run aggregates as -seq does and only the root's dispatch forks
+// lanes: at DispatchWorkers 2 the stats hold its two lanes and nothing
+// else.
+func TestNestedDispatch(t *testing.T) {
+	m := parse(t, nestedSrc)
 	seq, par, rSeq, rPar := runModes(t, m)
 	if rSeq != rPar {
 		t.Errorf("exit code: seq %d, par %d", rSeq, rPar)
@@ -278,6 +281,137 @@ entry:
 	}
 	if seq.Steps != par.Steps || seq.Cycles != par.Cycles {
 		t.Errorf("counters diverged: seq (%d, %d), par (%d, %d)", seq.Steps, seq.Cycles, par.Steps, par.Cycles)
+	}
+	two := interp.New(m)
+	two.DispatchWorkers = 2
+	if r, err := two.Run(); err != nil || r != rSeq || two.Steps != seq.Steps || two.Cycles != seq.Cycles {
+		t.Errorf("DispatchWorkers 2: exit %d, %d steps, %d cycles, err %v; want %d, %d, %d", r, two.Steps, two.Cycles, err, rSeq, seq.Steps, seq.Cycles)
+	}
+	// A lane that claims no worker records nothing, so the outer
+	// dispatch leaves one or two rows, claiming its two workers.
+	stats, claims := two.WorkerStats(), 0
+	for _, st := range stats {
+		if st.Dispatch != stats[0].Dispatch {
+			claims = -1
+			break
+		}
+		claims += st.Claims
+	}
+	if len(stats) == 0 || len(stats) > 2 || claims != 2 {
+		t.Errorf("lanes %+v, want at most two, of the outer dispatch, claiming its two workers", stats)
+	}
+}
+
+// nestedPipelineSrc runs pipelineSrc's two-stage queue pipeline (capacity
+// 8, 500 pushes) inside each worker of a 2-worker dispatch, on a queue and
+// a sum of the worker's own, and each worker prints its sum. The inner
+// dispatch runs in order on the worker's lane, so its producer pushes all
+// 500 values before the consumer pops one: the lane has to leave its
+// blocking queue mode for it, or the ninth push waits for ever.
+const nestedPipelineSrc = `module "m"
+declare @print_i64 : fn(i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+declare @noelle_queue_create : fn(i64) i64
+declare @noelle_queue_push : fn(i64, i64) void
+declare @noelle_queue_pop : fn(i64) i64
+declare @noelle_queue_close : fn(i64) void
+func @stage(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %q = load i64, %env
+  %isprod = eq %w, 0
+  condbr %isprod, produce, consume
+produce:
+  %i = phi i64 [ 0, entry ], [ %inext, produce ]
+  %v = mul %i, 3
+  call void @noelle_queue_push(%q, %v)
+  %inext = add %i, 1
+  %pc = lt %inext, 500
+  condbr %pc, produce, pdone
+pdone:
+  call void @noelle_queue_close(%q)
+  ret void
+consume:
+  %j = phi i64 [ 0, entry ], [ %jnext, consume ]
+  %s = phi i64 [ 0, entry ], [ %snext, consume ]
+  %got = call i64 @noelle_queue_pop(%q)
+  %snext = add %s, %got
+  %jnext = add %j, 1
+  %cc = lt %jnext, 500
+  condbr %cc, consume, cdone
+cdone:
+  %sum = ptradd %env, 1
+  store i64 %snext, %sum
+  ret void
+}
+func @lane(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %off = mul %w, 2
+  %slice = ptradd %env, %off
+  %q = call i64 @noelle_queue_create(8)
+  store i64 %q, %slice
+  call void @noelle_dispatch(@stage, %slice, 2)
+  %sum = ptradd %slice, 1
+  %r = load i64, %sum
+  call void @print_i64(%r)
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 4
+  call void @noelle_dispatch(@lane, %env, 2)
+  ret 0
+}`
+
+// TestNestedQueuePipeline: each lane of a 2-lane dispatch runs a queue
+// pipeline of its own, and prints what -seq prints, on both tiers.
+func TestNestedQueuePipeline(t *testing.T) {
+	m := parse(t, nestedPipelineSrc)
+	for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
+		for _, seq := range []bool{true, false} {
+			it := interp.New(m)
+			it.Eng, it.SeqDispatch, it.DispatchWorkers = eng, seq, 2
+			if _, err := it.Run(); err != nil {
+				t.Fatalf("engine=%s seq=%v: %v", eng, seq, err)
+			}
+			if got := it.Output.String(); got != "374250\n374250\n" {
+				t.Errorf("engine=%s seq=%v: output %q, want 374250 from each lane", eng, seq, got)
+			}
+		}
+	}
+}
+
+// TestDispatchLaneStacksBound: lanes that the address range has no stack
+// for are refused before any of them starts, so no worker runs.
+func TestDispatchLaneStacksBound(t *testing.T) {
+	m := parse(t, `module "m"
+declare @probe : fn(i64) void
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  call void @probe(%w)
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 1
+  call void @noelle_dispatch(@task, %env, 20000)
+  ret 0
+}`)
+	for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
+		it := interp.New(m)
+		it.Eng, it.DispatchWorkers = eng, 20000
+		var ran atomic.Int64
+		it.RegisterExternArity("probe", 1, func(*interp.Interp, []uint64) (uint64, error) {
+			ran.Add(1)
+			return 0, nil
+		})
+		_, err := it.Run()
+		if want := "for 20000 lane stacks"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("engine=%s: err %v, want one naming %q", eng, err, want)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("engine=%s: %d workers ran", eng, n)
+		}
 	}
 }
 

@@ -679,3 +679,70 @@ exit:
 		}
 	}
 }
+
+// TestLowerTrapsAgree: a remainder by zero in the sequential segment, and
+// one in the parallel part, at iteration 75 of 400: at 2 cores the loop
+// runs 8 blocks of 50 iterations, so the trap comes halfway through the
+// second block. The original, -seq and parallel, walker and compiled all
+// end in that trap, after the same output.
+func TestLowerTrapsAgree(t *testing.T) {
+	for name, body := range map[string]string{
+		"segment": `
+    int x = b[i] * b[i] + i;
+    int y = x * 3 + 7;
+    acc = (acc * 3 + y) % (75 - i);
+    c[i] = y % 101;`,
+		"parallel": `
+    int x = (b[i] * b[i] + i) % (75 - i);
+    int y = x * 3 + 7;
+    acc = (acc * 3 + y) % 4093;
+    c[i] = y % 101;`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := compile(t, `
+int b[400];
+int c[400];
+int main() {
+  int i;
+  for (i = 0; i < 400; i = i + 1) { b[i] = i * 7 + 3; }
+  print_i64(77);
+  int acc = 1;
+  for (i = 0; i < 400; i = i + 1) {`+body+`
+  }
+  print_i64(acc);
+  return acc % 251;
+}`)
+			run := func(mod *ir.Module, seq bool, eng interp.Engine) (string, string) {
+				it := interp.New(mod)
+				it.SeqDispatch, it.Eng, it.DispatchWorkers = seq, eng, 2
+				_, err := it.Run()
+				if err == nil {
+					return it.Output.String(), ""
+				}
+				return it.Output.String(), err.Error()
+			}
+			orig := ir.CloneModule(m)
+			wantOut := "77\n"
+			for _, eng := range bothEngines {
+				if out, err := run(orig, false, eng); !strings.HasSuffix(err, "integer remainder by zero") || out != wantOut {
+					t.Fatalf("original, engine=%s: output %q, err %q; want the trap after 77", eng, out, err)
+				}
+			}
+			opts := core.DefaultOptions()
+			opts.MinHotness, opts.Cores = 0, 2
+			res := runHELIX(t, core.New(m, opts), true)
+			if res.Lowered() != 2 {
+				t.Fatalf("lowered %d loops, want both: %v", res.Lowered(), notLowered(res))
+			}
+			helixTask(t, m, 1) // the trapping loop, with its one segment
+			for _, seq := range []bool{true, false} {
+				for _, eng := range bothEngines {
+					out, err := run(m, seq, eng)
+					if !strings.HasPrefix(err, "interp: dispatch worker 1: ") || !strings.HasSuffix(err, "integer remainder by zero") || out != wantOut {
+						t.Errorf("seq=%v engine=%s: output %q, err %q; want the original's trap in the second block, after %q", seq, eng, out, err, wantOut)
+					}
+				}
+			}
+		})
+	}
+}

@@ -11,40 +11,14 @@ import (
 
 	"noelle/internal/bench"
 	"noelle/internal/core"
+	"noelle/internal/fuzz"
 	"noelle/internal/interp"
 	"noelle/internal/ir"
 	"noelle/internal/minic"
 	"noelle/internal/passes"
 	"noelle/internal/profiler"
 	"noelle/internal/tool"
-	"noelle/internal/verify"
 )
-
-// reversedDOALL is the worker order that runs the workers of every
-// dispatch whose protocol record says doall in reverse. Every other
-// dispatch keeps its order: a HELIX worker waits on a ticket its
-// predecessor fires, and DSWP stages on their producers' queues.
-func reversedDOALL(m *ir.Module) (order func(task *ir.Function, n int64) []int64, doall int) {
-	tasks := map[*ir.Function]bool{}
-	for _, l := range verify.Lowerings(m) {
-		if l.Err == nil && l.Proto.Technique == verify.DOALL {
-			doall++
-			for _, f := range l.Tasks {
-				tasks[f] = true
-			}
-		}
-	}
-	return func(task *ir.Function, n int64) []int64 {
-		if !tasks[task] {
-			return nil
-		}
-		order := make([]int64, n)
-		for i := range order {
-			order[i] = n - 1 - int64(i)
-		}
-		return order
-	}, doall
-}
 
 // seqRun is what the order oracle compares: main's exit value or error,
 // its output and the fingerprint of the globals after it.
@@ -101,7 +75,7 @@ func TestReversedDOALLWorkersAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				m = lowerProfiled(t, m, name, cores)
-				order, doall := reversedDOALL(m)
+				order, doall := fuzz.ReversedDOALL(m)
 				if doall == 0 {
 					continue
 				}
@@ -150,7 +124,7 @@ func TestReversedWorkersExposeTheSelfDependenceRace(t *testing.T) {
 	}
 	orig := runSeq(compile(), nil)
 	m := lowerProfiled(t, compile(), "doall", 12)
-	order, doall := reversedDOALL(m)
+	order, doall := fuzz.ReversedDOALL(m)
 	if doall == 0 {
 		t.Fatal("pinned doall lowered no loop")
 	}
